@@ -10,32 +10,29 @@ normals and reliable outliers to label the whole dataset.
 from .baselines import BaselineResult, NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
                       round_half_up, sample_labels)
-from .expansion import (ClusterAssignment, ExpansionRecord, UNCLUSTERED, back_trace,
-                        combine_backtraces, emax_over_roots, expand_all, prim_expand,
-                        ssdbscan)
+from .expansion import ClusterAssignment, UNCLUSTERED, expand, minimax_rows, ssdbscan
 from .metrics import auc, nmi, rand_index
 from .metricspace import (NeighborhoodIndex, build_index, is_density_reachable,
                           knn_by_rdist, pairwise_distances, rdist_matrix, rdist_row,
                           reach_distance)
-from .model import (Classifier, PipelineResult, TrainingSet, WeightedKnnClassifier,
+from .model import (PipelineResult, TrainingSet, WeightedKnnClassifier,
                     predict, select_reliable, train)
 from .pipeline import (PipelineParams, Prepared, TuneReport, default_k, finish,
                        prepare, run, tune)
 from .scoring import (ScoreParams, ScoreTable, l_score, local_densities, local_density,
-                      r_score, score_table, sim_score, sim_scores, t_score)
+                      r_score, sim_score, sim_scores, t_score)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineResult", "Classifier", "ClusterAssignment", "Dataset", "ExpansionRecord",
-    "LabelSet", "NeighborhoodIndex", "NOISE", "OUTLIER", "PipelineParams",
-    "PipelineResult", "Prepared", "ScoreParams", "ScoreTable", "TrainingSet",
-    "TuneReport", "UNCLUSTERED", "WeightedKnnClassifier", "auc", "back_trace",
-    "build_index", "combine_backtraces", "dbscan", "default_k", "emax_over_roots",
-    "expand_all", "finish", "is_density_reachable", "kmeans", "knn_by_rdist",
-    "l_score", "load_csv", "local_densities", "local_density", "lof", "minmax_scale",
-    "nmi", "pairwise_distances", "predict", "prepare", "prim_expand", "r_score",
-    "rand_index", "rdist_matrix", "rdist_row", "reach_distance", "round_half_up",
-    "run", "sample_labels", "score_table", "select_reliable", "sim_score",
-    "sim_scores", "ssdbscan", "ssdbscan_with_fallback", "t_score", "train", "tune",
+    "BaselineResult", "ClusterAssignment", "Dataset", "LabelSet", "NeighborhoodIndex",
+    "NOISE", "OUTLIER", "PipelineParams", "PipelineResult", "Prepared", "ScoreParams",
+    "ScoreTable", "TrainingSet", "TuneReport", "UNCLUSTERED", "WeightedKnnClassifier",
+    "auc", "build_index", "dbscan", "default_k", "expand", "finish",
+    "is_density_reachable", "kmeans", "knn_by_rdist", "l_score", "load_csv",
+    "local_densities", "local_density", "lof", "minimax_rows", "minmax_scale", "nmi",
+    "pairwise_distances", "predict", "prepare", "r_score", "rand_index", "rdist_matrix",
+    "rdist_row", "reach_distance", "round_half_up", "run", "sample_labels",
+    "select_reliable", "sim_score", "sim_scores", "ssdbscan", "ssdbscan_with_fallback",
+    "t_score", "train", "tune",
 ]

@@ -1,10 +1,12 @@
-"""Prim-order density expansion from labeled roots, back-tracing, and clustering.
+"""Density expansion from labeled roots, back-tracing, and clustering.
 
-An expansion grows a tree over the complete reachability graph starting at
-a labeled normal point, always attaching the cheapest unclaimed point next
-(ties go to the smaller index). The running maximum of attachment keys at
-the moment a point joins equals the minimax reachability path value from
-the root to that point, which is what downstream scoring consumes.
+An expansion from a labeled normal root attaches the cheapest unclaimed
+point next over the complete reachability graph. The running maximum of
+attachment keys when q joins is the minimax reachability path value
+mm(root, q): the largest edge on the root-q path of a minimum spanning
+tree of that graph. One tree therefore serves every root. Each root keeps
+the points it reaches more cheaply than its first differently-labeled
+point, which is the expansion cut back at its largest edge.
 """
 
 from dataclasses import dataclass
@@ -31,30 +33,6 @@ def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExpansionRecord:
-    """One expansion: insertion order with attachment keys and running maxima.
-
-    prefix_max[q] is the largest attachment key seen up to and including
-    q's insertion (NaN for points a terminated expansion never reached).
-    boundary_pos is the position in `order` of the first inserted point
-    whose user label differs from the root's; labeled outliers always
-    count as different.
-    """
-
-    root: int
-    order: tuple
-    prefix_max: np.ndarray
-    boundary_pos: int | None
-
-    @property
-    def boundary(self) -> int | None:
-        """Point index of the first differently-labeled point, if any."""
-        if self.boundary_pos is None:
-            return None
-        return self.order[self.boundary_pos][0]
-
-
-@dataclass(frozen=True)
 class ClusterAssignment:
     """Per-point cluster id, or UNCLUSTERED where no back-trace claimed the point."""
 
@@ -69,110 +47,80 @@ class ClusterAssignment:
         return int((self.assign == UNCLUSTERED).sum())
 
 
-def prim_expand(idx: NeighborhoodIndex, root: int, labels: LabelSet,
-                terminate: bool) -> ExpansionRecord:
-    """Expand from a labeled normal root in cheapest-attachment order.
+def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
+    """Dense Prim over the reachability graph, one reachability row per step.
 
-    With terminate=True the expansion stops right after inserting the
-    first differently-labeled point (original semantics); otherwise it
-    runs until every point is inserted while still recording where that
-    boundary occurred.
+    Returns (u, v, w) arrays of the n - 1 tree edges.
     """
     n = idx.n
-    if root not in labels.normal:
-        raise ValueError(f"expansion root {root} must be a labeled normal point")
-    lab = _user_labels(labels, n)
-    root_label = lab[root]
-
-    keys = np.full(n, np.inf)
-    keys[root] = 0.0
+    best = np.full(n, np.inf)
+    source = np.zeros(n, dtype=int)
     in_tree = np.zeros(n, dtype=bool)
-    order = []
-    prefix = np.full(n, np.nan)
-    boundary_pos = None
-    running = 0.0
-
-    for step in range(n):
-        q = int(np.argmin(keys))  # ties resolve to the smallest index
-        key = float(keys[q])
+    u = np.empty(n - 1, dtype=int)
+    v = np.empty(n - 1, dtype=int)
+    w = np.empty(n - 1)
+    q = 0
+    for step in range(n - 1):
         in_tree[q] = True
-        keys[q] = np.inf
-        running = key if step == 0 else max(running, key)
-        order.append((q, key))
-        prefix[q] = running
-        if boundary_pos is None and lab[q] != _NO_LABEL and lab[q] != root_label:
-            boundary_pos = step
-            if terminate:
-                break
-        rd = np.maximum(np.maximum(idx.core, idx.core[q]), idx.dist[q])
-        np.minimum(keys, rd, out=keys, where=~in_tree)
-
-    prefix.flags.writeable = False
-    return ExpansionRecord(root=int(root), order=tuple(order),
-                           prefix_max=prefix, boundary_pos=boundary_pos)
+        best[q] = np.inf
+        rd = np.maximum(np.maximum(idx.core, idx.core[q]), idx.dist[q])  # rdist_row(idx, q)
+        closer = (rd < best) & ~in_tree
+        best[closer] = rd[closer]
+        source[closer] = q
+        q = int(np.argmin(best))
+        u[step], v[step], w[step] = source[q], q, best[q]
+    return u, v, w
 
 
-def back_trace(rec: ExpansionRecord) -> set:
-    """Points the root keeps after cutting the expansion at its largest key.
+def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
+    """mm(r, q) for every root r (one row each, in the given order) and point q.
 
-    Without a boundary the whole insertion sequence belongs to the root.
-    Otherwise the earliest maximum key at or before the boundary marks the
-    cut: the point carrying it and everything after are dropped.
+    A Kruskal merge sweep over the spanning tree's edges in ascending
+    weight: joining two components by an edge of weight w sets mm to w
+    between each root on one side and every point on the other.
     """
-    if rec.boundary_pos is None:
-        return {p for p, _ in rec.order}
-    keys = [k for _, k in rec.order[1:rec.boundary_pos + 1]]
-    cut = 1 + int(np.argmax(keys))
-    return {rec.order[i][0] for i in range(cut)}
+    roots = np.asarray(roots, dtype=int)
+    mm = np.zeros((roots.size, idx.n))
+    comp = np.arange(idx.n)
+    u, v, w = _spanning_tree(idx)
+    for e in np.argsort(w, kind="stable"):
+        in_u = comp == comp[u[e]]
+        in_v = comp == comp[v[e]]
+        mm[np.ix_(in_u[roots], in_v)] = w[e]
+        mm[np.ix_(in_v[roots], in_u)] = w[e]
+        comp[in_v] = comp[u[e]]
+    return mm
 
 
-def expand_all(idx: NeighborhoodIndex, labels: LabelSet, terminate: bool) -> list:
-    """One expansion per labeled normal root, in ascending root order."""
+def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
+    """Back-traced clustering and emax from every labeled normal root.
+
+    Root r keeps itself and every q with mm(r, q) < e*(r), the smallest
+    mm(r, p) over labeled points p whose label differs from r's (labeled
+    outliers always differ; e* is infinite when none does). A point kept
+    by several roots goes to the one with the smallest mm there, ties to
+    the smaller root index. emax[q] is the smallest mm(r, q) over roots.
+
+    Returns (ClusterAssignment, emax).
+    """
     labels.validate_for(idx.n)
-    roots = sorted(labels.normal)
-    if not roots:
+    roots = np.array(sorted(labels.normal), dtype=int)
+    if not roots.size:
         raise ValueError("at least one labeled normal point is required")
-    return [prim_expand(idx, r, labels, terminate=terminate) for r in roots]
-
-
-def combine_backtraces(records, labels: LabelSet, n: int) -> ClusterAssignment:
-    """Merge per-root back-traces into a single assignment.
-
-    A point claimed by roots carrying different labels goes to the root
-    with the smallest prefix_max there, ties to the smaller root index.
-    Claims from same-label roots simply union.
-    """
-    best_key = np.full(n, np.inf)
-    best_root = np.full(n, n, dtype=int)
-    assign = np.full(n, UNCLUSTERED, dtype=int)
-    for rec in records:
-        cluster = labels.normal[rec.root]
-        for q in sorted(back_trace(rec)):
-            v = float(rec.prefix_max[q])
-            if v < best_key[q] or (v == best_key[q] and rec.root < best_root[q]):
-                best_key[q] = v
-                best_root[q] = rec.root
-                assign[q] = cluster
+    mm = minimax_rows(idx, roots)
+    lab = _user_labels(labels, idx.n)
+    root_label = lab[roots]
+    differs = (lab != _NO_LABEL) & (lab != root_label[:, None])
+    cut = np.where(differs, mm, np.inf).min(axis=1)
+    kept = mm < cut[:, None]
+    kept[np.arange(roots.size), roots] = True
+    owner = np.where(kept, mm, np.inf).argmin(axis=0)
+    assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
     assign.flags.writeable = False
-    return ClusterAssignment(assign=assign)
+    return ClusterAssignment(assign=assign), mm.min(axis=0)
 
 
 def ssdbscan(idx: NeighborhoodIndex, labels: LabelSet) -> ClusterAssignment:
-    """Terminating-expansion clustering: expand from every labeled normal
-    root, back-trace each, and merge the traced clusters."""
-    records = expand_all(idx, labels, terminate=True)
-    return combine_backtraces(records, labels, idx.n)
-
-
-def emax_over_roots(records) -> np.ndarray:
-    """Per point, the smallest prefix_max over all root expansions.
-
-    Requires at least one record and full coverage (non-terminating
-    expansions), so every labeled normal root scores exactly 0.
-    """
-    if not records:
-        raise ValueError("at least one expansion record is required")
-    stack = np.vstack([rec.prefix_max for rec in records])
-    if np.isnan(stack).any():
-        raise ValueError("emax needs non-terminating expansions covering every point")
-    return stack.min(axis=0)
+    """Clustering of the original expansion semantics: every labeled normal
+    root keeps its back-traced points and the traced clusters are merged."""
+    return expand(idx, labels)[0]

@@ -1,6 +1,5 @@
 """Reliable-set selection and the instance-weighted nearest-neighbour classifier."""
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +74,8 @@ def select_reliable(assignment: ClusterAssignment, scores: ScoreTable, k: int) -
     )
 
 
-class Classifier(ABC):
-    """Interface for instance-weighted classifiers over feature vectors."""
-
-    @abstractmethod
-    def predict_points(self, points: np.ndarray) -> tuple:
-        """Return (classes, outlier_score) arrays for the query rows."""
-
-
 @dataclass(frozen=True)
-class WeightedKnnClassifier(Classifier):
+class WeightedKnnClassifier:
     """Deterministic weighted-vote k-nearest-neighbour classifier.
 
     Each query collects its k_c nearest training rows (Euclidean, ties by
@@ -100,6 +91,7 @@ class WeightedKnnClassifier(Classifier):
     k_c: int
 
     def predict_points(self, points: np.ndarray) -> tuple:
+        """Return (classes, outlier_score) arrays for the query rows."""
         queries = np.asarray(points, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.features.shape[1]:
             raise ValueError(
@@ -137,7 +129,7 @@ def train(ts: TrainingSet, features, k_c: int) -> WeightedKnnClassifier:
     )
 
 
-def predict(classifier: Classifier, ds) -> tuple:
+def predict(classifier: WeightedKnnClassifier, ds) -> tuple:
     """Classify every dataset point.
 
     Returns (classes, outliers, outlier_score): predicted class per point

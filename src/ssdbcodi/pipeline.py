@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, LabelSet, OUTLIER, round_half_up
-from .expansion import combine_backtraces, emax_over_roots, expand_all
+from .expansion import expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
 from .model import PipelineResult, predict, select_reliable, train
@@ -67,12 +67,10 @@ def default_k(n: int, labels: LabelSet) -> int:
 
 
 def prepare(ds: Dataset, labels: LabelSet, min_pts: int, index=None) -> Prepared:
-    """Index, expansions, back-traces, and the three raw score columns."""
+    """Index, back-traced expansion, and the three raw score columns."""
     labels.validate_for(ds.n)
     idx = index if index is not None else build_index(ds, min_pts)
-    records = expand_all(idx, labels, terminate=False)
-    assignment = combine_backtraces(records, labels, ds.n)
-    emax = emax_over_roots(records)
+    assignment, emax = expand(idx, labels)
     return Prepared(
         idx=idx,
         assignment=assignment,
@@ -86,8 +84,7 @@ def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
            params: PipelineParams) -> PipelineResult:
     """Blend scores, select reliable sets, train, and classify every point."""
     table = ScoreTable(r_score=prepared.r, l_score=prepared.l, sim_score=prepared.sim)
-    table = ScoreTable(r_score=table.r_score, l_score=table.l_score,
-                       sim_score=table.sim_score, t_score=t_score(table, params.score))
+    table = replace(table, t_score=t_score(table, params.score))
     n_unclustered = prepared.assignment.n_unclustered
     if params.k is None:
         k = min(default_k(ds.n, labels), n_unclustered)

@@ -104,18 +104,3 @@ def t_score(table: ScoreTable, params: ScoreParams) -> np.ndarray:
             + params.beta * (1.0 - table.l_score)
             + w3 * table.sim_score)
 
-
-def score_table(idx: NeighborhoodIndex, ds: Dataset, labels: LabelSet,
-                emax, params: ScoreParams) -> ScoreTable:
-    """Assemble the full four-column table for a prepared expansion."""
-    partial = ScoreTable(
-        r_score=r_score(emax),
-        l_score=l_score(local_densities(idx)),
-        sim_score=sim_scores(ds, labels),
-    )
-    return ScoreTable(
-        r_score=partial.r_score,
-        l_score=partial.l_score,
-        sim_score=partial.sim_score,
-        t_score=t_score(partial, params),
-    )

@@ -1,17 +1,20 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately takes a different route from the library:
-closure-based minimax paths instead of expansion prefixes, threshold-swept
-ROC curves instead of rank sums, pair enumeration and Counter-based
-contingencies instead of vectorized tables.
+closure-based minimax paths and one Prim expansion per root instead of a
+single spanning tree, threshold-swept ROC curves instead of rank sums,
+pair enumeration and Counter-based contingencies instead of vectorized
+tables.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from ssdbcodi import Dataset, LabelSet, OUTLIER
+from ssdbcodi import (ClusterAssignment, Dataset, LabelSet, NeighborhoodIndex, OUTLIER,
+                      UNCLUSTERED)
 
 
 def minimax_closure(weights: np.ndarray) -> np.ndarray:
@@ -121,3 +124,149 @@ def moons_with_outliers(n: int = 400, outlier_rate: float = 0.05,
     labels = np.concatenate([truth, np.full(n_out, OUTLIER, dtype=int)])
     order = rng.permutation(points.shape[0])
     return Dataset(points=points[order], truth=labels[order], name="moons")
+
+
+# --- per-root Prim expansions: the reference for ssdbcodi.expansion ---
+
+_NO_LABEL = -2
+_OUTLIER_LABEL = -1
+
+
+def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
+    lab = np.full(n, _NO_LABEL, dtype=int)
+    for i, c in labels.normal.items():
+        lab[i] = c
+    for i in labels.outliers:
+        lab[i] = _OUTLIER_LABEL
+    return lab
+
+
+@dataclass(frozen=True)
+class ExpansionRecord:
+    """One expansion: insertion order with attachment keys and running maxima.
+
+    prefix_max[q] is the largest attachment key seen up to and including
+    q's insertion (NaN for points a terminated expansion never reached).
+    boundary_pos is the position in `order` of the first inserted point
+    whose user label differs from the root's; labeled outliers always
+    count as different.
+    """
+
+    root: int
+    order: tuple
+    prefix_max: np.ndarray
+    boundary_pos: int | None
+
+    @property
+    def boundary(self) -> int | None:
+        """Point index of the first differently-labeled point, if any."""
+        if self.boundary_pos is None:
+            return None
+        return self.order[self.boundary_pos][0]
+
+
+def prim_expand(idx: NeighborhoodIndex, root: int, labels: LabelSet,
+                terminate: bool) -> ExpansionRecord:
+    """Expand from a labeled normal root in cheapest-attachment order.
+
+    With terminate=True the expansion stops right after inserting the
+    first differently-labeled point (original semantics); otherwise it
+    runs until every point is inserted while still recording where that
+    boundary occurred.
+    """
+    n = idx.n
+    if root not in labels.normal:
+        raise ValueError(f"expansion root {root} must be a labeled normal point")
+    lab = _user_labels(labels, n)
+    root_label = lab[root]
+
+    keys = np.full(n, np.inf)
+    keys[root] = 0.0
+    in_tree = np.zeros(n, dtype=bool)
+    order = []
+    prefix = np.full(n, np.nan)
+    boundary_pos = None
+    running = 0.0
+
+    for step in range(n):
+        q = int(np.argmin(keys))  # ties resolve to the smallest index
+        key = float(keys[q])
+        in_tree[q] = True
+        keys[q] = np.inf
+        running = key if step == 0 else max(running, key)
+        order.append((q, key))
+        prefix[q] = running
+        if boundary_pos is None and lab[q] != _NO_LABEL and lab[q] != root_label:
+            boundary_pos = step
+            if terminate:
+                break
+        rd = np.maximum(np.maximum(idx.core, idx.core[q]), idx.dist[q])
+        np.minimum(keys, rd, out=keys, where=~in_tree)
+
+    prefix.flags.writeable = False
+    return ExpansionRecord(root=int(root), order=tuple(order),
+                           prefix_max=prefix, boundary_pos=boundary_pos)
+
+
+def back_trace(rec: ExpansionRecord) -> set:
+    """Points the root keeps after cutting the expansion at its largest key.
+
+    Without a boundary the whole insertion sequence belongs to the root.
+    Otherwise the earliest maximum key at or before the boundary marks the
+    cut: the point carrying it and everything after are dropped.
+    """
+    if rec.boundary_pos is None:
+        return {p for p, _ in rec.order}
+    keys = [k for _, k in rec.order[1:rec.boundary_pos + 1]]
+    cut = 1 + int(np.argmax(keys))
+    return {rec.order[i][0] for i in range(cut)}
+
+
+def expand_all(idx: NeighborhoodIndex, labels: LabelSet, terminate: bool) -> list:
+    """One expansion per labeled normal root, in ascending root order."""
+    labels.validate_for(idx.n)
+    roots = sorted(labels.normal)
+    if not roots:
+        raise ValueError("at least one labeled normal point is required")
+    return [prim_expand(idx, r, labels, terminate=terminate) for r in roots]
+
+
+def combine_backtraces(records, labels: LabelSet, n: int) -> ClusterAssignment:
+    """Merge per-root back-traces into a single assignment.
+
+    A point claimed by roots carrying different labels goes to the root
+    with the smallest prefix_max there, ties to the smaller root index.
+    Claims from same-label roots simply union.
+    """
+    best_key = np.full(n, np.inf)
+    best_root = np.full(n, n, dtype=int)
+    assign = np.full(n, UNCLUSTERED, dtype=int)
+    for rec in records:
+        cluster = labels.normal[rec.root]
+        for q in sorted(back_trace(rec)):
+            v = float(rec.prefix_max[q])
+            if v < best_key[q] or (v == best_key[q] and rec.root < best_root[q]):
+                best_key[q] = v
+                best_root[q] = rec.root
+                assign[q] = cluster
+    assign.flags.writeable = False
+    return ClusterAssignment(assign=assign)
+
+
+def emax_over_roots(records) -> np.ndarray:
+    """Per point, the smallest prefix_max over all root expansions.
+
+    Requires at least one record and full coverage (non-terminating
+    expansions), so every labeled normal root scores exactly 0.
+    """
+    if not records:
+        raise ValueError("at least one expansion record is required")
+    stack = np.vstack([rec.prefix_max for rec in records])
+    if np.isnan(stack).any():
+        raise ValueError("emax needs non-terminating expansions covering every point")
+    return stack.min(axis=0)
+
+
+def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> ClusterAssignment:
+    """Terminating expansions from every labeled normal root, back-traced and merged."""
+    return combine_backtraces(expand_all(idx, labels, terminate=True), labels, idx.n)

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, OUTLIER, PipelineParams, ScoreParams,
+from ssdbcodi import (Dataset, OUTLIER, PipelineParams, ScoreParams,
                       ScoreTable, UNCLUSTERED, auc, build_index,
-                      is_density_reachable, load_csv, lof, nmi,
-                      pairwise_distances, prepare, prim_expand, rand_index,
+                      is_density_reachable, load_csv, lof, minimax_rows, nmi,
+                      pairwise_distances, prepare, rand_index,
                       rdist_matrix, reach_distance, run, sample_labels,
                       ssdbscan, t_score, tune)
 from ssdbcodi.cli import main
@@ -54,10 +54,9 @@ def test_criterion_1_bottleneck_oracle():
         ds = Dataset(points=pts, truth=np.zeros(n, dtype=int), name="fuzz")
         idx = build_index(ds, min_pts)
         root = int(rng.integers(n))
-        labels = LabelSet(normal={root: 0}, outliers=frozenset())
-        rec = prim_expand(idx, root, labels, terminate=False)
+        got = minimax_rows(idx, [root])[0]
         want = minimax_closure(rdist_matrix(idx))[root]
-        assert np.all(np.abs(rec.prefix_max - want) <= 1e-9)
+        assert np.all(np.abs(got - want) <= 1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     print(f"CRITERION 1 PASS: 200 datasets, {elapsed:.1f}s")

@@ -1,12 +1,17 @@
-"""Expansion order, back-tracing, combined clustering, and minimax prefixes."""
+"""Single-tree expansion, back-tracing, combined clustering, and emax.
+
+The per-root Prim expansions in `oracles` are the reference: the library
+must reproduce their assignment and emax bit for bit.
+"""
 
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, ExpansionRecord, LabelSet, UNCLUSTERED, back_trace,
-                      build_index, emax_over_roots, expand_all, prim_expand,
-                      rdist_matrix, ssdbscan)
-from oracles import minimax_closure, random_labelset, random_points
+from ssdbcodi import (Dataset, LabelSet, UNCLUSTERED, build_index, expand,
+                      minimax_rows, rdist_matrix, ssdbscan)
+from oracles import (ExpansionRecord, back_trace, combine_backtraces, emax_over_roots,
+                     expand_all, minimax_closure, prim_expand, random_labelset,
+                     random_points, ssdbscan_by_expansion)
 
 
 def line_dataset(values):
@@ -23,6 +28,7 @@ def test_prim_expand_worked_example():
     assert rec.order == ((0, 0.0), (1, 1.0), (2, 2.0))
     assert rec.prefix_max.tolist() == [0.0, 1.0, 2.0]
     assert rec.boundary_pos is None
+    assert minimax_rows(idx, [0]).tolist() == [[0.0, 1.0, 2.0]]
 
 
 def test_prim_expand_root_key_is_zero_and_coverage_is_total():
@@ -73,9 +79,12 @@ def test_prefix_max_matches_minimax_oracle():
         idx = build_index(pts, int(rng.integers(1, 4)))
         labels = random_labelset(rng, idx.n)
         oracle = minimax_closure(rdist_matrix(idx))
-        for root in sorted(labels.normal):
+        roots = sorted(labels.normal)
+        rows = minimax_rows(idx, roots)
+        for row, root in zip(rows, roots):
             rec = prim_expand(idx, root, labels, terminate=False)
             assert np.allclose(rec.prefix_max, oracle[root], atol=1e-12)
+            assert np.array_equal(row, rec.prefix_max)
 
 
 def synthetic_record(keys, boundary_pos):
@@ -103,6 +112,38 @@ def test_back_trace_without_boundary_keeps_everything():
 def test_back_trace_tie_uses_earliest_maximum():
     rec = synthetic_record([0.0, 3.0, 1.0, 3.0, 0.5], boundary_pos=4)
     assert back_trace(rec) == {0}
+
+
+def fuzz_instance(rng, grid):
+    """Points and labels for one equivalence case; grid points repeat a lot."""
+    if grid:
+        n = int(rng.integers(2, 40))
+        pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+    else:
+        pts = random_points(rng)
+        n = pts.shape[0]
+    idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+    outlier_rate = float(rng.choice([0.0, 0.3]))
+    labels = random_labelset(rng, n, n_clusters=int(rng.integers(1, 4)),
+                             outlier_rate=outlier_rate)
+    return idx, labels
+
+
+def test_expand_matches_per_root_expansions_bit_for_bit():
+    rng = np.random.default_rng(41)
+    seen = {"grid": 0, "outliers": 0, "no_boundary": 0}
+    for case in range(400):
+        idx, labels = fuzz_instance(rng, grid=case % 2 == 1)
+        records = expand_all(idx, labels, terminate=False)
+        ca, emax = expand(idx, labels)
+        assert np.array_equal(ca.assign, combine_backtraces(records, labels, idx.n).assign)
+        assert emax.tobytes() == emax_over_roots(records).tobytes()
+        assert np.array_equal(ssdbscan(idx, labels).assign,
+                              ssdbscan_by_expansion(idx, labels).assign)
+        seen["grid"] += case % 2
+        seen["outliers"] += bool(labels.outliers)
+        seen["no_boundary"] += all(rec.boundary_pos is None for rec in records)
+    assert min(seen.values()) >= 20
 
 
 def test_ssdbscan_two_tight_groups():
@@ -156,31 +197,28 @@ def test_adding_labeled_outlier_never_grows_a_backtrace():
             continue
         extra = LabelSet(normal=labels.normal,
                          outliers=labels.outliers | {int(rng.choice(unlabeled))})
-        for root in sorted(labels.normal):
-            before = back_trace(prim_expand(idx, root, labels, terminate=True))
-            after = back_trace(prim_expand(idx, root, extra, terminate=True))
-            assert after <= before
+        before = expand(idx, labels)[0].clustered
+        after = expand(idx, extra)[0].clustered
+        assert np.all(before | ~after)
 
 
 def test_conflicting_claims_go_to_the_cheaper_root():
     # a midpoint clump reachable from both sides: whichever root reaches it
-    # with the smaller running maximum wins
+    # with the smaller minimax path value wins
     values = [0, 1, 2, 3.0, 3.5, 4.0, 7, 8, 9]
     idx = build_index(line_dataset(values), 1)
     labels = only_normals({0: 0, 8: 1})
-    records = expand_all(idx, labels, terminate=False)
+    roots = sorted(labels.normal)
+    mm = minimax_rows(idx, roots)
     ca = ssdbscan(idx, labels)
-    by_root = {rec.root: rec for rec in records}
+    assert ca.assign.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
     for q in range(idx.n):
-        if ca.assign[q] == UNCLUSTERED:
-            continue
-        claims = []
-        for root, rec in by_root.items():
-            if q in back_trace(prim_expand(idx, root, labels, terminate=True)):
-                claims.append((float(rec.prefix_max[q]), root))
+        claims = [(float(mm[j, q]), root) for j, root in enumerate(roots)
+                  if q in back_trace(prim_expand(idx, root, labels, terminate=True))]
         if claims:
-            best = min(claims)
-            assert ca.assign[q] == labels.normal[best[1]]
+            assert ca.assign[q] == labels.normal[min(claims)[1]]
+        else:
+            assert ca.assign[q] == UNCLUSTERED
 
 
 def test_emax_is_zero_exactly_at_roots_and_min_over_records():
@@ -189,10 +227,8 @@ def test_emax_is_zero_exactly_at_roots_and_min_over_records():
         pts = random_points(rng)
         idx = build_index(pts, 2)
         labels = random_labelset(rng, idx.n)
-        records = expand_all(idx, labels, terminate=False)
-        emax = emax_over_roots(records)
-        stacked = np.vstack([r.prefix_max for r in records])
-        assert np.array_equal(emax, stacked.min(axis=0))
+        emax = expand(idx, labels)[1]
+        assert np.array_equal(emax, minimax_rows(idx, sorted(labels.normal)).min(axis=0))
         for root in labels.normal:
             assert emax[root] == 0.0
 
@@ -200,6 +236,9 @@ def test_emax_is_zero_exactly_at_roots_and_min_over_records():
 def test_emax_rejects_empty_and_partial_records():
     idx = build_index(line_dataset([0, 0.1, 10, 10.1]), 1)
     labels = only_normals({0: 0, 2: 1})
+    with pytest.raises(ValueError, match="at least one labeled normal point is required"):
+        expand(idx, LabelSet(normal={}, outliers=frozenset([1])))
+    # the reference refuses what it cannot take a minimum over
     with pytest.raises(ValueError, match="at least one"):
         emax_over_roots([])
     partial = [prim_expand(idx, 0, labels, terminate=True)]

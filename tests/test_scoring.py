@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, ScoreParams, ScoreTable, build_index,
-                      emax_over_roots, expand_all, l_score, local_densities,
-                      local_density, r_score, score_table, sim_score, sim_scores,
-                      t_score)
+from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
+                      build_index, expand, l_score, local_densities, local_density,
+                      r_score, run, sim_score, sim_scores, t_score)
 from oracles import random_labelset, random_points
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
@@ -43,8 +42,7 @@ def test_r_score_is_one_exactly_on_labeled_normals():
         pts = random_points(rng)
         idx = build_index(pts, 2)
         labels = random_labelset(rng, idx.n)
-        emax = emax_over_roots(expand_all(idx, labels, terminate=False))
-        r = r_score(emax)
+        r = r_score(expand(idx, labels)[1])
         for root in labels.normal:
             assert r[root] == 1.0
         assert np.all((r > 0) & (r <= 1.0))
@@ -162,10 +160,11 @@ def test_score_table_builder_is_complete():
     pts = random_points(rng, n=25, d=2)
     ds = Dataset(points=pts, truth=[0] * 25)
     labels = LabelSet(normal={0: 0, 12: 0}, outliers=frozenset([5]))
-    params = ScoreParams(0.4, 0.3, min_pts=2)
-    idx = build_index(ds, params.min_pts)
-    emax = emax_over_roots(expand_all(idx, labels, terminate=False))
-    table = score_table(idx, ds, labels, emax, params)
+    table = run(ds, labels, PipelineParams(ScoreParams(0.4, 0.3, min_pts=2))).score_table
+    idx = build_index(ds, 2)
+    assert np.array_equal(table.r_score, r_score(expand(idx, labels)[1]))
+    assert np.array_equal(table.l_score, l_score(local_densities(idx)))
+    assert np.array_equal(table.sim_score, sim_scores(ds, labels))
     assert table.t_score is not None
     assert np.all((table.t_score >= 0) & (table.t_score <= 1))
     expected = (0.4 * (1 - table.r_score) + 0.3 * (1 - table.l_score)
