@@ -82,20 +82,6 @@ def rdist_matrix(idx: NeighborhoodIndex) -> np.ndarray:
     return np.maximum(np.maximum.outer(idx.core, idx.core), idx.dist)
 
 
-def knn_by_rdist(idx: NeighborhoodIndex, q: int, m: int) -> np.ndarray:
-    """Indices of the m reachability-nearest other points of q.
-
-    Sorted by ascending reachability, ties broken by smaller point index.
-    """
-    _check_point(idx, q)
-    if not 1 <= m <= idx.n - 1:
-        raise ValueError(f"m must be in [1, {idx.n - 1}], got {m}")
-    rd = rdist_row(idx, q)
-    rd[q] = np.inf
-    order = np.argsort(rd, kind="stable")
-    return order[:m]
-
-
 def is_density_reachable(idx: NeighborhoodIndex, p: int, q: int, epsilon: float) -> bool:
     """True iff a chain of core objects at `epsilon` connects p to q with hops <= epsilon.
 

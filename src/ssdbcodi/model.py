@@ -90,6 +90,21 @@ class WeightedKnnClassifier:
     weights: np.ndarray
     k_c: int
 
+    def __post_init__(self):
+        features = np.asarray(self.features, dtype=float)
+        classes = np.asarray(self.classes, dtype=int)
+        weights = np.asarray(self.weights, dtype=float)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        m = features.shape[0]
+        if classes.shape != (m,) or weights.shape != (m,):
+            raise ValueError("classes and weights must have one entry per feature row")
+        if not 1 <= self.k_c <= m:
+            raise ValueError(f"k_c must be in [1, {m}], got {self.k_c}")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "weights", weights)
+
     def predict_points(self, points: np.ndarray) -> tuple:
         """Return (classes, outlier_score) arrays for the query rows."""
         queries = np.asarray(points, dtype=float)
@@ -98,19 +113,45 @@ class WeightedKnnClassifier:
                 f"queries must be 2-D with {self.features.shape[1]} columns"
             )
         d = _cross_distances(queries, self.features)
-        nbrs = np.argsort(d, axis=1, kind="stable")[:, :self.k_c]
-        out_class = np.empty(queries.shape[0], dtype=int)
-        out_score = np.empty(queries.shape[0], dtype=float)
-        for row in range(queries.shape[0]):
-            votes = {}
-            for j in nbrs[row]:
-                c = int(self.classes[j])
-                votes[c] = votes.get(c, 0.0) + float(self.weights[j])
-            total = sum(votes.values())
-            top = max(votes.values())
-            winners = sorted(c for c, v in votes.items() if v == top and c != OUTLIER)
-            out_class[row] = winners[0] if winners else OUTLIER
-            out_score[row] = votes.get(OUTLIER, 0.0) / total if total > 0 else 0.0
+        n, m = d.shape
+        k = self.k_c
+        if k < m:
+            # Positions < k hold values <= the one at position k, so the k-set
+            # is ambiguous only where its largest value equals that one; those
+            # rows take the stable sort, which keeps the earlier training row.
+            part = np.argpartition(d, k, axis=1)
+            nbrs = part[:, :k]
+            kth = np.take_along_axis(d, part[:, k:k + 1], axis=1)[:, 0]
+            tied = np.flatnonzero(np.take_along_axis(d, nbrs, axis=1).max(axis=1) == kth)
+            nbrs[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+        else:
+            nbrs = np.broadcast_to(np.arange(m), (n, m))
+        order = np.lexsort((nbrs, np.take_along_axis(d, nbrs, axis=1)), axis=1)
+        nbrs = np.take_along_axis(nbrs, order, axis=1)
+
+        # Vote one neighbour rank at a time so each class sums its weights in
+        # neighbour order; `seen` keeps zero-weight votes as present.
+        ids, cls = np.unique(self.classes, return_inverse=True)
+        cls = cls[nbrs]
+        w = self.weights[nbrs]
+        rows = np.arange(n)
+        votes = np.zeros((n, ids.size))
+        seen = np.zeros((n, ids.size), dtype=bool)
+        first = np.empty((n, k), dtype=bool)
+        for j in range(k):
+            first[:, j] = ~seen[rows, cls[:, j]]
+            seen[rows, cls[:, j]] = True
+            votes[rows, cls[:, j]] += w[:, j]
+        # The total adds the class sums in first-appearance order.
+        total = np.zeros(n)
+        for j in range(k):
+            np.add(total, votes[rows, cls[:, j]], out=total, where=first[:, j])
+
+        top = np.where(seen, votes, -np.inf).max(axis=1)
+        winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
+        out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)
+        out_score = np.zeros(n)
+        np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
         return out_class, out_score
 
 
@@ -118,13 +159,11 @@ def train(ts: TrainingSet, features, k_c: int) -> WeightedKnnClassifier:
     """Materialize the classifier from a training set over dataset features."""
     if len(ts) == 0:
         raise ValueError("training set is empty")
-    if not 1 <= k_c <= len(ts):
-        raise ValueError(f"k_c must be in [1, {len(ts)}], got {k_c}")
     pts = features.points if isinstance(features, Dataset) else np.asarray(features, dtype=float)
     return WeightedKnnClassifier(
         features=pts[ts.indices],
-        classes=np.asarray(ts.classes, dtype=int),
-        weights=np.asarray(ts.weights, dtype=float),
+        classes=ts.classes,
+        weights=ts.weights,
         k_c=int(k_c),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, LabelSet
-from .metricspace import NeighborhoodIndex, knn_by_rdist, rdist_matrix, rdist_row
+from .metricspace import NeighborhoodIndex, rdist_matrix
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,8 @@ def r_score(emax) -> np.ndarray:
     return np.exp(-e)
 
 
-def local_density(idx: NeighborhoodIndex, q: int) -> float:
-    """Mean reachability to q's min_pts reachability-nearest other points."""
-    nbrs = knn_by_rdist(idx, q, idx.min_pts)
-    return float(rdist_row(idx, q)[nbrs].mean())
-
-
 def local_densities(idx: NeighborhoodIndex) -> np.ndarray:
-    """Vectorized local_density for every point."""
+    """Mean reachability to each point's min_pts reachability-nearest others."""
     rd = rdist_matrix(idx)
     np.fill_diagonal(rd, np.inf)
     smallest = np.partition(rd, idx.min_pts - 1, axis=1)[:, :idx.min_pts]
@@ -79,17 +73,8 @@ def l_score(ld) -> np.ndarray:
     return np.exp(-v)
 
 
-def sim_score(ds: Dataset, labels: LabelSet, q: int) -> float:
-    """exp(-distance to the nearest labeled outlier); 0 when none are labeled."""
-    if not labels.outliers:
-        return 0.0
-    outs = ds.points[sorted(labels.outliers)]
-    d = np.sqrt(((ds.points[q] - outs) ** 2).sum(axis=1))
-    return float(np.exp(-d.min()))
-
-
 def sim_scores(ds: Dataset, labels: LabelSet) -> np.ndarray:
-    """Vectorized sim_score for every point."""
+    """exp(-distance to the nearest labeled outlier) per point; 0 when none are labeled."""
     if not labels.outliers:
         return np.zeros(ds.n)
     outs = ds.points[sorted(labels.outliers)]

@@ -4,7 +4,8 @@ Everything here deliberately takes a different route from the library:
 closure-based minimax paths and one Prim expansion per root instead of a
 single spanning tree, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
-tables.
+tables, pointwise scores and a full sort with a per-row vote loop instead
+of the vectorized scores and the partial neighbour selection.
 """
 
 from collections import Counter
@@ -14,7 +15,8 @@ import math
 import numpy as np
 
 from ssdbcodi import (ClusterAssignment, Dataset, LabelSet, NeighborhoodIndex, OUTLIER,
-                      UNCLUSTERED)
+                      UNCLUSTERED, WeightedKnnClassifier, rdist_row)
+from ssdbcodi.model import _cross_distances
 
 
 def minimax_closure(weights: np.ndarray) -> np.ndarray:
@@ -124,6 +126,67 @@ def moons_with_outliers(n: int = 400, outlier_rate: float = 0.05,
     labels = np.concatenate([truth, np.full(n_out, OUTLIER, dtype=int)])
     order = rng.permutation(points.shape[0])
     return Dataset(points=points[order], truth=labels[order], name="moons")
+
+
+# --- pointwise scores: the reference for ssdbcodi.scoring ---
+
+def knn_by_rdist(idx: NeighborhoodIndex, q: int, m: int) -> np.ndarray:
+    """Indices of the m reachability-nearest other points of q.
+
+    Sorted by ascending reachability, ties broken by smaller point index.
+    """
+    rd = rdist_row(idx, q)
+    if not 1 <= m <= idx.n - 1:
+        raise ValueError(f"m must be in [1, {idx.n - 1}], got {m}")
+    rd[q] = np.inf
+    order = np.argsort(rd, kind="stable")
+    return order[:m]
+
+
+def local_density(idx: NeighborhoodIndex, q: int) -> float:
+    """Mean reachability to q's min_pts reachability-nearest other points."""
+    nbrs = knn_by_rdist(idx, q, idx.min_pts)
+    return float(rdist_row(idx, q)[nbrs].mean())
+
+
+def sim_score(ds: Dataset, labels: LabelSet, q: int) -> float:
+    """exp(-distance to the nearest labeled outlier); 0 when none are labeled."""
+    if not labels.outliers:
+        return 0.0
+    outs = ds.points[sorted(labels.outliers)]
+    d = np.sqrt(((ds.points[q] - outs) ** 2).sum(axis=1))
+    return float(np.exp(-d.min()))
+
+
+# --- full sort and per-row vote: the reference for WeightedKnnClassifier ---
+
+def knn_predict_by_loop(clf: WeightedKnnClassifier, points: np.ndarray) -> tuple:
+    """(classes, outlier_score) from a stable full argsort of every distance
+    row and a dict vote per query row."""
+    queries = np.asarray(points, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != clf.features.shape[1]:
+        raise ValueError(
+            f"queries must be 2-D with {clf.features.shape[1]} columns"
+        )
+    d = _cross_distances(queries, clf.features)
+    nbrs = np.argsort(d, axis=1, kind="stable")[:, :clf.k_c]
+    out_class = np.empty(queries.shape[0], dtype=int)
+    out_score = np.empty(queries.shape[0], dtype=float)
+    for row in range(queries.shape[0]):
+        votes = {}
+        for j in nbrs[row]:
+            c = int(clf.classes[j])
+            votes[c] = votes.get(c, 0.0) + float(clf.weights[j])
+        # Left to right in first-appearance order, as sum() adds floats
+        # before Python 3.12 (later versions compensate the rounding).
+        total = 0.0
+        for v in votes.values():
+            total += v
+        top = max(votes.values())
+        winners = sorted(c for c, v in votes.items() if v == top and c != OUTLIER)
+        out_class[row] = winners[0] if winners else OUTLIER
+        out_score[row] = votes.get(OUTLIER, 0.0) / total if total > 0 else 0.0
+    return out_class, out_score
 
 
 # --- per-root Prim expansions: the reference for ssdbcodi.expansion ---

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, build_index, is_density_reachable,
-                      knn_by_rdist, pairwise_distances, reach_distance)
+                      pairwise_distances, reach_distance)
+from oracles import knn_by_rdist
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 

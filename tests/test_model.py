@@ -6,6 +6,8 @@ import pytest
 from ssdbcodi import (OUTLIER, UNCLUSTERED, ClusterAssignment, ScoreTable,
                       TrainingSet, WeightedKnnClassifier, predict,
                       select_reliable, train)
+from ssdbcodi.model import _cross_distances
+from oracles import knn_predict_by_loop
 
 
 def make_assignment(assign):
@@ -140,6 +142,27 @@ def test_classifier_rejects_bad_queries():
         clf.predict_points(np.array([[1.0]]))
 
 
+def test_classifier_rejects_bad_construction():
+    features = np.array([[0.0], [1.0], [2.0]])
+    classes = np.array([0, 1, OUTLIER])
+    weights = np.array([1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="2-D"):
+        WeightedKnnClassifier(features=np.array([0.0, 1.0, 2.0]), classes=classes,
+                              weights=weights, k_c=1)
+    with pytest.raises(ValueError, match="one entry per feature row"):
+        WeightedKnnClassifier(features=features, classes=classes[:2],
+                              weights=weights, k_c=1)
+    with pytest.raises(ValueError, match="one entry per feature row"):
+        WeightedKnnClassifier(features=features, classes=classes,
+                              weights=np.append(weights, 1.0), k_c=1)
+    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 0"):
+        WeightedKnnClassifier(features=features, classes=classes,
+                              weights=weights, k_c=0)
+    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 4"):
+        WeightedKnnClassifier(features=features, classes=classes,
+                              weights=weights, k_c=4)
+
+
 def test_train_builds_from_dataset_indices():
     features = np.array([[0.0], [10.0], [20.0], [30.0]])
     ts = TrainingSet(indices=[2, 0], classes=[1, OUTLIER], weights=[0.9, 0.4])
@@ -199,3 +222,34 @@ def test_classifier_matches_naive_route():
         want_c, want_s = naive_predict(features, classes, weights, k_c, queries)
         assert np.array_equal(got_c, want_c)
         assert np.allclose(got_s, want_s, atol=1e-12)
+
+
+def test_predict_points_matches_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(47)
+    # 0.1 + 0.2 + 0.3 rounds differently in another order; 0.0 votes are real
+    weight_pool = np.array([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 1.0])
+    class_pool = np.array([OUTLIER, 0, 2, 5, 9])
+    tied_rows = 0
+    for case in range(2000):
+        m = int(rng.integers(1, 16))
+        n = int(rng.integers(1, 10))
+        dim = int(rng.integers(1, 4))
+        if case % 2:
+            # a 0-2 integer grid makes distances tie across the k-cut
+            features = rng.integers(0, 3, size=(m, dim)).astype(float)
+            queries = rng.integers(0, 3, size=(n, dim)).astype(float)
+        else:
+            features = rng.normal(size=(m, dim))
+            queries = rng.normal(size=(n, dim))
+        k_c = int(rng.integers(1, m + 1))
+        clf = WeightedKnnClassifier(features=features,
+                                    classes=rng.choice(class_pool, size=m),
+                                    weights=rng.choice(weight_pool, size=m), k_c=k_c)
+        got_c, got_s = clf.predict_points(queries)
+        want_c, want_s = knn_predict_by_loop(clf, queries)
+        assert np.array_equal(got_c, want_c), case
+        assert got_s.tobytes() == want_s.tobytes(), case
+        if k_c < m:
+            ranked = np.sort(_cross_distances(queries, clf.features), axis=1)
+            tied_rows += int(np.sum(ranked[:, k_c - 1] == ranked[:, k_c]))
+    assert tied_rows >= 100

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
-                      build_index, expand, l_score, local_densities, local_density,
-                      r_score, run, sim_score, sim_scores, t_score)
-from oracles import random_labelset, random_points
+                      build_index, expand, l_score, local_densities, r_score, run,
+                      sim_scores, t_score)
+from oracles import local_density, random_labelset, random_points, sim_score
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
