@@ -157,6 +157,22 @@ def cmd_run(args) -> str:
     return _render_json(report)
 
 
+def _run_trials(args, trial_fn) -> dict:
+    """trial_fn(fraction_pct, trial) for every fraction and trial, keyed by
+    (fraction_pct, trial); a failing trial's error names its draw."""
+    def attempt(job):
+        fraction_pct, trial = job
+        try:
+            return trial_fn(fraction_pct, trial)
+        except Exception as exc:
+            raise RuntimeError(f"fraction {fraction_pct:g} trial {trial} "
+                               f"(seed {args.seed + trial}): {exc}") from exc
+
+    jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        return dict(zip(jobs, pool.map(attempt, jobs)))
+
+
 def _benchmark_trial(ds, args, fraction_pct: float, trial: int) -> dict:
     seed = args.seed + trial
     labels = sample_labels(ds, fraction_pct / 100.0, seed,
@@ -172,10 +188,7 @@ def _benchmark_trial(ds, args, fraction_pct: float, trial: int) -> dict:
 
 def cmd_benchmark(args) -> str:
     ds = _load_dataset(args)
-    jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        outcomes = list(pool.map(lambda j: _benchmark_trial(ds, args, *j), jobs))
-    by_job = dict(zip(jobs, outcomes))
+    by_job = _run_trials(args, lambda f, t: _benchmark_trial(ds, args, f, t))
     rows = []
     for f in args.fractions:
         trials = [by_job[(f, t)] for t in range(args.trials)]
@@ -210,10 +223,7 @@ def _sensitivity_trial(ds, args, cells, fraction_pct: float, trial: int) -> dict
 def cmd_sensitivity(args) -> str:
     ds = _load_dataset(args)
     cells = _grid_cells(args.grid_step)
-    jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        outcomes = list(pool.map(lambda j: _sensitivity_trial(ds, args, cells, *j), jobs))
-    by_job = dict(zip(jobs, outcomes))
+    by_job = _run_trials(args, lambda f, t: _sensitivity_trial(ds, args, cells, f, t))
     rows = []
     for f in sorted(args.fractions):
         for alpha, beta in sorted(cells):

@@ -4,9 +4,12 @@ An expansion from a labeled normal root attaches the cheapest unclaimed
 point next over the complete reachability graph. The running maximum of
 attachment keys when q joins is the minimax reachability path value
 mm(root, q): the largest edge on the root-q path of a minimum spanning
-tree of that graph. One tree therefore serves every root. Each root keeps
-the points it reaches more cheaply than its first differently-labeled
-point, which is the expansion cut back at its largest edge.
+tree of that graph. One tree therefore serves every root: a dense Prim
+pass builds it, and a Kruskal sweep over its edges in ascending weight
+merges components small-to-large, writing each edge's weight between the
+roots on one side and the points on the other. Each root keeps the points
+it reaches more cheaply than its first differently-labeled point, which
+is the expansion cut back at its largest edge.
 """
 
 from dataclasses import dataclass
@@ -50,24 +53,29 @@ class ClusterAssignment:
 def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
     """Dense Prim over the reachability graph, one reachability row per step.
 
+    A point's entry in `live_core` turns +inf when it joins the tree, so
+    its reachability from any later point is +inf and never closer.
     Returns (u, v, w) arrays of the n - 1 tree edges.
     """
     n = idx.n
+    live_core = idx.core.copy()
     best = np.full(n, np.inf)
     source = np.zeros(n, dtype=int)
-    in_tree = np.zeros(n, dtype=bool)
+    rd = np.empty(n)
+    closer = np.empty(n, dtype=bool)
     u = np.empty(n - 1, dtype=int)
     v = np.empty(n - 1, dtype=int)
     w = np.empty(n - 1)
     q = 0
     for step in range(n - 1):
-        in_tree[q] = True
+        live_core[q] = np.inf
         best[q] = np.inf
-        rd = np.maximum(np.maximum(idx.core, idx.core[q]), idx.dist[q])  # rdist_row(idx, q)
-        closer = (rd < best) & ~in_tree
-        best[closer] = rd[closer]
-        source[closer] = q
-        q = int(np.argmin(best))
+        np.maximum(live_core, idx.core[q], out=rd)  # rdist_row(idx, q) off the tree
+        np.maximum(rd, idx.dist[q], out=rd)
+        np.less(rd, best, out=closer)
+        np.copyto(best, rd, where=closer)
+        np.copyto(source, q, where=closer)
+        q = int(best.argmin())
         u[step], v[step], w[step] = source[q], q, best[q]
     return u, v, w
 
@@ -75,20 +83,38 @@ def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
 def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
     """mm(r, q) for every root r (one row each, in the given order) and point q.
 
-    A Kruskal merge sweep over the spanning tree's edges in ascending
-    weight: joining two components by an edge of weight w sets mm to w
-    between each root on one side and every point on the other.
+    A Kruskal sweep over the spanning tree's edges in ascending weight.
+    Each component keeps its member points and the rows of the roots it
+    contains. Joining components A and B by an edge of weight w sets mm to
+    w between A's roots and B's members and between B's roots and A's
+    members; the smaller component is then folded into the larger, so a
+    point changes component O(log n) times.
     """
     roots = np.asarray(roots, dtype=int)
+    if roots.size and not 0 <= roots.min() <= roots.max() < idx.n:
+        raise IndexError(f"root indices must lie in [0, {idx.n - 1}]")
     mm = np.zeros((roots.size, idx.n))
-    comp = np.arange(idx.n)
+    comp = list(range(idx.n))
+    members = [[p] for p in range(idx.n)]
+    rows = [None] * idx.n  # a column of mm row indices, None without roots
+    for r in np.unique(roots).tolist():
+        rows[r] = np.flatnonzero(roots == r)[:, None]
     u, v, w = _spanning_tree(idx)
-    for e in np.argsort(w, kind="stable"):
-        in_u = comp == comp[u[e]]
-        in_v = comp == comp[v[e]]
-        mm[np.ix_(in_u[roots], in_v)] = w[e]
-        mm[np.ix_(in_v[roots], in_u)] = w[e]
-        comp[in_v] = comp[u[e]]
+    order = np.argsort(w, kind="stable")
+    for a, b, weight in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
+        a, b = comp[a], comp[b]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        rows_a, rows_b = rows[a], rows[b]
+        if rows_a is not None:
+            mm[rows_a, members[b]] = weight
+        if rows_b is not None:
+            mm[rows_b, members[a]] = weight
+            rows[a] = rows_b if rows_a is None else np.concatenate([rows_a, rows_b])
+        for p in members[b]:
+            comp[p] = a
+        members[a] += members[b]
+        members[b] = rows[b] = None
     return mm
 
 
@@ -110,8 +136,9 @@ def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
     mm = minimax_rows(idx, roots)
     lab = _user_labels(labels, idx.n)
     root_label = lab[roots]
-    differs = (lab != _NO_LABEL) & (lab != root_label[:, None])
-    cut = np.where(differs, mm, np.inf).min(axis=1)
+    labeled = np.flatnonzero(lab != _NO_LABEL)
+    differs = lab[labeled] != root_label[:, None]
+    cut = np.where(differs, mm[:, labeled], np.inf).min(axis=1)
     kept = mm < cut[:, None]
     kept[np.arange(roots.size), roots] = True
     owner = np.where(kept, mm, np.inf).argmin(axis=0)

@@ -29,6 +29,29 @@ def minimax_closure(weights: np.ndarray) -> np.ndarray:
     return w
 
 
+def mst_weights_by_kruskal(weights: np.ndarray) -> np.ndarray:
+    """Sorted edge weights of a minimum spanning tree of a complete graph,
+    by Kruskal over every pair with a path-halving union-find."""
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[0]
+    parent = list(range(n))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    taken = []
+    for weight, i, j in sorted((float(w[i, j]), i, j)
+                               for i in range(n) for j in range(i + 1, n)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            taken.append(weight)
+    return np.array(taken)
+
+
 def auc_by_threshold_sweep(scores, labels) -> float:
     """Trapezoidal area under the ROC curve swept over score thresholds."""
     s = np.asarray(scores, dtype=float)

@@ -261,6 +261,22 @@ def test_runtime_errors_exit_one(blobs_csv, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_failing_sweep_trial_is_named(tmp_path, capsys):
+    # 24 points: at 5% one point is labeled, and some draws hit an outlier
+    rows = blob_rows()
+    rows += [(x + 0.1, y + 0.3, lab) for x, y, lab in rows[:3] + rows[8:11]]
+    path = write_csv(tmp_path / "small.csv", rows)
+    ds = load_csv(path)
+    first = next(t for t in range(40) if not sample_labels(ds, 0.05, t).normal)
+    want = (f"error: fraction 5 trial {first} (seed {first}): "
+            "at least one labeled normal point is required\n")
+    for command in ("benchmark", "sensitivity"):
+        code, out, err = run_cli(
+            [command, "--input", path, "--fractions", "5", "--trials", "40",
+             "--workers", "2"], capsys)
+        assert (code, out, err) == (1, "", want), command
+
+
 def test_module_entry_point(blobs_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "ssdbcodi.cli", "run", "--input", blobs_csv,

@@ -9,9 +9,10 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, UNCLUSTERED, build_index, expand,
                       minimax_rows, rdist_matrix, ssdbscan)
+from ssdbcodi.expansion import _spanning_tree
 from oracles import (ExpansionRecord, back_trace, combine_backtraces, emax_over_roots,
-                     expand_all, minimax_closure, prim_expand, random_labelset,
-                     random_points, ssdbscan_by_expansion)
+                     expand_all, minimax_closure, mst_weights_by_kruskal, prim_expand,
+                     random_labelset, random_points, ssdbscan_by_expansion)
 
 
 def line_dataset(values):
@@ -144,6 +145,75 @@ def test_expand_matches_per_root_expansions_bit_for_bit():
         seen["outliers"] += bool(labels.outliers)
         seen["no_boundary"] += all(rec.boundary_pos is None for rec in records)
     assert min(seen.values()) >= 20
+
+
+def per_root_rows(idx, roots):
+    """The per-root expansions' prefix maxima, one row per entry of roots."""
+    labels = only_normals({int(r): 0 for r in roots})
+    return np.vstack([prim_expand(idx, int(r), labels, terminate=False).prefix_max
+                      for r in roots])
+
+
+def large_fuzz_points(rng, kind):
+    if kind == "blobs":
+        return random_points(rng, n=int(rng.integers(100, 301)))
+    if kind == "chain":
+        # gaps grow along the line, so one component absorbs the points one by one
+        gaps = np.sort(rng.uniform(0.1, 1.0, size=int(rng.integers(50, 301))))
+        line = np.concatenate([[0.0], np.cumsum(gaps)])
+        return line[rng.permutation(line.size)][:, None]
+    if kind == "duplicates":
+        return np.tile(rng.normal(size=(1, 2)), (int(rng.integers(2, 120)), 1))
+    return rng.normal(size=(2, int(rng.integers(1, 4))))  # "pair"
+
+
+def test_minimax_rows_matches_per_root_expansions_on_large_shapes():
+    rng = np.random.default_rng(53)
+    seen = {}
+    for case in range(48):
+        kind = ("blobs", "chain", "duplicates", "pair")[case % 4]
+        pts = large_fuzz_points(rng, kind)
+        n = pts.shape[0]
+        idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+        how = ("one", "all", "some")[case // 4 % 3]
+        if how == "all" and n > 150:
+            how = "some"
+        count = {"one": 1, "all": n, "some": int(rng.integers(1, min(n, 12) + 1))}[how]
+        # unsorted, and with repeats under "some": rows follow this order
+        roots = rng.choice(n, size=count, replace=how == "some")
+        mm = minimax_rows(idx, roots)
+        assert mm.shape == (count, n)
+        assert mm.tobytes() == per_root_rows(idx, roots).tobytes(), (kind, how)
+        if n <= 80:
+            assert np.array_equal(mm, minimax_closure(rdist_matrix(idx))[roots])
+        seen[kind] = seen.get(kind, 0) + 1
+        seen[how] = seen.get(how, 0) + 1
+        seen["repeats"] = seen.get("repeats", 0) + int(np.unique(roots).size < count)
+    assert len(seen) == 8 and min(seen.values()) >= 5
+
+
+def test_minimax_rows_rejects_roots_out_of_range():
+    idx = build_index(line_dataset([0, 1, 3]), 1)
+    for roots in ([3], [-1], [2, -1]):
+        with pytest.raises(IndexError, match="root indices"):
+            minimax_rows(idx, roots)
+    assert minimax_rows(idx, []).shape == (0, 3)
+
+
+def test_spanning_tree_weights_match_kruskal_on_tied_grids():
+    rng = np.random.default_rng(61)
+    for case in range(60):
+        n = int(rng.integers(2, 60)) if case % 3 else int(rng.integers(100, 160))
+        pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+        idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+        u, v, w = _spanning_tree(idx)
+        assert np.array_equal(np.sort(w), mst_weights_by_kruskal(rdist_matrix(idx)))
+        # the edges form a tree: n - 1 joins leave one component
+        comp = list(range(n))
+        for a, b in zip(u.tolist(), v.tolist()):
+            old, new = comp[a], comp[b]
+            assert old != new
+            comp = [new if c == old else c for c in comp]
 
 
 def test_ssdbscan_two_tight_groups():
