@@ -16,8 +16,8 @@ from .metricspace import (NeighborhoodIndex, build_index, is_density_reachable,
                           pairwise_distances, rdist_matrix, rdist_row, reach_distance)
 from .model import (PipelineResult, TrainingSet, WeightedKnnClassifier,
                     predict, select_reliable, train)
-from .pipeline import (PipelineParams, Prepared, TuneReport, default_k, finish,
-                       prepare, run, tune)
+from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
+                       finish, prepare, run, tune)
 from .scoring import (ScoreParams, ScoreTable, l_score, local_densities, r_score,
                       sim_scores, t_score)
 
@@ -27,7 +27,7 @@ __all__ = [
     "BaselineResult", "ClusterAssignment", "Dataset", "LabelSet", "NeighborhoodIndex",
     "NOISE", "OUTLIER", "PipelineParams", "PipelineResult", "Prepared", "ScoreParams",
     "ScoreTable", "TrainingSet", "TuneReport", "UNCLUSTERED", "WeightedKnnClassifier",
-    "auc", "build_index", "dbscan", "default_k", "expand", "finish",
+    "auc", "blend_grid", "build_index", "dbscan", "default_k", "expand", "finish",
     "is_density_reachable", "kmeans", "l_score", "load_csv", "local_densities",
     "lof", "minimax_rows", "minmax_scale", "nmi",
     "pairwise_distances", "predict", "prepare", "r_score", "rand_index", "rdist_matrix",

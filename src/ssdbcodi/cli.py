@@ -22,14 +22,10 @@ from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import OUTLIER, load_csv, minmax_scale, sample_labels
 from .metricspace import build_index, pairwise_distances
 from .metrics import auc, nmi, rand_index
-from .pipeline import PipelineParams, finish, prepare, run, tune
+from .pipeline import PipelineParams, blend_grid, finish, prepare, run, tune
 from .scoring import ScoreParams
 
 SCHEMA_VERSION = 1
-
-
-def _sig12(x: float) -> float:
-    return float(f"{float(x):.12g}")
 
 
 def _fmt(value) -> str:
@@ -46,7 +42,7 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return _sig12(float(value))
+        return float(f"{float(value):.12g}")
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -101,17 +97,22 @@ def _evaluate(ds, result) -> dict:
     return out
 
 
-def _grid_cells(grid_step: float):
-    m = round(1.0 / grid_step)
-    return [(ia / m, ib / m) for ia in range(m + 1) for ib in range(m + 1 - ia)]
+def _blend(ds, labels, args, seed: int) -> tuple:
+    """The flag (alpha, beta), or the cross-validated best cell under --tune."""
+    if not args.tune:
+        return args.alpha, args.beta
+    return tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
+                params=_pipeline_params(args, args.alpha, args.beta)).best
 
 
-def _mean_std(values):
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None, None
-    arr = np.asarray(vals, dtype=float)
-    return float(arr.mean()), float(arr.std())
+def _summary(trials) -> dict:
+    """Mean and population std per metric over the trials that report it."""
+    out = {}
+    for key, name in (("auc", "auc"), ("rand_index", "rand"), ("nmi", "nmi")):
+        vals = np.asarray([t[key] for t in trials if t[key] is not None], dtype=float)
+        out[f"{name}_mean"] = float(vals.mean()) if vals.size else None
+        out[f"{name}_std"] = float(vals.std()) if vals.size else None
+    return out
 
 
 def cmd_run(args) -> str:
@@ -119,15 +120,8 @@ def cmd_run(args) -> str:
     ds = _load_dataset(args)
     labels = sample_labels(ds, args.label_fraction, args.seed,
                            stratified=args.stratified_labels)
-    alpha, beta = args.alpha, args.beta
-    tuned = None
-    if args.tune:
-        report = tune(ds, labels, grid_step=args.grid_step, folds=args.folds,
-                      seed=args.seed, params=_pipeline_params(args, alpha, beta))
-        alpha, beta = report.best
-        tuned = {"alpha": alpha, "beta": beta}
+    alpha, beta = _blend(ds, labels, args, args.seed)
     result = run(ds, labels, _pipeline_params(args, alpha, beta))
-    scores = _evaluate(ds, result)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -144,9 +138,9 @@ def cmd_run(args) -> str:
             "knn_k": result.k_c,
         },
     }
-    if tuned is not None:
-        report["tuned"] = tuned
-    report.update(scores)
+    if args.tune:
+        report["tuned"] = {"alpha": alpha, "beta": beta}
+    report.update(_evaluate(ds, result))
     if not args.no_timing:
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
     report["per_point"] = {
@@ -157,86 +151,51 @@ def cmd_run(args) -> str:
     return _render_json(report)
 
 
-def _run_trials(args, trial_fn) -> dict:
-    """trial_fn(fraction_pct, trial) for every fraction and trial, keyed by
-    (fraction_pct, trial); a failing trial's error names its draw."""
+def _run_trials(ds, args, cells=None) -> dict:
+    """Metrics per blend for every (fraction_pct, trial) draw of a sweep.
+
+    One index serves every trial. Each trial draws its labels and prepares
+    once, then finishes either every cell in `cells` or, when cells is
+    None, its own `_blend`. A failing trial's error names its draw.
+    """
+    index = build_index(ds, args.min_pts)
+
     def attempt(job):
         fraction_pct, trial = job
+        seed = args.seed + trial
         try:
-            return trial_fn(fraction_pct, trial)
+            labels = sample_labels(ds, fraction_pct / 100.0, seed,
+                                   stratified=args.stratified_labels)
+            blends = cells if cells is not None else [_blend(ds, labels, args, seed)]
+            prepared = prepare(ds, labels, args.min_pts, index=index)
+            return [_evaluate(ds, finish(ds, prepared, labels, _pipeline_params(args, a, b)))
+                    for a, b in blends]
         except Exception as exc:
             raise RuntimeError(f"fraction {fraction_pct:g} trial {trial} "
-                               f"(seed {args.seed + trial}): {exc}") from exc
+                               f"(seed {seed}): {exc}") from exc
 
     jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         return dict(zip(jobs, pool.map(attempt, jobs)))
 
 
-def _benchmark_trial(ds, args, fraction_pct: float, trial: int) -> dict:
-    seed = args.seed + trial
-    labels = sample_labels(ds, fraction_pct / 100.0, seed,
-                           stratified=args.stratified_labels)
-    alpha, beta = args.alpha, args.beta
-    if args.tune:
-        report = tune(ds, labels, grid_step=args.grid_step, folds=args.folds,
-                      seed=seed, params=_pipeline_params(args, alpha, beta))
-        alpha, beta = report.best
-    result = run(ds, labels, _pipeline_params(args, alpha, beta))
-    return _evaluate(ds, result)
-
-
 def cmd_benchmark(args) -> str:
     ds = _load_dataset(args)
-    by_job = _run_trials(args, lambda f, t: _benchmark_trial(ds, args, f, t))
-    rows = []
-    for f in args.fractions:
-        trials = [by_job[(f, t)] for t in range(args.trials)]
-        auc_mean, auc_std = _mean_std([t["auc"] for t in trials])
-        rand_mean, rand_std = _mean_std([t["rand_index"] for t in trials])
-        nmi_mean, nmi_std = _mean_std([t["nmi"] for t in trials])
-        rows.append({
-            "fraction": _sig12(f),
-            "auc_mean": auc_mean, "auc_std": auc_std,
-            "rand_mean": rand_mean, "rand_std": rand_std,
-            "nmi_mean": nmi_mean, "nmi_std": nmi_std,
-        })
+    by_job = _run_trials(ds, args)
+    rows = [{"fraction": f, **_summary([by_job[(f, t)][0] for t in range(args.trials)])}
+            for f in args.fractions]
     columns = ["fraction", "auc_mean", "auc_std", "rand_mean", "rand_std",
                "nmi_mean", "nmi_std"]
-    rows = [{c: (_sig12(r[c]) if isinstance(r[c], float) else r[c]) for c in columns}
-            for r in rows]
     return _render_csv(columns, rows)
-
-
-def _sensitivity_trial(ds, args, cells, fraction_pct: float, trial: int) -> dict:
-    seed = args.seed + trial
-    labels = sample_labels(ds, fraction_pct / 100.0, seed,
-                           stratified=args.stratified_labels)
-    prepared = prepare(ds, labels, args.min_pts)
-    out = {}
-    for alpha, beta in cells:
-        result = finish(ds, prepared, labels, _pipeline_params(args, alpha, beta))
-        out[(alpha, beta)] = _evaluate(ds, result)
-    return out
 
 
 def cmd_sensitivity(args) -> str:
     ds = _load_dataset(args)
-    cells = _grid_cells(args.grid_step)
-    by_job = _run_trials(args, lambda f, t: _sensitivity_trial(ds, args, cells, f, t))
-    rows = []
-    for f in sorted(args.fractions):
-        for alpha, beta in sorted(cells):
-            trials = [by_job[(f, t)][(alpha, beta)] for t in range(args.trials)]
-            auc_mean, _ = _mean_std([t["auc"] for t in trials])
-            rand_mean, _ = _mean_std([t["rand_index"] for t in trials])
-            nmi_mean, _ = _mean_std([t["nmi"] for t in trials])
-            rows.append({
-                "alpha": _sig12(alpha), "beta": _sig12(beta), "fraction": _sig12(f),
-                "auc_mean": None if auc_mean is None else _sig12(auc_mean),
-                "rand_mean": None if rand_mean is None else _sig12(rand_mean),
-                "nmi_mean": None if nmi_mean is None else _sig12(nmi_mean),
-            })
+    cells = blend_grid(args.grid_step)
+    by_job = _run_trials(ds, args, cells)
+    rows = [{"alpha": alpha, "beta": beta, "fraction": f,
+             **_summary([by_job[(f, t)][i] for t in range(args.trials)])}
+            for f in sorted(args.fractions) for i, (alpha, beta) in enumerate(cells)]
     columns = ["alpha", "beta", "fraction", "auc_mean", "rand_mean", "nmi_mean"]
     return _render_csv(columns, rows)
 
@@ -323,11 +282,14 @@ def _add_label_flags(p):
                    help="guarantee every true cluster at least one label")
 
 
-def _add_model_flags(p):
+def _add_blend_flags(p):
     p.add_argument("--alpha", type=float, default=0.4,
                    help="weight of the reachability component")
     p.add_argument("--beta", type=float, default=0.3,
                    help="weight of the local-density component")
+
+
+def _add_model_flags(p):
     p.add_argument("--min-pts", type=int, default=3, help="neighbourhood size")
     p.add_argument("--k-reliable", type=_auto_or_int, default=None, metavar="K|auto",
                    help="reliable-outlier count (default: auto from labeled contamination)")
@@ -351,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single pipeline run, JSON report")
     _add_data_flags(p_run)
     _add_label_flags(p_run)
+    _add_blend_flags(p_run)
     _add_model_flags(p_run)
     _add_tune_flags(p_run)
     p_run.add_argument("--label-fraction", type=float, default=0.1,
@@ -360,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="seeded trials per label fraction, CSV report")
     _add_data_flags(p_bench)
     _add_label_flags(p_bench)
+    _add_blend_flags(p_bench)
     _add_model_flags(p_bench)
     _add_tune_flags(p_bench)
     p_bench.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
@@ -396,19 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if getattr(args, "alpha", None) is not None:
-        if not 0.0 <= args.alpha <= 1.0:
-            parser.error("--alpha must be in [0, 1]")
-        if not 0.0 <= args.beta <= 1.0:
-            parser.error("--beta must be in [0, 1]")
-        if args.alpha + args.beta > 1.0 + 1e-9:
-            parser.error("--alpha plus --beta must not exceed 1")
-        if args.min_pts < 1:
-            parser.error("--min-pts must be >= 1")
-        if args.knn_k < 1:
-            parser.error("--knn-k must be >= 1")
-        if args.k_reliable is not None and args.k_reliable < 0:
-            parser.error("--k-reliable must be >= 0 or 'auto'")
+    try:
+        if hasattr(args, "knn_k"):
+            _pipeline_params(args, getattr(args, "alpha", 0.0), getattr(args, "beta", 0.0))
+        if hasattr(args, "grid_step"):
+            blend_grid(args.grid_step)
+    except ValueError as exc:
+        parser.error(str(exc))
     if getattr(args, "label_fraction", None) is not None:
         if not 0.0 < args.label_fraction <= 1.0:
             parser.error("--label-fraction must be in (0, 1]")
@@ -417,13 +375,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--fractions must list at least one percentage")
         if any(not 0.0 < f <= 100.0 for f in args.fractions):
             parser.error("--fractions entries must be percentages in (0, 100]")
+        if len(set(args.fractions)) != len(args.fractions):
+            parser.error("--fractions entries must be distinct")
     if getattr(args, "trials", None) is not None and args.trials < 1:
         parser.error("--trials must be >= 1")
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error("--workers must be >= 1")
-    if getattr(args, "grid_step", None) is not None:
-        if not 0.0 < args.grid_step <= 1.0 or abs(round(1.0 / args.grid_step) * args.grid_step - 1.0) > 1e-9:
-            parser.error("--grid-step must lie in (0, 1] and divide 1 evenly")
     if getattr(args, "folds", None) is not None and args.folds < 2:
         parser.error("--folds must be >= 2")
     if args.command == "baseline":
@@ -432,18 +389,13 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 parser.error("--epsilon is required for --algo dbscan")
             if args.epsilon < 0:
                 parser.error("--epsilon must be >= 0")
-            if args.min_pts < 1:
-                parser.error("--min-pts must be >= 1")
+        if args.algo in ("dbscan", "ssdbscan") and args.min_pts < 1:
+            parser.error("--min-pts must be >= 1")
         if args.algo in ("kmeans", "lof"):
             if args.k is None:
                 parser.error(f"--k is required for --algo {args.algo}")
             if args.k < 1:
                 parser.error("--k must be >= 1")
-        if args.algo == "ssdbscan":
-            if not 0.0 < args.label_fraction <= 1.0:
-                parser.error("--label-fraction must be in (0, 1]")
-            if args.min_pts < 1:
-                parser.error("--min-pts must be >= 1")
 
 
 def main(argv=None) -> int:

@@ -156,20 +156,27 @@ def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> f
     return float(np.mean(parts))
 
 
-def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
-         seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
-    """Grid-search (alpha, beta) by hiding folds of the labeled set.
-
-    Every admissible cell (alpha + beta <= 1 on a grid_step lattice) is
-    scored with the mean fold objective; the report keeps the whole grid
-    and the argmax, ties resolved to the lexicographically smallest cell.
-    """
-    base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
+def blend_grid(grid_step: float) -> list:
+    """The admissible (alpha, beta) cells, alpha + beta <= 1 on a grid_step
+    lattice, in lexicographic order."""
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     m = round(1.0 / grid_step)
     if abs(m * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must divide 1 evenly, got {grid_step}")
+    return [(ia / m, ib / m) for ia in range(m + 1) for ib in range(m + 1 - ia)]
+
+
+def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
+         seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
+    """Grid-search (alpha, beta) by hiding folds of the labeled set.
+
+    Every `blend_grid(grid_step)` cell is scored with the mean fold
+    objective; the report keeps the whole grid and the argmax, ties
+    resolved to the lexicographically smallest cell.
+    """
+    base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
+    cells = blend_grid(grid_step)
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if len(labels.normal) < folds:
@@ -188,20 +195,18 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
 
     grid = []
     best = None
-    for ia in range(m + 1):
-        for ib in range(m + 1 - ia):
-            alpha, beta = ia / m, ib / m
-            cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
-            objectives = []
-            for prepared, hidden, visible in stages:
-                result = finish(ds, prepared, visible, cell)
-                obj = _fold_objective(result, hidden, labels)
-                if obj is not None:
-                    objectives.append(obj)
-            if not objectives:
-                raise ValueError("no validation fold produced a computable objective")
-            mean_obj = float(np.mean(objectives))
-            grid.append((alpha, beta, mean_obj))
-            if best is None or mean_obj > best[2]:
-                best = (alpha, beta, mean_obj)
+    for alpha, beta in cells:
+        cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
+        objectives = []
+        for prepared, hidden, visible in stages:
+            result = finish(ds, prepared, visible, cell)
+            obj = _fold_objective(result, hidden, labels)
+            if obj is not None:
+                objectives.append(obj)
+        if not objectives:
+            raise ValueError("no validation fold produced a computable objective")
+        mean_obj = float(np.mean(objectives))
+        grid.append((alpha, beta, mean_obj))
+        if best is None or mean_obj > best[2]:
+            best = (alpha, beta, mean_obj)
     return TuneReport(grid=tuple(grid), best=(best[0], best[1]))

@@ -8,6 +8,7 @@ import pytest
 
 from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv,
                       prepare, sample_labels)
+from ssdbcodi import cli
 from ssdbcodi.cli import main
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -138,6 +139,42 @@ def test_benchmark_matches_single_run(blobs_csv, capsys):
     assert float(row["auc_std"]) == 0.0  # one trial has no spread
 
 
+def test_tuned_benchmark_matches_tuned_run(blobs_csv, capsys):
+    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--seed", "1"]
+    code, out, _ = run_cli(
+        ["run", "--input", blobs_csv, "--label-fraction", "0.5", "--no-timing"]
+        + tune_flags, capsys)
+    assert code == 0
+    single = json.loads(out)
+    code, out, _ = run_cli(
+        ["benchmark", "--input", blobs_csv, "--fractions", "50", "--trials", "1"]
+        + tune_flags, capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert float(row["auc_mean"]) == single["auc"]
+    assert float(row["rand_mean"]) == single["rand_index"]
+    assert float(row["nmi_mean"]) == single["nmi"]
+
+
+def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
+    calls = []
+    real = cli.build_index
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_index", counting)
+    for command in ("benchmark", "sensitivity"):
+        calls.clear()
+        code, _, _ = run_cli(
+            [command, "--input", blobs_csv, "--fractions", "25,50", "--trials", "3",
+             "--grid-step", "0.5", "--workers", "2"], capsys)
+        assert code == 0
+        assert len(calls) == 1, command
+
+
 def test_benchmark_threading_is_deterministic(blobs_csv, capsys):
     args = ["benchmark", "--input", blobs_csv, "--fractions", "25,50",
             "--trials", "3", "--seed", "5"]
@@ -239,6 +276,12 @@ def test_usage_errors_exit_two(blobs_csv, capsys):
         ["benchmark", "--input", blobs_csv, "--fractions", "0"],
         ["benchmark", "--input", blobs_csv, "--trials", "0"],
         ["benchmark", "--input", blobs_csv, "--workers", "0"],
+        ["benchmark", "--input", blobs_csv, "--fractions", "50,50"],
+        ["sensitivity", "--input", blobs_csv, "--fractions", "10,20,10"],
+        ["sensitivity", "--input", blobs_csv, "--alpha", "0.5"],
+        ["sensitivity", "--input", blobs_csv, "--knn-k", "0"],
+        ["sensitivity", "--input", blobs_csv, "--k-reliable", "-1"],
+        ["sensitivity", "--input", blobs_csv, "--grid-step", "0.3"],
         ["baseline", "--input", blobs_csv, "--algo", "dbscan"],
         ["baseline", "--input", blobs_csv, "--algo", "kmeans"],
         ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "0"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, default_k, finish, prepare, run, tune)
+                      ScoreParams, blend_grid, default_k, finish, prepare, run, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -109,6 +109,11 @@ def test_tune_grid_shape_and_argmax():
     # best is the first cell attaining the maximum, in iteration order
     winner = cells[int(np.argmax(values))]
     assert report.best == winner
+    for step in (1.0, 0.5, 0.25):
+        report = tune(BLOBS, tune_labels(), grid_step=step, folds=2, seed=0)
+        assert [(a, b) for a, b, _ in report.grid] == blend_grid(step)
+    assert blend_grid(1.0) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    assert len(blend_grid(0.25)) == 15
 
 
 def test_tune_is_deterministic():
