@@ -22,7 +22,7 @@ from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import OUTLIER, load_csv, minmax_scale, sample_labels
 from .metricspace import build_index, pairwise_distances
 from .metrics import auc, nmi, rand_index
-from .pipeline import PipelineParams, blend_grid, finish, prepare, run, tune
+from .pipeline import PipelineParams, blend_grid, finish, grid_size, prepare, tune
 from .scoring import ScoreParams
 
 SCHEMA_VERSION = 1
@@ -97,12 +97,12 @@ def _evaluate(ds, result) -> dict:
     return out
 
 
-def _blend(ds, labels, args, seed: int) -> tuple:
+def _blend(ds, labels, args, seed: int, index) -> tuple:
     """The flag (alpha, beta), or the cross-validated best cell under --tune."""
     if not args.tune:
         return args.alpha, args.beta
     return tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
-                params=_pipeline_params(args, args.alpha, args.beta)).best
+                params=_pipeline_params(args, args.alpha, args.beta), index=index).best
 
 
 def _summary(trials) -> dict:
@@ -120,8 +120,10 @@ def cmd_run(args) -> str:
     ds = _load_dataset(args)
     labels = sample_labels(ds, args.label_fraction, args.seed,
                            stratified=args.stratified_labels)
-    alpha, beta = _blend(ds, labels, args, args.seed)
-    result = run(ds, labels, _pipeline_params(args, alpha, beta))
+    index = build_index(ds, args.min_pts)
+    alpha, beta = _blend(ds, labels, args, args.seed, index)
+    result = finish(ds, prepare(ds, labels, args.min_pts, index=index), labels,
+                    _pipeline_params(args, alpha, beta))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -166,7 +168,7 @@ def _run_trials(ds, args, cells=None) -> dict:
         try:
             labels = sample_labels(ds, fraction_pct / 100.0, seed,
                                    stratified=args.stratified_labels)
-            blends = cells if cells is not None else [_blend(ds, labels, args, seed)]
+            blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
             prepared = prepare(ds, labels, args.min_pts, index=index)
             return [_evaluate(ds, finish(ds, prepared, labels, _pipeline_params(args, a, b)))
                     for a, b in blends]
@@ -364,7 +366,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if hasattr(args, "knn_k"):
             _pipeline_params(args, getattr(args, "alpha", 0.0), getattr(args, "beta", 0.0))
         if hasattr(args, "grid_step"):
-            blend_grid(args.grid_step)
+            grid_size(args.grid_step)
     except ValueError as exc:
         parser.error(str(exc))
     if getattr(args, "label_fraction", None) is not None:

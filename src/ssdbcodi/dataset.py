@@ -1,7 +1,6 @@
 """Dataset ingestion and seeded semi-supervised label sampling."""
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,10 +61,6 @@ class Dataset:
         mask = self.truth != OUTLIER
         return int(self.truth[mask].max() + 1) if mask.any() else 0
 
-    @property
-    def n_outliers(self) -> int:
-        return int((self.truth == OUTLIER).sum())
-
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -98,14 +93,6 @@ class LabelSet:
         bad = [i for i in self.indices if not 0 <= i < n]
         if bad:
             raise ValueError(f"label indices out of range for n={n}: {bad[:5]}")
-
-    def to_json(self) -> str:
-        """Deterministic serialization (sorted keys, sorted outlier list)."""
-        payload = {
-            "normal": {str(i): self.normal[i] for i in sorted(self.normal)},
-            "outliers": sorted(self.outliers),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> Dataset:

@@ -70,7 +70,7 @@ def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
     for step in range(n - 1):
         live_core[q] = np.inf
         best[q] = np.inf
-        np.maximum(live_core, idx.core[q], out=rd)  # rdist_row(idx, q) off the tree
+        np.maximum(live_core, idx.core[q], out=rd)  # q's reachability row, off the tree
         np.maximum(rd, idx.dist[q], out=rd)
         np.less(rd, best, out=closer)
         np.copyto(best, rd, where=closer)

@@ -1,4 +1,5 @@
-"""Pairwise Euclidean distances, core distances, and reachability queries.
+"""Pairwise Euclidean distances, core distances, local densities, and
+reachability queries.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -13,10 +14,12 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class NeighborhoodIndex:
-    """Dense distance matrix plus per-point core distances for a fixed min_pts."""
+    """Dense distance matrix plus per-point core distances and local
+    densities (l_score's input) for a fixed min_pts; arrays are read-only."""
 
     dist: np.ndarray
     core: np.ndarray
+    density: np.ndarray
     min_pts: int
 
     @property
@@ -37,7 +40,7 @@ def pairwise_distances(points) -> np.ndarray:
 
 
 def build_index(ds, min_pts: int) -> NeighborhoodIndex:
-    """Build the distance matrix and min_pts-th-nearest-neighbour core distances.
+    """Build the distance matrix, core distances, and local densities.
 
     Accepts a Dataset or a raw point matrix. Requires n >= 2 and
     1 <= min_pts <= n - 1.
@@ -51,11 +54,20 @@ def build_index(ds, min_pts: int) -> NeighborhoodIndex:
     if not 1 <= min_pts <= n - 1:
         raise ValueError(f"min_pts must be in [1, {n - 1}], got {min_pts}")
     dist = pairwise_distances(points)
-    # Row position min_pts of the sorted row skips exactly one self-distance.
-    core = np.partition(dist, min_pts, axis=1)[:, min_pts]
-    dist.flags.writeable = False
-    core.flags.writeable = False
-    return NeighborhoodIndex(dist=dist, core=core, min_pts=int(min_pts))
+    # Row position min_pts of the sorted row skips exactly one self-distance;
+    # core is copied out so the index does not keep the scratch alive. The
+    # scratch then holds the reachabilities: the density is the mean of each
+    # row's min_pts smallest off-diagonal entries.
+    scratch = dist.copy()
+    scratch.partition(min_pts, axis=1)
+    core = scratch[:, min_pts].copy()
+    np.maximum(np.maximum.outer(core, core, out=scratch), dist, out=scratch)
+    np.fill_diagonal(scratch, np.inf)
+    scratch.partition(min_pts - 1, axis=1)
+    density = scratch[:, :min_pts].mean(axis=1)
+    for arr in (dist, core, density):
+        arr.flags.writeable = False
+    return NeighborhoodIndex(dist=dist, core=core, density=density, min_pts=int(min_pts))
 
 
 def _check_point(idx: NeighborhoodIndex, p: int) -> None:
@@ -69,12 +81,6 @@ def reach_distance(idx: NeighborhoodIndex, p: int, q: int) -> float:
     _check_point(idx, p)
     _check_point(idx, q)
     return float(max(idx.core[p], idx.core[q], idx.dist[p, q]))
-
-
-def rdist_row(idx: NeighborhoodIndex, p: int) -> np.ndarray:
-    """Reachability from p to every point; entry p itself equals core(p)."""
-    _check_point(idx, p)
-    return np.maximum(np.maximum(idx.core, idx.core[p]), idx.dist[p])
 
 
 def rdist_matrix(idx: NeighborhoodIndex) -> np.ndarray:

@@ -48,11 +48,6 @@ class TrainingSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    @property
-    def entries(self) -> list:
-        return [(int(i), int(c), float(w))
-                for i, c, w in zip(self.indices, self.classes, self.weights)]
-
 
 def select_reliable(assignment: ClusterAssignment, scores: ScoreTable, k: int) -> TrainingSet:
     """All clustered points as reliable normals plus the k most outlier-like

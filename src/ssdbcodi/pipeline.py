@@ -1,10 +1,11 @@
 """End-to-end orchestration and cross-validated blend-weight tuning.
 
-The expensive work (index, expansions, back-traces, the r/l/sim score
-columns) depends only on the data, min_pts, and the visible labels, so it
-is staged in `prepare`; `finish` applies one (alpha, beta) blend and runs
-selection, training, and prediction. `run` composes the two; `tune`
-re-uses one prepared stage per validation fold across every grid cell.
+The label-independent work (distances, core distances, local densities)
+lives on a NeighborhoodIndex that `prepare` and `tune` accept ready-made.
+The expansions and the r/sim score columns are staged in `prepare`;
+`finish` applies one (alpha, beta) blend and runs selection, training, and
+prediction. `run` composes the two; `tune` re-uses one prepared stage per
+validation fold across every grid cell.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from .expansion import expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
 from .model import PipelineResult, predict, select_reliable, train
-from .scoring import ScoreParams, ScoreTable, local_densities, l_score, r_score, sim_scores, t_score
+from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class TuneReport:
 class Prepared:
     """Blend-independent stage: assignment plus the r/l/sim score columns."""
 
-    idx: NeighborhoodIndex
     assignment: object
     r: np.ndarray
     l: np.ndarray
@@ -66,16 +66,20 @@ def default_k(n: int, labels: LabelSet) -> int:
     return round_half_up(0.05 * n)
 
 
-def prepare(ds: Dataset, labels: LabelSet, min_pts: int, index=None) -> Prepared:
-    """Index, back-traced expansion, and the three raw score columns."""
+def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
+            index: NeighborhoodIndex | None = None) -> Prepared:
+    """Back-traced expansion and the three raw score columns, on `index`
+    (built from ds and min_pts when None)."""
     labels.validate_for(ds.n)
-    idx = index if index is not None else build_index(ds, min_pts)
+    idx = build_index(ds, min_pts) if index is None else index
+    if (idx.n, idx.min_pts) != (ds.n, min_pts):
+        raise ValueError(f"index has n={idx.n}, min_pts={idx.min_pts}; "
+                         f"need n={ds.n}, min_pts={min_pts}")
     assignment, emax = expand(idx, labels)
     return Prepared(
-        idx=idx,
         assignment=assignment,
         r=r_score(emax),
-        l=l_score(local_densities(idx)),
+        l=l_score(idx.density),
         sim=sim_scores(ds, labels),
     )
 
@@ -156,24 +160,32 @@ def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> f
     return float(np.mean(parts))
 
 
-def blend_grid(grid_step: float) -> list:
-    """The admissible (alpha, beta) cells, alpha + beta <= 1 on a grid_step
-    lattice, in lexicographic order."""
+def grid_size(grid_step: float) -> int:
+    """Lattice size m = 1 / grid_step of a grid_step in (0, 1] dividing 1."""
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     m = round(1.0 / grid_step)
     if abs(m * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must divide 1 evenly, got {grid_step}")
+    return m
+
+
+def blend_grid(grid_step: float) -> list:
+    """The admissible (alpha, beta) cells, alpha + beta <= 1 on a grid_step
+    lattice, in lexicographic order."""
+    m = grid_size(grid_step)
     return [(ia / m, ib / m) for ia in range(m + 1) for ib in range(m + 1 - ia)]
 
 
 def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
-         seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
+         seed: int = 0, params: PipelineParams | None = None,
+         index: NeighborhoodIndex | None = None) -> TuneReport:
     """Grid-search (alpha, beta) by hiding folds of the labeled set.
 
     Every `blend_grid(grid_step)` cell is scored with the mean fold
     objective; the report keeps the whole grid and the argmax, ties
-    resolved to the lexicographically smallest cell.
+    resolved to the lexicographically smallest cell. Every fold shares
+    `index` (built from ds and min_pts when None).
     """
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
     cells = blend_grid(grid_step)
@@ -186,7 +198,8 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
         )
     labels.validate_for(ds.n)
 
-    index = build_index(ds, base.score.min_pts)
+    if index is None:
+        index = build_index(ds, base.score.min_pts)
     stages = []
     for hidden in _fold_partition(labels, folds, seed):
         visible = _drop_labels(labels, hidden)

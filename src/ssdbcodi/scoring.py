@@ -4,7 +4,8 @@ Three ingredients, each mapped through exp(-x) so that 1 means firmly
 normal and values near 0 mean suspicious:
 
 * r_score: how cheaply a point is reached from the labeled normal roots,
-* l_score: how dense the point's own reachability neighbourhood is,
+* l_score: how dense the point's own reachability neighbourhood is (the
+  label-independent densities live on the NeighborhoodIndex),
 * sim_score: proximity to the labeled outliers (0 when there are none).
 
 The blended t_score weights the complements of the first two against the
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, LabelSet
-from .metricspace import NeighborhoodIndex, rdist_matrix
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ def r_score(emax) -> np.ndarray:
     if np.any(e < 0):
         raise ValueError("emax values must be non-negative")
     return np.exp(-e)
-
-
-def local_densities(idx: NeighborhoodIndex) -> np.ndarray:
-    """Mean reachability to each point's min_pts reachability-nearest others."""
-    rd = rdist_matrix(idx)
-    np.fill_diagonal(rd, np.inf)
-    smallest = np.partition(rd, idx.min_pts - 1, axis=1)[:, :idx.min_pts]
-    return smallest.mean(axis=1)
 
 
 def l_score(ld) -> np.ndarray:

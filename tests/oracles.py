@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ssdbcodi import (ClusterAssignment, Dataset, LabelSet, NeighborhoodIndex, OUTLIER,
-                      UNCLUSTERED, WeightedKnnClassifier, rdist_row)
+                      UNCLUSTERED, WeightedKnnClassifier, rdist_matrix)
 from ssdbcodi.model import _cross_distances
 
 
@@ -153,6 +153,13 @@ def moons_with_outliers(n: int = 400, outlier_rate: float = 0.05,
 
 # --- pointwise scores: the reference for ssdbcodi.scoring ---
 
+def rdist_row(idx: NeighborhoodIndex, p: int) -> np.ndarray:
+    """Reachability from p to every point; entry p itself equals core(p)."""
+    if not 0 <= p < idx.n:
+        raise IndexError(f"point index {p} out of range for n={idx.n}")
+    return np.maximum(np.maximum(idx.core, idx.core[p]), idx.dist[p])
+
+
 def knn_by_rdist(idx: NeighborhoodIndex, q: int, m: int) -> np.ndarray:
     """Indices of the m reachability-nearest other points of q.
 
@@ -170,6 +177,15 @@ def local_density(idx: NeighborhoodIndex, q: int) -> float:
     """Mean reachability to q's min_pts reachability-nearest other points."""
     nbrs = knn_by_rdist(idx, q, idx.min_pts)
     return float(rdist_row(idx, q)[nbrs].mean())
+
+
+def local_densities_by_matrix(idx: NeighborhoodIndex) -> np.ndarray:
+    """Mean reachability to each point's min_pts reachability-nearest others,
+    from a fresh reachability matrix and a partitioned copy of it."""
+    rd = rdist_matrix(idx)
+    np.fill_diagonal(rd, np.inf)
+    smallest = np.partition(rd, idx.min_pts - 1, axis=1)[:, :idx.min_pts]
+    return smallest.mean(axis=1)
 
 
 def sim_score(ds: Dataset, labels: LabelSet, q: int) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv,
                       prepare, sample_labels)
-from ssdbcodi import cli
+from ssdbcodi import cli, pipeline
 from ssdbcodi.cli import main
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -166,6 +166,7 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cli, "build_index", counting)
+    monkeypatch.setattr(pipeline, "build_index", counting)
     for command in ("benchmark", "sensitivity"):
         calls.clear()
         code, _, _ = run_cli(
@@ -173,6 +174,23 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
              "--grid-step", "0.5", "--workers", "2"], capsys)
         assert code == 0
         assert len(calls) == 1, command
+    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--stratified-labels"]
+    for argv in (["run", "--label-fraction", "0.5"],
+                 ["benchmark", "--fractions", "20,30", "--trials", "3", "--workers", "2"]):
+        calls.clear()
+        code, _, _ = run_cli(argv + ["--input", blobs_csv] + tune_flags, capsys)
+        assert code == 0
+        assert len(calls) == 1, argv[0]
+
+
+def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step))
+    for argv in (["run", "--label-fraction", "0.5"],
+                 ["benchmark", "--fractions", "50", "--trials", "1"]):
+        code, _, _ = run_cli(argv + ["--input", blobs_csv, "--grid-step", "0.001"], capsys)
+        assert code == 0
+    assert calls == []
 
 
 def test_benchmark_threading_is_deterministic(blobs_csv, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, build_index, is_density_reachable,
                       pairwise_distances, reach_distance)
-from oracles import knn_by_rdist
+from oracles import knn_by_rdist, local_densities_by_matrix, random_points
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -34,6 +34,34 @@ def test_build_index_errors():
     one = Dataset(points=[[0.0]], truth=[0])
     with pytest.raises(ValueError, match="at least 2"):
         build_index(one, 1)
+
+
+def test_density_matches_matrix_oracle_bytes():
+    # half the cases sit on small integer grids, so duplicate points and
+    # tied reachabilities are common; min_pts spans 1 .. n - 1
+    rng = np.random.default_rng(21)
+    for case in range(240):
+        if case % 2:
+            n = int(rng.integers(2, 30))
+            pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+        else:
+            pts = random_points(rng)
+        n = pts.shape[0]
+        idx = build_index(pts, int(rng.integers(1, n)))
+        assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
+    for n in (2, 7):
+        pts = rng.normal(size=(n, 2))
+        for min_pts in range(1, n):
+            idx = build_index(pts, min_pts)
+            assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes()
+
+
+def test_index_arrays_are_read_only():
+    idx = build_index(LINE, 2)
+    for arr in (idx.dist, idx.core, idx.density):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_pairwise_matrix_is_symmetric_with_zero_diagonal():

@@ -32,7 +32,8 @@ def test_training_set_validation():
         TrainingSet(indices=[0], classes=[0], weights=[1.5])
     ts = TrainingSet(indices=[3, 1], classes=[0, OUTLIER], weights=[1.0, 0.25])
     assert len(ts) == 2
-    assert ts.entries == [(3, 0, 1.0), (1, -1, 0.25)]
+    assert (ts.indices.tolist(), ts.classes.tolist(), ts.weights.tolist()) == (
+        [3, 1], [0, -1], [1.0, 0.25])
 
 
 def test_select_reliable_worked_example():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, default_k, finish, prepare, run, tune)
+                      ScoreParams, blend_grid, build_index, default_k, finish, prepare,
+                      run, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -142,6 +143,26 @@ def test_tune_matches_unshared_recomputation():
     want = float(np.mean(objectives))
     got = dict(((a, b), v) for a, b, v in report.grid)[report.best]
     assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_tune_with_a_given_index_matches_its_own():
+    params = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=3), k_c=1)
+    own = tune(BLOBS, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params)
+    given = tune(BLOBS, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params,
+                 index=build_index(BLOBS, 3))
+    assert np.array(given.grid).tobytes() == np.array(own.grid).tobytes()
+    assert given.best == own.best
+
+
+def test_prepare_and_tune_refuse_a_mismatched_index():
+    wrong_min_pts = build_index(BLOBS, 2)
+    wrong_n = build_index(BLOBS.points[:10], 3)
+    for index, match in ((wrong_min_pts, "n=18, min_pts=2; need n=18, min_pts=3"),
+                         (wrong_n, "n=10, min_pts=3; need n=18, min_pts=3")):
+        with pytest.raises(ValueError, match=match):
+            prepare(BLOBS, BLOB_LABELS, 3, index=index)
+        with pytest.raises(ValueError, match=match):
+            tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, index=index)
 
 
 def test_tune_all_tied_prefers_origin():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
-                      build_index, expand, l_score, local_densities, r_score, run,
-                      sim_scores, t_score)
+                      build_index, expand, l_score, r_score, run, sim_scores, t_score)
 from oracles import local_density, random_labelset, random_points, sim_score
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
@@ -62,7 +61,7 @@ def test_local_densities_matches_pointwise():
     for _ in range(10):
         pts = random_points(rng)
         idx = build_index(pts, int(rng.integers(1, 4)))
-        vec = local_densities(idx)
+        vec = idx.density
         for q in range(idx.n):
             assert vec[q] == pytest.approx(local_density(idx, q), rel=1e-12)
 
@@ -163,7 +162,7 @@ def test_score_table_builder_is_complete():
     table = run(ds, labels, PipelineParams(ScoreParams(0.4, 0.3, min_pts=2))).score_table
     idx = build_index(ds, 2)
     assert np.array_equal(table.r_score, r_score(expand(idx, labels)[1]))
-    assert np.array_equal(table.l_score, l_score(local_densities(idx)))
+    assert np.array_equal(table.l_score, l_score(idx.density))
     assert np.array_equal(table.sim_score, sim_scores(ds, labels))
     assert table.t_score is not None
     assert np.all((table.t_score >= 0) & (table.t_score <= 1))
