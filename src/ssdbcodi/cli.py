@@ -229,8 +229,7 @@ def cmd_baseline(args) -> str:
         noise_score = (result.assignment == NOISE).astype(float)
         report["auc"] = auc(noise_score, truth_outlier) if both_classes else None
     elif args.algo == "lof":
-        idx = build_index(ds, args.k)
-        result = lof(idx, args.k)
+        result = lof(pairwise_distances(ds.points), args.k)
         report["params"] = {"k": args.k}
         report["auc"] = auc(result.scores, truth_outlier) if both_classes else None
     else:  # ssdbscan

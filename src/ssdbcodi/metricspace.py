@@ -1,11 +1,15 @@
-"""Pairwise Euclidean distances, core distances, local densities, and
-reachability queries.
+"""Pairwise and cross Euclidean distances, core distances, local densities,
+and reachability queries.
+
+The n x n passes work in place in their output or in row blocks, so each
+holds one large array at a time.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
 from dataclasses import dataclass
+import mmap
 
 import numpy as np
 
@@ -27,16 +31,49 @@ class NeighborhoodIndex:
         return self.dist.shape[0]
 
 
+# Each n x n pass holds one large array, its output, and works in row blocks
+# of BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get
+# an anonymous map of their own, unmapped when freed: in the C heap each
+# would leave a hole that smaller allocations split before the next output
+# arrives, so a long-running process's resident peak would drift with its
+# allocation history by up to one output.
+BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices whose float64 blocks of n_cols columns fit BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
+    return [slice(a, a + step) for a in range(0, n_rows, step)]
+
+
+def cross_distances(a, b) -> np.ndarray:
+    """Euclidean distances from each row of a to each row of b, computed in
+    place in the product a @ b.T (BLAS's symmetric one when b is a)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nbytes = 8 * a.shape[0] * b.shape[0]
+    if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+        d = np.matmul(a, b.T, out=np.ndarray((a.shape[0], b.shape[0]), buffer=buf))
+    else:
+        d = a @ b.T
+    sa, sb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    for rows in row_blocks(*d.shape):
+        blk = d[rows]
+        blk *= 2.0
+        np.subtract(sa[rows, None] + sb[None, :], blk, out=blk)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
 def pairwise_distances(points) -> np.ndarray:
     """Exactly symmetric Euclidean distance matrix with a zero diagonal."""
     pts = np.asarray(points, dtype=float)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2 = np.maximum(d2, d2.T)  # BLAS output is not guaranteed symmetric
-    dist = np.sqrt(d2)
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    d = cross_distances(pts, pts)
+    for rows in row_blocks(*d.shape):  # BLAS output is not guaranteed symmetric
+        np.maximum(d[rows], d[:, rows].T, out=d[rows])
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def build_index(ds, min_pts: int) -> NeighborhoodIndex:
@@ -54,17 +91,18 @@ def build_index(ds, min_pts: int) -> NeighborhoodIndex:
     if not 1 <= min_pts <= n - 1:
         raise ValueError(f"min_pts must be in [1, {n - 1}], got {min_pts}")
     dist = pairwise_distances(points)
-    # Row position min_pts of the sorted row skips exactly one self-distance;
-    # core is copied out so the index does not keep the scratch alive. The
-    # scratch then holds the reachabilities: the density is the mean of each
-    # row's min_pts smallest off-diagonal entries.
-    scratch = dist.copy()
-    scratch.partition(min_pts, axis=1)
-    core = scratch[:, min_pts].copy()
-    np.maximum(np.maximum.outer(core, core, out=scratch), dist, out=scratch)
-    np.fill_diagonal(scratch, np.inf)
-    scratch.partition(min_pts - 1, axis=1)
-    density = scratch[:, :min_pts].mean(axis=1)
+    blocks = row_blocks(n, n)
+    core, density = np.empty(n), np.empty(n)
+    # Row position min_pts of the sorted row skips exactly one self-distance.
+    for rows in blocks:
+        core[rows] = np.partition(dist[rows], min_pts, axis=1)[:, min_pts]
+    # The density is the mean of each row's min_pts smallest off-diagonal
+    # reachabilities max(core_p, core_q, dist_pq).
+    for rows in blocks:
+        blk = np.maximum(np.maximum.outer(core[rows], core), dist[rows])
+        np.fill_diagonal(blk[:, rows], np.inf)
+        blk.partition(min_pts - 1, axis=1)
+        density[rows] = blk[:, :min_pts].mean(axis=1)
     for arr in (dist, core, density):
         arr.flags.writeable = False
     return NeighborhoodIndex(dist=dist, core=core, density=density, min_pts=int(min_pts))

@@ -6,15 +6,8 @@ import numpy as np
 
 from .dataset import Dataset, OUTLIER
 from .expansion import ClusterAssignment, UNCLUSTERED
+from .metricspace import cross_distances, row_blocks
 from .scoring import ScoreTable
-
-
-def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sa = np.einsum("ij,ij->i", a, a)
-    sb = np.einsum("ij,ij->i", b, b)
-    d2 = sa[:, None] + sb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
 
 
 @dataclass(frozen=True)
@@ -107,16 +100,18 @@ class WeightedKnnClassifier:
             raise ValueError(
                 f"queries must be 2-D with {self.features.shape[1]} columns"
             )
-        d = _cross_distances(queries, self.features)
+        d = cross_distances(queries, self.features)
         n, m = d.shape
         k = self.k_c
         if k < m:
             # Positions < k hold values <= the one at position k, so the k-set
             # is ambiguous only where its largest value equals that one; those
             # rows take the stable sort, which keeps the earlier training row.
-            part = np.argpartition(d, k, axis=1)
-            nbrs = part[:, :k]
-            kth = np.take_along_axis(d, part[:, k:k + 1], axis=1)[:, 0]
+            nbrs, kth = np.empty((n, k), dtype=np.intp), np.empty(n)
+            for rows in row_blocks(n, m):
+                part = np.argpartition(d[rows], k, axis=1)
+                nbrs[rows] = part[:, :k]
+                kth[rows] = np.take_along_axis(d[rows], part[:, k:k + 1], axis=1)[:, 0]
             tied = np.flatnonzero(np.take_along_axis(d, nbrs, axis=1).max(axis=1) == kth)
             nbrs[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
         else:

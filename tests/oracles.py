@@ -16,7 +16,7 @@ import numpy as np
 
 from ssdbcodi import (ClusterAssignment, Dataset, LabelSet, NeighborhoodIndex, OUTLIER,
                       UNCLUSTERED, WeightedKnnClassifier, rdist_matrix)
-from ssdbcodi.model import _cross_distances
+from ssdbcodi.metricspace import cross_distances
 
 
 def minimax_closure(weights: np.ndarray) -> np.ndarray:
@@ -179,6 +179,26 @@ def local_density(idx: NeighborhoodIndex, q: int) -> float:
     return float(rdist_row(idx, q)[nbrs].mean())
 
 
+def distances_by_expression(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross distances as one whole-matrix expression, every temporary n x m."""
+    sa = np.einsum("ij,ij->i", a, a)
+    sb = np.einsum("ij,ij->i", b, b)
+    d2 = sa[:, None] + sb[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+def pairwise_by_expression(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances symmetrized by a whole-matrix maximum with the
+    transpose before the square root; zero diagonal."""
+    sq = np.einsum("ij,ij->i", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    dist = np.sqrt(np.maximum(d2, d2.T))
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def local_densities_by_matrix(idx: NeighborhoodIndex) -> np.ndarray:
     """Mean reachability to each point's min_pts reachability-nearest others,
     from a fresh reachability matrix and a partitioned copy of it."""
@@ -207,7 +227,7 @@ def knn_predict_by_loop(clf: WeightedKnnClassifier, points: np.ndarray) -> tuple
         raise ValueError(
             f"queries must be 2-D with {clf.features.shape[1]} columns"
         )
-    d = _cross_distances(queries, clf.features)
+    d = cross_distances(queries, clf.features)
     nbrs = np.argsort(d, axis=1, kind="stable")[:, :clf.k_c]
     out_class = np.empty(queries.shape[0], dtype=int)
     out_score = np.empty(queries.shape[0], dtype=float)

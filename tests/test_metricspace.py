@@ -1,11 +1,16 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
+import mmap
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, build_index, is_density_reachable,
-                      pairwise_distances, reach_distance)
-from oracles import knn_by_rdist, local_densities_by_matrix, random_points
+                      metricspace, pairwise_distances, reach_distance)
+from ssdbcodi.metricspace import cross_distances
+from oracles import (distances_by_expression, knn_by_rdist, local_densities_by_matrix,
+                     pairwise_by_expression, random_points)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -54,6 +59,54 @@ def test_density_matches_matrix_oracle_bytes():
         for min_pts in range(1, n):
             idx = build_index(pts, min_pts)
             assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [8, 1 << 9, 1 << 20])
+def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_bytes):
+    # blocks of one row, of a few rows, and a single block; every output in
+    # a map of its own
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        if case % 2:
+            n = int(rng.integers(2, 60))
+            pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+        else:
+            pts = random_points(rng, n=int(rng.integers(2, 60)))
+        n = pts.shape[0]
+        dist = pairwise_by_expression(pts)
+        assert pairwise_distances(pts).tobytes() == dist.tobytes(), case
+        feats = pts[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        assert (cross_distances(pts, feats).tobytes()
+                == distances_by_expression(pts, feats).tobytes()), case
+        min_pts = int(rng.integers(1, n))
+        idx = build_index(pts, min_pts)
+        core = np.partition(dist, min_pts, axis=1)[:, min_pts]
+        assert idx.core.tobytes() == core.tobytes(), case
+        assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
+
+
+def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
+    pts = np.random.default_rng(4).normal(size=(50, 2))
+    assert isinstance(pairwise_distances(pts).base, mmap.mmap)
+    assert isinstance(build_index(pts, 3).dist.base, mmap.mmap)
+    assert pairwise_distances(pts[:49]).base is None
+
+
+def test_index_build_holds_one_n_by_n_array(monkeypatch):
+    # the output on the traced heap, and no n x n temporary beside it
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
+    pts = np.random.default_rng(3).normal(size=(300, 4))
+    tracemalloc.start()
+    try:
+        build_index(pts, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * 300 * 300 <= peak < 1.2 * 8 * 300 * 300
 
 
 def test_index_arrays_are_read_only():

@@ -1,12 +1,14 @@
 """Reliable-set selection and the weighted kNN classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssdbcodi import (OUTLIER, UNCLUSTERED, ClusterAssignment, ScoreTable,
-                      TrainingSet, WeightedKnnClassifier, predict,
+                      TrainingSet, WeightedKnnClassifier, metricspace, predict,
                       select_reliable, train)
-from ssdbcodi.model import _cross_distances
+from ssdbcodi.metricspace import cross_distances
 from oracles import knn_predict_by_loop
 
 
@@ -251,6 +253,50 @@ def test_predict_points_matches_loop_oracle_bit_for_bit():
         assert np.array_equal(got_c, want_c), case
         assert got_s.tobytes() == want_s.tobytes(), case
         if k_c < m:
-            ranked = np.sort(_cross_distances(queries, clf.features), axis=1)
+            ranked = np.sort(cross_distances(queries, clf.features), axis=1)
             tied_rows += int(np.sum(ranked[:, k_c - 1] == ranked[:, k_c]))
     assert tied_rows >= 100
+
+
+def test_predict_points_in_row_blocks_matches_one_block(monkeypatch):
+    # blocks of one or a few query rows, on grids with ties across the k-cut
+    rng = np.random.default_rng(59)
+    for case in range(80):
+        m = int(rng.integers(2, 40))
+        n = int(rng.integers(1, 60))
+        if case % 2:
+            features = rng.integers(0, 3, size=(m, 2)).astype(float)
+            queries = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            features = rng.normal(size=(m, 2))
+            queries = rng.normal(size=(n, 2))
+        clf = WeightedKnnClassifier(features=features, classes=rng.integers(-1, 3, size=m),
+                                    weights=rng.uniform(0.0, 1.0, size=m),
+                                    k_c=int(rng.integers(1, m + 1)))
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 20)
+        want_c, want_s = clf.predict_points(queries)
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", int(rng.choice([8, 8 * m, 24 * m])))
+        got_c, got_s = clf.predict_points(queries)
+        assert got_c.tobytes() == want_c.tobytes(), case
+        assert got_s.tobytes() == want_s.tobytes(), case
+        oracle_c, oracle_s = knn_predict_by_loop(clf, queries)
+        assert np.array_equal(got_c, oracle_c), case
+        assert got_s.tobytes() == oracle_s.tobytes(), case
+
+
+def test_predict_points_holds_one_distance_matrix(monkeypatch):
+    # the distances on the traced heap, and no query x feature index array
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
+    rng = np.random.default_rng(61)
+    clf = WeightedKnnClassifier(features=rng.normal(size=(300, 3)),
+                                classes=rng.integers(-1, 3, size=300),
+                                weights=rng.uniform(0.0, 1.0, size=300), k_c=5)
+    queries = rng.normal(size=(400, 3))
+    tracemalloc.start()
+    try:
+        clf.predict_points(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * 400 * 300 <= peak < 1.25 * 8 * 400 * 300
