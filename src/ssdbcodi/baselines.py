@@ -10,7 +10,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .expansion import UNCLUSTERED, ssdbscan
-from .metricspace import NeighborhoodIndex
+from .metricspace import NeighborhoodIndex, nearest
 
 # Cluster id for points no cluster claimed.
 NOISE = -1
@@ -121,19 +121,20 @@ def _nearest_centroid(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def lof(idx, k: int) -> BaselineResult:
     """Local outlier factor over exactly k nearest other points.
 
-    Neighbour ties resolve to the smaller index. Scores near 1 mean the
-    point is as dense as its neighbours; well above 1 means outlying.
+    Distances must be finite; neighbour ties resolve to the smaller index.
+    Scores near 1 mean as dense as the neighbours; well above 1, outlying.
     """
     dist = _distances_of(idx)
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    if not np.isfinite(dist).all():
+        raise ValueError("lof needs finite distances")
     d = dist.copy()
     np.fill_diagonal(d, np.inf)
-    nbrs = np.argsort(d, axis=1, kind="stable")[:, :k]
-    kdist = np.partition(d, k - 1, axis=1)[:, k - 1]
-    rows = np.arange(n)[:, None]
-    reach = np.maximum(kdist[nbrs], d[rows, nbrs])
+    nbrs = nearest(d, k)
+    nd = np.take_along_axis(dist, nbrs, axis=1)
+    reach = np.maximum(nd[:, -1][nbrs], nd)
     with np.errstate(divide="ignore", invalid="ignore"):
         lrd = k / reach.sum(axis=1)
         scores = lrd[nbrs].mean(axis=1) / lrd

@@ -1,5 +1,5 @@
-"""Pairwise and cross Euclidean distances, core distances, local densities,
-and reachability queries.
+"""Pairwise and cross Euclidean distances, k-nearest selection, core
+distances, local densities, and reachability queries.
 
 The n x n passes work in place in their output or in row blocks, so each
 holds one large array at a time.
@@ -48,8 +48,16 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
 
 def cross_distances(a, b) -> np.ndarray:
     """Euclidean distances from each row of a to each row of b, computed in
-    place in the product a @ b.T (BLAS's symmetric one when b is a)."""
+    place in the product a @ b.T (BLAS's symmetric one when b is a).
+
+    Every squared row norm must be at most finfo.max / 4, so that no step
+    overflows and every distance is finite.
+    """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sa, sb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    bound = np.finfo(float).max / 4
+    if not (np.all(sa <= bound) and np.all(sb <= bound)):
+        raise ValueError(f"every point's squared norm must be finite and at most {bound:.4g}")
     nbytes = 8 * a.shape[0] * b.shape[0]
     if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
@@ -57,13 +65,28 @@ def cross_distances(a, b) -> np.ndarray:
         d = np.matmul(a, b.T, out=np.ndarray((a.shape[0], b.shape[0]), buffer=buf))
     else:
         d = a @ b.T
-    sa, sb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
     for rows in row_blocks(*d.shape):
         blk = d[rows]
         blk *= 2.0
         np.subtract(sa[rows, None] + sb[None, :], blk, out=blk)
     np.maximum(d, 0.0, out=d)
     return np.sqrt(d, out=d)
+
+
+def nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest entries, ordered by (value, column).
+
+    Consumes d: each pass takes the first minimum of every row and writes
+    +inf over it, so d must hold finite entries only.
+    """
+    nbrs = np.empty((d.shape[0], k), dtype=np.intp)
+    for rows in row_blocks(*d.shape):
+        blk, out = d[rows], nbrs[rows]
+        at = np.arange(blk.shape[0])
+        for j in range(k):
+            out[:, j] = blk.argmin(axis=1)
+            blk[at, out[:, j]] = np.inf
+    return nbrs
 
 
 def pairwise_distances(points) -> np.ndarray:

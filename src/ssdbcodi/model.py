@@ -6,7 +6,7 @@ import numpy as np
 
 from .dataset import Dataset, OUTLIER
 from .expansion import ClusterAssignment, UNCLUSTERED
-from .metricspace import cross_distances, row_blocks
+from .metricspace import cross_distances, nearest
 from .scoring import ScoreTable
 
 
@@ -101,23 +101,8 @@ class WeightedKnnClassifier:
                 f"queries must be 2-D with {self.features.shape[1]} columns"
             )
         d = cross_distances(queries, self.features)
-        n, m = d.shape
-        k = self.k_c
-        if k < m:
-            # Positions < k hold values <= the one at position k, so the k-set
-            # is ambiguous only where its largest value equals that one; those
-            # rows take the stable sort, which keeps the earlier training row.
-            nbrs, kth = np.empty((n, k), dtype=np.intp), np.empty(n)
-            for rows in row_blocks(n, m):
-                part = np.argpartition(d[rows], k, axis=1)
-                nbrs[rows] = part[:, :k]
-                kth[rows] = np.take_along_axis(d[rows], part[:, k:k + 1], axis=1)[:, 0]
-            tied = np.flatnonzero(np.take_along_axis(d, nbrs, axis=1).max(axis=1) == kth)
-            nbrs[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-        else:
-            nbrs = np.broadcast_to(np.arange(m), (n, m))
-        order = np.lexsort((nbrs, np.take_along_axis(d, nbrs, axis=1)), axis=1)
-        nbrs = np.take_along_axis(nbrs, order, axis=1)
+        n, k = d.shape[0], self.k_c
+        nbrs = nearest(d, k)
 
         # Vote one neighbour rank at a time so each class sums its weights in
         # neighbour order; `seen` keeps zero-weight votes as present.

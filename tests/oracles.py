@@ -5,7 +5,7 @@ closure-based minimax paths and one Prim expansion per root instead of a
 single spanning tree, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
-of the vectorized scores and the partial neighbour selection.
+of the vectorized scores and the k-pass neighbour selection.
 """
 
 from collections import Counter
@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from ssdbcodi import (ClusterAssignment, Dataset, LabelSet, NeighborhoodIndex, OUTLIER,
-                      UNCLUSTERED, WeightedKnnClassifier, rdist_matrix)
+from ssdbcodi import (BaselineResult, ClusterAssignment, Dataset, LabelSet,
+                      NeighborhoodIndex, OUTLIER, UNCLUSTERED, WeightedKnnClassifier,
+                      rdist_matrix)
 from ssdbcodi.metricspace import cross_distances
 
 
@@ -246,6 +247,29 @@ def knn_predict_by_loop(clf: WeightedKnnClassifier, points: np.ndarray) -> tuple
         out_class[row] = winners[0] if winners else OUTLIER
         out_score[row] = votes.get(OUTLIER, 0.0) / total if total > 0 else 0.0
     return out_class, out_score
+
+
+# --- full sort and partition: the reference for baselines.lof ---
+
+def lof_by_sort(dist, k: int) -> BaselineResult:
+    """Local outlier factor from a stable full argsort of every distance row
+    and a partition for the k-distances."""
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    nbrs = np.argsort(d, axis=1, kind="stable")[:, :k]
+    kdist = np.partition(d, k - 1, axis=1)[:, k - 1]
+    rows = np.arange(n)[:, None]
+    reach = np.maximum(kdist[nbrs], d[rows, nbrs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lrd = k / reach.sum(axis=1)
+        scores = lrd[nbrs].mean(axis=1) / lrd
+    # duplicated points can drive both densities to infinity; call that 1
+    scores = np.where(np.isnan(scores), 1.0, scores)
+    return BaselineResult(scores=scores)
 
 
 # --- per-root Prim expansions: the reference for ssdbcodi.expansion ---

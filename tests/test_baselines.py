@@ -1,6 +1,7 @@
 """Baseline algorithms: worked examples plus naive reimplementation oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, BaselineResult,
                       build_index, dbscan, kmeans, lof, rand_index,
                       ssdbscan_with_fallback)
+from oracles import lof_by_sort
 
 
 def euclidean(pts):
@@ -205,6 +207,42 @@ def test_lof_matches_naive_route():
         got = lof(euclidean(pts), k=k).scores
         want = np.array(lof_oracle(pts, k))
         assert np.allclose(got, want, atol=1e-9)
+
+
+def test_lof_matches_sort_oracle_bytes():
+    # 0-2 grids tie neighbours across the k-cut and duplicate points
+    rng = np.random.default_rng(71)
+    for case in range(400):
+        n = int(rng.integers(2, 40))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
+        else:
+            pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+        idx = build_index(pts, 1)
+        k = int(rng.integers(1, n)) if case % 10 else n - 1
+        got = lof(idx, k=k).scores
+        assert got.tobytes() == lof_by_sort(idx.dist, k).scores.tobytes(), case
+
+
+def test_lof_refuses_non_finite_distances():
+    for bad in (np.nan, np.inf):
+        dist = euclidean([[0.0], [1.0], [3.0]])
+        dist[0, 2] = dist[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lof(dist, k=1)
+    # dbscan treats an infinite distance as out of every neighbourhood
+    assert dbscan(dist, epsilon=2.0, min_pts=1).assignment.tolist() == [0, 0, 0]
+
+
+def test_lof_holds_one_distance_copy():
+    dist = build_index(np.random.default_rng(73).normal(size=(300, 3)), 1).dist
+    tracemalloc.start()
+    try:
+        lof(dist, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * 300 * 300 <= peak < 1.25 * 8 * 300 * 300
 
 
 def test_fallback_assigns_leftovers_to_nearest_cluster():

@@ -322,6 +322,17 @@ def test_runtime_errors_exit_one(blobs_csv, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
+    big = [(1e200, 2e200), (2e200, 3e200), (3e200, 1e200)]
+    rows = [(*big[i % 3], "o" if i == 9 else str(i % 2)) for i in range(10)]
+    path = write_csv(tmp_path / "big.csv", rows)
+    want = "error: every point's squared norm must be finite and at most 4.494e+307\n"
+    for argv in (["run", "--input", path, "--no-timing"],
+                 ["baseline", "--input", path, "--algo", "lof", "--k", "3"]):
+        assert run_cli(argv, capsys) == (1, "", want), argv
+    assert not recwarn.list
+
+
 def test_failing_sweep_trial_is_named(tmp_path, capsys):
     # 24 points: at 5% one point is labeled, and some draws hit an outlier
     rows = blob_rows()

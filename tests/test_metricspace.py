@@ -8,7 +8,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, build_index, is_density_reachable,
                       metricspace, pairwise_distances, reach_distance)
-from ssdbcodi.metricspace import cross_distances
+from ssdbcodi.metricspace import cross_distances, nearest
 from oracles import (distances_by_expression, knn_by_rdist, local_densities_by_matrix,
                      pairwise_by_expression, random_points)
 
@@ -107,6 +107,49 @@ def test_index_build_holds_one_n_by_n_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 8 * 300 * 300 <= peak < 1.2 * 8 * 300 * 300
+
+
+@pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
+def test_nearest_matches_stable_sort(monkeypatch, rows_per_block):
+    # 0-2 integer grids tie many distances across the k-cut. BLOCK_BYTES of
+    # 8 (under one row), one row, three rows (a short last block) and all rows
+    rng = np.random.default_rng(67)
+    tied_rows = 0
+    for case in range(300):
+        m, n = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+        dim = int(rng.integers(1, 3))
+        d = cross_distances(rng.integers(0, 3, size=(n, dim)).astype(float),
+                            rng.integers(0, 3, size=(m, dim)).astype(float))
+        k = int(rng.integers(1, m + 1)) if case % 10 else m
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", max(8, 8 * m * rows_per_block))
+        want = np.argsort(d, axis=1, kind="stable")[:, :k]
+        if k < m:
+            ranked = np.sort(d, axis=1)
+            tied_rows += int(np.sum(ranked[:, k - 1] == ranked[:, k]))
+        got = nearest(d, k)
+        assert got.dtype == np.intp and got.tobytes() == want.tobytes(), case
+    assert tied_rows >= 100
+
+
+def test_distances_refuse_overflowing_norms():
+    with pytest.raises(ValueError, match="squared norm"):
+        build_index([[1e200, 2e200], [2e200, 3e200], [3e200, 1e200]], 1)
+    with pytest.raises(ValueError, match="squared norm"):
+        build_index([[0.0], [np.nan], [1.0]], 1)
+    with pytest.raises(ValueError, match="squared norm"):
+        cross_distances([[0.0]], [[np.inf]])
+
+
+def test_distances_just_under_the_norm_bound_stay_finite():
+    bound = np.finfo(float).max / 4
+    x = np.sqrt(bound)
+    while x * x > bound:
+        x = np.nextafter(x, 0.0)
+    idx = build_index([[x], [-x], [0.0]], 1)
+    assert np.isfinite(idx.dist).all() and np.isfinite(idx.density).all()
+    assert idx.dist[0, 1] == pytest.approx(2 * x)
+    with pytest.raises(ValueError, match="squared norm"):
+        build_index([[x * 1.001], [0.0]], 1)
 
 
 def test_index_arrays_are_read_only():

@@ -143,6 +143,10 @@ def test_classifier_rejects_bad_queries():
     )
     with pytest.raises(ValueError, match="2 columns"):
         clf.predict_points(np.array([[1.0]]))
+    # squared norms that overflow would leave NaN distances to select from
+    for queries in ([[1e200, 0.0]], [[np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="squared norm"):
+            clf.predict_points(np.array(queries))
 
 
 def test_classifier_rejects_bad_construction():
