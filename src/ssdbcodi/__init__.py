@@ -10,10 +10,9 @@ normals and reliable outliers to label the whole dataset.
 from .baselines import BaselineResult, NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
                       round_half_up, sample_labels)
-from .expansion import ClusterAssignment, UNCLUSTERED, expand, minimax_rows, ssdbscan
+from .expansion import ClusterAssignment, UNCLUSTERED, expand, minimax_rows
 from .metrics import auc, nmi, rand_index
-from .metricspace import (NeighborhoodIndex, build_index, is_density_reachable,
-                          pairwise_distances, rdist_matrix, reach_distance)
+from .metricspace import NeighborhoodIndex, build_index, pairwise_distances
 from .model import (PipelineResult, TrainingSet, WeightedKnnClassifier,
                     predict, select_reliable, train)
 from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
@@ -27,9 +26,8 @@ __all__ = [
     "NOISE", "OUTLIER", "PipelineParams", "PipelineResult", "Prepared", "ScoreParams",
     "ScoreTable", "TrainingSet", "TuneReport", "UNCLUSTERED", "WeightedKnnClassifier",
     "auc", "blend_grid", "build_index", "dbscan", "default_k", "expand", "finish",
-    "is_density_reachable", "kmeans", "l_score", "load_csv", "lof", "minimax_rows",
-    "minmax_scale", "nmi", "pairwise_distances", "predict", "prepare", "r_score",
-    "rand_index", "rdist_matrix", "reach_distance", "round_half_up", "run", "sample_labels",
-    "select_reliable", "sim_scores", "ssdbscan", "ssdbscan_with_fallback",
-    "t_score", "train", "tune",
+    "kmeans", "l_score", "load_csv", "lof", "minimax_rows", "minmax_scale", "nmi",
+    "pairwise_distances", "predict", "prepare", "r_score", "rand_index",
+    "round_half_up", "run", "sample_labels", "select_reliable", "sim_scores",
+    "ssdbscan_with_fallback", "t_score", "train", "tune",
 ]

@@ -1,7 +1,8 @@
 """Reference algorithms for comparison: DBSCAN, k-means, LOF, and the
 terminating-expansion clusterer with a nearest-neighbour fallback.
 
-All of them are deterministic given their inputs (and seed, for k-means).
+DBSCAN and LOF read a square distance matrix; all of them are
+deterministic given their inputs (and seed, for k-means).
 """
 
 from dataclasses import dataclass
@@ -9,11 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .expansion import UNCLUSTERED, ssdbscan
-from .metricspace import NeighborhoodIndex, nearest
+from .expansion import UNCLUSTERED, expand
+from .metricspace import NeighborhoodIndex, nearest, squared_norms
 
 # Cluster id for points no cluster claimed.
 NOISE = -1
+
+# Lloyd updates k-means makes at most.
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -24,16 +28,14 @@ class BaselineResult:
     scores: np.ndarray | None = None
 
 
-def _distances_of(idx) -> np.ndarray:
-    if isinstance(idx, NeighborhoodIndex):
-        return idx.dist
-    d = np.asarray(idx, dtype=float)
+def _square(dist) -> np.ndarray:
+    d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("expected a NeighborhoodIndex or a square distance matrix")
+        raise ValueError("expected a square distance matrix")
     return d
 
 
-def dbscan(idx, epsilon: float, min_pts: int) -> BaselineResult:
+def dbscan(dist, epsilon: float, min_pts: int) -> BaselineResult:
     """Density clustering with the self-excluding core test.
 
     A point is core when at least min_pts other points sit within epsilon.
@@ -41,9 +43,9 @@ def dbscan(idx, epsilon: float, min_pts: int) -> BaselineResult:
     graph, numbered by ascending smallest member; a non-core point joins
     the cluster of its lowest-indexed core neighbour, if any, else NOISE.
     """
-    dist = _distances_of(idx)
+    dist = _square(dist)
     n = dist.shape[0]
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
@@ -85,23 +87,22 @@ def _kmeanspp(pts: np.ndarray, k: int, rng) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def kmeans(ds, k: int, seed: int, max_iter: int = 100) -> BaselineResult:
+def kmeans(ds, k: int, seed: int) -> BaselineResult:
     """Lloyd iterations from seeded k-means++ starting centroids.
 
-    Stops at an assignment fixed point or after max_iter updates. Distance
-    ties go to the lowest centroid index; a cluster that empties keeps its
-    previous centroid.
+    Stops at an assignment fixed point or after KMEANS_MAX_ITER updates.
+    Distance ties go to the lowest centroid index; a cluster that empties
+    keeps its previous centroid. Points must pass squared_norms.
     """
     pts = ds.points if isinstance(ds, Dataset) else np.asarray(ds, dtype=float)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    squared_norms(pts)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp(pts, k, rng)
     labels = _nearest_centroid(pts, centroids)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         for c in range(k):
             members = pts[labels == c]
             if members.shape[0]:
@@ -118,13 +119,13 @@ def _nearest_centroid(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def lof(idx, k: int) -> BaselineResult:
+def lof(dist, k: int) -> BaselineResult:
     """Local outlier factor over exactly k nearest other points.
 
     Distances must be finite; neighbour ties resolve to the smaller index.
     Scores near 1 mean as dense as the neighbours; well above 1, outlying.
     """
-    dist = _distances_of(idx)
+    dist = _square(dist)
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
@@ -146,8 +147,7 @@ def lof(idx, k: int) -> BaselineResult:
 def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> BaselineResult:
     """Terminating-expansion clustering with leftovers joined to the
     cluster of their nearest clustered point (ties to the smaller index)."""
-    ca = ssdbscan(idx, labels)
-    assign = ca.assign.copy()
+    assign = expand(idx, labels)[0].assign.copy()
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     if unclustered.size and clustered.size:

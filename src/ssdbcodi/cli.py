@@ -388,7 +388,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if args.algo == "dbscan":
             if args.epsilon is None:
                 parser.error("--epsilon is required for --algo dbscan")
-            if args.epsilon < 0:
+            if not args.epsilon >= 0:
                 parser.error("--epsilon must be >= 0")
         if args.algo in ("dbscan", "ssdbscan") and args.min_pts < 1:
             parser.error("--min-pts must be >= 1")

@@ -42,10 +42,6 @@ class ClusterAssignment:
     assign: np.ndarray
 
     @property
-    def clustered(self) -> np.ndarray:
-        return self.assign != UNCLUSTERED
-
-    @property
     def n_unclustered(self) -> int:
         return int((self.assign == UNCLUSTERED).sum())
 
@@ -145,9 +141,3 @@ def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
     assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
     assign.flags.writeable = False
     return ClusterAssignment(assign=assign), mm.min(axis=0)
-
-
-def ssdbscan(idx: NeighborhoodIndex, labels: LabelSet) -> ClusterAssignment:
-    """Clustering of the original expansion semantics: every labeled normal
-    root keeps its back-traced points and the traced clusters are merged."""
-    return expand(idx, labels)[0]

@@ -1,5 +1,5 @@
 """Pairwise and cross Euclidean distances, k-nearest selection, core
-distances, local densities, and reachability queries.
+distances, and local densities.
 
 The n x n passes work in place in their output or in row blocks, so each
 holds one large array at a time.
@@ -46,18 +46,25 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     return [slice(a, a + step) for a in range(0, n_rows, step)]
 
 
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms, each required to be at most finfo.max / 4 so that
+    no distance step over these points overflows."""
+    sq = np.einsum("ij,ij->i", points, points)
+    bound = np.finfo(float).max / 4
+    if not np.all(sq <= bound):
+        raise ValueError(f"every point's squared norm must be finite and at most {bound:.4g}")
+    return sq
+
+
 def cross_distances(a, b) -> np.ndarray:
     """Euclidean distances from each row of a to each row of b, computed in
     place in the product a @ b.T (BLAS's symmetric one when b is a).
 
-    Every squared row norm must be at most finfo.max / 4, so that no step
-    overflows and every distance is finite.
+    Every squared row norm must pass squared_norms, so that every distance
+    is finite.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sa, sb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-    bound = np.finfo(float).max / 4
-    if not (np.all(sa <= bound) and np.all(sb <= bound)):
-        raise ValueError(f"every point's squared norm must be finite and at most {bound:.4g}")
+    sa, sb = squared_norms(a), squared_norms(b)
     nbytes = 8 * a.shape[0] * b.shape[0]
     if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
@@ -129,45 +136,3 @@ def build_index(ds, min_pts: int) -> NeighborhoodIndex:
     for arr in (dist, core, density):
         arr.flags.writeable = False
     return NeighborhoodIndex(dist=dist, core=core, density=density, min_pts=int(min_pts))
-
-
-def _check_point(idx: NeighborhoodIndex, p: int) -> None:
-    if not 0 <= p < idx.n:
-        raise IndexError(f"point index {p} out of range for n={idx.n}")
-
-
-def reach_distance(idx: NeighborhoodIndex, p: int, q: int) -> float:
-    """max(core(p), core(q), dist(p, q)): the smallest epsilon at which p and q
-    are directly density-reachable from each other."""
-    _check_point(idx, p)
-    _check_point(idx, q)
-    return float(max(idx.core[p], idx.core[q], idx.dist[p, q]))
-
-
-def rdist_matrix(idx: NeighborhoodIndex) -> np.ndarray:
-    """Full n x n reachability matrix (diagonal holds the core distances)."""
-    return np.maximum(np.maximum.outer(idx.core, idx.core), idx.dist)
-
-
-def is_density_reachable(idx: NeighborhoodIndex, p: int, q: int, epsilon: float) -> bool:
-    """True iff a chain of core objects at `epsilon` connects p to q with hops <= epsilon.
-
-    Both endpoints must themselves be core objects at epsilon.
-    """
-    _check_point(idx, p)
-    _check_point(idx, q)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    core_ok = idx.core <= epsilon
-    if not (core_ok[p] and core_ok[q]):
-        return False
-    visited = np.zeros(idx.n, dtype=bool)
-    visited[p] = True
-    frontier = np.array([p])
-    while frontier.size:
-        if visited[q]:
-            return True
-        reached = (idx.dist[frontier] <= epsilon).any(axis=0) & core_ok & ~visited
-        frontier = np.flatnonzero(reached)
-        visited[frontier] = True
-    return bool(visited[q])

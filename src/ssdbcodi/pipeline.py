@@ -51,12 +51,10 @@ class TuneReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Blend-independent stage: assignment plus the r/l/sim score columns."""
+    """Blend-independent stage: assignment plus the score table without t_score."""
 
     assignment: object
-    r: np.ndarray
-    l: np.ndarray
-    sim: np.ndarray
+    scores: ScoreTable
 
 
 def default_k(n: int, labels: LabelSet) -> int:
@@ -76,19 +74,15 @@ def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
         raise ValueError(f"index has n={idx.n}, min_pts={idx.min_pts}; "
                          f"need n={ds.n}, min_pts={min_pts}")
     assignment, emax = expand(idx, labels)
-    return Prepared(
-        assignment=assignment,
-        r=r_score(emax),
-        l=l_score(idx.density),
-        sim=sim_scores(ds, labels),
-    )
+    scores = ScoreTable(r_score=r_score(emax), l_score=l_score(idx.density),
+                        sim_score=sim_scores(ds, labels))
+    return Prepared(assignment=assignment, scores=scores)
 
 
 def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
            params: PipelineParams) -> PipelineResult:
     """Blend scores, select reliable sets, train, and classify every point."""
-    table = ScoreTable(r_score=prepared.r, l_score=prepared.l, sim_score=prepared.sim)
-    table = replace(table, t_score=t_score(table, params.score))
+    table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     n_unclustered = prepared.assignment.n_unclustered
     if params.k is None:
         k = min(default_k(ds.n, labels), n_unclustered)

@@ -69,9 +69,10 @@ def sim_scores(ds: Dataset, labels: LabelSet) -> np.ndarray:
     """exp(-distance to the nearest labeled outlier) per point; 0 when none are labeled."""
     if not labels.outliers:
         return np.zeros(ds.n)
-    outs = ds.points[sorted(labels.outliers)]
-    d2 = ((ds.points[:, None, :] - outs[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-np.sqrt(d2.min(axis=1)))
+    d2 = np.full(ds.n, np.inf)
+    for o in ds.points[sorted(labels.outliers)]:
+        np.minimum(d2, ((ds.points - o) ** 2).sum(axis=1), out=d2)
+    return np.exp(-np.sqrt(d2))
 
 
 def t_score(table: ScoreTable, params: ScoreParams) -> np.ndarray:

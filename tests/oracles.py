@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from ssdbcodi import (BaselineResult, ClusterAssignment, Dataset, LabelSet,
-                      NeighborhoodIndex, OUTLIER, UNCLUSTERED, WeightedKnnClassifier,
-                      rdist_matrix)
+                      NeighborhoodIndex, OUTLIER, UNCLUSTERED, WeightedKnnClassifier)
 from ssdbcodi.metricspace import cross_distances
 
 
@@ -152,6 +151,50 @@ def moons_with_outliers(n: int = 400, outlier_rate: float = 0.05,
     return Dataset(points=points[order], truth=labels[order], name="moons")
 
 
+# --- reachability queries: closure and chain-search references ---
+
+def _check_point(idx: NeighborhoodIndex, p: int) -> None:
+    if not 0 <= p < idx.n:
+        raise IndexError(f"point index {p} out of range for n={idx.n}")
+
+
+def reach_distance(idx: NeighborhoodIndex, p: int, q: int) -> float:
+    """max(core(p), core(q), dist(p, q)): the smallest epsilon at which p and q
+    are directly density-reachable from each other."""
+    _check_point(idx, p)
+    _check_point(idx, q)
+    return float(max(idx.core[p], idx.core[q], idx.dist[p, q]))
+
+
+def rdist_matrix(idx: NeighborhoodIndex) -> np.ndarray:
+    """Full n x n reachability matrix (diagonal holds the core distances)."""
+    return np.maximum(np.maximum.outer(idx.core, idx.core), idx.dist)
+
+
+def is_density_reachable(idx: NeighborhoodIndex, p: int, q: int, epsilon: float) -> bool:
+    """True iff a chain of core objects at `epsilon` connects p to q with hops <= epsilon.
+
+    Both endpoints must themselves be core objects at epsilon.
+    """
+    _check_point(idx, p)
+    _check_point(idx, q)
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    core_ok = idx.core <= epsilon
+    if not (core_ok[p] and core_ok[q]):
+        return False
+    visited = np.zeros(idx.n, dtype=bool)
+    visited[p] = True
+    frontier = np.array([p])
+    while frontier.size:
+        if visited[q]:
+            return True
+        reached = (idx.dist[frontier] <= epsilon).any(axis=0) & core_ok & ~visited
+        frontier = np.flatnonzero(reached)
+        visited[frontier] = True
+    return bool(visited[q])
+
+
 # --- pointwise scores: the reference for ssdbcodi.scoring ---
 
 def rdist_row(idx: NeighborhoodIndex, p: int) -> np.ndarray:
@@ -216,6 +259,15 @@ def sim_score(ds: Dataset, labels: LabelSet, q: int) -> float:
     outs = ds.points[sorted(labels.outliers)]
     d = np.sqrt(((ds.points[q] - outs) ** 2).sum(axis=1))
     return float(np.exp(-d.min()))
+
+
+def sim_scores_by_broadcast(ds: Dataset, labels: LabelSet) -> np.ndarray:
+    """sim scores from one n x o x d difference array and a row minimum."""
+    if not labels.outliers:
+        return np.zeros(ds.n)
+    outs = ds.points[sorted(labels.outliers)]
+    d2 = ((ds.points[:, None, :] - outs[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-np.sqrt(d2.min(axis=1)))
 
 
 # --- full sort and per-row vote: the reference for WeightedKnnClassifier ---

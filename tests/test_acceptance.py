@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, OUTLIER, PipelineParams, ScoreParams,
-                      ScoreTable, UNCLUSTERED, auc, build_index,
-                      is_density_reachable, load_csv, lof, minimax_rows, nmi,
-                      pairwise_distances, prepare, rand_index,
-                      rdist_matrix, reach_distance, run, sample_labels,
-                      ssdbscan, t_score, tune)
+                      UNCLUSTERED, auc, build_index, expand, load_csv, lof,
+                      minimax_rows, nmi, pairwise_distances, prepare,
+                      rand_index, run, sample_labels, t_score, tune)
 from ssdbcodi.cli import main
 
-from oracles import (auc_by_threshold_sweep, minimax_closure,
-                     moons_with_outliers, nmi_by_counter, random_labelset,
-                     random_points, rand_by_pair_enumeration)
+from oracles import (auc_by_threshold_sweep, is_density_reachable,
+                     minimax_closure, moons_with_outliers, nmi_by_counter,
+                     random_labelset, random_points, rand_by_pair_enumeration,
+                     rdist_matrix, reach_distance)
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -69,10 +68,10 @@ def test_criterion_2_constraint_safety():
         ds = Dataset(points=pts, truth=np.zeros(pts.shape[0], dtype=int), name="fuzz")
         labels = random_labelset(rng, ds.n)
         idx = build_index(ds, int(rng.integers(1, 4)))
-        assignment = ssdbscan(idx, labels)
+        assignment = expand(idx, labels)[0]
         for o in labels.outliers:
             assert assignment.assign[o] == UNCLUSTERED
-        for cid in np.unique(assignment.assign[assignment.clustered]):
+        for cid in np.unique(assignment.assign[assignment.assign != UNCLUSTERED]):
             members = np.flatnonzero(assignment.assign == cid)
             classes = {labels.normal[int(i)] for i in members if int(i) in labels.normal}
             assert len(classes) <= 1
@@ -121,16 +120,15 @@ def test_criterion_5_score_identities():
         ds = Dataset(points=pts, truth=np.zeros(n, dtype=int), name="fuzz")
         labels = random_labelset(rng, n)
         prepared = prepare(ds, labels, int(rng.integers(1, 4)))
+        table = prepared.scores
         for i in labels.normal:
-            assert prepared.r[i] == 1.0
-        table = ScoreTable(r_score=prepared.r, l_score=prepared.l,
-                           sim_score=prepared.sim)
+            assert table.r_score[i] == 1.0
         alpha = float(rng.random())
         beta = float(rng.random()) * (1.0 - alpha)
         blended = t_score(table, ScoreParams(alpha, beta))
         assert np.all(blended >= 0.0) and np.all(blended <= 1.0)
         pure_r = t_score(table, ScoreParams(1.0, 0.0))
-        assert np.array_equal(_average_ranks(pure_r), _average_ranks(-prepared.r))
+        assert np.array_equal(_average_ranks(pure_r), _average_ranks(-table.r_score))
     print("CRITERION 5 PASS: root scores exact, blends bounded, alpha=1 rank identity")
 
 

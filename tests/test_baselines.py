@@ -53,8 +53,9 @@ def test_dbscan_border_joins_lowest_indexed_core_neighbour():
 
 def test_dbscan_parameter_validation():
     dist = euclidean([[0.0], [1.0]])
-    with pytest.raises(ValueError, match="epsilon"):
-        dbscan(dist, epsilon=-1.0, min_pts=1)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            dbscan(dist, epsilon=bad, min_pts=1)
     with pytest.raises(ValueError, match="min_pts"):
         dbscan(dist, epsilon=1.0, min_pts=0)
 
@@ -171,9 +172,10 @@ def test_lof_validation_and_index_input():
         lof(dist, k=0)
     with pytest.raises(ValueError, match="k must be"):
         lof(dist, k=3)
-    ds = Dataset(points=[[0.0], [1.0], [2.0], [10.0]], truth=[0, 0, 0, 0])
-    idx = build_index(ds, 2)
-    assert np.array_equal(lof(idx, k=2).scores, lof(idx.dist, k=2).scores)
+    # an index is no distance matrix: pass its .dist
+    idx = build_index(Dataset(points=[[0.0], [1.0], [2.0], [10.0]], truth=[0] * 4), 2)
+    with pytest.raises(TypeError):
+        lof(idx, k=2)
 
 
 def lof_oracle(pts, k):
@@ -220,7 +222,7 @@ def test_lof_matches_sort_oracle_bytes():
             pts = rng.normal(size=(n, int(rng.integers(1, 4))))
         idx = build_index(pts, 1)
         k = int(rng.integers(1, n)) if case % 10 else n - 1
-        got = lof(idx, k=k).scores
+        got = lof(idx.dist, k=k).scores
         assert got.tobytes() == lof_by_sort(idx.dist, k).scores.tobytes(), case
 
 

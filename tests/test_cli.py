@@ -301,6 +301,7 @@ def test_usage_errors_exit_two(blobs_csv, capsys):
         ["sensitivity", "--input", blobs_csv, "--k-reliable", "-1"],
         ["sensitivity", "--input", blobs_csv, "--grid-step", "0.3"],
         ["baseline", "--input", blobs_csv, "--algo", "dbscan"],
+        ["baseline", "--input", blobs_csv, "--algo", "dbscan", "--epsilon", "nan"],
         ["baseline", "--input", blobs_csv, "--algo", "kmeans"],
         ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "0"],
     ]
@@ -328,7 +329,8 @@ def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
     path = write_csv(tmp_path / "big.csv", rows)
     want = "error: every point's squared norm must be finite and at most 4.494e+307\n"
     for argv in (["run", "--input", path, "--no-timing"],
-                 ["baseline", "--input", path, "--algo", "lof", "--k", "3"]):
+                 ["baseline", "--input", path, "--algo", "lof", "--k", "3"],
+                 ["baseline", "--input", path, "--algo", "kmeans", "--k", "2"]):
         assert run_cli(argv, capsys) == (1, "", want), argv
     assert not recwarn.list
 

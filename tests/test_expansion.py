@@ -7,12 +7,12 @@ must reproduce their assignment and emax bit for bit.
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, UNCLUSTERED, build_index, expand,
-                      minimax_rows, rdist_matrix, ssdbscan)
+from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows
 from ssdbcodi.expansion import _spanning_tree
 from oracles import (ExpansionRecord, back_trace, combine_backtraces, emax_over_roots,
                      expand_all, minimax_closure, mst_weights_by_kruskal, prim_expand,
-                     random_labelset, random_points, ssdbscan_by_expansion)
+                     random_labelset, random_points, rdist_matrix,
+                     ssdbscan_by_expansion)
 
 
 def line_dataset(values):
@@ -139,7 +139,7 @@ def test_expand_matches_per_root_expansions_bit_for_bit():
         ca, emax = expand(idx, labels)
         assert np.array_equal(ca.assign, combine_backtraces(records, labels, idx.n).assign)
         assert emax.tobytes() == emax_over_roots(records).tobytes()
-        assert np.array_equal(ssdbscan(idx, labels).assign,
+        assert np.array_equal(expand(idx, labels)[0].assign,
                               ssdbscan_by_expansion(idx, labels).assign)
         seen["grid"] += case % 2
         seen["outliers"] += bool(labels.outliers)
@@ -218,20 +218,20 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
 
 def test_ssdbscan_two_tight_groups():
     idx = build_index(line_dataset([0, 0.1, 10, 10.1]), 1)
-    ca = ssdbscan(idx, only_normals({0: 0, 2: 1}))
+    ca = expand(idx, only_normals({0: 0, 2: 1}))[0]
     assert ca.assign.tolist() == [0, 0, 1, 1]
 
 
 def test_ssdbscan_single_label_claims_everything():
     idx = build_index(line_dataset([0, 1, 2, 3]), 1)
-    ca = ssdbscan(idx, only_normals({0: 0}))
+    ca = expand(idx, only_normals({0: 0}))[0]
     assert ca.assign.tolist() == [0, 0, 0, 0]
 
 
 def test_ssdbscan_labeled_outlier_between_same_class_roots():
     idx = build_index(line_dataset([0, 1, 2, 3, 4]), 1)
     labels = LabelSet(normal={0: 0, 4: 0}, outliers=frozenset([2]))
-    ca = ssdbscan(idx, labels)
+    ca = expand(idx, labels)[0]
     assert ca.assign[2] == UNCLUSTERED
     assert ca.assign[0] == 0 and ca.assign[4] == 0
 
@@ -242,7 +242,7 @@ def test_ssdbscan_never_violates_labels():
         pts = random_points(rng)
         idx = build_index(pts, int(rng.integers(1, 4)))
         labels = random_labelset(rng, idx.n)
-        ca = ssdbscan(idx, labels)
+        ca = expand(idx, labels)[0]
         # labeled normals keep their own label; labeled outliers stay out
         for i, c in labels.normal.items():
             assert ca.assign[i] == c
@@ -267,8 +267,8 @@ def test_adding_labeled_outlier_never_grows_a_backtrace():
             continue
         extra = LabelSet(normal=labels.normal,
                          outliers=labels.outliers | {int(rng.choice(unlabeled))})
-        before = expand(idx, labels)[0].clustered
-        after = expand(idx, extra)[0].clustered
+        before = expand(idx, labels)[0].assign != UNCLUSTERED
+        after = expand(idx, extra)[0].assign != UNCLUSTERED
         assert np.all(before | ~after)
 
 
@@ -280,7 +280,7 @@ def test_conflicting_claims_go_to_the_cheaper_root():
     labels = only_normals({0: 0, 8: 1})
     roots = sorted(labels.normal)
     mm = minimax_rows(idx, roots)
-    ca = ssdbscan(idx, labels)
+    ca = expand(idx, labels)[0]
     assert ca.assign.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
     for q in range(idx.n):
         claims = [(float(mm[j, q]), root) for j, root in enumerate(roots)

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, build_index, is_density_reachable,
-                      metricspace, pairwise_distances, reach_distance)
+from ssdbcodi import Dataset, build_index, metricspace, pairwise_distances
 from ssdbcodi.metricspace import cross_distances, nearest
-from oracles import (distances_by_expression, knn_by_rdist, local_densities_by_matrix,
-                     pairwise_by_expression, random_points)
+from oracles import (distances_by_expression, is_density_reachable, knn_by_rdist,
+                     local_densities_by_matrix, pairwise_by_expression, random_points,
+                     reach_distance)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 

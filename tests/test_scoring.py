@@ -1,13 +1,15 @@
 """Score definitions, bounds, and blend behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
                       build_index, expand, l_score, r_score, run, sim_scores, t_score)
-from oracles import local_density, random_labelset, random_points, sim_score
+from oracles import (local_density, random_labelset, random_points, sim_score,
+                     sim_scores_by_broadcast)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -101,6 +103,36 @@ def test_sim_scores_vector_matches_pointwise():
     vec = sim_scores(ds, labels)
     for q in range(20):
         assert vec[q] == sim_score(ds, labels, q)
+
+
+def test_sim_scores_match_broadcast_bytes():
+    # odd cases sit on a 0-2 grid, so distances tie and points repeat
+    rng = np.random.default_rng(13)
+    for case in range(400):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        else:
+            pts = rng.normal(size=(n, d))
+        ds = Dataset(points=pts, truth=[0] * n)
+        outs = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        labels = LabelSet(normal={}, outliers=frozenset(outs.tolist()))
+        want = sim_scores_by_broadcast(ds, labels)
+        assert sim_scores(ds, labels).tobytes() == want.tobytes(), case
+
+
+def test_sim_scores_hold_one_point_matrix_at_a_time():
+    n, d, o = 3000, 16, 300
+    ds = Dataset(points=np.random.default_rng(14).normal(size=(n, d)), truth=[0] * n)
+    labels = LabelSet(normal={}, outliers=frozenset(range(0, n, n // o)))
+    tracemalloc.start()
+    try:
+        sim_scores(ds, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n x o x d broadcast would need 8 * n * o * d bytes, about 110 MiB
+    assert peak < 3 * 2**20
 
 
 def test_score_params_validation():
