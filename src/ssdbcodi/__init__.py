@@ -7,14 +7,13 @@ trains an instance-weighted nearest-neighbour classifier on the reliable
 normals and reliable outliers to label the whole dataset.
 """
 
-from .baselines import BaselineResult, NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
+from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
                       round_half_up, sample_labels)
-from .expansion import ClusterAssignment, UNCLUSTERED, expand, minimax_rows
+from .expansion import UNCLUSTERED, expand, minimax_rows
 from .metrics import auc, nmi, rand_index
 from .metricspace import NeighborhoodIndex, build_index, pairwise_distances
-from .model import (PipelineResult, TrainingSet, WeightedKnnClassifier,
-                    predict, select_reliable, train)
+from .model import PipelineResult, TrainingSet, classify, select_reliable
 from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
                        finish, prepare, run, tune)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
@@ -22,12 +21,11 @@ from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_sc
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineResult", "ClusterAssignment", "Dataset", "LabelSet", "NeighborhoodIndex",
-    "NOISE", "OUTLIER", "PipelineParams", "PipelineResult", "Prepared", "ScoreParams",
-    "ScoreTable", "TrainingSet", "TuneReport", "UNCLUSTERED", "WeightedKnnClassifier",
-    "auc", "blend_grid", "build_index", "dbscan", "default_k", "expand", "finish",
-    "kmeans", "l_score", "load_csv", "lof", "minimax_rows", "minmax_scale", "nmi",
-    "pairwise_distances", "predict", "prepare", "r_score", "rand_index",
-    "round_half_up", "run", "sample_labels", "select_reliable", "sim_scores",
-    "ssdbscan_with_fallback", "t_score", "train", "tune",
+    "Dataset", "LabelSet", "NeighborhoodIndex", "NOISE", "OUTLIER", "PipelineParams",
+    "PipelineResult", "Prepared", "ScoreParams", "ScoreTable", "TrainingSet",
+    "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "classify",
+    "dbscan", "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
+    "minimax_rows", "minmax_scale", "nmi", "pairwise_distances", "prepare", "r_score",
+    "rand_index", "round_half_up", "run", "sample_labels", "select_reliable",
+    "sim_scores", "ssdbscan_with_fallback", "t_score", "tune",
 ]

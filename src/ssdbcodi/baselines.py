@@ -2,10 +2,9 @@
 terminating-expansion clusterer with a nearest-neighbour fallback.
 
 DBSCAN and LOF read a square distance matrix; all of them are
-deterministic given their inputs (and seed, for k-means).
+deterministic given their inputs (and seed, for k-means). The clusterers
+return a cluster id per point, LOF a score per point.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,6 @@ NOISE = -1
 KMEANS_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    """Either a hard assignment (clusterers) or a per-point score (LOF)."""
-
-    assignment: np.ndarray | None = None
-    scores: np.ndarray | None = None
-
-
 def _square(dist) -> np.ndarray:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -35,7 +26,7 @@ def _square(dist) -> np.ndarray:
     return d
 
 
-def dbscan(dist, epsilon: float, min_pts: int) -> BaselineResult:
+def dbscan(dist, epsilon: float, min_pts: int) -> np.ndarray:
     """Density clustering with the self-excluding core test.
 
     A point is core when at least min_pts other points sit within epsilon.
@@ -69,7 +60,7 @@ def dbscan(dist, epsilon: float, min_pts: int) -> BaselineResult:
         neighbours = np.flatnonzero(within[p] & core)
         if neighbours.size:
             assign[p] = assign[neighbours[0]]
-    return BaselineResult(assignment=assign)
+    return assign
 
 
 def _kmeanspp(pts: np.ndarray, k: int, rng) -> np.ndarray:
@@ -87,7 +78,7 @@ def _kmeanspp(pts: np.ndarray, k: int, rng) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def kmeans(ds, k: int, seed: int) -> BaselineResult:
+def kmeans(ds, k: int, seed: int) -> np.ndarray:
     """Lloyd iterations from seeded k-means++ starting centroids.
 
     Stops at an assignment fixed point or after KMEANS_MAX_ITER updates.
@@ -111,15 +102,25 @@ def kmeans(ds, k: int, seed: int) -> BaselineResult:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return BaselineResult(assignment=labels)
+    return labels
 
 
 def _nearest_centroid(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Index of each point's nearest centroid, ties to the lower index.
+
+    A running minimum over the centroids holds one n x d array at a time.
+    """
+    best = ((pts - centroids[0]) ** 2).sum(axis=1)
+    labels = np.zeros(pts.shape[0], dtype=int)
+    for c in range(1, centroids.shape[0]):
+        d2 = ((pts - centroids[c]) ** 2).sum(axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        labels[closer] = c
+    return labels
 
 
-def lof(dist, k: int) -> BaselineResult:
+def lof(dist, k: int) -> np.ndarray:
     """Local outlier factor over exactly k nearest other points.
 
     Distances must be finite; neighbour ties resolve to the smaller index.
@@ -140,18 +141,17 @@ def lof(dist, k: int) -> BaselineResult:
         lrd = k / reach.sum(axis=1)
         scores = lrd[nbrs].mean(axis=1) / lrd
     # duplicated points can drive both densities to infinity; call that 1
-    scores = np.where(np.isnan(scores), 1.0, scores)
-    return BaselineResult(scores=scores)
+    return np.where(np.isnan(scores), 1.0, scores)
 
 
-def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> BaselineResult:
+def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> np.ndarray:
     """Terminating-expansion clustering with leftovers joined to the
     cluster of their nearest clustered point (ties to the smaller index)."""
-    assign = expand(idx, labels)[0].assign.copy()
+    assign = expand(idx, labels)[0].copy()
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     if unclustered.size and clustered.size:
         sub = idx.dist[np.ix_(unclustered, clustered)]
-        nearest = clustered[np.argmin(sub, axis=1)]
-        assign[unclustered] = assign[nearest]
-    return BaselineResult(assignment=assign)
+        closest = clustered[np.argmin(sub, axis=1)]
+        assign[unclustered] = assign[closest]
+    return assign

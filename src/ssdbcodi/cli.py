@@ -217,33 +217,33 @@ def cmd_baseline(args) -> str:
     both_classes = bool(truth_outlier.any() and not truth_outlier.all())
 
     if args.algo == "kmeans":
-        result = kmeans(ds, args.k, args.seed)
+        assign = kmeans(ds, args.k, args.seed)
         report["params"] = {"k": args.k, "seed": args.seed}
-        report["rand_index"] = rand_index(result.assignment, ds.truth)
-        report["nmi"] = nmi(result.assignment, ds.truth)
+        report["rand_index"] = rand_index(assign, ds.truth)
+        report["nmi"] = nmi(assign, ds.truth)
     elif args.algo == "dbscan":
-        result = dbscan(pairwise_distances(ds.points), args.epsilon, args.min_pts)
+        assign = dbscan(pairwise_distances(ds.points), args.epsilon, args.min_pts)
         report["params"] = {"epsilon": args.epsilon, "min_pts": args.min_pts}
-        report["rand_index"] = rand_index(result.assignment, ds.truth)
-        report["nmi"] = nmi(result.assignment, ds.truth)
-        noise_score = (result.assignment == NOISE).astype(float)
+        report["rand_index"] = rand_index(assign, ds.truth)
+        report["nmi"] = nmi(assign, ds.truth)
+        noise_score = (assign == NOISE).astype(float)
         report["auc"] = auc(noise_score, truth_outlier) if both_classes else None
     elif args.algo == "lof":
-        result = lof(pairwise_distances(ds.points), args.k)
+        scores = lof(pairwise_distances(ds.points), args.k)
         report["params"] = {"k": args.k}
-        report["auc"] = auc(result.scores, truth_outlier) if both_classes else None
+        report["auc"] = auc(scores, truth_outlier) if both_classes else None
     else:  # ssdbscan
         labels = sample_labels(ds, args.label_fraction, args.seed,
                                stratified=args.stratified_labels)
         idx = build_index(ds, args.min_pts)
-        result = ssdbscan_with_fallback(idx, labels)
+        assign = ssdbscan_with_fallback(idx, labels)
         report["params"] = {
             "label_fraction": args.label_fraction,
             "seed": args.seed,
             "min_pts": args.min_pts,
         }
-        report["rand_index"] = rand_index(result.assignment, ds.truth)
-        report["nmi"] = nmi(result.assignment, ds.truth)
+        report["rand_index"] = rand_index(assign, ds.truth)
+        report["nmi"] = nmi(assign, ds.truth)
 
     if not args.no_timing:
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0

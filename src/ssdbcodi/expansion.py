@@ -12,18 +12,15 @@ it reaches more cheaply than its first differently-labeled point, which
 is the expansion cut back at its largest edge.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import LabelSet
+from .dataset import LabelSet, OUTLIER
 from .metricspace import NeighborhoodIndex
 
 # Assignment value for points no back-trace claimed.
 UNCLUSTERED = -1
 
 _NO_LABEL = -2
-_OUTLIER_LABEL = -1
 
 
 def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
@@ -31,19 +28,8 @@ def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
     for i, c in labels.normal.items():
         lab[i] = c
     for i in labels.outliers:
-        lab[i] = _OUTLIER_LABEL
+        lab[i] = OUTLIER
     return lab
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Per-point cluster id, or UNCLUSTERED where no back-trace claimed the point."""
-
-    assign: np.ndarray
-
-    @property
-    def n_unclustered(self) -> int:
-        return int((self.assign == UNCLUSTERED).sum())
 
 
 def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
@@ -123,7 +109,8 @@ def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
     by several roots goes to the one with the smallest mm there, ties to
     the smaller root index. emax[q] is the smallest mm(r, q) over roots.
 
-    Returns (ClusterAssignment, emax).
+    Returns (assign, emax): the read-only cluster id per point, UNCLUSTERED
+    where no root kept it, and emax per point.
     """
     labels.validate_for(idx.n)
     roots = np.array(sorted(labels.normal), dtype=int)
@@ -140,4 +127,4 @@ def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
     owner = np.where(kept, mm, np.inf).argmin(axis=0)
     assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
     assign.flags.writeable = False
-    return ClusterAssignment(assign=assign), mm.min(axis=0)
+    return assign, mm.min(axis=0)

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, OUTLIER
-from .expansion import ClusterAssignment, UNCLUSTERED
+from .dataset import OUTLIER
+from .expansion import UNCLUSTERED
 from .metricspace import cross_distances, nearest
 from .scoring import ScoreTable
 
@@ -42,12 +42,11 @@ class TrainingSet:
         return int(self.indices.size)
 
 
-def select_reliable(assignment: ClusterAssignment, scores: ScoreTable, k: int) -> TrainingSet:
-    """All clustered points as reliable normals plus the k most outlier-like
-    unclustered points (highest t_score, ties to the smaller index)."""
+def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingSet:
+    """All clustered points of `assign` as reliable normals plus the k most
+    outlier-like unclustered points (highest t_score, ties to the smaller index)."""
     if scores.t_score is None:
         raise ValueError("score table must include t_score")
-    assign = assignment.assign
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     if not 0 <= k <= unclustered.size:
@@ -62,97 +61,50 @@ def select_reliable(assignment: ClusterAssignment, scores: ScoreTable, k: int) -
     )
 
 
-@dataclass(frozen=True)
-class WeightedKnnClassifier:
-    """Deterministic weighted-vote k-nearest-neighbour classifier.
+def classify(ts: TrainingSet, points, k_c: int) -> tuple:
+    """Train the weighted kNN on points[ts.indices] and label every row of points.
 
-    Each query collects its k_c nearest training rows (Euclidean, ties by
+    Each row collects its k_c nearest training rows (Euclidean, ties by
     training-row position) and sums their weights per class. The heaviest
     class wins; on a tied vote a cluster beats OUTLIER and lower cluster
-    ids beat higher ones. outlier_score is OUTLIER's share of the summed
-    weight.
+    ids beat higher ones. Returns (classes, outlier_score): the predicted
+    class per row (cluster id or OUTLIER) and OUTLIER's share of the
+    summed weight.
     """
-
-    features: np.ndarray
-    classes: np.ndarray
-    weights: np.ndarray
-    k_c: int
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        classes = np.asarray(self.classes, dtype=int)
-        weights = np.asarray(self.weights, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        m = features.shape[0]
-        if classes.shape != (m,) or weights.shape != (m,):
-            raise ValueError("classes and weights must have one entry per feature row")
-        if not 1 <= self.k_c <= m:
-            raise ValueError(f"k_c must be in [1, {m}], got {self.k_c}")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "weights", weights)
-
-    def predict_points(self, points: np.ndarray) -> tuple:
-        """Return (classes, outlier_score) arrays for the query rows."""
-        queries = np.asarray(points, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.features.shape[1]:
-            raise ValueError(
-                f"queries must be 2-D with {self.features.shape[1]} columns"
-            )
-        d = cross_distances(queries, self.features)
-        n, k = d.shape[0], self.k_c
-        nbrs = nearest(d, k)
-
-        # Vote one neighbour rank at a time so each class sums its weights in
-        # neighbour order; `seen` keeps zero-weight votes as present.
-        ids, cls = np.unique(self.classes, return_inverse=True)
-        cls = cls[nbrs]
-        w = self.weights[nbrs]
-        rows = np.arange(n)
-        votes = np.zeros((n, ids.size))
-        seen = np.zeros((n, ids.size), dtype=bool)
-        first = np.empty((n, k), dtype=bool)
-        for j in range(k):
-            first[:, j] = ~seen[rows, cls[:, j]]
-            seen[rows, cls[:, j]] = True
-            votes[rows, cls[:, j]] += w[:, j]
-        # The total adds the class sums in first-appearance order.
-        total = np.zeros(n)
-        for j in range(k):
-            np.add(total, votes[rows, cls[:, j]], out=total, where=first[:, j])
-
-        top = np.where(seen, votes, -np.inf).max(axis=1)
-        winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
-        out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)
-        out_score = np.zeros(n)
-        np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
-        return out_class, out_score
-
-
-def train(ts: TrainingSet, features, k_c: int) -> WeightedKnnClassifier:
-    """Materialize the classifier from a training set over dataset features."""
-    if len(ts) == 0:
+    m = len(ts)
+    if m == 0:
         raise ValueError("training set is empty")
-    pts = features.points if isinstance(features, Dataset) else np.asarray(features, dtype=float)
-    return WeightedKnnClassifier(
-        features=pts[ts.indices],
-        classes=ts.classes,
-        weights=ts.weights,
-        k_c=int(k_c),
-    )
+    if not 1 <= k_c <= m:
+        raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
+    points = np.asarray(points, dtype=float)
+    d = cross_distances(points, points[ts.indices])
+    n, k = d.shape[0], k_c
+    nbrs = nearest(d, k)
 
+    # Vote one neighbour rank at a time so each class sums its weights in
+    # neighbour order; `seen` keeps zero-weight votes as present.
+    ids, cls = np.unique(ts.classes, return_inverse=True)
+    cls = cls[nbrs]
+    w = ts.weights[nbrs]
+    rows = np.arange(n)
+    votes = np.zeros((n, ids.size))
+    seen = np.zeros((n, ids.size), dtype=bool)
+    first = np.empty((n, k), dtype=bool)
+    for j in range(k):
+        first[:, j] = ~seen[rows, cls[:, j]]
+        seen[rows, cls[:, j]] = True
+        votes[rows, cls[:, j]] += w[:, j]
+    # The total adds the class sums in first-appearance order.
+    total = np.zeros(n)
+    for j in range(k):
+        np.add(total, votes[rows, cls[:, j]], out=total, where=first[:, j])
 
-def predict(classifier: WeightedKnnClassifier, ds) -> tuple:
-    """Classify every dataset point.
-
-    Returns (classes, outliers, outlier_score): predicted class per point
-    (cluster id or OUTLIER), the boolean outlier mask, and OUTLIER's vote
-    share per point.
-    """
-    pts = ds.points if isinstance(ds, Dataset) else np.asarray(ds, dtype=float)
-    classes, outlier_score = classifier.predict_points(pts)
-    return classes, classes == OUTLIER, outlier_score
+    top = np.where(seen, votes, -np.inf).max(axis=1)
+    winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
+    out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)
+    out_score = np.zeros(n)
+    np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
+    return out_class, out_score
 
 
 @dataclass(frozen=True)
@@ -163,6 +115,6 @@ class PipelineResult:
     outliers: np.ndarray
     outlier_score: np.ndarray
     score_table: ScoreTable
-    assignment: ClusterAssignment
+    assignment: np.ndarray
     training: TrainingSet
     k_c: int

@@ -3,9 +3,9 @@
 The label-independent work (distances, core distances, local densities)
 lives on a NeighborhoodIndex that `prepare` and `tune` accept ready-made.
 The expansions and the r/sim score columns are staged in `prepare`;
-`finish` applies one (alpha, beta) blend and runs selection, training, and
-prediction. `run` composes the two; `tune` re-uses one prepared stage per
-validation fold across every grid cell.
+`finish` applies one (alpha, beta) blend, selects the reliable sets, and
+classifies every point. `run` composes the two; `tune` re-uses one
+prepared stage per validation fold across every grid cell.
 """
 
 from dataclasses import dataclass, replace
@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, LabelSet, OUTLIER, round_half_up
-from .expansion import expand
+from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
-from .model import PipelineResult, predict, select_reliable, train
+from .model import PipelineResult, classify, select_reliable
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
@@ -53,7 +53,7 @@ class TuneReport:
 class Prepared:
     """Blend-independent stage: assignment plus the score table without t_score."""
 
-    assignment: object
+    assignment: np.ndarray
     scores: ScoreTable
 
 
@@ -81,20 +81,19 @@ def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
 
 def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
            params: PipelineParams) -> PipelineResult:
-    """Blend scores, select reliable sets, train, and classify every point."""
+    """Blend scores, select reliable sets, and classify every point."""
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
-    n_unclustered = prepared.assignment.n_unclustered
+    n_unclustered = int((prepared.assignment == UNCLUSTERED).sum())
     if params.k is None:
         k = min(default_k(ds.n, labels), n_unclustered)
     else:
         k = params.k  # select_reliable rejects k > n_unclustered
     ts = select_reliable(prepared.assignment, table, k)
     k_c = min(params.k_c, len(ts))
-    classifier = train(ts, ds, k_c)
-    classes, outliers, outlier_score = predict(classifier, ds)
+    classes, outlier_score = classify(ts, ds.points, k_c)
     return PipelineResult(
         clusters=classes,
-        outliers=outliers,
+        outliers=classes == OUTLIER,
         outlier_score=outlier_score,
         score_table=table,
         assignment=prepared.assignment,

@@ -5,7 +5,8 @@ closure-based minimax paths and one Prim expansion per root instead of a
 single spanning tree, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
-of the vectorized scores and the k-pass neighbour selection.
+of the vectorized scores and the k-pass neighbour selection, and one
+broadcast over every centroid instead of a running minimum.
 """
 
 from collections import Counter
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from ssdbcodi import (BaselineResult, ClusterAssignment, Dataset, LabelSet,
-                      NeighborhoodIndex, OUTLIER, UNCLUSTERED, WeightedKnnClassifier)
+from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, TrainingSet,
+                      UNCLUSTERED)
 from ssdbcodi.metricspace import cross_distances
 
 
@@ -270,25 +271,22 @@ def sim_scores_by_broadcast(ds: Dataset, labels: LabelSet) -> np.ndarray:
     return np.exp(-np.sqrt(d2.min(axis=1)))
 
 
-# --- full sort and per-row vote: the reference for WeightedKnnClassifier ---
+# --- full sort and per-row vote: the reference for model.classify ---
 
-def knn_predict_by_loop(clf: WeightedKnnClassifier, points: np.ndarray) -> tuple:
-    """(classes, outlier_score) from a stable full argsort of every distance
-    row and a dict vote per query row."""
+def knn_predict_by_loop(ts: TrainingSet, points: np.ndarray, k_c: int) -> tuple:
+    """(classes, outlier_score) for every row of points, trained on
+    points[ts.indices], from a stable full argsort of every distance row
+    and a dict vote per row."""
     queries = np.asarray(points, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != clf.features.shape[1]:
-        raise ValueError(
-            f"queries must be 2-D with {clf.features.shape[1]} columns"
-        )
-    d = cross_distances(queries, clf.features)
-    nbrs = np.argsort(d, axis=1, kind="stable")[:, :clf.k_c]
+    d = cross_distances(queries, queries[ts.indices])
+    nbrs = np.argsort(d, axis=1, kind="stable")[:, :k_c]
     out_class = np.empty(queries.shape[0], dtype=int)
     out_score = np.empty(queries.shape[0], dtype=float)
     for row in range(queries.shape[0]):
         votes = {}
         for j in nbrs[row]:
-            c = int(clf.classes[j])
-            votes[c] = votes.get(c, 0.0) + float(clf.weights[j])
+            c = int(ts.classes[j])
+            votes[c] = votes.get(c, 0.0) + float(ts.weights[j])
         # Left to right in first-appearance order, as sum() adds floats
         # before Python 3.12 (later versions compensate the rounding).
         total = 0.0
@@ -303,7 +301,7 @@ def knn_predict_by_loop(clf: WeightedKnnClassifier, points: np.ndarray) -> tuple
 
 # --- full sort and partition: the reference for baselines.lof ---
 
-def lof_by_sort(dist, k: int) -> BaselineResult:
+def lof_by_sort(dist, k: int) -> np.ndarray:
     """Local outlier factor from a stable full argsort of every distance row
     and a partition for the k-distances."""
     dist = np.asarray(dist, dtype=float)
@@ -320,8 +318,16 @@ def lof_by_sort(dist, k: int) -> BaselineResult:
         lrd = k / reach.sum(axis=1)
         scores = lrd[nbrs].mean(axis=1) / lrd
     # duplicated points can drive both densities to infinity; call that 1
-    scores = np.where(np.isnan(scores), 1.0, scores)
-    return BaselineResult(scores=scores)
+    return np.where(np.isnan(scores), 1.0, scores)
+
+
+# --- one n x k x d broadcast: the reference for baselines._nearest_centroid ---
+
+def nearest_centroid_by_broadcast(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per point from every squared distance at once;
+    argmin takes the first minimum, so ties go to the lower index."""
+    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
 
 
 # --- per-root Prim expansions: the reference for ssdbcodi.expansion ---
@@ -429,7 +435,7 @@ def expand_all(idx: NeighborhoodIndex, labels: LabelSet, terminate: bool) -> lis
     return [prim_expand(idx, r, labels, terminate=terminate) for r in roots]
 
 
-def combine_backtraces(records, labels: LabelSet, n: int) -> ClusterAssignment:
+def combine_backtraces(records, labels: LabelSet, n: int) -> np.ndarray:
     """Merge per-root back-traces into a single assignment.
 
     A point claimed by roots carrying different labels goes to the root
@@ -448,7 +454,7 @@ def combine_backtraces(records, labels: LabelSet, n: int) -> ClusterAssignment:
                 best_root[q] = rec.root
                 assign[q] = cluster
     assign.flags.writeable = False
-    return ClusterAssignment(assign=assign)
+    return assign
 
 
 def emax_over_roots(records) -> np.ndarray:
@@ -465,6 +471,6 @@ def emax_over_roots(records) -> np.ndarray:
     return stack.min(axis=0)
 
 
-def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> ClusterAssignment:
+def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> np.ndarray:
     """Terminating expansions from every labeled normal root, back-traced and merged."""
     return combine_backtraces(expand_all(idx, labels, terminate=True), labels, idx.n)

@@ -70,9 +70,9 @@ def test_criterion_2_constraint_safety():
         idx = build_index(ds, int(rng.integers(1, 4)))
         assignment = expand(idx, labels)[0]
         for o in labels.outliers:
-            assert assignment.assign[o] == UNCLUSTERED
-        for cid in np.unique(assignment.assign[assignment.assign != UNCLUSTERED]):
-            members = np.flatnonzero(assignment.assign == cid)
+            assert assignment[o] == UNCLUSTERED
+        for cid in np.unique(assignment[assignment != UNCLUSTERED]):
+            members = np.flatnonzero(assignment == cid)
             classes = {labels.normal[int(i)] for i in members if int(i) in labels.normal}
             assert len(classes) <= 1
     print("CRITERION 2 PASS: 1000 instances, zero violations")
@@ -136,7 +136,7 @@ def test_criterion_6_desk_benchmark():
     started = time.perf_counter()
     ds = moons_with_outliers(n=400, outlier_rate=0.05, noise=0.15, seed=411)
     truth_outlier = ds.truth == OUTLIER
-    lof_auc = auc(lof(pairwise_distances(ds.points), k=10).scores, truth_outlier)
+    lof_auc = auc(lof(pairwise_distances(ds.points), k=10), truth_outlier)
     aucs, rands = [], []
     for trial in range(20):
         labels = sample_labels(ds, 0.1, seed=trial)

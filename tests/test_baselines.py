@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, BaselineResult,
-                      build_index, dbscan, kmeans, lof, rand_index,
-                      ssdbscan_with_fallback)
-from oracles import lof_by_sort
+from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, baselines, build_index,
+                      dbscan, kmeans, lof, rand_index, ssdbscan_with_fallback)
+from oracles import lof_by_sort, nearest_centroid_by_broadcast
 
 
 def euclidean(pts):
@@ -26,20 +25,20 @@ def test_distance_input_validation():
 def test_dbscan_two_chains():
     dist = euclidean([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     out = dbscan(dist, epsilon=1.5, min_pts=1)
-    assert out.assignment.tolist() == [0, 0, 0, 1, 1, 1]
+    assert out.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_dbscan_isolated_point_is_noise():
     dist = euclidean([[0.0], [1.0], [100.0]])
     out = dbscan(dist, epsilon=1.5, min_pts=1)
-    assert out.assignment.tolist() == [0, 0, NOISE]
+    assert out.tolist() == [0, 0, NOISE]
 
 
 def test_dbscan_core_test_excludes_self():
     # two coincident points: each has exactly one OTHER point within range
     dist = euclidean([[0.0], [0.0]])
-    assert dbscan(dist, epsilon=0.5, min_pts=1).assignment.tolist() == [0, 0]
-    assert dbscan(dist, epsilon=0.5, min_pts=2).assignment.tolist() == [NOISE, NOISE]
+    assert dbscan(dist, epsilon=0.5, min_pts=1).tolist() == [0, 0]
+    assert dbscan(dist, epsilon=0.5, min_pts=2).tolist() == [NOISE, NOISE]
 
 
 def test_dbscan_border_joins_lowest_indexed_core_neighbour():
@@ -48,7 +47,7 @@ def test_dbscan_border_joins_lowest_indexed_core_neighbour():
            (1.0, 0.0)]
     out = dbscan(euclidean(pts), epsilon=1.0, min_pts=3)
     # the bridge point is within range of both cluster cores; index 0 wins
-    assert out.assignment.tolist() == [0, 0, 0, 1, 1, 1, 0]
+    assert out.tolist() == [0, 0, 0, 1, 1, 1, 0]
 
 
 def test_dbscan_parameter_validation():
@@ -102,14 +101,14 @@ def test_dbscan_matches_union_find_oracle():
         positive = dist[dist > 0]
         epsilon = float(rng.choice(positive)) if positive.size else 0.0
         min_pts = int(rng.integers(1, 5))
-        got = dbscan(dist, epsilon, min_pts).assignment.tolist()
+        got = dbscan(dist, epsilon, min_pts).tolist()
         assert got == dbscan_oracle(dist, epsilon, min_pts)
 
 
 def test_kmeans_single_cluster_and_full_split():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-    assert kmeans(pts, k=1, seed=0).assignment.tolist() == [0, 0, 0, 0]
-    full = kmeans(pts, k=4, seed=0).assignment
+    assert kmeans(pts, k=1, seed=0).tolist() == [0, 0, 0, 0]
+    full = kmeans(pts, k=4, seed=0)
     assert len(set(full.tolist())) == 4  # every point its own centroid
 
 
@@ -120,13 +119,13 @@ def test_kmeans_recovers_separated_blobs():
     pts = np.vstack([a, b])
     truth = [0] * 20 + [1] * 20
     out = kmeans(pts, k=2, seed=7)
-    assert rand_index(out.assignment, truth) == 1.0
+    assert rand_index(out, truth) == 1.0
 
 
 def test_kmeans_is_deterministic_and_validates():
     pts = np.random.default_rng(1).normal(size=(15, 2))
-    one = kmeans(pts, k=3, seed=9).assignment
-    two = kmeans(pts, k=3, seed=9).assignment
+    one = kmeans(pts, k=3, seed=9)
+    two = kmeans(pts, k=3, seed=9)
     assert np.array_equal(one, two)
     with pytest.raises(ValueError, match="k must be"):
         kmeans(pts, k=0, seed=0)
@@ -140,7 +139,7 @@ def test_kmeans_reaches_an_assignment_fixed_point():
         n = int(rng.integers(3, 20))
         pts = rng.normal(size=(n, 2))
         k = int(rng.integers(1, n + 1))
-        labels = kmeans(pts, k=k, seed=int(rng.integers(1000))).assignment
+        labels = kmeans(pts, k=k, seed=int(rng.integers(1000)))
         centroids = {c: pts[labels == c].mean(axis=0)
                      for c in range(k) if (labels == c).any()}
         for p in range(n):
@@ -150,20 +149,60 @@ def test_kmeans_reaches_an_assignment_fixed_point():
                 assert mine <= other or (mine == other and labels[p] <= c)
 
 
+def test_nearest_centroid_matches_broadcast_oracle(monkeypatch):
+    # 0-2 grids put points at equal distance from several centroids
+    rng = np.random.default_rng(79)
+    ties = 0
+    for case in range(400):
+        n, d, k = (int(rng.integers(1, hi)) for hi in (40, 4, 12))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+            centroids = rng.integers(0, 3, size=(k, d)).astype(float)
+        else:
+            pts = rng.normal(size=(n, d))
+            centroids = rng.normal(size=(k, d))
+        got = baselines._nearest_centroid(pts, centroids)
+        assert np.array_equal(got, nearest_centroid_by_broadcast(pts, centroids)), case
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties >= 100
+    # and whole k-means runs agree with the broadcast route
+    for seed in range(20):
+        pts = rng.integers(0, 4, size=(30, 2)).astype(float)
+        want = kmeans(pts, k=4, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "_nearest_centroid", nearest_centroid_by_broadcast)
+            assert np.array_equal(kmeans(pts, k=4, seed=seed), want), seed
+
+
+def test_nearest_centroid_holds_one_point_matrix():
+    rng = np.random.default_rng(83)
+    pts = rng.normal(size=(3000, 16))
+    centroids = rng.normal(size=(50, 16))
+    tracemalloc.start()
+    try:
+        baselines._nearest_centroid(pts, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n x k x d broadcast would need 8 * 3000 * 50 * 16 bytes (18 MiB)
+    assert peak < 2 * 2**20
+
+
 def test_lof_uniform_line_scores_one():
     out = lof(euclidean([[0.0], [1.0], [2.0], [3.0]]), k=1)
-    assert np.allclose(out.scores, 1.0, atol=1e-12)
+    assert np.allclose(out, 1.0, atol=1e-12)
 
 
 def test_lof_worked_example():
     out = lof(euclidean([[0.0], [1.0], [2.0], [10.0]]), k=2)
-    assert out.scores == pytest.approx([7 / 8, 4 / 3, 7 / 8, 119 / 24], abs=1e-12)
-    assert int(np.argmax(out.scores)) == 3
+    assert out == pytest.approx([7 / 8, 4 / 3, 7 / 8, 119 / 24], abs=1e-12)
+    assert int(np.argmax(out)) == 3
 
 
 def test_lof_coincident_points_score_one():
     out = lof(euclidean([[0.0], [0.0], [0.0]]), k=2)
-    assert out.scores.tolist() == [1.0, 1.0, 1.0]
+    assert out.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_lof_validation_and_index_input():
@@ -206,7 +245,7 @@ def test_lof_matches_naive_route():
         # integer grid coordinates make neighbour ties exact in both routes
         pts = rng.integers(-4, 5, size=(n, int(rng.integers(1, 3)))).astype(float)
         k = int(rng.integers(1, n))
-        got = lof(euclidean(pts), k=k).scores
+        got = lof(euclidean(pts), k=k)
         want = np.array(lof_oracle(pts, k))
         assert np.allclose(got, want, atol=1e-9)
 
@@ -222,8 +261,8 @@ def test_lof_matches_sort_oracle_bytes():
             pts = rng.normal(size=(n, int(rng.integers(1, 4))))
         idx = build_index(pts, 1)
         k = int(rng.integers(1, n)) if case % 10 else n - 1
-        got = lof(idx.dist, k=k).scores
-        assert got.tobytes() == lof_by_sort(idx.dist, k).scores.tobytes(), case
+        got = lof(idx.dist, k=k)
+        assert got.tobytes() == lof_by_sort(idx.dist, k).tobytes(), case
 
 
 def test_lof_refuses_non_finite_distances():
@@ -233,7 +272,7 @@ def test_lof_refuses_non_finite_distances():
         with pytest.raises(ValueError, match="finite"):
             lof(dist, k=1)
     # dbscan treats an infinite distance as out of every neighbourhood
-    assert dbscan(dist, epsilon=2.0, min_pts=1).assignment.tolist() == [0, 0, 0]
+    assert dbscan(dist, epsilon=2.0, min_pts=1).tolist() == [0, 0, 0]
 
 
 def test_lof_holds_one_distance_copy():
@@ -254,8 +293,8 @@ def test_fallback_assigns_leftovers_to_nearest_cluster():
     labels = LabelSet(normal={0: 0, 3: 1}, outliers=frozenset())
     out = ssdbscan_with_fallback(idx, labels)
     # the midpoint is equidistant from points 1 and 2; the smaller index wins
-    assert out.assignment.tolist() == [0, 0, 1, 1, 0]
-    assert not np.any(out.assignment == UNCLUSTERED)
+    assert out.tolist() == [0, 0, 1, 1, 0]
+    assert not np.any(out == UNCLUSTERED)
 
 
 def test_fallback_leaves_full_clusterings_alone():
@@ -263,11 +302,5 @@ def test_fallback_leaves_full_clusterings_alone():
     idx = build_index(ds, 1)
     labels = LabelSet(normal={0: 0}, outliers=frozenset())
     out = ssdbscan_with_fallback(idx, labels)
-    assert out.assignment.tolist() == [0, 0, 0]
+    assert out.tolist() == [0, 0, 0]
 
-
-def test_baseline_result_holds_either_kind():
-    r = BaselineResult(assignment=np.array([0, 1]))
-    assert r.scores is None
-    r = BaselineResult(scores=np.array([1.0]))
-    assert r.assignment is None

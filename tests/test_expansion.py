@@ -136,11 +136,10 @@ def test_expand_matches_per_root_expansions_bit_for_bit():
     for case in range(400):
         idx, labels = fuzz_instance(rng, grid=case % 2 == 1)
         records = expand_all(idx, labels, terminate=False)
-        ca, emax = expand(idx, labels)
-        assert np.array_equal(ca.assign, combine_backtraces(records, labels, idx.n).assign)
+        assign, emax = expand(idx, labels)
+        assert np.array_equal(assign, combine_backtraces(records, labels, idx.n))
         assert emax.tobytes() == emax_over_roots(records).tobytes()
-        assert np.array_equal(expand(idx, labels)[0].assign,
-                              ssdbscan_by_expansion(idx, labels).assign)
+        assert np.array_equal(expand(idx, labels)[0], ssdbscan_by_expansion(idx, labels))
         seen["grid"] += case % 2
         seen["outliers"] += bool(labels.outliers)
         seen["no_boundary"] += all(rec.boundary_pos is None for rec in records)
@@ -218,22 +217,22 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
 
 def test_ssdbscan_two_tight_groups():
     idx = build_index(line_dataset([0, 0.1, 10, 10.1]), 1)
-    ca = expand(idx, only_normals({0: 0, 2: 1}))[0]
-    assert ca.assign.tolist() == [0, 0, 1, 1]
+    assign = expand(idx, only_normals({0: 0, 2: 1}))[0]
+    assert assign.tolist() == [0, 0, 1, 1]
 
 
 def test_ssdbscan_single_label_claims_everything():
     idx = build_index(line_dataset([0, 1, 2, 3]), 1)
-    ca = expand(idx, only_normals({0: 0}))[0]
-    assert ca.assign.tolist() == [0, 0, 0, 0]
+    assign = expand(idx, only_normals({0: 0}))[0]
+    assert assign.tolist() == [0, 0, 0, 0]
 
 
 def test_ssdbscan_labeled_outlier_between_same_class_roots():
     idx = build_index(line_dataset([0, 1, 2, 3, 4]), 1)
     labels = LabelSet(normal={0: 0, 4: 0}, outliers=frozenset([2]))
-    ca = expand(idx, labels)[0]
-    assert ca.assign[2] == UNCLUSTERED
-    assert ca.assign[0] == 0 and ca.assign[4] == 0
+    assign = expand(idx, labels)[0]
+    assert assign[2] == UNCLUSTERED
+    assert assign[0] == 0 and assign[4] == 0
 
 
 def test_ssdbscan_never_violates_labels():
@@ -242,17 +241,17 @@ def test_ssdbscan_never_violates_labels():
         pts = random_points(rng)
         idx = build_index(pts, int(rng.integers(1, 4)))
         labels = random_labelset(rng, idx.n)
-        ca = expand(idx, labels)[0]
+        assign = expand(idx, labels)[0]
         # labeled normals keep their own label; labeled outliers stay out
         for i, c in labels.normal.items():
-            assert ca.assign[i] == c
+            assert assign[i] == c
         for i in labels.outliers:
-            assert ca.assign[i] == UNCLUSTERED
+            assert assign[i] == UNCLUSTERED
         # no cluster mixes two different user labels
         for i, ci in labels.normal.items():
             for j, cj in labels.normal.items():
                 if ci != cj:
-                    assert not (ca.assign[i] == ca.assign[j])
+                    assert not (assign[i] == assign[j])
 
 
 def test_adding_labeled_outlier_never_grows_a_backtrace():
@@ -267,8 +266,8 @@ def test_adding_labeled_outlier_never_grows_a_backtrace():
             continue
         extra = LabelSet(normal=labels.normal,
                          outliers=labels.outliers | {int(rng.choice(unlabeled))})
-        before = expand(idx, labels)[0].assign != UNCLUSTERED
-        after = expand(idx, extra)[0].assign != UNCLUSTERED
+        before = expand(idx, labels)[0] != UNCLUSTERED
+        after = expand(idx, extra)[0] != UNCLUSTERED
         assert np.all(before | ~after)
 
 
@@ -280,15 +279,15 @@ def test_conflicting_claims_go_to_the_cheaper_root():
     labels = only_normals({0: 0, 8: 1})
     roots = sorted(labels.normal)
     mm = minimax_rows(idx, roots)
-    ca = expand(idx, labels)[0]
-    assert ca.assign.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
+    assign = expand(idx, labels)[0]
+    assert assign.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
     for q in range(idx.n):
         claims = [(float(mm[j, q]), root) for j, root in enumerate(roots)
                   if q in back_trace(prim_expand(idx, root, labels, terminate=True))]
         if claims:
-            assert ca.assign[q] == labels.normal[min(claims)[1]]
+            assert assign[q] == labels.normal[min(claims)[1]]
         else:
-            assert ca.assign[q] == UNCLUSTERED
+            assert assign[q] == UNCLUSTERED
 
 
 def test_emax_is_zero_exactly_at_roots_and_min_over_records():

@@ -5,15 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (OUTLIER, UNCLUSTERED, ClusterAssignment, ScoreTable,
-                      TrainingSet, WeightedKnnClassifier, metricspace, predict,
-                      select_reliable, train)
+from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, classify,
+                      metricspace, select_reliable)
 from ssdbcodi.metricspace import cross_distances
 from oracles import knn_predict_by_loop
 
 
 def make_assignment(assign):
-    return ClusterAssignment(assign=np.asarray(assign, dtype=int))
+    return np.asarray(assign, dtype=int)
 
 
 def make_scores(r, t):
@@ -65,134 +64,93 @@ def test_select_reliable_rejects_bad_k():
         select_reliable(assignment, missing, k=0)
 
 
+def classify_queries(features, classes, weights, k_c, queries):
+    """classify() on features stacked over queries, trained on the feature
+    rows in order; returns the labels of the query rows."""
+    points = np.vstack([features, queries]).astype(float)
+    m = len(features)
+    ts = TrainingSet(indices=np.arange(m), classes=classes, weights=weights)
+    got_c, got_s = classify(ts, points, k_c)
+    return got_c[m:], got_s[m:]
+
+
 def test_classifier_weighted_vote_worked_example():
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0], [1.0]]),
-        classes=np.array([0, OUTLIER]),
-        weights=np.array([1.0, 0.6]),
-        k_c=2,
-    )
-    classes, score = clf.predict_points(np.array([[0.4]]))
+    classes, score = classify_queries([[0.0], [1.0]], [0, OUTLIER], [1.0, 0.6], 2, [[0.4]])
     assert classes.tolist() == [0]
     assert score[0] == pytest.approx(0.6 / 1.6)
 
 
 def test_classifier_tie_rules():
     # equal vote: a cluster beats OUTLIER
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0], [1.0]]),
-        classes=np.array([2, OUTLIER]),
-        weights=np.array([0.5, 0.5]),
-        k_c=2,
-    )
-    classes, score = clf.predict_points(np.array([[0.5]]))
+    classes, score = classify_queries([[0.0], [1.0]], [2, OUTLIER], [0.5, 0.5], 2, [[0.5]])
     assert classes.tolist() == [2]
     assert score[0] == pytest.approx(0.5)
     # equal vote between clusters: lower id wins
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0], [1.0]]),
-        classes=np.array([3, 1]),
-        weights=np.array([0.5, 0.5]),
-        k_c=2,
-    )
-    classes, _ = clf.predict_points(np.array([[0.5]]))
+    classes, _ = classify_queries([[0.0], [1.0]], [3, 1], [0.5, 0.5], 2, [[0.5]])
     assert classes.tolist() == [1]
 
 
 def test_classifier_all_outlier_neighbourhood():
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0], [1.0]]),
-        classes=np.array([OUTLIER, OUTLIER]),
-        weights=np.array([0.4, 0.2]),
-        k_c=2,
-    )
-    classes, score = clf.predict_points(np.array([[0.1]]))
+    classes, score = classify_queries([[0.0], [1.0]], [OUTLIER, OUTLIER], [0.4, 0.2], 2,
+                                      [[0.1]])
     assert classes.tolist() == [OUTLIER]
     assert score[0] == 1.0
 
 
 def test_classifier_zero_total_weight():
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0], [1.0]]),
-        classes=np.array([OUTLIER, OUTLIER]),
-        weights=np.array([0.0, 0.0]),
-        k_c=2,
-    )
-    classes, score = clf.predict_points(np.array([[0.5]]))
+    classes, score = classify_queries([[0.0], [1.0]], [OUTLIER, OUTLIER], [0.0, 0.0], 2,
+                                      [[0.5]])
     assert classes.tolist() == [OUTLIER]
     assert score[0] == 0.0
 
 
 def test_classifier_distance_tie_prefers_earlier_training_row():
-    clf = WeightedKnnClassifier(
-        features=np.array([[1.0], [-1.0]]),
-        classes=np.array([4, 2]),
-        weights=np.array([1.0, 1.0]),
-        k_c=1,
-    )
-    classes, _ = clf.predict_points(np.array([[0.0]]))
+    classes, _ = classify_queries([[1.0], [-1.0]], [4, 2], [1.0, 1.0], 1, [[0.0]])
     assert classes.tolist() == [4]
+    # training-row position decides, not the dataset index
+    points = np.array([[-1.0], [1.0], [0.0]])
+    ts = TrainingSet(indices=[1, 0], classes=[4, 2], weights=[1.0, 1.0])
+    assert classify(ts, points, 1)[0].tolist() == [2, 4, 4]
 
 
 def test_classifier_rejects_bad_queries():
-    clf = WeightedKnnClassifier(
-        features=np.array([[0.0, 0.0]]),
-        classes=np.array([0]),
-        weights=np.array([1.0]),
-        k_c=1,
-    )
-    with pytest.raises(ValueError, match="2 columns"):
-        clf.predict_points(np.array([[1.0]]))
     # squared norms that overflow would leave NaN distances to select from
-    for queries in ([[1e200, 0.0]], [[np.nan, 0.0]]):
+    ts = TrainingSet(indices=[0], classes=[0], weights=[1.0])
+    for bad in ([1e200, 0.0], [np.nan, 0.0]):
         with pytest.raises(ValueError, match="squared norm"):
-            clf.predict_points(np.array(queries))
-
-
-def test_classifier_rejects_bad_construction():
-    features = np.array([[0.0], [1.0], [2.0]])
-    classes = np.array([0, 1, OUTLIER])
-    weights = np.array([1.0, 0.5, 0.25])
-    with pytest.raises(ValueError, match="2-D"):
-        WeightedKnnClassifier(features=np.array([0.0, 1.0, 2.0]), classes=classes,
-                              weights=weights, k_c=1)
-    with pytest.raises(ValueError, match="one entry per feature row"):
-        WeightedKnnClassifier(features=features, classes=classes[:2],
-                              weights=weights, k_c=1)
-    with pytest.raises(ValueError, match="one entry per feature row"):
-        WeightedKnnClassifier(features=features, classes=classes,
-                              weights=np.append(weights, 1.0), k_c=1)
-    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 0"):
-        WeightedKnnClassifier(features=features, classes=classes,
-                              weights=weights, k_c=0)
-    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 4"):
-        WeightedKnnClassifier(features=features, classes=classes,
-                              weights=weights, k_c=4)
+            classify(ts, np.array([[0.0, 0.0], bad]), 1)
 
 
 def test_train_builds_from_dataset_indices():
-    features = np.array([[0.0], [10.0], [20.0], [30.0]])
+    points = np.array([[0.0], [10.0], [20.0], [30.0], [19.0], [1.0]])
     ts = TrainingSet(indices=[2, 0], classes=[1, OUTLIER], weights=[0.9, 0.4])
-    clf = train(ts, features, k_c=1)
-    assert clf.features.tolist() == [[20.0], [0.0]]
-    classes, outliers, score = predict(clf, np.array([[19.0], [1.0]]))
-    assert classes.tolist() == [1, OUTLIER]
-    assert outliers.tolist() == [False, True]
-    assert score.tolist() == [0.0, 1.0]
+    classes, score = classify(ts, points, 1)
+    # 10.0 sits midway between the training rows: the first one, point 2, wins
+    assert classes.tolist() == [OUTLIER, 1, 1, 1, 1, OUTLIER]
+    assert score.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_classifier_rejects_bad_construction():
+    points = np.array([[0.0], [1.0], [2.0], [3.0]])
+    ts = TrainingSet(indices=[0, 1, 2], classes=[0, 1, OUTLIER], weights=[1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 0"):
+        classify(ts, points, 0)
+    with pytest.raises(ValueError, match=r"k_c must be in \[1, 3\], got 4"):
+        classify(ts, points, 4)
 
 
 def test_train_validation():
-    features = np.array([[0.0], [1.0]])
+    points = np.array([[0.0], [1.0]])
     ts = TrainingSet(indices=[0], classes=[0], weights=[1.0])
     with pytest.raises(ValueError, match=r"\[1, 1\]"):
-        train(ts, features, k_c=2)
+        classify(ts, points, 2)
     with pytest.raises(ValueError, match=r"\[1, 1\]"):
-        train(ts, features, k_c=0)
+        classify(ts, points, 0)
     empty = TrainingSet(indices=np.array([], dtype=int),
                         classes=np.array([], dtype=int),
                         weights=np.array([], dtype=float))
     with pytest.raises(ValueError, match="empty"):
-        train(empty, features, k_c=1)
+        classify(empty, points, 1)
 
 
 def naive_predict(features, classes, weights, k_c, queries):
@@ -223,12 +181,18 @@ def test_classifier_matches_naive_route():
         weights = rng.uniform(0.0, 1.0, size=m)
         k_c = int(rng.integers(1, m + 1))
         queries = rng.integers(-4, 5, size=(6, d)).astype(float)
-        clf = WeightedKnnClassifier(features=features, classes=classes,
-                                    weights=weights, k_c=k_c)
-        got_c, got_s = clf.predict_points(queries)
+        got_c, got_s = classify_queries(features, classes, weights, k_c, queries)
         want_c, want_s = naive_predict(features, classes, weights, k_c, queries)
         assert np.array_equal(got_c, want_c)
         assert np.allclose(got_s, want_s, atol=1e-12)
+
+
+def random_training(rng, points, class_pool, weight_pool):
+    """A TrainingSet over a random subset of the rows, in random order."""
+    m = int(rng.integers(1, points.shape[0] + 1))
+    return TrainingSet(indices=rng.permutation(points.shape[0])[:m],
+                       classes=rng.choice(class_pool, size=m),
+                       weights=rng.choice(weight_pool, size=m))
 
 
 def test_predict_points_matches_loop_oracle_bit_for_bit():
@@ -238,69 +202,62 @@ def test_predict_points_matches_loop_oracle_bit_for_bit():
     class_pool = np.array([OUTLIER, 0, 2, 5, 9])
     tied_rows = 0
     for case in range(2000):
-        m = int(rng.integers(1, 16))
-        n = int(rng.integers(1, 10))
+        n = int(rng.integers(1, 25))
         dim = int(rng.integers(1, 4))
         if case % 2:
             # a 0-2 integer grid makes distances tie across the k-cut
-            features = rng.integers(0, 3, size=(m, dim)).astype(float)
-            queries = rng.integers(0, 3, size=(n, dim)).astype(float)
+            points = rng.integers(0, 3, size=(n, dim)).astype(float)
         else:
-            features = rng.normal(size=(m, dim))
-            queries = rng.normal(size=(n, dim))
+            points = rng.normal(size=(n, dim))
+        ts = random_training(rng, points, class_pool, weight_pool)
+        m = len(ts)
         k_c = int(rng.integers(1, m + 1))
-        clf = WeightedKnnClassifier(features=features,
-                                    classes=rng.choice(class_pool, size=m),
-                                    weights=rng.choice(weight_pool, size=m), k_c=k_c)
-        got_c, got_s = clf.predict_points(queries)
-        want_c, want_s = knn_predict_by_loop(clf, queries)
+        got_c, got_s = classify(ts, points, k_c)
+        want_c, want_s = knn_predict_by_loop(ts, points, k_c)
         assert np.array_equal(got_c, want_c), case
         assert got_s.tobytes() == want_s.tobytes(), case
         if k_c < m:
-            ranked = np.sort(cross_distances(queries, clf.features), axis=1)
+            ranked = np.sort(cross_distances(points, points[ts.indices]), axis=1)
             tied_rows += int(np.sum(ranked[:, k_c - 1] == ranked[:, k_c]))
     assert tied_rows >= 100
 
 
 def test_predict_points_in_row_blocks_matches_one_block(monkeypatch):
-    # blocks of one or a few query rows, on grids with ties across the k-cut
+    # blocks of one or a few rows, on grids with ties across the k-cut
     rng = np.random.default_rng(59)
     for case in range(80):
-        m = int(rng.integers(2, 40))
-        n = int(rng.integers(1, 60))
+        n = int(rng.integers(2, 100))
         if case % 2:
-            features = rng.integers(0, 3, size=(m, 2)).astype(float)
-            queries = rng.integers(0, 3, size=(n, 2)).astype(float)
+            points = rng.integers(0, 3, size=(n, 2)).astype(float)
         else:
-            features = rng.normal(size=(m, 2))
-            queries = rng.normal(size=(n, 2))
-        clf = WeightedKnnClassifier(features=features, classes=rng.integers(-1, 3, size=m),
-                                    weights=rng.uniform(0.0, 1.0, size=m),
-                                    k_c=int(rng.integers(1, m + 1)))
+            points = rng.normal(size=(n, 2))
+        ts = random_training(rng, points, np.arange(-1, 3), np.linspace(0.0, 1.0, 11))
+        m = len(ts)
+        k_c = int(rng.integers(1, m + 1))
         monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 20)
-        want_c, want_s = clf.predict_points(queries)
+        want_c, want_s = classify(ts, points, k_c)
         monkeypatch.setattr(metricspace, "BLOCK_BYTES", int(rng.choice([8, 8 * m, 24 * m])))
-        got_c, got_s = clf.predict_points(queries)
+        got_c, got_s = classify(ts, points, k_c)
         assert got_c.tobytes() == want_c.tobytes(), case
         assert got_s.tobytes() == want_s.tobytes(), case
-        oracle_c, oracle_s = knn_predict_by_loop(clf, queries)
+        oracle_c, oracle_s = knn_predict_by_loop(ts, points, k_c)
         assert np.array_equal(got_c, oracle_c), case
         assert got_s.tobytes() == oracle_s.tobytes(), case
 
 
 def test_predict_points_holds_one_distance_matrix(monkeypatch):
-    # the distances on the traced heap, and no query x feature index array
+    # the distances on the traced heap, and no row x training index array
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     rng = np.random.default_rng(61)
-    clf = WeightedKnnClassifier(features=rng.normal(size=(300, 3)),
-                                classes=rng.integers(-1, 3, size=300),
-                                weights=rng.uniform(0.0, 1.0, size=300), k_c=5)
-    queries = rng.normal(size=(400, 3))
+    points = rng.normal(size=(700, 3))
+    ts = TrainingSet(indices=rng.permutation(700)[:300],
+                     classes=rng.integers(-1, 3, size=300),
+                     weights=rng.uniform(0.0, 1.0, size=300))
     tracemalloc.start()
     try:
-        clf.predict_points(queries)
+        classify(ts, points, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 8 * 400 * 300 <= peak < 1.25 * 8 * 400 * 300
+    assert 8 * 700 * 300 <= peak < 1.25 * 8 * 700 * 300

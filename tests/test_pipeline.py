@@ -38,7 +38,7 @@ def test_pipeline_params_validation():
 
 def test_run_separates_blobs_and_flags_outliers():
     result = run(BLOBS, BLOB_LABELS, PARAMS)
-    assert result.assignment.assign.tolist() == [0] * 8 + [1] * 8 + [UNCLUSTERED] * 2
+    assert result.assignment.tolist() == [0] * 8 + [1] * 8 + [UNCLUSTERED] * 2
     # default k = round(18 * 1/3) clamped to the 2 unclustered points
     assert result.training.indices.tolist() == list(range(16)) + [16, 17]
     assert result.training.classes.tolist() == [0] * 8 + [1] * 8 + [OUTLIER] * 2
