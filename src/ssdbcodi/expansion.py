@@ -4,8 +4,8 @@ An expansion from a labeled normal root attaches the cheapest unclaimed
 point next over the complete reachability graph. The running maximum of
 attachment keys when q joins is the minimax reachability path value
 mm(root, q): the largest edge on the root-q path of a minimum spanning
-tree of that graph. One tree therefore serves every root: a dense Prim
-pass builds it, and a Kruskal sweep over its edges in ascending weight
+tree of that graph. One tree therefore serves every root: `build_index`
+stores it on the index, and a Kruskal sweep over its edges in ascending weight
 merges components small-to-large, writing each edge's weight between the
 roots on one side and the points on the other. Each root keeps the points
 it reaches more cheaply than its first differently-labeled point, which
@@ -32,40 +32,10 @@ def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
     return lab
 
 
-def _spanning_tree(idx: NeighborhoodIndex) -> tuple:
-    """Dense Prim over the reachability graph, one reachability row per step.
-
-    A point's entry in `live_core` turns +inf when it joins the tree, so
-    its reachability from any later point is +inf and never closer.
-    Returns (u, v, w) arrays of the n - 1 tree edges.
-    """
-    n = idx.n
-    live_core = idx.core.copy()
-    best = np.full(n, np.inf)
-    source = np.zeros(n, dtype=int)
-    rd = np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    u = np.empty(n - 1, dtype=int)
-    v = np.empty(n - 1, dtype=int)
-    w = np.empty(n - 1)
-    q = 0
-    for step in range(n - 1):
-        live_core[q] = np.inf
-        best[q] = np.inf
-        np.maximum(live_core, idx.core[q], out=rd)  # q's reachability row, off the tree
-        np.maximum(rd, idx.dist[q], out=rd)
-        np.less(rd, best, out=closer)
-        np.copyto(best, rd, where=closer)
-        np.copyto(source, q, where=closer)
-        q = int(best.argmin())
-        u[step], v[step], w[step] = source[q], q, best[q]
-    return u, v, w
-
-
 def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
     """mm(r, q) for every root r (one row each, in the given order) and point q.
 
-    A Kruskal sweep over the spanning tree's edges in ascending weight.
+    A Kruskal sweep over the index's spanning-tree edges in ascending weight.
     Each component keeps its member points and the rows of the roots it
     contains. Joining components A and B by an edge of weight w sets mm to
     w between A's roots and B's members and between B's roots and A's
@@ -81,9 +51,7 @@ def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
     rows = [None] * idx.n  # a column of mm row indices, None without roots
     for r in np.unique(roots).tolist():
         rows[r] = np.flatnonzero(roots == r)[:, None]
-    u, v, w = _spanning_tree(idx)
-    order = np.argsort(w, kind="stable")
-    for a, b, weight in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
+    for a, b, weight in zip(*(arr.tolist() for arr in idx.tree)):
         a, b = comp[a], comp[b]
         if len(members[a]) < len(members[b]):
             a, b = b, a

@@ -1,5 +1,5 @@
 """Pairwise and cross Euclidean distances, k-nearest selection, core
-distances, and local densities.
+distances, local densities, and the reachability graph's spanning tree.
 
 The n x n passes work in place in their output or in row blocks, so each
 holds one large array at a time.
@@ -18,12 +18,14 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class NeighborhoodIndex:
-    """Dense distance matrix plus per-point core distances and local
-    densities (l_score's input) for a fixed min_pts; arrays are read-only."""
+    """Dense distances, core distances, local densities (l_score's input) and
+    the reachability graph's minimum spanning tree, as (u, v, w) arrays of its
+    n - 1 edges sorted stably by weight, for a fixed min_pts; read-only arrays."""
 
     dist: np.ndarray
     core: np.ndarray
     density: np.ndarray
+    tree: tuple
     min_pts: int
 
     @property
@@ -106,8 +108,37 @@ def pairwise_distances(points) -> np.ndarray:
     return d
 
 
+def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
+    """Dense Prim over the reachability graph, one reachability row per step.
+
+    A point's entry in `live_core` turns +inf when it joins the tree, so
+    its reachability from any later point is +inf and never closer.
+    Returns (u, v, w) arrays of the n - 1 tree edges in join order.
+    """
+    n = core.size
+    live_core = core.copy()
+    best = np.full(n, np.inf)
+    source = np.zeros(n, dtype=int)
+    rd = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    u, v = np.empty((2, n - 1), dtype=int)
+    w = np.empty(n - 1)
+    q = 0
+    for step in range(n - 1):
+        live_core[q] = np.inf
+        best[q] = np.inf
+        np.maximum(live_core, core[q], out=rd)  # q's reachability row, off the tree
+        np.maximum(rd, dist[q], out=rd)
+        np.less(rd, best, out=closer)
+        np.copyto(best, rd, where=closer)
+        np.copyto(source, q, where=closer)
+        q = int(best.argmin())
+        u[step], v[step], w[step] = source[q], q, best[q]
+    return u, v, w
+
+
 def build_index(ds, min_pts: int) -> NeighborhoodIndex:
-    """Build the distance matrix, core distances, and local densities.
+    """Build the distance matrix, core distances, local densities and spanning tree.
 
     Accepts a Dataset or a raw point matrix. Requires n >= 2 and
     1 <= min_pts <= n - 1.
@@ -133,6 +164,10 @@ def build_index(ds, min_pts: int) -> NeighborhoodIndex:
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
-    for arr in (dist, core, density):
+    u, v, w = _spanning_tree(dist, core)
+    order = np.argsort(w, kind="stable")
+    tree = (u[order], v[order], w[order])
+    for arr in (dist, core, density) + tree:
         arr.flags.writeable = False
-    return NeighborhoodIndex(dist=dist, core=core, density=density, min_pts=int(min_pts))
+    return NeighborhoodIndex(dist=dist, core=core, density=density, tree=tree,
+                             min_pts=int(min_pts))

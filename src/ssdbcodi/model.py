@@ -61,26 +61,27 @@ def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingS
     )
 
 
-def classify(ts: TrainingSet, points, k_c: int) -> tuple:
-    """Train the weighted kNN on points[ts.indices] and label every row of points.
-
-    Each row collects its k_c nearest training rows (Euclidean, ties by
-    training-row position) and sums their weights per class. The heaviest
-    class wins; on a tied vote a cluster beats OUTLIER and lower cluster
-    ids beat higher ones. Returns (classes, outlier_score): the predicted
-    class per row (cluster id or OUTLIER) and OUTLIER's share of the
-    summed weight.
-    """
+def neighbours(ts: TrainingSet, points, k_c: int) -> np.ndarray:
+    """Positions in ts of each row's k_c nearest training rows, trained on
+    points[ts.indices]: Euclidean, ties by training-row position."""
     m = len(ts)
     if m == 0:
         raise ValueError("training set is empty")
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
     points = np.asarray(points, dtype=float)
-    d = cross_distances(points, points[ts.indices])
-    n, k = d.shape[0], k_c
-    nbrs = nearest(d, k)
+    return nearest(cross_distances(points, points[ts.indices]), k_c)
 
+
+def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
+    """Sum the weights of each row's neighbours `nbrs` (positions in ts) per class.
+
+    The heaviest class wins; on a tied vote a cluster beats OUTLIER and
+    lower cluster ids beat higher ones. Returns (classes, outlier_score):
+    the predicted class per row (cluster id or OUTLIER) and OUTLIER's
+    share of the summed weight.
+    """
+    n, k = nbrs.shape
     # Vote one neighbour rank at a time so each class sums its weights in
     # neighbour order; `seen` keeps zero-weight votes as present.
     ids, cls = np.unique(ts.classes, return_inverse=True)
@@ -105,6 +106,12 @@ def classify(ts: TrainingSet, points, k_c: int) -> tuple:
     out_score = np.zeros(n)
     np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
     return out_class, out_score
+
+
+def classify(ts: TrainingSet, points, k_c: int) -> tuple:
+    """Train the weighted kNN on points[ts.indices] and label every row of
+    points: the `vote` over each row's k_c `neighbours`."""
+    return vote(ts, neighbours(ts, points, k_c))
 
 
 @dataclass(frozen=True)

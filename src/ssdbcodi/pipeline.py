@@ -1,14 +1,15 @@
 """End-to-end orchestration and cross-validated blend-weight tuning.
 
-The label-independent work (distances, core distances, local densities)
-lives on a NeighborhoodIndex that `prepare` and `tune` accept ready-made.
-The expansions and the r/sim score columns are staged in `prepare`;
-`finish` applies one (alpha, beta) blend, selects the reliable sets, and
-classifies every point. `run` composes the two; `tune` re-uses one
-prepared stage per validation fold across every grid cell.
+The label-independent work (distances, core distances, local densities,
+the spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
+accept ready-made. The expansions and the r/sim score columns are staged
+in `prepare`; `finish` applies one (alpha, beta) blend, selects the
+reliable sets, and classifies every point, keeping the kNN neighbours per
+training set on the stage. `run` composes the two; `tune` finishes every
+cell on one validation fold's stage before preparing the next.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .dataset import Dataset, LabelSet, OUTLIER, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
-from .model import PipelineResult, classify, select_reliable
+from .model import PipelineResult, neighbours, select_reliable, vote
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
@@ -51,10 +52,12 @@ class TuneReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Blend-independent stage: assignment plus the score table without t_score."""
+    """Blend-independent stage of one dataset: assignment, score table without
+    t_score, and `finish`'s kNN neighbours per (k_c, ordered training indices)."""
 
     assignment: np.ndarray
     scores: ScoreTable
+    neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def default_k(n: int, labels: LabelSet) -> int:
@@ -82,6 +85,8 @@ def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
 def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
            params: PipelineParams) -> PipelineResult:
     """Blend scores, select reliable sets, and classify every point."""
+    if prepared.assignment.size != ds.n:
+        raise ValueError(f"prepared stage has n={prepared.assignment.size}; need n={ds.n}")
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     n_unclustered = int((prepared.assignment == UNCLUSTERED).sum())
     if params.k is None:
@@ -90,7 +95,11 @@ def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
         k = params.k  # select_reliable rejects k > n_unclustered
     ts = select_reliable(prepared.assignment, table, k)
     k_c = min(params.k_c, len(ts))
-    classes, outlier_score = classify(ts, ds.points, k_c)
+    # Equal keys mean equal GEMM inputs, so cached neighbours keep every bit.
+    key = (k_c, ts.indices.tobytes())
+    if key not in prepared.neighbours:
+        prepared.neighbours[key] = neighbours(ts, ds.points, k_c)
+    classes, outlier_score = vote(ts, prepared.neighbours[key])
     return PipelineResult(
         clusters=classes,
         outliers=classes == OUTLIER,
@@ -181,7 +190,8 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     `index` (built from ds and min_pts when None).
     """
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
-    cells = blend_grid(grid_step)
+    blends = [replace(base, score=replace(base.score, alpha=a, beta=b))
+              for a, b in blend_grid(grid_step)]
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if len(labels.normal) < folds:
@@ -193,26 +203,21 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
 
     if index is None:
         index = build_index(ds, base.score.min_pts)
-    stages = []
+    per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
     for hidden in _fold_partition(labels, folds, seed):
         visible = _drop_labels(labels, hidden)
-        stages.append((prepare(ds, visible, base.score.min_pts, index=index),
-                       sorted(hidden), visible))
+        prepared = prepare(ds, visible, base.score.min_pts, index=index)
+        hidden = sorted(hidden)
+        per_fold.append([_fold_objective(finish(ds, prepared, visible, p), hidden, labels)
+                         for p in blends])
 
     grid = []
     best = None
-    for alpha, beta in cells:
-        cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
-        objectives = []
-        for prepared, hidden, visible in stages:
-            result = finish(ds, prepared, visible, cell)
-            obj = _fold_objective(result, hidden, labels)
-            if obj is not None:
-                objectives.append(obj)
+    for cell, objectives in zip(blends, zip(*per_fold)):
+        objectives = [obj for obj in objectives if obj is not None]
         if not objectives:
             raise ValueError("no validation fold produced a computable objective")
-        mean_obj = float(np.mean(objectives))
-        grid.append((alpha, beta, mean_obj))
-        if best is None or mean_obj > best[2]:
-            best = (alpha, beta, mean_obj)
+        grid.append((cell.score.alpha, cell.score.beta, float(np.mean(objectives))))
+        if best is None or grid[-1][2] > best[2]:
+            best = grid[-1]
     return TuneReport(grid=tuple(grid), best=(best[0], best[1]))

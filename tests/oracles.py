@@ -5,19 +5,22 @@ closure-based minimax paths and one Prim expansion per root instead of a
 single spanning tree, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
-of the vectorized scores and the k-pass neighbour selection, and one
-broadcast over every centroid instead of a running minimum.
+of the vectorized scores and the k-pass neighbour selection, one
+broadcast over every centroid instead of a running minimum, and a
+cells-outer tuning loop that searches neighbours afresh for every finish.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 
-from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, TrainingSet,
-                      UNCLUSTERED)
+from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelineParams,
+                      ScoreParams, TrainingSet, TuneReport, UNCLUSTERED, blend_grid,
+                      build_index, finish, prepare)
 from ssdbcodi.metricspace import cross_distances
+from ssdbcodi.pipeline import _drop_labels, _fold_objective, _fold_partition
 
 
 def minimax_closure(weights: np.ndarray) -> np.ndarray:
@@ -474,3 +477,49 @@ def emax_over_roots(records) -> np.ndarray:
 def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> np.ndarray:
     """Terminating expansions from every labeled normal root, back-traced and merged."""
     return combine_backtraces(expand_all(idx, labels, terminate=True), labels, idx.n)
+
+
+# --- cells outer, every finish uncached: the reference for pipeline.tune ---
+
+def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
+                  seed: int = 0, params: PipelineParams | None = None,
+                  index: NeighborhoodIndex | None = None) -> TuneReport:
+    """pipeline.tune with every fold prepared up front and the cells
+    outermost; each finish gets a fresh copy of its fold's stage, so no
+    neighbour search is reused."""
+    base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
+    cells = blend_grid(grid_step)
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if len(labels.normal) < folds:
+        raise ValueError(
+            f"need at least {folds} labeled normal points for {folds} folds, "
+            f"got {len(labels.normal)}"
+        )
+    labels.validate_for(ds.n)
+
+    if index is None:
+        index = build_index(ds, base.score.min_pts)
+    stages = []
+    for hidden in _fold_partition(labels, folds, seed):
+        visible = _drop_labels(labels, hidden)
+        stages.append((prepare(ds, visible, base.score.min_pts, index=index),
+                       sorted(hidden), visible))
+
+    grid = []
+    best = None
+    for alpha, beta in cells:
+        cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
+        objectives = []
+        for prepared, hidden, visible in stages:
+            result = finish(ds, replace(prepared), visible, cell)
+            obj = _fold_objective(result, hidden, labels)
+            if obj is not None:
+                objectives.append(obj)
+        if not objectives:
+            raise ValueError("no validation fold produced a computable objective")
+        mean_obj = float(np.mean(objectives))
+        grid.append((alpha, beta, mean_obj))
+        if best is None or mean_obj > best[2]:
+            best = (alpha, beta, mean_obj)
+    return TuneReport(grid=tuple(grid), best=(best[0], best[1]))

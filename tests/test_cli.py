@@ -8,7 +8,7 @@ import pytest
 
 from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv,
                       prepare, sample_labels)
-from ssdbcodi import cli, pipeline
+from ssdbcodi import cli, metricspace, pipeline
 from ssdbcodi.cli import main
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -158,29 +158,38 @@ def test_tuned_benchmark_matches_tuned_run(blobs_csv, capsys):
 
 
 def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
-    calls = []
-    real = cli.build_index
+    # one index, and one spanning-tree pass, however many trials and folds
+    calls, trees = [], []
+    real, real_tree = cli.build_index, metricspace._spanning_tree
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_tree(*args):
+        trees.append(args)
+        return real_tree(*args)
+
     monkeypatch.setattr(cli, "build_index", counting)
     monkeypatch.setattr(pipeline, "build_index", counting)
+    monkeypatch.setattr(metricspace, "_spanning_tree", counting_tree)
     for command in ("benchmark", "sensitivity"):
         calls.clear()
+        trees.clear()
         code, _, _ = run_cli(
             [command, "--input", blobs_csv, "--fractions", "25,50", "--trials", "3",
              "--grid-step", "0.5", "--workers", "2"], capsys)
         assert code == 0
-        assert len(calls) == 1, command
+        assert len(calls) == len(trees) == 1, command
     tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--stratified-labels"]
     for argv in (["run", "--label-fraction", "0.5"],
-                 ["benchmark", "--fractions", "20,30", "--trials", "3", "--workers", "2"]):
+                 ["benchmark", "--fractions", "20,30", "--trials", "3", "--workers", "2"],
+                 ["benchmark", "--fractions", "50", "--trials", "2", "--workers", "2"]):
         calls.clear()
+        trees.clear()
         code, _, _ = run_cli(argv + ["--input", blobs_csv] + tune_flags, capsys)
         assert code == 0
-        assert len(calls) == 1, argv[0]
+        assert len(calls) == len(trees) == 1, argv[0]
 
 
 def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch):

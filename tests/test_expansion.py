@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows
-from ssdbcodi.expansion import _spanning_tree
+from ssdbcodi.metricspace import _spanning_tree
 from oracles import (ExpansionRecord, back_trace, combine_backtraces, emax_over_roots,
                      expand_all, minimax_closure, mst_weights_by_kruskal, prim_expand,
                      random_labelset, random_points, rdist_matrix,
@@ -205,8 +205,13 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
         n = int(rng.integers(2, 60)) if case % 3 else int(rng.integers(100, 160))
         pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
         idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
-        u, v, w = _spanning_tree(idx)
+        u, v, w = _spanning_tree(idx.dist, idx.core)
         assert np.array_equal(np.sort(w), mst_weights_by_kruskal(rdist_matrix(idx)))
+        # the index stores this tree's edges, sorted stably by weight
+        order = np.argsort(w, kind="stable")
+        for stored, fresh in zip(idx.tree, (u[order], v[order], w[order])):
+            assert stored.dtype == fresh.dtype
+            assert stored.tobytes() == fresh.tobytes()
         # the edges form a tree: n - 1 joins leave one component
         comp = list(range(n))
         for a, b in zip(u.tolist(), v.tolist()):

@@ -154,7 +154,8 @@ def test_distances_just_under_the_norm_bound_stay_finite():
 
 def test_index_arrays_are_read_only():
     idx = build_index(LINE, 2)
-    for arr in (idx.dist, idx.core, idx.density):
+    assert len(idx.tree) == 3
+    for arr in (idx.dist, idx.core, idx.density) + idx.tree:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

@@ -1,12 +1,15 @@
 """End-to-end pipeline behaviour and blend-weight tuning."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, build_index, default_k, finish, prepare,
-                      run, tune)
+                      ScoreParams, blend_grid, build_index, default_k, finish, model,
+                      pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
+from oracles import moons_with_outliers, tune_by_cells
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -195,3 +198,103 @@ def test_tune_reports_uncomputable_objective():
     labels = LabelSet(normal={0: 0, 1: 0}, outliers=frozenset())
     with pytest.raises(ValueError, match="computable"):
         tune(BLOBS, labels, grid_step=0.5, folds=2)
+
+
+def test_finish_refuses_a_stage_of_another_dataset():
+    small = moons_with_outliers(n=38)
+    large = moons_with_outliers(n=57)
+    labels = sample_labels(small, 0.3, seed=0)
+    prepared = prepare(small, labels, 3)
+    with pytest.raises(ValueError, match="prepared stage has n=40; need n=60"):
+        finish(large, prepared, labels, PARAMS)
+
+
+def counted_cross_distances(monkeypatch) -> list:
+    """Replace the classifier's distance pass with one that records its calls."""
+    calls = []
+    real = model.cross_distances
+
+    def counting(a, b):
+        calls.append(b.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(model, "cross_distances", counting)
+    return calls
+
+
+def test_finish_reuses_neighbours_per_training_set(monkeypatch):
+    ds = moons_with_outliers(n=200)
+    labels = sample_labels(ds, 0.1, seed=3)
+    calls = counted_cross_distances(monkeypatch)
+    prepared = prepare(ds, labels, 3)
+    params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
+    cached = [finish(ds, prepared, labels, p) for p in params]
+    assert len(calls) == 2
+    for got, p in zip(cached, params):
+        want = finish(ds, prepare(ds, labels, 3), labels, p)
+        for attr in ("clusters", "outliers", "outlier_score", "assignment"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+        assert got.score_table.t_score.tobytes() == want.score_table.t_score.tobytes()
+        assert got.training.indices.tobytes() == want.training.indices.tobytes()
+        assert got.k_c == want.k_c == p.k_c
+
+
+def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
+    ds = moons_with_outliers(n=200)
+    labels = sample_labels(ds, 0.1, seed=5)
+    index = build_index(ds, 3)
+    calls = counted_cross_distances(monkeypatch)
+    finished = []
+    real_finish = pipeline.finish
+
+    def recording(ds, prepared, labels, params):
+        result = real_finish(ds, prepared, labels, params)
+        finished.append((prepared, result.k_c, result.training.indices.tobytes()))
+        return result
+
+    monkeypatch.setattr(pipeline, "finish", recording)
+    tune(ds, labels, grid_step=0.2, folds=5, seed=5, index=index,
+         params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
+    # Holding every stage keeps their ids distinct.
+    distinct = {(id(prepared), k_c, key) for prepared, k_c, key in finished}
+    assert len(finished) == 5 * len(blend_grid(0.2))
+    assert len(calls) == len(distinct) < len(finished)
+
+
+def fuzz_tune_case(rng):
+    """A tie-heavy tuning problem: integer-grid points with repeated rows."""
+    n = int(rng.integers(10, 31))
+    points = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
+    points[rng.integers(n, size=n // 4)] = points[rng.integers(n, size=n // 4)]
+    ds = Dataset(points=points, truth=np.zeros(n, dtype=int))
+    folds = int(rng.integers(2, 6))
+    picked = rng.permutation(n)
+    n_out = int(rng.integers(0, n // 4 + 1))
+    n_normal = int(rng.integers(folds, n // 2 + 1))
+    labels = LabelSet(normal={int(i): int(rng.integers(3)) for i in picked[:n_normal]},
+                      outliers=frozenset(int(i) for i in picked[n_normal:n_normal + n_out]))
+    k = None if rng.random() < 0.6 else int(rng.integers(0, 3))
+    k_c = int(rng.choice([1, 2, 3, 5, n + 5]))
+    params = PipelineParams(score=ScoreParams(0.0, 0.0, int(rng.integers(1, 4))), k=k, k_c=k_c)
+    grid_step = float(rng.choice([0.5, 0.25, 0.2, 0.1], p=[0.4, 0.35, 0.2, 0.05]))
+    return ds, labels, dict(grid_step=grid_step, folds=folds, seed=int(rng.integers(100)),
+                            params=params)
+
+
+def test_tune_matches_cells_outer_oracle():
+    rng = np.random.default_rng(83)
+    compared = clamped = 0
+    for case in range(220):
+        ds, labels, kwargs = fuzz_tune_case(rng)
+        try:
+            want = tune_by_cells(ds, labels, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                tune(ds, labels, **kwargs)
+            continue
+        got = tune(ds, labels, **kwargs)
+        assert np.array(got.grid).tobytes() == np.array(want.grid).tobytes(), case
+        assert got.best == want.best, case
+        compared += 1
+        clamped += kwargs["params"].k_c > ds.n
+    assert compared >= 200 and clamped >= 20
