@@ -13,7 +13,7 @@ from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
 from .expansion import UNCLUSTERED, expand, minimax_rows
 from .metrics import auc, nmi, rand_index
 from .metricspace import NeighborhoodIndex, build_index, pairwise_distances
-from .model import PipelineResult, TrainingSet, classify, select_reliable
+from .model import PipelineResult, TrainingSet, select_reliable
 from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
                        finish, prepare, run, tune)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "LabelSet", "NeighborhoodIndex", "NOISE", "OUTLIER", "PipelineParams",
     "PipelineResult", "Prepared", "ScoreParams", "ScoreTable", "TrainingSet",
-    "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "classify",
-    "dbscan", "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
+    "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "dbscan",
+    "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
     "minimax_rows", "minmax_scale", "nmi", "pairwise_distances", "prepare", "r_score",
     "rand_index", "round_half_up", "run", "sample_labels", "select_reliable",
     "sim_scores", "ssdbscan_with_fallback", "t_score", "tune",

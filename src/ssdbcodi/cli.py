@@ -122,7 +122,7 @@ def cmd_run(args) -> str:
                            stratified=args.stratified_labels)
     index = build_index(ds, args.min_pts)
     alpha, beta = _blend(ds, labels, args, args.seed, index)
-    result = finish(ds, prepare(ds, labels, args.min_pts, index=index), labels,
+    result = finish(prepare(ds, labels, args.min_pts, index=index),
                     _pipeline_params(args, alpha, beta))
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -170,7 +170,7 @@ def _run_trials(ds, args, cells=None) -> dict:
                                    stratified=args.stratified_labels)
             blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
             prepared = prepare(ds, labels, args.min_pts, index=index)
-            return [_evaluate(ds, finish(ds, prepared, labels, _pipeline_params(args, a, b)))
+            return [_evaluate(ds, finish(prepared, _pipeline_params(args, a, b)))
                     for a, b in blends]
         except Exception as exc:
             raise RuntimeError(f"fraction {fraction_pct:g} trial {trial} "

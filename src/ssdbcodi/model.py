@@ -1,4 +1,5 @@
-"""Reliable-set selection and the instance-weighted nearest-neighbour classifier."""
+"""Reliable-set selection and the instance-weighted kNN classifier, in two steps:
+`neighbours` (the distance search, reusable across blends) and `vote`."""
 
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingS
     if not 0 <= k <= unclustered.size:
         raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
     t = scores.t_score[unclustered]
-    order = np.lexsort((unclustered, -t))
+    order = np.argsort(-t, kind="stable")  # unclustered ascends, so ties keep index order
     chosen = unclustered[order[:k]]
     return TrainingSet(
         indices=np.concatenate([clustered, chosen]),
@@ -106,12 +107,6 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     out_score = np.zeros(n)
     np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
     return out_class, out_score
-
-
-def classify(ts: TrainingSet, points, k_c: int) -> tuple:
-    """Train the weighted kNN on points[ts.indices] and label every row of
-    points: the `vote` over each row's k_c `neighbours`."""
-    return vote(ts, neighbours(ts, points, k_c))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The label-independent work (distances, core distances, local densities,
 the spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
-accept ready-made. The expansions and the r/sim score columns are staged
-in `prepare`; `finish` applies one (alpha, beta) blend, selects the
-reliable sets, and classifies every point, keeping the kNN neighbours per
+accept ready-made. `prepare` stages one label draw (its expansions, r/sim
+score columns and automatic k, beside the dataset's points); `finish`
+reads only that stage to apply one (alpha, beta) blend, select the
+reliable sets and classify every point, keeping the kNN neighbours per
 training set on the stage. `run` composes the two; `tune` finishes every
 cell on one validation fold's stage before preparing the next.
 """
@@ -52,11 +53,15 @@ class TuneReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Blend-independent stage of one dataset: assignment, score table without
-    t_score, and `finish`'s kNN neighbours per (k_c, ordered training indices)."""
+    """Blend-independent stage of one label draw: the dataset's read-only
+    points (not a copy), the assignment, the score table without t_score,
+    the k used when PipelineParams.k is None, and `finish`'s kNN neighbours
+    per (k_c, ordered training indices)."""
 
+    points: np.ndarray
     assignment: np.ndarray
     scores: ScoreTable
+    auto_k: int
     neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -69,8 +74,8 @@ def default_k(n: int, labels: LabelSet) -> int:
 
 def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
             index: NeighborhoodIndex | None = None) -> Prepared:
-    """Back-traced expansion and the three raw score columns, on `index`
-    (built from ds and min_pts when None)."""
+    """Back-traced expansion, the three raw score columns and the automatic
+    reliable-outlier count, on `index` (built from ds and min_pts when None)."""
     labels.validate_for(ds.n)
     idx = build_index(ds, min_pts) if index is None else index
     if (idx.n, idx.min_pts) != (ds.n, min_pts):
@@ -79,26 +84,21 @@ def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
     assignment, emax = expand(idx, labels)
     scores = ScoreTable(r_score=r_score(emax), l_score=l_score(idx.density),
                         sim_score=sim_scores(ds, labels))
-    return Prepared(assignment=assignment, scores=scores)
+    auto_k = min(default_k(ds.n, labels), int((assignment == UNCLUSTERED).sum()))
+    return Prepared(points=ds.points, assignment=assignment, scores=scores, auto_k=auto_k)
 
 
-def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
-           params: PipelineParams) -> PipelineResult:
+def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
     """Blend scores, select reliable sets, and classify every point."""
-    if prepared.assignment.size != ds.n:
-        raise ValueError(f"prepared stage has n={prepared.assignment.size}; need n={ds.n}")
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
-    n_unclustered = int((prepared.assignment == UNCLUSTERED).sum())
-    if params.k is None:
-        k = min(default_k(ds.n, labels), n_unclustered)
-    else:
-        k = params.k  # select_reliable rejects k > n_unclustered
+    # select_reliable rejects an explicit k above the unclustered count
+    k = prepared.auto_k if params.k is None else params.k
     ts = select_reliable(prepared.assignment, table, k)
     k_c = min(params.k_c, len(ts))
     # Equal keys mean equal GEMM inputs, so cached neighbours keep every bit.
     key = (k_c, ts.indices.tobytes())
     if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, ds.points, k_c)
+        prepared.neighbours[key] = neighbours(ts, prepared.points, k_c)
     classes, outlier_score = vote(ts, prepared.neighbours[key])
     return PipelineResult(
         clusters=classes,
@@ -113,8 +113,7 @@ def finish(ds: Dataset, prepared: Prepared, labels: LabelSet,
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
     """Full pipeline: prepare once, then finish with the given blend."""
-    prepared = prepare(ds, labels, params.score.min_pts)
-    return finish(ds, prepared, labels, params)
+    return finish(prepare(ds, labels, params.score.min_pts), params)
 
 
 def _fold_partition(labels: LabelSet, folds: int, seed: int) -> list:
@@ -208,7 +207,7 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
         visible = _drop_labels(labels, hidden)
         prepared = prepare(ds, visible, base.score.min_pts, index=index)
         hidden = sorted(hidden)
-        per_fold.append([_fold_objective(finish(ds, prepared, visible, p), hidden, labels)
+        per_fold.append([_fold_objective(finish(prepared, p), hidden, labels)
                          for p in blends])
 
     grid = []

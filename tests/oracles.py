@@ -8,6 +8,8 @@ tables, pointwise scores and a full sort with a per-row vote loop instead
 of the vectorized scores and the k-pass neighbour selection, one
 broadcast over every centroid instead of a running minimum, and a
 cells-outer tuning loop that searches neighbours afresh for every finish.
+The one exception is `classify`, the library's `neighbours` and `vote` in
+one call, which the classifier tests drive.
 """
 
 from collections import Counter
@@ -20,6 +22,7 @@ from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelinePar
                       ScoreParams, TrainingSet, TuneReport, UNCLUSTERED, blend_grid,
                       build_index, finish, prepare)
 from ssdbcodi.metricspace import cross_distances
+from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_objective, _fold_partition
 
 
@@ -274,7 +277,15 @@ def sim_scores_by_broadcast(ds: Dataset, labels: LabelSet) -> np.ndarray:
     return np.exp(-np.sqrt(d2.min(axis=1)))
 
 
-# --- full sort and per-row vote: the reference for model.classify ---
+# --- the library's two classifier steps in one call, for the tests ---
+
+def classify(ts: TrainingSet, points, k_c: int) -> tuple:
+    """Train the weighted kNN on points[ts.indices] and label every row of
+    points: the `vote` over each row's k_c `neighbours`."""
+    return vote(ts, neighbours(ts, points, k_c))
+
+
+# --- full sort and per-row vote: the reference for `classify` ---
 
 def knn_predict_by_loop(ts: TrainingSet, points: np.ndarray, k_c: int) -> tuple:
     """(classes, outlier_score) for every row of points, trained on
@@ -502,17 +513,16 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         index = build_index(ds, base.score.min_pts)
     stages = []
     for hidden in _fold_partition(labels, folds, seed):
-        visible = _drop_labels(labels, hidden)
-        stages.append((prepare(ds, visible, base.score.min_pts, index=index),
-                       sorted(hidden), visible))
+        stages.append((prepare(ds, _drop_labels(labels, hidden), base.score.min_pts,
+                               index=index), sorted(hidden)))
 
     grid = []
     best = None
     for alpha, beta in cells:
         cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
         objectives = []
-        for prepared, hidden, visible in stages:
-            result = finish(ds, replace(prepared), visible, cell)
+        for prepared, hidden in stages:
+            result = finish(replace(prepared), cell)
             obj = _fold_objective(result, hidden, labels)
             if obj is not None:
                 objectives.append(obj)

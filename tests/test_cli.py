@@ -245,7 +245,7 @@ def test_sensitivity_grid_shape_and_value(blobs_csv, capsys):
     labels = sample_labels(ds, 0.3, 2)
     prepared = prepare(ds, labels, 3)
     params = PipelineParams(score=ScoreParams(0.5, 0.0, min_pts=3), k_c=5)
-    result = finish(ds, prepared, labels, params)
+    result = finish(prepared, params)
     want = auc(result.outlier_score, ds.truth == -1)
     got = next(r for r in rows if (r["alpha"], r["beta"]) == ("0.5", "0"))
     assert float(got["auc_mean"]) == float(f"{want:.12g}")

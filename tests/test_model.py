@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, classify,
-                      metricspace, select_reliable)
+from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, metricspace,
+                      select_reliable)
 from ssdbcodi.metricspace import cross_distances
-from oracles import knn_predict_by_loop
+from oracles import classify, knn_predict_by_loop
 
 
 def make_assignment(assign):
@@ -62,6 +62,28 @@ def test_select_reliable_rejects_bad_k():
                          sim_score=np.zeros(2))
     with pytest.raises(ValueError, match="t_score"):
         select_reliable(assignment, missing, k=0)
+
+
+def test_select_reliable_matches_lexsort_order():
+    # The two-key order it replaced, on tie-heavy t_score grids.
+    rng = np.random.default_rng(67)
+    tied = 0
+    for case in range(600):
+        n = int(rng.integers(1, 40))
+        assign = np.where(rng.random(n) < rng.random(), UNCLUSTERED,
+                          rng.integers(0, 3, size=n))
+        t = rng.choice([0.0, 0.25, 0.5, 1.0], size=n) if case % 2 else rng.random(n)
+        scores = make_scores(r=rng.random(n), t=t)
+        unclustered = np.flatnonzero(assign == UNCLUSTERED)
+        k = int(rng.integers(0, unclustered.size + 1))
+        want = unclustered[np.lexsort((unclustered, -t[unclustered]))[:k]]
+        got = select_reliable(assign, scores, k)
+        assert got.indices[got.indices.size - k:].tobytes() == want.tobytes(), case
+        assert got.weights.tobytes() == np.concatenate(
+            [scores.r_score[assign != UNCLUSTERED], t[want]]).tobytes(), case
+        ranked = np.sort(t[unclustered])[::-1]
+        tied += bool(0 < k < ranked.size and ranked[k - 1] == ranked[k])  # a tie at the cut
+    assert tied >= 100
 
 
 def classify_queries(features, classes, weights, k_c, queries):

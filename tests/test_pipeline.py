@@ -59,8 +59,7 @@ def test_run_separates_blobs_and_flags_outliers():
 
 def test_run_is_prepare_then_finish():
     direct = run(BLOBS, BLOB_LABELS, PARAMS)
-    staged = finish(BLOBS, prepare(BLOBS, BLOB_LABELS, PARAMS.score.min_pts),
-                    BLOB_LABELS, PARAMS)
+    staged = finish(prepare(BLOBS, BLOB_LABELS, PARAMS.score.min_pts), PARAMS)
     assert np.array_equal(direct.clusters, staged.clusters)
     assert np.array_equal(direct.outlier_score, staged.outlier_score)
     assert np.array_equal(direct.training.indices, staged.training.indices)
@@ -82,7 +81,7 @@ def test_finish_rejects_oversized_explicit_k():
     prepared = prepare(BLOBS, BLOB_LABELS, 3)
     params = PipelineParams(score=ScoreParams(0.4, 0.3, min_pts=3), k=3)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
-        finish(BLOBS, prepared, BLOB_LABELS, params)
+        finish(prepared, params)
 
 
 def test_fold_partition_covers_labels_and_keeps_roots():
@@ -139,7 +138,7 @@ def test_tune_matches_unshared_recomputation():
     for hidden in _fold_partition(tune_labels(), 2, 0):
         visible = _drop_labels(tune_labels(), hidden)
         prepared = prepare(BLOBS, visible, base.score.min_pts)  # fresh index
-        result = finish(BLOBS, prepared, visible, cell)
+        result = finish(prepared, cell)
         obj = _fold_objective(result, sorted(hidden), tune_labels())
         if obj is not None:
             objectives.append(obj)
@@ -200,13 +199,26 @@ def test_tune_reports_uncomputable_objective():
         tune(BLOBS, labels, grid_step=0.5, folds=2)
 
 
-def test_finish_refuses_a_stage_of_another_dataset():
-    small = moons_with_outliers(n=38)
-    large = moons_with_outliers(n=57)
-    labels = sample_labels(small, 0.3, seed=0)
-    prepared = prepare(small, labels, 3)
-    with pytest.raises(ValueError, match="prepared stage has n=40; need n=60"):
-        finish(large, prepared, labels, PARAMS)
+def test_prepared_stage_owns_points_and_auto_k():
+    ds = moons_with_outliers(n=200)
+    params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=5),
+              PipelineParams(score=ScoreParams(0.1, 0.8, 3), k=2, k_c=3)]
+    with_outliers = 0
+    for seed in range(4):
+        drawn = sample_labels(ds, 0.1, seed=seed)
+        for labels in (drawn, LabelSet(normal=drawn.normal, outliers=frozenset())):
+            with_outliers += bool(labels.outliers)
+            prepared = prepare(ds, labels, 3)
+            unclustered = int((prepared.assignment == UNCLUSTERED).sum())
+            assert prepared.auto_k == min(default_k(ds.n, labels), unclustered)
+            assert np.shares_memory(prepared.points, ds.points)
+            for p in params:
+                got, want = finish(prepared, p), run(ds, labels, p)
+                for attr in ("clusters", "outliers", "outlier_score", "assignment"):
+                    assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+                assert got.training.indices.tobytes() == want.training.indices.tobytes()
+                assert got.k_c == want.k_c
+    assert with_outliers >= 2
 
 
 def counted_cross_distances(monkeypatch) -> list:
@@ -228,10 +240,10 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     calls = counted_cross_distances(monkeypatch)
     prepared = prepare(ds, labels, 3)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
-    cached = [finish(ds, prepared, labels, p) for p in params]
+    cached = [finish(prepared, p) for p in params]
     assert len(calls) == 2
     for got, p in zip(cached, params):
-        want = finish(ds, prepare(ds, labels, 3), labels, p)
+        want = finish(prepare(ds, labels, 3), p)
         for attr in ("clusters", "outliers", "outlier_score", "assignment"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
         assert got.score_table.t_score.tobytes() == want.score_table.t_score.tobytes()
@@ -247,8 +259,8 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     finished = []
     real_finish = pipeline.finish
 
-    def recording(ds, prepared, labels, params):
-        result = real_finish(ds, prepared, labels, params)
+    def recording(prepared, params):
+        result = real_finish(prepared, params)
         finished.append((prepared, result.k_c, result.training.indices.tobytes()))
         return result
 
