@@ -1,16 +1,16 @@
 """Reference algorithms for comparison: DBSCAN, k-means, LOF, and the
 terminating-expansion clusterer with a nearest-neighbour fallback.
 
-DBSCAN and LOF read a square distance matrix; all of them are
-deterministic given their inputs (and seed, for k-means). The clusterers
-return a cluster id per point, LOF a score per point.
+DBSCAN and LOF read a square distance matrix, k-means a Dataset; all of
+them are deterministic given their inputs (and seed, for k-means). The
+clusterers return a cluster id per point, LOF a score per point.
 """
 
 import numpy as np
 
 from .dataset import Dataset
 from .expansion import UNCLUSTERED, expand
-from .metricspace import NeighborhoodIndex, nearest, squared_norms
+from .metricspace import NeighborhoodIndex, nearest, nearest_center, squared_norms
 
 # Cluster id for points no cluster claimed.
 NOISE = -1
@@ -78,45 +78,29 @@ def _kmeanspp(pts: np.ndarray, k: int, rng) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def kmeans(ds, k: int, seed: int) -> np.ndarray:
+def kmeans(ds: Dataset, k: int, seed: int) -> np.ndarray:
     """Lloyd iterations from seeded k-means++ starting centroids.
 
     Stops at an assignment fixed point or after KMEANS_MAX_ITER updates.
     Distance ties go to the lowest centroid index; a cluster that empties
     keeps its previous centroid. Points must pass squared_norms.
     """
-    pts = ds.points if isinstance(ds, Dataset) else np.asarray(ds, dtype=float)
-    n = pts.shape[0]
+    pts, n = ds.points, ds.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     squared_norms(pts)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp(pts, k, rng)
-    labels = _nearest_centroid(pts, centroids)
+    labels = nearest_center(pts, centroids)[0]
     for _ in range(KMEANS_MAX_ITER):
         for c in range(k):
             members = pts[labels == c]
             if members.shape[0]:
                 centroids[c] = members.mean(axis=0)
-        new_labels = _nearest_centroid(pts, centroids)
+        new_labels = nearest_center(pts, centroids)[0]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels
-
-
-def _nearest_centroid(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest centroid, ties to the lower index.
-
-    A running minimum over the centroids holds one n x d array at a time.
-    """
-    best = ((pts - centroids[0]) ** 2).sum(axis=1)
-    labels = np.zeros(pts.shape[0], dtype=int)
-    for c in range(1, centroids.shape[0]):
-        d2 = ((pts - centroids[c]) ** 2).sum(axis=1)
-        closer = d2 < best
-        best[closer] = d2[closer]
-        labels[closer] = c
     return labels
 
 

@@ -84,17 +84,19 @@ def _pipeline_params(args, alpha: float, beta: float) -> PipelineParams:
     )
 
 
-def _evaluate(ds, result) -> dict:
-    """Metrics against the full ground truth; AUC needs both classes present."""
+def _auc(ds, scores) -> float | None:
+    """AUC of scores against the true outliers; None unless both classes occur."""
     truth_outlier = ds.truth == OUTLIER
-    out = {}
     if truth_outlier.any() and not truth_outlier.all():
-        out["auc"] = auc(result.outlier_score, truth_outlier)
-    else:
-        out["auc"] = None
-    out["rand_index"] = rand_index(result.clusters, ds.truth)
-    out["nmi"] = nmi(result.clusters, ds.truth)
-    return out
+        return auc(scores, truth_outlier)
+    return None
+
+
+def _evaluate(ds, result) -> dict:
+    """Metrics against the full ground truth."""
+    return {"auc": _auc(ds, result.outlier_score),
+            "rand_index": rand_index(result.clusters, ds.truth),
+            "nmi": nmi(result.clusters, ds.truth)}
 
 
 def _blend(ds, labels, args, seed: int, index) -> tuple:
@@ -103,6 +105,16 @@ def _blend(ds, labels, args, seed: int, index) -> tuple:
         return args.alpha, args.beta
     return tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
                 params=_pipeline_params(args, args.alpha, args.beta), index=index).best
+
+
+def _draw(ds, args, index, fraction: float, seed: int, cells=None):
+    """Sample one draw's labels and prepare once, then yield ((alpha, beta),
+    result) per cell in `cells`, or for the draw's own `_blend` when None."""
+    labels = sample_labels(ds, fraction, seed, stratified=args.stratified_labels)
+    blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
+    prepared = prepare(ds, labels, args.min_pts, index=index)
+    for alpha, beta in blends:
+        yield (alpha, beta), finish(prepared, _pipeline_params(args, alpha, beta))
 
 
 def _summary(trials) -> dict:
@@ -118,12 +130,8 @@ def _summary(trials) -> dict:
 def cmd_run(args) -> str:
     started = time.perf_counter()
     ds = _load_dataset(args)
-    labels = sample_labels(ds, args.label_fraction, args.seed,
-                           stratified=args.stratified_labels)
     index = build_index(ds, args.min_pts)
-    alpha, beta = _blend(ds, labels, args, args.seed, index)
-    result = finish(prepare(ds, labels, args.min_pts, index=index),
-                    _pipeline_params(args, alpha, beta))
+    (alpha, beta), result = next(_draw(ds, args, index, args.label_fraction, args.seed))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -156,9 +164,8 @@ def cmd_run(args) -> str:
 def _run_trials(ds, args, cells=None) -> dict:
     """Metrics per blend for every (fraction_pct, trial) draw of a sweep.
 
-    One index serves every trial. Each trial draws its labels and prepares
-    once, then finishes either every cell in `cells` or, when cells is
-    None, its own `_blend`. A failing trial's error names its draw.
+    One index serves every trial, and each trial is one `_draw`. A failing
+    trial's error names its draw.
     """
     index = build_index(ds, args.min_pts)
 
@@ -166,12 +173,8 @@ def _run_trials(ds, args, cells=None) -> dict:
         fraction_pct, trial = job
         seed = args.seed + trial
         try:
-            labels = sample_labels(ds, fraction_pct / 100.0, seed,
-                                   stratified=args.stratified_labels)
-            blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
-            prepared = prepare(ds, labels, args.min_pts, index=index)
-            return [_evaluate(ds, finish(prepared, _pipeline_params(args, a, b)))
-                    for a, b in blends]
+            return [_evaluate(ds, result)
+                    for _, result in _draw(ds, args, index, fraction_pct / 100.0, seed, cells)]
         except Exception as exc:
             raise RuntimeError(f"fraction {fraction_pct:g} trial {trial} "
                                f"(seed {seed}): {exc}") from exc
@@ -213,8 +216,6 @@ def cmd_baseline(args) -> str:
         "n": ds.n,
         "d": ds.d,
     }
-    truth_outlier = ds.truth == OUTLIER
-    both_classes = bool(truth_outlier.any() and not truth_outlier.all())
 
     if args.algo == "kmeans":
         assign = kmeans(ds, args.k, args.seed)
@@ -226,12 +227,11 @@ def cmd_baseline(args) -> str:
         report["params"] = {"epsilon": args.epsilon, "min_pts": args.min_pts}
         report["rand_index"] = rand_index(assign, ds.truth)
         report["nmi"] = nmi(assign, ds.truth)
-        noise_score = (assign == NOISE).astype(float)
-        report["auc"] = auc(noise_score, truth_outlier) if both_classes else None
+        report["auc"] = _auc(ds, (assign == NOISE).astype(float))
     elif args.algo == "lof":
         scores = lof(pairwise_distances(ds.points), args.k)
         report["params"] = {"k": args.k}
-        report["auc"] = auc(scores, truth_outlier) if both_classes else None
+        report["auc"] = _auc(ds, scores)
     else:  # ssdbscan
         labels = sample_labels(ds, args.label_fraction, args.seed,
                                stratified=args.stratified_labels)
@@ -297,6 +297,13 @@ def _add_model_flags(p):
     p.add_argument("--knn-k", type=int, default=5, help="classifier neighbour count")
 
 
+def _add_sweep_flags(p):
+    p.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
+                   help="label percentages, comma-separated")
+    p.add_argument("--trials", type=int, default=50, help="seeded label draws per fraction")
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
+
+
 def _add_tune_flags(p):
     p.add_argument("--tune", action="store_true",
                    help="cross-validate alpha/beta on the labeled set first")
@@ -327,10 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_blend_flags(p_bench)
     _add_model_flags(p_bench)
     _add_tune_flags(p_bench)
-    p_bench.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
-                         help="label percentages, comma-separated")
-    p_bench.add_argument("--trials", type=int, default=50, help="seeded trials per fraction")
-    p_bench.add_argument("--workers", type=int, default=1, help="worker threads")
+    _add_sweep_flags(p_bench)
     p_bench.set_defaults(handler=cmd_benchmark)
 
     p_sens = sub.add_parser("sensitivity", help="alpha/beta grid sweep, CSV report")
@@ -338,10 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_flags(p_sens)
     _add_model_flags(p_sens)
     p_sens.add_argument("--grid-step", type=float, default=0.1, help="alpha/beta lattice step")
-    p_sens.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
-                        help="label percentages, comma-separated")
-    p_sens.add_argument("--trials", type=int, default=50, help="seeded trials per cell")
-    p_sens.add_argument("--workers", type=int, default=1, help="worker threads")
+    _add_sweep_flags(p_sens)
     p_sens.set_defaults(handler=cmd_sensitivity)
 
     p_base = sub.add_parser("baseline", help="reference algorithm run, JSON report")

@@ -1,4 +1,4 @@
-"""Pairwise and cross Euclidean distances, k-nearest selection, core
+"""Pairwise and cross distances, k-nearest and nearest-centre selection, core
 distances, local densities, and the reachability graph's spanning tree.
 
 The n x n passes work in place in their output or in row blocks, so each
@@ -18,10 +18,11 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class NeighborhoodIndex:
-    """Dense distances, core distances, local densities (l_score's input) and
-    the reachability graph's minimum spanning tree, as (u, v, w) arrays of its
-    n - 1 edges sorted stably by weight, for a fixed min_pts; read-only arrays."""
+    """Its dataset's points, dense distances, core distances, local densities
+    (l_score's input) and the reachability graph's minimum spanning tree as
+    (u, v, w) arrays of its n - 1 edges sorted stably by weight; read-only."""
 
+    points: np.ndarray
     dist: np.ndarray
     core: np.ndarray
     density: np.ndarray
@@ -30,7 +31,7 @@ class NeighborhoodIndex:
 
     @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return self.points.shape[0]
 
 
 # Each n x n pass holds one large array, its output, and works in row blocks
@@ -98,6 +99,20 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
     return nbrs
 
 
+def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
+    """Each point's nearest centre (ties to the lower index) and squared
+    distance to it, 0 and +inf when there is no centre; a running minimum
+    over the centres holds one n x d array at a time."""
+    best = np.full(points.shape[0], np.inf)
+    index = np.zeros(points.shape[0], dtype=int)
+    for c, center in enumerate(centers):
+        d2 = ((points - center) ** 2).sum(axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        index[closer] = c
+    return index, best
+
+
 def pairwise_distances(points) -> np.ndarray:
     """Exactly symmetric Euclidean distance matrix with a zero diagonal."""
     pts = np.asarray(points, dtype=float)
@@ -137,21 +152,16 @@ def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
     return u, v, w
 
 
-def build_index(ds, min_pts: int) -> NeighborhoodIndex:
-    """Build the distance matrix, core distances, local densities and spanning tree.
-
-    Accepts a Dataset or a raw point matrix. Requires n >= 2 and
-    1 <= min_pts <= n - 1.
+def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
+    """Build the distance matrix, core distances, local densities and spanning
+    tree over the dataset's points. Requires n >= 2 and 1 <= min_pts <= n - 1.
     """
-    points = ds.points if isinstance(ds, Dataset) else np.asarray(ds, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-D matrix")
-    n = points.shape[0]
+    n = ds.n
     if n < 2:
         raise ValueError("need at least 2 points to build an index")
     if not 1 <= min_pts <= n - 1:
         raise ValueError(f"min_pts must be in [1, {n - 1}], got {min_pts}")
-    dist = pairwise_distances(points)
+    dist = pairwise_distances(ds.points)
     blocks = row_blocks(n, n)
     core, density = np.empty(n), np.empty(n)
     # Row position min_pts of the sorted row skips exactly one self-distance.
@@ -169,5 +179,5 @@ def build_index(ds, min_pts: int) -> NeighborhoodIndex:
     tree = (u[order], v[order], w[order])
     for arr in (dist, core, density) + tree:
         arr.flags.writeable = False
-    return NeighborhoodIndex(dist=dist, core=core, density=density, tree=tree,
-                             min_pts=int(min_pts))
+    return NeighborhoodIndex(points=ds.points, dist=dist, core=core, density=density,
+                             tree=tree, min_pts=int(min_pts))

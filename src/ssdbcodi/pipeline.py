@@ -75,12 +75,14 @@ def default_k(n: int, labels: LabelSet) -> int:
 def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
             index: NeighborhoodIndex | None = None) -> Prepared:
     """Back-traced expansion, the three raw score columns and the automatic
-    reliable-outlier count, on `index` (built from ds and min_pts when None)."""
+    reliable-outlier count, on `index` (built from ds and min_pts when None;
+    refused when built on other points or for another min_pts)."""
     labels.validate_for(ds.n)
     idx = build_index(ds, min_pts) if index is None else index
-    if (idx.n, idx.min_pts) != (ds.n, min_pts):
-        raise ValueError(f"index has n={idx.n}, min_pts={idx.min_pts}; "
-                         f"need n={ds.n}, min_pts={min_pts}")
+    if idx.min_pts != min_pts:
+        raise ValueError(f"index has min_pts={idx.min_pts}; need min_pts={min_pts}")
+    if not np.array_equal(idx.points, ds.points):
+        raise ValueError(f"index was built on {idx.n} other points, not the dataset's {ds.n}")
     assignment, emax = expand(idx, labels)
     scores = ScoreTable(r_score=r_score(emax), l_score=l_score(idx.density),
                         sim_score=sim_scores(ds, labels))
@@ -131,7 +133,7 @@ def _fold_partition(labels: LabelSet, folds: int, seed: int) -> list:
         return [set(arr[f::folds].tolist()) for f in range(folds)]
 
     normal_folds = deal(labels.normal)
-    outlier_folds = deal(labels.outliers) if labels.outliers else [set() for _ in range(folds)]
+    outlier_folds = deal(labels.outliers)
     return [normal_folds[f] | outlier_folds[f] for f in range(folds)]
 
 

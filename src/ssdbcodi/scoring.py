@@ -6,7 +6,8 @@ normal and values near 0 mean suspicious:
 * r_score: how cheaply a point is reached from the labeled normal roots,
 * l_score: how dense the point's own reachability neighbourhood is (the
   label-independent densities live on the NeighborhoodIndex),
-* sim_score: proximity to the labeled outliers (0 when there are none).
+* sim_score: proximity to the nearest labeled outlier (metricspace's
+  nearest_center; 0 when there are none).
 
 The blended t_score weights the complements of the first two against the
 third; higher t_score means more outlier-like.
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, LabelSet
+from .metricspace import nearest_center
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,9 @@ def l_score(ld) -> np.ndarray:
 
 
 def sim_scores(ds: Dataset, labels: LabelSet) -> np.ndarray:
-    """exp(-distance to the nearest labeled outlier) per point; 0 when none are labeled."""
-    if not labels.outliers:
-        return np.zeros(ds.n)
-    d2 = np.full(ds.n, np.inf)
-    for o in ds.points[sorted(labels.outliers)]:
-        np.minimum(d2, ((ds.points - o) ** 2).sum(axis=1), out=d2)
+    """exp(-distance to the nearest labeled outlier) per point; 0 when none
+    are labeled, as exp(-sqrt(inf))."""
+    d2 = nearest_center(ds.points, ds.points[sorted(labels.outliers)])[1]
     return np.exp(-np.sqrt(d2))
 
 

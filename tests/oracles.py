@@ -6,7 +6,8 @@ single spanning tree, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
 of the vectorized scores and the k-pass neighbour selection, one
-broadcast over every centroid instead of a running minimum, and a
+broadcast over every centroid instead of a running minimum (the former
+running-minimum loops stay beside it as oracles of their own), and a
 cells-outer tuning loop that searches neighbours afresh for every finish.
 The one exception is `classify`, the library's `neighbours` and `vote` in
 one call, which the classifier tests drive.
@@ -113,6 +114,12 @@ def random_points(rng, n=None, d=None) -> np.ndarray:
     centers = rng.normal(scale=4.0, size=(int(rng.integers(1, 4)), d))
     assign = rng.integers(centers.shape[0], size=n)
     return centers[assign] + rng.normal(scale=1.0, size=(n, d))
+
+
+def as_dataset(points) -> Dataset:
+    """Raw points as a Dataset of one cluster, for the calls that take one."""
+    points = np.asarray(points, dtype=float)
+    return Dataset(points=points, truth=np.zeros(points.shape[0], dtype=int))
 
 
 def random_labelset(rng, n, n_clusters=3, outlier_rate=0.3) -> LabelSet:
@@ -277,6 +284,15 @@ def sim_scores_by_broadcast(ds: Dataset, labels: LabelSet) -> np.ndarray:
     return np.exp(-np.sqrt(d2.min(axis=1)))
 
 
+def sq_dist_by_minimum(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """sim_scores' former loop: a running np.minimum of the squared distance
+    to every centre, +inf when there is none."""
+    d2 = np.full(points.shape[0], np.inf)
+    for o in centers:
+        np.minimum(d2, ((points - o) ** 2).sum(axis=1), out=d2)
+    return d2
+
+
 # --- the library's two classifier steps in one call, for the tests ---
 
 def classify(ts: TrainingSet, points, k_c: int) -> tuple:
@@ -335,13 +351,28 @@ def lof_by_sort(dist, k: int) -> np.ndarray:
     return np.where(np.isnan(scores), 1.0, scores)
 
 
-# --- one n x k x d broadcast: the reference for baselines._nearest_centroid ---
+# --- a broadcast and kmeans' former loop: the references for nearest_center ---
 
 def nearest_centroid_by_broadcast(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per point from every squared distance at once;
     argmin takes the first minimum, so ties go to the lower index."""
     d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
+
+
+def nearest_centroid_by_loop(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, ties to the lower index.
+
+    A running minimum over the centroids holds one n x d array at a time.
+    """
+    best = ((pts - centroids[0]) ** 2).sum(axis=1)
+    labels = np.zeros(pts.shape[0], dtype=int)
+    for c in range(1, centroids.shape[0]):
+        d2 = ((pts - centroids[c]) ** 2).sum(axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        labels[closer] = c
+    return labels
 
 
 # --- per-root Prim expansions: the reference for ssdbcodi.expansion ---

@@ -8,7 +8,8 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, baselines, build_index,
                       dbscan, kmeans, lof, rand_index, ssdbscan_with_fallback)
-from oracles import lof_by_sort, nearest_centroid_by_broadcast
+from ssdbcodi.metricspace import nearest_center
+from oracles import as_dataset, lof_by_sort, nearest_centroid_by_broadcast
 
 
 def euclidean(pts):
@@ -107,8 +108,8 @@ def test_dbscan_matches_union_find_oracle():
 
 def test_kmeans_single_cluster_and_full_split():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-    assert kmeans(pts, k=1, seed=0).tolist() == [0, 0, 0, 0]
-    full = kmeans(pts, k=4, seed=0)
+    assert kmeans(as_dataset(pts), k=1, seed=0).tolist() == [0, 0, 0, 0]
+    full = kmeans(as_dataset(pts), k=4, seed=0)
     assert len(set(full.tolist())) == 4  # every point its own centroid
 
 
@@ -118,19 +119,19 @@ def test_kmeans_recovers_separated_blobs():
     b = rng.normal(size=(20, 2)) * 0.2 + 10.0
     pts = np.vstack([a, b])
     truth = [0] * 20 + [1] * 20
-    out = kmeans(pts, k=2, seed=7)
+    out = kmeans(as_dataset(pts), k=2, seed=7)
     assert rand_index(out, truth) == 1.0
 
 
 def test_kmeans_is_deterministic_and_validates():
     pts = np.random.default_rng(1).normal(size=(15, 2))
-    one = kmeans(pts, k=3, seed=9)
-    two = kmeans(pts, k=3, seed=9)
+    one = kmeans(as_dataset(pts), k=3, seed=9)
+    two = kmeans(as_dataset(pts), k=3, seed=9)
     assert np.array_equal(one, two)
     with pytest.raises(ValueError, match="k must be"):
-        kmeans(pts, k=0, seed=0)
+        kmeans(as_dataset(pts), k=0, seed=0)
     with pytest.raises(ValueError, match="k must be"):
-        kmeans(pts, k=16, seed=0)
+        kmeans(as_dataset(pts), k=16, seed=0)
 
 
 def test_kmeans_reaches_an_assignment_fixed_point():
@@ -139,7 +140,7 @@ def test_kmeans_reaches_an_assignment_fixed_point():
         n = int(rng.integers(3, 20))
         pts = rng.normal(size=(n, 2))
         k = int(rng.integers(1, n + 1))
-        labels = kmeans(pts, k=k, seed=int(rng.integers(1000)))
+        labels = kmeans(as_dataset(pts), k=k, seed=int(rng.integers(1000)))
         centroids = {c: pts[labels == c].mean(axis=0)
                      for c in range(k) if (labels == c).any()}
         for p in range(n):
@@ -161,7 +162,7 @@ def test_nearest_centroid_matches_broadcast_oracle(monkeypatch):
         else:
             pts = rng.normal(size=(n, d))
             centroids = rng.normal(size=(k, d))
-        got = baselines._nearest_centroid(pts, centroids)
+        got = nearest_center(pts, centroids)[0]
         assert np.array_equal(got, nearest_centroid_by_broadcast(pts, centroids)), case
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
@@ -169,10 +170,11 @@ def test_nearest_centroid_matches_broadcast_oracle(monkeypatch):
     # and whole k-means runs agree with the broadcast route
     for seed in range(20):
         pts = rng.integers(0, 4, size=(30, 2)).astype(float)
-        want = kmeans(pts, k=4, seed=seed)
+        want = kmeans(as_dataset(pts), k=4, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(baselines, "_nearest_centroid", nearest_centroid_by_broadcast)
-            assert np.array_equal(kmeans(pts, k=4, seed=seed), want), seed
+            m.setattr(baselines, "nearest_center",
+                      lambda p, c: (nearest_centroid_by_broadcast(p, c), None))
+            assert np.array_equal(kmeans(as_dataset(pts), k=4, seed=seed), want), seed
 
 
 def test_nearest_centroid_holds_one_point_matrix():
@@ -181,7 +183,7 @@ def test_nearest_centroid_holds_one_point_matrix():
     centroids = rng.normal(size=(50, 16))
     tracemalloc.start()
     try:
-        baselines._nearest_centroid(pts, centroids)
+        nearest_center(pts, centroids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,7 +261,7 @@ def test_lof_matches_sort_oracle_bytes():
             pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
         else:
             pts = rng.normal(size=(n, int(rng.integers(1, 4))))
-        idx = build_index(pts, 1)
+        idx = build_index(as_dataset(pts), 1)
         k = int(rng.integers(1, n)) if case % 10 else n - 1
         got = lof(idx.dist, k=k)
         assert got.tobytes() == lof_by_sort(idx.dist, k).tobytes(), case
@@ -276,7 +278,7 @@ def test_lof_refuses_non_finite_distances():
 
 
 def test_lof_holds_one_distance_copy():
-    dist = build_index(np.random.default_rng(73).normal(size=(300, 3)), 1).dist
+    dist = build_index(as_dataset(np.random.default_rng(73).normal(size=(300, 3))), 1).dist
     tracemalloc.start()
     try:
         lof(dist, k=5)

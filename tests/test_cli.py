@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv,
-                      prepare, sample_labels)
+from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv, nmi,
+                      prepare, rand_index, sample_labels)
 from ssdbcodi import cli, metricspace, pipeline
 from ssdbcodi.cli import main
 
@@ -115,46 +116,35 @@ def test_run_with_tuning(blobs_csv, capsys):
 
 
 def test_benchmark_matches_single_run(blobs_csv, capsys):
-    code, out, _ = run_cli(
-        ["run", "--input", blobs_csv, "--label-fraction", "0.25", "--seed", "3",
-         "--no-timing"],
-        capsys)
-    assert code == 0
-    single = json.loads(out)
-    code, out, _ = run_cli(
-        ["benchmark", "--input", blobs_csv, "--fractions", "25", "--trials", "1",
-         "--seed", "3"],
-        capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "# schema_version=1"
-    header = lines[1].split(",")
-    assert header == ["fraction", "auc_mean", "auc_std", "rand_mean", "rand_std",
-                      "nmi_mean", "nmi_std"]
-    row = dict(zip(header, lines[2].split(",")))
-    assert row["fraction"] == "25"
-    assert float(row["auc_mean"]) == single["auc"]
-    assert float(row["rand_mean"]) == single["rand_index"]
-    assert float(row["nmi_mean"]) == single["nmi"]
-    assert float(row["auc_std"]) == 0.0  # one trial has no spread
-
-
-def test_tuned_benchmark_matches_tuned_run(blobs_csv, capsys):
-    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--seed", "1"]
-    code, out, _ = run_cli(
-        ["run", "--input", blobs_csv, "--label-fraction", "0.5", "--no-timing"]
-        + tune_flags, capsys)
-    assert code == 0
-    single = json.loads(out)
-    code, out, _ = run_cli(
-        ["benchmark", "--input", blobs_csv, "--fractions", "50", "--trials", "1"]
-        + tune_flags, capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    row = dict(zip(lines[1].split(","), lines[2].split(",")))
-    assert float(row["auc_mean"]) == single["auc"]
-    assert float(row["rand_mean"]) == single["rand_index"]
-    assert float(row["nmi_mean"]) == single["nmi"]
+    # a one-trial benchmark row is the run of the same draw: plain, stratified
+    # and tuned draws over seeded (fraction, seed) pairs
+    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2"]
+    rng = np.random.default_rng(31)
+    for flags in ([], ["--stratified-labels"], tune_flags,
+                  tune_flags + ["--stratified-labels"]):
+        for _ in range(3):
+            pct, seed = int(rng.choice([25, 50, 75])), int(rng.integers(100))
+            code, out, _ = run_cli(
+                ["run", "--input", blobs_csv, "--label-fraction", str(pct / 100),
+                 "--seed", str(seed), "--no-timing"] + flags, capsys)
+            assert code == 0
+            single = json.loads(out)
+            code, out, _ = run_cli(
+                ["benchmark", "--input", blobs_csv, "--fractions", str(pct),
+                 "--trials", "1", "--seed", str(seed)] + flags, capsys)
+            assert code == 0
+            lines = out.strip().split("\n")
+            assert lines[0] == "# schema_version=1"
+            header = lines[1].split(",")
+            assert header == ["fraction", "auc_mean", "auc_std", "rand_mean", "rand_std",
+                              "nmi_mean", "nmi_std"]
+            row = dict(zip(header, lines[2].split(",")))
+            case = (flags, pct, seed)
+            assert row["fraction"] == str(pct), case
+            assert float(row["auc_mean"]) == single["auc"], case
+            assert float(row["rand_mean"]) == single["rand_index"], case
+            assert float(row["nmi_mean"]) == single["nmi"], case
+            assert float(row["auc_std"]) == 0.0  # one trial has no spread
 
 
 def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
@@ -240,15 +230,17 @@ def test_sensitivity_grid_shape_and_value(blobs_csv, capsys):
         ("0.5", "0"), ("0.5", "0.5"), ("1", "0")]
     assert all(r["fraction"] == "30" for r in rows)
 
-    # recompute one cell through the library route
+    # recompute every cell through the library route
     ds = load_csv(blobs_csv)
-    labels = sample_labels(ds, 0.3, 2)
-    prepared = prepare(ds, labels, 3)
-    params = PipelineParams(score=ScoreParams(0.5, 0.0, min_pts=3), k_c=5)
-    result = finish(prepared, params)
-    want = auc(result.outlier_score, ds.truth == -1)
-    got = next(r for r in rows if (r["alpha"], r["beta"]) == ("0.5", "0"))
-    assert float(got["auc_mean"]) == float(f"{want:.12g}")
+    prepared = prepare(ds, sample_labels(ds, 0.3, 2), 3)
+    for row in rows:
+        alpha, beta = float(row["alpha"]), float(row["beta"])
+        result = finish(prepared, PipelineParams(score=ScoreParams(alpha, beta, min_pts=3),
+                                                 k_c=5))
+        want = (auc(result.outlier_score, ds.truth == -1),
+                rand_index(result.clusters, ds.truth), nmi(result.clusters, ds.truth))
+        got = (row["auc_mean"], row["rand_mean"], row["nmi_mean"])
+        assert [float(g) for g in got] == [float(f"{w:.12g}") for w in want], row
 
 
 def test_baseline_reports(blobs_csv, capsys):

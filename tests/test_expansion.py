@@ -9,9 +9,9 @@ import pytest
 
 from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows
 from ssdbcodi.metricspace import _spanning_tree
-from oracles import (ExpansionRecord, back_trace, combine_backtraces, emax_over_roots,
-                     expand_all, minimax_closure, mst_weights_by_kruskal, prim_expand,
-                     random_labelset, random_points, rdist_matrix,
+from oracles import (ExpansionRecord, as_dataset, back_trace, combine_backtraces,
+                     emax_over_roots, expand_all, minimax_closure, mst_weights_by_kruskal,
+                     prim_expand, random_labelset, random_points, rdist_matrix,
                      ssdbscan_by_expansion)
 
 
@@ -36,7 +36,7 @@ def test_prim_expand_root_key_is_zero_and_coverage_is_total():
     rng = np.random.default_rng(2)
     for _ in range(20):
         pts = random_points(rng)
-        idx = build_index(pts, int(rng.integers(1, 3)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, 3)))
         labels = random_labelset(rng, idx.n)
         root = sorted(labels.normal)[0]
         rec = prim_expand(idx, root, labels, terminate=False)
@@ -77,7 +77,7 @@ def test_prefix_max_matches_minimax_oracle():
     rng = np.random.default_rng(9)
     for _ in range(30):
         pts = random_points(rng)
-        idx = build_index(pts, int(rng.integers(1, 4)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, 4)))
         labels = random_labelset(rng, idx.n)
         oracle = minimax_closure(rdist_matrix(idx))
         roots = sorted(labels.normal)
@@ -123,7 +123,7 @@ def fuzz_instance(rng, grid):
     else:
         pts = random_points(rng)
         n = pts.shape[0]
-    idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+    idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
     outlier_rate = float(rng.choice([0.0, 0.3]))
     labels = random_labelset(rng, n, n_clusters=int(rng.integers(1, 4)),
                              outlier_rate=outlier_rate)
@@ -173,7 +173,7 @@ def test_minimax_rows_matches_per_root_expansions_on_large_shapes():
         kind = ("blobs", "chain", "duplicates", "pair")[case % 4]
         pts = large_fuzz_points(rng, kind)
         n = pts.shape[0]
-        idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
         how = ("one", "all", "some")[case // 4 % 3]
         if how == "all" and n > 150:
             how = "some"
@@ -204,7 +204,7 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
     for case in range(60):
         n = int(rng.integers(2, 60)) if case % 3 else int(rng.integers(100, 160))
         pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
-        idx = build_index(pts, int(rng.integers(1, min(3, n - 1) + 1)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
         u, v, w = _spanning_tree(idx.dist, idx.core)
         assert np.array_equal(np.sort(w), mst_weights_by_kruskal(rdist_matrix(idx)))
         # the index stores this tree's edges, sorted stably by weight
@@ -244,7 +244,7 @@ def test_ssdbscan_never_violates_labels():
     rng = np.random.default_rng(17)
     for _ in range(200):
         pts = random_points(rng)
-        idx = build_index(pts, int(rng.integers(1, 4)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, 4)))
         labels = random_labelset(rng, idx.n)
         assign = expand(idx, labels)[0]
         # labeled normals keep their own label; labeled outliers stay out
@@ -263,7 +263,7 @@ def test_adding_labeled_outlier_never_grows_a_backtrace():
     rng = np.random.default_rng(23)
     for _ in range(50):
         pts = random_points(rng)
-        idx = build_index(pts, int(rng.integers(1, 3)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, 3)))
         labels = random_labelset(rng, idx.n)
         unlabeled = [i for i in range(idx.n) if i not in labels.normal
                      and i not in labels.outliers]
@@ -299,7 +299,7 @@ def test_emax_is_zero_exactly_at_roots_and_min_over_records():
     rng = np.random.default_rng(31)
     for _ in range(20):
         pts = random_points(rng)
-        idx = build_index(pts, 2)
+        idx = build_index(as_dataset(pts), 2)
         labels = random_labelset(rng, idx.n)
         emax = expand(idx, labels)[1]
         assert np.array_equal(emax, minimax_rows(idx, sorted(labels.normal)).min(axis=0))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ssdbcodi import Dataset, build_index, metricspace, pairwise_distances
-from ssdbcodi.metricspace import cross_distances, nearest
-from oracles import (distances_by_expression, is_density_reachable, knn_by_rdist,
-                     local_densities_by_matrix, pairwise_by_expression, random_points,
-                     reach_distance)
+from ssdbcodi.metricspace import cross_distances, nearest, nearest_center
+from oracles import (as_dataset, distances_by_expression, is_density_reachable,
+                     knn_by_rdist, local_densities_by_matrix, nearest_centroid_by_loop,
+                     pairwise_by_expression, random_points, reach_distance,
+                     sq_dist_by_minimum)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -52,12 +53,12 @@ def test_density_matches_matrix_oracle_bytes():
         else:
             pts = random_points(rng)
         n = pts.shape[0]
-        idx = build_index(pts, int(rng.integers(1, n)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, n)))
         assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
     for n in (2, 7):
         pts = rng.normal(size=(n, 2))
         for min_pts in range(1, n):
-            idx = build_index(pts, min_pts)
+            idx = build_index(as_dataset(pts), min_pts)
             assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes()
 
 
@@ -81,7 +82,7 @@ def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_byte
         assert (cross_distances(pts, feats).tobytes()
                 == distances_by_expression(pts, feats).tobytes()), case
         min_pts = int(rng.integers(1, n))
-        idx = build_index(pts, min_pts)
+        idx = build_index(as_dataset(pts), min_pts)
         core = np.partition(dist, min_pts, axis=1)[:, min_pts]
         assert idx.core.tobytes() == core.tobytes(), case
         assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
@@ -91,7 +92,7 @@ def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
     pts = np.random.default_rng(4).normal(size=(50, 2))
     assert isinstance(pairwise_distances(pts).base, mmap.mmap)
-    assert isinstance(build_index(pts, 3).dist.base, mmap.mmap)
+    assert isinstance(build_index(as_dataset(pts), 3).dist.base, mmap.mmap)
     assert pairwise_distances(pts[:49]).base is None
 
 
@@ -99,10 +100,10 @@ def test_index_build_holds_one_n_by_n_array(monkeypatch):
     # the output on the traced heap, and no n x n temporary beside it
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
-    pts = np.random.default_rng(3).normal(size=(300, 4))
+    ds = as_dataset(np.random.default_rng(3).normal(size=(300, 4)))
     tracemalloc.start()
     try:
-        build_index(pts, 4)
+        build_index(ds, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -131,11 +132,37 @@ def test_nearest_matches_stable_sort(monkeypatch, rows_per_block):
     assert tied_rows >= 100
 
 
+def test_nearest_center_matches_both_former_loops():
+    # odd cases sit on 0-2 grids, so points repeat and centres tie; every
+    # fifth case has no centre and every fifth one centre
+    rng = np.random.default_rng(89)
+    ties = 0
+    for case in range(500):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        k = case % 5 if case % 5 < 2 else int(rng.integers(2, 12))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+            centers = rng.integers(0, 3, size=(k, d)).astype(float)
+        else:
+            pts = rng.normal(size=(n, d))
+            centers = rng.normal(size=(k, d))
+        index, sq_dist = nearest_center(pts, centers)
+        assert sq_dist.tobytes() == sq_dist_by_minimum(pts, centers).tobytes(), case
+        want = nearest_centroid_by_loop(pts, centers) if k else np.zeros(n, dtype=int)
+        assert index.tobytes() == want.tobytes(), case
+        if k:
+            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties >= 100
+
+
 def test_distances_refuse_overflowing_norms():
     with pytest.raises(ValueError, match="squared norm"):
-        build_index([[1e200, 2e200], [2e200, 3e200], [3e200, 1e200]], 1)
+        build_index(as_dataset([[1e200, 2e200], [2e200, 3e200], [3e200, 1e200]]), 1)
     with pytest.raises(ValueError, match="squared norm"):
-        build_index([[0.0], [np.nan], [1.0]], 1)
+        pairwise_distances([[0.0], [np.nan], [1.0]])
+    with pytest.raises(ValueError, match="finite"):  # no Dataset holds a NaN
+        as_dataset([[0.0], [np.nan], [1.0]])
     with pytest.raises(ValueError, match="squared norm"):
         cross_distances([[0.0]], [[np.inf]])
 
@@ -145,11 +172,11 @@ def test_distances_just_under_the_norm_bound_stay_finite():
     x = np.sqrt(bound)
     while x * x > bound:
         x = np.nextafter(x, 0.0)
-    idx = build_index([[x], [-x], [0.0]], 1)
+    idx = build_index(as_dataset([[x], [-x], [0.0]]), 1)
     assert np.isfinite(idx.dist).all() and np.isfinite(idx.density).all()
     assert idx.dist[0, 1] == pytest.approx(2 * x)
     with pytest.raises(ValueError, match="squared norm"):
-        build_index([[x * 1.001], [0.0]], 1)
+        build_index(as_dataset([[x * 1.001], [0.0]]), 1)
 
 
 def test_index_arrays_are_read_only():
@@ -180,7 +207,7 @@ def test_reach_distance_worked_example():
 def test_reach_distance_is_symmetric_and_dominates_parts():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(25, 2))
-    idx = build_index(pts, 3)
+    idx = build_index(as_dataset(pts), 3)
     for _ in range(100):
         p, q = rng.integers(25, size=2)
         r = reach_distance(idx, int(p), int(q))
@@ -203,7 +230,7 @@ def test_knn_by_rdist_worked_example():
 def test_knn_by_rdist_full_is_permutation_of_others():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(15, 2))
-    idx = build_index(pts, 2)
+    idx = build_index(as_dataset(pts), 2)
     for q in range(15):
         got = knn_by_rdist(idx, q, 14)
         assert sorted(got.tolist()) == [i for i in range(15) if i != q]
@@ -228,7 +255,7 @@ def test_density_reachable_at_reach_distance():
     for _ in range(40):
         pts = rng.normal(size=(int(rng.integers(5, 25)), 2))
         min_pts = int(rng.integers(1, 4))
-        idx = build_index(pts, min_pts)
+        idx = build_index(as_dataset(pts), min_pts)
         p, q = rng.choice(idx.n, size=2, replace=False)
         eps = reach_distance(idx, int(p), int(q))
         assert is_density_reachable(idx, int(p), int(q), eps)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, build_index, default_k, finish, model,
-                      pipeline, prepare, run, sample_labels, tune)
+                      ScoreParams, blend_grid, build_index, default_k, finish, minmax_scale,
+                      model, pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import moons_with_outliers, tune_by_cells
 
@@ -158,13 +158,29 @@ def test_tune_with_a_given_index_matches_its_own():
 
 def test_prepare_and_tune_refuse_a_mismatched_index():
     wrong_min_pts = build_index(BLOBS, 2)
-    wrong_n = build_index(BLOBS.points[:10], 3)
-    for index, match in ((wrong_min_pts, "n=18, min_pts=2; need n=18, min_pts=3"),
-                         (wrong_n, "n=10, min_pts=3; need n=18, min_pts=3")):
+    wrong_n = build_index(Dataset(points=BLOBS.points[:10], truth=BLOBS.truth[:10]), 3)
+    for index, match in ((wrong_min_pts, "index has min_pts=2; need min_pts=3"),
+                         (wrong_n, "built on 10 other points, not the dataset's 18")):
         with pytest.raises(ValueError, match=match):
             prepare(BLOBS, BLOB_LABELS, 3, index=index)
         with pytest.raises(ValueError, match=match):
             tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, index=index)
+
+
+def test_prepare_and_tune_refuse_an_index_on_other_points():
+    # same n, other points: the index of the unscaled data for the scaled data
+    scaled = minmax_scale(BLOBS)
+    foreign = build_index(BLOBS, 3)
+    match = "built on 18 other points, not the dataset's 18"
+    with pytest.raises(ValueError, match=match):
+        prepare(scaled, BLOB_LABELS, 3, index=foreign)
+    with pytest.raises(ValueError, match=match):
+        tune(scaled, tune_labels(), grid_step=0.5, folds=2, index=foreign)
+    # equal points in another array are the same points
+    twin = Dataset(points=BLOBS.points.copy(), truth=BLOBS.truth)
+    got = finish(prepare(twin, BLOB_LABELS, 3, index=foreign), PARAMS)
+    want = finish(prepare(BLOBS, BLOB_LABELS, 3), PARAMS)
+    assert got.outlier_score.tobytes() == want.outlier_score.tobytes()
 
 
 def test_tune_all_tied_prefers_origin():

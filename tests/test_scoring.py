@@ -8,8 +8,8 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
                       build_index, expand, l_score, r_score, run, sim_scores, t_score)
-from oracles import (local_density, random_labelset, random_points, sim_score,
-                     sim_scores_by_broadcast)
+from oracles import (as_dataset, local_density, random_labelset, random_points,
+                     sim_score, sim_scores_by_broadcast)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -41,7 +41,7 @@ def test_r_score_is_one_exactly_on_labeled_normals():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pts = random_points(rng)
-        idx = build_index(pts, 2)
+        idx = build_index(as_dataset(pts), 2)
         labels = random_labelset(rng, idx.n)
         r = r_score(expand(idx, labels)[1])
         for root in labels.normal:
@@ -62,7 +62,7 @@ def test_local_densities_matches_pointwise():
     rng = np.random.default_rng(8)
     for _ in range(10):
         pts = random_points(rng)
-        idx = build_index(pts, int(rng.integers(1, 4)))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, 4)))
         vec = idx.density
         for q in range(idx.n):
             assert vec[q] == pytest.approx(local_density(idx, q), rel=1e-12)
@@ -106,7 +106,8 @@ def test_sim_scores_vector_matches_pointwise():
 
 
 def test_sim_scores_match_broadcast_bytes():
-    # odd cases sit on a 0-2 grid, so distances tie and points repeat
+    # odd cases sit on a 0-2 grid, so distances tie and points repeat; some
+    # cases label no outlier
     rng = np.random.default_rng(13)
     for case in range(400):
         n, d = int(rng.integers(2, 60)), int(rng.integers(1, 40))
@@ -115,7 +116,7 @@ def test_sim_scores_match_broadcast_bytes():
         else:
             pts = rng.normal(size=(n, d))
         ds = Dataset(points=pts, truth=[0] * n)
-        outs = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        outs = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         labels = LabelSet(normal={}, outliers=frozenset(outs.tolist()))
         want = sim_scores_by_broadcast(ds, labels)
         assert sim_scores(ds, labels).tobytes() == want.tobytes(), case
