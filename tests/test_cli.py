@@ -147,6 +147,24 @@ def test_benchmark_matches_single_run(blobs_csv, capsys):
             assert float(row["auc_std"]) == 0.0  # one trial has no spread
 
 
+def test_tuned_benchmark_matches_tuned_run(blobs_csv, capsys):
+    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--seed", "1"]
+    code, out, _ = run_cli(
+        ["run", "--input", blobs_csv, "--label-fraction", "0.5", "--no-timing"]
+        + tune_flags, capsys)
+    assert code == 0
+    single = json.loads(out)
+    code, out, _ = run_cli(
+        ["benchmark", "--input", blobs_csv, "--fractions", "50", "--trials", "1"]
+        + tune_flags, capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert float(row["auc_mean"]) == single["auc"]
+    assert float(row["rand_mean"]) == single["rand_index"]
+    assert float(row["nmi_mean"]) == single["nmi"]
+
+
 def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
     # one index, and one spanning-tree pass, however many trials and folds
     calls, trees = [], []
