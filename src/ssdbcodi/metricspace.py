@@ -59,12 +59,14 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def cross_distances(a, b) -> np.ndarray:
+def cross_distances(a, b, rows=None) -> np.ndarray:
     """Euclidean distances from each row of a to each row of b, computed in
     place in the product a @ b.T (BLAS's symmetric one when b is a).
 
-    Every squared row norm must pass squared_norms, so that every distance
-    is finite.
+    With `rows`, only those rows of the full product (in their order) go on
+    to the elementwise passes: a BLAS product of fewer rows need not have
+    the same bits. Every squared row norm must pass squared_norms, so that
+    every distance is finite.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     sa, sb = squared_norms(a), squared_norms(b)
@@ -75,10 +77,12 @@ def cross_distances(a, b) -> np.ndarray:
         d = np.matmul(a, b.T, out=np.ndarray((a.shape[0], b.shape[0]), buffer=buf))
     else:
         d = a @ b.T
-    for rows in row_blocks(*d.shape):
-        blk = d[rows]
+    if rows is not None:
+        d, sa = d[rows], sa[rows]
+    for blk_rows in row_blocks(*d.shape):
+        blk = d[blk_rows]
         blk *= 2.0
-        np.subtract(sa[rows, None] + sb[None, :], blk, out=blk)
+        np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
     np.maximum(d, 0.0, out=d)
     return np.sqrt(d, out=d)
 

@@ -29,7 +29,8 @@ class TrainingSet:
         weights = np.asarray(self.weights, dtype=float)
         if not indices.shape == classes.shape == weights.shape:
             raise ValueError("indices, classes, and weights must have equal length")
-        if indices.size != np.unique(indices).size:
+        ordered = np.sort(indices, axis=None)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("training indices must be unique")
         if np.any(classes < OUTLIER):
             raise ValueError("classes must be cluster ids or OUTLIER")
@@ -62,16 +63,18 @@ def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingS
     )
 
 
-def neighbours(ts: TrainingSet, points, k_c: int) -> np.ndarray:
+def neighbours(ts: TrainingSet, points, k_c: int, rows=None) -> np.ndarray:
     """Positions in ts of each row's k_c nearest training rows, trained on
-    points[ts.indices]: Euclidean, ties by training-row position."""
+    points[ts.indices]: Euclidean, ties by training-row position. With
+    `rows`, only those rows of points (in their order) are searched; see
+    cross_distances."""
     m = len(ts)
     if m == 0:
         raise ValueError("training set is empty")
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
     points = np.asarray(points, dtype=float)
-    return nearest(cross_distances(points, points[ts.indices]), k_c)
+    return nearest(cross_distances(points, points[ts.indices], rows), k_c)
 
 
 def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
@@ -111,7 +114,9 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """End-to-end output: predictions plus the artifacts that produced them."""
+    """End-to-end output: predictions plus the artifacts that produced them.
+    clusters, outliers and outlier_score follow `finish`'s rows (every point
+    by default); score_table, assignment and training cover every point."""
 
     clusters: np.ndarray
     outliers: np.ndarray

@@ -5,9 +5,10 @@ the spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
 accept ready-made. `prepare` stages one label draw (its expansions, r/sim
 score columns and automatic k, beside the dataset's points); `finish`
 reads only that stage to apply one (alpha, beta) blend, select the
-reliable sets and classify every point, keeping the kNN neighbours per
-training set on the stage. `run` composes the two; `tune` finishes every
-cell on one validation fold's stage before preparing the next.
+reliable sets and classify every point or a given subset of rows, keeping
+the kNN neighbours per training set and rows on the stage. `run` composes
+the two; `tune` finishes every cell on one validation fold's stage,
+classifying only that fold's hidden rows, before preparing the next.
 """
 
 from dataclasses import dataclass, field, replace
@@ -56,7 +57,7 @@ class Prepared:
     """Blend-independent stage of one label draw: the dataset's read-only
     points (not a copy), the assignment, the score table without t_score,
     the k used when PipelineParams.k is None, and `finish`'s kNN neighbours
-    per (k_c, ordered training indices)."""
+    per (k_c, ordered training indices, rows)."""
 
     points: np.ndarray
     assignment: np.ndarray
@@ -90,17 +91,23 @@ def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
     return Prepared(points=ds.points, assignment=assignment, scores=scores, auto_k=auto_k)
 
 
-def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
-    """Blend scores, select reliable sets, and classify every point."""
+def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineResult:
+    """Blend scores, select reliable sets, and classify `rows` (every point
+    when None), each bit for bit as the all-points call would; the per-row
+    fields of the result follow `rows` (see PipelineResult)."""
+    if rows is not None:
+        rows = np.asarray(rows, dtype=int)
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(prepared.points):
+            raise IndexError(f"rows must lie in [0, {len(prepared.points) - 1}]")
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
     ts = select_reliable(prepared.assignment, table, k)
     k_c = min(params.k_c, len(ts))
     # Equal keys mean equal GEMM inputs, so cached neighbours keep every bit.
-    key = (k_c, ts.indices.tobytes())
+    key = (k_c, ts.indices.tobytes(), None if rows is None else rows.tobytes())
     if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, prepared.points, k_c)
+        prepared.neighbours[key] = neighbours(ts, prepared.points, k_c, rows)
     classes, outlier_score = vote(ts, prepared.neighbours[key])
     return PipelineResult(
         clusters=classes,
@@ -145,7 +152,8 @@ def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
 
 
 def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> float | None:
-    """Mean of AUC and Rand index on the hidden labeled points.
+    """Mean of AUC and Rand index on the hidden labeled points, whose rows
+    alone `result` classified, in the order of `hidden`.
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
@@ -154,10 +162,10 @@ def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> f
     truth_outlier = np.array([i in labels.outliers for i in hidden])
     parts = []
     if truth_outlier.any() and not truth_outlier.all():
-        parts.append(auc(result.outlier_score[hidden], truth_outlier))
+        parts.append(auc(result.outlier_score, truth_outlier))
     if len(hidden) >= 2:
         hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
-        parts.append(rand_index(result.clusters[hidden], hidden_truth))
+        parts.append(rand_index(result.clusters, hidden_truth))
     if not parts:
         return None
     return float(np.mean(parts))
@@ -209,7 +217,7 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
         visible = _drop_labels(labels, hidden)
         prepared = prepare(ds, visible, base.score.min_pts, index=index)
         hidden = sorted(hidden)
-        per_fold.append([_fold_objective(finish(prepared, p), hidden, labels)
+        per_fold.append([_fold_objective(finish(prepared, p, hidden), hidden, labels)
                          for p in blends])
 
     grid = []

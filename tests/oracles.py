@@ -8,7 +8,8 @@ tables, pointwise scores and a full sort with a per-row vote loop instead
 of the vectorized scores and the k-pass neighbour selection, one
 broadcast over every centroid instead of a running minimum (the former
 running-minimum loops stay beside it as oracles of their own), and a
-cells-outer tuning loop that searches neighbours afresh for every finish.
+cells-outer tuning loop that searches neighbours afresh for every finish
+and classifies every point before reading the hidden ones.
 The one exception is `classify`, the library's `neighbours` and `vote` in
 one call, which the classifier tests drive.
 """
@@ -20,11 +21,11 @@ import math
 import numpy as np
 
 from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelineParams,
-                      ScoreParams, TrainingSet, TuneReport, UNCLUSTERED, blend_grid,
-                      build_index, finish, prepare)
+                      PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
+                      auc, blend_grid, build_index, finish, prepare, rand_index)
 from ssdbcodi.metricspace import cross_distances
 from ssdbcodi.model import neighbours, vote
-from ssdbcodi.pipeline import _drop_labels, _fold_objective, _fold_partition
+from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
 
 def minimax_closure(weights: np.ndarray) -> np.ndarray:
@@ -523,6 +524,26 @@ def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> np.ndarra
 
 # --- cells outer, every finish uncached: the reference for pipeline.tune ---
 
+def fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> float | None:
+    """Mean of AUC and Rand index on the hidden labeled points, read from a
+    result that classified every point.
+
+    AUC scores the hidden outlier indicator; it needs both an outlier and
+    a normal among the hidden points, otherwise the Rand index stands
+    alone. Returns None when neither metric is computable.
+    """
+    truth_outlier = np.array([i in labels.outliers for i in hidden])
+    parts = []
+    if truth_outlier.any() and not truth_outlier.all():
+        parts.append(auc(result.outlier_score[hidden], truth_outlier))
+    if len(hidden) >= 2:
+        hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
+        parts.append(rand_index(result.clusters[hidden], hidden_truth))
+    if not parts:
+        return None
+    return float(np.mean(parts))
+
+
 def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
                   seed: int = 0, params: PipelineParams | None = None,
                   index: NeighborhoodIndex | None = None) -> TuneReport:
@@ -554,7 +575,7 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         objectives = []
         for prepared, hidden in stages:
             result = finish(replace(prepared), cell)
-            obj = _fold_objective(result, hidden, labels)
+            obj = fold_objective(result, hidden, labels)
             if obj is not None:
                 objectives.append(obj)
         if not objectives:

@@ -81,6 +81,10 @@ def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_byte
         feats = pts[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
         assert (cross_distances(pts, feats).tobytes()
                 == distances_by_expression(pts, feats).tobytes()), case
+        # rows of the full product, unsorted and repeated, from a stream of their own
+        rows = np.random.default_rng(case).integers(n, size=n // 2 + 1)
+        assert (cross_distances(pts, feats, rows).tobytes()
+                == distances_by_expression(pts, feats)[rows].tobytes()), case
         min_pts = int(rng.integers(1, n))
         idx = build_index(as_dataset(pts), min_pts)
         core = np.partition(dist, min_pts, axis=1)[:, min_pts]

@@ -25,8 +25,10 @@ def make_scores(r, t):
 def test_training_set_validation():
     with pytest.raises(ValueError, match="equal length"):
         TrainingSet(indices=[0, 1], classes=[0], weights=[0.5, 0.5])
-    with pytest.raises(ValueError, match="unique"):
-        TrainingSet(indices=[0, 0], classes=[0, 1], weights=[0.5, 0.5])
+    for indices in ([0, 0], [3, 1, 3], [-1, 2, -1]):  # adjacent, apart, negative
+        with pytest.raises(ValueError, match="unique"):
+            TrainingSet(indices=indices, classes=[0] * len(indices),
+                        weights=[0.5] * len(indices))
     with pytest.raises(ValueError, match="cluster ids or OUTLIER"):
         TrainingSet(indices=[0], classes=[-2], weights=[0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):

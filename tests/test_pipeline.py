@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour and blend-weight tuning."""
 
+from dataclasses import replace
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, blend_grid, build_index, default_k, finish, minmax_scale,
                       model, pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
-from oracles import moons_with_outliers, tune_by_cells
+from oracles import fold_objective, moons_with_outliers, tune_by_cells
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -129,9 +130,6 @@ def test_tune_is_deterministic():
 def test_tune_matches_unshared_recomputation():
     base = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=3), k_c=1)
     report = tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, seed=0, params=base)
-    from dataclasses import replace
-
-    from ssdbcodi.pipeline import _fold_objective
     alpha, beta = report.best
     cell = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
     objectives = []
@@ -139,7 +137,7 @@ def test_tune_matches_unshared_recomputation():
         visible = _drop_labels(tune_labels(), hidden)
         prepared = prepare(BLOBS, visible, base.score.min_pts)  # fresh index
         result = finish(prepared, cell)
-        obj = _fold_objective(result, sorted(hidden), tune_labels())
+        obj = fold_objective(result, sorted(hidden), tune_labels())
         if obj is not None:
             objectives.append(obj)
     want = float(np.mean(objectives))
@@ -237,14 +235,22 @@ def test_prepared_stage_owns_points_and_auto_k():
     assert with_outliers >= 2
 
 
+def test_finish_refuses_rows_outside_the_dataset():
+    prepared = prepare(BLOBS, BLOB_LABELS, 3)
+    for rows in ([0, -1], [3, BLOBS.n]):
+        with pytest.raises(IndexError, match=r"rows must lie in \[0, 17\]"):
+            finish(prepared, PARAMS, rows)
+    assert finish(prepared, PARAMS, [17, 0]).clusters.shape == (2,)
+
+
 def counted_cross_distances(monkeypatch) -> list:
     """Replace the classifier's distance pass with one that records its calls."""
     calls = []
     real = model.cross_distances
 
-    def counting(a, b):
+    def counting(a, b, rows=None):
         calls.append(b.shape[0])
-        return real(a, b)
+        return real(a, b, rows)
 
     monkeypatch.setattr(model, "cross_distances", counting)
     return calls
@@ -272,21 +278,31 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     labels = sample_labels(ds, 0.1, seed=5)
     index = build_index(ds, 3)
     calls = counted_cross_distances(monkeypatch)
-    finished = []
-    real_finish = pipeline.finish
+    finished, voted = [], []
+    real_finish, real_vote = pipeline.finish, pipeline.vote
 
-    def recording(prepared, params):
-        result = real_finish(prepared, params)
-        finished.append((prepared, result.k_c, result.training.indices.tobytes()))
+    def recording(prepared, params, rows=None):
+        result = real_finish(prepared, params, rows)
+        finished.append((prepared, result.k_c, result.training.indices.tobytes(), rows))
         return result
 
+    def counting_vote(ts, nbrs):
+        voted.append(nbrs.shape[0])
+        return real_vote(ts, nbrs)
+
     monkeypatch.setattr(pipeline, "finish", recording)
+    monkeypatch.setattr(pipeline, "vote", counting_vote)
     tune(ds, labels, grid_step=0.2, folds=5, seed=5, index=index,
          params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
     # Holding every stage keeps their ids distinct.
-    distinct = {(id(prepared), k_c, key) for prepared, k_c, key in finished}
+    distinct = {(id(prepared), k_c, key) for prepared, k_c, key, _ in finished}
     assert len(finished) == 5 * len(blend_grid(0.2))
     assert len(calls) == len(distinct) < len(finished)
+    # Each fold's finishes classify exactly its hidden rows, sorted.
+    hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
+    assert [list(rows) for *_, rows in finished] == [
+        h for h in hidden for _ in blend_grid(0.2)]
+    assert voted == [len(rows) for *_, rows in finished]
 
 
 def fuzz_tune_case(rng):
@@ -307,6 +323,36 @@ def fuzz_tune_case(rng):
     grid_step = float(rng.choice([0.5, 0.25, 0.2, 0.1], p=[0.4, 0.35, 0.2, 0.05]))
     return ds, labels, dict(grid_step=grid_step, folds=folds, seed=int(rng.integers(100)),
                             params=params)
+
+
+def test_finish_on_rows_matches_all_rows_indexed():
+    rng = np.random.default_rng(41)
+    compared = explicit = clamped = 0
+    for case in range(120):
+        ds, labels, kwargs = fuzz_tune_case(rng)
+        base = kwargs["params"]
+        prepared = prepare(ds, labels, base.score.min_pts)
+        chosen = rng.choice(ds.n, size=int(rng.integers(1, ds.n + 1)), replace=False)
+        repeated = [int(rng.integers(ds.n))] * 2 + [int(chosen[0])]
+        for rows in (np.sort(chosen), chosen, repeated):
+            for alpha, beta in blend_grid(0.5):
+                p = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
+                try:
+                    want = finish(prepared, p)
+                except ValueError as exc:  # an explicit k above the unclustered count
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        finish(prepared, p, rows)
+                    continue
+                got = finish(prepared, p, rows)
+                for attr in ("clusters", "outliers", "outlier_score"):
+                    assert (getattr(got, attr).tobytes()
+                            == getattr(want, attr)[rows].tobytes()), (case, attr)
+                assert got.training.indices.tobytes() == want.training.indices.tobytes()
+                assert got.k_c == want.k_c
+                compared += 1
+                explicit += p.k is not None
+                clamped += p.k_c > len(want.training)
+    assert compared >= 2000 and explicit >= 900 and clamped >= 400, (compared, explicit, clamped)
 
 
 def test_tune_matches_cells_outer_oracle():
