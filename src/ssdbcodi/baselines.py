@@ -1,16 +1,18 @@
 """Reference algorithms for comparison: DBSCAN, k-means, LOF, and the
 terminating-expansion clusterer with a nearest-neighbour fallback.
 
-DBSCAN and LOF read a square distance matrix, k-means a Dataset; all of
-them are deterministic given their inputs (and seed, for k-means). The
-clusterers return a cluster id per point, LOF a score per point.
+DBSCAN and LOF read a square distance matrix, k-means a Dataset and the
+fallback clusterer a NeighborhoodIndex; all of them are deterministic
+given their inputs (and seed, for k-means). The clusterers return a
+cluster id per point, LOF a score per point.
 """
 
 import numpy as np
 
 from .dataset import Dataset
 from .expansion import UNCLUSTERED, expand
-from .metricspace import NeighborhoodIndex, nearest, nearest_center, squared_norms
+from .metricspace import (NeighborhoodIndex, nearest, nearest_center, pairwise_distances,
+                          squared_norms)
 
 # Cluster id for points no cluster claimed.
 NOISE = -1
@@ -130,12 +132,13 @@ def lof(dist, k: int) -> np.ndarray:
 
 def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> np.ndarray:
     """Terminating-expansion clustering with leftovers joined to the
-    cluster of their nearest clustered point (ties to the smaller index)."""
+    cluster of their nearest clustered point (ties to the smaller index), by
+    pairwise_distances(idx.points): a submatrix of its own could flip a near-tie."""
     assign = expand(idx, labels)[0].copy()
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     if unclustered.size and clustered.size:
-        sub = idx.dist[np.ix_(unclustered, clustered)]
+        sub = pairwise_distances(idx.points)[np.ix_(unclustered, clustered)]
         closest = clustered[np.argmin(sub, axis=1)]
         assign[unclustered] = assign[closest]
     return assign

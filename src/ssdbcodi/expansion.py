@@ -14,7 +14,7 @@ is the expansion cut back at its largest edge.
 
 import numpy as np
 
-from .dataset import LabelSet, OUTLIER
+from .dataset import LabelSet, OUTLIER, point_indices
 from .metricspace import NeighborhoodIndex
 
 # Assignment value for points no back-trace claimed.
@@ -42,9 +42,7 @@ def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
     members; the smaller component is then folded into the larger, so a
     point changes component O(log n) times.
     """
-    roots = np.asarray(roots, dtype=int)
-    if roots.size and not 0 <= roots.min() <= roots.max() < idx.n:
-        raise IndexError(f"root indices must lie in [0, {idx.n - 1}]")
+    roots = point_indices(roots, idx.n, "root indices")
     mm = np.zeros((roots.size, idx.n))
     comp = list(range(idx.n))
     members = [[p] for p in range(idx.n)]

@@ -2,7 +2,7 @@
 distances, local densities, and the reachability graph's spanning tree.
 
 The n x n passes work in place in their output or in row blocks, so each
-holds one large array at a time.
+holds one large array at a time; an index keeps none of them.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -18,12 +18,12 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class NeighborhoodIndex:
-    """Its dataset's points, dense distances, core distances, local densities
-    (l_score's input) and the reachability graph's minimum spanning tree as
-    (u, v, w) arrays of its n - 1 edges sorted stably by weight; read-only."""
+    """Its dataset's points, core distances, local densities (l_score's
+    input) and the reachability graph's minimum spanning tree as (u, v, w)
+    arrays of its n - 1 edges sorted stably by weight; read-only. It keeps
+    no distance matrix: pairwise_distances(points) gives its bits again."""
 
     points: np.ndarray
-    dist: np.ndarray
     core: np.ndarray
     density: np.ndarray
     tree: tuple
@@ -65,11 +65,12 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
 
     With `rows`, only those rows of the full product (in their order) go on
     to the elementwise passes: a BLAS product of fewer rows need not have
-    the same bits. Every squared row norm must pass squared_norms, so that
-    every distance is finite.
+    the same bits. The squared norms of b's rows and of the rows of a kept
+    must pass squared_norms, so that every distance kept is finite.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sa, sb = squared_norms(a), squared_norms(b)
+    sa = squared_norms(a if rows is None else a[rows])
+    sb = squared_norms(b)
     nbytes = 8 * a.shape[0] * b.shape[0]
     if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
@@ -78,7 +79,7 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     else:
         d = a @ b.T
     if rows is not None:
-        d, sa = d[rows], sa[rows]
+        d = d[rows]
     for blk_rows in row_blocks(*d.shape):
         blk = d[blk_rows]
         blk *= 2.0
@@ -157,8 +158,9 @@ def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
 
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
-    """Build the distance matrix, core distances, local densities and spanning
-    tree over the dataset's points. Requires n >= 2 and 1 <= min_pts <= n - 1.
+    """Core distances, local densities and spanning tree over the dataset's
+    points, all read from one distance matrix that is freed on return.
+    Requires n >= 2 and 1 <= min_pts <= n - 1.
     """
     n = ds.n
     if n < 2:
@@ -181,7 +183,7 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     u, v, w = _spanning_tree(dist, core)
     order = np.argsort(w, kind="stable")
     tree = (u[order], v[order], w[order])
-    for arr in (dist, core, density) + tree:
+    for arr in (core, density) + tree:
         arr.flags.writeable = False
-    return NeighborhoodIndex(points=ds.points, dist=dist, core=core, density=density,
-                             tree=tree, min_pts=int(min_pts))
+    return NeighborhoodIndex(points=ds.points, core=core, density=density, tree=tree,
+                             min_pts=int(min_pts))

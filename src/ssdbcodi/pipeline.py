@@ -1,7 +1,7 @@
 """End-to-end orchestration and cross-validated blend-weight tuning.
 
-The label-independent work (distances, core distances, local densities,
-the spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
+The label-independent work (core distances, local densities, the
+spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
 accept ready-made. `prepare` stages one label draw (its expansions, r/sim
 score columns and automatic k, beside the dataset's points); `finish`
 reads only that stage to apply one (alpha, beta) blend, select the
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, LabelSet, OUTLIER, round_half_up
+from .dataset import Dataset, LabelSet, OUTLIER, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
@@ -96,9 +96,7 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
     when None), each bit for bit as the all-points call would; the per-row
     fields of the result follow `rows` (see PipelineResult)."""
     if rows is not None:
-        rows = np.asarray(rows, dtype=int)
-        if rows.size and not 0 <= rows.min() <= rows.max() < len(prepared.points):
-            raise IndexError(f"rows must lie in [0, {len(prepared.points) - 1}]")
+        rows = point_indices(rows, len(prepared.points), "rows")
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k

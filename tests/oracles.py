@@ -7,9 +7,10 @@ pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
 of the vectorized scores and the k-pass neighbour selection, one
 broadcast over every centroid instead of a running minimum (the former
-running-minimum loops stay beside it as oracles of their own), and a
+running-minimum loops stay beside it as oracles of their own), a
 cells-outer tuning loop that searches neighbours afresh for every finish
-and classifies every point before reading the hidden ones.
+and classifies every point before reading the hidden ones, and a
+fallback clusterer handed its distance matrix instead of recomputing it.
 The one exception is `classify`, the library's `neighbours` and `vote` in
 one call, which the classifier tests drive.
 """
@@ -22,7 +23,8 @@ import numpy as np
 
 from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelineParams,
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
-                      auc, blend_grid, build_index, finish, prepare, rand_index)
+                      auc, blend_grid, build_index, expand, finish, pairwise_distances,
+                      prepare, rand_index)
 from ssdbcodi.metricspace import cross_distances
 from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
@@ -178,12 +180,12 @@ def reach_distance(idx: NeighborhoodIndex, p: int, q: int) -> float:
     are directly density-reachable from each other."""
     _check_point(idx, p)
     _check_point(idx, q)
-    return float(max(idx.core[p], idx.core[q], idx.dist[p, q]))
+    return float(max(idx.core[p], idx.core[q], pairwise_distances(idx.points)[p, q]))
 
 
 def rdist_matrix(idx: NeighborhoodIndex) -> np.ndarray:
     """Full n x n reachability matrix (diagonal holds the core distances)."""
-    return np.maximum(np.maximum.outer(idx.core, idx.core), idx.dist)
+    return np.maximum(np.maximum.outer(idx.core, idx.core), pairwise_distances(idx.points))
 
 
 def is_density_reachable(idx: NeighborhoodIndex, p: int, q: int, epsilon: float) -> bool:
@@ -198,13 +200,14 @@ def is_density_reachable(idx: NeighborhoodIndex, p: int, q: int, epsilon: float)
     core_ok = idx.core <= epsilon
     if not (core_ok[p] and core_ok[q]):
         return False
+    dist = pairwise_distances(idx.points)
     visited = np.zeros(idx.n, dtype=bool)
     visited[p] = True
     frontier = np.array([p])
     while frontier.size:
         if visited[q]:
             return True
-        reached = (idx.dist[frontier] <= epsilon).any(axis=0) & core_ok & ~visited
+        reached = (dist[frontier] <= epsilon).any(axis=0) & core_ok & ~visited
         frontier = np.flatnonzero(reached)
         visited[frontier] = True
     return bool(visited[q])
@@ -216,7 +219,7 @@ def rdist_row(idx: NeighborhoodIndex, p: int) -> np.ndarray:
     """Reachability from p to every point; entry p itself equals core(p)."""
     if not 0 <= p < idx.n:
         raise IndexError(f"point index {p} out of range for n={idx.n}")
-    return np.maximum(np.maximum(idx.core, idx.core[p]), idx.dist[p])
+    return np.maximum(np.maximum(idx.core, idx.core[p]), pairwise_distances(idx.points)[p])
 
 
 def knn_by_rdist(idx: NeighborhoodIndex, q: int, m: int) -> np.ndarray:
@@ -429,6 +432,7 @@ def prim_expand(idx: NeighborhoodIndex, root: int, labels: LabelSet,
         raise ValueError(f"expansion root {root} must be a labeled normal point")
     lab = _user_labels(labels, n)
     root_label = lab[root]
+    dist = pairwise_distances(idx.points)
 
     keys = np.full(n, np.inf)
     keys[root] = 0.0
@@ -450,7 +454,7 @@ def prim_expand(idx: NeighborhoodIndex, root: int, labels: LabelSet,
             boundary_pos = step
             if terminate:
                 break
-        rd = np.maximum(np.maximum(idx.core, idx.core[q]), idx.dist[q])
+        rd = np.maximum(np.maximum(idx.core, idx.core[q]), dist[q])
         np.minimum(keys, rd, out=keys, where=~in_tree)
 
     prefix.flags.writeable = False
@@ -520,6 +524,20 @@ def emax_over_roots(records) -> np.ndarray:
 def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> np.ndarray:
     """Terminating expansions from every labeled normal root, back-traced and merged."""
     return combine_backtraces(expand_all(idx, labels, terminate=True), labels, idx.n)
+
+
+def ssdbscan_with_fallback_by_matrix(dist: np.ndarray, idx: NeighborhoodIndex,
+                                     labels: LabelSet) -> np.ndarray:
+    """The fallback clusterer reading leftovers' distances from a given
+    matrix, as it did when the index kept its own."""
+    assign = expand(idx, labels)[0].copy()
+    unclustered = np.flatnonzero(assign == UNCLUSTERED)
+    clustered = np.flatnonzero(assign != UNCLUSTERED)
+    if unclustered.size and clustered.size:
+        sub = dist[np.ix_(unclustered, clustered)]
+        closest = clustered[np.argmin(sub, axis=1)]
+        assign[unclustered] = assign[closest]
+    return assign
 
 
 # --- cells outer, every finish uncached: the reference for pipeline.tune ---

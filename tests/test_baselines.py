@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, baselines, build_index,
-                      dbscan, kmeans, lof, rand_index, ssdbscan_with_fallback)
+                      dbscan, expand, kmeans, lof, pairwise_distances, rand_index,
+                      ssdbscan_with_fallback)
 from ssdbcodi.metricspace import nearest_center
-from oracles import as_dataset, lof_by_sort, nearest_centroid_by_broadcast
+from oracles import (as_dataset, lof_by_sort, nearest_centroid_by_broadcast, random_labelset,
+                     ssdbscan_with_fallback_by_matrix)
 
 
 def euclidean(pts):
@@ -213,7 +215,7 @@ def test_lof_validation_and_index_input():
         lof(dist, k=0)
     with pytest.raises(ValueError, match="k must be"):
         lof(dist, k=3)
-    # an index is no distance matrix: pass its .dist
+    # an index is no distance matrix: pass pairwise_distances(idx.points)
     idx = build_index(Dataset(points=[[0.0], [1.0], [2.0], [10.0]], truth=[0] * 4), 2)
     with pytest.raises(TypeError):
         lof(idx, k=2)
@@ -261,10 +263,10 @@ def test_lof_matches_sort_oracle_bytes():
             pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
         else:
             pts = rng.normal(size=(n, int(rng.integers(1, 4))))
-        idx = build_index(as_dataset(pts), 1)
+        dist = pairwise_distances(pts)
         k = int(rng.integers(1, n)) if case % 10 else n - 1
-        got = lof(idx.dist, k=k)
-        assert got.tobytes() == lof_by_sort(idx.dist, k).tobytes(), case
+        got = lof(dist, k=k)
+        assert got.tobytes() == lof_by_sort(dist, k).tobytes(), case
 
 
 def test_lof_refuses_non_finite_distances():
@@ -278,7 +280,7 @@ def test_lof_refuses_non_finite_distances():
 
 
 def test_lof_holds_one_distance_copy():
-    dist = build_index(as_dataset(np.random.default_rng(73).normal(size=(300, 3))), 1).dist
+    dist = pairwise_distances(np.random.default_rng(73).normal(size=(300, 3)))
     tracemalloc.start()
     try:
         lof(dist, k=5)
@@ -306,3 +308,27 @@ def test_fallback_leaves_full_clusterings_alone():
     out = ssdbscan_with_fallback(idx, labels)
     assert out.tolist() == [0, 0, 0]
 
+
+
+def test_fallback_matches_the_index_matrix_route():
+    # odd cases sit on 0-2 grids, where leftovers often have several
+    # equidistant nearest clustered points and the smaller index must win
+    rng = np.random.default_rng(97)
+    tied = 0
+    for case in range(240):
+        n = int(rng.integers(3, 80))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+        else:
+            pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, min(4, n - 1) + 1)))
+        labels = random_labelset(rng, n)
+        dist = pairwise_distances(pts)
+        want = ssdbscan_with_fallback_by_matrix(dist, idx, labels)
+        assert ssdbscan_with_fallback(idx, labels).tobytes() == want.tobytes(), case
+        assign = expand(idx, labels)[0]
+        leftover, clustered = assign == UNCLUSTERED, assign != UNCLUSTERED
+        if clustered.any():
+            sub = dist[np.ix_(leftover, clustered)]
+            tied += int(((sub == sub.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert tied >= 50

@@ -7,7 +7,8 @@ must reproduce their assignment and emax bit for bit.
 import numpy as np
 import pytest
 
-from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows
+from ssdbcodi import (Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows,
+                      pairwise_distances)
 from ssdbcodi.metricspace import _spanning_tree
 from oracles import (ExpansionRecord, as_dataset, back_trace, combine_backtraces,
                      emax_over_roots, expand_all, minimax_closure, mst_weights_by_kruskal,
@@ -205,7 +206,7 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
         n = int(rng.integers(2, 60)) if case % 3 else int(rng.integers(100, 160))
         pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
         idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
-        u, v, w = _spanning_tree(idx.dist, idx.core)
+        u, v, w = _spanning_tree(pairwise_distances(pts), idx.core)
         assert np.array_equal(np.sort(w), mst_weights_by_kruskal(rdist_matrix(idx)))
         # the index stores this tree's edges, sorted stably by weight
         order = np.argsort(w, kind="stable")

@@ -96,7 +96,6 @@ def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
     pts = np.random.default_rng(4).normal(size=(50, 2))
     assert isinstance(pairwise_distances(pts).base, mmap.mmap)
-    assert isinstance(build_index(as_dataset(pts), 3).dist.base, mmap.mmap)
     assert pairwise_distances(pts[:49]).base is None
 
 
@@ -112,6 +111,19 @@ def test_index_build_holds_one_n_by_n_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 8 * 300 * 300 <= peak < 1.2 * 8 * 300 * 300
+
+
+def test_index_keeps_no_n_by_n_array(monkeypatch):
+    # what the returned index still holds, not the build's peak
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    ds = as_dataset(np.random.default_rng(3).normal(size=(300, 4)))
+    tracemalloc.start()
+    try:
+        idx = build_index(ds, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert idx.n == 300 and held < 8 * 300 * 300 / 4
 
 
 @pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
@@ -177,8 +189,9 @@ def test_distances_just_under_the_norm_bound_stay_finite():
     while x * x > bound:
         x = np.nextafter(x, 0.0)
     idx = build_index(as_dataset([[x], [-x], [0.0]]), 1)
-    assert np.isfinite(idx.dist).all() and np.isfinite(idx.density).all()
-    assert idx.dist[0, 1] == pytest.approx(2 * x)
+    dist = pairwise_distances(idx.points)
+    assert np.isfinite(dist).all() and np.isfinite(idx.density).all()
+    assert dist[0, 1] == pytest.approx(2 * x)
     with pytest.raises(ValueError, match="squared norm"):
         build_index(as_dataset([[x * 1.001], [0.0]]), 1)
 
@@ -186,7 +199,7 @@ def test_distances_just_under_the_norm_bound_stay_finite():
 def test_index_arrays_are_read_only():
     idx = build_index(LINE, 2)
     assert len(idx.tree) == 3
-    for arr in (idx.dist, idx.core, idx.density) + idx.tree:
+    for arr in (idx.core, idx.density) + idx.tree:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -212,11 +225,12 @@ def test_reach_distance_is_symmetric_and_dominates_parts():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(25, 2))
     idx = build_index(as_dataset(pts), 3)
+    dist = pairwise_distances(pts)
     for _ in range(100):
         p, q = rng.integers(25, size=2)
         r = reach_distance(idx, int(p), int(q))
         assert r == reach_distance(idx, int(q), int(p))
-        assert r >= idx.dist[p, q]
+        assert r >= dist[p, q]
         assert r >= idx.core[p] and r >= idx.core[q]
 
 
@@ -284,6 +298,6 @@ def test_density_reachable_needs_an_intermediate_chain():
     ds = Dataset(points=[[-0.2], [0.0], [9.0], [9.2]], truth=[0, 0, 0, 0])
     idx = build_index(ds, 1)
     eps = reach_distance(idx, 1, 2)
-    assert idx.dist[1, 2] == eps  # the gap strictly dominates both cores
+    assert pairwise_distances(idx.points)[1, 2] == eps  # the gap strictly dominates both cores
     assert is_density_reachable(idx, 1, 2, eps)
     assert not is_density_reachable(idx, 1, 2, eps * (1 - 1e-6))
