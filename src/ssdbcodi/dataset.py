@@ -95,15 +95,21 @@ class LabelSet:
             raise ValueError(f"label indices out of range for n={n}: {bad[:5]}")
 
 
-def point_indices(values, n: int, name: str) -> np.ndarray:
-    """values as a 1-D int array of indices in [0, n); floats, booleans and
-    other shapes are refused, not cast (an empty sequence is fine)."""
+def int_vector(values, name: str) -> np.ndarray:
+    """values as a 1-D int array; floats, booleans and other shapes are
+    refused, not cast (an empty sequence is fine)."""
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
         raise ValueError(f"{name} must be a 1-D sequence of integers")
+    return arr.astype(int, copy=False)
+
+
+def point_indices(values, n: int, name: str) -> np.ndarray:
+    """values as an int_vector of indices in [0, n)."""
+    arr = int_vector(values, name)
     if arr.size and not 0 <= arr.min() <= arr.max() < n:
         raise IndexError(f"{name} must lie in [0, {n - 1}]")
-    return arr.astype(int, copy=False)
+    return arr
 
 
 def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> Dataset:

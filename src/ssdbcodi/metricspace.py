@@ -1,14 +1,16 @@
 """Pairwise and cross distances, k-nearest and nearest-centre selection, core
 distances, local densities, and the reachability graph's spanning tree.
 
-The n x n passes work in place in their output or in row blocks, so each
-holds one large array at a time; an index keeps none of them.
+The n x n passes work in place in their output, in row blocks or (to make
+the pairwise matrix symmetric) in square tile pairs, so each holds one large
+array at a time; an index keeps none of them.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
 from dataclasses import dataclass
+import math
 import mmap
 
 import numpy as np
@@ -35,11 +37,12 @@ class NeighborhoodIndex:
 
 
 # Each n x n pass holds one large array, its output, and works in row blocks
-# of BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get
-# an anonymous map of their own, unmapped when freed: in the C heap each
-# would leave a hole that smaller allocations split before the next output
-# arrives, so a long-running process's resident peak would drift with its
-# allocation history by up to one output.
+# of BLOCK_BYTES, or in pairs of square tiles that together fit it. Outputs
+# from MAPPED_BYTES on (numpy's huge-page size) get an anonymous map of their
+# own, unmapped when freed: in the C heap each would leave a hole that
+# smaller allocations split before the next output arrives, so a
+# long-running process's resident peak would drift with its allocation
+# history by up to one output.
 BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
 
 
@@ -69,8 +72,8 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     must pass squared_norms, so that every distance kept is finite.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sa = squared_norms(a if rows is None else a[rows])
     sb = squared_norms(b)
+    sa = sb if a is b and rows is None else squared_norms(a if rows is None else a[rows])
     nbytes = 8 * a.shape[0] * b.shape[0]
     if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
@@ -84,8 +87,9 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
         blk = d[blk_rows]
         blk *= 2.0
         np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
-    np.maximum(d, 0.0, out=d)
-    return np.sqrt(d, out=d)
+        np.maximum(blk, 0.0, out=blk)
+        np.sqrt(blk, out=blk)
+    return d
 
 
 def nearest(d: np.ndarray, k: int) -> np.ndarray:
@@ -119,11 +123,22 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
 
 
 def pairwise_distances(points) -> np.ndarray:
-    """Exactly symmetric Euclidean distance matrix with a zero diagonal."""
+    """Exactly symmetric Euclidean distance matrix with a zero diagonal.
+
+    BLAS output is not guaranteed symmetric, so each entry becomes the max
+    of itself and its mirror, one pair of square tiles at a time: tile (i, j)
+    takes the max with the transpose of tile (j, i), which then copies it
+    back. The two tiles together fit BLOCK_BYTES, so the transposed reads
+    stay inside one small tile instead of running down whole columns.
+    """
     pts = np.asarray(points, dtype=float)
     d = cross_distances(pts, pts)
-    for rows in row_blocks(*d.shape):  # BLAS output is not guaranteed symmetric
-        np.maximum(d[rows], d[:, rows].T, out=d[rows])
+    side = max(1, math.isqrt(BLOCK_BYTES // 16))
+    for i in range(0, d.shape[0], side):
+        for j in range(0, i + 1, side):
+            x, y = d[i:i + side, j:j + side], d[j:j + side, i:i + side]
+            np.maximum(x, y.T, out=x)
+            y[...] = x.T
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -176,7 +191,8 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     # The density is the mean of each row's min_pts smallest off-diagonal
     # reachabilities max(core_p, core_q, dist_pq).
     for rows in blocks:
-        blk = np.maximum(np.maximum.outer(core[rows], core), dist[rows])
+        blk = np.maximum(dist[rows], core)
+        np.maximum(blk, core[rows, None], out=blk)
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)

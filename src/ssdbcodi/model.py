@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import OUTLIER
+from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
 from .metricspace import cross_distances, nearest
 from .scoring import ScoreTable
@@ -24,8 +24,8 @@ class TrainingSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=int)
-        classes = np.asarray(self.classes, dtype=int)
+        indices = int_vector(self.indices, "training indices")
+        classes = int_vector(self.classes, "training classes")
         weights = np.asarray(self.weights, dtype=float)
         if not indices.shape == classes.shape == weights.shape:
             raise ValueError("indices, classes, and weights must have equal length")

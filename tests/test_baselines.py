@@ -332,3 +332,35 @@ def test_fallback_matches_the_index_matrix_route():
             sub = dist[np.ix_(leftover, clustered)]
             tied += int(((sub == sub.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
     assert tied >= 50
+
+
+def test_fallback_reads_the_whole_pairwise_matrix_once(monkeypatch):
+    # host-independent guard on the route: a submatrix of its own (say
+    # cross_distances of leftovers to clustered points) gives other bits on
+    # some hosts, so the fallback must read pairwise_distances(idx.points)
+    # itself, once, and only when there is a leftover to join
+    calls = []
+
+    def recording(points):
+        calls.append(points)
+        return pairwise_distances(points)
+
+    monkeypatch.setattr(baselines, "pairwise_distances", recording)
+    rng = np.random.default_rng(98)
+    seen = {True: 0, False: 0}
+    for case in range(120):
+        n = int(rng.integers(3, 40))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            pts = rng.normal(size=(n, 2))
+        idx = build_index(as_dataset(pts), int(rng.integers(1, min(4, n - 1) + 1)))
+        labels = random_labelset(rng, n)
+        assign = expand(idx, labels)[0]
+        assert (assign != UNCLUSTERED).any(), case  # every labeled normal is clustered
+        joins = bool((assign == UNCLUSTERED).any())
+        calls.clear()
+        ssdbscan_with_fallback(idx, labels)
+        assert len(calls) == joins and all(c is idx.points for c in calls), case
+        seen[joins] += 1
+    assert min(seen.values()) >= 20, seen

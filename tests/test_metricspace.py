@@ -92,6 +92,21 @@ def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_byte
         assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
 
 
+@pytest.mark.parametrize("block_bytes", [8, 16 * 7 * 7, 1 << 20])
+def test_tile_pass_takes_the_max_with_the_transpose(monkeypatch, block_bytes):
+    # GEMM output is already symmetric, so the tiles get a matrix that is
+    # not: tiles 1 wide, 7 wide (no n here is a multiple of 7) and one tile
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 13, 30, 50):
+        raw = rng.random((n, n))
+        raw[rng.random((n, n)) < 0.2] = 0.5  # some mirrored pairs tie
+        monkeypatch.setattr(metricspace, "cross_distances", lambda a, b: raw.copy())
+        want = np.maximum(raw, raw.T)
+        np.fill_diagonal(want, 0.0)
+        assert pairwise_distances(np.zeros((n, 1))).tobytes() == want.tobytes(), n
+
+
 def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
     pts = np.random.default_rng(4).normal(size=(50, 2))

@@ -33,6 +33,15 @@ def test_training_set_validation():
         TrainingSet(indices=[0], classes=[-2], weights=[0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         TrainingSet(indices=[0], classes=[0], weights=[1.5])
+    # floats, booleans and 2-D input are refused, not cast
+    for bad in ([0.9, 1.5], [True, False], [[0, 1]], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="training indices must be a 1-D sequence"):
+            TrainingSet(indices=bad, classes=[0, 1], weights=[1.0, 1.0])
+        with pytest.raises(ValueError, match="training classes must be a 1-D sequence"):
+            TrainingSet(indices=[0, 1], classes=bad, weights=[1.0, 1.0])
+    ts = TrainingSet(indices=np.array([3, 1], dtype=np.int32), classes=[0, OUTLIER],
+                     weights=[1.0, 0.25])
+    assert ts.indices.dtype == int
     ts = TrainingSet(indices=[3, 1], classes=[0, OUTLIER], weights=[1.0, 0.25])
     assert len(ts) == 2
     assert (ts.indices.tolist(), ts.classes.tolist(), ts.weights.tolist()) == (
