@@ -4,17 +4,15 @@ An expansion from a labeled normal root attaches the cheapest unclaimed
 point next over the complete reachability graph. The running maximum of
 attachment keys when q joins is the minimax reachability path value
 mm(root, q): the largest edge on the root-q path of a minimum spanning
-tree of that graph. One tree therefore serves every root: `build_index`
-stores it on the index, and a Kruskal sweep over its edges in ascending weight
-merges components small-to-large, writing each edge's weight between the
-roots on one side and the points on the other. Each root keeps the points
-it reaches more cheaply than its first differently-labeled point, which
-is the expansion cut back at its largest edge.
+tree of that graph, which is the largest key between root and q on the
+tree's reachability plot (`NeighborhoodIndex.order` and `gap`). Each root
+keeps the points it reaches more cheaply than its first differently-labeled
+point, which is the expansion cut back at its largest edge.
 """
 
 import numpy as np
 
-from .dataset import LabelSet, OUTLIER, point_indices
+from .dataset import LabelSet, OUTLIER
 from .metricspace import NeighborhoodIndex
 
 # Assignment value for points no back-trace claimed.
@@ -23,47 +21,19 @@ UNCLUSTERED = -1
 _NO_LABEL = -2
 
 
-def _user_labels(labels: LabelSet, n: int) -> np.ndarray:
-    lab = np.full(n, _NO_LABEL, dtype=int)
-    for i, c in labels.normal.items():
-        lab[i] = c
-    for i in labels.outliers:
-        lab[i] = OUTLIER
-    return lab
-
-
-def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
-    """mm(r, q) for every root r (one row each, in the given order) and point q.
-
-    A Kruskal sweep over the index's spanning-tree edges in ascending weight.
-    Each component keeps its member points and the rows of the roots it
-    contains. Joining components A and B by an edge of weight w sets mm to
-    w between A's roots and B's members and between B's roots and A's
-    members; the smaller component is then folded into the larger, so a
-    point changes component O(log n) times.
-    """
-    roots = point_indices(roots, idx.n, "root indices")
-    mm = np.zeros((roots.size, idx.n))
-    comp = list(range(idx.n))
-    members = [[p] for p in range(idx.n)]
-    rows = [None] * idx.n  # a column of mm row indices, None without roots
-    for r in np.unique(roots).tolist():
-        rows[r] = np.flatnonzero(roots == r)[:, None]
-    for a, b, weight in zip(*(arr.tolist() for arr in idx.tree)):
-        a, b = comp[a], comp[b]
-        if len(members[a]) < len(members[b]):
-            a, b = b, a
-        rows_a, rows_b = rows[a], rows[b]
-        if rows_a is not None:
-            mm[rows_a, members[b]] = weight
-        if rows_b is not None:
-            mm[rows_b, members[a]] = weight
-            rows[a] = rows_b if rows_a is None else np.concatenate([rows_a, rows_b])
-        for p in members[b]:
-            comp[p] = a
-        members[a] += members[b]
-        members[b] = rows[b] = None
-    return mm
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo:hi]) for each pair of entries of lo <= hi, 0.0 where
+    lo == hi, from a sparse table: row k holds the maxima of the windows of
+    2**k values, and two windows cover any range."""
+    table = np.empty((values.size.bit_length(), values.size))
+    table[0] = values
+    for k in range(1, table.shape[0]):
+        half = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.maximum(table[k - 1, :-half], table[k - 1, half:], out=table[k, :-half])
+    level = np.maximum(np.frexp(hi - lo)[1] - 1, 0)
+    got = np.maximum(table[level, lo], table[level, hi - (1 << level)])
+    return np.where(hi > lo, got, 0.0)
 
 
 def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
@@ -71,26 +41,49 @@ def expand(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
 
     Root r keeps itself and every q with mm(r, q) < e*(r), the smallest
     mm(r, p) over labeled points p whose label differs from r's (labeled
-    outliers always differ; e* is infinite when none does). A point kept
-    by several roots goes to the one with the smallest mm there, ties to
-    the smaller root index. emax[q] is the smallest mm(r, q) over roots.
+    outliers always differ; e* is infinite when none does). mm(r, .) never
+    decreases away from r along the plot, so the nearest such p on each
+    side fixes e*(r), and the nearest root on each side of q gives emax[q],
+    the smallest mm(r, q) over roots. Roots that keep the same point share
+    a label (else one would reach the other below its cut), and if any root
+    keeps q, so does the nearest root on one side of q.
 
     Returns (assign, emax): the read-only cluster id per point, UNCLUSTERED
     where no root kept it, and emax per point.
     """
     labels.validate_for(idx.n)
-    roots = np.array(sorted(labels.normal), dtype=int)
-    if not roots.size:
+    if not labels.normal:
         raise ValueError("at least one labeled normal point is required")
-    mm = minimax_rows(idx, roots)
-    lab = _user_labels(labels, idx.n)
-    root_label = lab[roots]
+    n = idx.n
+    lab = np.full(n, _NO_LABEL, dtype=int)
+    lab[list(labels.normal)] = list(labels.normal.values())
+    lab[list(labels.outliers)] = OUTLIER
+    # Plot positions run 1..n; 0 and n + 1 stand beyond its ends, behind
+    # +inf keys, so a side without a root or labeled point keeps nothing.
+    gap = np.concatenate([[np.inf], idx.gap, [np.inf]])
+    lab = np.concatenate([[_NO_LABEL], lab[idx.order], [_NO_LABEL]])
+    at = np.arange(n + 2)
+    # A root's cut lies at the nearest differently-labeled point on each
+    # side: just beyond the run of its own label among the labeled points.
     labeled = np.flatnonzero(lab != _NO_LABEL)
-    differs = lab[labeled] != root_label[:, None]
-    cut = np.where(differs, mm[:, labeled], np.inf).min(axis=1)
-    kept = mm < cut[:, None]
-    kept[np.arange(roots.size), roots] = True
-    owner = np.where(kept, mm, np.inf).argmin(axis=0)
-    assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
+    k = np.arange(labeled.size)
+    change = np.r_[True, lab[labeled[1:]] != lab[labeled[:-1]], True]
+    first = np.maximum.accumulate(np.where(change[:-1], k, 0))
+    last = np.minimum.accumulate(np.where(change[1:], k, k[-1])[::-1])[::-1]
+    beyond = np.r_[0, labeled, n + 1]  # beyond[j + 1] is labeled[j]
+    cut = np.full(n + 2, np.inf)
+    cut[labeled] = _range_max(gap, np.stack([beyond[first], labeled]),
+                              np.stack([labeled, beyond[last + 2]])).min(axis=0)
+    # The nearest root at or before, and at or after, each plot position.
+    is_root = lab >= 0
+    left = np.maximum.accumulate(np.where(is_root, at, 0))[1:-1]
+    right = np.minimum.accumulate(np.where(is_root, at, n + 1)[::-1])[::-1][1:-1]
+    at = at[1:-1]
+    to_left, to_right = _range_max(gap, np.stack([left, at]), np.stack([at, right]))
+    keep_left = (to_left < cut[left]) | (left == at)
+    assign, emax = np.empty(n, dtype=int), np.empty(n)
+    assign[idx.order] = np.where(keep_left, lab[left],
+                                 np.where(to_right < cut[right], lab[right], UNCLUSTERED))
+    emax[idx.order] = np.minimum(to_left, to_right)
     assign.flags.writeable = False
-    return assign, mm.min(axis=0)
+    return assign, emax

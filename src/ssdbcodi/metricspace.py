@@ -1,5 +1,5 @@
 """Pairwise and cross distances, k-nearest and nearest-centre selection, core
-distances, local densities, and the reachability graph's spanning tree.
+distances, local densities, and the spanning tree's reachability plot.
 
 The n x n passes work in place in their output, in row blocks or (to make
 the pairwise matrix symmetric) in square tile pairs, so each holds one large
@@ -21,14 +21,17 @@ from .dataset import Dataset
 @dataclass(frozen=True)
 class NeighborhoodIndex:
     """Its dataset's points, core distances, local densities (l_score's
-    input) and the reachability graph's minimum spanning tree as (u, v, w)
-    arrays of its n - 1 edges sorted stably by weight; read-only. It keeps
+    input) and the reachability plot of the reachability graph's minimum
+    spanning tree: `order`, Prim's join order from point 0, and `gap`, the
+    keys at which order[1:] joined, so the minimax path value between
+    order[i] and order[j] is max(gap[i:j]) for i < j; read-only. It keeps
     no distance matrix: pairwise_distances(points) gives its bits again."""
 
     points: np.ndarray
     core: np.ndarray
     density: np.ndarray
-    tree: tuple
+    order: np.ndarray
+    gap: np.ndarray
     min_pts: int
 
     @property
@@ -144,37 +147,33 @@ def pairwise_distances(points) -> np.ndarray:
 
 
 def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
-    """Dense Prim over the reachability graph, one reachability row per step.
+    """Dense Prim from point 0 over the reachability graph, one row per step.
 
     A point's entry in `live_core` turns +inf when it joins the tree, so
     its reachability from any later point is +inf and never closer.
-    Returns (u, v, w) arrays of the n - 1 tree edges in join order.
+    Returns (order, gap): the join order and the n - 1 join keys.
     """
     n = core.size
     live_core = core.copy()
     best = np.full(n, np.inf)
-    source = np.zeros(n, dtype=int)
     rd = np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    u, v = np.empty((2, n - 1), dtype=int)
-    w = np.empty(n - 1)
+    order = np.zeros(n, dtype=int)
+    gap = np.empty(n - 1)
     q = 0
     for step in range(n - 1):
         live_core[q] = np.inf
         best[q] = np.inf
         np.maximum(live_core, core[q], out=rd)  # q's reachability row, off the tree
         np.maximum(rd, dist[q], out=rd)
-        np.less(rd, best, out=closer)
-        np.copyto(best, rd, where=closer)
-        np.copyto(source, q, where=closer)
+        np.minimum(best, rd, out=best)
         q = int(best.argmin())
-        u[step], v[step], w[step] = source[q], q, best[q]
-    return u, v, w
+        order[step + 1], gap[step] = q, best[q]
+    return order, gap
 
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
-    """Core distances, local densities and spanning tree over the dataset's
-    points, all read from one distance matrix that is freed on return.
+    """Core distances, local densities and reachability plot of the points,
+    all read from one distance matrix that is freed on return.
     Requires n >= 2 and 1 <= min_pts <= n - 1.
     """
     n = ds.n
@@ -196,10 +195,8 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
-    u, v, w = _spanning_tree(dist, core)
-    order = np.argsort(w, kind="stable")
-    tree = (u[order], v[order], w[order])
-    for arr in (core, density) + tree:
+    order, gap = _spanning_tree(dist, core)
+    for arr in (core, density, order, gap):
         arr.flags.writeable = False
-    return NeighborhoodIndex(points=ds.points, core=core, density=density, tree=tree,
-                             min_pts=int(min_pts))
+    return NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
+                             gap=gap, min_pts=int(min_pts))

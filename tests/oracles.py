@@ -2,7 +2,10 @@
 
 Everything here deliberately takes a different route from the library:
 closure-based minimax paths and one Prim expansion per root instead of a
-single spanning tree, threshold-swept ROC curves instead of rank sums,
+single spanning tree, and a Kruskal sweep over that tree's recorded
+edges (`prim_tree_edges`, `minimax_rows`, `expand_by_rows`) that fills
+every root's R x n row of minimax values instead of reading them off the
+reachability plot, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
 of the vectorized scores and the k-pass neighbour selection, one
@@ -25,6 +28,7 @@ from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelinePar
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
                       auc, blend_grid, build_index, expand, finish, pairwise_distances,
                       prepare, rand_index)
+from ssdbcodi.dataset import point_indices
 from ssdbcodi.metricspace import cross_distances
 from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
@@ -524,6 +528,93 @@ def emax_over_roots(records) -> np.ndarray:
 def ssdbscan_by_expansion(idx: NeighborhoodIndex, labels: LabelSet) -> np.ndarray:
     """Terminating expansions from every labeled normal root, back-traced and merged."""
     return combine_backtraces(expand_all(idx, labels, terminate=True), labels, idx.n)
+
+
+# --- Kruskal sweeps over one recorded spanning tree: the reference for
+# reading ssdbcodi.expansion off the index's reachability plot ---
+
+def prim_tree_edges(dist: np.ndarray, core: np.ndarray) -> tuple:
+    """Dense Prim over the reachability graph from point 0, recording each
+    join's tree edge: (u, v, w) arrays of the n - 1 edges in join order,
+    where v joined through u at key w."""
+    n = core.size
+    live_core = core.copy()
+    best = np.full(n, np.inf)
+    source = np.zeros(n, dtype=int)
+    rd = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    u, v = np.empty((2, n - 1), dtype=int)
+    w = np.empty(n - 1)
+    q = 0
+    for step in range(n - 1):
+        live_core[q] = np.inf
+        best[q] = np.inf
+        np.maximum(live_core, core[q], out=rd)
+        np.maximum(rd, dist[q], out=rd)
+        np.less(rd, best, out=closer)
+        np.copyto(best, rd, where=closer)
+        np.copyto(source, q, where=closer)
+        q = int(best.argmin())
+        u[step], v[step], w[step] = source[q], q, best[q]
+    return u, v, w
+
+
+def minimax_rows(idx: NeighborhoodIndex, roots) -> np.ndarray:
+    """mm(r, q) for every root r (one row each, in the given order) and point q.
+
+    A Kruskal sweep over prim_tree_edges' tree, its edges sorted stably by
+    weight. Each component keeps its member points and the rows of the
+    roots it contains. Joining components A and B by an edge of weight w
+    sets mm to w between A's roots and B's members and between B's roots
+    and A's members; the smaller component is then folded into the larger.
+    """
+    roots = point_indices(roots, idx.n, "root indices")
+    u, v, w = prim_tree_edges(pairwise_distances(idx.points), idx.core)
+    by_weight = np.argsort(w, kind="stable")
+    mm = np.zeros((roots.size, idx.n))
+    comp = list(range(idx.n))
+    members = [[p] for p in range(idx.n)]
+    rows = [None] * idx.n  # a column of mm row indices, None without roots
+    for r in np.unique(roots).tolist():
+        rows[r] = np.flatnonzero(roots == r)[:, None]
+    for a, b, weight in zip(*(arr[by_weight].tolist() for arr in (u, v, w))):
+        a, b = comp[a], comp[b]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        rows_a, rows_b = rows[a], rows[b]
+        if rows_a is not None:
+            mm[rows_a, members[b]] = weight
+        if rows_b is not None:
+            mm[rows_b, members[a]] = weight
+            rows[a] = rows_b if rows_a is None else np.concatenate([rows_a, rows_b])
+        for p in members[b]:
+            comp[p] = a
+        members[a] += members[b]
+        members[b] = rows[b] = None
+    return mm
+
+
+def expand_by_rows(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
+    """expand's (assign, emax) from the full R x n minimax_rows matrix: root
+    r keeps itself and every q with mm(r, q) below its cut, and a point
+    kept by several roots goes to the one with the smallest mm there, ties
+    to the smaller root index."""
+    labels.validate_for(idx.n)
+    roots = np.array(sorted(labels.normal), dtype=int)
+    if not roots.size:
+        raise ValueError("at least one labeled normal point is required")
+    mm = minimax_rows(idx, roots)
+    lab = _user_labels(labels, idx.n)
+    root_label = lab[roots]
+    labeled = np.flatnonzero(lab != _NO_LABEL)
+    differs = lab[labeled] != root_label[:, None]
+    cut = np.where(differs, mm[:, labeled], np.inf).min(axis=1)
+    kept = mm < cut[:, None]
+    kept[np.arange(roots.size), roots] = True
+    owner = np.where(kept, mm, np.inf).argmin(axis=0)
+    assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
+    assign.flags.writeable = False
+    return assign, mm.min(axis=0)
 
 
 def ssdbscan_with_fallback_by_matrix(dist: np.ndarray, idx: NeighborhoodIndex,

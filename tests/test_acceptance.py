@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, OUTLIER, PipelineParams, ScoreParams,
+from ssdbcodi import (Dataset, LabelSet, OUTLIER, PipelineParams, ScoreParams,
                       UNCLUSTERED, auc, build_index, expand, load_csv, lof,
-                      minimax_rows, nmi, pairwise_distances, prepare,
-                      rand_index, run, sample_labels, t_score, tune)
+                      nmi, pairwise_distances, prepare, rand_index, run,
+                      sample_labels, t_score, tune)
 from ssdbcodi.cli import main
 
 from oracles import (auc_by_threshold_sweep, is_density_reachable,
@@ -53,7 +53,7 @@ def test_criterion_1_bottleneck_oracle():
         ds = Dataset(points=pts, truth=np.zeros(n, dtype=int), name="fuzz")
         idx = build_index(ds, min_pts)
         root = int(rng.integers(n))
-        got = minimax_rows(idx, [root])[0]
+        got = expand(idx, LabelSet({root: 0}, frozenset()))[1]
         want = minimax_closure(rdist_matrix(idx))[root]
         assert np.all(np.abs(got - want) <= 1e-9)
     elapsed = time.perf_counter() - started

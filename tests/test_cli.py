@@ -1,6 +1,8 @@
 """CLI contract: report shapes, formatting, determinism, and exit codes."""
 
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 
@@ -378,3 +380,13 @@ def test_module_entry_point(blobs_csv):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "run"
+
+
+def test_package_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ssdbcodi", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ssdbcodi ")

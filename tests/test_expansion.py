@@ -1,19 +1,23 @@
-"""Single-tree expansion, back-tracing, combined clustering, and emax.
+"""Expansion read off the reachability plot, back-tracing, combined
+clustering, and emax.
 
-The per-root Prim expansions in `oracles` are the reference: the library
-must reproduce their assignment and emax bit for bit.
+The per-root Prim expansions in `oracles` are the reference, and so is
+the Kruskal sweep that fills every root's row of minimax values
+(`expand_by_rows`): the library must reproduce their assignment and emax
+bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, UNCLUSTERED, build_index, expand, minimax_rows,
-                      pairwise_distances)
+from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, pairwise_distances
 from ssdbcodi.metricspace import _spanning_tree
 from oracles import (ExpansionRecord, as_dataset, back_trace, combine_backtraces,
-                     emax_over_roots, expand_all, minimax_closure, mst_weights_by_kruskal,
-                     prim_expand, random_labelset, random_points, rdist_matrix,
-                     ssdbscan_by_expansion)
+                     emax_over_roots, expand_all, expand_by_rows, minimax_closure,
+                     minimax_rows, mst_weights_by_kruskal, prim_expand, prim_tree_edges,
+                     random_labelset, random_points, rdist_matrix, ssdbscan_by_expansion)
 
 
 def line_dataset(values):
@@ -31,6 +35,8 @@ def test_prim_expand_worked_example():
     assert rec.prefix_max.tolist() == [0.0, 1.0, 2.0]
     assert rec.boundary_pos is None
     assert minimax_rows(idx, [0]).tolist() == [[0.0, 1.0, 2.0]]
+    assert idx.order.tolist() == [0, 1, 2] and idx.gap.tolist() == [1.0, 2.0]
+    assert expand(idx, only_normals({0: 0}))[1].tolist() == [0.0, 1.0, 2.0]
 
 
 def test_prim_expand_root_key_is_zero_and_coverage_is_total():
@@ -87,6 +93,7 @@ def test_prefix_max_matches_minimax_oracle():
             rec = prim_expand(idx, root, labels, terminate=False)
             assert np.allclose(rec.prefix_max, oracle[root], atol=1e-12)
             assert np.array_equal(row, rec.prefix_max)
+            assert expand(idx, only_normals({root: 0}))[1].tobytes() == row.tobytes()
 
 
 def synthetic_record(keys, boundary_pos):
@@ -129,6 +136,64 @@ def fuzz_instance(rng, grid):
     labels = random_labelset(rng, n, n_clusters=int(rng.integers(1, 4)),
                              outlier_rate=outlier_rate)
     return idx, labels
+
+
+def test_expand_matches_expand_by_rows_bit_for_bit():
+    # the plot path against the R x n Kruskal rows, on 0-2 grids (many tied
+    # keys), duplicated points, labeled outliers and every point labeled
+    rng = np.random.default_rng(43)
+    seen = {"grid": 0, "duplicates": 0, "blobs": 0, "outliers": 0, "all_labeled": 0,
+            "one_class": 0, "unclustered": 0}
+    for case in range(600):
+        kind = ("grid", "duplicates", "blobs")[case % 3]
+        if kind == "grid":
+            n = int(rng.integers(2, 50))
+            pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
+        elif kind == "duplicates":
+            n = int(rng.integers(2, 40))
+            pts = np.repeat(rng.normal(size=(int(rng.integers(1, 4)), 2)), n, axis=0)[:n]
+        else:
+            pts = random_points(rng)
+            n = pts.shape[0]
+        idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
+        classes = int(rng.integers(1, 4))
+        if case % 10 == 0:
+            labels = LabelSet(normal={i: int(rng.integers(classes)) for i in range(n)},
+                              outliers=frozenset())
+        else:
+            labels = random_labelset(rng, n, n_clusters=classes,
+                                     outlier_rate=float(rng.choice([0.0, 0.3, 0.6])))
+            if not labels.normal:
+                labels = LabelSet(normal={0: 0}, outliers=labels.outliers - {0})
+        assign, emax = expand(idx, labels)
+        want_assign, want_emax = expand_by_rows(idx, labels)
+        assert assign.dtype == want_assign.dtype and emax.dtype == want_emax.dtype
+        assert assign.tobytes() == want_assign.tobytes(), (case, kind)
+        assert emax.tobytes() == want_emax.tobytes(), (case, kind)
+        assert not assign.flags.writeable
+        seen[kind] += 1
+        seen["outliers"] += bool(labels.outliers)
+        seen["all_labeled"] += len(labels) == n
+        seen["one_class"] += len(set(labels.normal.values())) == 1
+        seen["unclustered"] += bool((assign == UNCLUSTERED).any())
+    assert min(seen.values()) >= 40, seen
+
+
+def test_expand_holds_no_roots_by_points_array():
+    rng = np.random.default_rng(71)
+    centres = rng.normal(scale=8.0, size=(6, 3))
+    pts = centres[rng.integers(6, size=3000)] + rng.normal(size=(3000, 3))
+    idx = build_index(as_dataset(pts), 4)
+    picked = rng.choice(idx.n, size=330, replace=False)
+    labels = LabelSet(normal={int(i): int(i) % 3 for i in picked[:300]},
+                      outliers=frozenset(int(i) for i in picked[300:]))
+    tracemalloc.start()
+    try:
+        expand(idx, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(labels.normal) * idx.n
 
 
 def test_expand_matches_per_root_expansions_bit_for_bit():
@@ -184,6 +249,10 @@ def test_minimax_rows_matches_per_root_expansions_on_large_shapes():
         mm = minimax_rows(idx, roots)
         assert mm.shape == (count, n)
         assert mm.tobytes() == per_root_rows(idx, roots).tobytes(), (kind, how)
+        # the library reads each row off the plot as a one-root emax
+        for root in np.unique(roots).tolist():
+            emax = expand(idx, only_normals({root: 0}))[1]
+            assert emax.tobytes() == mm[roots == root][0].tobytes(), (kind, how)
         if n <= 80:
             assert np.array_equal(mm, minimax_closure(rdist_matrix(idx))[roots])
         seen[kind] = seen.get(kind, 0) + 1
@@ -200,25 +269,40 @@ def test_minimax_rows_rejects_roots_out_of_range():
     assert minimax_rows(idx, []).shape == (0, 3)
 
 
+def test_minimax_rows_refuses_roots_it_would_cast():
+    # a float would truncate, a mask would become rows 1 and 0
+    idx = build_index(line_dataset([0, 1, 3, 7]), 1)
+    for bad in ([0.9, 1.5], [0.7], [True, False], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match="root indices must be a 1-D sequence"):
+            minimax_rows(idx, bad)
+    assert minimax_rows(idx, np.array([3, 0], dtype=np.int32)).shape == (2, 4)
+
+
 def test_spanning_tree_weights_match_kruskal_on_tied_grids():
     rng = np.random.default_rng(61)
     for case in range(60):
         n = int(rng.integers(2, 60)) if case % 3 else int(rng.integers(100, 160))
         pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
         idx = build_index(as_dataset(pts), int(rng.integers(1, min(3, n - 1) + 1)))
-        u, v, w = _spanning_tree(pairwise_distances(pts), idx.core)
-        assert np.array_equal(np.sort(w), mst_weights_by_kruskal(rdist_matrix(idx)))
-        # the index stores this tree's edges, sorted stably by weight
-        order = np.argsort(w, kind="stable")
-        for stored, fresh in zip(idx.tree, (u[order], v[order], w[order])):
-            assert stored.dtype == fresh.dtype
-            assert stored.tobytes() == fresh.tobytes()
-        # the edges form a tree: n - 1 joins leave one component
-        comp = list(range(n))
-        for a, b in zip(u.tolist(), v.tolist()):
-            old, new = comp[a], comp[b]
-            assert old != new
-            comp = [new if c == old else c for c in comp]
+        rdist = rdist_matrix(idx)
+        assert np.array_equal(np.sort(idx.gap), mst_weights_by_kruskal(rdist))
+        # the index stores the plot of a fresh Prim pass: its join order
+        # from point 0 and its join keys, those of the recorded tree edges
+        order, gap = _spanning_tree(pairwise_distances(pts), idx.core)
+        u, v, w = prim_tree_edges(pairwise_distances(pts), idx.core)
+        assert idx.order.dtype == order.dtype and idx.gap.dtype == gap.dtype
+        assert idx.order.tobytes() == order.tobytes() and idx.gap.tobytes() == gap.tobytes()
+        assert np.array_equal(idx.order[1:], v) and idx.gap.tobytes() == w.tobytes()
+        assert idx.order[0] == 0
+        assert np.array_equal(np.sort(idx.order), np.arange(n))
+        # mm(root, .) is the running maximum of gap outward from the root
+        closure = minimax_closure(rdist)
+        for at, root in enumerate(idx.order.tolist()):
+            mm = np.empty(n)
+            mm[idx.order[at]] = 0.0
+            mm[idx.order[at + 1:]] = np.maximum.accumulate(idx.gap[at:])
+            mm[idx.order[:at]] = np.maximum.accumulate(idx.gap[:at][::-1])[::-1]
+            assert np.array_equal(mm, closure[root]), (case, root)
 
 
 def test_ssdbscan_two_tight_groups():

@@ -213,8 +213,8 @@ def test_distances_just_under_the_norm_bound_stay_finite():
 
 def test_index_arrays_are_read_only():
     idx = build_index(LINE, 2)
-    assert len(idx.tree) == 3
-    for arr in (idx.core, idx.density) + idx.tree:
+    assert idx.order.shape == (LINE.n,) and idx.gap.shape == (LINE.n - 1,)
+    for arr in (idx.core, idx.density, idx.order, idx.gap):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, build_index, default_k, finish, minimax_rows,
-                      minmax_scale, model, pipeline, prepare, run, sample_labels, tune)
+                      ScoreParams, blend_grid, build_index, default_k, finish, minmax_scale,
+                      model, pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import fold_objective, moons_with_outliers, tune_by_cells
 
@@ -243,18 +243,14 @@ def test_finish_refuses_rows_outside_the_dataset():
     assert finish(prepared, PARAMS, [17, 0]).clusters.shape == (2,)
 
 
-def test_finish_and_minimax_rows_refuse_indices_they_would_cast():
+def test_finish_refuses_indices_it_would_cast():
     # a float would truncate, a mask would become rows 1 and 0
     prepared = prepare(BLOBS, BLOB_LABELS, 3)
-    idx = build_index(BLOBS, 3)
     for bad in ([0.9, 1.5], [0.7], [True, False], [[0, 1], [2, 3]]):
         with pytest.raises(ValueError, match="rows must be a 1-D sequence of integers"):
             finish(prepared, PARAMS, bad)
-        with pytest.raises(ValueError, match="root indices must be a 1-D sequence"):
-            minimax_rows(idx, bad)
     rows = np.array([3, 0], dtype=np.int32)
     assert finish(prepared, PARAMS, rows).clusters.shape == (2,)
-    assert minimax_rows(idx, rows).shape == (2, BLOBS.n)
 
 
 def counted_cross_distances(monkeypatch) -> list:
