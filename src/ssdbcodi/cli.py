@@ -112,7 +112,7 @@ def _draw(ds, args, index, fraction: float, seed: int, cells=None):
     result) per cell in `cells`, or for the draw's own `_blend` when None."""
     labels = sample_labels(ds, fraction, seed, stratified=args.stratified_labels)
     blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
-    prepared = prepare(ds, labels, args.min_pts, index=index)
+    prepared = prepare(index, labels)
     for alpha, beta in blends:
         yield (alpha, beta), finish(prepared, _pipeline_params(args, alpha, beta))
 
@@ -385,6 +385,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--workers must be >= 1")
     if getattr(args, "folds", None) is not None and args.folds < 2:
         parser.error("--folds must be >= 2")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
+        parser.error(f"--output must name a file in an existing directory: {args.output}")
     if args.command == "baseline":
         if args.algo == "dbscan":
             if args.epsilon is None:

@@ -113,7 +113,7 @@ def point_indices(values, n: int, name: str) -> np.ndarray:
 
 
 def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> Dataset:
-    """Load a dataset from a UTF-8 CSV file with a header row.
+    """Load a dataset from a UTF-8 CSV file, BOM or not, with a header row.
 
     Every column except label_column is parsed as a real-valued feature.
     Rows whose label cell equals outlier_sentinel become OUTLIER; the
@@ -123,7 +123,7 @@ def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> 
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,14 +1,13 @@
 """End-to-end orchestration and cross-validated blend-weight tuning.
 
 The label-independent work (core distances, local densities, the
-spanning tree) lives on a NeighborhoodIndex that `prepare` and `tune`
-accept ready-made. `prepare` stages one label draw (its expansions, r/sim
-score columns and automatic k, beside the dataset's points); `finish`
-reads only that stage to apply one (alpha, beta) blend, select the
-reliable sets and classify every point or a given subset of rows, keeping
-the kNN neighbours per training set and rows on the stage. `run` composes
-the two; `tune` finishes every cell on one validation fold's stage,
-classifying only that fold's hidden rows, before preparing the next.
+reachability plot) lives on a NeighborhoodIndex, which owns the points
+and min_pts. `prepare(index, labels)` stages one label draw on it;
+`finish` reads only that stage to apply one (alpha, beta) blend, select
+the reliable sets and classify every point or a given subset of rows,
+keeping the kNN neighbours per training set and rows on the stage. `run`
+composes the two; `tune` finishes every cell on one validation fold's
+stage, classifying only that fold's hidden rows, before preparing the next.
 """
 
 from dataclasses import dataclass, field, replace
@@ -54,12 +53,12 @@ class TuneReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Blend-independent stage of one label draw: the dataset's read-only
-    points (not a copy), the assignment, the score table without t_score,
-    the k used when PipelineParams.k is None, and `finish`'s kNN neighbours
-    per (k_c, ordered training indices, rows)."""
+    """Blend-independent stage of one label draw: the index it was prepared
+    on (its points and min_pts), the assignment, the score table without
+    t_score, the k used when PipelineParams.k is None, and `finish`'s kNN
+    neighbours per (k_c, ordered training indices, rows)."""
 
-    points: np.ndarray
+    index: NeighborhoodIndex
     assignment: np.ndarray
     scores: ScoreTable
     auto_k: int
@@ -73,30 +72,26 @@ def default_k(n: int, labels: LabelSet) -> int:
     return round_half_up(0.05 * n)
 
 
-def prepare(ds: Dataset, labels: LabelSet, min_pts: int,
-            index: NeighborhoodIndex | None = None) -> Prepared:
+def prepare(index: NeighborhoodIndex, labels: LabelSet) -> Prepared:
     """Back-traced expansion, the three raw score columns and the automatic
-    reliable-outlier count, on `index` (built from ds and min_pts when None;
-    refused when built on other points or for another min_pts)."""
-    labels.validate_for(ds.n)
-    idx = build_index(ds, min_pts) if index is None else index
-    if idx.min_pts != min_pts:
-        raise ValueError(f"index has min_pts={idx.min_pts}; need min_pts={min_pts}")
-    if not np.array_equal(idx.points, ds.points):
-        raise ValueError(f"index was built on {idx.n} other points, not the dataset's {ds.n}")
-    assignment, emax = expand(idx, labels)
-    scores = ScoreTable(r_score=r_score(emax), l_score=l_score(idx.density),
-                        sim_score=sim_scores(ds, labels))
-    auto_k = min(default_k(ds.n, labels), int((assignment == UNCLUSTERED).sum()))
-    return Prepared(points=ds.points, assignment=assignment, scores=scores, auto_k=auto_k)
+    reliable-outlier count of one label draw on `index`."""
+    assignment, emax = expand(index, labels)
+    scores = ScoreTable(r_score=r_score(emax), l_score=l_score(index.density),
+                        sim_score=sim_scores(index.points, labels))
+    auto_k = min(default_k(index.n, labels), int((assignment == UNCLUSTERED).sum()))
+    return Prepared(index=index, assignment=assignment, scores=scores, auto_k=auto_k)
 
 
 def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineResult:
     """Blend scores, select reliable sets, and classify `rows` (every point
     when None), each bit for bit as the all-points call would; the per-row
-    fields of the result follow `rows` (see PipelineResult)."""
+    fields of the result follow `rows` (see PipelineResult). A stage whose
+    index has another min_pts than params.score is refused."""
+    index = prepared.index
+    if index.min_pts != params.score.min_pts:
+        raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
     if rows is not None:
-        rows = point_indices(rows, len(prepared.points), "rows")
+        rows = point_indices(rows, index.n, "rows")
     table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
@@ -105,7 +100,7 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
     # Equal keys mean equal GEMM inputs, so cached neighbours keep every bit.
     key = (k_c, ts.indices.tobytes(), None if rows is None else rows.tobytes())
     if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, prepared.points, k_c, rows)
+        prepared.neighbours[key] = neighbours(ts, index.points, k_c, rows)
     classes, outlier_score = vote(ts, prepared.neighbours[key])
     return PipelineResult(
         clusters=classes,
@@ -120,7 +115,7 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
     """Full pipeline: prepare once, then finish with the given blend."""
-    return finish(prepare(ds, labels, params.score.min_pts), params)
+    return finish(prepare(build_index(ds, params.score.min_pts), labels), params)
 
 
 def _fold_partition(labels: LabelSet, folds: int, seed: int) -> list:
@@ -194,7 +189,7 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     Every `blend_grid(grid_step)` cell is scored with the mean fold
     objective; the report keeps the whole grid and the argmax, ties
     resolved to the lexicographically smallest cell. Every fold shares
-    `index` (built from ds and min_pts when None).
+    `index` (built when None; refused on other points or min_pts).
     """
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
     blends = [replace(base, score=replace(base.score, alpha=a, beta=b))
@@ -210,10 +205,14 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
 
     if index is None:
         index = build_index(ds, base.score.min_pts)
+    elif index.min_pts != base.score.min_pts:
+        raise ValueError(f"index has min_pts={index.min_pts}; need min_pts={base.score.min_pts}")
+    elif not np.array_equal(index.points, ds.points):
+        raise ValueError(f"index was built on {index.n} other points, not the dataset's {ds.n}")
     per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
     for hidden in _fold_partition(labels, folds, seed):
         visible = _drop_labels(labels, hidden)
-        prepared = prepare(ds, visible, base.score.min_pts, index=index)
+        prepared = prepare(index, visible)
         hidden = sorted(hidden)
         per_fold.append([_fold_objective(finish(prepared, p, hidden), hidden, labels)
                          for p in blends])

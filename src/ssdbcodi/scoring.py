@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabelSet
+from .dataset import LabelSet
 from .metricspace import nearest_center
 
 
@@ -67,10 +67,10 @@ def l_score(ld) -> np.ndarray:
     return np.exp(-v)
 
 
-def sim_scores(ds: Dataset, labels: LabelSet) -> np.ndarray:
-    """exp(-distance to the nearest labeled outlier) per point; 0 when none
-    are labeled, as exp(-sqrt(inf))."""
-    d2 = nearest_center(ds.points, ds.points[sorted(labels.outliers)])[1]
+def sim_scores(points: np.ndarray, labels: LabelSet) -> np.ndarray:
+    """exp(-distance to the nearest labeled outlier) per row of points; 0
+    when none are labeled, as exp(-sqrt(inf))."""
+    d2 = nearest_center(points, points[sorted(labels.outliers)])[1]
     return np.exp(-np.sqrt(d2))
 
 

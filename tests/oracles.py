@@ -674,8 +674,7 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         index = build_index(ds, base.score.min_pts)
     stages = []
     for hidden in _fold_partition(labels, folds, seed):
-        stages.append((prepare(ds, _drop_labels(labels, hidden), base.score.min_pts,
-                               index=index), sorted(hidden)))
+        stages.append((prepare(index, _drop_labels(labels, hidden)), sorted(hidden)))
 
     grid = []
     best = None

@@ -119,7 +119,7 @@ def test_criterion_5_score_identities():
         pts = random_points(rng, n=n)
         ds = Dataset(points=pts, truth=np.zeros(n, dtype=int), name="fuzz")
         labels = random_labelset(rng, n)
-        prepared = prepare(ds, labels, int(rng.integers(1, 4)))
+        prepared = prepare(build_index(ds, int(rng.integers(1, 4))), labels)
         table = prepared.scores
         for i in labels.normal:
             assert table.r_score[i] == 1.0

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ssdbcodi import (PipelineParams, ScoreParams, auc, finish, load_csv, nmi,
+from ssdbcodi import (PipelineParams, ScoreParams, auc, build_index, finish, load_csv, nmi,
                       prepare, rand_index, sample_labels)
 from ssdbcodi import cli, metricspace, pipeline
 from ssdbcodi.cli import main
@@ -252,7 +252,7 @@ def test_sensitivity_grid_shape_and_value(blobs_csv, capsys):
 
     # recompute every cell through the library route
     ds = load_csv(blobs_csv)
-    prepared = prepare(ds, sample_labels(ds, 0.3, 2), 3)
+    prepared = prepare(build_index(ds, 3), sample_labels(ds, 0.3, 2))
     for row in rows:
         alpha, beta = float(row["alpha"]), float(row["beta"])
         result = finish(prepared, PipelineParams(score=ScoreParams(alpha, beta, min_pts=3),
@@ -304,7 +304,8 @@ def test_baseline_reports(blobs_csv, capsys):
     assert 0.0 <= report["rand_index"] <= 1.0
 
 
-def test_usage_errors_exit_two(blobs_csv, capsys):
+def test_usage_errors_exit_two(blobs_csv, tmp_path, capsys):
+    missing_dir = str(tmp_path / "missing" / "report.out")
     cases = [
         ["run"],
         ["run", "--input", blobs_csv, "--alpha", "1.2"],
@@ -325,6 +326,14 @@ def test_usage_errors_exit_two(blobs_csv, capsys):
         ["baseline", "--input", blobs_csv, "--algo", "dbscan", "--epsilon", "nan"],
         ["baseline", "--input", blobs_csv, "--algo", "kmeans"],
         ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "0"],
+        ["run", "--input", blobs_csv, "--seed", "-1"],
+        ["benchmark", "--input", blobs_csv, "--seed", "-1"],
+        ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2", "--seed", "-1"],
+        ["run", "--input", blobs_csv, "--output", missing_dir],
+        ["benchmark", "--input", blobs_csv, "--output", missing_dir],
+        ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2",
+         "--output", missing_dir],
+        ["sensitivity", "--input", blobs_csv, "--output", str(tmp_path)],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as excinfo:

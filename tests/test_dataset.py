@@ -33,6 +33,19 @@ def test_load_csv_label_column_anywhere(tmp_path):
     assert ds.truth.tolist() == [0, 1]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM, here before the label column
+    text = "label,x,y\nb,1,2\no,3,4\na,5,6\n"
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain = load_csv(write_csv(tmp_path / "plain" / "d.csv", text))
+    bom = load_csv(write_csv(tmp_path / "bom" / "d.csv", "\ufeff" + text))
+    assert (tmp_path / "bom" / "d.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert bom.points.tobytes() == plain.points.tobytes()
+    assert bom.truth.tolist() == plain.truth.tolist() == [0, OUTLIER, 1]
+    assert (bom.name, bom.d) == (plain.name, plain.d) == ("d", 2)
+
+
 def test_load_csv_custom_sentinel_and_column(tmp_path):
     p = write_csv(tmp_path / "d.csv", "x,cls\n0,anom\n1,n\n")
     ds = load_csv(p, label_column="cls", outlier_sentinel="anom")

@@ -60,10 +60,17 @@ def test_run_separates_blobs_and_flags_outliers():
 
 def test_run_is_prepare_then_finish():
     direct = run(BLOBS, BLOB_LABELS, PARAMS)
-    staged = finish(prepare(BLOBS, BLOB_LABELS, PARAMS.score.min_pts), PARAMS)
+    staged = finish(prepare(build_index(BLOBS, PARAMS.score.min_pts), BLOB_LABELS), PARAMS)
     assert np.array_equal(direct.clusters, staged.clusters)
     assert np.array_equal(direct.outlier_score, staged.outlier_score)
     assert np.array_equal(direct.training.indices, staged.training.indices)
+
+
+def test_finish_refuses_params_with_another_min_pts():
+    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
+    with pytest.raises(ValueError, match="stage min_pts=3 != params min_pts=7"):
+        finish(prepared, PipelineParams(ScoreParams(0.4, 0.3, 7)))
+    assert finish(prepared, PipelineParams(ScoreParams(0.4, 0.3, 3))).clusters.shape == (18,)
 
 
 def test_run_reproduces_full_supervision_exactly():
@@ -79,7 +86,7 @@ def test_run_reproduces_full_supervision_exactly():
 
 
 def test_finish_rejects_oversized_explicit_k():
-    prepared = prepare(BLOBS, BLOB_LABELS, 3)
+    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
     params = PipelineParams(score=ScoreParams(0.4, 0.3, min_pts=3), k=3)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
         finish(prepared, params)
@@ -135,7 +142,7 @@ def test_tune_matches_unshared_recomputation():
     objectives = []
     for hidden in _fold_partition(tune_labels(), 2, 0):
         visible = _drop_labels(tune_labels(), hidden)
-        prepared = prepare(BLOBS, visible, base.score.min_pts)  # fresh index
+        prepared = prepare(build_index(BLOBS, base.score.min_pts), visible)  # fresh index
         result = finish(prepared, cell)
         obj = fold_objective(result, sorted(hidden), tune_labels())
         if obj is not None:
@@ -160,8 +167,6 @@ def test_prepare_and_tune_refuse_a_mismatched_index():
     for index, match in ((wrong_min_pts, "index has min_pts=2; need min_pts=3"),
                          (wrong_n, "built on 10 other points, not the dataset's 18")):
         with pytest.raises(ValueError, match=match):
-            prepare(BLOBS, BLOB_LABELS, 3, index=index)
-        with pytest.raises(ValueError, match=match):
             tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, index=index)
 
 
@@ -171,14 +176,14 @@ def test_prepare_and_tune_refuse_an_index_on_other_points():
     foreign = build_index(BLOBS, 3)
     match = "built on 18 other points, not the dataset's 18"
     with pytest.raises(ValueError, match=match):
-        prepare(scaled, BLOB_LABELS, 3, index=foreign)
-    with pytest.raises(ValueError, match=match):
         tune(scaled, tune_labels(), grid_step=0.5, folds=2, index=foreign)
     # equal points in another array are the same points
     twin = Dataset(points=BLOBS.points.copy(), truth=BLOBS.truth)
-    got = finish(prepare(twin, BLOB_LABELS, 3, index=foreign), PARAMS)
-    want = finish(prepare(BLOBS, BLOB_LABELS, 3), PARAMS)
-    assert got.outlier_score.tobytes() == want.outlier_score.tobytes()
+    params = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=3), k_c=1)
+    got = tune(twin, tune_labels(), grid_step=0.5, folds=2, params=params, index=foreign)
+    want = tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, params=params)
+    assert np.array(got.grid).tobytes() == np.array(want.grid).tobytes()
+    assert got.best == want.best
 
 
 def test_tune_all_tied_prefers_origin():
@@ -217,15 +222,17 @@ def test_prepared_stage_owns_points_and_auto_k():
     ds = moons_with_outliers(n=200)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=5),
               PipelineParams(score=ScoreParams(0.1, 0.8, 3), k=2, k_c=3)]
+    index = build_index(ds, 3)
     with_outliers = 0
     for seed in range(4):
         drawn = sample_labels(ds, 0.1, seed=seed)
         for labels in (drawn, LabelSet(normal=drawn.normal, outliers=frozenset())):
             with_outliers += bool(labels.outliers)
-            prepared = prepare(ds, labels, 3)
+            prepared = prepare(index, labels)
+            assert prepared.index is index
             unclustered = int((prepared.assignment == UNCLUSTERED).sum())
             assert prepared.auto_k == min(default_k(ds.n, labels), unclustered)
-            assert np.shares_memory(prepared.points, ds.points)
+            assert np.shares_memory(prepared.index.points, ds.points)
             for p in params:
                 got, want = finish(prepared, p), run(ds, labels, p)
                 for attr in ("clusters", "outliers", "outlier_score", "assignment"):
@@ -236,7 +243,7 @@ def test_prepared_stage_owns_points_and_auto_k():
 
 
 def test_finish_refuses_rows_outside_the_dataset():
-    prepared = prepare(BLOBS, BLOB_LABELS, 3)
+    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
     for rows in ([0, -1], [3, BLOBS.n]):
         with pytest.raises(IndexError, match=r"rows must lie in \[0, 17\]"):
             finish(prepared, PARAMS, rows)
@@ -245,7 +252,7 @@ def test_finish_refuses_rows_outside_the_dataset():
 
 def test_finish_refuses_indices_it_would_cast():
     # a float would truncate, a mask would become rows 1 and 0
-    prepared = prepare(BLOBS, BLOB_LABELS, 3)
+    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
     for bad in ([0.9, 1.5], [0.7], [True, False], [[0, 1], [2, 3]]):
         with pytest.raises(ValueError, match="rows must be a 1-D sequence of integers"):
             finish(prepared, PARAMS, bad)
@@ -270,12 +277,12 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=3)
     calls = counted_cross_distances(monkeypatch)
-    prepared = prepare(ds, labels, 3)
+    prepared = prepare(build_index(ds, 3), labels)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
     cached = [finish(prepared, p) for p in params]
     assert len(calls) == 2
     for got, p in zip(cached, params):
-        want = finish(prepare(ds, labels, 3), p)
+        want = finish(prepare(build_index(ds, 3), labels), p)
         for attr in ("clusters", "outliers", "outlier_score", "assignment"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
         assert got.score_table.t_score.tobytes() == want.score_table.t_score.tobytes()
@@ -341,7 +348,7 @@ def test_finish_on_rows_matches_all_rows_indexed():
     for case in range(120):
         ds, labels, kwargs = fuzz_tune_case(rng)
         base = kwargs["params"]
-        prepared = prepare(ds, labels, base.score.min_pts)
+        prepared = prepare(build_index(ds, base.score.min_pts), labels)
         chosen = rng.choice(ds.n, size=int(rng.integers(1, ds.n + 1)), replace=False)
         repeated = [int(rng.integers(ds.n))] * 2 + [int(chosen[0])]
         for rows in (np.sort(chosen), chosen, repeated):

@@ -92,7 +92,7 @@ def test_sim_score_values():
     assert sim_score(ds, labels, 1) == pytest.approx(math.exp(-1.0), abs=1e-15)
     empty = LabelSet(normal={1: 0}, outliers=frozenset())
     assert sim_score(ds, empty, 0) == 0.0
-    assert sim_scores(ds, empty).tolist() == [0.0, 0.0, 0.0]
+    assert sim_scores(ds.points, empty).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sim_scores_vector_matches_pointwise():
@@ -100,7 +100,7 @@ def test_sim_scores_vector_matches_pointwise():
     pts = random_points(rng, n=20, d=2)
     ds = Dataset(points=pts, truth=[0] * 20)
     labels = LabelSet(normal={0: 0}, outliers=frozenset([3, 11]))
-    vec = sim_scores(ds, labels)
+    vec = sim_scores(ds.points, labels)
     for q in range(20):
         assert vec[q] == sim_score(ds, labels, q)
 
@@ -119,7 +119,7 @@ def test_sim_scores_match_broadcast_bytes():
         outs = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         labels = LabelSet(normal={}, outliers=frozenset(outs.tolist()))
         want = sim_scores_by_broadcast(ds, labels)
-        assert sim_scores(ds, labels).tobytes() == want.tobytes(), case
+        assert sim_scores(ds.points, labels).tobytes() == want.tobytes(), case
 
 
 def test_sim_scores_hold_one_point_matrix_at_a_time():
@@ -128,7 +128,7 @@ def test_sim_scores_hold_one_point_matrix_at_a_time():
     labels = LabelSet(normal={}, outliers=frozenset(range(0, n, n // o)))
     tracemalloc.start()
     try:
-        sim_scores(ds, labels)
+        sim_scores(ds.points, labels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -196,7 +196,7 @@ def test_score_table_builder_is_complete():
     idx = build_index(ds, 2)
     assert np.array_equal(table.r_score, r_score(expand(idx, labels)[1]))
     assert np.array_equal(table.l_score, l_score(idx.density))
-    assert np.array_equal(table.sim_score, sim_scores(ds, labels))
+    assert np.array_equal(table.sim_score, sim_scores(ds.points, labels))
     assert table.t_score is not None
     assert np.all((table.t_score >= 0) & (table.t_score <= 1))
     expected = (0.4 * (1 - table.r_score) + 0.3 * (1 - table.l_score)
