@@ -99,19 +99,19 @@ def _evaluate(ds, result) -> dict:
             "nmi": nmi(result.clusters, ds.truth)}
 
 
-def _blend(ds, labels, args, seed: int, index) -> tuple:
+def _blend(ds, labels, args, seed: int) -> tuple:
     """The flag (alpha, beta), or the cross-validated best cell under --tune."""
     if not args.tune:
         return args.alpha, args.beta
     return tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
-                params=_pipeline_params(args, args.alpha, args.beta), index=index).best
+                params=_pipeline_params(args, args.alpha, args.beta)).best
 
 
 def _draw(ds, args, index, fraction: float, seed: int, cells=None):
     """Sample one draw's labels and prepare once, then yield ((alpha, beta),
     result) per cell in `cells`, or for the draw's own `_blend` when None."""
     labels = sample_labels(ds, fraction, seed, stratified=args.stratified_labels)
-    blends = cells if cells is not None else [_blend(ds, labels, args, seed, index)]
+    blends = cells if cells is not None else [_blend(ds, labels, args, seed)]
     prepared = prepare(index, labels)
     for alpha, beta in blends:
         yield (alpha, beta), finish(prepared, _pipeline_params(args, alpha, beta))

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +22,22 @@ class Dataset:
 
     truth[i] is a cluster id in 0..K-1 or OUTLIER. Cluster ids must form a
     contiguous range, which load_csv guarantees by remapping raw labels in
-    first-appearance order.
+    first-appearance order. `_indexes` is build_index's memo, one index per
+    min_pts; every new Dataset starts with it empty.
     """
 
     points: np.ndarray
     truth: np.ndarray
     name: str = "dataset"
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
-        truth = np.array(self.truth, dtype=int)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ValueError("points must be a matrix with n >= 1 rows and d >= 1 columns")
         if not np.all(np.isfinite(points)):
             raise ValueError("all feature values must be finite")
+        truth = np.array(int_vector(self.truth, "truth"))
         if truth.shape != (points.shape[0],):
             raise ValueError("truth must hold exactly one assignment per point")
         if truth.min() < OUTLIER:
@@ -70,8 +72,13 @@ class LabelSet:
     outliers: frozenset
 
     def __post_init__(self):
-        normal = {int(i): int(c) for i, c in dict(self.normal).items()}
-        outliers = frozenset(int(i) for i in self.outliers)
+        normal, outliers = dict(self.normal), frozenset(self.outliers)
+        for name, values in (("normal indices", normal), ("normal cluster ids", normal.values()),
+                             ("outliers", outliers)):
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"LabelSet {name} must be integers, not floats or booleans")
+        normal = {int(i): int(c) for i, c in normal.items()}
+        outliers = frozenset(int(i) for i in outliers)
         if any(c < 0 for c in normal.values()):
             raise ValueError("normal labels must be cluster ids >= 0")
         if set(normal) & outliers:

@@ -174,13 +174,17 @@ def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
     all read from one distance matrix that is freed on return.
-    Requires n >= 2 and 1 <= min_pts <= n - 1.
+    Requires n >= 2 and 1 <= min_pts <= n - 1. The index depends only on
+    ds's read-only points and min_pts, so it is kept on ds and later calls
+    return that same object (threads that miss at once build equal ones).
     """
     n = ds.n
     if n < 2:
         raise ValueError("need at least 2 points to build an index")
     if not 1 <= min_pts <= n - 1:
         raise ValueError(f"min_pts must be in [1, {n - 1}], got {min_pts}")
+    if int(min_pts) in ds._indexes:
+        return ds._indexes[int(min_pts)]
     dist = pairwise_distances(ds.points)
     blocks = row_blocks(n, n)
     core, density = np.empty(n), np.empty(n)
@@ -198,5 +202,7 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     order, gap = _spanning_tree(dist, core)
     for arr in (core, density, order, gap):
         arr.flags.writeable = False
-    return NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
-                             gap=gap, min_pts=int(min_pts))
+    index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
+                              gap=gap, min_pts=int(min_pts))
+    ds._indexes[index.min_pts] = index
+    return index

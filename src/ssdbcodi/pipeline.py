@@ -2,11 +2,12 @@
 
 The label-independent work (core distances, local densities, the
 reachability plot) lives on a NeighborhoodIndex, which owns the points
-and min_pts. `prepare(index, labels)` stages one label draw on it;
-`finish` reads only that stage to apply one (alpha, beta) blend, select
-the reliable sets and classify every point or a given subset of rows,
-keeping the kNN neighbours per training set and rows on the stage. `run`
-composes the two; `tune` finishes every cell on one validation fold's
+and min_pts; build_index keeps one per dataset and min_pts, so `run` and
+`tune` on one dataset build it once. `prepare(index, labels)` stages one
+label draw on it; `finish` reads only that stage to apply one (alpha, beta)
+blend, select the reliable sets and classify every point or a given subset
+of rows, keeping the kNN neighbours per training set and rows on the stage.
+`run` composes the two; `tune` finishes every cell on one validation fold's
 stage, classifying only that fold's hidden rows, before preparing the next.
 """
 
@@ -182,14 +183,13 @@ def blend_grid(grid_step: float) -> list:
 
 
 def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
-         seed: int = 0, params: PipelineParams | None = None,
-         index: NeighborhoodIndex | None = None) -> TuneReport:
+         seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
     """Grid-search (alpha, beta) by hiding folds of the labeled set.
 
     Every `blend_grid(grid_step)` cell is scored with the mean fold
     objective; the report keeps the whole grid and the argmax, ties
     resolved to the lexicographically smallest cell. Every fold shares
-    `index` (built when None; refused on other points or min_pts).
+    the dataset's index, which build_index keeps for later calls.
     """
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
     blends = [replace(base, score=replace(base.score, alpha=a, beta=b))
@@ -203,12 +203,7 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
         )
     labels.validate_for(ds.n)
 
-    if index is None:
-        index = build_index(ds, base.score.min_pts)
-    elif index.min_pts != base.score.min_pts:
-        raise ValueError(f"index has min_pts={index.min_pts}; need min_pts={base.score.min_pts}")
-    elif not np.array_equal(index.points, ds.points):
-        raise ValueError(f"index was built on {index.n} other points, not the dataset's {ds.n}")
+    index = build_index(ds, base.score.min_pts)
     per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
     for hidden in _fold_partition(labels, folds, seed):
         visible = _drop_labels(labels, hidden)

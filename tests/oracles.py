@@ -654,11 +654,10 @@ def fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> fl
 
 
 def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
-                  seed: int = 0, params: PipelineParams | None = None,
-                  index: NeighborhoodIndex | None = None) -> TuneReport:
+                  seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
     """pipeline.tune with every fold prepared up front and the cells
-    outermost; each finish gets a fresh copy of its fold's stage, so no
-    neighbour search is reused."""
+    outermost, on an index built afresh for a twin of ds; each finish gets
+    a fresh copy of its fold's stage, so no neighbour search is reused."""
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
     cells = blend_grid(grid_step)
     if folds < 2:
@@ -670,8 +669,7 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         )
     labels.validate_for(ds.n)
 
-    if index is None:
-        index = build_index(ds, base.score.min_pts)
+    index = build_index(Dataset(points=ds.points.copy(), truth=ds.truth), base.score.min_pts)
     stages = []
     for hidden in _fold_partition(labels, folds, seed):
         stages.append((prepare(index, _drop_labels(labels, hidden)), sorted(hidden)))

@@ -168,7 +168,8 @@ def test_tuned_benchmark_matches_tuned_run(blobs_csv, capsys):
 
 
 def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
-    # one index, and one spanning-tree pass, however many trials and folds
+    # one spanning-tree pass, however many trials and folds: every
+    # build_index call gets the one loaded Dataset, whose index it keeps
     calls, trees = [], []
     real, real_tree = cli.build_index, metricspace._spanning_tree
 
@@ -190,7 +191,7 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
             [command, "--input", blobs_csv, "--fractions", "25,50", "--trials", "3",
              "--grid-step", "0.5", "--workers", "2"], capsys)
         assert code == 0
-        assert len(calls) == len(trees) == 1, command
+        assert len(trees) == 1 and len({id(ds) for ds, _ in calls}) == 1, command
     tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--stratified-labels"]
     for argv in (["run", "--label-fraction", "0.5"],
                  ["benchmark", "--fractions", "20,30", "--trials", "3", "--workers", "2"],
@@ -199,7 +200,7 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
         trees.clear()
         code, _, _ = run_cli(argv + ["--input", blobs_csv] + tune_flags, capsys)
         assert code == 0
-        assert len(calls) == len(trees) == 1, argv[0]
+        assert len(trees) == 1 and len({id(ds) for ds, _ in calls}) == 1, argv[0]
 
 
 def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch):

@@ -121,6 +121,32 @@ def test_dataset_validation():
     assert ds.n_clusters == 1 and int((ds.truth == OUTLIER).sum()) == 1
 
 
+def test_dataset_refuses_truth_it_would_cast():
+    points = [[0.0], [1.0], [2.0]]
+    for truth in ([0.5, 1.7, 0.2], [True, False, True], [0.0, 1.0, 0.0], ["0", "1", "0"]):
+        with pytest.raises(ValueError, match="truth must be a 1-D sequence of integers"):
+            Dataset(points=points, truth=truth)
+    with pytest.raises(ValueError, match="one assignment per point"):
+        Dataset(points=points, truth=[0, 0])
+    ds = Dataset(points=points, truth=np.array([0, 1, -1], dtype=np.int32))
+    assert ds.truth.tolist() == [0, 1, OUTLIER] and not ds.truth.flags.writeable
+
+
+def test_labelset_refuses_indices_and_ids_it_would_cast():
+    for normal, outliers, field in (({0.7: 1}, [], "normal indices"),
+                                    ({0: 1.9}, [], "normal cluster ids"),
+                                    ({0: 1}, [2.5], "outliers"),
+                                    ({True: 0}, [], "normal indices"),
+                                    ({0: False}, [], "normal cluster ids"),
+                                    ({0: 0}, [np.True_], "outliers"),
+                                    ({np.float64(1.0): 0}, [], "normal indices")):
+        with pytest.raises(ValueError, match=f"LabelSet {field} must be integers"):
+            LabelSet(normal=normal, outliers=frozenset(outliers))
+    ls = LabelSet(normal={np.int64(3): np.int32(1)}, outliers=[np.int16(5)])
+    assert ls.normal == {3: 1} and ls.outliers == {5}
+    assert all(type(v) is int for v in [*ls.normal, *ls.normal.values(), *ls.outliers])
+
+
 def test_labelset_validation():
     with pytest.raises(ValueError, match="disjoint|both"):
         LabelSet(normal={1: 0}, outliers=frozenset([1]))

@@ -1,17 +1,20 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
+from dataclasses import replace
 import mmap
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssdbcodi import Dataset, build_index, metricspace, pairwise_distances
+from ssdbcodi import (Dataset, PipelineParams, ScoreParams, build_index, metricspace,
+                      pairwise_distances, run, sample_labels, tune)
 from ssdbcodi.metricspace import cross_distances, nearest, nearest_center
 from oracles import (as_dataset, distances_by_expression, is_density_reachable,
-                     knn_by_rdist, local_densities_by_matrix, nearest_centroid_by_loop,
-                     pairwise_by_expression, random_points, reach_distance,
-                     sq_dist_by_minimum)
+                     knn_by_rdist, local_densities_by_matrix, moons_with_outliers,
+                     nearest_centroid_by_loop, pairwise_by_expression, random_points,
+                     reach_distance, sq_dist_by_minimum)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -40,6 +43,86 @@ def test_build_index_errors():
     one = Dataset(points=[[0.0]], truth=[0])
     with pytest.raises(ValueError, match="at least 2"):
         build_index(one, 1)
+
+
+def counted_trees(monkeypatch) -> list:
+    """Record every spanning-tree pass, one per index actually built."""
+    trees, real = [], metricspace._spanning_tree
+    monkeypatch.setattr(metricspace, "_spanning_tree",
+                        lambda *args: trees.append(args) or real(*args))
+    return trees
+
+
+def assert_same_index(got, want, case=None):
+    for name in ("core", "density", "order", "gap"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (case, name)
+    assert got.points.tobytes() == want.points.tobytes() and got.min_pts == want.min_pts
+
+
+def test_build_index_keeps_one_index_per_dataset_and_min_pts(monkeypatch):
+    ds = as_dataset(np.random.default_rng(5).normal(size=(30, 2)))
+    trees = counted_trees(monkeypatch)
+    first = build_index(ds, 3)
+    assert build_index(ds, 3) is first and build_index(ds, np.int64(3)) is first
+    assert len(trees) == 1
+    other = build_index(ds, 4)
+    assert other is not first and other.min_pts == 4 and len(trees) == 2
+    assert build_index(ds, 3) is first and build_index(ds, 4) is other and len(trees) == 2
+    # a refused min_pts is refused before the memo is read
+    with pytest.raises(ValueError, match="min_pts"):
+        build_index(ds, 30)
+    # a replaced dataset is a new one: its memo starts empty
+    renamed = replace(ds, name="x")
+    assert renamed.name == "x" and "_indexes" not in repr(renamed)
+    again = build_index(renamed, 3)
+    assert again is not first and len(trees) == 3
+    assert_same_index(again, first)
+
+
+def test_kept_index_matches_a_fresh_build_bytes():
+    # tie-heavy cases: small integer grids with repeated rows; every kept
+    # index, read back in any order of min_pts, equals a twin's fresh build
+    rng = np.random.default_rng(31)
+    for case in range(120):
+        n = int(rng.integers(2, 40))
+        pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+        pts[rng.integers(n, size=n // 3)] = pts[rng.integers(n, size=n // 3)]
+        ds = as_dataset(pts)
+        ks = rng.integers(1, n, size=4).tolist()
+        kept = {k: build_index(ds, k) for k in ks}
+        for k in rng.permutation(ks).tolist():
+            assert build_index(ds, k) is kept[k], case
+            twin = Dataset(points=ds.points.copy(), truth=ds.truth)
+            assert_same_index(kept[k], build_index(twin, k), case)
+
+
+def test_threads_building_one_dataset_get_equal_indexes():
+    ds = as_dataset(np.random.default_rng(9).integers(0, 5, size=(300, 2)).astype(float))
+    barrier, got = threading.Barrier(4), [None] * 4
+
+    def build(i):
+        barrier.wait()
+        got[i] = build_index(ds, 5)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for idx in got[1:]:
+        assert_same_index(idx, got[0])
+    kept = build_index(ds, 5)
+    assert any(kept is idx for idx in got)
+
+
+def test_tune_then_run_builds_once(monkeypatch):
+    ds = moons_with_outliers(n=120)
+    labels = sample_labels(ds, 0.2, seed=3)
+    trees = counted_trees(monkeypatch)
+    params = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=4), k_c=3)
+    best = tune(ds, labels, grid_step=0.5, folds=2, seed=3, params=params).best
+    run(ds, labels, PipelineParams(score=ScoreParams(*best, min_pts=4), k_c=3))
+    assert len(trees) == 1
 
 
 def test_density_matches_matrix_oracle_bytes():

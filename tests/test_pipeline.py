@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, build_index, default_k, finish, minmax_scale,
+                      ScoreParams, blend_grid, build_index, default_k, finish, metricspace,
                       model, pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import fold_objective, moons_with_outliers, tune_by_cells
@@ -142,7 +142,8 @@ def test_tune_matches_unshared_recomputation():
     objectives = []
     for hidden in _fold_partition(tune_labels(), 2, 0):
         visible = _drop_labels(tune_labels(), hidden)
-        prepared = prepare(build_index(BLOBS, base.score.min_pts), visible)  # fresh index
+        twin = Dataset(points=BLOBS.points.copy(), truth=BLOBS.truth)  # a fresh index
+        prepared = prepare(build_index(twin, base.score.min_pts), visible)
         result = finish(prepared, cell)
         obj = fold_objective(result, sorted(hidden), tune_labels())
         if obj is not None:
@@ -152,35 +153,31 @@ def test_tune_matches_unshared_recomputation():
     assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_tune_with_a_given_index_matches_its_own():
+def test_tune_after_build_index_reuses_that_index(monkeypatch):
     params = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=3), k_c=1)
-    own = tune(BLOBS, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params)
-    given = tune(BLOBS, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params,
-                 index=build_index(BLOBS, 3))
-    assert np.array(given.grid).tobytes() == np.array(own.grid).tobytes()
-    assert given.best == own.best
+    ds = Dataset(points=BLOBS.points, truth=BLOBS.truth)
+    index = build_index(ds, 3)
+    staged, trees = [], []
+    real_prepare, real_tree = pipeline.prepare, metricspace._spanning_tree
+    monkeypatch.setattr(pipeline, "prepare",
+                        lambda idx, labels: staged.append(idx) or real_prepare(idx, labels))
+    monkeypatch.setattr(metricspace, "_spanning_tree",
+                        lambda *args: trees.append(args) or real_tree(*args))
+    got = tune(ds, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params)
+    assert len(staged) == 2 and all(idx is index for idx in staged)
+    assert trees == []
+    # a twin dataset builds its own index and tunes to the same bytes
+    twin = Dataset(points=BLOBS.points.copy(), truth=BLOBS.truth)
+    want = tune(twin, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params)
+    assert len(trees) == 1 and staged[-1] is not index
+    assert np.array(got.grid).tobytes() == np.array(want.grid).tobytes()
+    assert got.best == want.best
 
 
-def test_prepare_and_tune_refuse_a_mismatched_index():
-    wrong_min_pts = build_index(BLOBS, 2)
-    wrong_n = build_index(Dataset(points=BLOBS.points[:10], truth=BLOBS.truth[:10]), 3)
-    for index, match in ((wrong_min_pts, "index has min_pts=2; need min_pts=3"),
-                         (wrong_n, "built on 10 other points, not the dataset's 18")):
-        with pytest.raises(ValueError, match=match):
-            tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, index=index)
-
-
-def test_prepare_and_tune_refuse_an_index_on_other_points():
-    # same n, other points: the index of the unscaled data for the scaled data
-    scaled = minmax_scale(BLOBS)
-    foreign = build_index(BLOBS, 3)
-    match = "built on 18 other points, not the dataset's 18"
-    with pytest.raises(ValueError, match=match):
-        tune(scaled, tune_labels(), grid_step=0.5, folds=2, index=foreign)
-    # equal points in another array are the same points
+def test_tune_on_equal_points_in_another_array_matches():
     twin = Dataset(points=BLOBS.points.copy(), truth=BLOBS.truth)
     params = PipelineParams(score=ScoreParams(0.0, 0.0, min_pts=3), k_c=1)
-    got = tune(twin, tune_labels(), grid_step=0.5, folds=2, params=params, index=foreign)
+    got = tune(twin, tune_labels(), grid_step=0.5, folds=2, params=params)
     want = tune(BLOBS, tune_labels(), grid_step=0.5, folds=2, params=params)
     assert np.array(got.grid).tobytes() == np.array(want.grid).tobytes()
     assert got.best == want.best
@@ -293,7 +290,6 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=5)
-    index = build_index(ds, 3)
     calls = counted_cross_distances(monkeypatch)
     finished, voted = [], []
     real_finish, real_vote = pipeline.finish, pipeline.vote
@@ -309,7 +305,7 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
 
     monkeypatch.setattr(pipeline, "finish", recording)
     monkeypatch.setattr(pipeline, "vote", counting_vote)
-    tune(ds, labels, grid_step=0.2, folds=5, seed=5, index=index,
+    tune(ds, labels, grid_step=0.2, folds=5, seed=5,
          params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
     # Holding every stage keeps their ids distinct.
     distinct = {(id(prepared), k_c, key) for prepared, k_c, key, _ in finished}
