@@ -16,7 +16,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x d feature matrix plus one ground-truth assignment per row.
 
@@ -29,7 +29,7 @@ class Dataset:
     points: np.ndarray
     truth: np.ndarray
     name: str = "dataset"
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)

@@ -3,7 +3,8 @@ distances, local densities, and the spanning tree's reachability plot.
 
 The n x n passes work in place in their output, in row blocks or (to make
 the pairwise matrix symmetric) in square tile pairs, so each holds one large
-array at a time; an index keeps none of them.
+array at a time; an index keeps none of them. Large outputs live in maps that
+are reused once their output dies, up to IDLE_BYTES of idle maps.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -12,13 +13,15 @@ distance of p is the distance to its min_pts-th nearest *other* point.
 from dataclasses import dataclass
 import math
 import mmap
+import threading
+import weakref
 
 import numpy as np
 
 from .dataset import Dataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodIndex:
     """Its dataset's points, core distances, local densities (l_score's
     input) and the reachability plot of the reachability graph's minimum
@@ -42,17 +45,45 @@ class NeighborhoodIndex:
 # Each n x n pass holds one large array, its output, and works in row blocks
 # of BLOCK_BYTES, or in pairs of square tiles that together fit it. Outputs
 # from MAPPED_BYTES on (numpy's huge-page size) get an anonymous map of their
-# own, unmapped when freed: in the C heap each would leave a hole that
-# smaller allocations split before the next output arrives, so a
-# long-running process's resident peak would drift with its allocation
-# history by up to one output.
-BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
+# own: in the C heap each would leave a hole that smaller allocations split
+# before the next output arrives, so a long-running process's resident peak
+# would drift with its allocation history by up to one output. A dead output's
+# map then serves the next output that fits, sparing it fresh page faults,
+# while idle maps total at most IDLE_BYTES (glibc's ceiling for freed chunks).
+BLOCK_BYTES, MAPPED_BYTES, IDLE_BYTES = 1 << 20, 4 << 20, 32 << 20
+_idle, _idle_lock = [], threading.RLock()  # _park runs on any thread, even inside _mapped
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list:
     """Row slices whose float64 blocks of n_cols columns fit BLOCK_BYTES."""
     step = max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
     return [slice(a, a + step) for a in range(0, n_rows, step)]
+
+
+def _mapped(shape: tuple, nbytes: int) -> np.ndarray:
+    """An uninitialised float64 array in the smallest idle map of nbytes or more,
+    else in a new map (dropping the idle maps, all too small). Views are based
+    on the array, not its map, so the map is parked once the last of them dies."""
+    with _idle_lock:
+        fits = [buf for buf in _idle if len(buf) >= nbytes]
+        buf = min(fits, key=len) if fits else None
+        if buf is None:
+            _idle.clear()
+        else:
+            _idle.remove(buf)
+    if buf is None:
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+    out = np.ndarray(shape, buffer=buf)
+    weakref.finalize(out, _park, buf)
+    return out
+
+
+def _park(buf: mmap.mmap) -> None:
+    """Keep a map whose output has died while the idle maps fit IDLE_BYTES."""
+    with _idle_lock:
+        if len(buf) + sum(len(idle) for idle in _idle) <= IDLE_BYTES:
+            _idle.append(buf)
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
@@ -79,9 +110,7 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     sa = sb if a is b and rows is None else squared_norms(a if rows is None else a[rows])
     nbytes = 8 * a.shape[0] * b.shape[0]
     if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-        d = np.matmul(a, b.T, out=np.ndarray((a.shape[0], b.shape[0]), buffer=buf))
+        d = np.matmul(a, b.T, out=_mapped((a.shape[0], b.shape[0]), nbytes))
     else:
         d = a @ b.T
     if rows is not None:
@@ -146,25 +175,24 @@ def pairwise_distances(points) -> np.ndarray:
     return d
 
 
-def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
-    """Dense Prim from point 0 over the reachability graph, one row per step.
+def _spanning_tree(reach: np.ndarray) -> tuple:
+    """Dense Prim from point 0 over the reachability matrix, one row per step.
 
-    A point's entry in `live_core` turns +inf when it joins the tree, so
-    its reachability from any later point is +inf and never closer.
+    A point's entry in `joined` turns +inf when it joins the tree, so its
+    reachability from any later point is +inf and never closer.
     Returns (order, gap): the join order and the n - 1 join keys.
     """
-    n = core.size
-    live_core = core.copy()
+    n = reach.shape[0]
+    joined = np.zeros(n)
     best = np.full(n, np.inf)
     rd = np.empty(n)
     order = np.zeros(n, dtype=int)
     gap = np.empty(n - 1)
     q = 0
     for step in range(n - 1):
-        live_core[q] = np.inf
+        joined[q] = np.inf
         best[q] = np.inf
-        np.maximum(live_core, core[q], out=rd)  # q's reachability row, off the tree
-        np.maximum(rd, dist[q], out=rd)
+        np.maximum(reach[q], joined, out=rd)  # q's reachability row, off the tree
         np.minimum(best, rd, out=best)
         q = int(best.argmin())
         order[step + 1], gap[step] = q, best[q]
@@ -173,7 +201,8 @@ def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
-    all read from one distance matrix that is freed on return.
+    all read from one distance matrix, which the density pass turns into the
+    reachability matrix in place for Prim, and which is freed on return.
     Requires n >= 2 and 1 <= min_pts <= n - 1. The index depends only on
     ds's read-only points and min_pts, so it is kept on ds and later calls
     return that same object (threads that miss at once build equal ones).
@@ -191,15 +220,17 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     # Row position min_pts of the sorted row skips exactly one self-distance.
     for rows in blocks:
         core[rows] = np.partition(dist[rows], min_pts, axis=1)[:, min_pts]
-    # The density is the mean of each row's min_pts smallest off-diagonal
-    # reachabilities max(core_p, core_q, dist_pq).
+    # dist becomes the reachability matrix max(dist_pq, core_q, core_p) in place;
+    # the density averages each row's min_pts smallest off-diagonal entries.
     for rows in blocks:
-        blk = np.maximum(dist[rows], core)
+        blk = dist[rows]
+        np.maximum(blk, core, out=blk)
         np.maximum(blk, core[rows, None], out=blk)
+        blk = blk.copy()
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
-    order, gap = _spanning_tree(dist, core)
+    order, gap = _spanning_tree(dist)
     for arr in (core, density, order, gap):
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,

@@ -11,7 +11,7 @@ from .metricspace import cross_distances, nearest
 from .scoring import ScoreTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Classifier training rows: dataset indices, a class each, and a weight each.
 
@@ -112,7 +112,7 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     return out_class, out_score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
     """End-to-end output: predictions plus the artifacts that produced them.
     clusters, outliers and outlier_score follow `finish`'s rows (every point

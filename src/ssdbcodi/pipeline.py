@@ -52,7 +52,7 @@ class TuneReport:
     best: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
     on (its points and min_pts), the assignment, the score table without
@@ -63,7 +63,7 @@ class Prepared:
     assignment: np.ndarray
     scores: ScoreTable
     auto_k: int
-    neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    neighbours: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def default_k(n: int, labels: LabelSet) -> int:

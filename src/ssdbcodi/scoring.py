@@ -40,7 +40,7 @@ class ScoreParams:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-point score columns; t_score is None until a blend is applied."""
 

@@ -2,8 +2,10 @@
 
 from dataclasses import replace
 import mmap
+import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +197,117 @@ def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
     pts = np.random.default_rng(4).normal(size=(50, 2))
     assert isinstance(pairwise_distances(pts).base, mmap.mmap)
     assert pairwise_distances(pts[:49]).base is None
+
+
+def fresh_maps(monkeypatch) -> list:
+    """An empty idle list, with outputs of 20 x 20 and more mapped."""
+    monkeypatch.setattr(metricspace, "_idle", [])
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 20 * 20)
+    return metricspace._idle
+
+
+def test_a_dead_output_map_serves_the_next_output_that_fits(monkeypatch):
+    idle = fresh_maps(monkeypatch)
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(60, 3))
+    first = pairwise_distances(pts)
+    buf = first.base
+    assert isinstance(buf, mmap.mmap) and len(buf) == 8 * 60 * 60 and not idle
+    del first
+    assert len(idle) == 1 and idle[0] is buf
+    same = cross_distances(pts, pts)
+    assert same.base is buf and not idle
+    del same
+    smaller = cross_distances(pts, pts[:40])
+    assert smaller.base is buf
+    assert smaller.tobytes() == cross_distances(pts, pts[:40]).tobytes()  # a fresh map
+    # of two idle maps, the smallest that holds the output serves it
+    larger = pairwise_distances(rng.normal(size=(80, 2)))
+    big = larger.base
+    del larger, smaller
+    assert [len(m) for m in idle] == [8 * 80 * 80, 8 * 60 * 60]
+    assert pairwise_distances(pts[:50]).base is buf
+    assert cross_distances(pts, pts[:50]).base is buf  # the previous output died
+    held = pairwise_distances(pts)
+    assert held.base is buf and pairwise_distances(pts).base is big
+
+
+def test_a_live_view_keeps_its_map_from_the_next_output(monkeypatch):
+    views = {"slice": lambda d: d[3:], "transpose": lambda d: d.T,
+             "memoryview": memoryview, "frombuffer": np.frombuffer}
+    rng = np.random.default_rng(43)
+    pts = rng.normal(size=(60, 3))
+    for name, view in views.items():
+        idle = fresh_maps(monkeypatch)
+        first = pairwise_distances(pts)
+        buf = weakref.ref(first.base)
+        held = view(first)
+        before = np.asarray(held).tobytes()
+        del first
+        assert not idle, name
+        second = pairwise_distances(pts * 3.0)
+        assert buf() is not None and second.base is not buf(), name
+        assert np.asarray(held).tobytes() == before, name
+        del held
+        assert len(idle) == 1 and idle[0] is buf(), name
+        del second
+
+
+def test_threads_holding_outputs_at_once_get_different_maps(monkeypatch):
+    # more threads than cores and a short switch interval; every round each
+    # thread holds an output while all others hold theirs, over idle maps of
+    # several sizes
+    fresh_maps(monkeypatch)
+    rng = np.random.default_rng(47)
+    sets = [rng.normal(size=(int(rng.integers(30, 70)), 2)) for _ in range(4)]
+    wants = [pairwise_distances(p).tobytes() for p in sets]
+    rounds, barrier = 25, threading.Barrier(4, timeout=30)
+    bases, wrong = [[None] * 4 for _ in range(rounds)], []
+
+    def work(i):
+        for r in range(rounds):
+            d = pairwise_distances(sets[i])
+            bases[r][i] = d.base
+            barrier.wait()
+            if d.tobytes() != wants[i]:
+                wrong.append((r, i))
+            barrier.wait()
+            del d
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    for r, held in enumerate(bases):
+        assert all(isinstance(b, mmap.mmap) for b in held), r
+        assert len({id(b) for b in held}) == 4, r
+
+
+def test_idle_maps_never_total_more_than_idle_bytes(monkeypatch):
+    idle = fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "IDLE_BYTES", 8 * 50 * 50)
+    rng = np.random.default_rng(53)
+    outs = [pairwise_distances(rng.normal(size=(n, 2))) for n in (30, 40, 45, 60)]
+    maps = [weakref.ref(out.base) for out in outs]
+    while outs:
+        del outs[0]
+        assert sum(len(m) for m in idle) <= metricspace.IDLE_BYTES
+    # 30 and 40 fill the budget exactly; 45 would pass it and 60 does alone
+    assert [m() is not None for m in maps] == [True, True, False, False]
+    assert [m() for m in maps[:2]] == idle
+    # a miss drops the idle maps, all too small, before mapping anew
+    out = pairwise_distances(rng.normal(size=(55, 2)))
+    assert maps[0]() is None and maps[1]() is None and not idle
+    over = weakref.ref(out.base)
+    del out
+    assert over() is None and not idle
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):

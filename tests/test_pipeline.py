@@ -66,6 +66,21 @@ def test_run_is_prepare_then_finish():
     assert np.array_equal(direct.training.indices, staged.training.indices)
 
 
+def test_array_holding_objects_compare_by_identity():
+    # a generated __eq__ would compare ndarray fields, and raise, as would hash
+    ds = replace(BLOBS, name="x")
+    idx, other = build_index(ds, 3), build_index(ds, 4)
+    prepared = prepare(idx, BLOB_LABELS)
+    result = finish(prepared, PARAMS)
+    assert (ds == BLOBS) is False and (ds == ds) is True and ds != BLOBS
+    assert idx in [other, idx] and idx not in [other]
+    objects = [ds, idx, prepared.scores, result.training, result, prepared]
+    assert len(set(objects + objects)) == 6
+    assert {type(obj).__name__ for obj in objects} == {
+        "Dataset", "NeighborhoodIndex", "ScoreTable", "TrainingSet", "PipelineResult",
+        "Prepared"}
+
+
 def test_finish_refuses_params_with_another_min_pts():
     prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
     with pytest.raises(ValueError, match="stage min_pts=3 != params min_pts=7"):
