@@ -102,6 +102,11 @@ class LabelSet:
             raise ValueError(f"label indices out of range for n={n}: {bad[:5]}")
 
 
+def is_int(value) -> bool:
+    """True for Python and numpy integers; floats and booleans are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def int_vector(values, name: str) -> np.ndarray:
     """values as a 1-D int array; floats, booleans and other shapes are
     refused, not cast (an empty sequence is fine)."""

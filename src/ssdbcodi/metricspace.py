@@ -1,9 +1,11 @@
 """Pairwise and cross distances, k-nearest and nearest-centre selection, core
 distances, local densities, and the spanning tree's reachability plot.
 
-The n x n passes work in place in their output, in row blocks or (to make
-the pairwise matrix symmetric) in square tile pairs, so each holds one large
-array at a time; an index keeps none of them. Large outputs live in maps that
+The n x n passes work in place in their output, in row blocks, so each holds
+one large array at a time; an index keeps none of them. What is read off the
+distances alone (the classifier's nearest neighbours, the core distances) is
+read off each row block as soon as it holds them, while it is still in
+cache, not in a second sweep of the matrix. Large outputs live in maps that
 are reused once their output dies, up to IDLE_BYTES of idle maps.
 
 The neighbourhood convention everywhere is self-excluding: the core
@@ -11,14 +13,13 @@ distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
 from dataclasses import dataclass
-import math
 import mmap
 import threading
 import weakref
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, is_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +44,13 @@ class NeighborhoodIndex:
 
 
 # Each n x n pass holds one large array, its output, and works in row blocks
-# of BLOCK_BYTES, or in pairs of square tiles that together fit it. Outputs
-# from MAPPED_BYTES on (numpy's huge-page size) get an anonymous map of their
-# own: in the C heap each would leave a hole that smaller allocations split
-# before the next output arrives, so a long-running process's resident peak
-# would drift with its allocation history by up to one output. A dead output's
-# map then serves the next output that fits, sparing it fresh page faults,
-# while idle maps total at most IDLE_BYTES (glibc's ceiling for freed chunks).
+# of BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get an
+# anonymous map of their own: in the C heap each would leave a hole that
+# smaller allocations split before the next output arrives, so a long-running
+# process's resident peak would drift with its allocation history by up to one
+# output. A dead output's map then serves the next output that fits, sparing
+# it fresh page faults, while idle maps total at most IDLE_BYTES (glibc's
+# ceiling for freed chunks).
 BLOCK_BYTES, MAPPED_BYTES, IDLE_BYTES = 1 << 20, 4 << 20, 32 << 20
 _idle, _idle_lock = [], threading.RLock()  # _park runs on any thread, even inside _mapped
 
@@ -105,6 +106,12 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     the same bits. The squared norms of b's rows and of the rows of a kept
     must pass squared_norms, so that every distance kept is finite.
     """
+    return _distances(a, b, rows)
+
+
+def _distances(a, b, rows=None, each=None) -> np.ndarray:
+    """cross_distances, calling each(block_rows, block) on every row block
+    as soon as it holds distances, while it is still in cache."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     sb = squared_norms(b)
     sa = sb if a is b and rows is None else squared_norms(a if rows is None else a[rows])
@@ -121,6 +128,8 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
         np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
         np.sqrt(blk, out=blk)
+        if each is not None:
+            each(blk_rows, blk)
     return d
 
 
@@ -132,12 +141,24 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
     """
     nbrs = np.empty((d.shape[0], k), dtype=np.intp)
     for rows in row_blocks(*d.shape):
-        blk, out = d[rows], nbrs[rows]
-        at = np.arange(blk.shape[0])
-        for j in range(k):
-            out[:, j] = blk.argmin(axis=1)
-            blk[at, out[:, j]] = np.inf
+        _nearest_block(d[rows], nbrs[rows])
     return nbrs
+
+
+def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
+    """nearest(cross_distances(a, b, rows), k), each row block searched as
+    soon as it holds distances instead of in a second sweep of the matrix."""
+    nbrs = np.empty((np.shape(a)[0] if rows is None else np.shape(rows)[0], k), dtype=np.intp)
+    _distances(a, b, rows, lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
+    return nbrs
+
+
+def _nearest_block(blk: np.ndarray, out: np.ndarray) -> None:
+    """nearest on one block of rows, into out's k columns; consumes blk."""
+    at = np.arange(blk.shape[0])
+    for j in range(out.shape[1]):
+        out[:, j] = blk.argmin(axis=1)
+        blk[at, out[:, j]] = np.inf
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
@@ -157,22 +178,29 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
 def pairwise_distances(points) -> np.ndarray:
     """Exactly symmetric Euclidean distance matrix with a zero diagonal.
 
-    BLAS output is not guaranteed symmetric, so each entry becomes the max
-    of itself and its mirror, one pair of square tiles at a time: tile (i, j)
-    takes the max with the transpose of tile (j, i), which then copies it
-    back. The two tiles together fit BLOCK_BYTES, so the transposed reads
-    stay inside one small tile instead of running down whole columns.
+    numpy computes P @ P.T on one operand with BLAS's syrk and mirrors one
+    triangle onto the other, and the elementwise passes add the squared
+    norms in either order to the same sum, so entry (i, j) has the bits of
+    entry (j, i). Points BLAS cannot take whole (strided or misaligned) are
+    copied first: numpy would copy the two operands apart and run a general
+    GEMM, whose mirrored entries may differ in their last bits.
     """
+    return _pairwise(points)
+
+
+def _pairwise(points, each=None) -> np.ndarray:
+    """pairwise_distances, calling each(block_rows, block) as _distances
+    does, once the block's diagonal is zero."""
     pts = np.asarray(points, dtype=float)
-    d = cross_distances(pts, pts)
-    side = max(1, math.isqrt(BLOCK_BYTES // 16))
-    for i in range(0, d.shape[0], side):
-        for j in range(0, i + 1, side):
-            x, y = d[i:i + side, j:j + side], d[j:j + side, i:i + side]
-            np.maximum(x, y.T, out=x)
-            y[...] = x.T
-    np.fill_diagonal(d, 0.0)
-    return d
+    if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
+        pts = pts.copy()
+
+    def zero_diagonal(rows, blk):
+        np.fill_diagonal(blk[:, rows], 0.0)
+        if each is not None:
+            each(rows, blk)
+
+    return _distances(pts, pts, each=zero_diagonal)
 
 
 def _spanning_tree(reach: np.ndarray) -> tuple:
@@ -201,28 +229,29 @@ def _spanning_tree(reach: np.ndarray) -> tuple:
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
-    all read from one distance matrix, which the density pass turns into the
-    reachability matrix in place for Prim, and which is freed on return.
-    Requires n >= 2 and 1 <= min_pts <= n - 1. The index depends only on
+    all read from one distance matrix (the core distances off each row block
+    as it is made), which the density pass turns into the reachability
+    matrix in place for Prim, and which is freed on return. Requires n >= 2
+    and an integer min_pts in [1, n - 1]. The index depends only on
     ds's read-only points and min_pts, so it is kept on ds and later calls
     return that same object (threads that miss at once build equal ones).
     """
     n = ds.n
     if n < 2:
         raise ValueError("need at least 2 points to build an index")
-    if not 1 <= min_pts <= n - 1:
-        raise ValueError(f"min_pts must be in [1, {n - 1}], got {min_pts}")
+    if not (is_int(min_pts) and 1 <= min_pts <= n - 1):
+        raise ValueError(f"min_pts must be an integer in [1, {n - 1}], got {min_pts!r}")
     if int(min_pts) in ds._indexes:
         return ds._indexes[int(min_pts)]
-    dist = pairwise_distances(ds.points)
-    blocks = row_blocks(n, n)
     core, density = np.empty(n), np.empty(n)
-    # Row position min_pts of the sorted row skips exactly one self-distance.
-    for rows in blocks:
-        core[rows] = np.partition(dist[rows], min_pts, axis=1)[:, min_pts]
+
+    def take_core(rows, blk):  # row position min_pts skips exactly one self-distance
+        core[rows] = np.partition(blk, min_pts, axis=1)[:, min_pts]
+
+    dist = _pairwise(ds.points, take_core)
     # dist becomes the reachability matrix max(dist_pq, core_q, core_p) in place;
     # the density averages each row's min_pts smallest off-diagonal entries.
-    for rows in blocks:
+    for rows in row_blocks(n, n):
         blk = dist[rows]
         np.maximum(blk, core, out=blk)
         np.maximum(blk, core[rows, None], out=blk)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
-from .metricspace import cross_distances, nearest
+from .metricspace import cross_nearest
 from .scoring import ScoreTable
 
 
@@ -67,14 +67,14 @@ def neighbours(ts: TrainingSet, points, k_c: int, rows=None) -> np.ndarray:
     """Positions in ts of each row's k_c nearest training rows, trained on
     points[ts.indices]: Euclidean, ties by training-row position. With
     `rows`, only those rows of points (in their order) are searched; see
-    cross_distances."""
+    cross_distances and cross_nearest."""
     m = len(ts)
     if m == 0:
         raise ValueError("training set is empty")
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
     points = np.asarray(points, dtype=float)
-    return nearest(cross_distances(points, points[ts.indices], rows), k_c)
+    return cross_nearest(points, points[ts.indices], k_c, rows)
 
 
 def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, LabelSet, OUTLIER, point_indices, round_half_up
+from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
 from .metrics import auc, rand_index
@@ -38,10 +38,10 @@ class PipelineParams:
     k_c: int = 5
 
     def __post_init__(self):
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.k_c < 1:
-            raise ValueError(f"k_c must be >= 1, got {self.k_c}")
+        if self.k is not None and not (is_int(self.k) and self.k >= 0):
+            raise ValueError(f"k must be None or an integer >= 0, got {self.k!r}")
+        if not (is_int(self.k_c) and self.k_c >= 1):
+            raise ValueError(f"k_c must be an integer >= 1, got {self.k_c!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabelSet
+from .dataset import LabelSet, is_int
 from .metricspace import nearest_center
 
 
@@ -36,8 +36,8 @@ class ScoreParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.alpha + self.beta > 1.0 + 1e-9:
             raise ValueError(f"alpha + beta must not exceed 1, got {self.alpha + self.beta}")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
+        if not (is_int(self.min_pts) and self.min_pts >= 1):
+            raise ValueError(f"min_pts must be an integer >= 1, got {self.min_pts!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,12 +8,14 @@ every root's R x n row of minimax values instead of reading them off the
 reachability plot, threshold-swept ROC curves instead of rank sums,
 pair enumeration and Counter-based contingencies instead of vectorized
 tables, pointwise scores and a full sort with a per-row vote loop instead
-of the vectorized scores and the k-pass neighbour selection, one
-broadcast over every centroid instead of a running minimum (the former
-running-minimum loops stay beside it as oracles of their own), a
-cells-outer tuning loop that searches neighbours afresh for every finish
-and classifies every point before reading the hidden ones, and a
-fallback clusterer handed its distance matrix instead of recomputing it.
+of the vectorized scores and the k-pass neighbour selection, a search of
+the finished distance matrix instead of each row block as it is made
+(`nearest_by_matrix`), one broadcast over every centroid instead of a
+running minimum (the former running-minimum loops stay beside it as
+oracles of their own), a cells-outer tuning loop that searches neighbours
+afresh for every finish and classifies every point before reading the
+hidden ones, and a fallback clusterer handed its distance matrix instead
+of recomputing it.
 The one exception is `classify`, the library's `neighbours` and `vote` in
 one call, which the classifier tests drive.
 """
@@ -29,7 +31,7 @@ from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelinePar
                       auc, blend_grid, build_index, expand, finish, pairwise_distances,
                       prepare, rand_index)
 from ssdbcodi.dataset import point_indices
-from ssdbcodi.metricspace import cross_distances
+from ssdbcodi.metricspace import cross_distances, nearest
 from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
@@ -299,6 +301,13 @@ def sq_dist_by_minimum(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     for o in centers:
         np.minimum(d2, ((points - o) ** 2).sum(axis=1), out=d2)
     return d2
+
+
+# --- the classifier search's former path: the whole matrix, then nearest's sweep ---
+
+def nearest_by_matrix(a, b, k: int, rows=None) -> np.ndarray:
+    """cross_nearest as two passes: every distance first, then the search."""
+    return nearest(cross_distances(a, b, rows), k)
 
 
 # --- the library's two classifier steps in one call, for the tests ---

@@ -12,11 +12,11 @@ import pytest
 
 from ssdbcodi import (Dataset, PipelineParams, ScoreParams, build_index, metricspace,
                       pairwise_distances, run, sample_labels, tune)
-from ssdbcodi.metricspace import cross_distances, nearest, nearest_center
+from ssdbcodi.metricspace import cross_distances, cross_nearest, nearest, nearest_center
 from oracles import (as_dataset, distances_by_expression, is_density_reachable,
                      knn_by_rdist, local_densities_by_matrix, moons_with_outliers,
-                     nearest_centroid_by_loop, pairwise_by_expression, random_points,
-                     reach_distance, sq_dist_by_minimum)
+                     nearest_by_matrix, nearest_centroid_by_loop, pairwise_by_expression,
+                     random_points, reach_distance, sq_dist_by_minimum)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -45,6 +45,20 @@ def test_build_index_errors():
     one = Dataset(points=[[0.0]], truth=[0])
     with pytest.raises(ValueError, match="at least 2"):
         build_index(one, 1)
+
+
+def test_build_index_refuses_float_and_boolean_min_pts(monkeypatch):
+    # 3.5 once returned the index kept for 3, and failed in np.partition on
+    # a dataset with none kept; True reached np.partition as an index
+    ds = as_dataset(np.random.default_rng(6).normal(size=(10, 2)))
+    kept = build_index(ds, 3)
+    trees = counted_trees(monkeypatch)
+    for bad in (3.5, 3.0, np.float64(3.0), True, np.bool_(True)):
+        for target in (ds, LINE):
+            with pytest.raises(ValueError, match="min_pts must be an integer"):
+                build_index(target, bad)
+    assert not trees
+    assert build_index(ds, np.int32(3)) is kept and build_index(LINE, np.uint8(2)).min_pts == 2
 
 
 def counted_trees(monkeypatch) -> list:
@@ -175,21 +189,59 @@ def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_byte
         core = np.partition(dist, min_pts, axis=1)[:, min_pts]
         assert idx.core.tobytes() == core.tobytes(), case
         assert idx.density.tobytes() == local_densities_by_matrix(idx).tobytes(), case
+    # a tight cluster far from the origin in up to 20 dimensions: the rounding
+    # left on the diagonal outweighs true distances, so a core distance read
+    # before the block's diagonal is zeroed would differ
+    for case in range(20):
+        n, dim = int(rng.integers(2, 40)), int(rng.integers(1, 21))
+        pts = rng.normal(size=dim) * 1e3 + rng.normal(size=(n, dim)) * 1e-6
+        dist = pairwise_by_expression(pts)
+        assert pairwise_distances(pts).tobytes() == dist.tobytes(), case
+        min_pts = int(rng.integers(1, n))
+        core = np.partition(dist, min_pts, axis=1)[:, min_pts]
+        assert build_index(as_dataset(pts), min_pts).core.tobytes() == core.tobytes(), case
 
 
-@pytest.mark.parametrize("block_bytes", [8, 16 * 7 * 7, 1 << 20])
-def test_tile_pass_takes_the_max_with_the_transpose(monkeypatch, block_bytes):
-    # GEMM output is already symmetric, so the tiles get a matrix that is
-    # not: tiles 1 wide, 7 wide (no n here is a multiple of 7) and one tile
-    monkeypatch.setattr(metricspace, "BLOCK_BYTES", block_bytes)
-    rng = np.random.default_rng(29)
-    for n in (1, 2, 13, 30, 50):
-        raw = rng.random((n, n))
-        raw[rng.random((n, n)) < 0.2] = 0.5  # some mirrored pairs tie
-        monkeypatch.setattr(metricspace, "cross_distances", lambda a, b: raw.copy())
-        want = np.maximum(raw, raw.T)
-        np.fill_diagonal(want, 0.0)
-        assert pairwise_distances(np.zeros((n, 1))).tobytes() == want.tobytes(), n
+def misaligned(p: np.ndarray) -> np.ndarray:
+    """A copy of p whose float64s start one byte past an aligned address."""
+    out = np.empty(p.nbytes + 1, dtype=np.uint8)[1:].view(float).reshape(p.shape)
+    out[...] = p
+    return out
+
+
+# C- and F-ordered points reach BLAS as one operand; the others are copied
+LAYOUTS = {"C": lambda p: p, "F": np.asfortranarray,
+           "strided": lambda p: np.repeat(p, 2, axis=1)[:, ::2], "misaligned": misaligned}
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("rows_per_block", [0, 3, None])
+def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, mapped):
+    # pairwise_distances takes no max with the transpose: its symmetry rests
+    # on P @ P.T being one syrk mirrored and on the passes adding the norms
+    # in either order. Blocks under one row, of three rows and of 1 MiB; every
+    # output mapped, or none. Some sets reach 170+ points, where numpy 2's
+    # GEMM on strided or misaligned operands, copied apart, mirrors unequal bits.
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    rng = np.random.default_rng(31)
+    for case in range(45):
+        n = int(rng.integers(170, 220)) if case % 9 == 2 else int(rng.integers(1, 70))
+        dim = int(rng.integers(1, 6))
+        grid = rng.integers(0, 3, size=(n, dim)).astype(float)
+        pts = [grid, grid + rng.normal(size=dim) * 100.0, rng.normal(size=(n, dim))][case % 3]
+        block = {0: 8, 3: 8 * n * 3, None: 1 << 20}[rows_per_block]
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", block)
+        dists = {}
+        for layout, view in LAYOUTS.items():
+            p = view(pts)
+            assert np.array_equal(p, pts) and p.flags.aligned == (layout != "misaligned")
+            if layout in ("C", "F"):
+                gram = p @ p.T
+                assert gram.tobytes() == gram.T.tobytes(), (case, layout)
+            d = dists[layout] = pairwise_distances(p)
+            assert d.tobytes() == d.T.tobytes(), (case, layout)
+            assert isinstance(d.base, mmap.mmap) == mapped and not d.diagonal().any()
+        assert dists["strided"].tobytes() == dists["misaligned"].tobytes() == dists["C"].tobytes()
 
 
 def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
@@ -357,6 +409,33 @@ def test_nearest_matches_stable_sort(monkeypatch, rows_per_block):
         got = nearest(d, k)
         assert got.dtype == np.intp and got.tobytes() == want.tobytes(), case
     assert tied_rows >= 100
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
+def test_cross_nearest_matches_search_of_whole_matrix(monkeypatch, rows_per_block, mapped):
+    # 0-2 grids and training rows drawn with replacement tie many distances
+    # across the k-cut; k == m every tenth case; rows unsorted and repeated,
+    # sometimes none; every output mapped, or none
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    rng = np.random.default_rng(71)
+    tied_rows = 0
+    for case in range(200):
+        n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 3))
+        a = (rng.integers(0, 3, size=(n, dim)).astype(float) if case % 3
+             else rng.normal(size=(n, dim)))
+        m = int(rng.integers(1, 20))
+        b = a[rng.integers(n, size=m)] if case % 2 else rng.integers(0, 3, size=(m, dim)) * 1.0
+        k = int(rng.integers(1, m + 1)) if case % 10 else m
+        rows = None if case % 4 == 0 else rng.integers(n, size=int(rng.integers(0, 2 * n)))
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", max(8, 8 * m * rows_per_block))
+        want = nearest_by_matrix(a, b, k, rows)
+        got = cross_nearest(a, b, k, rows)
+        assert got.dtype == np.intp and got.tobytes() == want.tobytes(), case
+        if k < m:
+            ranked = np.sort(cross_distances(a, b, rows), axis=1)
+            tied_rows += int(np.sum(ranked[:, k - 1] == ranked[:, k]))
+    assert tied_rows >= 1000
 
 
 def test_nearest_center_matches_both_former_loops():

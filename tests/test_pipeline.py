@@ -40,6 +40,18 @@ def test_pipeline_params_validation():
         PipelineParams(score=ScoreParams(0.4, 0.3), k_c=0)
 
 
+def test_pipeline_params_refuse_float_and_boolean_counts():
+    # k=2.0 was reported as out of [0, 0]; k_c=2.5 and True failed in numpy
+    score = ScoreParams(0.4, 0.3)
+    for bad in (2.0, 2.5, np.float64(2.0), True, np.bool_(False)):
+        with pytest.raises(ValueError, match="k must be None or an integer"):
+            PipelineParams(score=score, k=bad)
+        with pytest.raises(ValueError, match="k_c must be an integer"):
+            PipelineParams(score=score, k_c=bad)
+    params = PipelineParams(score=score, k=np.int64(2), k_c=np.int32(3))
+    assert params.k == 2 and params.k_c == 3 and PipelineParams(score=score).k is None
+
+
 def test_run_separates_blobs_and_flags_outliers():
     result = run(BLOBS, BLOB_LABELS, PARAMS)
     assert result.assignment.tolist() == [0] * 8 + [1] * 8 + [UNCLUSTERED] * 2
@@ -272,23 +284,23 @@ def test_finish_refuses_indices_it_would_cast():
     assert finish(prepared, PARAMS, rows).clusters.shape == (2,)
 
 
-def counted_cross_distances(monkeypatch) -> list:
-    """Replace the classifier's distance pass with one that records its calls."""
+def counted_searches(monkeypatch) -> list:
+    """Replace the classifier's neighbour search with one that records its calls."""
     calls = []
-    real = model.cross_distances
+    real = model.cross_nearest
 
-    def counting(a, b, rows=None):
+    def counting(a, b, k, rows=None):
         calls.append(b.shape[0])
-        return real(a, b, rows)
+        return real(a, b, k, rows)
 
-    monkeypatch.setattr(model, "cross_distances", counting)
+    monkeypatch.setattr(model, "cross_nearest", counting)
     return calls
 
 
 def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=3)
-    calls = counted_cross_distances(monkeypatch)
+    calls = counted_searches(monkeypatch)
     prepared = prepare(build_index(ds, 3), labels)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
     cached = [finish(prepared, p) for p in params]
@@ -305,7 +317,7 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=5)
-    calls = counted_cross_distances(monkeypatch)
+    calls = counted_searches(monkeypatch)
     finished, voted = [], []
     real_finish, real_vote = pipeline.finish, pipeline.vote
 

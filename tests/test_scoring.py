@@ -147,6 +147,14 @@ def test_score_params_validation():
         ScoreParams(alpha=0.1, beta=0.1, min_pts=0)
 
 
+def test_score_params_refuse_float_and_boolean_min_pts():
+    # these reached numpy's partition, which cast or refused them there
+    for bad in (2.7, 3.0, np.float64(3.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match="min_pts must be an integer"):
+            ScoreParams(0.4, 0.3, bad)
+    assert ScoreParams(0.4, 0.3, np.int64(3)).min_pts == 3
+
+
 def test_t_score_collapses_to_named_components():
     rng = np.random.default_rng(13)
     r = rng.uniform(0.01, 1.0, size=30)
