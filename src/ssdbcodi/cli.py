@@ -6,13 +6,15 @@ comment. Every float in a report is rounded to 12 significant digits so
 reports are byte-stable and reparse to exactly the printed values.
 
 Exit codes: 0 on success, 1 on runtime failures (bad data, infeasible
-parameters), 2 on usage errors.
+parameters), 2 on usage errors. A runtime failure prints one `error:` line,
+or its traceback under `--debug`.
 """
 
 import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -275,6 +277,8 @@ def _add_data_flags(p):
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-time fields for byte-stable reports")
+    p.add_argument("--debug", action="store_true",
+                   help="print a failure's traceback instead of its one-line error")
 
 
 def _add_label_flags(p):
@@ -412,7 +416,10 @@ def main(argv=None) -> int:
         text = args.handler(args)
         _write_output(text, args.output)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

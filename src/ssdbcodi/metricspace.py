@@ -8,12 +8,18 @@ read off each row block as soon as it holds them, while it is still in
 cache, not in a second sweep of the matrix. Large outputs live in maps that
 are reused once their output dies, up to IDLE_BYTES of idle maps.
 
+After one BLAS product, the index build's and pairwise_distances' row passes
+run on the caller and one pool thread per other core. Each pass is
+elementwise or per row, so which thread takes a block changes no bit.
+
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 import mmap
+import os
 import threading
 import weakref
 
@@ -44,7 +50,9 @@ class NeighborhoodIndex:
 
 
 # Each n x n pass holds one large array, its output, and works in row blocks
-# of BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get an
+# of BLOCK_BYTES; a pass spread over _WORKERS threads cuts its blocks to
+# BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
+# BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get an
 # anonymous map of their own: in the C heap each would leave a hole that
 # smaller allocations split before the next output arrives, so a long-running
 # process's resident peak would drift with its allocation history by up to one
@@ -53,12 +61,41 @@ class NeighborhoodIndex:
 # ceiling for freed chunks).
 BLOCK_BYTES, MAPPED_BYTES, IDLE_BYTES = 1 << 20, 4 << 20, 32 << 20
 _idle, _idle_lock = [], threading.RLock()  # _park runs on any thread, even inside _mapped
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi-rows")
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list:
     """Row slices whose float64 blocks of n_cols columns fit BLOCK_BYTES."""
     step = max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
     return [slice(a, a + step) for a in range(0, n_rows, step)]
+
+
+def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
+    """fn(rows) for every row slice whose blocks of n_cols columns fit
+    BLOCK_BYTES // workers, taken off one iterator by this thread and up to
+    workers - 1 pool threads. Once it runs out, this thread cancels the pool
+    tasks not yet started and waits for the running ones, then raises the
+    error of any block."""
+    blocks = row_blocks(n_rows, n_cols * workers)
+    it, lock = iter(blocks), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                rows = next(it, None)
+            if rows is None:
+                return
+            fn(rows)
+
+    tasks = [_helpers.submit(drain) for _ in range(min(workers, len(blocks)) - 1)]
+    try:
+        drain()
+    finally:
+        running = [task for task in tasks if not task.cancel()]
+        wait(running)
+    for task in running:
+        task.result()
 
 
 def _mapped(shape: tuple, nbytes: int) -> np.ndarray:
@@ -106,12 +143,19 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     the same bits. The squared norms of b's rows and of the rows of a kept
     must pass squared_norms, so that every distance kept is finite.
     """
-    return _distances(a, b, rows)
+    if rows is None:
+        return _distances(a, b)
+    out = np.empty((len(rows), np.shape(b)[0]))
+    _distances(a, b, rows, out.__setitem__)
+    return out
 
 
-def _distances(a, b, rows=None, each=None) -> np.ndarray:
-    """cross_distances, calling each(block_rows, block) on every row block
-    as soon as it holds distances, while it is still in cache."""
+def _distances(a, b, rows=None, each=None, workers=1) -> np.ndarray:
+    """The product a @ b.T, turned into cross_distances in place, row block by
+    row block, over `workers` threads; each(block_rows, block) is called on
+    every block as soon as it holds distances, while it is still in cache.
+    With `rows`, each block is a copy of those rows of the product, seen
+    only by `each`, and the product returned is left as BLAS made it."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     sb = squared_norms(b)
     sa = sb if a is b and rows is None else squared_norms(a if rows is None else a[rows])
@@ -120,16 +164,17 @@ def _distances(a, b, rows=None, each=None) -> np.ndarray:
         d = np.matmul(a, b.T, out=_mapped((a.shape[0], b.shape[0]), nbytes))
     else:
         d = a @ b.T
-    if rows is not None:
-        d = d[rows]
-    for blk_rows in row_blocks(*d.shape):
-        blk = d[blk_rows]
+
+    def block(blk_rows):
+        blk = d[blk_rows] if rows is None else d[rows[blk_rows]]
         blk *= 2.0
         np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
         np.sqrt(blk, out=blk)
         if each is not None:
             each(blk_rows, blk)
+
+    _spread(len(sa), b.shape[0], block, workers)
     return d
 
 
@@ -189,8 +234,8 @@ def pairwise_distances(points) -> np.ndarray:
 
 
 def _pairwise(points, each=None) -> np.ndarray:
-    """pairwise_distances, calling each(block_rows, block) as _distances
-    does, once the block's diagonal is zero."""
+    """pairwise_distances over every core, calling each(block_rows, block) as
+    _distances does, once the block's diagonal is zero."""
     pts = np.asarray(points, dtype=float)
     if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
         pts = pts.copy()
@@ -200,7 +245,7 @@ def _pairwise(points, each=None) -> np.ndarray:
         if each is not None:
             each(rows, blk)
 
-    return _distances(pts, pts, each=zero_diagonal)
+    return _distances(pts, pts, each=zero_diagonal, workers=_WORKERS)
 
 
 def _spanning_tree(reach: np.ndarray) -> tuple:
@@ -231,7 +276,9 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
     all read from one distance matrix (the core distances off each row block
     as it is made), which the density pass turns into the reachability
-    matrix in place for Prim, and which is freed on return. Requires n >= 2
+    matrix in place for Prim, and which is freed on return. The distance,
+    core and density passes run over every core, in row blocks whose bits
+    do not depend on the thread that takes them. Requires n >= 2
     and an integer min_pts in [1, n - 1]. The index depends only on
     ds's read-only points and min_pts, so it is kept on ds and later calls
     return that same object (threads that miss at once build equal ones).
@@ -248,17 +295,17 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     def take_core(rows, blk):  # row position min_pts skips exactly one self-distance
         core[rows] = np.partition(blk, min_pts, axis=1)[:, min_pts]
 
-    dist = _pairwise(ds.points, take_core)
-    # dist becomes the reachability matrix max(dist_pq, core_q, core_p) in place;
-    # the density averages each row's min_pts smallest off-diagonal entries.
-    for rows in row_blocks(n, n):
+    def take_density(rows):  # the mean of the row's min_pts smallest off-diagonal entries
         blk = dist[rows]
-        np.maximum(blk, core, out=blk)
+        np.maximum(blk, core, out=blk)  # dist_pq becomes max(dist_pq, core_q, core_p) in place
         np.maximum(blk, core[rows, None], out=blk)
         blk = blk.copy()
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
+
+    dist = _pairwise(ds.points, take_core)
+    _spread(n, n, take_density, _WORKERS)  # reads every core, so starts once all are in
     order, gap = _spanning_tree(dist)
     for arr in (core, density, order, gap):
         arr.flags.writeable = False

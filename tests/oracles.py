@@ -15,7 +15,8 @@ running minimum (the former running-minimum loops stay beside it as
 oracles of their own), a cells-outer tuning loop that searches neighbours
 afresh for every finish and classifies every point before reading the
 hidden ones, and a fallback clusterer handed its distance matrix instead
-of recomputing it.
+of recomputing it, and the index build's former passes on one thread
+(`index_by_serial_passes`) instead of row blocks spread over the cores.
 The one exception is `classify`, the library's `neighbours` and `vote` in
 one call, which the classifier tests drive.
 """
@@ -31,6 +32,7 @@ from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelinePar
                       auc, blend_grid, build_index, expand, finish, pairwise_distances,
                       prepare, rand_index)
 from ssdbcodi.dataset import point_indices
+from ssdbcodi import metricspace
 from ssdbcodi.metricspace import cross_distances, nearest
 from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
@@ -301,6 +303,43 @@ def sq_dist_by_minimum(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     for o in centers:
         np.minimum(d2, ((points - o) ** 2).sum(axis=1), out=d2)
     return d2
+
+
+# --- the index build's former passes, all on the calling thread ---
+
+def index_by_serial_passes(points, min_pts: int) -> tuple:
+    """build_index's (core, density, order, gap) as its passes ran on one
+    thread: row blocks of BLOCK_BYTES turn one GEMM into distances, each
+    block's core distances read as it is made, then a second sweep turns the
+    matrix into reachabilities and averages each row's min_pts smallest
+    off-diagonal entries, then Prim."""
+    pts = np.asarray(points, dtype=float)
+    if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
+        pts = pts.copy()
+    n = pts.shape[0]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    dist = pts @ pts.T
+    step = max(1, metricspace.BLOCK_BYTES // (8 * n))
+    blocks = [slice(a, a + step) for a in range(0, n, step)]
+    core, density = np.empty(n), np.empty(n)
+    for rows in blocks:
+        blk = dist[rows]
+        blk *= 2.0
+        np.subtract(sq[rows, None] + sq[None, :], blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        np.sqrt(blk, out=blk)
+        np.fill_diagonal(blk[:, rows], 0.0)
+        core[rows] = np.partition(blk, min_pts, axis=1)[:, min_pts]
+    for rows in blocks:
+        blk = dist[rows]
+        np.maximum(blk, core, out=blk)
+        np.maximum(blk, core[rows, None], out=blk)
+        blk = blk.copy()
+        np.fill_diagonal(blk[:, rows], np.inf)
+        blk.partition(min_pts - 1, axis=1)
+        density[rows] = blk[:, :min_pts].mean(axis=1)
+    order, gap = metricspace._spanning_tree(dist)
+    return core, density, order, gap
 
 
 # --- the classifier search's former path: the whole matrix, then nearest's sweep ---

@@ -354,6 +354,22 @@ def test_runtime_errors_exit_one(blobs_csv, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_debug_prints_the_traceback_instead_of_the_error_line(blobs_csv, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["run", "--input", missing],
+                 ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "50"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        line = err[len("error: "):].rstrip("\n")
+        code, out, err = run_cli(argv + ["--debug"], capsys)
+        assert code == 1 and out == "", argv
+        assert err.startswith("Traceback (most recent call last):\n"), argv
+        assert err.rstrip("\n").endswith(line) and "error: " not in err, argv
+    # a run that succeeds writes the same report with or without it
+    argv = ["run", "--input", blobs_csv, "--label-fraction", "0.5", "--no-timing"]
+    assert run_cli(argv + ["--debug"], capsys) == run_cli(argv, capsys)
+
+
 def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
     big = [(1e200, 2e200), (2e200, 3e200), (3e200, 1e200)]
     rows = [(*big[i % 3], "o" if i == 9 else str(i % 2)) for i in range(10)]

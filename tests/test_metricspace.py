@@ -1,9 +1,11 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 import mmap
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -13,8 +15,9 @@ import pytest
 from ssdbcodi import (Dataset, PipelineParams, ScoreParams, build_index, metricspace,
                       pairwise_distances, run, sample_labels, tune)
 from ssdbcodi.metricspace import cross_distances, cross_nearest, nearest, nearest_center
-from oracles import (as_dataset, distances_by_expression, is_density_reachable,
-                     knn_by_rdist, local_densities_by_matrix, moons_with_outliers,
+from oracles import (as_dataset, distances_by_expression, index_by_serial_passes,
+                     is_density_reachable, knn_by_rdist, local_densities_by_matrix,
+                     moons_with_outliers,
                      nearest_by_matrix, nearest_centroid_by_loop, pairwise_by_expression,
                      random_points, reach_distance, sq_dist_by_minimum)
 
@@ -387,6 +390,155 @@ def test_index_keeps_no_n_by_n_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert idx.n == 300 and held < 8 * 300 * 300 / 4
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """force(count): spread the row passes over the caller and count pool
+    threads of a pool of their own. Returns the set of threads that ran a
+    spread block."""
+    pools, ran = [], set()
+    real = metricspace._spread
+
+    def recording(n_rows, n_cols, fn, workers):
+        def run(rows):
+            ran.add(threading.get_ident())
+            fn(rows)
+        real(n_rows, n_cols, run, workers)
+
+    def force(count):
+        if count:
+            pools.append(ThreadPoolExecutor(count))
+            monkeypatch.setattr(metricspace, "_helpers", pools[-1])
+        monkeypatch.setattr(metricspace, "_WORKERS", count + 1)
+        ran.clear()
+        return ran
+
+    monkeypatch.setattr(metricspace, "_spread", recording)
+    yield force
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def assert_serial_bytes(idx, points, min_pts, case=None):
+    for name, want in zip(("core", "density", "order", "gap"),
+                          index_by_serial_passes(points, min_pts)):
+        assert getattr(idx, name).tobytes() == want.tobytes(), (case, name)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_spread_build_matches_serial_passes_bytes(monkeypatch, helpers, count):
+    # 0-3 grids, the same grids far from the origin, and normals, so ties are
+    # common; n = 2 every tenth case (below the worker count), min_pts = n - 1
+    # every fourth; blocks of one row, of three rows and of 1 MiB; every
+    # output mapped, or none. The bytes must not depend on the helper count.
+    ran = helpers(count)
+    rng = np.random.default_rng(83)
+    for case in range(90):
+        n = 2 if case % 10 == 0 else int(rng.integers(3, 70))
+        dim = int(rng.integers(1, 4))
+        grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+        pts = [grid, grid + rng.normal(size=dim) * 100.0, rng.normal(size=(n, dim))][case % 3]
+        min_pts = n - 1 if case % 4 == 0 else int(rng.integers(1, n))
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 8 * n * 3, 1 << 20][case // 3 % 3])
+        monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
+        assert_serial_bytes(build_index(as_dataset(pts), min_pts), pts, min_pts, case)
+        assert pairwise_distances(pts).tobytes() == pairwise_by_expression(pts).tobytes(), case
+    assert len(ran) == 1 if count == 0 else len(ran) >= 2
+
+
+@pytest.mark.parametrize("where", ["any", "helper", "caller"])
+def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch, helpers,
+                                                                     where):
+    # one-row blocks over three helpers; the block fails on row 57 whichever
+    # thread takes it, or on the first row a helper (or the caller) takes
+    ran = helpers(3)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
+    main, real, failing = threading.get_ident(), metricspace._pairwise, [True]
+
+    def slow_pairwise(points, each):
+        def each_or_fail(rows, blk):
+            here = threading.get_ident()
+            time.sleep(1e-3)  # so that every thread takes blocks
+            if failing[0] and {"any": rows.start == 57, "helper": here != main,
+                               "caller": here == main}[where]:
+                raise RuntimeError(f"block {rows.start}")
+            each(rows, blk)
+        return real(points, each_or_fail)
+
+    pts = np.random.default_rng(97).normal(size=(120, 3))
+    monkeypatch.setattr(metricspace, "_pairwise", slow_pairwise)
+    with pytest.raises(RuntimeError, match="block"):
+        build_index(as_dataset(pts), 4)
+    failing[0] = False
+    ran.clear()
+    assert_serial_bytes(build_index(as_dataset(pts), 4), pts, 4)
+    assert len(ran) >= 2
+
+
+def test_threads_building_distinct_datasets_at_once_get_serial_bytes(helpers):
+    # four callers share three helpers, with a short switch interval
+    ran = helpers(3)
+    rng = np.random.default_rng(101)
+    sets = [rng.integers(0, 5, size=(int(rng.integers(150, 300)), 2)).astype(float)
+            for _ in range(4)]
+    barrier, got = threading.Barrier(4, timeout=30), [None] * 4
+
+    def build(i):
+        barrier.wait()
+        got[i] = build_index(as_dataset(sets[i]), 5)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(ran) >= 5
+    for i, idx in enumerate(got):
+        assert_serial_bytes(idx, sets[i], 5, i)
+
+
+def traced_peak(fn) -> int:
+    """fn's traced heap peak, after one untraced call takes the first-call
+    allocations (~1 MB on the first build in a process)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_spread_build_peak_is_the_serial_peak_plus_one_block(monkeypatch, helpers, count):
+    # n x n output on the traced heap; the block temporaries in flight over
+    # every thread total one BLOCK_BYTES
+    helpers(count)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    pts = np.random.default_rng(3).normal(size=(1000, 4))
+    serial = traced_peak(lambda: index_by_serial_passes(pts, 4))
+    spread = traced_peak(lambda: build_index(as_dataset(pts), 4))
+    assert 8 * 1000 * 1000 <= spread <= serial + metricspace.BLOCK_BYTES
+
+
+def test_search_of_some_rows_gathers_one_block_at_a_time(monkeypatch):
+    # all 1500 rows, shuffled, against 1400 training rows: one gathered block
+    # beside the whole product, not a second 1500 x 1400 matrix
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(1500, 2))
+    b, rows = a[rng.permutation(1500)[:1400]], rng.permutation(1500)
+    plain = traced_peak(lambda: cross_nearest(a, b, 5))
+    some = traced_peak(lambda: cross_nearest(a, b, 5, rows))
+    assert some <= plain + metricspace.BLOCK_BYTES + a[rows].nbytes + 8 * len(rows)
+    assert (cross_nearest(a, b, 5, rows).tobytes()
+            == nearest_by_matrix(a, b, 5)[rows].tobytes())
 
 
 @pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
