@@ -12,7 +12,7 @@ from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
                       round_half_up, sample_labels)
 from .expansion import UNCLUSTERED, expand
 from .metrics import auc, nmi, rand_index
-from .metricspace import NeighborhoodIndex, build_index, pairwise_distances
+from .metricspace import NeighborhoodIndex, build_index
 from .model import PipelineResult, TrainingSet, select_reliable
 from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
                        finish, prepare, run, tune)
@@ -25,7 +25,7 @@ __all__ = [
     "PipelineResult", "Prepared", "ScoreParams", "ScoreTable", "TrainingSet",
     "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "dbscan",
     "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
-    "minmax_scale", "nmi", "pairwise_distances", "prepare", "r_score",
+    "minmax_scale", "nmi", "prepare", "r_score",
     "rand_index", "round_half_up", "run", "sample_labels", "select_reliable",
     "sim_scores", "ssdbscan_with_fallback", "t_score", "tune",
 ]

@@ -1,18 +1,20 @@
 """Reference algorithms for comparison: DBSCAN, k-means, LOF, and the
 terminating-expansion clusterer with a nearest-neighbour fallback.
 
-DBSCAN and LOF read a square distance matrix, k-means a Dataset and the
-fallback clusterer a NeighborhoodIndex; all of them are deterministic
-given their inputs (and seed, for k-means). The clusterers return a
-cluster id per point, LOF a score per point.
+DBSCAN, k-means and LOF take a Dataset and the fallback clusterer a
+NeighborhoodIndex; all of them are deterministic given their inputs (and
+seed, for k-means). DBSCAN, LOF and the fallback read what they need off
+the row blocks of one distance matrix as it is made, in a workspace that
+ends on return. The clusterers return a cluster id per point, LOF a score
+per point.
 """
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, is_int
 from .expansion import UNCLUSTERED, expand
-from .metricspace import (NeighborhoodIndex, nearest, nearest_center, pairwise_distances,
-                          squared_norms)
+from .metricspace import (NeighborhoodIndex, _distances, _nearest_block, _pairwise, _workspace,
+                          nearest_center, squared_norms)
 
 # Cluster id for points no cluster claimed.
 NOISE = -1
@@ -21,28 +23,23 @@ NOISE = -1
 KMEANS_MAX_ITER = 100
 
 
-def _square(dist) -> np.ndarray:
-    d = np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("expected a square distance matrix")
-    return d
-
-
-def dbscan(dist, epsilon: float, min_pts: int) -> np.ndarray:
+def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
     """Density clustering with the self-excluding core test.
 
     A point is core when at least min_pts other points sit within epsilon.
     Clusters are the connected components of core points under the epsilon
     graph, numbered by ascending smallest member; a non-core point joins
     the cluster of its lowest-indexed core neighbour, if any, else NOISE.
+    Points must pass squared_norms.
     """
-    dist = _square(dist)
-    n = dist.shape[0]
+    n = ds.n
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    within = dist <= epsilon
+    if not (is_int(min_pts) and min_pts >= 1):
+        raise ValueError(f"min_pts must be an integer >= 1, got {min_pts!r}")
+    within = np.empty((n, n), dtype=bool)
+    with _workspace((n, n)) as dist:
+        _pairwise(ds.points, dist, lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
     core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
     assign = np.full(n, NOISE, dtype=int)
     cluster = 0
@@ -88,8 +85,8 @@ def kmeans(ds: Dataset, k: int, seed: int) -> np.ndarray:
     keeps its previous centroid. Points must pass squared_norms.
     """
     pts, n = ds.points, ds.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not (is_int(k) and 1 <= k <= n):
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     squared_norms(pts)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp(pts, k, rng)
@@ -106,22 +103,24 @@ def kmeans(ds: Dataset, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def lof(dist, k: int) -> np.ndarray:
+def lof(ds: Dataset, k: int) -> np.ndarray:
     """Local outlier factor over exactly k nearest other points.
 
-    Distances must be finite; neighbour ties resolve to the smaller index.
-    Scores near 1 mean as dense as the neighbours; well above 1, outlying.
+    Points must pass squared_norms; neighbour ties resolve to the smaller
+    index. Scores near 1 mean as dense as the neighbours; well above 1,
+    outlying.
     """
-    dist = _square(dist)
-    n = dist.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    if not np.isfinite(dist).all():
-        raise ValueError("lof needs finite distances")
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    nbrs = nearest(d, k)
-    nd = np.take_along_axis(dist, nbrs, axis=1)
+    n = ds.n
+    if not (is_int(k) and 1 <= k <= n - 1):
+        raise ValueError(f"k must be an integer in [1, {n - 1}], got {k!r}")
+    nbrs, nd = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+
+    def take_nearest(rows, blk):  # self is no neighbour
+        np.fill_diagonal(blk[:, rows], np.inf)
+        _nearest_block(blk, nbrs[rows], nd[rows])
+
+    with _workspace((n, n)) as dist:
+        _pairwise(ds.points, dist, take_nearest)
     reach = np.maximum(nd[:, -1][nbrs], nd)
     with np.errstate(divide="ignore", invalid="ignore"):
         lrd = k / reach.sum(axis=1)
@@ -132,13 +131,19 @@ def lof(dist, k: int) -> np.ndarray:
 
 def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> np.ndarray:
     """Terminating-expansion clustering with leftovers joined to the
-    cluster of their nearest clustered point (ties to the smaller index), by
-    pairwise_distances(idx.points): a submatrix of its own could flip a near-tie."""
+    cluster of their nearest clustered point (ties to the smaller index),
+    read off the leftovers' rows of the whole pairwise product: a product of
+    fewer rows or columns could flip a near-tie."""
     assign = expand(idx, labels)[0].copy()
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     if unclustered.size and clustered.size:
-        sub = pairwise_distances(idx.points)[np.ix_(unclustered, clustered)]
-        closest = clustered[np.argmin(sub, axis=1)]
+        closest = np.empty(unclustered.size, dtype=np.intp)
+
+        def take_closest(rows, blk):
+            closest[rows] = clustered[blk[:, clustered].argmin(axis=1)]
+
+        with _workspace((idx.n, idx.n)) as dist:
+            _distances(idx.points, idx.points, dist, unclustered, take_closest, spread=True)
         assign[unclustered] = assign[closest]
     return assign

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import OUTLIER, load_csv, minmax_scale, sample_labels
-from .metricspace import build_index, pairwise_distances
+from .metricspace import build_index
 from .metrics import auc, nmi, rand_index
 from .pipeline import PipelineParams, blend_grid, finish, grid_size, prepare, tune
 from .scoring import ScoreParams
@@ -225,13 +225,13 @@ def cmd_baseline(args) -> str:
         report["rand_index"] = rand_index(assign, ds.truth)
         report["nmi"] = nmi(assign, ds.truth)
     elif args.algo == "dbscan":
-        assign = dbscan(pairwise_distances(ds.points), args.epsilon, args.min_pts)
+        assign = dbscan(ds, args.epsilon, args.min_pts)
         report["params"] = {"epsilon": args.epsilon, "min_pts": args.min_pts}
         report["rand_index"] = rand_index(assign, ds.truth)
         report["nmi"] = nmi(assign, ds.truth)
         report["auc"] = _auc(ds, (assign == NOISE).astype(float))
     elif args.algo == "lof":
-        scores = lof(pairwise_distances(ds.points), args.k)
+        scores = lof(ds, args.k)
         report["params"] = {"k": args.k}
         report["auc"] = _auc(ds, scores)
     else:  # ssdbscan

@@ -1,27 +1,28 @@
-"""Pairwise and cross distances, k-nearest and nearest-centre selection, core
-distances, local densities, and the spanning tree's reachability plot.
+"""Distances, k-nearest and nearest-centre selection, core distances, local
+densities, and the spanning tree's reachability plot.
 
-The n x n passes work in place in their output, in row blocks, so each holds
-one large array at a time; an index keeps none of them. What is read off the
-distances alone (the classifier's nearest neighbours, the core distances) is
-read off each row block as soon as it holds them, while it is still in
-cache, not in a second sweep of the matrix. Large outputs live in maps that
-are reused once their output dies, up to IDLE_BYTES of idle maps.
-
-After one BLAS product, the index build's and pairwise_distances' row passes
-run on the caller and one pool thread per other core. Each pass is
-elementwise or per row, so which thread takes a block changes no bit.
+Every n x n or n x m distance array is a temporary: a BLAS product in a
+`_workspace` that lives for one `with` block (in build_index, cross_nearest
+or a baseline), turned into distances in place in row blocks. What a caller
+needs (nearest neighbours, core distances, neighbourhoods) is read off each
+block while it is still in cache; no distance array leaves this module.
+Large workspaces live in maps reused once their block ends, up to IDLE_BYTES
+of idle maps. The row passes after the product may run on the caller and
+one pool thread per other core; each is elementwise or per row, so which
+thread takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+import math
 import mmap
 import os
 import threading
-import weakref
 
 import numpy as np
 
@@ -35,7 +36,8 @@ class NeighborhoodIndex:
     spanning tree: `order`, Prim's join order from point 0, and `gap`, the
     keys at which order[1:] joined, so the minimax path value between
     order[i] and order[j] is max(gap[i:j]) for i < j; read-only. It keeps
-    no distance matrix: pairwise_distances(points) gives its bits again."""
+    no distance matrix: any pass over its points' distances makes them
+    again, with the build's bits."""
 
     points: np.ndarray
     core: np.ndarray
@@ -49,18 +51,18 @@ class NeighborhoodIndex:
         return self.points.shape[0]
 
 
-# Each n x n pass holds one large array, its output, and works in row blocks
-# of BLOCK_BYTES; a pass spread over _WORKERS threads cuts its blocks to
+# Each n x n pass holds one large array, its workspace, and works in row
+# blocks of BLOCK_BYTES; a pass spread over _WORKERS threads cuts its blocks to
 # BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
-# BLOCK_BYTES. Outputs from MAPPED_BYTES on (numpy's huge-page size) get an
+# BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page size) get an
 # anonymous map of their own: in the C heap each would leave a hole that
-# smaller allocations split before the next output arrives, so a long-running
-# process's resident peak would drift with its allocation history by up to one
-# output. A dead output's map then serves the next output that fits, sparing
-# it fresh page faults, while idle maps total at most IDLE_BYTES (glibc's
-# ceiling for freed chunks).
+# smaller allocations split before the next workspace arrives, so a
+# long-running process's resident peak would drift with its allocation history
+# by up to one workspace. A map whose block has ended then serves the next
+# workspace that fits, sparing it fresh page faults, while idle maps total at
+# most IDLE_BYTES (glibc's ceiling for freed chunks).
 BLOCK_BYTES, MAPPED_BYTES, IDLE_BYTES = 1 << 20, 4 << 20, 32 << 20
-_idle, _idle_lock = [], threading.RLock()  # _park runs on any thread, even inside _mapped
+_idle, _idle_lock = [], threading.Lock()
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi-rows")
 
@@ -76,17 +78,19 @@ def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
     BLOCK_BYTES // workers, taken off one iterator by this thread and up to
     workers - 1 pool threads. Once it runs out, this thread cancels the pool
     tasks not yet started and waits for the running ones, then raises the
-    error of any block."""
+    error of any block. Only the iterator's items refer to fn, so a cancelled
+    task, left in the pool's queue until a pool thread drops it, keeps none
+    of fn's arrays alive once every block is taken."""
     blocks = row_blocks(n_rows, n_cols * workers)
-    it, lock = iter(blocks), threading.Lock()
+    it, lock = iter([partial(fn, rows) for rows in blocks]), threading.Lock()
 
     def drain():
         while True:
             with lock:
-                rows = next(it, None)
-            if rows is None:
+                block = next(it, None)
+            if block is None:
                 return
-            fn(rows)
+            block()
 
     tasks = [_helpers.submit(drain) for _ in range(min(workers, len(blocks)) - 1)]
     try:
@@ -98,10 +102,17 @@ def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
         task.result()
 
 
-def _mapped(shape: tuple, nbytes: int) -> np.ndarray:
-    """An uninitialised float64 array in the smallest idle map of nbytes or more,
-    else in a new map (dropping the idle maps, all too small). Views are based
-    on the array, not its map, so the map is parked once the last of them dies."""
+@contextmanager
+def _workspace(shape: tuple):
+    """An uninitialised float64 array of `shape` for one with block: on the
+    heap below MAPPED_BYTES, else in the smallest idle map that fits, or in a
+    new map once the idle maps (all too small) are dropped. The map goes back
+    to the idle maps when the block ends, if they still fit IDLE_BYTES; not
+    when it raises, since the traceback may still hold views of the array."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        yield np.empty(shape)
+        return
     with _idle_lock:
         fits = [buf for buf in _idle if len(buf) >= nbytes]
         buf = min(fits, key=len) if fits else None
@@ -112,13 +123,7 @@ def _mapped(shape: tuple, nbytes: int) -> np.ndarray:
     if buf is None:
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    out = np.ndarray(shape, buffer=buf)
-    weakref.finalize(out, _park, buf)
-    return out
-
-
-def _park(buf: mmap.mmap) -> None:
-    """Keep a map whose output has died while the idle maps fit IDLE_BYTES."""
+    yield np.ndarray(shape, buffer=buf)
     with _idle_lock:
         if len(buf) + sum(len(idle) for idle in _idle) <= IDLE_BYTES:
             _idle.append(buf)
@@ -134,39 +139,25 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def cross_distances(a, b, rows=None) -> np.ndarray:
-    """Euclidean distances from each row of a to each row of b, computed in
-    place in the product a @ b.T (BLAS's symmetric one when b is a).
+def _distances(a, b, out, rows=None, each=None, spread=False) -> None:
+    """Euclidean distances from the rows of a to the rows of b, made in place
+    in out, the product a @ b.T (BLAS's symmetric one when b is a), row block
+    by row block, on this thread or, if `spread`, over every core. Each
+    block is passed to each(block_rows, block) as soon as it holds
+    distances, while it is still in cache.
 
-    With `rows`, only those rows of the full product (in their order) go on
-    to the elementwise passes: a BLAS product of fewer rows need not have
-    the same bits. The squared norms of b's rows and of the rows of a kept
-    must pass squared_norms, so that every distance kept is finite.
+    With `rows`, each block is a copy of those rows of the full product (in
+    their order), seen only by `each`: a BLAS product of fewer rows need not
+    have the same bits. The squared norms of b's rows and of the rows of a
+    used must pass squared_norms, so that every distance is finite.
     """
-    if rows is None:
-        return _distances(a, b)
-    out = np.empty((len(rows), np.shape(b)[0]))
-    _distances(a, b, rows, out.__setitem__)
-    return out
-
-
-def _distances(a, b, rows=None, each=None, workers=1) -> np.ndarray:
-    """The product a @ b.T, turned into cross_distances in place, row block by
-    row block, over `workers` threads; each(block_rows, block) is called on
-    every block as soon as it holds distances, while it is still in cache.
-    With `rows`, each block is a copy of those rows of the product, seen
-    only by `each`, and the product returned is left as BLAS made it."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     sb = squared_norms(b)
     sa = sb if a is b and rows is None else squared_norms(a if rows is None else a[rows])
-    nbytes = 8 * a.shape[0] * b.shape[0]
-    if nbytes >= MAPPED_BYTES and hasattr(mmap, "MAP_PRIVATE"):
-        d = np.matmul(a, b.T, out=_mapped((a.shape[0], b.shape[0]), nbytes))
-    else:
-        d = a @ b.T
+    np.matmul(a, b.T, out=out)
 
     def block(blk_rows):
-        blk = d[blk_rows] if rows is None else d[rows[blk_rows]]
+        blk = out[blk_rows] if rows is None else out[rows[blk_rows]]
         blk *= 2.0
         np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
@@ -174,35 +165,31 @@ def _distances(a, b, rows=None, each=None, workers=1) -> np.ndarray:
         if each is not None:
             each(blk_rows, blk)
 
-    _spread(len(sa), b.shape[0], block, workers)
-    return d
-
-
-def nearest(d: np.ndarray, k: int) -> np.ndarray:
-    """Columns of each row's k smallest entries, ordered by (value, column).
-
-    Consumes d: each pass takes the first minimum of every row and writes
-    +inf over it, so d must hold finite entries only.
-    """
-    nbrs = np.empty((d.shape[0], k), dtype=np.intp)
-    for rows in row_blocks(*d.shape):
-        _nearest_block(d[rows], nbrs[rows])
-    return nbrs
+    _spread(len(sa), b.shape[0], block, _WORKERS if spread else 1)
 
 
 def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
-    """nearest(cross_distances(a, b, rows), k), each row block searched as
-    soon as it holds distances instead of in a second sweep of the matrix."""
+    """Columns of the k rows of b nearest each row of a (or of those `rows`
+    of a, in their order), ordered by (distance, column); each row block of
+    _distances is searched as soon as it holds distances."""
     nbrs = np.empty((np.shape(a)[0] if rows is None else np.shape(rows)[0], k), dtype=np.intp)
-    _distances(a, b, rows, lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
+    with _workspace((np.shape(a)[0], np.shape(b)[0])) as d:
+        _distances(a, b, d, rows, lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
     return nbrs
 
 
-def _nearest_block(blk: np.ndarray, out: np.ndarray) -> None:
-    """nearest on one block of rows, into out's k columns; consumes blk."""
+def _nearest_block(blk: np.ndarray, out: np.ndarray, dist=None) -> None:
+    """Columns of each row's out.shape[1] smallest entries of blk, ordered by
+    (value, column), into out (and their values into dist, if given).
+
+    Consumes blk: each pass takes the first minimum of every row and writes
+    +inf over it, so blk must hold finite entries only.
+    """
     at = np.arange(blk.shape[0])
     for j in range(out.shape[1]):
         out[:, j] = blk.argmin(axis=1)
+        if dist is not None:
+            dist[:, j] = blk[at, out[:, j]]
         blk[at, out[:, j]] = np.inf
 
 
@@ -220,8 +207,10 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
     return index, best
 
 
-def pairwise_distances(points) -> np.ndarray:
-    """Exactly symmetric Euclidean distance matrix with a zero diagonal.
+def _pairwise(points, out, each=None) -> None:
+    """Exactly symmetric Euclidean distances with a zero diagonal, made in out
+    over every core by _distances, calling each(block_rows, block) once the
+    block's diagonal is zero.
 
     numpy computes P @ P.T on one operand with BLAS's syrk and mirrors one
     triangle onto the other, and the elementwise passes add the squared
@@ -230,12 +219,6 @@ def pairwise_distances(points) -> np.ndarray:
     copied first: numpy would copy the two operands apart and run a general
     GEMM, whose mirrored entries may differ in their last bits.
     """
-    return _pairwise(points)
-
-
-def _pairwise(points, each=None) -> np.ndarray:
-    """pairwise_distances over every core, calling each(block_rows, block) as
-    _distances does, once the block's diagonal is zero."""
     pts = np.asarray(points, dtype=float)
     if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
         pts = pts.copy()
@@ -245,7 +228,7 @@ def _pairwise(points, each=None) -> np.ndarray:
         if each is not None:
             each(rows, blk)
 
-    return _distances(pts, pts, each=zero_diagonal, workers=_WORKERS)
+    _distances(pts, pts, out, each=zero_diagonal, spread=True)
 
 
 def _spanning_tree(reach: np.ndarray) -> tuple:
@@ -274,9 +257,9 @@ def _spanning_tree(reach: np.ndarray) -> tuple:
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
-    all read from one distance matrix (the core distances off each row block
-    as it is made), which the density pass turns into the reachability
-    matrix in place for Prim, and which is freed on return. The distance,
+    all read from one distance matrix in a workspace (the core distances off
+    each row block as it is made), which the density pass turns into the
+    reachability matrix in place for Prim, and which ends on return. The distance,
     core and density passes run over every core, in row blocks whose bits
     do not depend on the thread that takes them. Requires n >= 2
     and an integer min_pts in [1, n - 1]. The index depends only on
@@ -304,9 +287,10 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
 
-    dist = _pairwise(ds.points, take_core)
-    _spread(n, n, take_density, _WORKERS)  # reads every core, so starts once all are in
-    order, gap = _spanning_tree(dist)
+    with _workspace((n, n)) as dist:
+        _pairwise(ds.points, dist, take_core)
+        _spread(n, n, take_density, _WORKERS)  # reads every core, so starts once all are in
+        order, gap = _spanning_tree(dist)
     for arr in (core, density, order, gap):
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,

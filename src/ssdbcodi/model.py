@@ -67,7 +67,7 @@ def neighbours(ts: TrainingSet, points, k_c: int, rows=None) -> np.ndarray:
     """Positions in ts of each row's k_c nearest training rows, trained on
     points[ts.indices]: Euclidean, ties by training-row position. With
     `rows`, only those rows of points (in their order) are searched; see
-    cross_distances and cross_nearest."""
+    cross_nearest."""
     m = len(ts)
     if m == 0:
         raise ValueError("training set is empty")

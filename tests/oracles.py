@@ -14,11 +14,18 @@ the finished distance matrix instead of each row block as it is made
 running minimum (the former running-minimum loops stay beside it as
 oracles of their own), a cells-outer tuning loop that searches neighbours
 afresh for every finish and classifies every point before reading the
-hidden ones, and a fallback clusterer handed its distance matrix instead
-of recomputing it, and the index build's former passes on one thread
-(`index_by_serial_passes`) instead of row blocks spread over the cores.
-The one exception is `classify`, the library's `neighbours` and `vote` in
-one call, which the classifier tests drive.
+hidden ones, a fallback clusterer, DBSCAN and LOF handed a whole
+distance matrix (`ssdbscan_with_fallback_by_matrix`, `dbscan_by_matrix`,
+`lof_by_matrix`) instead of reading row blocks as they are made, and the
+index build's former passes on one thread (`index_by_serial_passes`)
+instead of row blocks spread over the cores.
+
+The exceptions call the library to give its bits: `classify`, its
+`neighbours` and `vote` in one call, which the classifier tests drive, and
+`pairwise_distances`, `cross_distances` and `nearest`, thin wrappers over
+metricspace's private block loop (`_pairwise`, `_distances`,
+`_nearest_block`) that hand back whole matrices, which the library itself
+never keeps.
 """
 
 from collections import Counter
@@ -27,13 +34,11 @@ import math
 
 import numpy as np
 
-from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, OUTLIER, PipelineParams,
+from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, NOISE, OUTLIER, PipelineParams,
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
-                      auc, blend_grid, build_index, expand, finish, pairwise_distances,
-                      prepare, rand_index)
+                      auc, blend_grid, build_index, expand, finish, prepare, rand_index)
 from ssdbcodi.dataset import point_indices
 from ssdbcodi import metricspace
-from ssdbcodi.metricspace import cross_distances, nearest
 from ssdbcodi.model import neighbours, vote
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
@@ -342,6 +347,38 @@ def index_by_serial_passes(points, min_pts: int) -> tuple:
     return core, density, order, gap
 
 
+# --- the library's distance loop handing back whole matrices, for the tests ---
+
+def pairwise_distances(points) -> np.ndarray:
+    """Exactly symmetric Euclidean distance matrix with a zero diagonal: the
+    blocks of metricspace._pairwise, copied out of its workspace."""
+    n = np.shape(points)[0]
+    out = np.empty((n, n))
+    with metricspace._workspace((n, n)) as d:
+        metricspace._pairwise(points, d, out.__setitem__)
+    return out
+
+
+def cross_distances(a, b, rows=None) -> np.ndarray:
+    """Euclidean distances from each row of a (or those `rows` of a, in their
+    order) to each row of b: the blocks of metricspace._distances, copied out
+    of its workspace."""
+    out = np.empty((np.shape(a)[0] if rows is None else len(rows), np.shape(b)[0]))
+    with metricspace._workspace((np.shape(a)[0], np.shape(b)[0])) as d:
+        metricspace._distances(a, b, d, rows, out.__setitem__)
+    return out
+
+
+def nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest entries, ordered by (value, column):
+    metricspace._nearest_block over d's row blocks. Consumes d, which must
+    hold finite entries only."""
+    nbrs = np.empty((d.shape[0], k), dtype=np.intp)
+    for rows in metricspace.row_blocks(*d.shape):
+        metricspace._nearest_block(d[rows], nbrs[rows])
+    return nbrs
+
+
 # --- the classifier search's former path: the whole matrix, then nearest's sweep ---
 
 def nearest_by_matrix(a, b, k: int, rows=None) -> np.ndarray:
@@ -383,6 +420,67 @@ def knn_predict_by_loop(ts: TrainingSet, points: np.ndarray, k_c: int) -> tuple:
         out_class[row] = winners[0] if winners else OUTLIER
         out_score[row] = votes.get(OUTLIER, 0.0) / total if total > 0 else 0.0
     return out_class, out_score
+
+
+# --- DBSCAN and LOF on a whole distance matrix: their former routes ---
+
+def _square(dist) -> np.ndarray:
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("expected a square distance matrix")
+    return d
+
+
+def dbscan_by_matrix(dist, epsilon: float, min_pts: int) -> np.ndarray:
+    """baselines.dbscan reading its neighbourhoods off a square matrix."""
+    dist = _square(dist)
+    n = dist.shape[0]
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be non-negative")
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+    within = dist <= epsilon
+    core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
+    assign = np.full(n, NOISE, dtype=int)
+    cluster = 0
+    for p in range(n):
+        if not core[p] or assign[p] != NOISE:
+            continue
+        frontier = np.array([p])
+        assign[p] = cluster
+        while frontier.size:
+            reach = within[frontier].any(axis=0) & core & (assign == NOISE)
+            frontier = np.flatnonzero(reach)
+            assign[frontier] = cluster
+        cluster += 1
+    for p in range(n):
+        if core[p]:
+            continue
+        neighbours = np.flatnonzero(within[p] & core)
+        if neighbours.size:
+            assign[p] = assign[neighbours[0]]
+    return assign
+
+
+def lof_by_matrix(dist, k: int) -> np.ndarray:
+    """baselines.lof on a finite square matrix: a copy with an infinite
+    diagonal, searched by `nearest` once it is whole."""
+    dist = _square(dist)
+    n = dist.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    if not np.isfinite(dist).all():
+        raise ValueError("lof needs finite distances")
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    nbrs = nearest(d, k)
+    nd = np.take_along_axis(dist, nbrs, axis=1)
+    reach = np.maximum(nd[:, -1][nbrs], nd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lrd = k / reach.sum(axis=1)
+        scores = lrd[nbrs].mean(axis=1) / lrd
+    # duplicated points can drive both densities to infinity; call that 1
+    return np.where(np.isnan(scores), 1.0, scores)
 
 
 # --- full sort and partition: the reference for baselines.lof ---

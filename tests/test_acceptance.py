@@ -16,7 +16,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, PipelineParams, ScoreParams,
                       UNCLUSTERED, auc, build_index, expand, load_csv, lof,
-                      nmi, pairwise_distances, prepare, rand_index, run,
+                      nmi, prepare, rand_index, run,
                       sample_labels, t_score, tune)
 from ssdbcodi.cli import main
 
@@ -136,7 +136,7 @@ def test_criterion_6_desk_benchmark():
     started = time.perf_counter()
     ds = moons_with_outliers(n=400, outlier_rate=0.05, noise=0.15, seed=411)
     truth_outlier = ds.truth == OUTLIER
-    lof_auc = auc(lof(pairwise_distances(ds.points), k=10), truth_outlier)
+    lof_auc = auc(lof(ds, k=10), truth_outlier)
     aucs, rands = [], []
     for trial in range(20):
         labels = sample_labels(ds, 0.1, seed=trial)

@@ -7,59 +7,67 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, NOISE, UNCLUSTERED, baselines, build_index,
-                      dbscan, expand, kmeans, lof, pairwise_distances, rand_index,
+                      dbscan, expand, kmeans, lof, metricspace, rand_index,
                       ssdbscan_with_fallback)
 from ssdbcodi.metricspace import nearest_center
-from oracles import (as_dataset, lof_by_sort, nearest_centroid_by_broadcast, random_labelset,
+from oracles import (as_dataset, dbscan_by_matrix, lof_by_matrix, lof_by_sort,
+                     nearest_centroid_by_broadcast, pairwise_distances, random_labelset,
                      ssdbscan_with_fallback_by_matrix)
 
 
-def euclidean(pts):
-    pts = np.asarray(pts, dtype=float)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(d2)
-
-
 def test_distance_input_validation():
-    with pytest.raises(ValueError, match="square"):
-        dbscan(np.zeros((2, 3)), epsilon=1.0, min_pts=1)
+    # the baselines take a Dataset, not a distance matrix, and refuse points
+    # whose squared distances could overflow
+    with pytest.raises(AttributeError):
+        dbscan(np.zeros((2, 2)), epsilon=1.0, min_pts=1)
+    with pytest.raises(AttributeError):
+        lof(np.zeros((3, 3)), k=1)
+    huge = as_dataset([[1e200, 2e200], [2e200, 3e200], [3e200, 1e200]])
+    with pytest.raises(ValueError, match="squared norm"):
+        dbscan(huge, epsilon=1.0, min_pts=1)
+    with pytest.raises(ValueError, match="squared norm"):
+        lof(huge, k=1)
+    with pytest.raises(ValueError, match="squared norm"):
+        kmeans(huge, k=1, seed=0)
 
 
 def test_dbscan_two_chains():
-    dist = euclidean([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
-    out = dbscan(dist, epsilon=1.5, min_pts=1)
+    ds = as_dataset([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+    out = dbscan(ds, epsilon=1.5, min_pts=1)
     assert out.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_dbscan_isolated_point_is_noise():
-    dist = euclidean([[0.0], [1.0], [100.0]])
-    out = dbscan(dist, epsilon=1.5, min_pts=1)
+    out = dbscan(as_dataset([[0.0], [1.0], [100.0]]), epsilon=1.5, min_pts=1)
     assert out.tolist() == [0, 0, NOISE]
 
 
 def test_dbscan_core_test_excludes_self():
     # two coincident points: each has exactly one OTHER point within range
-    dist = euclidean([[0.0], [0.0]])
-    assert dbscan(dist, epsilon=0.5, min_pts=1).tolist() == [0, 0]
-    assert dbscan(dist, epsilon=0.5, min_pts=2).tolist() == [NOISE, NOISE]
+    ds = as_dataset([[0.0], [0.0]])
+    assert dbscan(ds, epsilon=0.5, min_pts=1).tolist() == [0, 0]
+    assert dbscan(ds, epsilon=0.5, min_pts=2).tolist() == [NOISE, NOISE]
 
 
 def test_dbscan_border_joins_lowest_indexed_core_neighbour():
     pts = [(0.0, 0.0), (0.0, 1.0), (0.0, -1.0),
            (2.0, 0.0), (2.0, 1.0), (2.0, -1.0),
            (1.0, 0.0)]
-    out = dbscan(euclidean(pts), epsilon=1.0, min_pts=3)
+    out = dbscan(as_dataset(pts), epsilon=1.0, min_pts=3)
     # the bridge point is within range of both cluster cores; index 0 wins
     assert out.tolist() == [0, 0, 0, 1, 1, 1, 0]
 
 
 def test_dbscan_parameter_validation():
-    dist = euclidean([[0.0], [1.0]])
+    ds = as_dataset([[0.0], [1.0]])
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
-            dbscan(dist, epsilon=bad, min_pts=1)
-    with pytest.raises(ValueError, match="min_pts"):
-        dbscan(dist, epsilon=1.0, min_pts=0)
+            dbscan(ds, epsilon=bad, min_pts=1)
+    # 1.5 and True once clustered silently, as 1.5 and 1 other points
+    for bad in (0, -1, 1.5, 1.0, np.float64(1.0), True, np.bool_(True), "1"):
+        with pytest.raises(ValueError, match="min_pts must be an integer"):
+            dbscan(ds, epsilon=1.0, min_pts=bad)
+    assert dbscan(ds, epsilon=1.0, min_pts=np.int32(1)).tolist() == [0, 0]
 
 
 def dbscan_oracle(dist, epsilon, min_pts):
@@ -100,11 +108,11 @@ def test_dbscan_matches_union_find_oracle():
     for _ in range(50):
         n = int(rng.integers(2, 30))
         pts = rng.normal(size=(n, int(rng.integers(1, 4)))) * 3
-        dist = euclidean(pts)
+        dist = pairwise_distances(pts)
         positive = dist[dist > 0]
         epsilon = float(rng.choice(positive)) if positive.size else 0.0
         min_pts = int(rng.integers(1, 5))
-        got = dbscan(dist, epsilon, min_pts).tolist()
+        got = dbscan(as_dataset(pts), epsilon, min_pts).tolist()
         assert got == dbscan_oracle(dist, epsilon, min_pts)
 
 
@@ -134,6 +142,11 @@ def test_kmeans_is_deterministic_and_validates():
         kmeans(as_dataset(pts), k=0, seed=0)
     with pytest.raises(ValueError, match="k must be"):
         kmeans(as_dataset(pts), k=16, seed=0)
+    # True once ran as k=1; 2.0 failed deep in numpy
+    for bad in (2.0, np.float64(2.0), True, np.bool_(True), "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans(as_dataset(pts), k=bad, seed=0)
+    assert np.array_equal(kmeans(as_dataset(pts), k=np.int64(3), seed=9), one)
 
 
 def test_kmeans_reaches_an_assignment_fixed_point():
@@ -194,31 +207,32 @@ def test_nearest_centroid_holds_one_point_matrix():
 
 
 def test_lof_uniform_line_scores_one():
-    out = lof(euclidean([[0.0], [1.0], [2.0], [3.0]]), k=1)
+    out = lof(as_dataset([[0.0], [1.0], [2.0], [3.0]]), k=1)
     assert np.allclose(out, 1.0, atol=1e-12)
 
 
 def test_lof_worked_example():
-    out = lof(euclidean([[0.0], [1.0], [2.0], [10.0]]), k=2)
+    out = lof(as_dataset([[0.0], [1.0], [2.0], [10.0]]), k=2)
     assert out == pytest.approx([7 / 8, 4 / 3, 7 / 8, 119 / 24], abs=1e-12)
     assert int(np.argmax(out)) == 3
 
 
 def test_lof_coincident_points_score_one():
-    out = lof(euclidean([[0.0], [0.0], [0.0]]), k=2)
+    out = lof(as_dataset([[0.0], [0.0], [0.0]]), k=2)
     assert out.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_lof_validation_and_index_input():
-    dist = euclidean([[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError, match="k must be"):
-        lof(dist, k=0)
-    with pytest.raises(ValueError, match="k must be"):
-        lof(dist, k=3)
-    # an index is no distance matrix: pass pairwise_distances(idx.points)
+    ds = as_dataset([[0.0], [1.0], [2.0]])
+    # 2.0 once failed in numpy with a TypeError, and True ran as k=1
+    for bad in (0, 3, 2.0, np.float64(1.0), True, np.bool_(True), "1"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            lof(ds, k=bad)
+    assert lof(ds, k=np.int64(2)).tobytes() == lof(ds, k=2).tobytes()
+    # a distance matrix is no Dataset: LOF measures the points itself
     idx = build_index(Dataset(points=[[0.0], [1.0], [2.0], [10.0]], truth=[0] * 4), 2)
-    with pytest.raises(TypeError):
-        lof(idx, k=2)
+    with pytest.raises(AttributeError):
+        lof(pairwise_distances(idx.points), k=2)
 
 
 def lof_oracle(pts, k):
@@ -249,7 +263,7 @@ def test_lof_matches_naive_route():
         # integer grid coordinates make neighbour ties exact in both routes
         pts = rng.integers(-4, 5, size=(n, int(rng.integers(1, 3)))).astype(float)
         k = int(rng.integers(1, n))
-        got = lof(euclidean(pts), k=k)
+        got = lof(as_dataset(pts), k=k)
         want = np.array(lof_oracle(pts, k))
         assert np.allclose(got, want, atol=1e-9)
 
@@ -263,27 +277,33 @@ def test_lof_matches_sort_oracle_bytes():
             pts = rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
         else:
             pts = rng.normal(size=(n, int(rng.integers(1, 4))))
-        dist = pairwise_distances(pts)
         k = int(rng.integers(1, n)) if case % 10 else n - 1
-        got = lof(dist, k=k)
-        assert got.tobytes() == lof_by_sort(dist, k).tobytes(), case
+        got = lof(as_dataset(pts), k=k)
+        assert got.tobytes() == lof_by_sort(pairwise_distances(pts), k).tobytes(), case
 
 
 def test_lof_refuses_non_finite_distances():
-    for bad in (np.nan, np.inf):
-        dist = euclidean([[0.0], [1.0], [3.0]])
-        dist[0, 2] = dist[2, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            lof(dist, k=1)
-    # dbscan treats an infinite distance as out of every neighbourhood
-    assert dbscan(dist, epsilon=2.0, min_pts=1).tolist() == [0, 0, 0]
+    # a Dataset holds finite points only, and LOF refuses points whose
+    # squared distances could overflow; just under the bound all is finite
+    with pytest.raises(ValueError, match="finite"):
+        as_dataset([[0.0], [np.inf], [3.0]])
+    bound = np.finfo(float).max / 4
+    x = np.sqrt(bound)
+    while x * x > bound:
+        x = np.nextafter(x, 0.0)
+    with pytest.raises(ValueError, match="squared norm"):
+        lof(as_dataset([[x * 1.001], [0.0], [1.0]]), k=1)
+    assert np.isfinite(lof(as_dataset([[x], [-x], [0.0]]), k=1)).all()
 
 
-def test_lof_holds_one_distance_copy():
-    dist = pairwise_distances(np.random.default_rng(73).normal(size=(300, 3)))
+def test_lof_holds_one_distance_copy(monkeypatch):
+    # the n x n workspace on the traced heap, and no copy of it beside it
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
+    ds = as_dataset(np.random.default_rng(73).normal(size=(300, 3)))
     tracemalloc.start()
     try:
-        lof(dist, k=5)
+        lof(ds, k=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -335,17 +355,17 @@ def test_fallback_matches_the_index_matrix_route():
 
 
 def test_fallback_reads_the_whole_pairwise_matrix_once(monkeypatch):
-    # host-independent guard on the route: a submatrix of its own (say
-    # cross_distances of leftovers to clustered points) gives other bits on
-    # some hosts, so the fallback must read pairwise_distances(idx.points)
-    # itself, once, and only when there is a leftover to join
-    calls = []
+    # host-independent guard on the route: a product of its own (say of
+    # leftovers and clustered points) gives other bits on some hosts, so
+    # the fallback must read the leftovers' rows of the whole product of
+    # idx.points with itself, once, and only when there is a leftover to join
+    calls, real = [], baselines._distances
 
-    def recording(points):
-        calls.append(points)
-        return pairwise_distances(points)
+    def recording(a, b, out, rows=None, each=None, spread=False):
+        calls.append((a, b, out.shape, rows))
+        real(a, b, out, rows, each, spread)
 
-    monkeypatch.setattr(baselines, "pairwise_distances", recording)
+    monkeypatch.setattr(baselines, "_distances", recording)
     rng = np.random.default_rng(98)
     seen = {True: 0, False: 0}
     for case in range(120):
@@ -361,6 +381,39 @@ def test_fallback_reads_the_whole_pairwise_matrix_once(monkeypatch):
         joins = bool((assign == UNCLUSTERED).any())
         calls.clear()
         ssdbscan_with_fallback(idx, labels)
-        assert len(calls) == joins and all(c is idx.points for c in calls), case
+        assert len(calls) == joins, case
+        for a, b, shape, rows in calls:
+            assert a is idx.points and b is idx.points and shape == (n, n), case
+            assert np.array_equal(rows, np.flatnonzero(assign == UNCLUSTERED)), case
         seen[joins] += 1
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_baselines_match_their_matrix_routes_bytes(monkeypatch, helpers, count):
+    # 0-3 grids (ties and duplicates), the same grids far from the origin, and
+    # normals; blocks of one row, of three rows and of 1 MiB; every workspace
+    # mapped, or none; the row passes over 0, 1 and 3 helper threads. DBSCAN,
+    # LOF and the fallback must give the bytes of their whole-matrix routes.
+    ran = helpers(count)
+    rng = np.random.default_rng(103)
+    for case in range(60):
+        n = int(rng.integers(2, 90))
+        dim = int(rng.integers(1, 5))
+        grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+        pts = [grid, grid + rng.normal(size=dim) * 100.0, rng.normal(size=(n, dim))][case % 3]
+        dist = pairwise_distances(pts)
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 8 * n * 3, 1 << 20][case // 3 % 3])
+        monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
+        ds = as_dataset(pts)
+        epsilon, min_pts = float(rng.choice([0.5, 1.0, 1.5, 2.0])), int(rng.integers(1, 6))
+        assert (dbscan(ds, epsilon, min_pts).tobytes()
+                == dbscan_by_matrix(dist, epsilon, min_pts).tobytes()), case
+        if n > 1:
+            k = int(rng.integers(1, n)) if case % 7 else n - 1
+            assert lof(ds, k).tobytes() == lof_by_matrix(dist, k).tobytes(), case
+        idx = build_index(ds, int(rng.integers(1, n)))
+        labels = random_labelset(rng, n)
+        assert (ssdbscan_with_fallback(idx, labels).tobytes()
+                == ssdbscan_with_fallback_by_matrix(dist, idx, labels).tobytes()), case
+    assert len(ran) == 1 if count == 0 else len(ran) >= 2

@@ -12,12 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand, pairwise_distances
+from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand
 from ssdbcodi.metricspace import _spanning_tree
 from oracles import (ExpansionRecord, as_dataset, back_trace, combine_backtraces,
                      emax_over_roots, expand_all, expand_by_rows, minimax_closure,
-                     minimax_rows, mst_weights_by_kruskal, prim_expand, prim_tree_edges,
-                     random_labelset, random_points, rdist_matrix, ssdbscan_by_expansion)
+                     minimax_rows, mst_weights_by_kruskal, pairwise_distances, prim_expand,
+                     prim_tree_edges, random_labelset, random_points, rdist_matrix,
+                     ssdbscan_by_expansion)
 
 
 def line_dataset(values):

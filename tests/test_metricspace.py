@@ -1,24 +1,22 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 import mmap
 import sys
 import threading
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, PipelineParams, ScoreParams, build_index, metricspace,
-                      pairwise_distances, run, sample_labels, tune)
-from ssdbcodi.metricspace import cross_distances, cross_nearest, nearest, nearest_center
-from oracles import (as_dataset, distances_by_expression, index_by_serial_passes,
-                     is_density_reachable, knn_by_rdist, local_densities_by_matrix,
-                     moons_with_outliers,
-                     nearest_by_matrix, nearest_centroid_by_loop, pairwise_by_expression,
+from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, build_index, dbscan, lof,
+                      metricspace, run, sample_labels, ssdbscan_with_fallback, tune)
+from ssdbcodi.metricspace import _workspace, cross_nearest, nearest_center
+from oracles import (as_dataset, cross_distances, distances_by_expression,
+                     index_by_serial_passes, is_density_reachable, knn_by_rdist,
+                     local_densities_by_matrix, moons_with_outliers, nearest, nearest_by_matrix,
+                     nearest_centroid_by_loop, pairwise_by_expression, pairwise_distances,
                      random_points, reach_distance, sq_dist_by_minimum)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
@@ -223,8 +221,9 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
     # pairwise_distances takes no max with the transpose: its symmetry rests
     # on P @ P.T being one syrk mirrored and on the passes adding the norms
     # in either order. Blocks under one row, of three rows and of 1 MiB; every
-    # output mapped, or none. Some sets reach 170+ points, where numpy 2's
+    # workspace mapped, or none. Some sets reach 170+ points, where numpy 2's
     # GEMM on strided or misaligned operands, copied apart, mirrors unequal bits.
+    idle = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
     rng = np.random.default_rng(31)
     for case in range(45):
@@ -243,91 +242,75 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
                 assert gram.tobytes() == gram.T.tobytes(), (case, layout)
             d = dists[layout] = pairwise_distances(p)
             assert d.tobytes() == d.T.tobytes(), (case, layout)
-            assert isinstance(d.base, mmap.mmap) == mapped and not d.diagonal().any()
+            assert bool(idle) == mapped and not d.diagonal().any()
         assert dists["strided"].tobytes() == dists["misaligned"].tobytes() == dists["C"].tobytes()
 
 
-def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
-    pts = np.random.default_rng(4).normal(size=(50, 2))
-    assert isinstance(pairwise_distances(pts).base, mmap.mmap)
-    assert pairwise_distances(pts[:49]).base is None
-
-
 def fresh_maps(monkeypatch) -> list:
-    """An empty idle list, with outputs of 20 x 20 and more mapped."""
+    """An empty idle list, with workspaces of 20 x 20 and more mapped."""
     monkeypatch.setattr(metricspace, "_idle", [])
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 20 * 20)
     return metricspace._idle
 
 
+def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
+    fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
+    with _workspace((50, 50)) as big, _workspace((49, 50)) as small:
+        assert isinstance(big.base, mmap.mmap) and len(big.base) == big.nbytes
+        assert small.base is None and small.flags.owndata
+        assert big.shape == (50, 50) and small.shape == (49, 50)
+        assert big.dtype == small.dtype == np.float64
+
+
 def test_a_dead_output_map_serves_the_next_output_that_fits(monkeypatch):
+    # a map goes back to the idle list when its block ends, and serves the
+    # next workspace that fits
     idle = fresh_maps(monkeypatch)
-    rng = np.random.default_rng(41)
-    pts = rng.normal(size=(60, 3))
-    first = pairwise_distances(pts)
-    buf = first.base
-    assert isinstance(buf, mmap.mmap) and len(buf) == 8 * 60 * 60 and not idle
-    del first
-    assert len(idle) == 1 and idle[0] is buf
-    same = cross_distances(pts, pts)
-    assert same.base is buf and not idle
-    del same
-    smaller = cross_distances(pts, pts[:40])
-    assert smaller.base is buf
-    assert smaller.tobytes() == cross_distances(pts, pts[:40]).tobytes()  # a fresh map
-    # of two idle maps, the smallest that holds the output serves it
-    larger = pairwise_distances(rng.normal(size=(80, 2)))
-    big = larger.base
-    del larger, smaller
+    with _workspace((60, 60)) as first:
+        buf = first.base
+        assert isinstance(buf, mmap.mmap) and len(buf) == 8 * 60 * 60 and not idle
+    assert idle == [buf]
+    with _workspace((60, 60)) as same:
+        assert same.base is buf and not idle
+    # a larger workspace misses while the smaller one holds the map
+    with _workspace((60, 40)) as smaller, _workspace((80, 80)) as larger:
+        assert smaller.base is buf and smaller.shape == (60, 40)
+        big = larger.base
     assert [len(m) for m in idle] == [8 * 80 * 80, 8 * 60 * 60]
-    assert pairwise_distances(pts[:50]).base is buf
-    assert cross_distances(pts, pts[:50]).base is buf  # the previous output died
-    held = pairwise_distances(pts)
-    assert held.base is buf and pairwise_distances(pts).base is big
-
-
-def test_a_live_view_keeps_its_map_from_the_next_output(monkeypatch):
-    views = {"slice": lambda d: d[3:], "transpose": lambda d: d.T,
-             "memoryview": memoryview, "frombuffer": np.frombuffer}
-    rng = np.random.default_rng(43)
-    pts = rng.normal(size=(60, 3))
-    for name, view in views.items():
-        idle = fresh_maps(monkeypatch)
-        first = pairwise_distances(pts)
-        buf = weakref.ref(first.base)
-        held = view(first)
-        before = np.asarray(held).tobytes()
-        del first
-        assert not idle, name
-        second = pairwise_distances(pts * 3.0)
-        assert buf() is not None and second.base is not buf(), name
-        assert np.asarray(held).tobytes() == before, name
-        del held
-        assert len(idle) == 1 and idle[0] is buf(), name
-        del second
+    # of two idle maps, the smallest that holds the workspace serves it
+    with _workspace((50, 50)) as w:
+        assert w.base is buf
+    with _workspace((70, 70)) as w:
+        assert w.base is big
+    # workspaces held at once never share a map
+    with _workspace((60, 60)) as outer, _workspace((60, 60)) as inner:
+        assert outer.base is buf and inner.base is big
+    assert sorted(len(m) for m in idle) == [8 * 60 * 60, 8 * 80 * 80]
 
 
 def test_threads_holding_outputs_at_once_get_different_maps(monkeypatch):
     # more threads than cores and a short switch interval; every round each
-    # thread holds an output while all others hold theirs, over idle maps of
-    # several sizes
+    # thread fills a workspace and holds it while all others hold theirs,
+    # over idle maps of several sizes. 400 rounds: without the lock, two
+    # threads took one map in only some runs of 100
     fresh_maps(monkeypatch)
     rng = np.random.default_rng(47)
     sets = [rng.normal(size=(int(rng.integers(30, 70)), 2)) for _ in range(4)]
     wants = [pairwise_distances(p).tobytes() for p in sets]
-    rounds, barrier = 25, threading.Barrier(4, timeout=30)
+    rounds, barrier = 400, threading.Barrier(4, timeout=30)
     bases, wrong = [[None] * 4 for _ in range(rounds)], []
 
     def work(i):
+        n = sets[i].shape[0]
         for r in range(rounds):
-            d = pairwise_distances(sets[i])
-            bases[r][i] = d.base
-            barrier.wait()
-            if d.tobytes() != wants[i]:
-                wrong.append((r, i))
-            barrier.wait()
-            del d
+            with _workspace((n, n)) as d:
+                metricspace._pairwise(sets[i], d)
+                bases[r][i] = d.base
+                barrier.wait()
+                if d.tobytes() != wants[i]:
+                    wrong.append((r, i))
+                barrier.wait()
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -348,21 +331,65 @@ def test_threads_holding_outputs_at_once_get_different_maps(monkeypatch):
 def test_idle_maps_never_total_more_than_idle_bytes(monkeypatch):
     idle = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "IDLE_BYTES", 8 * 50 * 50)
-    rng = np.random.default_rng(53)
-    outs = [pairwise_distances(rng.normal(size=(n, 2))) for n in (30, 40, 45, 60)]
-    maps = [weakref.ref(out.base) for out in outs]
-    while outs:
-        del outs[0]
+    blocks = [_workspace((n, n)) for n in (30, 40, 45, 60)]
+    maps = [block.__enter__().base for block in blocks]
+    for block in blocks:
+        block.__exit__(None, None, None)
         assert sum(len(m) for m in idle) <= metricspace.IDLE_BYTES
     # 30 and 40 fill the budget exactly; 45 would pass it and 60 does alone
-    assert [m() is not None for m in maps] == [True, True, False, False]
-    assert [m() for m in maps[:2]] == idle
+    assert idle == maps[:2]
     # a miss drops the idle maps, all too small, before mapping anew
-    out = pairwise_distances(rng.normal(size=(55, 2)))
-    assert maps[0]() is None and maps[1]() is None and not idle
-    over = weakref.ref(out.base)
-    del out
-    assert over() is None and not idle
+    with _workspace((55, 55)) as w:
+        assert w.base not in maps and not idle
+    assert not idle  # 55 x 55 alone passes the budget
+
+
+def test_a_failing_block_keeps_its_map_out_and_the_next_call_works(monkeypatch):
+    # a view of the workspace may live on in the traceback, so its map is
+    # not reused; the next workspace maps anew and gives the same bytes
+    idle = fresh_maps(monkeypatch)
+    rng = np.random.default_rng(59)
+    a, b = rng.integers(0, 3, size=(60, 2)).astype(float), rng.normal(size=(45, 2))
+    want = nearest_by_matrix(a, b, 4)
+    idle.clear()
+    real, seen = metricspace._nearest_block, []
+
+    def failing(blk, out, dist=None):
+        seen.append(blk.base.base)  # the block, a view of the workspace, in its map
+        raise RuntimeError("block")
+
+    monkeypatch.setattr(metricspace, "_nearest_block", failing)
+    with pytest.raises(RuntimeError, match="block"):
+        cross_nearest(a, b, 4)
+    assert isinstance(seen[0], mmap.mmap) and not idle
+    with pytest.raises(KeyError):
+        with _workspace((60, 45)) as w:
+            failed = w.base
+            raise KeyError
+    assert failed is not seen[0] and not idle
+    monkeypatch.setattr(metricspace, "_nearest_block", real)
+    assert cross_nearest(a, b, 4).tobytes() == want.tobytes()
+    assert len(idle) == 1 and idle[0] is not seen[0] and idle[0] is not failed
+
+
+def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
+    # every workspace mapped and returned to the idle list; what the library
+    # hands back lives outside all of them
+    idle = fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    rng = np.random.default_rng(61)
+    pts = rng.integers(0, 4, size=(90, 2)).astype(float)
+    ds = as_dataset(pts)
+    idx = build_index(ds, 3)
+    labels = LabelSet(normal={0: 0, 1: 1, 2: 0}, outliers=frozenset({3}))
+    outputs = [idx.core, idx.density, idx.order, idx.gap,
+               cross_nearest(pts, pts[::3], 4), cross_nearest(pts, pts[::2], 3, [5, 1, 5]),
+               lof(ds, 5), dbscan(ds, 1.0, 3), ssdbscan_with_fallback(idx, labels)]
+    assert idle
+    for buf in idle:
+        region = np.frombuffer(buf, dtype=np.uint8)
+        for i, arr in enumerate(outputs):
+            assert not np.shares_memory(arr, region), i
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
@@ -390,34 +417,6 @@ def test_index_keeps_no_n_by_n_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert idx.n == 300 and held < 8 * 300 * 300 / 4
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """force(count): spread the row passes over the caller and count pool
-    threads of a pool of their own. Returns the set of threads that ran a
-    spread block."""
-    pools, ran = [], set()
-    real = metricspace._spread
-
-    def recording(n_rows, n_cols, fn, workers):
-        def run(rows):
-            ran.add(threading.get_ident())
-            fn(rows)
-        real(n_rows, n_cols, run, workers)
-
-    def force(count):
-        if count:
-            pools.append(ThreadPoolExecutor(count))
-            monkeypatch.setattr(metricspace, "_helpers", pools[-1])
-        monkeypatch.setattr(metricspace, "_WORKERS", count + 1)
-        ran.clear()
-        return ran
-
-    monkeypatch.setattr(metricspace, "_spread", recording)
-    yield force
-    for pool in pools:
-        pool.shutdown(wait=True)
 
 
 def assert_serial_bytes(idx, points, min_pts, case=None):
@@ -456,7 +455,7 @@ def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
     main, real, failing = threading.get_ident(), metricspace._pairwise, [True]
 
-    def slow_pairwise(points, each):
+    def slow_pairwise(points, out, each):
         def each_or_fail(rows, blk):
             here = threading.get_ident()
             time.sleep(1e-3)  # so that every thread takes blocks
@@ -464,7 +463,7 @@ def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch
                                "caller": here == main}[where]:
                 raise RuntimeError(f"block {rows.start}")
             each(rows, blk)
-        return real(points, each_or_fail)
+        real(points, out, each_or_fail)
 
     pts = np.random.default_rng(97).normal(size=(120, 3))
     monkeypatch.setattr(metricspace, "_pairwise", slow_pairwise)

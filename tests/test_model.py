@@ -7,8 +7,7 @@ import pytest
 
 from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, metricspace,
                       select_reliable)
-from ssdbcodi.metricspace import cross_distances
-from oracles import classify, knn_predict_by_loop
+from oracles import classify, cross_distances, knn_predict_by_loop
 
 
 def make_assignment(assign):
