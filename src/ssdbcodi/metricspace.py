@@ -6,10 +6,11 @@ Every n x n or n x m distance array is a temporary: a BLAS product in a
 or a baseline), turned into distances in place in row blocks. What a caller
 needs (nearest neighbours, core distances, neighbourhoods) is read off each
 block while it is still in cache; no distance array leaves this module.
-Large workspaces live in maps reused once their block ends, up to IDLE_BYTES
-of idle maps. The row passes after the product may run on the caller and
-one pool thread per other core; each is elementwise or per row, so which
-thread takes a block changes no bit.
+Large workspaces live in maps reused once their block ends; idle and live
+maps never total more than the most map bytes once live at one time. The row
+passes after the product may run on the caller and one pool thread per other
+core; each is elementwise or per row, so which thread takes a block changes no
+bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -59,9 +60,8 @@ class NeighborhoodIndex:
 # smaller allocations split before the next workspace arrives, so a
 # long-running process's resident peak would drift with its allocation history
 # by up to one workspace. A map whose block has ended then serves the next
-# workspace that fits, sparing it fresh page faults, while idle maps total at
-# most IDLE_BYTES (glibc's ceiling for freed chunks).
-BLOCK_BYTES, MAPPED_BYTES, IDLE_BYTES = 1 << 20, 4 << 20, 32 << 20
+# workspace that fits, of any size, sparing it fresh page faults.
+BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
 _idle, _idle_lock = [], threading.Lock()
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi-rows")
@@ -107,26 +107,26 @@ def _workspace(shape: tuple):
     """An uninitialised float64 array of `shape` for one with block: on the
     heap below MAPPED_BYTES, else in the smallest idle map that fits, or in a
     new map once the idle maps (all too small) are dropped. The map goes back
-    to the idle maps when the block ends, if they still fit IDLE_BYTES; not
-    when it raises, since the traceback may still hold views of the array."""
+    to the idle maps when the block ends; not when it raises, since the
+    traceback may still hold views of the array. So idle and live map bytes
+    grow only at a miss, which drops every idle map first: together they
+    never exceed the most map bytes that were live at one time."""
     nbytes = 8 * math.prod(shape)
     if nbytes < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         yield np.empty(shape)
         return
-    with _idle_lock:
+    with _idle_lock:  # a miss unmaps the idle maps and maps anew in one step
         fits = [buf for buf in _idle if len(buf) >= nbytes]
-        buf = min(fits, key=len) if fits else None
-        if buf is None:
-            _idle.clear()
-        else:
+        if fits:
+            buf = min(fits, key=len)
             _idle.remove(buf)
-    if buf is None:
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+        else:
+            _idle.clear()
+            buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+            buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
     yield np.ndarray(shape, buffer=buf)
     with _idle_lock:
-        if len(buf) + sum(len(idle) for idle in _idle) <= IDLE_BYTES:
-            _idle.append(buf)
+        _idle.append(buf)
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, build_index, dbscan, lof,
-                      metricspace, run, sample_labels, ssdbscan_with_fallback, tune)
+from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, build_index, cli, dbscan,
+                      lof, metricspace, run, sample_labels, ssdbscan_with_fallback, tune)
 from ssdbcodi.metricspace import _workspace, cross_nearest, nearest_center
 from oracles import (as_dataset, cross_distances, distances_by_expression,
                      index_by_serial_passes, is_density_reachable, knn_by_rdist,
@@ -328,20 +328,64 @@ def test_threads_holding_outputs_at_once_get_different_maps(monkeypatch):
         assert len({id(b) for b in held}) == 4, r
 
 
-def test_idle_maps_never_total_more_than_idle_bytes(monkeypatch):
+def test_idle_maps_never_total_more_than_the_peak_held(monkeypatch):
+    # the first map is parked whatever its size: 35 MB, mapped but never
+    # touched, so it costs no resident page
     idle = fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "IDLE_BYTES", 8 * 50 * 50)
-    blocks = [_workspace((n, n)) for n in (30, 40, 45, 60)]
-    maps = [block.__enter__().base for block in blocks]
-    for block in blocks:
-        block.__exit__(None, None, None)
-        assert sum(len(m) for m in idle) <= metricspace.IDLE_BYTES
-    # 30 and 40 fill the budget exactly; 45 would pass it and 60 does alone
-    assert idle == maps[:2]
+    with _workspace((2100, 2100)) as w:
+        first = w.base
+    assert idle == [first]
     # a miss drops the idle maps, all too small, before mapping anew
-    with _workspace((55, 55)) as w:
-        assert w.base not in maps and not idle
-    assert not idle  # 55 x 55 alone passes the budget
+    with _workspace((2100, 2101)) as w:
+        assert w.base is not first and not idle
+    assert [len(m) for m in idle] == [8 * 2100 * 2101]
+    idle.clear()
+    # four threads open and close workspaces of random sizes, up to two at a
+    # time each, some blocks raising; one lock makes each enter or exit and
+    # the test's count of bytes held (live) one step, so that after every
+    # exit idle + live is compared with the most bytes ever live at once
+    acct, live, high, seen, wrong, done = threading.Lock(), [0], [0], [], [], []
+
+    def work(i):
+        rng = np.random.default_rng(100 + i)
+        for r in range(150):
+            blocks = []
+            for _ in range(int(rng.integers(1, 3))):
+                cm = _workspace((int(rng.integers(20, 60)), int(rng.integers(20, 60))))
+                with acct:
+                    w = cm.__enter__()
+                    live[0] += len(w.base)
+                    high[0] = max(high[0], live[0])
+                w.fill(i * 1000 + r)  # a map shared with another live block shows here
+                blocks.append((cm, w))
+            time.sleep(0)
+            for cm, w in reversed(blocks):
+                fails = rng.random() < 0.1
+                if not (w == i * 1000 + r).all():
+                    wrong.append((i, r))
+                with acct:
+                    live[0] -= len(w.base)
+                    if fails:  # as a with block that raises would
+                        cm.__exit__(KeyError, KeyError(), None)
+                    else:
+                        cm.__exit__(None, None, None)
+                    if any(m is w.base for m in idle) == fails:
+                        wrong.append((i, r, "parked" if fails else "dropped"))
+                    seen.append(sum(len(m) for m in idle) + live[0] <= high[0])
+        done.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
+    assert not wrong and live == [0] and all(seen)
 
 
 def test_a_failing_block_keeps_its_map_out_and_the_next_call_works(monkeypatch):
@@ -390,6 +434,43 @@ def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
         region = np.frombuffer(buf, dtype=np.uint8)
         for i, arr in enumerate(outputs):
             assert not np.shares_memory(arr, region), i
+
+
+def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
+    # every workspace mapped: a run's classifier reuses its build's map, and a
+    # sweep's trials reuse the build's map and one more, whatever their order;
+    # the reports keep the all-heap path's bytes
+    rng = np.random.default_rng(67)
+    c = rng.integers(3, size=150)
+    x = rng.normal(size=(150, 3)) + 6.0 * c[:, None]
+    x[:5] = rng.uniform(-6, 18, size=(5, 3))
+    lab = np.where(np.arange(150) < 5, "o", c.astype(str))
+    path = tmp_path / "blobs.csv"
+    path.write_text("x,y,z,label\n" + "".join(f"{a!r},{b!r},{z!r},{y}\n"
+                                              for (a, b, z), y in zip(x.tolist(), lab)))
+    argvs = {"run": ["run", "--label-fraction", "0.1"],
+             "benchmark": ["benchmark", "--fractions", "10", "--trials", "6", "--workers", "2"]}
+    made, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **kw: made.append(a[1]) or real(*a, **kw))
+
+    def reports(mapped_bytes):
+        out = {}
+        for name, argv in argvs.items():
+            fresh_maps(monkeypatch)
+            monkeypatch.setattr(metricspace, "MAPPED_BYTES", mapped_bytes)
+            made.clear()
+            report = tmp_path / f"{name}-{mapped_bytes}.out"
+            assert cli.main(argv + ["--input", str(path), "--no-timing",
+                                    "--output", str(report)]) == 0
+            out[name] = (report.read_bytes(), list(made))
+        return out
+
+    mapped, heap = reports(8 * 20 * 20), reports(1 << 62)
+    assert mapped["run"][1] == [8 * 150 * 150]
+    assert mapped["benchmark"][1][0] == 8 * 150 * 150 and len(mapped["benchmark"][1]) <= 3
+    assert heap["run"][1] == heap["benchmark"][1] == []
+    for name in argvs:
+        assert mapped[name][0] == heap[name][0], name
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
