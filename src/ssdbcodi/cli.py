@@ -305,7 +305,9 @@ def _add_sweep_flags(p):
     p.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
                    help="label percentages, comma-separated")
     p.add_argument("--trials", type=int, default=50, help="seeded label draws per fraction")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads; they take turns on the one large distance array, "
+                        "so more of them do not raise peak memory")
 
 
 def _add_tune_flags(p):

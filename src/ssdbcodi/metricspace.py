@@ -6,11 +6,11 @@ Every n x n or n x m distance array is a temporary: a BLAS product in a
 or a baseline), turned into distances in place in row blocks. What a caller
 needs (nearest neighbours, core distances, neighbourhoods) is read off each
 block while it is still in cache; no distance array leaves this module.
-Large workspaces live in maps reused once their block ends; idle and live
-maps never total more than the most map bytes once live at one time. The row
-passes after the product may run on the caller and one pool thread per other
-core; each is elementwise or per row, so which thread takes a block changes no
-bit.
+Large workspaces live in the process's one map, which one block holds at a
+time while others queue for it, so a process keeps one workspace of its
+largest size however many threads use this module. The row passes after the
+product may run on the caller and one pool thread per other core; each is
+elementwise or per row, so which thread takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -24,6 +24,7 @@ import math
 import mmap
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,14 +56,20 @@ class NeighborhoodIndex:
 # Each n x n pass holds one large array, its workspace, and works in row
 # blocks of BLOCK_BYTES; a pass spread over _WORKERS threads cuts its blocks to
 # BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
-# BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page size) get an
-# anonymous map of their own: in the C heap each would leave a hole that
-# smaller allocations split before the next workspace arrives, so a
-# long-running process's resident peak would drift with its allocation history
-# by up to one workspace. A map whose block has ended then serves the next
-# workspace that fits, of any size, sparing it fresh page faults.
+# BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page size) share
+# one anonymous map, held by one with block at a time: in the C heap each
+# would leave a hole that smaller allocations split before the next workspace
+# arrives, so a long-running process's resident peak would drift with its
+# allocation history, and threads holding one each at once would multiply it.
+# `_map` holds that map (`buf`, None before the first mapped block and after
+# one raised), whether a block holds it, how many blocks queue for it and
+# whether the holder queued; `turn` guards them. No workspace may exceed the
+# physical memory, read once: with one map per process, that is its peak.
 BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
-_idle, _idle_lock = [], threading.Lock()
+_map = SimpleNamespace(turn=threading.Condition(), buf=None, held=False, waiting=0, waited=False)
+_MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                 if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
+                 else math.inf)
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi-rows")
 
@@ -105,28 +112,50 @@ def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
 @contextmanager
 def _workspace(shape: tuple):
     """An uninitialised float64 array of `shape` for one with block: on the
-    heap below MAPPED_BYTES, else in the smallest idle map that fits, or in a
-    new map once the idle maps (all too small) are dropped. The map goes back
-    to the idle maps when the block ends; not when it raises, since the
-    traceback may still hold views of the array. So idle and live map bytes
-    grow only at a miss, which drops every idle map first: together they
-    never exceed the most map bytes that were live at one time."""
+    heap below MAPPED_BYTES, else in the process's one map, once no other
+    block holds it. Blocks queue for the map in a with block each, so a
+    thread must not open a mapped workspace inside another. The map grows
+    (the old one unmapped first) when a block needs more, and is not reused
+    after a block raises, since the traceback may still hold views of it.
+    A MemoryError names a workspace larger than the physical memory before
+    anything is allocated."""
     nbytes = 8 * math.prod(shape)
+    if nbytes > _MEMORY_BYTES:
+        raise MemoryError(f"a {' x '.join(map(str, shape))} distance workspace needs {nbytes} "
+                          f"bytes, more than the {_MEMORY_BYTES} bytes of physical memory")
     if nbytes < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         yield np.empty(shape)
         return
-    with _idle_lock:  # a miss unmaps the idle maps and maps anew in one step
-        fits = [buf for buf in _idle if len(buf) >= nbytes]
-        if fits:
-            buf = min(fits, key=len)
-            _idle.remove(buf)
-        else:
-            _idle.clear()
-            buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-            buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    yield np.ndarray(shape, buffer=buf)
-    with _idle_lock:
-        _idle.append(buf)
+    with _map.turn:
+        _map.waiting += 1
+        try:  # an interrupt while waiting leaves the queue too
+            waited = _map.held
+            while _map.held:
+                _map.turn.wait()
+        finally:
+            _map.waiting -= 1
+        _map.held, _map.waited = True, waited
+    try:
+        if _map.buf is None or len(_map.buf) < nbytes:
+            _map.buf = None  # unmapped, once no view holds it, before mapping anew
+            _map.buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+            _map.buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+        yield np.ndarray(shape, buffer=_map.buf)
+    except BaseException:
+        _map.buf = None
+        raise
+    finally:
+        with _map.turn:
+            _map.held = False
+            _map.turn.notify_all()  # a woken waiter that is interrupted passes on no turn
+
+
+def _contended(out: np.ndarray) -> bool:
+    """Whether out is the mapped workspace and its block queued for the map
+    or is queued on. A queued block's thread idles, so such a block's row
+    passes take every core; an uncontended one keeps them to its thread,
+    which pays better beside a BLAS pool that is still spinning."""
+    return out.base is not None and out.base is _map.buf and (_map.waited or _map.waiting > 0)
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
@@ -142,9 +171,10 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
 def _distances(a, b, out, rows=None, each=None, spread=False) -> None:
     """Euclidean distances from the rows of a to the rows of b, made in place
     in out, the product a @ b.T (BLAS's symmetric one when b is a), row block
-    by row block, on this thread or, if `spread`, over every core. Each
-    block is passed to each(block_rows, block) as soon as it holds
-    distances, while it is still in cache.
+    by row block, on this thread or over every core: if `spread`, or if the
+    workspace is _contended once the product is made (a block that queues
+    meanwhile counts). Each block is passed to each(block_rows, block) as
+    soon as it holds distances, while it is still in cache.
 
     With `rows`, each block is a copy of those rows of the full product (in
     their order), seen only by `each`: a BLAS product of fewer rows need not
@@ -165,7 +195,7 @@ def _distances(a, b, out, rows=None, each=None, spread=False) -> None:
         if each is not None:
             each(blk_rows, blk)
 
-    _spread(len(sa), b.shape[0], block, _WORKERS if spread else 1)
+    _spread(len(sa), b.shape[0], block, _WORKERS if spread or _contended(out) else 1)
 
 
 def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:

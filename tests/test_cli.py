@@ -1,17 +1,19 @@
 """CLI contract: report shapes, formatting, determinism, and exit codes."""
 
+from contextlib import contextmanager
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from ssdbcodi import (PipelineParams, ScoreParams, auc, build_index, finish, load_csv, nmi,
                       prepare, rand_index, sample_labels)
-from ssdbcodi import cli, metricspace, pipeline
+from ssdbcodi import baselines, cli, metricspace, pipeline
 from ssdbcodi.cli import main
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -380,6 +382,54 @@ def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
                  ["baseline", "--input", path, "--algo", "kmeans", "--k", "2"]):
         assert run_cli(argv, capsys) == (1, "", want), argv
     assert not recwarn.list
+
+
+def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypatch, capsys):
+    # the build's 18 x 18 workspace is refused before anything is allocated
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 18 * 18 - 1)
+    want = ("error: a 18 x 18 distance workspace needs 2592 bytes, "
+            "more than the 2591 bytes of physical memory\n")
+    for argv in (["run"], ["benchmark", "--fractions", "50", "--trials", "2", "--workers", "2"],
+                 ["baseline", "--algo", "lof", "--k", "3"]):
+        assert run_cli(argv + ["--input", blobs_csv], capsys) == (1, "", want), argv
+
+
+def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, capsys):
+    # every workspace mapped, where a thread opening one inside another would
+    # queue behind itself; the wrapper fails on such nesting instead
+    held, opened, nested = threading.local(), [], []
+    real = metricspace._workspace
+
+    @contextmanager
+    def unnested(shape):
+        if getattr(held, "shape", None) is not None:
+            nested.append((held.shape, shape))
+            raise AssertionError(f"a {shape} workspace inside a {held.shape} one")
+        held.shape = shape
+        try:
+            with real(shape) as w:
+                opened.append(shape)
+                yield w
+        finally:
+            held.shape = None
+
+    monkeypatch.setattr(metricspace, "_workspace", unnested)
+    monkeypatch.setattr(baselines, "_workspace", unnested)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2"]
+    for argv in (["run", "--label-fraction", "0.5"],
+                 ["run", "--label-fraction", "0.5", "--stratified-labels"] + tune_flags,
+                 ["benchmark", "--fractions", "40,50", "--trials", "3", "--workers", "3"],
+                 ["sensitivity", "--grid-step", "0.5", "--fractions", "50", "--trials", "3",
+                  "--workers", "3"],
+                 ["baseline", "--algo", "dbscan", "--epsilon", "1.5", "--min-pts", "2"],
+                 ["baseline", "--algo", "kmeans", "--k", "2"],
+                 ["baseline", "--algo", "lof", "--k", "3"],
+                 ["baseline", "--algo", "ssdbscan", "--label-fraction", "0.5"]):
+        opened.clear()
+        code, _, err = run_cli(argv + ["--input", blobs_csv, "--no-timing"], capsys)
+        assert code == 0 and not err and not nested, argv
+        assert bool(opened) == ("kmeans" not in argv), argv
 
 
 def test_failing_sweep_trial_is_named(tmp_path, capsys):

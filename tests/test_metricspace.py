@@ -2,10 +2,13 @@
 
 from dataclasses import replace
 import mmap
+import os
 import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
@@ -164,8 +167,8 @@ def test_density_matches_matrix_oracle_bytes():
 
 @pytest.mark.parametrize("block_bytes", [8, 1 << 9, 1 << 20])
 def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_bytes):
-    # blocks of one row, of a few rows, and a single block; every output in
-    # a map of its own
+    # blocks of one row, of a few rows, and a single block; every workspace
+    # mapped
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
     rng = np.random.default_rng(23)
@@ -223,7 +226,7 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
     # in either order. Blocks under one row, of three rows and of 1 MiB; every
     # workspace mapped, or none. Some sets reach 170+ points, where numpy 2's
     # GEMM on strided or misaligned operands, copied apart, mirrors unequal bits.
-    idle = fresh_maps(monkeypatch)
+    state = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
     rng = np.random.default_rng(31)
     for case in range(45):
@@ -242,139 +245,131 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
                 assert gram.tobytes() == gram.T.tobytes(), (case, layout)
             d = dists[layout] = pairwise_distances(p)
             assert d.tobytes() == d.T.tobytes(), (case, layout)
-            assert bool(idle) == mapped and not d.diagonal().any()
+            assert (state.buf is not None) == mapped and not d.diagonal().any()
         assert dists["strided"].tobytes() == dists["misaligned"].tobytes() == dists["C"].tobytes()
 
 
-def fresh_maps(monkeypatch) -> list:
-    """An empty idle list, with workspaces of 20 x 20 and more mapped."""
-    monkeypatch.setattr(metricspace, "_idle", [])
+def fresh_maps(monkeypatch) -> SimpleNamespace:
+    """No map yet and no block queued, with workspaces of 20 x 20 and more
+    mapped; returns the map's state."""
+    monkeypatch.setattr(metricspace, "_map", SimpleNamespace(
+        turn=threading.Condition(), buf=None, held=False, waiting=0, waited=False))
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 20 * 20)
-    return metricspace._idle
+    return metricspace._map
 
 
-def test_large_outputs_live_in_maps_of_their_own(monkeypatch):
-    fresh_maps(monkeypatch)
+def counted_maps(monkeypatch) -> list:
+    """The byte size of every map made from now on."""
+    made, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **kw: made.append(a[1]) or real(*a, **kw))
+    return made
+
+
+def test_large_workspaces_live_in_the_one_map(monkeypatch):
+    state = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
-    with _workspace((50, 50)) as big, _workspace((49, 50)) as small:
-        assert isinstance(big.base, mmap.mmap) and len(big.base) == big.nbytes
-        assert small.base is None and small.flags.owndata
-        assert big.shape == (50, 50) and small.shape == (49, 50)
+    with _workspace((49, 50)) as small:
+        assert small.base is None and small.flags.owndata and small.shape == (49, 50)
+        assert state.buf is None and not state.held
+    with _workspace((50, 50)) as big:
+        assert isinstance(big.base, mmap.mmap) and big.base is state.buf
+        assert len(big.base) == big.nbytes and big.shape == (50, 50) and state.held
         assert big.dtype == small.dtype == np.float64
+    assert state.buf is big.base and not state.held and state.waiting == 0
 
 
 def test_a_dead_output_map_serves_the_next_output_that_fits(monkeypatch):
-    # a map goes back to the idle list when its block ends, and serves the
-    # next workspace that fits
-    idle = fresh_maps(monkeypatch)
-    with _workspace((60, 60)) as first:
-        buf = first.base
-        assert isinstance(buf, mmap.mmap) and len(buf) == 8 * 60 * 60 and not idle
-    assert idle == [buf]
-    with _workspace((60, 60)) as same:
-        assert same.base is buf and not idle
-    # a larger workspace misses while the smaller one holds the map
-    with _workspace((60, 40)) as smaller, _workspace((80, 80)) as larger:
-        assert smaller.base is buf and smaller.shape == (60, 40)
-        big = larger.base
-    assert [len(m) for m in idle] == [8 * 80 * 80, 8 * 60 * 60]
-    # of two idle maps, the smallest that holds the workspace serves it
+    # one map, kept when its block ends, serves every workspace that fits; a
+    # larger one unmaps it before mapping anew, so the two never coexist
+    state = fresh_maps(monkeypatch)
+    made, maps, real = [], [], mmap.mmap
+
+    def mapping(*args, **kwargs):
+        made.append((args[1], [old() for old in maps]))  # the earlier maps still alive
+        buf = real(*args, **kwargs)
+        maps.append(weakref.ref(buf))
+        return buf
+
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    with _workspace((60, 60)) as w:
+        assert len(w.base) == 8 * 60 * 60
+    for shape in [(60, 60), (60, 40), (1, 3600)]:
+        with _workspace(shape) as w:
+            assert w.base is state.buf and w.shape == shape
+    assert made == [(8 * 60 * 60, [])]
+    del w
+    with _workspace((80, 80)) as w:
+        assert len(w.base) == 8 * 80 * 80
+    assert made[1] == (8 * 80 * 80, [None]) and maps[0]() is None
     with _workspace((50, 50)) as w:
-        assert w.base is buf
-    with _workspace((70, 70)) as w:
-        assert w.base is big
-    # workspaces held at once never share a map
-    with _workspace((60, 60)) as outer, _workspace((60, 60)) as inner:
-        assert outer.base is buf and inner.base is big
-    assert sorted(len(m) for m in idle) == [8 * 60 * 60, 8 * 80 * 80]
-
-
-def test_threads_holding_outputs_at_once_get_different_maps(monkeypatch):
-    # more threads than cores and a short switch interval; every round each
-    # thread fills a workspace and holds it while all others hold theirs,
-    # over idle maps of several sizes. 400 rounds: without the lock, two
-    # threads took one map in only some runs of 100
-    fresh_maps(monkeypatch)
-    rng = np.random.default_rng(47)
-    sets = [rng.normal(size=(int(rng.integers(30, 70)), 2)) for _ in range(4)]
-    wants = [pairwise_distances(p).tobytes() for p in sets]
-    rounds, barrier = 400, threading.Barrier(4, timeout=30)
-    bases, wrong = [[None] * 4 for _ in range(rounds)], []
-
-    def work(i):
-        n = sets[i].shape[0]
-        for r in range(rounds):
-            with _workspace((n, n)) as d:
-                metricspace._pairwise(sets[i], d)
-                bases[r][i] = d.base
-                barrier.wait()
-                if d.tobytes() != wants[i]:
-                    wrong.append((r, i))
-                barrier.wait()
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and not wrong
-    for r, held in enumerate(bases):
-        assert all(isinstance(b, mmap.mmap) for b in held), r
-        assert len({id(b) for b in held}) == 4, r
+        assert w.base is state.buf and len(w.base) == 8 * 80 * 80
 
 
 def test_idle_maps_never_total_more_than_the_peak_held(monkeypatch):
-    # the first map is parked whatever its size: 35 MB, mapped but never
-    # touched, so it costs no resident page
-    idle = fresh_maps(monkeypatch)
+    # one block holds the map at a time, so the idle map is the largest
+    # workspace held so far. The first map is kept whatever its size: 35 MB,
+    # mapped but never touched, so it costs no resident page
+    state = fresh_maps(monkeypatch)
     with _workspace((2100, 2100)) as w:
         first = w.base
-    assert idle == [first]
-    # a miss drops the idle maps, all too small, before mapping anew
+    assert state.buf is first
     with _workspace((2100, 2101)) as w:
-        assert w.base is not first and not idle
-    assert [len(m) for m in idle] == [8 * 2100 * 2101]
-    idle.clear()
-    # four threads open and close workspaces of random sizes, up to two at a
-    # time each, some blocks raising; one lock makes each enter or exit and
-    # the test's count of bytes held (live) one step, so that after every
-    # exit idle + live is compared with the most bytes ever live at once
-    acct, live, high, seen, wrong, done = threading.Lock(), [0], [0], [], [], []
+        assert w.base is not first and len(w.base) == 8 * 2100 * 2101
+    # after blocks of random sizes the map is the largest so far
+    rng = np.random.default_rng(53)
+    state, largest = fresh_maps(monkeypatch), 0
+    for _ in range(40):
+        shape = (int(rng.integers(20, 90)), int(rng.integers(20, 90)))
+        with _workspace(shape) as w:
+            w.fill(1.0)
+        largest = max(largest, 8 * shape[0] * shape[1])
+        assert len(state.buf) == largest and not state.held
+
+
+def test_threads_take_turns_on_the_one_map(monkeypatch):
+    # more threads than cores and a short switch interval; each opens mapped
+    # workspaces of random sizes, fills them with distances (spread when it
+    # queued or is queued on) and checks their bytes, and one block in ten
+    # raises. One lock makes each entry or exit and the test's record of live
+    # blocks one step, so a second live block would show
+    state = fresh_maps(monkeypatch)
+    count = metricspace._WORKERS + 3
+    rng = np.random.default_rng(47)
+    sets = [[(rng.normal(size=(int(rng.integers(20, 60)), 2)),
+              rng.normal(size=(int(rng.integers(20, 60)), 2))) for _ in range(3)]
+            for _ in range(count)]
+    wants = [[distances_by_expression(a, b).tobytes() for a, b in mine] for mine in sets]
+    acct, live, failed, queued, wrong, done = threading.Lock(), [], [], [], [], []
 
     def work(i):
         rng = np.random.default_rng(100 + i)
-        for r in range(150):
-            blocks = []
-            for _ in range(int(rng.integers(1, 3))):
-                cm = _workspace((int(rng.integers(20, 60)), int(rng.integers(20, 60))))
-                with acct:
-                    w = cm.__enter__()
-                    live[0] += len(w.base)
-                    high[0] = max(high[0], live[0])
-                w.fill(i * 1000 + r)  # a map shared with another live block shows here
-                blocks.append((cm, w))
-            time.sleep(0)
-            for cm, w in reversed(blocks):
-                fails = rng.random() < 0.1
-                if not (w == i * 1000 + r).all():
-                    wrong.append((i, r))
-                with acct:
-                    live[0] -= len(w.base)
-                    if fails:  # as a with block that raises would
-                        cm.__exit__(KeyError, KeyError(), None)
-                    else:
-                        cm.__exit__(None, None, None)
-                    if any(m is w.base for m in idle) == fails:
-                        wrong.append((i, r, "parked" if fails else "dropped"))
-                    seen.append(sum(len(m) for m in idle) + live[0] <= high[0])
+        for r in range(60):
+            j = int(rng.integers(3))
+            a, b = sets[i][j]
+            fails = rng.random() < 0.1
+            cm = _workspace((a.shape[0], b.shape[0]))
+            try:
+                with cm as w:
+                    with acct:
+                        if live or any(w.base is f for f in failed):
+                            wrong.append((i, r, "shared" if live else "reused"))
+                        live.append(w)
+                        queued.append(state.waited)
+                    metricspace._distances(a, b, w)
+                    time.sleep(0)
+                    if w.tobytes() != wants[i][j]:
+                        wrong.append((i, r, "bytes"))
+                    with acct:
+                        live.remove(w)
+                        if fails:
+                            failed.append(w.base)
+                    if fails:
+                        raise KeyError(r)
+            except KeyError:
+                pass
         done.append(i)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -384,18 +379,57 @@ def test_idle_maps_never_total_more_than_the_peak_held(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
-    assert not wrong and live == [0] and all(seen)
+    assert not any(t.is_alive() for t in threads) and sorted(done) == list(range(count))
+    assert not wrong and not live and failed and any(queued)
+    assert state.waiting == 0 and not state.held
+    assert all(state.buf is not f for f in failed)
+
+
+def test_an_interrupt_while_queued_leaves_the_queue(monkeypatch):
+    # the queue count's decrement covers the wait: a block interrupted while
+    # it queues leaves the count as it was, and the holder's map unharmed
+    state = fresh_maps(monkeypatch)
+
+    class Interrupted(type(state.turn)):
+        def wait(self, timeout=None):
+            raise KeyboardInterrupt
+
+    state.turn = Interrupted()
+    with _workspace((30, 30)) as held:
+        with pytest.raises(KeyboardInterrupt):
+            with _workspace((30, 30)):
+                pass
+        assert state.waiting == 0 and state.held and state.buf is held.base
+    assert not state.held
+    with _workspace((30, 30)) as w:
+        assert w.base is held.base and not state.waited
+
+
+def test_a_workspace_above_physical_memory_is_refused_before_mapping(monkeypatch):
+    state = fresh_maps(monkeypatch)
+    made = counted_maps(monkeypatch)
+    if hasattr(os, "sysconf") and "SC_PHYS_PAGES" in os.sysconf_names:
+        assert metricspace._MEMORY_BYTES == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 30 * 30 - 1)
+    for mapped_bytes in (1, 1 << 62):  # mapped or on the heap
+        monkeypatch.setattr(metricspace, "MAPPED_BYTES", mapped_bytes)
+        with pytest.raises(MemoryError, match=r"a 30 x 30 distance workspace needs 7200 bytes, "
+                                              r"more than the 7199 bytes of physical memory"):
+            with _workspace((30, 30)):
+                pytest.fail("the block ran")
+        assert not made and state.buf is None and not state.held and state.waiting == 0
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    with _workspace((30, 29)) as w:
+        assert w.base is state.buf and made == [8 * 30 * 29]
 
 
 def test_a_failing_block_keeps_its_map_out_and_the_next_call_works(monkeypatch):
     # a view of the workspace may live on in the traceback, so its map is
     # not reused; the next workspace maps anew and gives the same bytes
-    idle = fresh_maps(monkeypatch)
+    state = fresh_maps(monkeypatch)
     rng = np.random.default_rng(59)
     a, b = rng.integers(0, 3, size=(60, 2)).astype(float), rng.normal(size=(45, 2))
     want = nearest_by_matrix(a, b, 4)
-    idle.clear()
     real, seen = metricspace._nearest_block, []
 
     def failing(blk, out, dist=None):
@@ -405,22 +439,23 @@ def test_a_failing_block_keeps_its_map_out_and_the_next_call_works(monkeypatch):
     monkeypatch.setattr(metricspace, "_nearest_block", failing)
     with pytest.raises(RuntimeError, match="block"):
         cross_nearest(a, b, 4)
-    assert isinstance(seen[0], mmap.mmap) and not idle
+    assert isinstance(seen[0], mmap.mmap) and state.buf is None and not state.held
     with pytest.raises(KeyError):
         with _workspace((60, 45)) as w:
             failed = w.base
             raise KeyError
-    assert failed is not seen[0] and not idle
+    assert failed is not seen[0] and state.buf is None and not state.held
     monkeypatch.setattr(metricspace, "_nearest_block", real)
     assert cross_nearest(a, b, 4).tobytes() == want.tobytes()
-    assert len(idle) == 1 and idle[0] is not seen[0] and idle[0] is not failed
+    assert state.buf is not None and state.buf is not seen[0] and state.buf is not failed
 
 
 def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
-    # every workspace mapped and returned to the idle list; what the library
-    # hands back lives outside all of them
-    idle = fresh_maps(monkeypatch)
+    # every workspace mapped, all in one map; what the library hands back
+    # lives outside it
+    state = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    made = counted_maps(monkeypatch)
     rng = np.random.default_rng(61)
     pts = rng.integers(0, 4, size=(90, 2)).astype(float)
     ds = as_dataset(pts)
@@ -429,17 +464,16 @@ def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
     outputs = [idx.core, idx.density, idx.order, idx.gap,
                cross_nearest(pts, pts[::3], 4), cross_nearest(pts, pts[::2], 3, [5, 1, 5]),
                lof(ds, 5), dbscan(ds, 1.0, 3), ssdbscan_with_fallback(idx, labels)]
-    assert idle
-    for buf in idle:
-        region = np.frombuffer(buf, dtype=np.uint8)
-        for i, arr in enumerate(outputs):
-            assert not np.shares_memory(arr, region), i
+    assert made == [8 * 90 * 90]
+    region = np.frombuffer(state.buf, dtype=np.uint8)
+    for i, arr in enumerate(outputs):
+        assert not np.shares_memory(arr, region), i
 
 
 def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
     # every workspace mapped: a run's classifier reuses its build's map, and a
-    # sweep's trials reuse the build's map and one more, whatever their order;
-    # the reports keep the all-heap path's bytes
+    # sweep's trials on two threads take turns on it; the reports keep the
+    # all-heap path's bytes
     rng = np.random.default_rng(67)
     c = rng.integers(3, size=150)
     x = rng.normal(size=(150, 3)) + 6.0 * c[:, None]
@@ -450,8 +484,7 @@ def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
                                               for (a, b, z), y in zip(x.tolist(), lab)))
     argvs = {"run": ["run", "--label-fraction", "0.1"],
              "benchmark": ["benchmark", "--fractions", "10", "--trials", "6", "--workers", "2"]}
-    made, real = [], mmap.mmap
-    monkeypatch.setattr(mmap, "mmap", lambda *a, **kw: made.append(a[1]) or real(*a, **kw))
+    made = counted_maps(monkeypatch)
 
     def reports(mapped_bytes):
         out = {}
@@ -466,11 +499,128 @@ def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
         return out
 
     mapped, heap = reports(8 * 20 * 20), reports(1 << 62)
-    assert mapped["run"][1] == [8 * 150 * 150]
-    assert mapped["benchmark"][1][0] == 8 * 150 * 150 and len(mapped["benchmark"][1]) <= 3
+    assert mapped["run"][1] == mapped["benchmark"][1] == [8 * 150 * 150]
     assert heap["run"][1] == heap["benchmark"][1] == []
     for name in argvs:
         assert mapped[name][0] == heap[name][0], name
+
+
+def spread_widths(monkeypatch) -> list:
+    """(thread, worker count) of every row pass from now on, under helpers."""
+    widths, inner = [], metricspace._spread
+    monkeypatch.setattr(metricspace, "_spread", lambda n_rows, n_cols, fn, workers: (
+        widths.append((threading.get_ident(), workers)) or inner(n_rows, n_cols, fn, workers)))
+    return widths
+
+
+def until(condition) -> None:
+    """Poll condition() every millisecond until it holds or 30 s pass."""
+    deadline = time.monotonic() + 30
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(1e-3)
+
+
+def test_uncontended_searches_never_spread(monkeypatch, helpers):
+    # every workspace mapped and one-row blocks, yet a single-threaded run or
+    # tune searches on its own thread: nothing queues for the map
+    ran = helpers(1)
+    fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
+    ds = moons_with_outliers(n=160)
+    labels = sample_labels(ds, 0.2, seed=4)
+    params = PipelineParams(score=ScoreParams(0.4, 0.3, min_pts=4), k_c=3)
+    build_index(ds, 4)
+    ran.clear()
+    widths = spread_widths(monkeypatch)
+    run(ds, labels, params)
+    tune(ds, labels, grid_step=0.5, folds=2, seed=4, params=params)
+    assert len(widths) > 2 and {w for _, w in widths} == {1}
+    assert ran == {threading.get_ident()}
+
+
+def test_a_queued_block_spreads_and_leaves_no_flag_behind(monkeypatch, helpers):
+    # a search that queued for the map spreads; the next ones on the same
+    # thread, mapped or on the heap, do not. A block queued on spreads too,
+    # even when the other block queues only after its product began
+    helpers(1)
+    state = fresh_maps(monkeypatch)
+    rng = np.random.default_rng(73)
+    a, b = rng.normal(size=(60, 2)), rng.normal(size=(50, 2))
+    want = nearest_by_matrix(a, b, 4).tobytes()
+    widths, main = spread_widths(monkeypatch), threading.get_ident()
+    entered, others = threading.Event(), []
+
+    def hold():  # holds the map until the main thread queues for it
+        with _workspace((40, 40)):
+            entered.set()
+            until(lambda: state.waiting)
+
+    others.append(threading.Thread(target=hold))
+    others[-1].start()
+    assert entered.wait(30)
+    assert cross_nearest(a, b, 4).tobytes() == want  # queued behind hold()
+    assert cross_nearest(a, b, 4).tobytes() == want  # alone
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    assert cross_nearest(a, b, 4).tobytes() == want  # on the heap
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 20 * 20)
+    assert [w for t, w in widths if t == main] == [2, 1, 1]
+    # the holder's product is made before another block queues
+    real_matmul, widths[:] = np.matmul, []
+
+    def queue_during(*args, **kwargs):
+        out = real_matmul(*args, **kwargs)
+        if threading.get_ident() == main:
+            def queue():
+                with _workspace((40, 40)):
+                    pass
+            others.append(threading.Thread(target=queue))
+            others[-1].start()
+            until(lambda: state.waiting)
+        return out
+
+    monkeypatch.setattr(np, "matmul", queue_during)
+    assert cross_nearest(a, b, 4).tobytes() == want
+    monkeypatch.setattr(np, "matmul", real_matmul)
+    for t in others:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in others)
+    assert [w for t, w in widths if t == main] == [2] and state.waiting == 0 and not state.held
+
+
+def test_both_searches_of_a_two_worker_benchmark_spread(monkeypatch, helpers, tmp_path):
+    # 900 points at the default MAPPED_BYTES, so both trials' classifier
+    # searches are mapped; the second trial queues only once the first one's
+    # product is made, as when it arrives during that GEMM. Both spread, the
+    # last one included, and the report keeps its single-worker bytes.
+    default = metricspace.MAPPED_BYTES
+    rng = np.random.default_rng(0)
+    c = rng.integers(4, size=900)
+    x = rng.normal(size=(900, 3)) + 6.0 * c[:, None]
+    path = tmp_path / "large.csv"
+    path.write_text("x,y,z,label\n" + "".join(f"{a!r},{b!r},{z!r},{y}\n"
+                                              for (a, b, z), y in zip(x.tolist(), c)))
+    argv = ["benchmark", "--input", str(path), "--fractions", "10", "--trials", "2",
+            "--no-timing", "--output"]
+    assert cli.main(argv + [str(tmp_path / "serial.csv"), "--workers", "1"]) == 0
+    helpers(1)
+    state = fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", default)
+    widths, main = spread_widths(monkeypatch), threading.get_ident()
+    real_matmul, searches = np.matmul, []
+
+    def queued_after(*args, **kwargs):
+        out = real_matmul(*args, **kwargs)
+        if threading.get_ident() != main:
+            searches.append((kwargs["out"].shape, kwargs["out"].base is state.buf))
+            until(lambda: state.waited or state.waiting)
+        return out
+
+    monkeypatch.setattr(np, "matmul", queued_after)
+    assert cli.main(argv + [str(tmp_path / "two.csv"), "--workers", "2"]) == 0
+    assert len(searches) == 2 and all(mapped and shape[0] == 900 for shape, mapped in searches)
+    assert [w for t, w in widths if t != main] == [2, 2]
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
