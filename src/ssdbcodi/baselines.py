@@ -144,6 +144,6 @@ def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> np.ndarray:
             closest[rows] = clustered[blk[:, clustered].argmin(axis=1)]
 
         with _workspace((idx.n, idx.n)) as dist:
-            _distances(idx.points, idx.points, dist, unclustered, take_closest, spread=True)
+            _distances(idx.points, idx.points, dist, unclustered, take_closest)
         assign[unclustered] = assign[closest]
     return assign

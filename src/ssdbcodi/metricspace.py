@@ -7,10 +7,11 @@ or a baseline), turned into distances in place in row blocks. What a caller
 needs (nearest neighbours, core distances, neighbourhoods) is read off each
 block while it is still in cache; no distance array leaves this module.
 Large workspaces live in the process's one map, which one block holds at a
-time while others queue for it, so a process keeps one workspace of its
-largest size however many threads use this module. The row passes after the
-product may run on the caller and one pool thread per other core; each is
-elementwise or per row, so which thread takes a block changes no bit.
+time under a lock, so a process keeps one workspace of its largest size
+however many threads use this module. The row passes over a large workspace
+run on the caller and one pool thread per other core, so on POSIX only the
+map's holder spreads; each pass is elementwise or per row, so which thread
+takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -54,19 +55,19 @@ class NeighborhoodIndex:
 
 
 # Each n x n pass holds one large array, its workspace, and works in row
-# blocks of BLOCK_BYTES; a pass spread over _WORKERS threads cuts its blocks to
+# blocks of BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page
+# size) share one anonymous map, held by one with block at a time: in the C
+# heap each would leave a hole that smaller allocations split before the next
+# workspace arrives, so a long-running process's resident peak would drift
+# with its allocation history, and threads holding one each at once would
+# multiply it. Their row passes spread over _WORKERS threads, in blocks of
 # BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
-# BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page size) share
-# one anonymous map, held by one with block at a time: in the C heap each
-# would leave a hole that smaller allocations split before the next workspace
-# arrives, so a long-running process's resident peak would drift with its
-# allocation history, and threads holding one each at once would multiply it.
-# `_map` holds that map (`buf`, None before the first mapped block and after
-# one raised), whether a block holds it, how many blocks queue for it and
-# whether the holder queued; `turn` guards them. No workspace may exceed the
-# physical memory, read once: with one map per process, that is its peak.
+# BLOCK_BYTES; smaller workspaces' passes stay on their thread. `_map` holds
+# the map (`buf`, None before the first mapped block and after one raised)
+# and the `lock` its holder takes. No workspace may exceed the physical
+# memory, read once: with one map per process, that is its peak.
 BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
-_map = SimpleNamespace(turn=threading.Condition(), buf=None, held=False, waiting=0, waited=False)
+_map = SimpleNamespace(lock=threading.Lock(), buf=None)
 _MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                  if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
                  else math.inf)
@@ -80,15 +81,17 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     return [slice(a, a + step) for a in range(0, n_rows, step)]
 
 
-def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
-    """fn(rows) for every row slice whose blocks of n_cols columns fit
-    BLOCK_BYTES // workers, taken off one iterator by this thread and up to
-    workers - 1 pool threads. Once it runs out, this thread cancels the pool
-    tasks not yet started and waits for the running ones, then raises the
-    error of any block. Only the iterator's items refer to fn, so a cancelled
-    task, left in the pool's queue until a pool thread drops it, keeps none
-    of fn's arrays alive once every block is taken."""
-    blocks = row_blocks(n_rows, n_cols * workers)
+def _spread(out: np.ndarray, n_rows: int, fn) -> None:
+    """fn(rows) for every slice of n_rows rows whose blocks of out's columns
+    fit BLOCK_BYTES // workers, taken off one iterator by this thread and up
+    to workers - 1 pool threads: _WORKERS when out is MAPPED_BYTES or more,
+    else 1. Once it runs out, this thread cancels the pool tasks not yet
+    started and waits for the running ones, then raises the error of any
+    block. Only the iterator's items refer to fn, so a cancelled task, left
+    in the pool's queue until a pool thread drops it, keeps none of fn's
+    arrays alive once every block is taken."""
+    workers = _WORKERS if out.nbytes >= MAPPED_BYTES else 1
+    blocks = row_blocks(n_rows, out.shape[1] * workers)
     it, lock = iter([partial(fn, rows) for rows in blocks]), threading.Lock()
 
     def drain():
@@ -112,13 +115,12 @@ def _spread(n_rows: int, n_cols: int, fn, workers: int) -> None:
 @contextmanager
 def _workspace(shape: tuple):
     """An uninitialised float64 array of `shape` for one with block: on the
-    heap below MAPPED_BYTES, else in the process's one map, once no other
-    block holds it. Blocks queue for the map in a with block each, so a
-    thread must not open a mapped workspace inside another. The map grows
-    (the old one unmapped first) when a block needs more, and is not reused
-    after a block raises, since the traceback may still hold views of it.
-    A MemoryError names a workspace larger than the physical memory before
-    anything is allocated."""
+    heap below MAPPED_BYTES, else in the process's one map, once this block
+    holds its lock, so a thread must not open a mapped workspace inside
+    another. The map grows (the old one unmapped first) when a block needs
+    more, and is not reused after a block raises, since the traceback may
+    still hold views of it. A MemoryError names a workspace larger than the
+    physical memory before anything is allocated."""
     nbytes = 8 * math.prod(shape)
     if nbytes > _MEMORY_BYTES:
         raise MemoryError(f"a {' x '.join(map(str, shape))} distance workspace needs {nbytes} "
@@ -126,36 +128,16 @@ def _workspace(shape: tuple):
     if nbytes < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         yield np.empty(shape)
         return
-    with _map.turn:
-        _map.waiting += 1
-        try:  # an interrupt while waiting leaves the queue too
-            waited = _map.held
-            while _map.held:
-                _map.turn.wait()
-        finally:
-            _map.waiting -= 1
-        _map.held, _map.waited = True, waited
-    try:
-        if _map.buf is None or len(_map.buf) < nbytes:
-            _map.buf = None  # unmapped, once no view holds it, before mapping anew
-            _map.buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-            _map.buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-        yield np.ndarray(shape, buffer=_map.buf)
-    except BaseException:
-        _map.buf = None
-        raise
-    finally:
-        with _map.turn:
-            _map.held = False
-            _map.turn.notify_all()  # a woken waiter that is interrupted passes on no turn
-
-
-def _contended(out: np.ndarray) -> bool:
-    """Whether out is the mapped workspace and its block queued for the map
-    or is queued on. A queued block's thread idles, so such a block's row
-    passes take every core; an uncontended one keeps them to its thread,
-    which pays better beside a BLAS pool that is still spinning."""
-    return out.base is not None and out.base is _map.buf and (_map.waited or _map.waiting > 0)
+    with _map.lock:
+        try:
+            if _map.buf is None or len(_map.buf) < nbytes:
+                _map.buf = None  # unmapped, once no view holds it, before mapping anew
+                _map.buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+                _map.buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+            yield np.ndarray(shape, buffer=_map.buf)
+        except BaseException:
+            _map.buf = None
+            raise
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
@@ -168,13 +150,11 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _distances(a, b, out, rows=None, each=None, spread=False) -> None:
+def _distances(a, b, out, rows, each) -> None:
     """Euclidean distances from the rows of a to the rows of b, made in place
     in out, the product a @ b.T (BLAS's symmetric one when b is a), row block
-    by row block, on this thread or over every core: if `spread`, or if the
-    workspace is _contended once the product is made (a block that queues
-    meanwhile counts). Each block is passed to each(block_rows, block) as
-    soon as it holds distances, while it is still in cache.
+    by row block by _spread. Each block is passed to each(block_rows, block)
+    as soon as it holds distances, while it is still in cache.
 
     With `rows`, each block is a copy of those rows of the full product (in
     their order), seen only by `each`: a BLAS product of fewer rows need not
@@ -192,10 +172,9 @@ def _distances(a, b, out, rows=None, each=None, spread=False) -> None:
         np.subtract(sa[blk_rows, None] + sb[None, :], blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
         np.sqrt(blk, out=blk)
-        if each is not None:
-            each(blk_rows, blk)
+        each(blk_rows, blk)
 
-    _spread(len(sa), b.shape[0], block, _WORKERS if spread or _contended(out) else 1)
+    _spread(out, len(sa), block)
 
 
 def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
@@ -237,10 +216,10 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
     return index, best
 
 
-def _pairwise(points, out, each=None) -> None:
+def _pairwise(points, out, each) -> None:
     """Exactly symmetric Euclidean distances with a zero diagonal, made in out
-    over every core by _distances, calling each(block_rows, block) once the
-    block's diagonal is zero.
+    by _distances, calling each(block_rows, block) once the block's diagonal
+    is zero.
 
     numpy computes P @ P.T on one operand with BLAS's syrk and mirrors one
     triangle onto the other, and the elementwise passes add the squared
@@ -255,10 +234,9 @@ def _pairwise(points, out, each=None) -> None:
 
     def zero_diagonal(rows, blk):
         np.fill_diagonal(blk[:, rows], 0.0)
-        if each is not None:
-            each(rows, blk)
+        each(rows, blk)
 
-    _distances(pts, pts, out, each=zero_diagonal, spread=True)
+    _distances(pts, pts, out, None, zero_diagonal)
 
 
 def _spanning_tree(reach: np.ndarray) -> tuple:
@@ -289,12 +267,12 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities and reachability plot of the points,
     all read from one distance matrix in a workspace (the core distances off
     each row block as it is made), which the density pass turns into the
-    reachability matrix in place for Prim, and which ends on return. The distance,
-    core and density passes run over every core, in row blocks whose bits
-    do not depend on the thread that takes them. Requires n >= 2
-    and an integer min_pts in [1, n - 1]. The index depends only on
-    ds's read-only points and min_pts, so it is kept on ds and later calls
-    return that same object (threads that miss at once build equal ones).
+    reachability matrix in place for Prim, and which ends on return. The
+    distance, core and density passes run by _spread, in row blocks whose
+    bits do not depend on the thread that takes them. Requires n >= 2 and an
+    integer min_pts in [1, n - 1]. The index depends only on ds's read-only
+    points and min_pts, so it is kept on ds and later calls return that same
+    object (threads that miss at once build equal ones).
     """
     n = ds.n
     if n < 2:
@@ -319,7 +297,7 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
 
     with _workspace((n, n)) as dist:
         _pairwise(ds.points, dist, take_core)
-        _spread(n, n, take_density, _WORKERS)  # reads every core, so starts once all are in
+        _spread(dist, n, take_density)  # reads every core, so starts once all are in
         order, gap = _spanning_tree(dist)
     for arr in (core, density, order, gap):
         arr.flags.writeable = False

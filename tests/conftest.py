@@ -10,17 +10,17 @@ from ssdbcodi import metricspace
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """force(count): spread the row passes over the caller and count pool
-    threads of a pool of their own. Returns the set of threads that ran a
-    spread block."""
+    """force(count): spread the row passes over workspaces of MAPPED_BYTES
+    or more over the caller and count pool threads of a pool of their own.
+    Returns the set of threads that ran a row block."""
     pools, ran = [], set()
     real = metricspace._spread
 
-    def recording(n_rows, n_cols, fn, workers):
+    def recording(out, n_rows, fn):
         def run(rows):
             ran.add(threading.get_ident())
             fn(rows)
-        real(n_rows, n_cols, run, workers)
+        real(out, n_rows, run)
 
     def force(count):
         if count:

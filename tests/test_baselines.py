@@ -361,9 +361,9 @@ def test_fallback_reads_the_whole_pairwise_matrix_once(monkeypatch):
     # idx.points with itself, once, and only when there is a leftover to join
     calls, real = [], baselines._distances
 
-    def recording(a, b, out, rows=None, each=None, spread=False):
+    def recording(a, b, out, rows, each):
         calls.append((a, b, out.shape, rows))
-        real(a, b, out, rows, each, spread)
+        real(a, b, out, rows, each)
 
     monkeypatch.setattr(baselines, "_distances", recording)
     rng = np.random.default_rng(98)
