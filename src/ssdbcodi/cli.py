@@ -252,11 +252,36 @@ def cmd_baseline(args) -> str:
     return _render_json(report)
 
 
+def _bounded(kind, low, high=None):
+    """An argparse type: one `kind` at least `low`, or in (low, high]. Named
+    after `kind`, so a non-number keeps argparse's `invalid int value: 'x'`."""
+    def parse(text: str):
+        value = kind(text)
+        if high is None and not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and not low < value <= high:
+            raise argparse.ArgumentTypeError(f"must be in ({low}, {high}], got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _fraction_list(text: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        fractions = [_bounded(float, 0, 100)(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
+    if not fractions:
+        raise argparse.ArgumentTypeError("must list at least one percentage")
+    if len(set(fractions)) != len(fractions):
+        raise argparse.ArgumentTypeError(f"entries must be distinct, got {text}")
+    return fractions
+
+
+def _output_path(text: str):
+    if text and (Path(text).is_dir() or not Path(text).parent.is_dir()):
+        raise argparse.ArgumentTypeError(f"must name a file in an existing directory: {text}")
+    return text
 
 
 def _auto_or_int(text: str):
@@ -274,7 +299,8 @@ def _add_data_flags(p):
     p.add_argument("--outlier-sentinel", default="o",
                    help="label value marking ground-truth outliers")
     p.add_argument("--scale", action="store_true", help="min-max scale features to [0, 1]")
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
+    p.add_argument("--output", type=_output_path, default=None,
+                   help="write the report here instead of stdout")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-time fields for byte-stable reports")
     p.add_argument("--debug", action="store_true",
@@ -282,7 +308,7 @@ def _add_data_flags(p):
 
 
 def _add_label_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--seed", type=_bounded(int, 0), default=0, help="base RNG seed")
     p.add_argument("--stratified-labels", action="store_true",
                    help="guarantee every true cluster at least one label")
 
@@ -304,17 +330,18 @@ def _add_model_flags(p):
 def _add_sweep_flags(p):
     p.add_argument("--fractions", type=_fraction_list, default=[5.0, 10.0, 15.0, 20.0, 25.0],
                    help="label percentages, comma-separated")
-    p.add_argument("--trials", type=int, default=50, help="seeded label draws per fraction")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; they take turns on the one large distance array, "
-                        "so more of them do not raise peak memory")
+    p.add_argument("--trials", type=_bounded(int, 1), default=50,
+                   help="seeded label draws per fraction")
+    p.add_argument("--workers", type=_bounded(int, 1), default=1,
+                   help="worker threads; except on Windows, they take turns on the one large "
+                        "distance array, so more of them do not raise peak memory")
 
 
 def _add_tune_flags(p):
     p.add_argument("--tune", action="store_true",
                    help="cross-validate alpha/beta on the labeled set first")
     p.add_argument("--grid-step", type=float, default=0.1, help="alpha/beta lattice step")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    p.add_argument("--folds", type=_bounded(int, 2), default=5, help="cross-validation folds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_blend_flags(p_run)
     _add_model_flags(p_run)
     _add_tune_flags(p_run)
-    p_run.add_argument("--label-fraction", type=float, default=0.1,
+    p_run.add_argument("--label-fraction", type=_bounded(float, 0, 1), default=0.1,
                        help="share of points whose labels are revealed")
     p_run.set_defaults(handler=cmd_run)
 
@@ -356,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_flags(p_base)
     p_base.add_argument("--algo", required=True,
                         choices=["dbscan", "kmeans", "lof", "ssdbscan"])
-    p_base.add_argument("--epsilon", type=float, default=None, help="DBSCAN radius")
-    p_base.add_argument("--k", type=int, default=None, help="k for k-means or LOF")
-    p_base.add_argument("--min-pts", type=int, default=3,
+    p_base.add_argument("--epsilon", type=_bounded(float, 0), default=None, help="DBSCAN radius")
+    p_base.add_argument("--k", type=_bounded(int, 1), default=None, help="k for k-means or LOF")
+    p_base.add_argument("--min-pts", type=_bounded(int, 1), default=3,
                         help="neighbourhood size (dbscan, ssdbscan)")
-    p_base.add_argument("--label-fraction", type=float, default=0.1,
+    p_base.add_argument("--label-fraction", type=_bounded(float, 0, 1), default=0.1,
                         help="label share for the ssdbscan baseline")
     p_base.set_defaults(handler=cmd_baseline)
 
@@ -368,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """The checks that read several flags; each flag's own range is its type's."""
     try:
         if hasattr(args, "knn_k"):
             _pipeline_params(args, getattr(args, "alpha", 0.0), getattr(args, "beta", 0.0))
@@ -375,39 +403,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             grid_size(args.grid_step)
     except ValueError as exc:
         parser.error(str(exc))
-    if getattr(args, "label_fraction", None) is not None:
-        if not 0.0 < args.label_fraction <= 1.0:
-            parser.error("--label-fraction must be in (0, 1]")
-    if getattr(args, "fractions", None) is not None:
-        if not args.fractions:
-            parser.error("--fractions must list at least one percentage")
-        if any(not 0.0 < f <= 100.0 for f in args.fractions):
-            parser.error("--fractions entries must be percentages in (0, 100]")
-        if len(set(args.fractions)) != len(args.fractions):
-            parser.error("--fractions entries must be distinct")
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if getattr(args, "folds", None) is not None and args.folds < 2:
-        parser.error("--folds must be >= 2")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
-    if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
-        parser.error(f"--output must name a file in an existing directory: {args.output}")
     if args.command == "baseline":
-        if args.algo == "dbscan":
-            if args.epsilon is None:
-                parser.error("--epsilon is required for --algo dbscan")
-            if not args.epsilon >= 0:
-                parser.error("--epsilon must be >= 0")
-        if args.algo in ("dbscan", "ssdbscan") and args.min_pts < 1:
-            parser.error("--min-pts must be >= 1")
-        if args.algo in ("kmeans", "lof"):
-            if args.k is None:
-                parser.error(f"--k is required for --algo {args.algo}")
-            if args.k < 1:
-                parser.error("--k must be >= 1")
+        needed = {"dbscan": "epsilon", "kmeans": "k", "lof": "k"}.get(args.algo)
+        if needed and getattr(args, needed) is None:
+            parser.error(f"--{needed} is required for --algo {args.algo}")
 
 
 def main(argv=None) -> int:

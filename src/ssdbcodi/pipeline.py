@@ -166,9 +166,12 @@ def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> f
 
 
 def grid_size(grid_step: float) -> int:
-    """Lattice size m = 1 / grid_step of a grid_step in (0, 1] dividing 1."""
+    """Lattice size m = 1 / grid_step of a grid_step in [0.01, 1] dividing 1;
+    a finer step's lattice (over 5151 cells) could outgrow memory."""
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
+    if 1.0 / grid_step > 100.5:  # m > 100, tested before 1 / grid_step can overflow round
+        raise ValueError(f"grid_step must be at least 0.01, got {grid_step}")
     m = round(1.0 / grid_step)
     if abs(m * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must divide 1 evenly, got {grid_step}")
@@ -213,12 +216,10 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
                          for p in blends])
 
     grid = []
-    best = None
     for cell, objectives in zip(blends, zip(*per_fold)):
         objectives = [obj for obj in objectives if obj is not None]
         if not objectives:
             raise ValueError("no validation fold produced a computable objective")
         grid.append((cell.score.alpha, cell.score.beta, float(np.mean(objectives))))
-        if best is None or grid[-1][2] > best[2]:
-            best = grid[-1]
-    return TuneReport(grid=tuple(grid), best=(best[0], best[1]))
+    best = max(grid, key=lambda cell: cell[2])  # the first, so the smallest, of tied maxima
+    return TuneReport(grid=tuple(grid), best=best[:2])

@@ -210,7 +210,7 @@ def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch)
     monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step))
     for argv in (["run", "--label-fraction", "0.5"],
                  ["benchmark", "--fractions", "50", "--trials", "1"]):
-        code, _, _ = run_cli(argv + ["--input", blobs_csv, "--grid-step", "0.001"], capsys)
+        code, _, _ = run_cli(argv + ["--input", blobs_csv, "--grid-step", "0.01"], capsys)
         assert code == 0
     assert calls == []
 
@@ -308,41 +308,73 @@ def test_baseline_reports(blobs_csv, capsys):
 
 
 def test_usage_errors_exit_two(blobs_csv, tmp_path, capsys):
+    # each case names the flag whose own type refuses it on stderr, or None
+    # where the check reads several flags, a library message or argparse's own
     missing_dir = str(tmp_path / "missing" / "report.out")
     cases = [
-        ["run"],
-        ["run", "--input", blobs_csv, "--alpha", "1.2"],
-        ["run", "--input", blobs_csv, "--alpha", "0.8", "--beta", "0.3"],
-        ["run", "--input", blobs_csv, "--label-fraction", "0"],
-        ["run", "--input", blobs_csv, "--grid-step", "0.3"],
-        ["run", "--input", blobs_csv, "--knn-k", "0"],
-        ["benchmark", "--input", blobs_csv, "--fractions", "0"],
-        ["benchmark", "--input", blobs_csv, "--trials", "0"],
-        ["benchmark", "--input", blobs_csv, "--workers", "0"],
-        ["benchmark", "--input", blobs_csv, "--fractions", "50,50"],
-        ["sensitivity", "--input", blobs_csv, "--fractions", "10,20,10"],
-        ["sensitivity", "--input", blobs_csv, "--alpha", "0.5"],
-        ["sensitivity", "--input", blobs_csv, "--knn-k", "0"],
-        ["sensitivity", "--input", blobs_csv, "--k-reliable", "-1"],
-        ["sensitivity", "--input", blobs_csv, "--grid-step", "0.3"],
-        ["baseline", "--input", blobs_csv, "--algo", "dbscan"],
-        ["baseline", "--input", blobs_csv, "--algo", "dbscan", "--epsilon", "nan"],
-        ["baseline", "--input", blobs_csv, "--algo", "kmeans"],
-        ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "0"],
-        ["run", "--input", blobs_csv, "--seed", "-1"],
-        ["benchmark", "--input", blobs_csv, "--seed", "-1"],
-        ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2", "--seed", "-1"],
-        ["run", "--input", blobs_csv, "--output", missing_dir],
-        ["benchmark", "--input", blobs_csv, "--output", missing_dir],
-        ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2",
-         "--output", missing_dir],
-        ["sensitivity", "--input", blobs_csv, "--output", str(tmp_path)],
+        (None, ["run"]),
+        (None, ["run", "--input", blobs_csv, "--alpha", "1.2"]),
+        (None, ["run", "--input", blobs_csv, "--alpha", "0.8", "--beta", "0.3"]),
+        ("label-fraction", ["run", "--input", blobs_csv, "--label-fraction", "0"]),
+        (None, ["run", "--input", blobs_csv, "--grid-step", "0.3"]),
+        (None, ["run", "--input", blobs_csv, "--knn-k", "0"]),
+        ("fractions", ["benchmark", "--input", blobs_csv, "--fractions", "0"]),
+        ("trials", ["benchmark", "--input", blobs_csv, "--trials", "0"]),
+        ("workers", ["benchmark", "--input", blobs_csv, "--workers", "0"]),
+        ("fractions", ["benchmark", "--input", blobs_csv, "--fractions", "50,50"]),
+        ("fractions", ["sensitivity", "--input", blobs_csv, "--fractions", "10,20,10"]),
+        (None, ["sensitivity", "--input", blobs_csv, "--alpha", "0.5"]),
+        (None, ["sensitivity", "--input", blobs_csv, "--knn-k", "0"]),
+        (None, ["sensitivity", "--input", blobs_csv, "--k-reliable", "-1"]),
+        (None, ["sensitivity", "--input", blobs_csv, "--grid-step", "0.3"]),
+        (None, ["baseline", "--input", blobs_csv, "--algo", "dbscan"]),
+        ("epsilon", ["baseline", "--input", blobs_csv, "--algo", "dbscan", "--epsilon", "nan"]),
+        (None, ["baseline", "--input", blobs_csv, "--algo", "kmeans"]),
+        ("k", ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "0"]),
+        ("seed", ["run", "--input", blobs_csv, "--seed", "-1"]),
+        ("seed", ["benchmark", "--input", blobs_csv, "--seed", "-1"]),
+        ("seed", ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2",
+                  "--seed", "-1"]),
+        ("output", ["run", "--input", blobs_csv, "--output", missing_dir]),
+        ("output", ["benchmark", "--input", blobs_csv, "--output", missing_dir]),
+        ("output", ["baseline", "--input", blobs_csv, "--algo", "kmeans", "--k", "2",
+                    "--output", missing_dir]),
+        ("output", ["sensitivity", "--input", blobs_csv, "--output", str(tmp_path)]),
+        ("fractions", ["benchmark", "--input", blobs_csv, "--fractions", ","]),
+        ("fractions", ["sensitivity", "--input", blobs_csv, "--fractions", "5,x"]),
+        ("label-fraction", ["baseline", "--input", blobs_csv, "--algo", "ssdbscan",
+                            "--label-fraction", "1.5"]),
+        ("folds", ["run", "--input", blobs_csv, "--tune", "--folds", "1"]),
+        ("trials", ["benchmark", "--input", blobs_csv, "--trials", "two"]),
+        ("min-pts", ["baseline", "--input", blobs_csv, "--algo", "ssdbscan", "--min-pts", "0"]),
+        # a flag the chosen algorithm ignores is still checked
+        ("epsilon", ["baseline", "--input", blobs_csv, "--algo", "lof", "--k", "3",
+                     "--epsilon", "-1"]),
     ]
-    for argv in cases:
+    for flag, argv in cases:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if flag is not None:
+            assert f"argument --{flag}:" in err, argv
+    for value, want in (("0", "must be at least 1, got 0"), ("two", "invalid int value: 'two'")):
+        with pytest.raises(SystemExit):
+            main(["benchmark", "--input", blobs_csv, "--trials", value])
+        assert capsys.readouterr().err.endswith(f"error: argument --trials: {want}\n")
+
+
+def test_blend_lattices_finer_than_a_hundredth_are_refused(blobs_csv, capsys, monkeypatch):
+    # refused before any lattice is listed or the CSV is read
+    calls = []
+    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step))
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: calls.append(a))
+    for argv in (["sensitivity"], ["run", "--tune"], ["benchmark", "--tune"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--input", blobs_csv, "--grid-step", "0.001"])
+        assert excinfo.value.code == 2, argv
+        assert "grid_step must be at least 0.01, got 0.001" in capsys.readouterr().err, argv
+    assert calls == []
 
 
 def test_runtime_errors_exit_one(blobs_csv, tmp_path, capsys):
