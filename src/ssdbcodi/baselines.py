@@ -53,12 +53,11 @@ def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
             frontier = np.flatnonzero(reach)
             assign[frontier] = cluster
         cluster += 1
-    for p in range(n):
-        if core[p]:
-            continue
-        neighbours = np.flatnonzero(within[p] & core)
-        if neighbours.size:
-            assign[p] = assign[neighbours[0]]
+    border = np.flatnonzero(~core)
+    hits = within[border]
+    hits &= core  # each non-core point's core neighbours; argmax is the first
+    joined = hits.any(axis=1)
+    assign[border[joined]] = assign[hits.argmax(axis=1)[joined]]
     return assign
 
 

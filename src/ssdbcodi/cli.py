@@ -15,7 +15,6 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,8 +165,8 @@ def cmd_run(args) -> str:
 def _run_trials(ds, args, cells=None) -> dict:
     """Metrics per blend for every (fraction_pct, trial) draw of a sweep.
 
-    One index serves every trial, and each trial is one `_draw`. A failing
-    trial's error names its draw.
+    One index serves every trial, and each trial is one `_draw`, run in job
+    order on the calling thread. A failing trial's error names its draw.
     """
     index = build_index(ds, args.min_pts)
 
@@ -182,8 +181,7 @@ def _run_trials(ds, args, cells=None) -> dict:
                                f"(seed {seed}): {exc}") from exc
 
     jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        return dict(zip(jobs, pool.map(attempt, jobs)))
+    return {job: attempt(job) for job in jobs}
 
 
 def cmd_benchmark(args) -> str:
@@ -333,8 +331,8 @@ def _add_sweep_flags(p):
     p.add_argument("--trials", type=_bounded(int, 1), default=50,
                    help="seeded label draws per fraction")
     p.add_argument("--workers", type=_bounded(int, 1), default=1,
-                   help="worker threads; except on Windows, they take turns on the one large "
-                        "distance array, so more of them do not raise peak memory")
+                   help="accepted for older command lines and ignored: trials run one "
+                        "after another")
 
 
 def _add_tune_flags(p):

@@ -191,13 +191,13 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
         trees.clear()
         code, _, _ = run_cli(
             [command, "--input", blobs_csv, "--fractions", "25,50", "--trials", "3",
-             "--grid-step", "0.5", "--workers", "2"], capsys)
+             "--grid-step", "0.5"], capsys)
         assert code == 0
         assert len(trees) == 1 and len({id(ds) for ds, _ in calls}) == 1, command
     tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2", "--stratified-labels"]
     for argv in (["run", "--label-fraction", "0.5"],
-                 ["benchmark", "--fractions", "20,30", "--trials", "3", "--workers", "2"],
-                 ["benchmark", "--fractions", "50", "--trials", "2", "--workers", "2"]):
+                 ["benchmark", "--fractions", "20,30", "--trials", "3"],
+                 ["benchmark", "--fractions", "50", "--trials", "2"]):
         calls.clear()
         trees.clear()
         code, _, _ = run_cli(argv + ["--input", blobs_csv] + tune_flags, capsys)
@@ -215,14 +215,21 @@ def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch)
     assert calls == []
 
 
-def test_benchmark_threading_is_deterministic(blobs_csv, capsys):
-    args = ["benchmark", "--input", blobs_csv, "--fractions", "25,50",
-            "--trials", "3", "--seed", "5"]
-    code, serial, _ = run_cli(args + ["--workers", "1"], capsys)
+def test_sweep_trials_run_in_order_on_the_calling_thread(blobs_csv, capsys, monkeypatch):
+    # --workers is accepted and changes nothing: every draw is sampled on the
+    # calling thread, fraction by fraction and trial by trial
+    calls, real = [], cli.sample_labels
+
+    def recording(ds, fraction, seed, **kwargs):
+        calls.append((threading.get_ident(), fraction, seed))
+        return real(ds, fraction, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_labels", recording)
+    code, _, _ = run_cli(["benchmark", "--input", blobs_csv, "--fractions", "20,40",
+                          "--trials", "3", "--workers", "4"], capsys)
     assert code == 0
-    code, threaded, _ = run_cli(args + ["--workers", "4"], capsys)
-    assert code == 0
-    assert serial == threaded
+    main = threading.get_ident()
+    assert calls == [(main, f, t) for f in (0.2, 0.4) for t in range(3)]
 
 
 def test_benchmark_without_outliers_leaves_auc_empty(clean_csv, capsys):
@@ -421,7 +428,7 @@ def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypa
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 18 * 18 - 1)
     want = ("error: a 18 x 18 distance workspace needs 2592 bytes, "
             "more than the 2591 bytes of physical memory\n")
-    for argv in (["run"], ["benchmark", "--fractions", "50", "--trials", "2", "--workers", "2"],
+    for argv in (["run"], ["benchmark", "--fractions", "50", "--trials", "2"],
                  ["baseline", "--algo", "lof", "--k", "3"]):
         assert run_cli(argv + ["--input", blobs_csv], capsys) == (1, "", want), argv
 
@@ -451,9 +458,8 @@ def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, 
     tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2"]
     for argv in (["run", "--label-fraction", "0.5"],
                  ["run", "--label-fraction", "0.5", "--stratified-labels"] + tune_flags,
-                 ["benchmark", "--fractions", "40,50", "--trials", "3", "--workers", "3"],
-                 ["sensitivity", "--grid-step", "0.5", "--fractions", "50", "--trials", "3",
-                  "--workers", "3"],
+                 ["benchmark", "--fractions", "40,50", "--trials", "3"],
+                 ["sensitivity", "--grid-step", "0.5", "--fractions", "50", "--trials", "3"],
                  ["baseline", "--algo", "dbscan", "--epsilon", "1.5", "--min-pts", "2"],
                  ["baseline", "--algo", "kmeans", "--k", "2"],
                  ["baseline", "--algo", "lof", "--k", "3"],

@@ -449,9 +449,9 @@ def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
 
 
 def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
-    # every workspace mapped: a run's classifier reuses its build's map, and a
-    # sweep's trials on two threads take turns on it; the reports keep the
-    # all-heap path's bytes
+    # every workspace mapped: a run's classifier reuses its build's map, and
+    # so does each of a sweep's trials in turn; the reports keep the all-heap
+    # path's bytes
     rng = np.random.default_rng(67)
     c = rng.integers(3, size=150)
     x = rng.normal(size=(150, 3)) + 6.0 * c[:, None]
@@ -461,7 +461,7 @@ def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
     path.write_text("x,y,z,label\n" + "".join(f"{a!r},{b!r},{z!r},{y}\n"
                                               for (a, b, z), y in zip(x.tolist(), lab)))
     argvs = {"run": ["run", "--label-fraction", "0.1"],
-             "benchmark": ["benchmark", "--fractions", "10", "--trials", "6", "--workers", "2"]}
+             "benchmark": ["benchmark", "--fractions", "10", "--trials", "6"]}
     made = counted_maps(monkeypatch)
 
     def reports(mapped_bytes):
