@@ -10,8 +10,9 @@ Large workspaces live in the process's one map, which one block holds at a
 time under a lock, so a process keeps one workspace of its largest size
 however many threads use this module. The row passes over a large workspace
 run on the caller and one pool thread per other core, so on POSIX only the
-map's holder spreads; each pass is elementwise or per row, so which thread
-takes a block changes no bit.
+map's holder spreads, and the caller waits for every pool thread before it
+returns; each pass is elementwise or per row, so which thread takes a block
+changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -20,7 +21,6 @@ distance of p is the distance to its min_pts-th nearest *other* point.
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 import math
 import mmap
 import os
@@ -62,10 +62,11 @@ class NeighborhoodIndex:
 # with its allocation history, and threads holding one each at once would
 # multiply it. Their row passes spread over _WORKERS threads, in blocks of
 # BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
-# BLOCK_BYTES; smaller workspaces' passes stay on their thread. `_map` holds
-# the map (`buf`, None before the first mapped block and after one raised)
-# and the `lock` its holder takes. No workspace may exceed the physical
-# memory, read once: with one map per process, that is its peak.
+# BLOCK_BYTES, and all end before the pass returns; smaller workspaces'
+# passes stay on their thread. `_map` holds the map (`buf`, None before the
+# first mapped block and after one raised) and the `lock` its holder takes.
+# No workspace may exceed the physical memory, read once: with one map per
+# process, that is its peak.
 BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
 _map = SimpleNamespace(lock=threading.Lock(), buf=None)
 _MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -75,40 +76,31 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi-rows")
 
 
-def row_blocks(n_rows: int, n_cols: int) -> list:
-    """Row slices whose float64 blocks of n_cols columns fit BLOCK_BYTES."""
-    step = max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
-    return [slice(a, a + step) for a in range(0, n_rows, step)]
-
-
 def _spread(out: np.ndarray, n_rows: int, fn) -> None:
     """fn(rows) for every slice of n_rows rows whose blocks of out's columns
     fit BLOCK_BYTES // workers, taken off one iterator by this thread and up
     to workers - 1 pool threads: _WORKERS when out is MAPPED_BYTES or more,
-    else 1. Once it runs out, this thread cancels the pool tasks not yet
-    started and waits for the running ones, then raises the error of any
-    block. Only the iterator's items refer to fn, so a cancelled task, left
-    in the pool's queue until a pool thread drops it, keeps none of fn's
-    arrays alive once every block is taken."""
+    else 1. Once its own share is done, this thread waits for every pool
+    task, then raises the first error: its own, else the tasks' in order."""
     workers = _WORKERS if out.nbytes >= MAPPED_BYTES else 1
-    blocks = row_blocks(n_rows, out.shape[1] * workers)
-    it, lock = iter([partial(fn, rows) for rows in blocks]), threading.Lock()
+    step = max(1, BLOCK_BYTES // (8 * max(out.shape[1] * workers, 1)))
+    blocks = [slice(a, a + step) for a in range(0, n_rows, step)]
+    it, lock = iter(blocks), threading.Lock()
 
     def drain():
         while True:
             with lock:
-                block = next(it, None)
-            if block is None:
+                rows = next(it, None)
+            if rows is None:
                 return
-            block()
+            fn(rows)
 
     tasks = [_helpers.submit(drain) for _ in range(min(workers, len(blocks)) - 1)]
     try:
         drain()
     finally:
-        running = [task for task in tasks if not task.cancel()]
-        wait(running)
-    for task in running:
+        wait(tasks)
+    for task in tasks:
         task.result()
 
 
@@ -216,27 +208,24 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
     return index, best
 
 
-def _pairwise(points, out, each) -> None:
+def _pairwise(points: np.ndarray, out, each) -> None:
     """Exactly symmetric Euclidean distances with a zero diagonal, made in out
     by _distances, calling each(block_rows, block) once the block's diagonal
-    is zero.
+    is zero. points must be an aligned, C- or F-contiguous float64 array, as
+    every Dataset's points are.
 
-    numpy computes P @ P.T on one operand with BLAS's syrk and mirrors one
-    triangle onto the other, and the elementwise passes add the squared
+    numpy computes P @ P.T on one such operand with BLAS's syrk and mirrors
+    one triangle onto the other, and the elementwise passes add the squared
     norms in either order to the same sum, so entry (i, j) has the bits of
-    entry (j, i). Points BLAS cannot take whole (strided or misaligned) are
-    copied first: numpy would copy the two operands apart and run a general
-    GEMM, whose mirrored entries may differ in their last bits.
+    entry (j, i). numpy would copy strided or misaligned points into two
+    operands and run a general GEMM, whose mirrored entries may differ in
+    their last bits.
     """
-    pts = np.asarray(points, dtype=float)
-    if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
-        pts = pts.copy()
-
     def zero_diagonal(rows, blk):
         np.fill_diagonal(blk[:, rows], 0.0)
         each(rows, blk)
 
-    _distances(pts, pts, out, None, zero_diagonal)
+    _distances(points, points, out, None, zero_diagonal)
 
 
 def _spanning_tree(reach: np.ndarray) -> tuple:

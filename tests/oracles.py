@@ -351,8 +351,10 @@ def index_by_serial_passes(points, min_pts: int) -> tuple:
 
 def pairwise_distances(points) -> np.ndarray:
     """Exactly symmetric Euclidean distance matrix with a zero diagonal: the
-    blocks of metricspace._pairwise, copied out of its workspace."""
-    n = np.shape(points)[0]
+    blocks of metricspace._pairwise, copied out of its workspace. The points
+    are copied to float64 first, as Dataset copies them."""
+    points = np.array(points, dtype=float)
+    n = points.shape[0]
     out = np.empty((n, n))
     with metricspace._workspace((n, n)) as d:
         metricspace._pairwise(points, d, out.__setitem__)
@@ -374,7 +376,9 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
     metricspace._nearest_block over d's row blocks. Consumes d, which must
     hold finite entries only."""
     nbrs = np.empty((d.shape[0], k), dtype=np.intp)
-    for rows in metricspace.row_blocks(*d.shape):
+    step = max(1, metricspace.BLOCK_BYTES // (8 * max(d.shape[1], 1)))
+    for start in range(0, d.shape[0], step):
+        rows = slice(start, start + step)
         metricspace._nearest_block(d[rows], nbrs[rows])
     return nbrs
 

@@ -13,8 +13,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, build_index, cli, dbscan,
-                      lof, metricspace, run, sample_labels, ssdbscan_with_fallback, tune)
+from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, baselines, build_index, cli,
+                      dbscan, lof, metricspace, run, sample_labels, ssdbscan_with_fallback, tune)
 from ssdbcodi.metricspace import _workspace, cross_nearest, nearest_center
 from oracles import (as_dataset, cross_distances, dbscan_by_matrix, distances_by_expression,
                      index_by_serial_passes, is_density_reachable, knn_by_rdist,
@@ -214,7 +214,8 @@ def misaligned(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# C- and F-ordered points reach BLAS as one operand; the others are copied
+# C- and F-ordered points reach BLAS as one operand; Dataset and
+# pairwise_distances copy the others into one
 LAYOUTS = {"C": lambda p: p, "F": np.asfortranarray,
            "strided": lambda p: np.repeat(p, 2, axis=1)[:, ::2], "misaligned": misaligned}
 
@@ -226,7 +227,8 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
     # on P @ P.T being one syrk mirrored and on the passes adding the norms
     # in either order. Blocks under one row, of three rows and of 1 MiB; every
     # workspace mapped, or none. Some sets reach 170+ points, where numpy 2's
-    # GEMM on strided or misaligned operands, copied apart, mirrors unequal bits.
+    # GEMM on strided or misaligned operands, copied apart, mirrors unequal
+    # bits; those layouts reach _pairwise as Dataset copies them, whole.
     state = fresh_maps(monkeypatch)
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
     rng = np.random.default_rng(31)
@@ -248,6 +250,42 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
             assert d.tobytes() == d.T.tobytes(), (case, layout)
             assert (state.buf is not None) == mapped and not d.diagonal().any()
         assert dists["strided"].tobytes() == dists["misaligned"].tobytes() == dists["C"].tobytes()
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, mapped):
+    # _pairwise takes its points as BLAS takes them whole, one aligned C- or
+    # F-contiguous float64 operand: Dataset's copy makes them so from any
+    # layout or a list, and each caller's matrix is then exactly symmetric.
+    # 200 points, past the 170 where a strided or misaligned operand's GEMM
+    # mirrors unequal bits on numpy 2
+    fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    real, seen = metricspace._pairwise, []
+
+    def whole(points, out, each):
+        d = np.full(out.shape, np.nan)
+
+        def keep(rows, blk):
+            d[rows] = blk
+            each(rows, blk)
+        real(points, out, keep)
+        seen.append((points, d))
+
+    monkeypatch.setattr(metricspace, "_pairwise", whole)
+    monkeypatch.setattr(baselines, "_pairwise", whole)
+    rng = np.random.default_rng(113)
+    grid = rng.integers(0, 3, size=(200, 3)).astype(float)
+    for k, pts in enumerate([grid + rng.normal(size=3) * 100.0, rng.normal(size=(200, 3))]):
+        for layout, view in {**LAYOUTS, "list": lambda p: p.tolist()}.items():
+            ds = Dataset(points=view(pts), truth=np.zeros(200, dtype=int))
+            seen.clear()
+            build_index(ds, 4), dbscan(ds, 1.0, 4), lof(ds, 5)
+            assert len(seen) == 3, (k, layout)
+            for points, d in seen:
+                assert points.dtype == np.float64 and points.flags.aligned, (k, layout)
+                assert points.flags.c_contiguous or points.flags.f_contiguous, (k, layout)
+                assert d.tobytes() == d.T.tobytes() and not d.diagonal().any(), (k, layout)
 
 
 def fresh_maps(monkeypatch) -> SimpleNamespace:
@@ -610,6 +648,55 @@ def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch
     ran.clear()
     assert_serial_bytes(build_index(as_dataset(pts), 4), pts, 4)
     assert len(ran) >= 2
+
+
+@pytest.mark.parametrize("case", ["return", "caller takes all", "caller raises"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_spread_returns_once_no_block_is_running(monkeypatch, helpers, count, case):
+    # one-row blocks over the caller and count helpers, each call's start
+    # and end recorded: the helpers take some blocks; or every pool thread
+    # is held until the caller has run every block; or a caller block
+    # raises while a helper is mid-block. Either way, when _spread returns
+    # no call is running and every block ran exactly once
+    ran = helpers(count)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
+    main, n_rows, lock, started, ended = threading.get_ident(), 24, threading.Lock(), [], []
+    caller_in, helper_in, caller_done = threading.Event(), threading.Event(), threading.Event()
+
+    def fn(rows):
+        with lock:
+            started.append(rows.start)
+        try:
+            if case != "caller raises":
+                time.sleep(1e-3)  # so that the helpers take some blocks
+            elif threading.get_ident() == main:
+                caller_in.set()
+                assert helper_in.wait(10)
+                raise RuntimeError(f"block {rows.start}")
+            else:  # a helper holds its first block until the caller fails
+                assert caller_in.wait(10)
+                if not helper_in.is_set():
+                    helper_in.set()
+                    time.sleep(0.05)
+        finally:
+            with lock:
+                ended.append(rows.start)
+        if rows.start == n_rows - 1:
+            caller_done.set()
+
+    held = [metricspace._helpers.submit(caller_done.wait, 10)
+            for _ in range(count if case == "caller takes all" else 0)]
+    out = np.empty((n_rows, 1))
+    if case == "caller raises":
+        with pytest.raises(RuntimeError, match="block"):
+            metricspace._spread(out, n_rows, fn)
+    else:
+        metricspace._spread(out, n_rows, fn)
+    with lock:
+        assert len(started) == len(ended) and sorted(started) == list(range(n_rows))
+    assert all(task.result() for task in held)
+    assert (ran == {main}) == (case == "caller takes all") and main in ran
 
 
 def heap_only(monkeypatch) -> None:
