@@ -55,8 +55,13 @@ def _render_json(report: dict) -> str:
     return json.dumps(_jsonify(report), indent=2) + "\n"
 
 
-def _render_csv(columns, rows) -> str:
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
+def _render_csv(columns, rows, failed=()) -> str:
+    """The CSV report, after a `# failed_trials` count and one comment line per
+    failed trial when some failed."""
+    lines = [f"# schema_version={SCHEMA_VERSION}"]
+    if failed:
+        lines += [f"# failed_trials={len(failed)}"] + [f"# {name}" for name in failed]
+    lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
@@ -162,47 +167,54 @@ def cmd_run(args) -> str:
     return _render_json(report)
 
 
-def _run_trials(ds, args, cells=None) -> dict:
-    """Metrics per blend for every (fraction_pct, trial) draw of a sweep.
+def _run_trials(ds, args, cells=None) -> tuple:
+    """Metrics per blend for every (fraction_pct, trial) draw of a sweep that
+    completes, and the named error of every draw the pipeline refuses with a
+    ValueError (one with no labeled normal point, say).
 
     One index serves every trial, and each trial is one `_draw`, run in job
-    order on the calling thread. A failing trial's error names its draw.
+    order on the calling thread. Any other error ends the sweep, named after
+    its draw, and so does the first refusal when no draw completes.
     """
     index = build_index(ds, args.min_pts)
-
-    def attempt(job):
-        fraction_pct, trial = job
-        seed = args.seed + trial
-        try:
-            return [_evaluate(ds, result)
+    done, failed = {}, []
+    for fraction_pct in args.fractions:
+        for trial in range(args.trials):
+            seed = args.seed + trial
+            name = f"fraction {fraction_pct:g} trial {trial} (seed {seed})"
+            try:
+                done[(fraction_pct, trial)] = [
+                    _evaluate(ds, result)
                     for _, result in _draw(ds, args, index, fraction_pct / 100.0, seed, cells)]
-        except Exception as exc:
-            raise RuntimeError(f"fraction {fraction_pct:g} trial {trial} "
-                               f"(seed {seed}): {exc}") from exc
-
-    jobs = [(f, t) for f in args.fractions for t in range(args.trials)]
-    return {job: attempt(job) for job in jobs}
+            except ValueError as exc:
+                failed.append(f"{name}: {exc}")
+            except Exception as exc:
+                raise RuntimeError(f"{name}: {exc}") from exc
+    if not done:
+        raise ValueError(failed[0])
+    return done, failed
 
 
 def cmd_benchmark(args) -> str:
     ds = _load_dataset(args)
-    by_job = _run_trials(ds, args)
-    rows = [{"fraction": f, **_summary([by_job[(f, t)][0] for t in range(args.trials)])}
+    by_job, failed = _run_trials(ds, args)
+    rows = [{"fraction": f, **_summary([by_job[(f, t)][0] for t in range(args.trials)
+                                        if (f, t) in by_job])}
             for f in args.fractions]
     columns = ["fraction", "auc_mean", "auc_std", "rand_mean", "rand_std",
                "nmi_mean", "nmi_std"]
-    return _render_csv(columns, rows)
+    return _render_csv(columns, rows, failed)
 
 
 def cmd_sensitivity(args) -> str:
     ds = _load_dataset(args)
     cells = blend_grid(args.grid_step)
-    by_job = _run_trials(ds, args, cells)
+    by_job, failed = _run_trials(ds, args, cells)
     rows = [{"alpha": alpha, "beta": beta, "fraction": f,
-             **_summary([by_job[(f, t)][i] for t in range(args.trials)])}
+             **_summary([by_job[(f, t)][i] for t in range(args.trials) if (f, t) in by_job])}
             for f in sorted(args.fractions) for i, (alpha, beta) in enumerate(cells)]
     columns = ["alpha", "beta", "fraction", "auc_mean", "rand_mean", "nmi_mean"]
-    return _render_csv(columns, rows)
+    return _render_csv(columns, rows, failed)
 
 
 def cmd_baseline(args) -> str:

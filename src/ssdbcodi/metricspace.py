@@ -2,10 +2,12 @@
 densities, and the spanning tree's reachability plot.
 
 Every n x n or n x m distance array is a temporary: a BLAS product in a
-`_workspace` that lives for one `with` block (in build_index, cross_nearest
-or a baseline), turned into distances in place in row blocks. What a caller
-needs (nearest neighbours, core distances, neighbourhoods) is read off each
-block while it is still in cache; no distance array leaves this module.
+`_workspace` that lives for one `with` block (in build_index, in
+cross_nearest, which searches the classifier's rows that the index's
+neighbour list cannot rank, or in a baseline), turned into distances in place
+in row blocks. What a caller needs (nearest neighbours, core distances,
+neighbourhoods) is read off each block while it is still in cache; no
+distance array leaves this module.
 Large workspaces live in the process's one map, which one block holds at a
 time under a lock, so a process keeps one workspace of its largest size
 however many threads use this module. The row passes over a large workspace
@@ -38,8 +40,12 @@ class NeighborhoodIndex:
     input) and the reachability plot of the reachability graph's minimum
     spanning tree: `order`, Prim's join order from point 0, and `gap`, the
     keys at which order[1:] joined, so the minimax path value between
-    order[i] and order[j] is max(gap[i:j]) for i < j; read-only. It keeps
-    no distance matrix: any pass over its points' distances makes them
+    order[i] and order[j] is max(gap[i:j]) for i < j; and each point's
+    min(NEAR_K, n - 1) nearest other points, `near` (int32 positions) and
+    `near_dist` (their distances), sorted by (distance, position) except
+    that members tied with a row's last distance may be any of the points at
+    that distance; read-only. It keeps no distance matrix, only that n x K
+    list beside it: any other pass over its points' distances makes them
     again, with the build's bits."""
 
     points: np.ndarray
@@ -47,6 +53,8 @@ class NeighborhoodIndex:
     density: np.ndarray
     order: np.ndarray
     gap: np.ndarray
+    near: np.ndarray
+    near_dist: np.ndarray
     min_pts: int
 
     @property
@@ -68,6 +76,9 @@ class NeighborhoodIndex:
 # No workspace may exceed the physical memory, read once: with one map per
 # process, that is its peak.
 BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
+# The length of each point's neighbour list on the index: enough for the
+# classifier's k_c (5 by default) once the training set drops some points.
+NEAR_K = 32
 _map = SimpleNamespace(lock=threading.Lock(), buf=None)
 _MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                  if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
@@ -253,15 +264,17 @@ def _spanning_tree(reach: np.ndarray) -> tuple:
 
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
-    """Core distances, local densities and reachability plot of the points,
-    all read from one distance matrix in a workspace (the core distances off
-    each row block as it is made), which the density pass turns into the
-    reachability matrix in place for Prim, and which ends on return. The
-    distance, core and density passes run by _spread, in row blocks whose
-    bits do not depend on the thread that takes them. Requires n >= 2 and an
-    integer min_pts in [1, n - 1]. The index depends only on ds's read-only
-    points and min_pts, so it is kept on ds and later calls return that same
-    object (threads that miss at once build equal ones).
+    """Core distances, local densities, reachability plot and neighbour list
+    of the points, all read from one distance matrix in a workspace (the
+    list and core distances off each row block as it is made, the core
+    distances from the list's entry min_pts - 1 when it has one), which the
+    density pass turns into the reachability matrix in place for Prim, and
+    which ends on return. The distance, list and density passes run by
+    _spread, in row blocks whose bits do not depend on the thread that takes
+    them. Requires n >= 2 and an integer min_pts in [1, n - 1]. The index
+    depends only on ds's read-only points and min_pts, so it is kept on ds
+    and later calls return that same object (threads that miss at once
+    build equal ones).
     """
     n = ds.n
     if n < 2:
@@ -270,10 +283,25 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         raise ValueError(f"min_pts must be an integer in [1, {n - 1}], got {min_pts!r}")
     if int(min_pts) in ds._indexes:
         return ds._indexes[int(min_pts)]
+    k = min(NEAR_K, n - 1)
     core, density = np.empty(n), np.empty(n)
+    near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
 
-    def take_core(rows, blk):  # row position min_pts skips exactly one self-distance
-        core[rows] = np.partition(blk, min_pts, axis=1)[:, min_pts]
+    def take_near(rows, blk):
+        # -1 makes the row's own entry its unique minimum, so the k + 1
+        # smallest hold it and sort it first; it is dropped, and the
+        # diagonal is zero again before the block is left
+        np.fill_diagonal(blk[:, rows], -1.0)
+        cols = np.sort(np.argpartition(blk, k, axis=1)[:, :k + 1], axis=1)
+        vals = np.take_along_axis(blk, cols, axis=1)
+        np.fill_diagonal(blk[:, rows], 0.0)
+        by = np.argsort(vals, axis=1, kind="stable")[:, 1:]  # ties keep position order
+        near[rows] = np.take_along_axis(cols, by, axis=1)
+        near_dist[rows] = np.take_along_axis(vals, by, axis=1)
+        # the min_pts-th nearest other point; row position min_pts of the
+        # whole row skips exactly one self-distance
+        core[rows] = (near_dist[rows, min_pts - 1] if min_pts <= k
+                      else np.partition(blk, min_pts, axis=1)[:, min_pts])
 
     def take_density(rows):  # the mean of the row's min_pts smallest off-diagonal entries
         blk = dist[rows]
@@ -285,12 +313,12 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         density[rows] = blk[:, :min_pts].mean(axis=1)
 
     with _workspace((n, n)) as dist:
-        _pairwise(ds.points, dist, take_core)
+        _pairwise(ds.points, dist, take_near)
         _spread(dist, n, take_density)  # reads every core, so starts once all are in
         order, gap = _spanning_tree(dist)
-    for arr in (core, density, order, gap):
+    for arr in (core, density, order, gap, near, near_dist):
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
-                              gap=gap, min_pts=int(min_pts))
+                              gap=gap, near=near, near_dist=near_dist, min_pts=int(min_pts))
     ds._indexes[index.min_pts] = index
     return index

@@ -1,5 +1,11 @@
 """Reliable-set selection and the instance-weighted kNN classifier, in two steps:
-`neighbours` (the distance search, reusable across blends) and `vote`."""
+`neighbours` (the distance search, reusable across blends) and `vote`.
+
+`neighbours` reads each row's nearest training rows off the index's shared
+neighbour list wherever the gaps between them are wide enough that every
+summation order ranks them alike, and searches only the other rows with a
+distance product, so each row's neighbours have the bits the product gives
+whichever way they were found."""
 
 from dataclasses import dataclass
 
@@ -7,7 +13,7 @@ import numpy as np
 
 from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
-from .metricspace import cross_nearest
+from .metricspace import NeighborhoodIndex, cross_nearest, squared_norms
 from .scoring import ScoreTable
 
 
@@ -63,18 +69,72 @@ def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingS
     )
 
 
-def neighbours(ts: TrainingSet, points, k_c: int, rows=None) -> np.ndarray:
+def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -> np.ndarray:
     """Positions in ts of each row's k_c nearest training rows, trained on
-    points[ts.indices]: Euclidean, ties by training-row position. With
-    `rows`, only those rows of points (in their order) are searched; see
-    cross_nearest."""
+    index.points[ts.indices]: Euclidean, ties by training-row position. With
+    `rows`, only those rows of the points (in their order) are searched.
+
+    The result is cross_nearest(points, points[ts.indices], k_c, rows)'s,
+    bit for bit. A row's candidates are itself at distance 0, when it is a
+    training row, then the training rows of its index.near list, in order.
+    The row takes its first k_c candidates when every gap between adjacent
+    values among its first k_c + 1 (the (k_c + 1)-th being the list's last
+    distance when the candidates run out) exceeds 4B on squared distances,
+    for B = (2d + 8) eps (|p|^2 + max|q|^2) over every point q. Every other
+    row goes, in one call, to cross_nearest.
+
+    Why 4B suffices. With u = eps / 2 the unit roundoff, a dot product over
+    d terms in any order, fused or not, is off by at most gamma_d sum|p_i q_i|
+    <= d u (|p|^2 + |q|^2) / 2 (to first order; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), and so is a
+    squared norm relative to itself. So the squared distance s that either
+    product's passes form, |p|^2 + |q|^2 - 2 p.q with three more roundings,
+    is off by at most (2d + 3) u N, N = |p|^2 + |q|^2, below B / 2. The
+    list's values were rooted and are squared again here, which adds at most
+    6 u N (s <= 2N), so they too are within B of the exact value. If two
+    candidates' listed values differ by more than 4B, their exact values
+    differ by more than 2B, and the product's squared values by more than
+    B >= 8 eps N, at least 4 eps of the larger; their square roots then
+    differ by more than a rounding, so the product ranks them alike, with
+    no tie. A training row outside the list has a listed value at least the
+    list's last, since the list holds the row's K smallest, so the gap to
+    the last value covers it too. Members tied with the last value are never
+    taken: the list may have kept any of them.
+    """
     m = len(ts)
     if m == 0:
         raise ValueError("training set is empty")
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
-    points = np.asarray(points, dtype=float)
-    return cross_nearest(points, points[ts.indices], k_c, rows)
+    searched = np.arange(index.n) if rows is None else np.asarray(rows)
+    ranked = np.zeros(searched.size, dtype=bool)
+    nbrs = np.empty((searched.size, k_c), dtype=np.intp)
+    if k_c <= index.near.shape[1]:
+        at = np.full(index.n, -1, dtype=np.int32)
+        at[ts.indices] = np.arange(m)
+        own = at[searched] >= 0
+        listed = at[index.near if rows is None else index.near[searched]]
+        # each row's first k_c + 1 candidates: itself at distance 0 when it is
+        # a training row, then its list's training rows in order; padded with
+        # the list's last distance (and position -1) where they run out
+        # a list member's place among its row's candidates (NEAR_K + 1 fits)
+        rank = np.cumsum(listed >= 0, axis=1, dtype=np.int8)
+        rank += own[:, None] - 1
+        r, c = np.nonzero((listed >= 0) & (rank <= k_c))
+        first = np.full((searched.size, k_c + 1), -1)
+        vals = np.repeat(index.near_dist[searched, -1:], k_c + 1, axis=1)
+        first[own, 0], vals[own, 0] = at[searched[own]], 0.0
+        first[r, rank[r, c]] = listed[r, c]
+        vals[r, rank[r, c]] = index.near_dist[searched[r], c]
+        sq = squared_norms(index.points)
+        bound = (2 * index.points.shape[1] + 8) * np.finfo(float).eps * (sq[searched] + sq.max())
+        ranked = ((first[:, k_c - 1] >= 0)
+                  & (np.diff(np.square(vals), axis=1) > 4 * bound[:, None]).all(axis=1))
+        nbrs[:] = first[:, :k_c]
+    if not ranked.all():
+        nbrs[~ranked] = cross_nearest(index.points, index.points[ts.indices], k_c,
+                                      searched[~ranked])
+    return nbrs
 
 
 def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:

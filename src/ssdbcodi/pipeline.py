@@ -98,10 +98,10 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
     k = prepared.auto_k if params.k is None else params.k
     ts = select_reliable(prepared.assignment, table, k)
     k_c = min(params.k_c, len(ts))
-    # Equal keys mean equal GEMM inputs, so cached neighbours keep every bit.
+    # Equal keys mean equal inputs to `neighbours`, so cached neighbours keep every bit.
     key = (k_c, ts.indices.tobytes(), None if rows is None else rows.tobytes())
     if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, index.points, k_c, rows)
+        prepared.neighbours[key] = neighbours(ts, index, k_c, rows)
     classes, outlier_score = vote(ts, prepared.neighbours[key])
     return PipelineResult(
         clusters=classes,

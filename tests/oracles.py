@@ -394,8 +394,13 @@ def nearest_by_matrix(a, b, k: int, rows=None) -> np.ndarray:
 
 def classify(ts: TrainingSet, points, k_c: int) -> tuple:
     """Train the weighted kNN on points[ts.indices] and label every row of
-    points: the `vote` over each row's k_c `neighbours`."""
-    return vote(ts, neighbours(ts, points, k_c))
+    points: the `vote` over each row's k_c `neighbours`, read off the index
+    of the points (min_pts 1). One point has no index; its one training row
+    is its neighbour, as the search finds."""
+    ds = as_dataset(points)
+    if ds.n == 1:
+        return vote(ts, metricspace.cross_nearest(ds.points, ds.points[ts.indices], k_c))
+    return vote(ts, neighbours(ts, build_index(ds, 1), k_c))
 
 
 # --- full sort and per-row vote: the reference for `classify` ---

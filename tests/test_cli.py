@@ -471,19 +471,39 @@ def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, 
 
 
 def test_failing_sweep_trial_is_named(tmp_path, capsys):
-    # 24 points: at 5% one point is labeled, and some draws hit an outlier
+    # 24 points: at 5% one point is labeled, and some draws hit an outlier.
+    # Those trials are recorded and the rest summarised; a sweep none of whose
+    # trials completes, and a single run, still fail on the first
     rows = blob_rows()
     rows += [(x + 0.1, y + 0.3, lab) for x, y, lab in rows[:3] + rows[8:11]]
     path = write_csv(tmp_path / "small.csv", rows)
     ds = load_csv(path)
-    first = next(t for t in range(40) if not sample_labels(ds, 0.05, t).normal)
-    want = (f"error: fraction 5 trial {first} (seed {first}): "
-            "at least one labeled normal point is required\n")
+    failing = [t for t in range(40) if not sample_labels(ds, 0.05, t).normal]
+    assert 0 < len(failing) < 40
+    named = [f"# fraction 5 trial {t} (seed {t}): at least one labeled normal point is required"
+             for t in failing]
     for command in ("benchmark", "sensitivity"):
-        code, out, err = run_cli(
-            [command, "--input", path, "--fractions", "5", "--trials", "40",
-             "--workers", "2"], capsys)
-        assert (code, out, err) == (1, "", want), command
+        argv = [command, "--input", path, "--fractions", "5", "--no-timing"]
+        code, out, err = run_cli(argv + ["--trials", "40", "--workers", "2"], capsys)
+        lines = out.splitlines()
+        assert (code, err) == (0, ""), command
+        assert lines[1:2 + len(failing)] == [f"# failed_trials={len(failing)}"] + named, command
+        if command == "benchmark":  # the completed trials' summary, through the library
+            rands = []
+            for t in range(40):
+                if t not in failing:
+                    prepared = prepare(build_index(ds, 3), sample_labels(ds, 0.05, t))
+                    params = PipelineParams(score=ScoreParams(0.4, 0.3, min_pts=3), k_c=5)
+                    rands.append(rand_index(finish(prepared, params).clusters, ds.truth))
+            row = dict(zip(*(line.split(",") for line in lines[-2:])))
+            assert float(row["rand_mean"]) == float(f"{np.mean(rands):.12g}")
+        first = failing[0]
+        want = (f"error: fraction 5 trial 0 (seed {first}): "
+                "at least one labeled normal point is required\n")
+        assert run_cli(argv + ["--trials", "1", "--seed", str(first)], capsys) == (1, "", want)
+    code, out, err = run_cli(["run", "--input", path, "--label-fraction", "0.05", "--seed",
+                              str(failing[0])], capsys)
+    assert (code, out, err) == (1, "", "error: at least one labeled normal point is required\n")
 
 
 def test_module_entry_point(blobs_csv):

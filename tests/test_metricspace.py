@@ -487,9 +487,9 @@ def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
 
 
 def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
-    # every workspace mapped: a run's classifier reuses its build's map, and
-    # so does each of a sweep's trials in turn; the reports keep the all-heap
-    # path's bytes
+    # every workspace mapped: the build makes the one map, which a run's
+    # classifier and each of a sweep's trials reuse for any row the neighbour
+    # list cannot rank; the reports keep the all-heap path's bytes
     rng = np.random.default_rng(67)
     c = rng.integers(3, size=150)
     x = rng.normal(size=(150, 3)) + 6.0 * c[:, None]
@@ -566,17 +566,19 @@ def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, hel
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
-    # the output on the traced heap, and no n x n temporary beside it
+    # the output and the index's n x K neighbour list on the traced heap, and
+    # no n x n temporary beside them
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     ds = as_dataset(np.random.default_rng(3).normal(size=(300, 4)))
     tracemalloc.start()
     try:
-        build_index(ds, 4)
+        idx = build_index(ds, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 8 * 300 * 300 <= peak < 1.2 * 8 * 300 * 300
+    listed = idx.near.nbytes + idx.near_dist.nbytes
+    assert 8 * 300 * 300 + listed <= peak < 1.2 * 8 * 300 * 300 + listed
 
 
 def test_index_keeps_no_n_by_n_array(monkeypatch):
@@ -617,6 +619,40 @@ def test_spread_build_matches_serial_passes_bytes(monkeypatch, helpers, count):
         assert_serial_bytes(build_index(as_dataset(pts), min_pts), pts, min_pts, case)
         assert pairwise_distances(pts).tobytes() == pairwise_by_expression(pts).tobytes(), case
     assert len(ran) == 1 if count == 0 else len(ran) >= 2
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("count", [0, 1])
+def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpers, mapped,
+                                                               count):
+    # min_pts below, at and above NEAR_K, on normals, 0-3 grids (many ties at
+    # a list's end) and tenths; blocks of one row and of 1 MiB, serial and
+    # spread, mapped and on the heap. The list holds the K smallest distances
+    # to other points, and their positions by (distance, position) wherever
+    # the distance is not tied with the row's last one
+    helpers(count)
+    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    rng = np.random.default_rng(97)
+    k = metricspace.NEAR_K
+    for case in range(30):
+        n = int(rng.integers(2, k + 2)) if case % 5 == 0 else int(rng.integers(k + 8, 90))
+        grid = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
+        pts = [rng.normal(size=grid.shape), grid, grid / 10.0][case % 3]
+        min_pts = min(n - 1, [3, k, k + 5][case // 3 % 3])
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 1 << 20][case % 2])
+        idx = build_index(as_dataset(pts), min_pts)
+        assert_serial_bytes(idx, pts, min_pts, case)
+        dist = pairwise_distances(pts)
+        np.fill_diagonal(dist, np.inf)
+        width = min(k, n - 1)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :width]
+        assert idx.near.shape == idx.near_dist.shape == (n, width), case
+        assert idx.near_dist.tobytes() == np.sort(dist, axis=1)[:, :width].tobytes(), case
+        untied = idx.near_dist != idx.near_dist[:, -1:]
+        assert np.array_equal(idx.near[untied], want[untied]), case
+        assert np.array_equal(np.take_along_axis(dist, idx.near, axis=1), idx.near_dist), case
+        ordered = np.sort(idx.near, axis=1)  # distinct other points
+        assert (np.diff(ordered, axis=1) > 0).all() and (idx.near != np.arange(n)[:, None]).all()
 
 
 @pytest.mark.parametrize("where", ["any", "helper", "caller"])
@@ -873,7 +909,7 @@ def test_distances_just_under_the_norm_bound_stay_finite():
 def test_index_arrays_are_read_only():
     idx = build_index(LINE, 2)
     assert idx.order.shape == (LINE.n,) and idx.gap.shape == (LINE.n - 1,)
-    for arr in (idx.core, idx.density, idx.order, idx.gap):
+    for arr in (idx.core, idx.density, idx.order, idx.gap, idx.near, idx.near_dist):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

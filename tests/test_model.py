@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, metricspace,
-                      select_reliable)
-from oracles import classify, cross_distances, knn_predict_by_loop
+from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, build_index, metricspace,
+                      model, select_reliable)
+from ssdbcodi.model import neighbours
+from oracles import as_dataset, classify, cross_distances, knn_predict_by_loop
 
 
 def make_assignment(assign):
@@ -146,10 +147,11 @@ def test_classifier_distance_tie_prefers_earlier_training_row():
 
 
 def test_classifier_rejects_bad_queries():
-    # squared norms that overflow would leave NaN distances to select from
+    # squared norms that overflow would leave NaN distances to select from;
+    # a NaN point is refused by its Dataset before any index is built
     ts = TrainingSet(indices=[0], classes=[0], weights=[1.0])
-    for bad in ([1e200, 0.0], [np.nan, 0.0]):
-        with pytest.raises(ValueError, match="squared norm"):
+    for bad, message in (([1e200, 0.0], "squared norm"), ([np.nan, 0.0], "finite")):
+        with pytest.raises(ValueError, match=message):
             classify(ts, np.array([[0.0, 0.0], bad]), 1)
 
 
@@ -278,18 +280,79 @@ def test_predict_points_in_row_blocks_matches_one_block(monkeypatch):
 
 
 def test_predict_points_holds_one_distance_matrix(monkeypatch):
-    # the distances on the traced heap, and no row x training index array
+    # the rows the list ranks need no distance array; rows it cannot rank
+    # (every row at k_c = NEAR_K + 1) hold the n x m product on the traced
+    # heap, and no row x training index array
     monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     rng = np.random.default_rng(61)
-    points = rng.normal(size=(700, 3))
-    ts = TrainingSet(indices=rng.permutation(700)[:300],
-                     classes=rng.integers(-1, 3, size=300),
-                     weights=rng.uniform(0.0, 1.0, size=300))
-    tracemalloc.start()
-    try:
-        classify(ts, points, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 8 * 700 * 300 <= peak < 1.25 * 8 * 700 * 300
+    idx = build_index(as_dataset(rng.normal(size=(700, 3))), 3)
+    ts = TrainingSet(indices=rng.permutation(700)[:600],
+                     classes=rng.integers(-1, 3, size=600),
+                     weights=rng.uniform(0.0, 1.0, size=600))
+    peaks = {}
+    for k_c in (5, metricspace.NEAR_K + 1):
+        tracemalloc.start()
+        try:
+            neighbours(ts, idx, k_c)
+            peaks[k_c] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5] < 8 * 700 * 600 / 4
+    assert 8 * 700 * 600 <= peaks[metricspace.NEAR_K + 1] < 1.25 * 8 * 700 * 600
+
+
+def listed_case(rng, case):
+    """(points, training set, k_c, rows) for the list-versus-search fuzz:
+    blobs, points on a sphere around its centres, 0.1-step and integer
+    grids, each with duplicated rows every third case; training sets that drop
+    whole clusters; k_c from 1 to NEAR_K + 1; rows given or not."""
+    n, dim = int(rng.integers(40, 130)), int(rng.integers(1, 5))
+    groups = rng.integers(int(rng.integers(1, 5)), size=n)
+    kind = case % 4
+    if kind == 0:  # blobs
+        points = 6.0 * rng.normal(size=(groups.max() + 1, dim))[groups] + rng.normal(size=(n, dim))
+    elif kind == 1:  # a sphere of radius 0.3 around each centre: near-ties from the centres
+        ray = rng.normal(size=(n, dim))
+        ray *= 0.3 / np.linalg.norm(ray, axis=1, keepdims=True)
+        centres = 5.0 * rng.normal(size=(groups.max() + 1, dim))
+        points = centres[groups] + ray
+        points[:groups.max() + 1] = centres
+        groups[:groups.max() + 1] = np.arange(groups.max() + 1)
+    else:  # grids of integers or of tenths
+        points = (rng.integers(0, 4, size=(n, dim)) + 5 * groups[:, None]).astype(float)
+        points /= 10.0 if kind == 3 else 1.0
+    if case % 3 == 0:
+        points[rng.integers(n, size=n // 4)] = points[rng.integers(n, size=n // 4)]
+    n_groups = groups.max() + 1
+    kept = np.isin(groups, rng.permutation(n_groups)[:int(rng.integers(1, n_groups + 1))])
+    pool = np.flatnonzero(kept if rng.random() < 0.5 else np.ones(n, dtype=bool))
+    picked = rng.permutation(pool)[:int(rng.integers(1, pool.size + 1))]
+    ts = TrainingSet(indices=picked, classes=np.zeros(picked.size, dtype=int),
+                     weights=np.ones(picked.size))
+    k_c = int(min(rng.choice([1, 2, 3, 5, 8, metricspace.NEAR_K, metricspace.NEAR_K + 1]),
+                  picked.size))
+    rows = None if rng.random() < 0.5 else rng.integers(n, size=int(rng.integers(1, 2 * n)))
+    return points, ts, k_c, rows
+
+
+def test_listed_neighbours_match_the_search_bytes(monkeypatch):
+    # every row's neighbours, read off the index's list or searched, equal
+    # the all-rows search's; some rows are read off the list, some fall back
+    searched, real = [], model.cross_nearest
+    monkeypatch.setattr(model, "cross_nearest",
+                        lambda a, b, k, rows: searched.append(len(rows)) or real(a, b, k, rows))
+    rng = np.random.default_rng(89)
+    listed, fell_back, at_k = np.zeros(4, dtype=int), np.zeros(4, dtype=int), 0
+    for case in range(240):
+        points, ts, k_c, rows = listed_case(rng, case)
+        idx = build_index(as_dataset(points), int(rng.integers(1, 6)))
+        want = real(idx.points, idx.points[ts.indices], k_c, rows)
+        searched.clear()
+        got = neighbours(ts, idx, k_c, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+        listed[case % 4] += want.shape[0] - sum(searched)
+        fell_back[case % 4] += sum(searched)
+        at_k += k_c >= metricspace.NEAR_K
+    # every kind of case has rows of both sorts
+    assert (listed > 100).all() and (fell_back > 100).all() and at_k >= 20, (listed, fell_back)

@@ -8,7 +8,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, blend_grid, build_index, default_k, finish, metricspace,
-                      model, pipeline, prepare, run, sample_labels, tune)
+                      pipeline, prepare, run, sample_labels, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition, grid_size
 from oracles import fold_objective, moons_with_outliers, tune_by_cells
 
@@ -292,15 +292,15 @@ def test_finish_refuses_indices_it_would_cast():
 
 
 def counted_searches(monkeypatch) -> list:
-    """Replace the classifier's neighbour search with one that records its calls."""
+    """Replace finish's neighbour search with one that records its calls."""
     calls = []
-    real = model.cross_nearest
+    real = pipeline.neighbours
 
-    def counting(a, b, k, rows=None):
-        calls.append(b.shape[0])
-        return real(a, b, k, rows)
+    def counting(ts, index, k_c, rows=None):
+        calls.append(len(ts))
+        return real(ts, index, k_c, rows)
 
-    monkeypatch.setattr(model, "cross_nearest", counting)
+    monkeypatch.setattr(pipeline, "neighbours", counting)
     return calls
 
 
