@@ -7,14 +7,11 @@ cross_nearest, which searches the classifier's rows that the index's
 neighbour list cannot rank, or in a baseline), turned into distances in place
 in row blocks. What a caller needs (nearest neighbours, core distances,
 neighbourhoods) is read off each block while it is still in cache; no
-distance array leaves this module.
-Large workspaces live in the process's one map, which one block holds at a
-time under a lock, so a process keeps one workspace of its largest size
-however many threads use this module. The row passes over a large workspace
-run on the caller and one pool thread per other core, so on POSIX only the
-map's holder spreads, and the caller waits for every pool thread before it
-returns; each pass is elementwise or per row, so which thread takes a block
-changes no bit.
+distance array leaves this module. The row passes over a large workspace
+run on the caller and one pool thread per other core, and the caller waits
+for every pool thread before it returns; callers on several threads share
+that pool. Each pass is elementwise or per row, so which thread takes a
+block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -24,10 +21,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 import math
-import mmap
 import os
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,23 +58,15 @@ class NeighborhoodIndex:
 
 
 # Each n x n pass holds one large array, its workspace, and works in row
-# blocks of BLOCK_BYTES. Workspaces from MAPPED_BYTES on (numpy's huge-page
-# size) share one anonymous map, held by one with block at a time: in the C
-# heap each would leave a hole that smaller allocations split before the next
-# workspace arrives, so a long-running process's resident peak would drift
-# with its allocation history, and threads holding one each at once would
-# multiply it. Their row passes spread over _WORKERS threads, in blocks of
-# BLOCK_BYTES // _WORKERS, so the block temporaries in flight still total one
-# BLOCK_BYTES, and all end before the pass returns; smaller workspaces'
-# passes stay on their thread. `_map` holds the map (`buf`, None before the
-# first mapped block and after one raised) and the `lock` its holder takes.
-# No workspace may exceed the physical memory, read once: with one map per
-# process, that is its peak.
-BLOCK_BYTES, MAPPED_BYTES = 1 << 20, 4 << 20
+# blocks of BLOCK_BYTES. The row passes over a workspace of SPREAD_BYTES or
+# more spread over _WORKERS threads, in blocks of BLOCK_BYTES // _WORKERS, so
+# the block temporaries in flight still total one BLOCK_BYTES, and all end
+# before the pass returns; smaller workspaces' passes stay on their thread.
+# No workspace may exceed the physical memory, read once.
+BLOCK_BYTES, SPREAD_BYTES = 1 << 20, 4 << 20
 # The length of each point's neighbour list on the index: enough for the
 # classifier's k_c (5 by default) once the training set drops some points.
 NEAR_K = 32
-_map = SimpleNamespace(lock=threading.Lock(), buf=None)
 _MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                  if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
                  else math.inf)
@@ -90,10 +77,10 @@ _helpers = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="ssdbcodi
 def _spread(out: np.ndarray, n_rows: int, fn) -> None:
     """fn(rows) for every slice of n_rows rows whose blocks of out's columns
     fit BLOCK_BYTES // workers, taken off one iterator by this thread and up
-    to workers - 1 pool threads: _WORKERS when out is MAPPED_BYTES or more,
+    to workers - 1 pool threads: _WORKERS when out is SPREAD_BYTES or more,
     else 1. Once its own share is done, this thread waits for every pool
     task, then raises the first error: its own, else the tasks' in order."""
-    workers = _WORKERS if out.nbytes >= MAPPED_BYTES else 1
+    workers = _WORKERS if out.nbytes >= SPREAD_BYTES else 1
     step = max(1, BLOCK_BYTES // (8 * max(out.shape[1] * workers, 1)))
     blocks = [slice(a, a + step) for a in range(0, n_rows, step)]
     it, lock = iter(blocks), threading.Lock()
@@ -117,30 +104,14 @@ def _spread(out: np.ndarray, n_rows: int, fn) -> None:
 
 @contextmanager
 def _workspace(shape: tuple):
-    """An uninitialised float64 array of `shape` for one with block: on the
-    heap below MAPPED_BYTES, else in the process's one map, once this block
-    holds its lock, so a thread must not open a mapped workspace inside
-    another. The map grows (the old one unmapped first) when a block needs
-    more, and is not reused after a block raises, since the traceback may
-    still hold views of it. A MemoryError names a workspace larger than the
-    physical memory before anything is allocated."""
+    """An uninitialised float64 array of `shape` on the heap for one with
+    block. A MemoryError names a workspace larger than the physical memory
+    before anything is allocated."""
     nbytes = 8 * math.prod(shape)
     if nbytes > _MEMORY_BYTES:
         raise MemoryError(f"a {' x '.join(map(str, shape))} distance workspace needs {nbytes} "
                           f"bytes, more than the {_MEMORY_BYTES} bytes of physical memory")
-    if nbytes < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
-        yield np.empty(shape)
-        return
-    with _map.lock:
-        try:
-            if _map.buf is None or len(_map.buf) < nbytes:
-                _map.buf = None  # unmapped, once no view holds it, before mapping anew
-                _map.buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-                _map.buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-            yield np.ndarray(shape, buffer=_map.buf)
-        except BaseException:
-            _map.buf = None
-            raise
+    yield np.empty(shape)
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:

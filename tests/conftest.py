@@ -10,7 +10,7 @@ from ssdbcodi import metricspace
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """force(count): spread the row passes over workspaces of MAPPED_BYTES
+    """force(count): spread the row passes over workspaces of SPREAD_BYTES
     or more over the caller and count pool threads of a pool of their own.
     Returns the set of threads that ran a row block."""
     pools, ran = [], set()

@@ -298,7 +298,6 @@ def test_lof_refuses_non_finite_distances():
 
 def test_lof_holds_one_distance_copy(monkeypatch):
     # the n x n workspace on the traced heap, and no copy of it beside it
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     ds = as_dataset(np.random.default_rng(73).normal(size=(300, 3)))
     tracemalloc.start()
@@ -392,9 +391,9 @@ def test_fallback_reads_the_whole_pairwise_matrix_once(monkeypatch):
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_baselines_match_their_matrix_routes_bytes(monkeypatch, helpers, count):
     # 0-3 grids (ties and duplicates), the same grids far from the origin, and
-    # normals; blocks of one row, of three rows and of 1 MiB; every workspace
-    # mapped, or none; the row passes over 0, 1 and 3 helper threads. DBSCAN,
-    # LOF and the fallback must give the bytes of their whole-matrix routes.
+    # normals; blocks of one row, of three rows and of 1 MiB; every row pass
+    # spread, or none, over 0, 1 and 3 helper threads. DBSCAN, LOF and the
+    # fallback must give the bytes of their whole-matrix routes.
     ran = helpers(count)
     rng = np.random.default_rng(103)
     for case in range(60):
@@ -404,7 +403,7 @@ def test_baselines_match_their_matrix_routes_bytes(monkeypatch, helpers, count):
         pts = [grid, grid + rng.normal(size=dim) * 100.0, rng.normal(size=(n, dim))][case % 3]
         dist = pairwise_distances(pts)
         monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 8 * n * 3, 1 << 20][case // 3 % 3])
-        monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
+        monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
         ds = as_dataset(pts)
         epsilon, min_pts = float(rng.choice([0.5, 1.0, 1.5, 2.0])), int(rng.integers(1, 6))
         assert (dbscan(ds, epsilon, min_pts).tobytes()

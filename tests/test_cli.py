@@ -434,8 +434,8 @@ def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypa
 
 
 def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, capsys):
-    # every workspace mapped, where a thread opening one inside another would
-    # queue behind itself; the wrapper fails on such nesting instead
+    # a thread opening a workspace inside another would hold both at once and
+    # double its peak; the wrapper fails on such nesting
     held, opened, nested = threading.local(), [], []
     real = metricspace._workspace
 
@@ -454,7 +454,6 @@ def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, 
 
     monkeypatch.setattr(metricspace, "_workspace", unnested)
     monkeypatch.setattr(baselines, "_workspace", unnested)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
     tune_flags = ["--tune", "--grid-step", "0.5", "--folds", "2"]
     for argv in (["run", "--label-fraction", "0.5"],
                  ["run", "--label-fraction", "0.5", "--stratified-labels"] + tune_flags,

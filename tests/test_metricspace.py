@@ -1,14 +1,12 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
+from contextlib import contextmanager
 from dataclasses import replace
-import mmap
 import os
 import sys
 import threading
 import time
 import tracemalloc
-from types import SimpleNamespace
-import weakref
 
 import numpy as np
 import pytest
@@ -168,10 +166,10 @@ def test_density_matches_matrix_oracle_bytes():
 
 @pytest.mark.parametrize("block_bytes", [8, 1 << 9, 1 << 20])
 def test_row_blocks_and_maps_keep_the_whole_matrix_bytes(monkeypatch, block_bytes):
-    # blocks of one row, of a few rows, and a single block; every workspace
-    # mapped
+    # blocks of one row, of a few rows, and a single block; every row pass
+    # spread
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
     rng = np.random.default_rng(23)
     for case in range(60):
         if case % 2:
@@ -220,17 +218,16 @@ LAYOUTS = {"C": lambda p: p, "F": np.asfortranarray,
            "strided": lambda p: np.repeat(p, 2, axis=1)[:, ::2], "misaligned": misaligned}
 
 
-@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("rows_per_block", [0, 3, None])
-def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, mapped):
+def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, spread):
     # pairwise_distances takes no max with the transpose: its symmetry rests
     # on P @ P.T being one syrk mirrored and on the passes adding the norms
     # in either order. Blocks under one row, of three rows and of 1 MiB; every
-    # workspace mapped, or none. Some sets reach 170+ points, where numpy 2's
+    # row pass spread, or none. Some sets reach 170+ points, where numpy 2's
     # GEMM on strided or misaligned operands, copied apart, mirrors unequal
     # bits; those layouts reach _pairwise as Dataset copies them, whole.
-    state = fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
     rng = np.random.default_rng(31)
     for case in range(45):
         n = int(rng.integers(170, 220)) if case % 9 == 2 else int(rng.integers(1, 70))
@@ -248,19 +245,18 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
                 assert gram.tobytes() == gram.T.tobytes(), (case, layout)
             d = dists[layout] = pairwise_distances(p)
             assert d.tobytes() == d.T.tobytes(), (case, layout)
-            assert (state.buf is not None) == mapped and not d.diagonal().any()
+            assert not d.diagonal().any(), (case, layout)
         assert dists["strided"].tobytes() == dists["misaligned"].tobytes() == dists["C"].tobytes()
 
 
-@pytest.mark.parametrize("mapped", [False, True])
-def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, mapped):
+@pytest.mark.parametrize("spread", [False, True])
+def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, spread):
     # _pairwise takes its points as BLAS takes them whole, one aligned C- or
     # F-contiguous float64 operand: Dataset's copy makes them so from any
     # layout or a list, and each caller's matrix is then exactly symmetric.
     # 200 points, past the 170 where a strided or misaligned operand's GEMM
     # mirrors unequal bits on numpy 2
-    fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
     real, seen = metricspace._pairwise, []
 
     def whole(points, out, each):
@@ -288,208 +284,67 @@ def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, mapped):
                 assert d.tobytes() == d.T.tobytes() and not d.diagonal().any(), (k, layout)
 
 
-def fresh_maps(monkeypatch) -> SimpleNamespace:
-    """No map yet and its lock free, with workspaces of 20 x 20 and more
-    mapped; returns the map's state."""
-    monkeypatch.setattr(metricspace, "_map", SimpleNamespace(lock=threading.Lock(), buf=None))
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 20 * 20)
-    return metricspace._map
+def opened_workspaces(monkeypatch) -> list:
+    """Every workspace opened from now on, by metricspace or the baselines."""
+    opened, real = [], metricspace._workspace
+
+    @contextmanager
+    def recording(shape):
+        with real(shape) as w:
+            opened.append(w)
+            yield w
+
+    monkeypatch.setattr(metricspace, "_workspace", recording)
+    monkeypatch.setattr(baselines, "_workspace", recording)
+    return opened
 
 
-def counted_maps(monkeypatch) -> list:
-    """The byte size of every map made from now on."""
-    made, real = [], mmap.mmap
-    monkeypatch.setattr(mmap, "mmap", lambda *a, **kw: made.append(a[1]) or real(*a, **kw))
-    return made
-
-
-def test_large_workspaces_live_in_the_one_map(monkeypatch):
-    state = fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * 50 * 50)
-    with _workspace((49, 50)) as small:
-        assert small.base is None and small.flags.owndata and small.shape == (49, 50)
-        assert state.buf is None and not state.lock.locked()
-    with _workspace((50, 50)) as big:
-        assert isinstance(big.base, mmap.mmap) and big.base is state.buf
-        assert len(big.base) == big.nbytes and big.shape == (50, 50) and state.lock.locked()
-        assert big.dtype == small.dtype == np.float64
-    assert state.buf is big.base and not state.lock.locked()
-
-
-def test_a_dead_output_map_serves_the_next_output_that_fits(monkeypatch):
-    # one map, kept when its block ends, serves every workspace that fits; a
-    # larger one unmaps it before mapping anew, so the two never coexist
-    state = fresh_maps(monkeypatch)
-    made, maps, real = [], [], mmap.mmap
-
-    def mapping(*args, **kwargs):
-        made.append((args[1], [old() for old in maps]))  # the earlier maps still alive
-        buf = real(*args, **kwargs)
-        maps.append(weakref.ref(buf))
-        return buf
-
-    monkeypatch.setattr(mmap, "mmap", mapping)
-    with _workspace((60, 60)) as w:
-        assert len(w.base) == 8 * 60 * 60
-    for shape in [(60, 60), (60, 40), (1, 3600)]:
-        with _workspace(shape) as w:
-            assert w.base is state.buf and w.shape == shape
-    assert made == [(8 * 60 * 60, [])]
-    del w
-    with _workspace((80, 80)) as w:
-        assert len(w.base) == 8 * 80 * 80
-    assert made[1] == (8 * 80 * 80, [None]) and maps[0]() is None
-    with _workspace((50, 50)) as w:
-        assert w.base is state.buf and len(w.base) == 8 * 80 * 80
-
-
-def test_idle_maps_never_total_more_than_the_peak_held(monkeypatch):
-    # one block holds the map at a time, so the idle map is the largest
-    # workspace held so far. The first map is kept whatever its size: 35 MB,
-    # mapped but never touched, so it costs no resident page
-    state = fresh_maps(monkeypatch)
-    with _workspace((2100, 2100)) as w:
-        first = w.base
-    assert state.buf is first
-    with _workspace((2100, 2101)) as w:
-        assert w.base is not first and len(w.base) == 8 * 2100 * 2101
-    # after blocks of random sizes the map is the largest so far
-    rng = np.random.default_rng(53)
-    state, largest = fresh_maps(monkeypatch), 0
-    for _ in range(40):
-        shape = (int(rng.integers(20, 90)), int(rng.integers(20, 90)))
-        with _workspace(shape) as w:
-            w.fill(1.0)
-        largest = max(largest, 8 * shape[0] * shape[1])
-        assert len(state.buf) == largest and not state.lock.locked()
-
-
-def test_threads_take_turns_on_the_one_map(monkeypatch):
-    # more threads than cores and a short switch interval; each opens mapped
-    # workspaces of random sizes, fills them with distances (spread over the
-    # cores) and checks their bytes, and one block in ten raises. One lock
-    # makes each entry or exit and the test's record of live blocks one step,
-    # so a second live block would show
-    state = fresh_maps(monkeypatch)
-    count = metricspace._WORKERS + 3
-    rng = np.random.default_rng(47)
-    sets = [[(rng.normal(size=(int(rng.integers(20, 60)), 2)),
-              rng.normal(size=(int(rng.integers(20, 60)), 2))) for _ in range(3)]
-            for _ in range(count)]
-    wants = [[distances_by_expression(a, b).tobytes() for a, b in mine] for mine in sets]
-    acct, live, failed, wrong, done = threading.Lock(), [], [], [], []
-
-    def work(i):
-        rng = np.random.default_rng(100 + i)
-        for r in range(60):
-            j = int(rng.integers(3))
-            a, b = sets[i][j]
-            fails = rng.random() < 0.1
-            cm = _workspace((a.shape[0], b.shape[0]))
-            try:
-                with cm as w:
-                    with acct:
-                        if live or any(w.base is f for f in failed):
-                            wrong.append((i, r, "shared" if live else "reused"))
-                        live.append(w)
-                    metricspace._distances(a, b, w, None, lambda rows, blk: None)
-                    time.sleep(0)
-                    if w.tobytes() != wants[i][j]:
-                        wrong.append((i, r, "bytes"))
-                    with acct:
-                        live.remove(w)
-                        if fails:
-                            failed.append(w.base)
-                    if fails:
-                        raise KeyError(r)
-            except KeyError:
-                pass
-        done.append(i)
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and sorted(done) == list(range(count))
-    assert not wrong and not live and failed and not state.lock.locked()
-    assert all(state.buf is not f for f in failed)
-
-
-def test_a_workspace_above_physical_memory_is_refused_before_mapping(monkeypatch):
-    state = fresh_maps(monkeypatch)
-    made = counted_maps(monkeypatch)
+def test_a_workspace_above_physical_memory_is_refused_before_allocating(monkeypatch):
+    # the refused call's traced peak stays below the workspace it names; the
+    # accepted one's reaches it, so the trace sees workspaces
     if hasattr(os, "sysconf") and "SC_PHYS_PAGES" in os.sysconf_names:
         assert metricspace._MEMORY_BYTES == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 30 * 30 - 1)
-    for mapped_bytes in (1, 1 << 62):  # mapped or on the heap
-        monkeypatch.setattr(metricspace, "MAPPED_BYTES", mapped_bytes)
-        with pytest.raises(MemoryError, match=r"a 30 x 30 distance workspace needs 7200 bytes, "
-                                              r"more than the 7199 bytes of physical memory"):
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
             with _workspace((30, 30)):
                 pytest.fail("the block ran")
-        assert not made and state.buf is None and not state.lock.locked()
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
-    with _workspace((30, 29)) as w:
-        assert w.base is state.buf and made == [8 * 30 * 29]
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with _workspace((30, 29)) as w:
+            accepted_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("a 30 x 30 distance workspace needs 7200 bytes, "
+                                  "more than the 7199 bytes of physical memory")
+    assert refused_peak < 8 * 30 * 30 and accepted_peak >= 8 * 30 * 29
+    assert w.shape == (30, 29) and w.dtype == np.float64
 
 
-def test_a_failing_block_keeps_its_map_out_and_the_next_call_works(monkeypatch):
-    # a view of the workspace may live on in the traceback, so its map is
-    # not reused; the next workspace maps anew and gives the same bytes
-    state = fresh_maps(monkeypatch)
-    rng = np.random.default_rng(59)
-    a, b = rng.integers(0, 3, size=(60, 2)).astype(float), rng.normal(size=(45, 2))
-    want = nearest_by_matrix(a, b, 4)
-    real, seen = metricspace._nearest_block, []
-
-    def failing(blk, out, dist=None):
-        seen.append(blk.base.base)  # the block, a view of the workspace, in its map
-        raise RuntimeError("block")
-
-    monkeypatch.setattr(metricspace, "_nearest_block", failing)
-    with pytest.raises(RuntimeError, match="block"):
-        cross_nearest(a, b, 4)
-    assert isinstance(seen[0], mmap.mmap) and state.buf is None and not state.lock.locked()
-    with pytest.raises(KeyError):
-        with _workspace((60, 45)) as w:
-            failed = w.base
-            raise KeyError
-    assert failed is not seen[0] and state.buf is None and not state.lock.locked()
-    monkeypatch.setattr(metricspace, "_nearest_block", real)
-    assert cross_nearest(a, b, 4).tobytes() == want.tobytes()
-    assert state.buf is not None and state.buf is not seen[0] and state.buf is not failed
-
-
-def test_no_returned_array_shares_memory_with_an_idle_map(monkeypatch):
-    # every workspace mapped, all in one map; what the library hands back
-    # lives outside it
-    state = fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
-    made = counted_maps(monkeypatch)
+def test_no_returned_array_shares_memory_with_a_workspace(monkeypatch):
+    # every workspace the calls open is recorded; what the library hands back
+    # lies outside each, since a view would keep its whole array alive
+    opened = opened_workspaces(monkeypatch)
     rng = np.random.default_rng(61)
     pts = rng.integers(0, 4, size=(90, 2)).astype(float)
     ds = as_dataset(pts)
     idx = build_index(ds, 3)
     labels = LabelSet(normal={0: 0, 1: 1, 2: 0}, outliers=frozenset({3}))
-    outputs = [idx.core, idx.density, idx.order, idx.gap,
+    outputs = [idx.core, idx.density, idx.order, idx.gap, idx.near, idx.near_dist,
                cross_nearest(pts, pts[::3], 4), cross_nearest(pts, pts[::2], 3, [5, 1, 5]),
                lof(ds, 5), dbscan(ds, 1.0, 3), ssdbscan_with_fallback(idx, labels)]
-    assert made == [8 * 90 * 90]
-    region = np.frombuffer(state.buf, dtype=np.uint8)
+    assert [w.shape for w in opened] == [(90, 90), (90, 30), (90, 45), (90, 90), (90, 90),
+                                         (90, 90)]
     for i, arr in enumerate(outputs):
-        assert not np.shares_memory(arr, region), i
+        for w in opened:
+            assert not np.shares_memory(arr, w), (i, w.shape)
 
 
-def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
-    # every workspace mapped: the build makes the one map, which a run's
-    # classifier and each of a sweep's trials reuse for any row the neighbour
-    # list cannot rank; the reports keep the all-heap path's bytes
+def test_run_and_benchmark_each_open_one_workspace(monkeypatch, tmp_path):
+    # a run and a 6-trial sweep each open one workspace, the build's 150 x
+    # 150: the classifier reads every row off the index's neighbour list, so
+    # no later pass could reuse a kept distance array
     rng = np.random.default_rng(67)
     c = rng.integers(3, size=150)
     x = rng.normal(size=(150, 3)) + 6.0 * c[:, None]
@@ -498,27 +353,13 @@ def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
     path = tmp_path / "blobs.csv"
     path.write_text("x,y,z,label\n" + "".join(f"{a!r},{b!r},{z!r},{y}\n"
                                               for (a, b, z), y in zip(x.tolist(), lab)))
-    argvs = {"run": ["run", "--label-fraction", "0.1"],
-             "benchmark": ["benchmark", "--fractions", "10", "--trials", "6"]}
-    made = counted_maps(monkeypatch)
-
-    def reports(mapped_bytes):
-        out = {}
-        for name, argv in argvs.items():
-            fresh_maps(monkeypatch)
-            monkeypatch.setattr(metricspace, "MAPPED_BYTES", mapped_bytes)
-            made.clear()
-            report = tmp_path / f"{name}-{mapped_bytes}.out"
-            assert cli.main(argv + ["--input", str(path), "--no-timing",
-                                    "--output", str(report)]) == 0
-            out[name] = (report.read_bytes(), list(made))
-        return out
-
-    mapped, heap = reports(8 * 20 * 20), reports(1 << 62)
-    assert mapped["run"][1] == mapped["benchmark"][1] == [8 * 150 * 150]
-    assert heap["run"][1] == heap["benchmark"][1] == []
-    for name in argvs:
-        assert mapped[name][0] == heap[name][0], name
+    opened = opened_workspaces(monkeypatch)
+    for argv in (["run", "--label-fraction", "0.1"],
+                 ["benchmark", "--fractions", "10", "--trials", "6"]):
+        opened.clear()
+        assert cli.main(argv + ["--input", str(path), "--no-timing",
+                                "--output", str(tmp_path / "report.out")]) == 0
+        assert [w.shape for w in opened] == [(150, 150)], argv
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -526,10 +367,10 @@ def test_one_map_serves_the_build_and_the_classifier(monkeypatch, tmp_path):
                                   "dbscan", "fallback"])
 def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, helpers, call,
                                                                 below):
-    # one threshold maps a workspace and spreads its row passes: with
-    # MAPPED_BYTES at the workspace's size, one-row blocks run on the caller
-    # and the helper; one byte above it, on the caller alone. A 0-3 grid ties
-    # many distances, and the bytes are the serial routes' either way
+    # one threshold spreads a workspace's row passes: with SPREAD_BYTES at
+    # the workspace's size, one-row blocks run on the caller and the helper;
+    # one byte above it, on the caller alone. A 0-3 grid ties many distances,
+    # and the bytes are the serial routes' either way
     ran = helpers(1)
     rng = np.random.default_rng(107)
     pts = rng.integers(0, 4, size=(48, 2)).astype(float)
@@ -549,8 +390,7 @@ def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, hel
         "fallback": ((48, 48), lambda: ssdbscan_with_fallback(idx, labels),
                      ssdbscan_with_fallback_by_matrix(dist, idx, labels)),
     }[call]
-    state = fresh_maps(monkeypatch)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 8 * shape[0] * shape[1] + below)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 8 * shape[0] * shape[1] + below)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
     inner = metricspace._spread  # blocks slow enough that the helper takes some
     monkeypatch.setattr(metricspace, "_spread", lambda out, n_rows, fn: inner(
@@ -562,13 +402,12 @@ def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, hel
     else:
         out, want = (out,), (want,)
     assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
-    assert ran and (len(ran) > 1) == (not below) and (state.buf is None) == below
+    assert ran and (len(ran) > 1) == (not below)
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
     # the output and the index's n x K neighbour list on the traced heap, and
     # no n x n temporary beside them
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     ds = as_dataset(np.random.default_rng(3).normal(size=(300, 4)))
     tracemalloc.start()
@@ -581,9 +420,8 @@ def test_index_build_holds_one_n_by_n_array(monkeypatch):
     assert 8 * 300 * 300 + listed <= peak < 1.2 * 8 * 300 * 300 + listed
 
 
-def test_index_keeps_no_n_by_n_array(monkeypatch):
+def test_index_keeps_no_n_by_n_array():
     # what the returned index still holds, not the build's peak
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     ds = as_dataset(np.random.default_rng(3).normal(size=(300, 4)))
     tracemalloc.start()
     try:
@@ -604,8 +442,8 @@ def assert_serial_bytes(idx, points, min_pts, case=None):
 def test_spread_build_matches_serial_passes_bytes(monkeypatch, helpers, count):
     # 0-3 grids, the same grids far from the origin, and normals, so ties are
     # common; n = 2 every tenth case (below the worker count), min_pts = n - 1
-    # every fourth; blocks of one row, of three rows and of 1 MiB; every
-    # output mapped, or none. The bytes must not depend on the helper count.
+    # every fourth; blocks of one row, of three rows and of 1 MiB; every row
+    # pass spread, or none. The bytes must not depend on the helper count.
     ran = helpers(count)
     rng = np.random.default_rng(83)
     for case in range(90):
@@ -615,23 +453,23 @@ def test_spread_build_matches_serial_passes_bytes(monkeypatch, helpers, count):
         pts = [grid, grid + rng.normal(size=dim) * 100.0, rng.normal(size=(n, dim))][case % 3]
         min_pts = n - 1 if case % 4 == 0 else int(rng.integers(1, n))
         monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 8 * n * 3, 1 << 20][case // 3 % 3])
-        monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
+        monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if rng.random() < 0.5 else 1 << 62)
         assert_serial_bytes(build_index(as_dataset(pts), min_pts), pts, min_pts, case)
         assert pairwise_distances(pts).tobytes() == pairwise_by_expression(pts).tobytes(), case
     assert len(ran) == 1 if count == 0 else len(ran) >= 2
 
 
-@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("count", [0, 1])
-def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpers, mapped,
+def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpers, spread,
                                                                count):
     # min_pts below, at and above NEAR_K, on normals, 0-3 grids (many ties at
-    # a list's end) and tenths; blocks of one row and of 1 MiB, serial and
-    # spread, mapped and on the heap. The list holds the K smallest distances
+    # a list's end) and tenths; blocks of one row and of 1 MiB, over no
+    # helper or one, spread or not. The list holds the K smallest distances
     # to other points, and their positions by (distance, position) wherever
     # the distance is not tied with the row's last one
     helpers(count)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
     rng = np.random.default_rng(97)
     k = metricspace.NEAR_K
     for case in range(30):
@@ -658,11 +496,11 @@ def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpe
 @pytest.mark.parametrize("where", ["any", "helper", "caller"])
 def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch, helpers,
                                                                      where):
-    # one-row blocks of a mapped build over three helpers; the block fails on
+    # one-row blocks of a spread build over three helpers; the block fails on
     # row 57 whichever thread takes it, or on the first row a helper (or the
     # caller) takes
     ran = helpers(3)
-    fresh_maps(monkeypatch)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
     main, real, failing = threading.get_ident(), metricspace._pairwise, [True]
 
@@ -695,7 +533,7 @@ def test_spread_returns_once_no_block_is_running(monkeypatch, helpers, count, ca
     # raises while a helper is mid-block. Either way, when _spread returns
     # no call is running and every block ran exactly once
     ran = helpers(count)
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
     main, n_rows, lock, started, ended = threading.get_ident(), 24, threading.Lock(), [], []
     caller_in, helper_in, caller_done = threading.Event(), threading.Event(), threading.Event()
@@ -735,26 +573,34 @@ def test_spread_returns_once_no_block_is_running(monkeypatch, helpers, count, ca
     assert (ran == {main}) == (case == "caller takes all") and main in ran
 
 
-def heap_only(monkeypatch) -> None:
-    """Every workspace on the heap and every row pass spread, as on a host
-    whose mmap has no MAP_PRIVATE."""
-    monkeypatch.delattr(mmap, "MAP_PRIVATE")
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1)
-
-
 def test_threads_building_distinct_datasets_at_once_get_serial_bytes(monkeypatch, helpers):
-    # no map to take turns on, so four callers spread at once over three
-    # helpers, with a short switch interval
+    # four callers spread at once over three shared helpers, with a short
+    # switch interval; one of them fails in the row block that holds row 100,
+    # whichever thread takes it, and the error reaches that caller alone
     ran = helpers(3)
-    heap_only(monkeypatch)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
     rng = np.random.default_rng(101)
     sets = [rng.integers(0, 5, size=(int(rng.integers(150, 300)), 2)).astype(float)
             for _ in range(4)]
-    barrier, got = threading.Barrier(4, timeout=30), [None] * 4
+    datasets = [as_dataset(pts) for pts in sets]
+    real, barrier, got = metricspace._pairwise, threading.Barrier(4, timeout=30), [None] * 4
+
+    def failing_one(points, out, each):
+        def each_or_fail(rows, blk):
+            if points is datasets[2].points and rows.start <= 100 < rows.stop:
+                raise RuntimeError(f"block {rows.start}")
+            each(rows, blk)
+        real(points, out, each_or_fail)
+
+    monkeypatch.setattr(metricspace, "_pairwise", failing_one)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8 * 300 * 8)  # blocks of a few rows
 
     def build(i):
         barrier.wait()
-        got[i] = build_index(as_dataset(sets[i]), 5)
+        try:
+            got[i] = build_index(datasets[i], 5)
+        except RuntimeError as e:
+            got[i] = e
 
     threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -767,8 +613,10 @@ def test_threads_building_distinct_datasets_at_once_get_serial_bytes(monkeypatch
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(ran) >= 5
-    for i, idx in enumerate(got):
-        assert_serial_bytes(idx, sets[i], 5, i)
+    assert isinstance(got[2], RuntimeError) and str(got[2]).startswith("block ")
+    assert 5 not in datasets[2]._indexes
+    for i in (0, 1, 3):
+        assert_serial_bytes(got[i], sets[i], 5, i)
 
 
 def traced_peak(fn) -> int:
@@ -788,7 +636,6 @@ def test_spread_build_peak_is_the_serial_peak_plus_one_block(monkeypatch, helper
     # n x n output on the traced heap; the block temporaries in flight over
     # every thread total one BLOCK_BYTES
     ran = helpers(count)
-    heap_only(monkeypatch)
     pts = np.random.default_rng(3).normal(size=(1000, 4))
     serial = traced_peak(lambda: index_by_serial_passes(pts, 4))
     spread = traced_peak(lambda: build_index(as_dataset(pts), 4))
@@ -797,8 +644,9 @@ def test_spread_build_peak_is_the_serial_peak_plus_one_block(monkeypatch, helper
 
 def test_search_of_some_rows_gathers_one_block_at_a_time(monkeypatch):
     # all 1500 rows, shuffled, against 1400 training rows: one gathered block
-    # beside the whole product, not a second 1500 x 1400 matrix
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
+    # beside the whole product, not a second 1500 x 1400 matrix. The passes
+    # stay on the caller, so the peak does not depend on the threads' timing
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 << 62)
     rng = np.random.default_rng(7)
     a = rng.normal(size=(1500, 2))
     b, rows = a[rng.permutation(1500)[:1400]], rng.permutation(1500)
@@ -831,13 +679,13 @@ def test_nearest_matches_stable_sort(monkeypatch, rows_per_block):
     assert tied_rows >= 100
 
 
-@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
-def test_cross_nearest_matches_search_of_whole_matrix(monkeypatch, rows_per_block, mapped):
+def test_cross_nearest_matches_search_of_whole_matrix(monkeypatch, rows_per_block, spread):
     # 0-2 grids and training rows drawn with replacement tie many distances
     # across the k-cut; k == m every tenth case; rows unsorted and repeated,
-    # sometimes none; every output mapped, or none
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 if mapped else 1 << 62)
+    # sometimes none; every row pass spread, or none
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
     rng = np.random.default_rng(71)
     tied_rows = 0
     for case in range(200):

@@ -283,7 +283,6 @@ def test_predict_points_holds_one_distance_matrix(monkeypatch):
     # the rows the list ranks need no distance array; rows it cannot rank
     # (every row at k_c = NEAR_K + 1) hold the n x m product on the traced
     # heap, and no row x training index array
-    monkeypatch.setattr(metricspace, "MAPPED_BYTES", 1 << 62)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 14)
     rng = np.random.default_rng(61)
     idx = build_index(as_dataset(rng.normal(size=(700, 3))), 3)
