@@ -130,7 +130,9 @@ def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> 
     Every column except label_column is parsed as a real-valued feature.
     Rows whose label cell equals outlier_sentinel become OUTLIER; the
     remaining distinct labels are remapped to 0..K-1 in first-appearance
-    order.
+    order. numpy's parser reads the rows when _rows_by_numpy finds that it
+    reads them as csv and float() do; otherwise, and for every error, csv
+    and float() read them cell by cell.
     """
     path = Path(path)
     if not path.exists():
@@ -151,34 +153,39 @@ def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> 
         if not feature_cols:
             raise ValueError(f"{path}: no feature columns besides {label_column!r}")
 
-        rows = []
-        raw_labels = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue  # tolerate blank lines
-            if len(cells) != len(header):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}"
-                )
-            feats = []
-            for i, name in feature_cols:
-                try:
-                    value = float(cells[i])
-                except ValueError:
+        parsed = _rows_by_numpy(fh, len(header), label_pos)
+        if parsed is None:
+            fh.seek(0)
+            next(reader)  # the header again
+            rows = []
+            raw_labels = []
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue  # tolerate blank lines
+                if len(cells) != len(header):
                     raise ValueError(
-                        f"{path}: row {lineno}, column {name!r}: {cells[i]!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {name!r}: value must be finite"
+                        f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}"
                     )
-                feats.append(value)
-            rows.append(feats)
-            raw_labels.append(cells[label_pos])
+                feats = []
+                for i, name in feature_cols:
+                    try:
+                        value = float(cells[i])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {name!r}: {cells[i]!r} is not numeric"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {name!r}: value must be finite"
+                        )
+                    feats.append(value)
+                rows.append(feats)
+                raw_labels.append(cells[label_pos])
+            if not rows:
+                raise ValueError(f"{path}: no data rows")
+            parsed = np.array(rows, dtype=float), raw_labels
 
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
+    points, raw_labels = parsed
     mapping = {}
     truth = []
     for raw in raw_labels:
@@ -187,7 +194,37 @@ def load_csv(path, label_column: str = "label", outlier_sentinel: str = "o") -> 
         else:
             mapping.setdefault(raw, len(mapping))
             truth.append(mapping[raw])
-    return Dataset(points=np.array(rows, dtype=float), truth=np.array(truth, dtype=int), name=path.stem)
+    return Dataset(points=points, truth=np.array(truth, dtype=int), name=path.stem)
+
+
+def _rows_by_numpy(fh, width: int, label_pos: int):
+    """The features (by one np.loadtxt) and raw labels of fh's remaining
+    rows of `width` cells, or None where numpy might read them otherwise
+    than csv and float() do. Rows break where csv's do, at \r\n, \r or \n,
+    and blank lines are skipped. Declined: a quote (csv's quoting), a NUL
+    (which csv refuses on Python 3.10), \x1c to \x1f (whitespace to numpy
+    but not to float()), an undecodable byte, a line longer than csv's field
+    limit, a row of another width, no data row (loadtxt would warn), a
+    numpy error and a non-finite value.
+    """
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
+    if (not lines or any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(line.count(",") != width - 1 for line in lines)):
+        return None
+    try:
+        points = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            usecols=[i for i in range(width) if i != label_pos])
+    except ValueError:
+        return None
+    if not np.isfinite(points).all():
+        return None
+    # the label is the (width - label_pos)-th cell from a row's end
+    return points, [line.rsplit(",", width - label_pos)[label_pos - width] for line in lines]
 
 
 def sample_labels(ds: Dataset, fraction: float, seed: int, stratified: bool = False) -> LabelSet:

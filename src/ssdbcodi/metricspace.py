@@ -7,11 +7,13 @@ cross_nearest, which searches the classifier's rows that the index's
 neighbour list cannot rank, or in a baseline), turned into distances in place
 in row blocks. What a caller needs (nearest neighbours, core distances,
 neighbourhoods) is read off each block while it is still in cache; no
-distance array leaves this module. The row passes over a large workspace
-run on the caller and one pool thread per other core, and the caller waits
-for every pool thread before it returns; callers on several threads share
-that pool. Each pass is elementwise or per row, so which thread takes a
-block changes no bit.
+distance array leaves this module. Local densities come off the index's
+neighbour list wherever it holds a row's min_pts smallest reachabilities,
+and off a partitioned copy of the row elsewhere. The row passes over a
+large workspace run on the caller and one pool thread per other core, and
+the caller waits for every pool thread before it returns; callers on
+several threads share that pool. Each pass is elementwise or per row, so
+which thread takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -39,9 +41,9 @@ class NeighborhoodIndex:
     min(NEAR_K, n - 1) nearest other points, `near` (int32 positions) and
     `near_dist` (their distances), sorted by (distance, position) except
     that members tied with a row's last distance may be any of the points at
-    that distance; read-only. It keeps no distance matrix, only that n x K
-    list beside it: any other pass over its points' distances makes them
-    again, with the build's bits."""
+    that distance; and the points' squared_norms, `sq_norms`; read-only. It
+    keeps no distance matrix, only that n x K list beside it: any other pass
+    over its points' distances makes them again, with the build's bits."""
 
     points: np.ndarray
     core: np.ndarray
@@ -50,6 +52,7 @@ class NeighborhoodIndex:
     gap: np.ndarray
     near: np.ndarray
     near_dist: np.ndarray
+    sq_norms: np.ndarray
     min_pts: int
 
     @property
@@ -134,6 +137,13 @@ def _distances(a, b, out, rows, each) -> None:
     their order), seen only by `each`: a BLAS product of fewer rows need not
     have the same bits. The squared norms of b's rows and of the rows of a
     used must pass squared_norms, so that every distance is finite.
+
+    Each thread of the row passes holds its block's norm-sum temporary and,
+    with `rows`, its gathered copy of the block, each of BLOCK_BYTES //
+    workers. So beside a[rows] and their squared norms, a search of `rows`
+    peaks at most BLOCK_BYTES above the search of every row on one thread,
+    and 2 * BLOCK_BYTES // workers more for each of the workers - 1 others
+    when its passes spread.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     sb = squared_norms(b)
@@ -174,6 +184,13 @@ def _nearest_block(blk: np.ndarray, out: np.ndarray, dist=None) -> None:
         if dist is not None:
             dist[:, j] = blk[at, out[:, j]]
         blk[at, out[:, j]] = np.inf
+
+
+def _smallest_mean(blk: np.ndarray, m: int) -> np.ndarray:
+    """The mean of each row's m smallest entries of blk, summed in the order
+    in which partitioning blk in place at its m-th smallest leaves them."""
+    blk.partition(m - 1, axis=1)
+    return blk[:, :m].mean(axis=1)
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
@@ -236,16 +253,27 @@ def _spanning_tree(reach: np.ndarray) -> tuple:
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities, reachability plot and neighbour list
-    of the points, all read from one distance matrix in a workspace (the
-    list and core distances off each row block as it is made, the core
-    distances from the list's entry min_pts - 1 when it has one), which the
-    density pass turns into the reachability matrix in place for Prim, and
-    which ends on return. The distance, list and density passes run by
-    _spread, in row blocks whose bits do not depend on the thread that takes
-    them. Requires n >= 2 and an integer min_pts in [1, n - 1]. The index
-    depends only on ds's read-only points and min_pts, so it is kept on ds
-    and later calls return that same object (threads that miss at once
-    build equal ones).
+    of the points, all read from one distance matrix in a workspace that
+    ends on return: the list and core distances off each row block as it is
+    made (the core distances from the list's entry min_pts - 1 when it has
+    one); then a reach pass turns each row block into reachabilities in
+    place for Prim and takes its densities; then Prim. The distance, list
+    and reach passes run by _spread, in row blocks whose bits do not depend
+    on the thread that takes them. Requires n >= 2 and an integer min_pts in
+    [1, n - 1]. The index depends only on ds's read-only points and min_pts,
+    so it is kept on ds and later calls return that same object (threads
+    that miss at once build equal ones).
+
+    A density is the mean of a row's min_pts smallest reachabilities to
+    other points. For min_pts <= 3, a row's list decides it wherever v, the
+    min_pts-th smallest of its listed points' reachabilities max(near_dist,
+    core[near], core_p), is at most the list's last distance: an unlisted
+    point's reachability is at least its distance, so at least that last
+    distance. max is exact, so these are the matrix's values, and a mean of
+    at most three values adds (x0 + x1) + x2 with x2 the min_pts-th
+    smallest, so the order in which a partition leaves the others changes
+    no bit. Every other row, and every row at min_pts > 3, is a copy of its
+    whole reachability row, partitioned.
     """
     n = ds.n
     if n < 2:
@@ -274,22 +302,31 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         core[rows] = (near_dist[rows, min_pts - 1] if min_pts <= k
                       else np.partition(blk, min_pts, axis=1)[:, min_pts])
 
-    def take_density(rows):  # the mean of the row's min_pts smallest off-diagonal entries
+    def take_density(rows):
         blk = dist[rows]
         np.maximum(blk, core, out=blk)  # dist_pq becomes max(dist_pq, core_q, core_p) in place
         np.maximum(blk, core[rows, None], out=blk)
-        blk = blk.copy()
-        np.fill_diagonal(blk[:, rows], np.inf)
-        blk.partition(min_pts - 1, axis=1)
-        density[rows] = blk[:, :min_pts].mean(axis=1)
+        todo = np.arange(rows.start, rows.start + blk.shape[0])
+        if min_pts <= min(3, k):  # the rows whose list decides their density
+            cand = np.maximum(near_dist[rows], core[near[rows]])
+            np.maximum(cand, core[rows, None], out=cand)
+            mean = _smallest_mean(cand, min_pts)
+            listed = cand[:, min_pts - 1] <= near_dist[rows, -1]
+            density[todo[listed]] = mean[listed]
+            todo = todo[~listed]
+        full = dist[todo]  # a copy of the other rows' reachabilities
+        full[np.arange(todo.size), todo] = np.inf
+        density[todo] = _smallest_mean(full, min_pts)
 
     with _workspace((n, n)) as dist:
         _pairwise(ds.points, dist, take_near)
         _spread(dist, n, take_density)  # reads every core, so starts once all are in
         order, gap = _spanning_tree(dist)
-    for arr in (core, density, order, gap, near, near_dist):
+    sq_norms = squared_norms(ds.points)
+    for arr in (core, density, order, gap, near, near_dist, sq_norms):
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
-                              gap=gap, near=near, near_dist=near_dist, min_pts=int(min_pts))
+                              gap=gap, near=near, near_dist=near_dist, sq_norms=sq_norms,
+                              min_pts=int(min_pts))
     ds._indexes[index.min_pts] = index
     return index

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
-from .metricspace import NeighborhoodIndex, cross_nearest, squared_norms
+from .metricspace import NeighborhoodIndex, cross_nearest
 from .scoring import ScoreTable
 
 
@@ -126,7 +126,7 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
         first[own, 0], vals[own, 0] = at[searched[own]], 0.0
         first[r, rank[r, c]] = listed[r, c]
         vals[r, rank[r, c]] = index.near_dist[searched[r], c]
-        sq = squared_norms(index.points)
+        sq = index.sq_norms
         bound = (2 * index.points.shape[1] + 8) * np.finfo(float).eps * (sq[searched] + sq.max())
         ranked = ((first[:, k_c - 1] >= 0)
                   & (np.diff(np.square(vals), axis=1) > 4 * bound[:, None]).all(axis=1))

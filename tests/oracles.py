@@ -16,9 +16,11 @@ oracles of their own), a cells-outer tuning loop that searches neighbours
 afresh for every finish and classifies every point before reading the
 hidden ones, a fallback clusterer, DBSCAN and LOF handed a whole
 distance matrix (`ssdbscan_with_fallback_by_matrix`, `dbscan_by_matrix`,
-`lof_by_matrix`) instead of reading row blocks as they are made, and the
+`lof_by_matrix`) instead of reading row blocks as they are made, the
 index build's former passes on one thread (`index_by_serial_passes`)
-instead of row blocks spread over the cores.
+instead of row blocks spread over the cores, and the CSV reader's former
+csv and float() loop over every cell (`load_csv_by_cells`) instead of
+numpy's parser.
 
 The exceptions call the library to give its bits: `classify`, its
 `neighbours` and `vote` in one call, which the classifier tests drive, and
@@ -29,8 +31,10 @@ never keeps.
 """
 
 from collections import Counter
+import csv
 from dataclasses import dataclass, replace
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -846,3 +850,66 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         if best is None or mean_obj > best[2]:
             best = (alpha, beta, mean_obj)
     return TuneReport(grid=tuple(grid), best=(best[0], best[1]))
+
+
+# --- load_csv's former reader: csv and float() on every cell ---
+
+def load_csv_by_cells(path, label_column: str = "label", outlier_sentinel: str = "o") -> Dataset:
+    """load_csv as it read every file before numpy's parser: csv and float()
+    cell by cell, streaming the file, with every error message."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if len(set(header)) != len(header):
+            dupes = sorted({c for c in header if header.count(c) > 1})
+            raise ValueError(f"{path}: duplicate header columns {dupes}")
+        if label_column not in header:
+            raise ValueError(f"{path}: missing label column {label_column!r}")
+        label_pos = header.index(label_column)
+        feature_cols = [(i, name) for i, name in enumerate(header) if i != label_pos]
+        if not feature_cols:
+            raise ValueError(f"{path}: no feature columns besides {label_column!r}")
+
+        rows = []
+        raw_labels = []
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue  # tolerate blank lines
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}"
+                )
+            feats = []
+            for i, name in feature_cols:
+                try:
+                    value = float(cells[i])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {name!r}: {cells[i]!r} is not numeric"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {name!r}: value must be finite"
+                    )
+                feats.append(value)
+            rows.append(feats)
+            raw_labels.append(cells[label_pos])
+
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    mapping = {}
+    truth = []
+    for raw in raw_labels:
+        if raw == outlier_sentinel:
+            truth.append(OUTLIER)
+        else:
+            mapping.setdefault(raw, len(mapping))
+            truth.append(mapping[raw])
+    return Dataset(points=np.array(rows, dtype=float), truth=np.array(truth, dtype=int), name=path.stem)

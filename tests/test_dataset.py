@@ -1,9 +1,12 @@
 """CSV ingestion, label remapping, and seeded label sampling."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from ssdbcodi import Dataset, LabelSet, OUTLIER, load_csv, minmax_scale, sample_labels
+from ssdbcodi import Dataset, LabelSet, OUTLIER, dataset, load_csv, minmax_scale, sample_labels
+from oracles import load_csv_by_cells
 
 
 def write_csv(path, text):
@@ -211,3 +214,97 @@ def test_minmax_scale():
     assert scaled.points[:, 0].tolist() == [0.0, 1.0, 0.5]
     assert scaled.points[:, 1].tolist() == [0.0, 0.0, 0.0]
     assert scaled.truth.tolist() == ds.truth.tolist()
+
+
+NUMBER_FORMATS = (repr, "{:e}".format, "{:.25g}".format, "{:.40g}".format, "{:.3f}".format,
+                  lambda v: str(round(v)))
+# cells float() and numpy's parser might read differently: underscores and
+# non-ASCII digits (float() only), \x1c-\x1f (whitespace to numpy only), NUL,
+# non-finite and overflowing values, signs, and cells neither reads
+ODD_CELLS = ("1_0", "\u0661\u0662", "\uff13", "inf", "-nan", "Infinity", "1e400", "-0", "+.5",
+             "5.", "", " ", "x", "0x1", "1,5", "\x1c1", "1\x1f", "1\x00", "1\ufeff")
+# whitespace to both, some of it a line break to str.splitlines but not to csv
+SPACES = (" ", "\t", "\xa0", "\u2000", "\x0b", "\x0c", "\x85", "\u2028")
+LABELS = ("a", "b", "o", "o ", " a", "é", "", "a\x0bb", "a\x85b", "a\u2028b", "c;d")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+def random_csv(rng) -> bytes:
+    """A small CSV file: a header with `label` first, last or among the
+    features, then up to five rows whose cells, quoting, widths, blank lines,
+    line ends, byte-order mark and bytes are drawn to reach every way in
+    which csv with float() and numpy's parser could read a file apart."""
+    dim = int(rng.integers(1, 4))
+    names = [f"f{j}" for j in range(dim)]
+    pos = int(rng.integers(0, dim + 1))
+    header = names[:pos] + ["label"] + names[pos:]
+    quoting = rng.random()  # below 0.05 every cell is quoted, below 0.1 one cell a row
+    lines = [",".join(f'"{c}"' for c in header) if quoting < 0.05 else ",".join(header)]
+    for _ in range([0, 1, int(rng.integers(2, 6))][int(rng.integers(3))]):
+        cells = []
+        for _ in range(dim):
+            value = float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+            cell = NUMBER_FORMATS[int(rng.integers(len(NUMBER_FORMATS)))](value)
+            if rng.random() < 0.03:
+                cell = ODD_CELLS[int(rng.integers(len(ODD_CELLS)))]
+            if rng.random() < 0.1:
+                cell = SPACES[int(rng.integers(len(SPACES)))] + cell
+            if rng.random() < 0.1:
+                cell += SPACES[int(rng.integers(len(SPACES)))]
+            cells.append(cell)
+        cells.insert(pos, LABELS[int(rng.integers(len(LABELS)))])
+        if rng.random() < 0.03:  # a ragged row
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        if quoting < 0.05:
+            cells = [f'"{c}"' for c in cells]
+        elif quoting < 0.1:
+            j = int(rng.integers(len(cells)))
+            cells[j] = '"' + cells[j].replace('"', '""') + ('\n"' if rng.random() < 0.3 else '"')
+        lines.append(",".join(cells))
+        if rng.random() < 0.1:
+            lines.append("")  # a blank line
+    ends = [LINE_ENDS[int(rng.integers(3))] for _ in lines]
+    if rng.random() < 0.2:
+        ends[-1] = ""
+    data = ("\ufeff" if rng.random() < 0.2 else "") + "".join(map(str.__add__, lines, ends))
+    data = data.encode("utf-8")
+    if rng.random() < 0.02:  # an undecodable byte
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def load_outcome(load, path):
+    """What load makes of path: the dataset's bytes, or the error's type and text."""
+    try:
+        ds = load(path)
+    except (ValueError, csv.Error) as e:
+        return type(e), str(e)
+    return ds.points.tobytes(), ds.points.shape, ds.truth.tolist(), ds.name
+
+
+def test_load_csv_matches_the_cell_loop(tmp_path, monkeypatch):
+    # random small files, plus a single data row, files that are only a
+    # header (one of them with blank lines after it) and quoted cells. Every
+    # file loads to the same bytes, or fails with the same error text, as by
+    # csv and float() on every cell; numpy's parser reads some of them, and
+    # declines the others. A header-only file never reaches np.loadtxt, whose
+    # empty-input warning fails this test
+    real, routes = dataset._rows_by_numpy, []
+
+    def recording(*args):
+        got = real(*args)
+        routes.append(got is not None)
+        return got
+
+    monkeypatch.setattr(dataset, "_rows_by_numpy", recording)
+    fixed = [b"x,label\n5,a\n", b"x,label\n", b"x,label", b"x,label\r\n\r\n\n\r",
+             b'x,y,label\n"1",2,a\n3,"4",b\n', b"label,x\r\na,1\r\n\r\nb,2\r\n"]
+    rng = np.random.default_rng(113)
+    for case in range(600):
+        data = fixed[case] if case < len(fixed) else random_csv(rng)
+        (tmp_path / str(case)).mkdir()
+        path = tmp_path / str(case) / "d.csv"
+        path.write_bytes(data)
+        assert load_outcome(load_csv, path) == load_outcome(load_csv_by_cells, path), (case, data)
+    assert routes.count(True) > 200 and routes.count(False) > 100, routes.count(True)

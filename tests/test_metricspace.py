@@ -460,6 +460,42 @@ def test_spread_build_matches_serial_passes_bytes(monkeypatch, helpers, count):
 
 
 @pytest.mark.parametrize("spread", [False, True])
+def test_densities_off_the_list_match_serial_passes_bytes(monkeypatch, helpers, spread):
+    # 0-3 grids, tenths, duplicated rows, blobs with outliers, and a centre
+    # whose orthogonal neighbours' core distances exceed its every listed
+    # distance, so that its list cannot decide its density; min_pts 1-3 (the
+    # list route) and, every fourth case, 4-10 (every row in full); blocks
+    # of one row and of 1 MiB, spread over one helper or not. Among the
+    # min_pts 1-3 builds, each route decides some rows
+    helpers(1)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
+    real, shapes = metricspace._smallest_mean, []
+    monkeypatch.setattr(metricspace, "_smallest_mean",
+                        lambda blk, m: shapes.append(blk.shape) or real(blk, m))
+    rng = np.random.default_rng(107)
+    decided = {"list": 0, "full": 0}
+    for case in range(100):
+        n, dim = int(rng.integers(34, 90)), int(rng.integers(1, 4))
+        grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+        blobs = rng.normal(size=(n, dim)) + 8.0 * rng.integers(3, size=(n, 1))
+        blobs[:n // 10] = rng.uniform(-10.0, 30.0, size=(n // 10, dim))
+        m = int(rng.integers(33, 46))
+        centred = np.vstack([np.zeros(m), np.eye(m)]) * rng.uniform(0.5, 3.0)
+        pts = [grid, grid / 10.0, np.repeat(rng.normal(size=(n // 2, dim)), 2, axis=0), blobs,
+               centred][case % 5]
+        min_pts = int(rng.integers(4, 11)) if case % 4 == 0 else int(rng.integers(1, 4))
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 1 << 20][case % 2])
+        shapes.clear()
+        idx = build_index(as_dataset(pts), min_pts)
+        assert_serial_bytes(idx, pts, min_pts, case)
+        if min_pts <= 3:
+            full = sum(rows for rows, width in shapes if width == idx.n)
+            decided["full"] += full
+            decided["list"] += idx.n - full
+    assert decided["list"] > 1000 and decided["full"] > 0, decided
+
+
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("count", [0, 1])
 def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpers, spread,
                                                                count):
@@ -657,6 +693,27 @@ def test_search_of_some_rows_gathers_one_block_at_a_time(monkeypatch):
             == nearest_by_matrix(a, b, 5)[rows].tobytes())
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_spread_search_of_some_rows_gathers_one_block_per_thread(monkeypatch, helpers, count):
+    # the serial test's search with its passes spread over the caller and
+    # count helpers: each of the count extra threads may hold its own
+    # gathered block and norm-sum temporary, of BLOCK_BYTES // workers each,
+    # beyond the serial bound (_distances' docstring)
+    ran = helpers(count)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(1500, 2))
+    b, rows = a[rng.permutation(1500)[:1400]], rng.permutation(1500)
+    plain = traced_peak(lambda: cross_nearest(a, b, 5))
+    some = traced_peak(lambda: cross_nearest(a, b, 5, rows))
+    per_thread = 2 * (metricspace.BLOCK_BYTES // (count + 1))
+    assert (some <= plain + metricspace.BLOCK_BYTES + a[rows].nbytes + 8 * len(rows)
+            + count * per_thread)
+    assert (cross_nearest(a, b, 5, rows).tobytes()
+            == nearest_by_matrix(a, b, 5)[rows].tobytes())
+    assert len(ran) >= 2
+
+
 @pytest.mark.parametrize("rows_per_block", [0, 1, 3, 100])
 def test_nearest_matches_stable_sort(monkeypatch, rows_per_block):
     # 0-2 integer grids tie many distances across the k-cut. BLOCK_BYTES of
@@ -757,7 +814,9 @@ def test_distances_just_under_the_norm_bound_stay_finite():
 def test_index_arrays_are_read_only():
     idx = build_index(LINE, 2)
     assert idx.order.shape == (LINE.n,) and idx.gap.shape == (LINE.n - 1,)
-    for arr in (idx.core, idx.density, idx.order, idx.gap, idx.near, idx.near_dist):
+    assert idx.sq_norms.tobytes() == metricspace.squared_norms(LINE.points).tobytes()
+    for arr in (idx.core, idx.density, idx.order, idx.gap, idx.near, idx.near_dist,
+                idx.sq_norms):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

@@ -1,5 +1,6 @@
 """Reliable-set selection and the weighted kNN classifier."""
 
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -355,3 +356,22 @@ def test_listed_neighbours_match_the_search_bytes(monkeypatch):
         at_k += k_c >= metricspace.NEAR_K
     # every kind of case has rows of both sorts
     assert (listed > 100).all() and (fell_back > 100).all() and at_k >= 20, (listed, fell_back)
+
+
+def test_listed_neighbours_read_the_index_squared_norms(monkeypatch):
+    # the ranking bound reads the squared norms the index keeps: a lookup
+    # that the list decides for every row computes none, and norms that
+    # widen the bound past every gap send every row to the search
+    rng = np.random.default_rng(91)
+    idx = build_index(as_dataset(rng.normal(size=(200, 2))), 3)
+    ts = TrainingSet(indices=np.arange(0, 200, 2), classes=np.zeros(100, dtype=int),
+                     weights=np.ones(100))
+    calls, real = [], metricspace.squared_norms
+    monkeypatch.setattr(metricspace, "squared_norms", lambda p: calls.append(p) or real(p))
+    searched, search = [], model.cross_nearest
+    monkeypatch.setattr(model, "cross_nearest",
+                        lambda a, b, k, rows: searched.append(len(rows)) or search(a, b, k, rows))
+    got = neighbours(ts, idx, 3)
+    assert searched == [] and calls == []
+    wide = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3)
+    assert searched == [200] and wide.tobytes() == got.tobytes()
