@@ -37,8 +37,8 @@ def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
         raise ValueError("epsilon must be non-negative")
     if not (is_int(min_pts) and min_pts >= 1):
         raise ValueError(f"min_pts must be an integer >= 1, got {min_pts!r}")
-    within = np.empty((n, n), dtype=bool)
-    with _workspace((n, n)) as dist:
+    with _workspace((n, n), n * n) as dist:  # and the n x n neighbourhoods beside it
+        within = np.empty((n, n), dtype=bool)
         _pairwise(ds.points, dist, lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
     core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
     assign = np.full(n, NOISE, dtype=int)

@@ -3,17 +3,17 @@ densities, and the spanning tree's reachability plot.
 
 Every n x n or n x m distance array is a temporary: a BLAS product in a
 `_workspace` that lives for one `with` block (in build_index, in
-cross_nearest, which searches the classifier's rows that the index's
-neighbour list cannot rank, or in a baseline), turned into distances in place
-in row blocks. What a caller needs (nearest neighbours, core distances,
-neighbourhoods) is read off each block while it is still in cache; no
-distance array leaves this module. Local densities come off the index's
-neighbour list wherever it holds a row's min_pts smallest reachabilities,
-and off a partitioned copy of the row elsewhere. The row passes over a
-large workspace run on the caller and one pool thread per other core, and
-the caller waits for every pool thread before it returns; callers on
-several threads share that pool. Each pass is elementwise or per row, so
-which thread takes a block changes no bit.
+cross_nearest, which searches the classifier's rows that neither the index's
+neighbour list nor a product of those rows alone can rank, or in a
+baseline), turned into distances in place in row blocks. What a caller
+needs (nearest neighbours, core distances, neighbourhoods) is read off each
+block while it is still in cache; no distance array leaves this module.
+Local densities come off the index's neighbour list wherever it holds a
+row's min_pts smallest reachabilities, and off a partitioned copy of the
+row elsewhere. The row passes over a large workspace run on the caller and
+one pool thread per other core, and the caller waits for every pool thread
+before it returns; callers on several threads share that pool. Each pass is
+elementwise or per row, so which thread takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -106,14 +106,16 @@ def _spread(out: np.ndarray, n_rows: int, fn) -> None:
 
 
 @contextmanager
-def _workspace(shape: tuple):
+def _workspace(shape: tuple, beside: int = 0):
     """An uninitialised float64 array of `shape` on the heap for one with
-    block. A MemoryError names a workspace larger than the physical memory
-    before anything is allocated."""
-    nbytes = 8 * math.prod(shape)
+    block. A MemoryError names a workspace that, with the `beside` bytes its
+    caller allocates next to it, needs more than the physical memory, before
+    anything is allocated."""
+    nbytes = 8 * math.prod(shape) + beside
     if nbytes > _MEMORY_BYTES:
+        held = f" with the {beside} beside it" if beside else ""
         raise MemoryError(f"a {' x '.join(map(str, shape))} distance workspace needs {nbytes} "
-                          f"bytes, more than the {_MEMORY_BYTES} bytes of physical memory")
+                          f"bytes{held}, more than the {_MEMORY_BYTES} bytes of physical memory")
     yield np.empty(shape)
 
 
@@ -169,6 +171,29 @@ def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
     with _workspace((np.shape(a)[0], np.shape(b)[0])) as d:
         _distances(a, b, d, rows, lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
     return nbrs
+
+
+def _fresh_nearest(points, rows, cols, sq_norms, k: int) -> tuple:
+    """Positions in `cols` of the k points nearest each of the points' `rows`
+    (in their order), ordered by (value, position), and their squared
+    distances sq_norms[p] + sq_norms[q] - 2 p.q, from a product of those rows
+    alone, made one block of at most BLOCK_BYTES at a time in one buffer. A
+    product of fewer rows need not have the whole product's bits, so only a
+    ranking whose gaps exceed their rounding may be read off it. Beside the
+    buffer it holds points[cols], their norms and the two returned arrays."""
+    b = points[cols]
+    sq_b = sq_norms[cols]
+    out, vals = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
+    step = max(1, BLOCK_BYTES // (8 * len(cols)))
+    buf = np.empty((min(step, len(rows)), len(cols)))
+    for a in range(0, len(rows), step):
+        r = rows[a:a + step]
+        blk = np.matmul(points[r], b.T, out=buf[:len(r)])
+        blk *= -2.0
+        blk += sq_norms[r, None]
+        blk += sq_b
+        _nearest_block(blk, out[a:a + step], vals[a:a + step])
+    return out, vals
 
 
 def _nearest_block(blk: np.ndarray, out: np.ndarray, dist=None) -> None:

@@ -3,9 +3,12 @@
 
 `neighbours` reads each row's nearest training rows off the index's shared
 neighbour list wherever the gaps between them are wide enough that every
-summation order ranks them alike, and searches only the other rows with a
-distance product, so each row's neighbours have the bits the product gives
-whichever way they were found."""
+summation order ranks them alike: off a window of the row itself and the
+head of its list, or off the whole list where the window holds a point
+outside the training set. The rows the list cannot rank are ranked by a product of those
+rows alone under the same rule, and only the rows left after that are
+searched with the whole distance product, so each row's neighbours have the
+bits that product gives whichever way they were found."""
 
 from dataclasses import dataclass
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
-from .metricspace import NeighborhoodIndex, cross_nearest
+from .metricspace import NeighborhoodIndex, _fresh_nearest, cross_nearest
 from .scoring import ScoreTable
 
 
@@ -80,26 +83,36 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
     The row takes its first k_c candidates when every gap between adjacent
     values among its first k_c + 1 (the (k_c + 1)-th being the list's last
     distance when the candidates run out) exceeds 4B on squared distances,
-    for B = (2d + 8) eps (|p|^2 + max|q|^2) over every point q. Every other
+    for B = (2d + 8) eps (|p|^2 + max|q|^2) over every point q. Those first
+    k_c + 1 are read off the row's window, itself and the first k_c members
+    of its list, wherever the window holds training rows only; the other
+    rows read their whole list. Rows still undecided go to the second
+    level (never at k_c > K): a product of just those rows against every
+    training row, |p|^2 + |q|^2 - 2 p.q from index.sq_norms, in row blocks
+    of at most BLOCK_BYTES, beside which it holds the training points, their
+    norms and two arrays of k_c + 1 per row. A row whose k_c + 1 smallest
+    values there are more than 4B apart takes the first k_c. Every other
     row goes, in one call, to cross_nearest.
 
     Why 4B suffices. With u = eps / 2 the unit roundoff, a dot product over
     d terms in any order, fused or not, is off by at most gamma_d sum|p_i q_i|
     <= d u (|p|^2 + |q|^2) / 2 (to first order; Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., section 3.1), and so is a
-    squared norm relative to itself. So the squared distance s that either
+    squared norm relative to itself. So the squared distance s that any
     product's passes form, |p|^2 + |q|^2 - 2 p.q with three more roundings,
-    is off by at most (2d + 3) u N, N = |p|^2 + |q|^2, below B / 2. The
-    list's values were rooted and are squared again here, which adds at most
-    6 u N (s <= 2N), so they too are within B of the exact value. If two
-    candidates' listed values differ by more than 4B, their exact values
-    differ by more than 2B, and the product's squared values by more than
+    is off by at most (2d + 3) u N, N = |p|^2 + |q|^2, below B / 2: the
+    second level's values, from a fresh product of a few rows, are such s.
+    The list's values were rooted and are squared again here, which adds at
+    most 6 u N (s <= 2N), so they too are within B of the exact value. If two
+    candidates' values differ by more than 4B, their exact values differ by
+    more than 2B, and the whole product's squared values by more than
     B >= 8 eps N, at least 4 eps of the larger; their square roots then
     differ by more than a rounding, so the product ranks them alike, with
     no tie. A training row outside the list has a listed value at least the
     list's last, since the list holds the row's K smallest, so the gap to
-    the last value covers it too. Members tied with the last value are never
-    taken: the list may have kept any of them.
+    the last value covers it too; the second level sees every training row.
+    Members tied with the last value are never taken: the list may have
+    kept any of them.
     """
     m = len(ts)
     if m == 0:
@@ -107,33 +120,53 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
     searched = np.arange(index.n) if rows is None else np.asarray(rows)
-    ranked = np.zeros(searched.size, dtype=bool)
     nbrs = np.empty((searched.size, k_c), dtype=np.intp)
-    if k_c <= index.near.shape[1]:
-        at = np.full(index.n, -1, dtype=np.int32)
+    left = np.arange(searched.size)  # the rows still to search
+    K = index.near.shape[1]
+    if k_c <= K:
+        at = np.full(index.n, -1, dtype=np.intp)
         at[ts.indices] = np.arange(m)
-        own = at[searched] >= 0
-        listed = at[index.near if rows is None else index.near[searched]]
-        # each row's first k_c + 1 candidates: itself at distance 0 when it is
-        # a training row, then its list's training rows in order; padded with
-        # the list's last distance (and position -1) where they run out
-        # a list member's place among its row's candidates (NEAR_K + 1 fits)
-        rank = np.cumsum(listed >= 0, axis=1, dtype=np.int8)
-        rank += own[:, None] - 1
-        r, c = np.nonzero((listed >= 0) & (rank <= k_c))
-        first = np.full((searched.size, k_c + 1), -1)
-        vals = np.repeat(index.near_dist[searched, -1:], k_c + 1, axis=1)
-        first[own, 0], vals[own, 0] = at[searched[own]], 0.0
-        first[r, rank[r, c]] = listed[r, c]
-        vals[r, rank[r, c]] = index.near_dist[searched[r], c]
+        own = at[searched]
+        # each row's window, candidates down the first axis: itself, then the
+        # first k_c members of its list
+        near = index.near[:, :k_c] if rows is None else index.near[searched, :k_c]
+        near_dist = index.near_dist[:, :k_c] if rows is None else index.near_dist[searched, :k_c]
+        first = np.empty((k_c + 1, searched.size), dtype=np.intp)
+        vals = np.empty((k_c + 1, searched.size))
+        first[0], first[1:] = own, at[near.T]
+        vals[0], vals[1:] = 0.0, near_dist.T
+        # a row whose window holds a point outside the training set, itself
+        # included, reads its first k_c + 1 candidates off its whole list
+        rest = np.flatnonzero((first < 0).any(axis=0))
+        if rest.size:
+            s = searched[rest]
+            cand = np.empty((rest.size, K + 1), dtype=np.intp)
+            cand_vals = np.empty((rest.size, K + 1))
+            cand[:, 0], cand[:, 1:] = own[rest], at[index.near[s]]
+            cand_vals[:, 0], cand_vals[:, 1:] = 0.0, index.near_dist[s]
+            by = np.argsort(cand < 0, axis=1, kind="stable")[:, :k_c + 1]
+            at_rows = np.arange(rest.size)[:, None]
+            cand, cand_vals = cand[at_rows, by], cand_vals[at_rows, by]
+            np.copyto(cand_vals, index.near_dist[s, -1:], where=cand < 0)
+            first[:, rest], vals[:, rest] = cand.T, cand_vals.T
         sq = index.sq_norms
-        bound = (2 * index.points.shape[1] + 8) * np.finfo(float).eps * (sq[searched] + sq.max())
-        ranked = ((first[:, k_c - 1] >= 0)
-                  & (np.diff(np.square(vals), axis=1) > 4 * bound[:, None]).all(axis=1))
-        nbrs[:] = first[:, :k_c]
-    if not ranked.all():
-        nbrs[~ranked] = cross_nearest(index.points, index.points[ts.indices], k_c,
-                                      searched[~ranked])
+        four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
+                  * (sq[searched] + sq.max()))
+        # padding comes last and at one value, so a row with fewer than k_c
+        # candidates has a zero gap
+        sq_vals = np.square(vals)
+        ranked = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
+        nbrs[:] = first[:k_c].T
+        left = np.flatnonzero(~ranked)
+        if left.size:
+            # the second level: a product of these rows alone
+            cols, vals = _fresh_nearest(index.points, searched[left], ts.indices, sq,
+                                        min(k_c + 1, m))
+            settled = (np.diff(vals, axis=1) > four_b[left, None]).all(axis=1)
+            nbrs[left[settled]] = cols[settled, :k_c]
+            left = left[~settled]
+    if left.size:
+        nbrs[left] = cross_nearest(index.points, index.points[ts.indices], k_c, searched[left])
     return nbrs
 
 

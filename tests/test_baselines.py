@@ -116,6 +116,28 @@ def test_dbscan_matches_union_find_oracle():
         assert got == dbscan_oracle(dist, epsilon, min_pts)
 
 
+def test_dbscan_refuses_its_workspace_and_neighbourhoods_before_allocating(monkeypatch):
+    # beside its 8n^2-byte workspace dbscan holds an n x n bool array: a limit
+    # of 9n^2 - 1 bytes refuses the call before either is allocated, and one
+    # of 9n^2 accepts it
+    n = 200
+    ds = as_dataset(np.random.default_rng(43).normal(size=(n, 2)))
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 9 * n * n - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
+            dbscan(ds, 0.5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("a 200 x 200 distance workspace needs 360000 bytes with the "
+                                  "40000 beside it, more than the 359999 bytes of physical memory")
+    assert peak < n * n
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 9 * n * n)
+    want = dbscan_by_matrix(pairwise_distances(ds.points), 0.5, 3)
+    assert dbscan(ds, 0.5, 3).tobytes() == want.tobytes()
+
+
 def test_kmeans_single_cluster_and_full_split():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
     assert kmeans(as_dataset(pts), k=1, seed=0).tolist() == [0, 0, 0, 0]

@@ -440,13 +440,13 @@ def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, 
     real = metricspace._workspace
 
     @contextmanager
-    def unnested(shape):
+    def unnested(shape, *beside):
         if getattr(held, "shape", None) is not None:
             nested.append((held.shape, shape))
             raise AssertionError(f"a {shape} workspace inside a {held.shape} one")
         held.shape = shape
         try:
-            with real(shape) as w:
+            with real(shape, *beside) as w:
                 opened.append(shape)
                 yield w
         finally:

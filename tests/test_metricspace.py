@@ -289,8 +289,8 @@ def opened_workspaces(monkeypatch) -> list:
     opened, real = [], metricspace._workspace
 
     @contextmanager
-    def recording(shape):
-        with real(shape) as w:
+    def recording(shape, *beside):
+        with real(shape, *beside) as w:
             opened.append(w)
             yield w
 

@@ -302,6 +302,44 @@ def test_predict_points_holds_one_distance_matrix(monkeypatch):
     assert 8 * 700 * 600 <= peaks[metricspace.NEAR_K + 1] < 1.25 * 8 * 700 * 600
 
 
+def test_second_level_holds_one_block(monkeypatch):
+    # a training set without the third blob leaves its 300 rows no training
+    # row on their lists; the second level settles every one of them in row
+    # blocks, holding beside its inputs and outputs one block at a time
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 17)
+    rng = np.random.default_rng(97)
+    groups = np.repeat(np.arange(3), 300)
+    idx = build_index(as_dataset(8.0 * rng.normal(size=(3, 3))[groups]
+                                 + rng.normal(size=(900, 3))), 3)
+    kept = np.flatnonzero(groups < 2)
+    ts = TrainingSet(indices=kept, classes=groups[kept], weights=np.ones(kept.size))
+    traced, fresh, searched = [], model._fresh_nearest, []
+
+    def tracing(points, rows, cols, sq, k):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fresh(points, rows, cols, sq, k)
+        traced.append((len(rows), k, tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(model, "_fresh_nearest", tracing)
+    monkeypatch.setattr(model, "cross_nearest", lambda *args: searched.append(args))
+    tracemalloc.start()
+    try:
+        got = neighbours(ts, idx, 5)
+    finally:
+        tracemalloc.stop()
+    want = metricspace.cross_nearest(idx.points, idx.points[ts.indices], 5)
+    assert got.tobytes() == want.tobytes() and searched == []
+    [(rows, k, extra)] = traced
+    block = metricspace.BLOCK_BYTES // (8 * kept.size) * 8 * kept.size
+    beside = 8 * kept.size * (3 + 1) + 2 * 8 * rows * k  # points[cols], their norms, outputs
+    # numpy's buffer for a broadcast operand, and 16 KiB for BLAS's and the
+    # selection loop's temporaries, whatever the block
+    fixed = 8 * np.getbufsize() + (16 << 10)
+    assert rows >= 300 and block <= extra <= metricspace.BLOCK_BYTES + beside + fixed
+
+
 def listed_case(rng, case):
     """(points, training set, k_c, rows) for the list-versus-search fuzz:
     blobs, points on a sphere around its centres, 0.1-step and integer
@@ -336,32 +374,58 @@ def listed_case(rng, case):
     return points, ts, k_c, rows
 
 
+def full_windows(idx, ts, k_c, searched) -> np.ndarray:
+    """Whether each searched row's window, itself and then the first k_c
+    members of its list, holds training rows only."""
+    return np.isin(np.column_stack([searched, idx.near[searched, :k_c]]), ts.indices).all(axis=1)
+
+
 def test_listed_neighbours_match_the_search_bytes(monkeypatch):
-    # every row's neighbours, read off the index's list or searched, equal
-    # the all-rows search's; some rows are read off the list, some fall back
-    searched, real = [], model.cross_nearest
+    # every row's neighbours, however found, equal the all-rows search's; in
+    # every kind of case some rows are decided by each route: the window, the
+    # rest of the list, the second level and (exact or decimal ties) the
+    # whole product
+    seconds, searched = [], []
+    fresh, real = model._fresh_nearest, model.cross_nearest
+    monkeypatch.setattr(model, "_fresh_nearest",
+                        lambda p, rows, c, sq, k: seconds.append(rows) or fresh(p, rows, c, sq, k))
     monkeypatch.setattr(model, "cross_nearest",
                         lambda a, b, k, rows: searched.append(len(rows)) or real(a, b, k, rows))
     rng = np.random.default_rng(89)
-    listed, fell_back, at_k = np.zeros(4, dtype=int), np.zeros(4, dtype=int), 0
+    decided, at_k = np.zeros((4, 4), dtype=int), 0  # kind x (window, rest, second, whole)
+    listed, fell_back = np.zeros(4, dtype=int), np.zeros(4, dtype=int)
     for case in range(240):
         points, ts, k_c, rows = listed_case(rng, case)
         idx = build_index(as_dataset(points), int(rng.integers(1, 6)))
         want = real(idx.points, idx.points[ts.indices], k_c, rows)
+        seconds.clear()
         searched.clear()
         got = neighbours(ts, idx, k_c, rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
         listed[case % 4] += want.shape[0] - sum(searched)
         fell_back[case % 4] += sum(searched)
         at_k += k_c >= metricspace.NEAR_K
-    # every kind of case has rows of both sorts
+        if k_c > idx.near.shape[1]:
+            assert seconds == [] and searched == [want.shape[0]], case
+            continue
+        # a row's route depends on its point alone, so repeated rows share it
+        rows = np.arange(idx.n) if rows is None else rows
+        second = np.isin(rows, np.concatenate(seconds) if seconds else [])
+        full = full_windows(idx, ts, k_c, rows)
+        whole = sum(searched)
+        decided[case % 4] += [(full & ~second).sum(), (~full & ~second).sum(),
+                              second.sum() - whole, whole]
+    # every kind of case has rows the whole product searches and rows it
+    # does not; the integer grids' (kind 2) exact ties still reach it
     assert (listed > 100).all() and (fell_back > 100).all() and at_k >= 20, (listed, fell_back)
+    assert (decided > 0).all(), decided
 
 
 def test_listed_neighbours_read_the_index_squared_norms(monkeypatch):
     # the ranking bound reads the squared norms the index keeps: a lookup
     # that the list decides for every row computes none, and norms that
-    # widen the bound past every gap send every row to the search
+    # widen the bound past every gap send every row through the second level
+    # to the search
     rng = np.random.default_rng(91)
     idx = build_index(as_dataset(rng.normal(size=(200, 2))), 3)
     ts = TrainingSet(indices=np.arange(0, 200, 2), classes=np.zeros(100, dtype=int),
