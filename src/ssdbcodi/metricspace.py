@@ -8,12 +8,13 @@ neighbour list nor a product of those rows alone can rank, or in a
 baseline), turned into distances in place in row blocks. What a caller
 needs (nearest neighbours, core distances, neighbourhoods) is read off each
 block while it is still in cache; no distance array leaves this module.
-Local densities come off the index's neighbour list wherever it holds a
-row's min_pts smallest reachabilities, and off a partitioned copy of the
-row elsewhere. The row passes over a large workspace run on the caller and
-one pool thread per other core, and the caller waits for every pool thread
-before it returns; callers on several threads share that pool. Each pass is
-elementwise or per row, so which thread takes a block changes no bit.
+No pass rewrites the build's distances once made: Prim forms each
+reachability row it reads, and a density comes off the index's neighbour
+list, or else off a copy of its row made into reachabilities. The row passes
+over a large workspace run on the caller and one pool thread per other core,
+and the caller waits for every pool thread before it returns; callers on
+several threads share that pool. Each pass is elementwise or per row, so
+which thread takes a block changes no bit.
 
 The neighbourhood convention everywhere is self-excluding: the core
 distance of p is the distance to its min_pts-th nearest *other* point.
@@ -252,24 +253,23 @@ def _pairwise(points: np.ndarray, out, each) -> None:
     _distances(points, points, out, None, zero_diagonal)
 
 
-def _spanning_tree(reach: np.ndarray) -> tuple:
-    """Dense Prim from point 0 over the reachability matrix, one row per step.
-
-    A point's entry in `joined` turns +inf when it joins the tree, so its
-    reachability from any later point is +inf and never closer.
-    Returns (order, gap): the join order and the n - 1 join keys.
-    """
-    n = reach.shape[0]
-    joined = np.zeros(n)
+def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
+    """Dense Prim from point 0, one row per step: q's reachability row is
+    max(max(dist[q], floor), core[q]), where `floor` is core with +inf at
+    each point already joined, so that one is never closer. dist is only
+    read. Returns (order, gap): the join order and the n - 1 join keys."""
+    n = core.size
+    floor = core.copy()
     best = np.full(n, np.inf)
     rd = np.empty(n)
     order = np.zeros(n, dtype=int)
     gap = np.empty(n - 1)
     q = 0
     for step in range(n - 1):
-        joined[q] = np.inf
+        floor[q] = np.inf
         best[q] = np.inf
-        np.maximum(reach[q], joined, out=rd)  # q's reachability row, off the tree
+        np.maximum(dist[q], floor, out=rd)  # q's reachability row, off the tree
+        np.maximum(rd, core[q], out=rd)
         np.minimum(best, rd, out=best)
         q = int(best.argmin())
         order[step + 1], gap[step] = q, best[q]
@@ -278,27 +278,24 @@ def _spanning_tree(reach: np.ndarray) -> tuple:
 
 def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     """Core distances, local densities, reachability plot and neighbour list
-    of the points, all read from one distance matrix in a workspace that
-    ends on return: the list and core distances off each row block as it is
-    made (the core distances from the list's entry min_pts - 1 when it has
-    one); then a reach pass turns each row block into reachabilities in
-    place for Prim and takes its densities; then Prim. The distance, list
-    and reach passes run by _spread, in row blocks whose bits do not depend
-    on the thread that takes them. Requires n >= 2 and an integer min_pts in
-    [1, n - 1]. The index depends only on ds's read-only points and min_pts,
-    so it is kept on ds and later calls return that same object (threads
-    that miss at once build equal ones).
+    of the points, read in three passes from one matrix of pairwise
+    distances in a workspace that ends on return: the list and core
+    distances off each row block as it is made (the core distances from the
+    list's entry min_pts - 1 when it has one); the densities; Prim. Requires
+    n >= 2 and an integer min_pts in [1, n - 1]. The index depends only on
+    ds's read-only points and min_pts, so it is kept on ds and later calls
+    return that same object (threads that miss at once build equal ones).
 
-    A density is the mean of a row's min_pts smallest reachabilities to
-    other points. For min_pts <= 3, a row's list decides it wherever v, the
-    min_pts-th smallest of its listed points' reachabilities max(near_dist,
-    core[near], core_p), is at most the list's last distance: an unlisted
-    point's reachability is at least its distance, so at least that last
-    distance. max is exact, so these are the matrix's values, and a mean of
-    at most three values adds (x0 + x1) + x2 with x2 the min_pts-th
-    smallest, so the order in which a partition leaves the others changes
-    no bit. Every other row, and every row at min_pts > 3, is a copy of its
-    whole reachability row, partitioned.
+    A density is the mean of a row's min_pts smallest reachabilities
+    max(dist_pq, core_q, core_p) to other points. For min_pts <= 3, one step
+    over the whole list decides it wherever the min_pts-th smallest of a
+    row's listed reachabilities is at most the list's last distance: an
+    unlisted point's reachability is at least its distance, so at least that
+    last distance. max is exact, so these are the matrix's values, and a mean
+    of at most three values adds (x0 + x1) + x2 with x2 the min_pts-th
+    smallest, so the order in which a partition leaves the others changes no
+    bit. Every other row, and every row at min_pts > 3, is a copy of its
+    distance row made into reachabilities and partitioned by _spread.
     """
     n = ds.n
     if n < 2:
@@ -328,25 +325,26 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
                       else np.partition(blk, min_pts, axis=1)[:, min_pts])
 
     def take_density(rows):
-        blk = dist[rows]
-        np.maximum(blk, core, out=blk)  # dist_pq becomes max(dist_pq, core_q, core_p) in place
+        rows = todo[rows]
+        blk = dist[rows]  # a copy, made max(dist_pq, core_q, core_p) in place
+        np.maximum(blk, core, out=blk)
         np.maximum(blk, core[rows, None], out=blk)
-        todo = np.arange(rows.start, rows.start + blk.shape[0])
-        if min_pts <= min(3, k):  # the rows whose list decides their density
-            cand = np.maximum(near_dist[rows], core[near[rows]])
-            np.maximum(cand, core[rows, None], out=cand)
-            mean = _smallest_mean(cand, min_pts)
-            listed = cand[:, min_pts - 1] <= near_dist[rows, -1]
-            density[todo[listed]] = mean[listed]
-            todo = todo[~listed]
-        full = dist[todo]  # a copy of the other rows' reachabilities
-        full[np.arange(todo.size), todo] = np.inf
-        density[todo] = _smallest_mean(full, min_pts)
+        blk[np.arange(rows.size), rows] = np.inf
+        density[rows] = _smallest_mean(blk, min_pts)
 
     with _workspace((n, n)) as dist:
         _pairwise(ds.points, dist, take_near)
-        _spread(dist, n, take_density)  # reads every core, so starts once all are in
-        order, gap = _spanning_tree(dist)
+        todo = np.arange(n)  # every core is in now; the density steps read them all
+        if min_pts <= min(3, k):  # the rows whose list decides their density
+            cand = core[near]
+            np.maximum(cand, near_dist, out=cand)
+            np.maximum(cand, core[:, None], out=cand)
+            mean = _smallest_mean(cand, min_pts)
+            listed = cand[:, min_pts - 1] <= near_dist[:, -1]
+            density[listed] = mean[listed]
+            todo = np.flatnonzero(~listed)
+        _spread(dist, todo.size, take_density)
+        order, gap = _spanning_tree(dist, core)
     sq_norms = squared_norms(ds.points)
     for arr in (core, density, order, gap, near, near_dist, sq_norms):
         arr.flags.writeable = False

@@ -145,20 +145,20 @@ def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
     )
 
 
-def _fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> float | None:
+def _fold_objective(result: PipelineResult, truth_outlier: np.ndarray,
+                    hidden_truth: np.ndarray) -> float | None:
     """Mean of AUC and Rand index on the hidden labeled points, whose rows
-    alone `result` classified, in the order of `hidden`.
+    alone `result` classified: truth_outlier flags which are outliers and
+    hidden_truth holds their labels, both in the order of those rows.
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
     alone. Returns None when neither metric is computable.
     """
-    truth_outlier = np.array([i in labels.outliers for i in hidden])
     parts = []
     if truth_outlier.any() and not truth_outlier.all():
         parts.append(auc(result.outlier_score, truth_outlier))
-    if len(hidden) >= 2:
-        hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
+    if len(hidden_truth) >= 2:
         parts.append(rand_index(result.clusters, hidden_truth))
     if not parts:
         return None
@@ -209,10 +209,12 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     index = build_index(ds, base.score.min_pts)
     per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
     for hidden in _fold_partition(labels, folds, seed):
-        visible = _drop_labels(labels, hidden)
-        prepared = prepare(index, visible)
+        prepared = prepare(index, _drop_labels(labels, hidden))
         hidden = sorted(hidden)
-        per_fold.append([_fold_objective(finish(prepared, p, hidden), hidden, labels)
+        truth_outlier = np.array([i in labels.outliers for i in hidden])
+        hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
+        rows = np.array(hidden, dtype=int)
+        per_fold.append([_fold_objective(finish(prepared, p, rows), truth_outlier, hidden_truth)
                          for p in blends])
 
     grid = []

@@ -321,7 +321,7 @@ def index_by_serial_passes(points, min_pts: int) -> tuple:
     thread: row blocks of BLOCK_BYTES turn one GEMM into distances, each
     block's core distances read as it is made, then a second sweep turns the
     matrix into reachabilities and averages each row's min_pts smallest
-    off-diagonal entries, then Prim."""
+    off-diagonal entries, then prim_tree_edges' join order and keys."""
     pts = np.asarray(points, dtype=float)
     if not (pts.flags.aligned and (pts.flags.c_contiguous or pts.flags.f_contiguous)):
         pts = pts.copy()
@@ -347,8 +347,8 @@ def index_by_serial_passes(points, min_pts: int) -> tuple:
         np.fill_diagonal(blk[:, rows], np.inf)
         blk.partition(min_pts - 1, axis=1)
         density[rows] = blk[:, :min_pts].mean(axis=1)
-    order, gap = metricspace._spanning_tree(dist)
-    return core, density, order, gap
+    _, v, gap = prim_tree_edges(dist, core)
+    return core, density, np.concatenate(([0], v)), gap
 
 
 # --- the library's distance loop handing back whole matrices, for the tests ---

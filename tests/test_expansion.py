@@ -289,7 +289,7 @@ def test_spanning_tree_weights_match_kruskal_on_tied_grids():
         assert np.array_equal(np.sort(idx.gap), mst_weights_by_kruskal(rdist))
         # the index stores the plot of a fresh Prim pass: its join order
         # from point 0 and its join keys, those of the recorded tree edges
-        order, gap = _spanning_tree(rdist_matrix(idx))
+        order, gap = _spanning_tree(pairwise_distances(pts), idx.core)
         u, v, w = prim_tree_edges(pairwise_distances(pts), idx.core)
         assert idx.order.dtype == order.dtype and idx.gap.dtype == gap.dtype
         assert idx.order.tobytes() == order.tobytes() and idx.gap.tobytes() == gap.tobytes()

@@ -496,6 +496,32 @@ def test_densities_off_the_list_match_serial_passes_bytes(monkeypatch, helpers, 
 
 
 @pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("min_pts", [1, 3, 5])
+def test_spanning_tree_reads_the_pairwise_distances(monkeypatch, helpers, spread, min_pts):
+    # no pass rewrites the build's workspace once it holds distances: Prim
+    # gets the pairwise matrix's bytes, and forms each reachability row
+    # itself. 0-3 grids (ties and duplicates) and blobs with outliers; blocks
+    # of one row and of 1 MiB, spread over one helper or not
+    helpers(1)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
+    seen, real = [], metricspace._spanning_tree
+    monkeypatch.setattr(metricspace, "_spanning_tree",
+                        lambda *args: seen.append(args[0].tobytes()) or real(*args))
+    rng = np.random.default_rng(113)
+    for case in range(12):
+        n, dim = int(rng.integers(min_pts + 2, 80)), int(rng.integers(1, 4))
+        grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+        blobs = rng.normal(size=(n, dim)) + 8.0 * rng.integers(3, size=(n, 1))
+        blobs[:n // 10] = rng.uniform(-10.0, 30.0, size=(n // 10, dim))
+        pts = [grid, blobs][case % 2]
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", [8, 1 << 20][case // 2 % 2])
+        seen.clear()
+        idx = build_index(as_dataset(pts), min_pts)
+        assert seen == [pairwise_distances(pts).tobytes()], case
+        assert_serial_bytes(idx, pts, min_pts, case)
+
+
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("count", [0, 1])
 def test_neighbour_list_matches_stable_sort_and_serial_passes(monkeypatch, helpers, spread,
                                                                count):
