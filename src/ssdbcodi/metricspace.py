@@ -42,7 +42,8 @@ class NeighborhoodIndex:
     min(NEAR_K, n - 1) nearest other points, `near` (int32 positions) and
     `near_dist` (their distances), sorted by (distance, position) except
     that members tied with a row's last distance may be any of the points at
-    that distance; and the points' squared_norms, `sq_norms`; read-only. It
+    that distance; and the points' squared_norms, `sq_norms`, and their
+    maximum, `sq_max`; read-only. It
     keeps no distance matrix, only that n x K list beside it: any other pass
     over its points' distances makes them again, with the build's bits."""
 
@@ -54,6 +55,7 @@ class NeighborhoodIndex:
     near: np.ndarray
     near_dist: np.ndarray
     sq_norms: np.ndarray
+    sq_max: float
     min_pts: int
 
     @property
@@ -296,6 +298,10 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     smallest, so the order in which a partition leaves the others changes no
     bit. Every other row, and every row at min_pts > 3, is a copy of its
     distance row made into reachabilities and partitioned by _spread.
+
+    A MemoryError refuses, before anything is allocated, a workspace that
+    with the core distances, densities and list beside it needs more than
+    the physical memory.
     """
     n = ds.n
     if n < 2:
@@ -305,8 +311,6 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     if int(min_pts) in ds._indexes:
         return ds._indexes[int(min_pts)]
     k = min(NEAR_K, n - 1)
-    core, density = np.empty(n), np.empty(n)
-    near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
 
     def take_near(rows, blk):
         # -1 makes the row's own entry its unique minimum, so the k + 1
@@ -332,7 +336,11 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         blk[np.arange(rows.size), rows] = np.inf
         density[rows] = _smallest_mean(blk, min_pts)
 
-    with _workspace((n, n)) as dist:
+    # core, density and the list (int32 positions and float64 distances)
+    # are held beside the workspace
+    with _workspace((n, n), n * (16 + 12 * k)) as dist:
+        core, density = np.empty(n), np.empty(n)
+        near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
         _pairwise(ds.points, dist, take_near)
         todo = np.arange(n)  # every core is in now; the density steps read them all
         if min_pts <= min(3, k):  # the rows whose list decides their density
@@ -350,6 +358,6 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,
                               gap=gap, near=near, near_dist=near_dist, sq_norms=sq_norms,
-                              min_pts=int(min_pts))
+                              sq_max=float(sq_norms.max()), min_pts=int(min_pts))
     ds._indexes[index.min_pts] = index
     return index

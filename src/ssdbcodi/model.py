@@ -151,7 +151,7 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
             first[:, rest], vals[:, rest] = cand.T, cand_vals.T
         sq = index.sq_norms
         four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
-                  * (sq[searched] + sq.max()))
+                  * (sq[searched] + index.sq_max))
         # padding comes last and at one value, so a row with fewer than k_c
         # candidates has a zero gap
         sq_vals = np.square(vals)
@@ -177,26 +177,29 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     lower cluster ids beat higher ones. Returns (classes, outlier_score):
     the predicted class per row (cluster id or OUTLIER) and OUTLIER's
     share of the summed weight.
+
+    The votes are one flat array of a cell per (row, class), indexed by a
+    k x n table of each rank's cells. Each class adds its weights one
+    neighbour rank at a time, so in neighbour order, and `seen` keeps
+    zero-weight votes as present; the total adds the class sums in
+    first-appearance order.
     """
     n, k = nbrs.shape
-    # Vote one neighbour rank at a time so each class sums its weights in
-    # neighbour order; `seen` keeps zero-weight votes as present.
-    ids, cls = np.unique(ts.classes, return_inverse=True)
-    cls = cls[nbrs]
-    w = ts.weights[nbrs]
-    rows = np.arange(n)
-    votes = np.zeros((n, ids.size))
-    seen = np.zeros((n, ids.size), dtype=bool)
-    first = np.empty((n, k), dtype=bool)
+    ids, inv = np.unique(ts.classes, return_inverse=True)
+    cells = inv[nbrs.T] + np.arange(0, n * ids.size, ids.size)
+    w = ts.weights[nbrs.T]
+    votes = np.zeros(n * ids.size)
+    seen = np.zeros(n * ids.size, dtype=bool)
+    first = np.empty((k, n), dtype=bool)
     for j in range(k):
-        first[:, j] = ~seen[rows, cls[:, j]]
-        seen[rows, cls[:, j]] = True
-        votes[rows, cls[:, j]] += w[:, j]
-    # The total adds the class sums in first-appearance order.
+        first[j] = ~seen[cells[j]]
+        seen[cells[j]] = True
+        votes[cells[j]] += w[j]
     total = np.zeros(n)
     for j in range(k):
-        np.add(total, votes[rows, cls[:, j]], out=total, where=first[:, j])
+        np.add(total, votes[cells[j]], out=total, where=first[j])
 
+    votes, seen = votes.reshape(n, ids.size), seen.reshape(n, ids.size)
     top = np.where(seen, votes, -np.inf).max(axis=1)
     winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
     out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)

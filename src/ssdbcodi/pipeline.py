@@ -9,6 +9,13 @@ blend, select the reliable sets and classify every point or a given subset
 of rows, keeping the kNN neighbours per training set and rows on the stage.
 `run` composes the two; `tune` finishes every cell on one validation fold's
 stage, classifying only that fold's hidden rows, before preparing the next.
+
+Each fold's objective sets out its truth side once (the hidden outlier mask,
+the hidden labels' codes and pair count, the ids a cell can predict), so a
+cell counts only its own side. AUC is the Mann-Whitney U count over outlier x
+normal pairs and the Rand index a count of agreeing pairs; both counts are
+exact in float64, so the objective has metrics.auc's and metrics.rand_index's
+bits, with no pair matrix.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,7 +25,6 @@ import numpy as np
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
-from .metrics import auc, rand_index
 from .model import PipelineResult, neighbours, select_reliable, vote
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
@@ -145,24 +151,49 @@ def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
     )
 
 
-def _fold_objective(result: PipelineResult, truth_outlier: np.ndarray,
-                    hidden_truth: np.ndarray) -> float | None:
-    """Mean of AUC and Rand index on the hidden labeled points, whose rows
-    alone `result` classified: truth_outlier flags which are outliers and
-    hidden_truth holds their labels, both in the order of those rows.
+def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
+    """The fold objective of one stage: objective(result) is the mean of AUC
+    and Rand index on the sorted `hidden` labeled points, whose rows alone
+    `result` classified, each with the bits of metrics.auc and
+    metrics.rand_index (see the module docstring).
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
-    alone. Returns None when neither metric is computable.
+    alone. objective returns None when neither metric is computable.
     """
-    parts = []
-    if truth_outlier.any() and not truth_outlier.all():
-        parts.append(auc(result.outlier_score, truth_outlier))
-    if len(hidden_truth) >= 2:
-        parts.append(rand_index(result.clusters, hidden_truth))
-    if not parts:
-        return None
-    return float(np.mean(parts))
+    is_outlier = np.array([i in labels.outliers for i in hidden], dtype=bool)
+    outliers, normals = np.flatnonzero(is_outlier), np.flatnonzero(~is_outlier)
+    pairs = outliers.size * normals.size
+    # the ids a cell can predict: a training class is a clustered id or OUTLIER
+    ids = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
+    truth_ids, truth = np.unique([labels.normal.get(i, OUTLIER) for i in hidden],
+                                 return_inverse=True)
+    m = len(hidden)
+    total = m * (m - 1) / 2.0
+    truth_pairs = _pairs(np.bincount(truth))
+
+    def objective(result: PipelineResult) -> float | None:
+        parts = []
+        if pairs:
+            # Mann-Whitney U: normals below each outlier, ties counting 1/2
+            below = np.sort(result.outlier_score[normals])
+            at = result.outlier_score[outliers]
+            lo = np.searchsorted(below, at, side="left")
+            hi = np.searchsorted(below, at, side="right")
+            parts.append(float((lo.sum() + 0.5 * (hi - lo).sum()) / pairs))
+        if m >= 2:
+            predicted = np.searchsorted(ids, result.clusters)
+            same = _pairs(np.bincount(predicted * truth_ids.size + truth))
+            diff = total - _pairs(np.bincount(predicted)) - truth_pairs + same
+            parts.append(float((same + diff) / total))
+        return sum(parts) / len(parts) if parts else None
+
+    return objective
+
+
+def _pairs(counts: np.ndarray) -> float:
+    """The number of pairs within the counts' groups, sum C(c, 2), as a float."""
+    return float((counts * (counts - 1)).sum() // 2)
 
 
 def grid_size(grid_step: float) -> int:
@@ -211,11 +242,9 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     for hidden in _fold_partition(labels, folds, seed):
         prepared = prepare(index, _drop_labels(labels, hidden))
         hidden = sorted(hidden)
-        truth_outlier = np.array([i in labels.outliers for i in hidden])
-        hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
+        objective = _fold_objective(prepared.assignment, hidden, labels)
         rows = np.array(hidden, dtype=int)
-        per_fold.append([_fold_objective(finish(prepared, p, rows), truth_outlier, hidden_truth)
-                         for p in blends])
+        per_fold.append([objective(finish(prepared, p, rows)) for p in blends])
 
     grid = []
     for cell, objectives in zip(blends, zip(*per_fold)):

@@ -424,12 +424,16 @@ def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
 
 
 def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypatch, capsys):
-    # the build's 18 x 18 workspace is refused before anything is allocated
+    # the build's 18 x 18 workspace, with the 18 x 17 neighbour list, cores
+    # and densities beside it, and lof's workspace are refused before
+    # anything is allocated
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 18 * 18 - 1)
-    want = ("error: a 18 x 18 distance workspace needs 2592 bytes, "
-            "more than the 2591 bytes of physical memory\n")
-    for argv in (["run"], ["benchmark", "--fractions", "50", "--trials", "2"],
-                 ["baseline", "--algo", "lof", "--k", "3"]):
+    build = ("error: a 18 x 18 distance workspace needs 6552 bytes with the 3960 beside it, "
+             "more than the 2591 bytes of physical memory\n")
+    alone = ("error: a 18 x 18 distance workspace needs 2592 bytes, "
+             "more than the 2591 bytes of physical memory\n")
+    for argv, want in ((["run"], build), (["benchmark", "--fractions", "50", "--trials", "2"], build),
+                       (["baseline", "--algo", "lof", "--k", "3"], alone)):
         assert run_cli(argv + ["--input", blobs_csv], capsys) == (1, "", want), argv
 
 

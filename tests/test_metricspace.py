@@ -322,6 +322,32 @@ def test_a_workspace_above_physical_memory_is_refused_before_allocating(monkeypa
     assert w.shape == (30, 29) and w.dtype == np.float64
 
 
+def test_build_index_refuses_its_workspace_and_list_before_allocating(monkeypatch):
+    # beside its 8n^2-byte workspace the build holds core distances and
+    # densities (8n bytes each) and the n x K list (4-byte positions, 8-byte
+    # distances): a limit one byte below their sum refuses the build before
+    # any of them is allocated, and one at their sum accepts it
+    n, k = 200, metricspace.NEAR_K
+    points = np.random.default_rng(43).normal(size=(n, 2))
+    limit = 8 * n * n + n * (16 + 12 * k)
+    want = build_index(as_dataset(points), 3)
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
+            build_index(as_dataset(points), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("a 200 x 200 distance workspace needs 400000 bytes with the "
+                                  "80000 beside it, more than the 399999 bytes of physical memory")
+    assert peak < n * n
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit)
+    got = build_index(as_dataset(points), 3)
+    for name in ("core", "density", "order", "gap", "near", "near_dist", "sq_norms"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_no_returned_array_shares_memory_with_a_workspace(monkeypatch):
     # every workspace the calls open is recorded; what the library hands back
     # lies outside each, since a view would keep its whole array alive

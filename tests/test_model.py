@@ -232,10 +232,13 @@ def random_training(rng, points, class_pool, weight_pool):
 
 def test_predict_points_matches_loop_oracle_bit_for_bit():
     rng = np.random.default_rng(47)
-    # 0.1 + 0.2 + 0.3 rounds differently in another order; 0.0 votes are real
-    weight_pool = np.array([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 1.0])
-    class_pool = np.array([OUTLIER, 0, 2, 5, 9])
-    tied_rows = 0
+    # 0.1 + 0.2 + 0.3 rounds differently in another order; 0.0 and -0.0
+    # votes are real, and -0.0 adds to a class's sum as +0.0 does
+    weight_pool = np.array([0.0, -0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 1.0])
+    # every third training set has no OUTLIER class
+    class_pools = [np.array([OUTLIER, 0, 2, 5, 9]), np.array([OUTLIER, 0, 2, 5, 9]),
+                   np.array([0, 2, 5, 9])]
+    tied_rows = wide = no_outlier = 0
     for case in range(2000):
         n = int(rng.integers(1, 25))
         dim = int(rng.integers(1, 4))
@@ -244,9 +247,13 @@ def test_predict_points_matches_loop_oracle_bit_for_bit():
             points = rng.integers(0, 3, size=(n, dim)).astype(float)
         else:
             points = rng.normal(size=(n, dim))
-        ts = random_training(rng, points, class_pool, weight_pool)
+        ts = random_training(rng, points, class_pools[case % 3], weight_pool)
         m = len(ts)
-        k_c = int(rng.integers(1, m + 1))
+        # every fourth case takes k_c >= 9 where it can: past numpy's
+        # 8-element block, a pairwise sum would add in another order
+        k_c = int(rng.integers(min(9, m) if case % 4 == 0 else 1, m + 1))
+        wide += k_c >= 9
+        no_outlier += OUTLIER not in ts.classes
         got_c, got_s = classify(ts, points, k_c)
         want_c, want_s = knn_predict_by_loop(ts, points, k_c)
         assert np.array_equal(got_c, want_c), case
@@ -254,7 +261,7 @@ def test_predict_points_matches_loop_oracle_bit_for_bit():
         if k_c < m:
             ranked = np.sort(cross_distances(points, points[ts.indices]), axis=1)
             tied_rows += int(np.sum(ranked[:, k_c - 1] == ranked[:, k_c]))
-    assert tied_rows >= 100
+    assert tied_rows >= 100 and wide >= 250 and no_outlier >= 900, (tied_rows, wide, no_outlier)
 
 
 def test_predict_points_in_row_blocks_matches_one_block(monkeypatch):

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +179,45 @@ def test_tune_matches_unshared_recomputation():
     want = float(np.mean(objectives))
     got = dict(((a, b), v) for a, b, v in report.grid)[report.best]
     assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_fold_objective_matches_the_public_metrics_bit_for_bit():
+    # scores from a pool of at most five values tie outliers with normals;
+    # folds of every kind: all outliers (no metric for one row, else Rand
+    # alone), no outlier (Rand alone, or None for one row) and mixed; the
+    # predicted and labeled ids need not be contiguous
+    rng = np.random.default_rng(67)
+    score_pool = np.array([0.0, 0.25, 1 / 3, 0.5, 1.0])
+    id_pools = [np.array([0, 1, 2]), np.array([3, 17]), np.array([5])]
+    kinds = {"mixed": 0, "all outliers": 0, "no outlier": 0, "none": 0}
+    ties = 0
+    for case in range(1500):
+        m = int(rng.integers(1, 41))
+        n = m + int(rng.integers(0, 20))
+        ids = id_pools[case % 3]
+        assignment = rng.choice(np.append(ids, UNCLUSTERED), size=n)
+        hidden = sorted(rng.permutation(n)[:m].tolist())
+        share = (0.3, 1.0, 0.0)[case % 7 % 3]
+        outlier = rng.random(m) < share
+        labels = LabelSet(normal={i: int(rng.choice(ids)) for i, o in zip(hidden, outlier) if not o},
+                          outliers=frozenset(i for i, o in zip(hidden, outlier) if o))
+        pool = rng.choice(score_pool, size=int(rng.integers(1, 6)), replace=False)
+        scores = rng.choice(pool, size=n)
+        clusters = rng.choice(np.append(np.unique(assignment[assignment != UNCLUSTERED]), OUTLIER),
+                              size=n)
+        everything = SimpleNamespace(clusters=clusters, outlier_score=scores)
+        rows = SimpleNamespace(clusters=clusters[hidden], outlier_score=scores[hidden])
+        want = fold_objective(everything, hidden, labels)
+        got = pipeline._fold_objective(assignment, hidden, labels)(rows)
+        if want is None:
+            assert got is None, case
+            kinds["none"] += 1
+            continue
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), case
+        kinds["mixed" if 0 < outlier.sum() < m else "all outliers" if outlier.all()
+              else "no outlier"] += 1
+        ties += int((scores[hidden][outlier][:, None] == scores[hidden][~outlier]).sum())
+    assert min(kinds.values()) >= 20 and ties >= 10000, (kinds, ties)
 
 
 def test_tune_after_build_index_reuses_that_index(monkeypatch):
