@@ -75,7 +75,7 @@ class LabelSet:
         normal, outliers = dict(self.normal), frozenset(self.outliers)
         for name, values in (("normal indices", normal), ("normal cluster ids", normal.values()),
                              ("outliers", outliers)):
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+            if not all(is_int(v) for v in values):
                 raise ValueError(f"LabelSet {name} must be integers, not floats or booleans")
         normal = {int(i): int(c) for i, c in normal.items()}
         outliers = frozenset(int(i) for i in outliers)

@@ -2,16 +2,24 @@
 
 Partition metrics treat every distinct value as its own category, so an
 OUTLIER sentinel simply acts as one extra cluster id.
+
+AUC is the Mann-Whitney U count (negatives below each positive, ties
+counting 1/2) over positive x negative pairs, and the Rand index the count
+of point pairs on which both partitions agree over all pairs. Both counts
+are exact in float64 while they stay below 2^53, so each value is one
+rounding of an exact ratio. `tune`'s fold objective sets out the truth side
+once per fold and calls the same counts, `_u_share` and `_agreement`.
 """
 
 import numpy as np
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # 1-based ranks with ties sharing their group's average rank
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    high = np.cumsum(counts)
-    return (high - (counts - 1) / 2.0)[inverse]
+def _u_share(below: np.ndarray, at: np.ndarray) -> float:
+    """U / (at.size * below.size): the sorted negative scores `below` that
+    each positive score in `at` outscores, ties counting 1/2."""
+    lo = np.searchsorted(below, at, side="left")
+    hi = np.searchsorted(below, at, side="right")
+    return float((lo.sum() + 0.5 * (hi - lo).sum()) / (at.size * below.size))
 
 
 def auc(scores, labels) -> float:
@@ -20,55 +28,51 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels, dtype=bool)
     if s.ndim != 1 or s.shape != y.shape:
         raise ValueError("scores and labels must be equal-length vectors")
-    pos = int(y.sum())
-    neg = int(y.size - pos)
-    if pos == 0 or neg == 0:
+    if y.all() or not y.any():
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = _average_ranks(s)
-    u = ranks[y].sum() - pos * (pos + 1) / 2.0
-    return float(u / (pos * neg))
+    return _u_share(np.sort(s[~y]), s[y])
 
 
-def _contingency(a, b) -> np.ndarray:
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((int(ai.max()) + 1, int(bi.max()) + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+def _pairs(counts: np.ndarray) -> float:
+    """The number of pairs within the counts' groups, sum C(c, 2), as a float."""
+    return float((counts * (counts - 1)).sum() // 2)
 
 
-def _check_partitions(predicted, truth):
+def _agreement(a: np.ndarray, b: np.ndarray, nb: int, b_pairs: float) -> float:
+    """Share of point pairs on which the codes `a` and `b` agree; `b` lies in
+    range(nb) and has `b_pairs` pairs within its groups."""
+    m = a.size
+    total = m * (m - 1) / 2.0
+    same = _pairs(np.bincount(a * nb + b))
+    diff = total - _pairs(np.bincount(a)) - b_pairs + same
+    return float((same + diff) / total)
+
+
+def _codes(predicted, truth) -> tuple:
+    """Both partitions as codes of their sorted distinct ids, and truth's id count."""
     a = np.asarray(predicted)
     b = np.asarray(truth)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("partitions must be equal-length vectors")
-    return a, b
+    b_ids, bi = np.unique(b, return_inverse=True)
+    return np.unique(a, return_inverse=True)[1], bi, b_ids.size
 
 
 def rand_index(predicted, truth) -> float:
     """Share of point pairs on which the two partitions agree."""
-    a, b = _check_partitions(predicted, truth)
+    a, b, nb = _codes(predicted, truth)
     if a.size < 2:
         raise ValueError("rand_index needs at least 2 points")
-    t = _contingency(a, b).astype(float)
-    n = t.sum()
-
-    def comb2(x):
-        return (x * (x - 1) / 2.0).sum()
-
-    same_both = comb2(t)
-    total = n * (n - 1) / 2.0
-    diff_both = total - comb2(t.sum(axis=1)) - comb2(t.sum(axis=0)) + same_both
-    return float((same_both + diff_both) / total)
+    return _agreement(a, b, nb, _pairs(np.bincount(b)))
 
 
 def nmi(predicted, truth) -> float:
     """2 I(Y;C) / (H(Y) + H(C)) with natural logs; 1.0 when both partitions
     are constant (zero entropy on both sides)."""
-    a, b = _check_partitions(predicted, truth)
+    a, b, nb = _codes(predicted, truth)
     if a.size < 1:
         raise ValueError("nmi needs at least 1 point")
-    p = _contingency(a, b).astype(float)
+    p = np.bincount(a * nb + b, minlength=(a.max() + 1) * nb).reshape(-1, nb).astype(float)
     p /= p.sum()
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)

@@ -10,18 +10,17 @@ of rows, keeping the kNN neighbours per training set and rows on the stage.
 `run` composes the two; `tune` finishes every cell on one validation fold's
 stage, classifying only that fold's hidden rows, before preparing the next.
 
-Each fold's objective sets out its truth side once (the hidden outlier mask,
-the hidden labels' codes and pair count, the ids a cell can predict), so a
-cell counts only its own side. AUC is the Mann-Whitney U count over outlier x
-normal pairs and the Rand index a count of agreeing pairs; both counts are
-exact in float64, so the objective has metrics.auc's and metrics.rand_index's
-bits, with no pair matrix.
+Each fold's objective sets out its truth side once (the hidden outlier and
+normal rows, the hidden labels' codes and pair count, the ids a cell can
+predict), so a cell hands only its own side to the counts that metrics.auc and
+metrics.rand_index make (see the metrics module docstring).
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
@@ -155,7 +154,7 @@ def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
     """The fold objective of one stage: objective(result) is the mean of AUC
     and Rand index on the sorted `hidden` labeled points, whose rows alone
     `result` classified, each with the bits of metrics.auc and
-    metrics.rand_index (see the module docstring).
+    metrics.rand_index.
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
@@ -163,37 +162,23 @@ def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
     """
     is_outlier = np.array([i in labels.outliers for i in hidden], dtype=bool)
     outliers, normals = np.flatnonzero(is_outlier), np.flatnonzero(~is_outlier)
-    pairs = outliers.size * normals.size
     # the ids a cell can predict: a training class is a clustered id or OUTLIER
     ids = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
     truth_ids, truth = np.unique([labels.normal.get(i, OUTLIER) for i in hidden],
                                  return_inverse=True)
-    m = len(hidden)
-    total = m * (m - 1) / 2.0
-    truth_pairs = _pairs(np.bincount(truth))
+    truth_pairs = metrics._pairs(np.bincount(truth))
 
     def objective(result: PipelineResult) -> float | None:
         parts = []
-        if pairs:
-            # Mann-Whitney U: normals below each outlier, ties counting 1/2
-            below = np.sort(result.outlier_score[normals])
-            at = result.outlier_score[outliers]
-            lo = np.searchsorted(below, at, side="left")
-            hi = np.searchsorted(below, at, side="right")
-            parts.append(float((lo.sum() + 0.5 * (hi - lo).sum()) / pairs))
-        if m >= 2:
-            predicted = np.searchsorted(ids, result.clusters)
-            same = _pairs(np.bincount(predicted * truth_ids.size + truth))
-            diff = total - _pairs(np.bincount(predicted)) - truth_pairs + same
-            parts.append(float((same + diff) / total))
+        if outliers.size and normals.size:
+            parts.append(metrics._u_share(np.sort(result.outlier_score[normals]),
+                                          result.outlier_score[outliers]))
+        if len(hidden) >= 2:
+            parts.append(metrics._agreement(np.searchsorted(ids, result.clusters), truth,
+                                            truth_ids.size, truth_pairs))
         return sum(parts) / len(parts) if parts else None
 
     return objective
-
-
-def _pairs(counts: np.ndarray) -> float:
-    """The number of pairs within the counts' groups, sum C(c, 2), as a float."""
-    return float((counts * (counts - 1)).sum() // 2)
 
 
 def grid_size(grid_step: float) -> int:

@@ -5,10 +5,12 @@ closure-based minimax paths and one Prim expansion per root instead of a
 single spanning tree, and a Kruskal sweep over that tree's recorded
 edges (`prim_tree_edges`, `minimax_rows`, `expand_by_rows`) that fills
 every root's R x n row of minimax values instead of reading them off the
-reachability plot, threshold-swept ROC curves instead of rank sums,
-pair enumeration and Counter-based contingencies instead of vectorized
-tables, pointwise scores and a full sort with a per-row vote loop instead
-of the vectorized scores and the k-pass neighbour selection, a search of
+reachability plot, threshold-swept ROC curves and average-rank sums
+(`auc_by_ranks`) instead of the U count, pair enumeration and
+contingency tables (`rand_by_contingency`, `nmi_by_contingency`, and
+Counter-based ones) instead of counting pairs by bincount, pointwise
+scores and a full sort with a per-row vote loop instead of the
+vectorized scores and the k-pass neighbour selection, a search of
 the finished distance matrix instead of each row block as it is made
 (`nearest_by_matrix`), one broadcast over every centroid instead of a
 running minimum (the former running-minimum loops stay beside it as
@@ -40,7 +42,7 @@ import numpy as np
 
 from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, NOISE, OUTLIER, PipelineParams,
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
-                      auc, blend_grid, build_index, expand, finish, prepare, rand_index)
+                      blend_grid, build_index, expand, finish, prepare)
 from ssdbcodi.dataset import point_indices
 from ssdbcodi import metricspace
 from ssdbcodi.model import neighbours, vote
@@ -125,6 +127,64 @@ def nmi_by_counter(a, b) -> float:
     info = sum((c / n) * math.log((c / n) / ((ca[x] / n) * (cb[y] / n)))
                for (x, y), c in cab.items())
     return 2.0 * info / (h_a + h_b)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    # 1-based ranks with ties sharing their group's average rank
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    high = np.cumsum(counts)
+    return (high - (counts - 1) / 2.0)[inverse]
+
+
+def auc_by_ranks(scores, labels) -> float:
+    """metrics.auc as it was before the U count: the positives' average-rank
+    sum less pos (pos + 1) / 2, over pos x neg."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=bool)
+    pos = int(y.sum())
+    neg = int(y.size - pos)
+    u = _average_ranks(s)[y].sum() - pos * (pos + 1) / 2.0
+    return float(u / (pos * neg))
+
+
+def _contingency(a, b) -> np.ndarray:
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    table = np.zeros((int(ai.max()) + 1, int(bi.max()) + 1), dtype=np.int64)
+    np.add.at(table, (ai, bi), 1)
+    return table
+
+
+def rand_by_contingency(a, b) -> float:
+    """metrics.rand_index as it was before the pair count: C(., 2) sums over
+    an np.add.at contingency table and its margins."""
+    t = _contingency(a, b).astype(float)
+    n = t.sum()
+
+    def comb2(x):
+        return (x * (x - 1) / 2.0).sum()
+
+    same_both = comb2(t)
+    total = n * (n - 1) / 2.0
+    diff_both = total - comb2(t.sum(axis=1)) - comb2(t.sum(axis=0)) + same_both
+    return float((same_both + diff_both) / total)
+
+
+def nmi_by_contingency(a, b) -> float:
+    """metrics.nmi as it was before its one-bincount table: the same
+    entropies over an np.add.at contingency table."""
+    p = _contingency(a, b).astype(float)
+    p /= p.sum()
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    ha = float(-(pa[pa > 0] * np.log(pa[pa > 0])).sum())
+    hb = float(-(pb[pb > 0] * np.log(pb[pb > 0])).sum())
+    if ha + hb == 0.0:
+        return 1.0
+    outer = np.outer(pa, pb)
+    nz = p > 0
+    info = float((p[nz] * np.log(p[nz] / outer[nz])).sum())
+    return float(min(1.0, max(0.0, 2.0 * info / (ha + hb))))
 
 
 def random_points(rng, n=None, d=None) -> np.ndarray:
@@ -794,7 +854,8 @@ def ssdbscan_with_fallback_by_matrix(dist: np.ndarray, idx: NeighborhoodIndex,
 
 def fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> float | None:
     """Mean of AUC and Rand index on the hidden labeled points, read from a
-    result that classified every point.
+    result that classified every point, by the former rank and contingency
+    forms (`auc_by_ranks`, `rand_by_contingency`).
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
@@ -803,10 +864,10 @@ def fold_objective(result: PipelineResult, hidden: list, labels: LabelSet) -> fl
     truth_outlier = np.array([i in labels.outliers for i in hidden])
     parts = []
     if truth_outlier.any() and not truth_outlier.all():
-        parts.append(auc(result.outlier_score[hidden], truth_outlier))
+        parts.append(auc_by_ranks(result.outlier_score[hidden], truth_outlier))
     if len(hidden) >= 2:
         hidden_truth = np.array([labels.normal.get(i, OUTLIER) for i in hidden])
-        parts.append(rand_index(result.clusters[hidden], hidden_truth))
+        parts.append(rand_by_contingency(result.clusters[hidden], hidden_truth))
     if not parts:
         return None
     return float(np.mean(parts))

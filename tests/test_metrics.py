@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ssdbcodi import auc, nmi, rand_index
-from oracles import (auc_by_threshold_sweep, nmi_by_counter,
-                     rand_by_pair_enumeration)
+from oracles import (auc_by_ranks, auc_by_threshold_sweep, nmi_by_contingency, nmi_by_counter,
+                     rand_by_contingency, rand_by_pair_enumeration)
 
 
 def test_auc_worked_examples():
@@ -112,3 +112,31 @@ def test_nmi_matches_counter_oracle():
         a[0], a[1] = 0, 1  # keep one side non-constant so entropy is positive
         b = rng.integers(-1, 3, size=n)
         assert nmi(a, b) == pytest.approx(nmi_by_counter(a, b), abs=1e-12)
+
+
+def test_metrics_match_the_former_rank_and_contingency_forms_bit_for_bit():
+    # scores from a pool of at most seven values, so ties are heavy, with NaN
+    # and +-inf among them; ids with -1 and gaps; every 100th case at n ~ 4000
+    rng = np.random.default_rng(27)
+    score_pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.1, 0.2, 1 / 3, 0.5, 2.0, np.inf, np.nan])
+    id_pool = np.array([-1, 0, 2, 3, 7, 40])
+    seen = {"nan": 0, "inf": 0, "-1": 0, "large": 0}
+    for case in range(2000):
+        n = int(rng.integers(3990, 4011)) if case % 100 == 0 else int(rng.integers(2, 200))
+        pool = rng.choice(score_pool, size=int(rng.integers(1, 8)), replace=False)
+        scores = rng.choice(pool, size=n)
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        if labels.all() or not labels.any():
+            labels[rng.integers(n)] ^= True
+        a, b = (rng.choice(rng.choice(id_pool, size=int(rng.integers(1, 6)), replace=False), size=n)
+                for _ in range(2))
+        pairs = ((auc(scores, labels), auc_by_ranks(scores, labels)),
+                 (rand_index(a, b), rand_by_contingency(a, b)),
+                 (nmi(a, b), nmi_by_contingency(a, b)))
+        for got, want in pairs:
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), case
+        seen["nan"] += bool(np.isnan(scores).any())
+        seen["inf"] += bool(np.isinf(scores).any())
+        seen["-1"] += bool((a == -1).any() or (b == -1).any())
+        seen["large"] += n > 3000
+    assert min(seen.values()) >= 20, seen

@@ -185,7 +185,9 @@ def test_fold_objective_matches_the_public_metrics_bit_for_bit():
     # scores from a pool of at most five values tie outliers with normals;
     # folds of every kind: all outliers (no metric for one row, else Rand
     # alone), no outlier (Rand alone, or None for one row) and mixed; the
-    # predicted and labeled ids need not be contiguous
+    # predicted and labeled ids need not be contiguous. The oracle scores by
+    # the former rank and contingency forms, which test_metrics holds the
+    # public metrics to bit for bit
     rng = np.random.default_rng(67)
     score_pool = np.array([0.0, 0.25, 1 / 3, 0.5, 1.0])
     id_pools = [np.array([0, 1, 2]), np.array([3, 17]), np.array([5])]
