@@ -5,8 +5,8 @@ DBSCAN, k-means and LOF take a Dataset and the fallback clusterer a
 NeighborhoodIndex; all of them are deterministic given their inputs (and
 seed, for k-means). DBSCAN, LOF and the fallback read what they need off
 the row blocks of one distance matrix as it is made, in a workspace that
-ends on return. The clusterers return a cluster id per point, LOF a score
-per point.
+ends with the pass that reads it. The clusterers return a cluster id per
+point, LOF a score per point.
 """
 
 import numpy as np
@@ -37,9 +37,10 @@ def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
         raise ValueError("epsilon must be non-negative")
     if not (is_int(min_pts) and min_pts >= 1):
         raise ValueError(f"min_pts must be an integer >= 1, got {min_pts!r}")
-    with _workspace((n, n), n * n) as dist:  # and the n x n neighbourhoods beside it
-        within = np.empty((n, n), dtype=bool)
-        _pairwise(ds.points, dist, lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
+    dist = _workspace((n, n), n * n)  # and the n x n neighbourhoods beside it
+    within = np.empty((n, n), dtype=bool)
+    _pairwise(ds.points, dist, lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
+    del dist  # the graph steps read only the neighbourhoods
     core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
     assign = np.full(n, NOISE, dtype=int)
     cluster = 0
@@ -118,8 +119,7 @@ def lof(ds: Dataset, k: int) -> np.ndarray:
         np.fill_diagonal(blk[:, rows], np.inf)
         _nearest_block(blk, nbrs[rows], nd[rows])
 
-    with _workspace((n, n)) as dist:
-        _pairwise(ds.points, dist, take_nearest)
+    _pairwise(ds.points, _workspace((n, n)), take_nearest)
     reach = np.maximum(nd[:, -1][nbrs], nd)
     with np.errstate(divide="ignore", invalid="ignore"):
         lrd = k / reach.sum(axis=1)
@@ -142,7 +142,6 @@ def ssdbscan_with_fallback(idx: NeighborhoodIndex, labels) -> np.ndarray:
         def take_closest(rows, blk):
             closest[rows] = clustered[blk[:, clustered].argmin(axis=1)]
 
-        with _workspace((idx.n, idx.n)) as dist:
-            _distances(idx.points, idx.points, dist, unclustered, take_closest)
+        _distances(idx.points, idx.points, _workspace((idx.n, idx.n)), unclustered, take_closest)
         assign[unclustered] = assign[closest]
     return assign

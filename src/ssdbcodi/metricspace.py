@@ -2,10 +2,10 @@
 densities, and the spanning tree's reachability plot.
 
 Every n x n or n x m distance array is a temporary: a BLAS product in a
-`_workspace` that lives for one `with` block (in build_index, in
-cross_nearest, which searches the classifier's rows that neither the index's
-neighbour list nor a product of those rows alone can rank, or in a
-baseline), turned into distances in place in row blocks. What a caller
+guarded `_workspace` (in build_index, in cross_nearest, which searches the
+classifier's rows that neither the index's neighbour list nor a product of
+those rows alone can rank, or in a baseline), turned into distances in place
+in row blocks, that ends with the pass that reads it. What a caller
 needs (nearest neighbours, core distances, neighbourhoods) is read off each
 block while it is still in cache; no distance array leaves this module.
 No pass rewrites the build's distances once made: Prim forms each
@@ -21,7 +21,6 @@ distance of p is the distance to its min_pts-th nearest *other* point.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 import math
 import os
@@ -67,8 +66,10 @@ class NeighborhoodIndex:
 # blocks of BLOCK_BYTES. The row passes over a workspace of SPREAD_BYTES or
 # more spread over _WORKERS threads, in blocks of BLOCK_BYTES // _WORKERS, so
 # the block temporaries in flight still total one BLOCK_BYTES, and all end
-# before the pass returns; smaller workspaces' passes stay on their thread.
-# No workspace may exceed the physical memory, read once.
+# before the pass returns. Smaller workspaces' passes stay on their thread,
+# not to save time (spreading saves none) but to keep their temporaries out
+# of a helper thread's malloc arena, which would raise a small run's peak
+# RSS. No workspace may exceed the physical memory, read once.
 BLOCK_BYTES, SPREAD_BYTES = 1 << 20, 4 << 20
 # The length of each point's neighbour list on the index: enough for the
 # classifier's k_c (5 by default) once the training set drops some points.
@@ -104,22 +105,21 @@ def _spread(out: np.ndarray, n_rows: int, fn) -> None:
         drain()
     finally:
         wait(tasks)
-    for task in tasks:
-        task.result()
+    while tasks:  # popped: an error's frames hold tasks, and its own task would make a cycle
+        tasks.pop(0).result()
 
 
-@contextmanager
-def _workspace(shape: tuple, beside: int = 0):
-    """An uninitialised float64 array of `shape` on the heap for one with
-    block. A MemoryError names a workspace that, with the `beside` bytes its
-    caller allocates next to it, needs more than the physical memory, before
-    anything is allocated."""
+def _workspace(shape: tuple, beside: int = 0) -> np.ndarray:
+    """An uninitialised float64 array of `shape` on the heap. A MemoryError
+    names a workspace that, with the `beside` bytes its caller allocates
+    next to it, needs more than the physical memory, before anything is
+    allocated."""
     nbytes = 8 * math.prod(shape) + beside
     if nbytes > _MEMORY_BYTES:
         held = f" with the {beside} beside it" if beside else ""
         raise MemoryError(f"a {' x '.join(map(str, shape))} distance workspace needs {nbytes} "
                           f"bytes{held}, more than the {_MEMORY_BYTES} bytes of physical memory")
-    yield np.empty(shape)
+    return np.empty(shape)
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
@@ -171,8 +171,8 @@ def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
     of a, in their order), ordered by (distance, column); each row block of
     _distances is searched as soon as it holds distances."""
     nbrs = np.empty((np.shape(a)[0] if rows is None else np.shape(rows)[0], k), dtype=np.intp)
-    with _workspace((np.shape(a)[0], np.shape(b)[0])) as d:
-        _distances(a, b, d, rows, lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
+    _distances(a, b, _workspace((np.shape(a)[0], np.shape(b)[0])), rows,
+               lambda blk_rows, blk: _nearest_block(blk, nbrs[blk_rows]))
     return nbrs
 
 
@@ -338,21 +338,21 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
 
     # core, density and the list (int32 positions and float64 distances)
     # are held beside the workspace
-    with _workspace((n, n), n * (16 + 12 * k)) as dist:
-        core, density = np.empty(n), np.empty(n)
-        near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
-        _pairwise(ds.points, dist, take_near)
-        todo = np.arange(n)  # every core is in now; the density steps read them all
-        if min_pts <= min(3, k):  # the rows whose list decides their density
-            cand = core[near]
-            np.maximum(cand, near_dist, out=cand)
-            np.maximum(cand, core[:, None], out=cand)
-            mean = _smallest_mean(cand, min_pts)
-            listed = cand[:, min_pts - 1] <= near_dist[:, -1]
-            density[listed] = mean[listed]
-            todo = np.flatnonzero(~listed)
-        _spread(dist, todo.size, take_density)
-        order, gap = _spanning_tree(dist, core)
+    dist = _workspace((n, n), n * (16 + 12 * k))
+    core, density = np.empty(n), np.empty(n)
+    near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
+    _pairwise(ds.points, dist, take_near)
+    todo = np.arange(n)  # every core is in now; the density steps read them all
+    if min_pts <= min(3, k):  # the rows whose list decides their density
+        cand = core[near]
+        np.maximum(cand, near_dist, out=cand)
+        np.maximum(cand, core[:, None], out=cand)
+        mean = _smallest_mean(cand, min_pts)
+        listed = cand[:, min_pts - 1] <= near_dist[:, -1]
+        density[listed] = mean[listed]
+        todo = np.flatnonzero(~listed)
+    _spread(dist, todo.size, take_density)
+    order, gap = _spanning_tree(dist, core)
     sq_norms = squared_norms(ds.points)
     for arr in (core, density, order, gap, near, near_dist, sq_norms):
         arr.flags.writeable = False

@@ -420,8 +420,7 @@ def pairwise_distances(points) -> np.ndarray:
     points = np.array(points, dtype=float)
     n = points.shape[0]
     out = np.empty((n, n))
-    with metricspace._workspace((n, n)) as d:
-        metricspace._pairwise(points, d, out.__setitem__)
+    metricspace._pairwise(points, metricspace._workspace((n, n)), out.__setitem__)
     return out
 
 
@@ -430,8 +429,8 @@ def cross_distances(a, b, rows=None) -> np.ndarray:
     order) to each row of b: the blocks of metricspace._distances, copied out
     of its workspace."""
     out = np.empty((np.shape(a)[0] if rows is None else len(rows), np.shape(b)[0]))
-    with metricspace._workspace((np.shape(a)[0], np.shape(b)[0])) as d:
-        metricspace._distances(a, b, d, rows, out.__setitem__)
+    metricspace._distances(a, b, metricspace._workspace((np.shape(a)[0], np.shape(b)[0])), rows,
+                           out.__setitem__)
     return out
 
 

@@ -138,6 +138,29 @@ def test_dbscan_refuses_its_workspace_and_neighbourhoods_before_allocating(monke
     assert dbscan(ds, 0.5, 3).tobytes() == want.tobytes()
 
 
+def test_dbscan_drops_its_distances_before_its_graph_steps(monkeypatch):
+    # after its distance pass dbscan holds its n x n neighbourhoods (n^2
+    # bytes) but not its 8n^2-byte distances: the traced heap at its first
+    # numpy call after the pass stays below 8n^2
+    n = 400
+    ds = as_dataset(np.random.default_rng(47).normal(size=(n, 2)))
+    want = dbscan_by_matrix(pairwise_distances(ds.points), 0.5, 3)
+    seen, full = [], np.full
+
+    def spy(*args, **kwargs):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(baselines.np, "full", spy)
+    tracemalloc.start()
+    try:
+        got = dbscan(ds, 0.5, 3)
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert seen and n * n <= seen[0] < 8 * n * n
+
+
 def test_kmeans_single_cluster_and_full_split():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
     assert kmeans(as_dataset(pts), k=1, seed=0).tolist() == [0, 0, 0, 0]

@@ -1,12 +1,12 @@
 """CLI contract: report shapes, formatting, determinism, and exit codes."""
 
-from contextlib import contextmanager
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -438,23 +438,22 @@ def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypa
 
 
 def test_no_subcommand_opens_a_workspace_inside_another(blobs_csv, monkeypatch, capsys):
-    # a thread opening a workspace inside another would hold both at once and
-    # double its peak; the wrapper fails on such nesting
-    held, opened, nested = threading.local(), [], []
+    # a thread opening a workspace while one it opened is still alive would
+    # hold both at once and double its peak; the wrapper holds each thread's
+    # workspace as live until the array is freed, and fails on such nesting
+    held, opened, nested = {}, [], []
     real = metricspace._workspace
 
-    @contextmanager
     def unnested(shape, *beside):
-        if getattr(held, "shape", None) is not None:
-            nested.append((held.shape, shape))
-            raise AssertionError(f"a {shape} workspace inside a {held.shape} one")
-        held.shape = shape
-        try:
-            with real(shape, *beside) as w:
-                opened.append(shape)
-                yield w
-        finally:
-            held.shape = None
+        me = threading.get_ident()
+        if me in held:
+            nested.append((held[me], shape))
+            raise AssertionError(f"a {shape} workspace inside a {held[me]} one")
+        w = real(shape, *beside)
+        held[me] = shape
+        weakref.finalize(w, held.pop, me)
+        opened.append(shape)
+        return w
 
     monkeypatch.setattr(metricspace, "_workspace", unnested)
     monkeypatch.setattr(baselines, "_workspace", unnested)

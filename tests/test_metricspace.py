@@ -1,12 +1,13 @@
 """Distance matrix, core distances, reachability, and reachability kNN."""
 
-from contextlib import contextmanager
 from dataclasses import replace
+import gc
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -288,11 +289,9 @@ def opened_workspaces(monkeypatch) -> list:
     """Every workspace opened from now on, by metricspace or the baselines."""
     opened, real = [], metricspace._workspace
 
-    @contextmanager
     def recording(shape, *beside):
-        with real(shape, *beside) as w:
-            opened.append(w)
-            yield w
+        opened.append(real(shape, *beside))
+        return opened[-1]
 
     monkeypatch.setattr(metricspace, "_workspace", recording)
     monkeypatch.setattr(baselines, "_workspace", recording)
@@ -308,12 +307,11 @@ def test_a_workspace_above_physical_memory_is_refused_before_allocating(monkeypa
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError) as refused:
-            with _workspace((30, 30)):
-                pytest.fail("the block ran")
+            _workspace((30, 30))
         refused_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        with _workspace((30, 29)) as w:
-            accepted_peak = tracemalloc.get_traced_memory()[1]
+        w = _workspace((30, 29))
+        accepted_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(refused.value) == ("a 30 x 30 distance workspace needs 7200 bytes, "
@@ -396,7 +394,8 @@ def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, hel
     # one threshold spreads a workspace's row passes: with SPREAD_BYTES at
     # the workspace's size, one-row blocks run on the caller and the helper;
     # one byte above it, on the caller alone. A 0-3 grid ties many distances,
-    # and the bytes are the serial routes' either way
+    # and the bytes are the serial routes' either way. (The name dates from
+    # when SPREAD_BYTES also chose which workspaces to memory-map.)
     ran = helpers(1)
     rng = np.random.default_rng(107)
     pts = rng.integers(0, 4, size=(48, 2)).astype(float)
@@ -429,6 +428,42 @@ def test_row_passes_spread_exactly_when_the_workspace_is_mapped(monkeypatch, hel
         out, want = (out,), (want,)
     assert [a.tobytes() for a in out] == [a.tobytes() for a in want]
     assert ran and (len(ran) > 1) == (not below)
+
+
+@pytest.mark.parametrize("count, raiser", [(0, None), (0, "caller"), (1, None), (1, "caller"),
+                                           (1, "helper"), (3, None), (3, "caller"),
+                                           (3, "helper")])
+def test_a_pass_keeps_no_reference_to_its_workspace(monkeypatch, helpers, count, raiser):
+    # once _distances returns, or raises from one block on the caller or on a
+    # pool thread, and the caller drops its workspace, the array is freed:
+    # neither _spread, its pool threads nor their work items hold it. The
+    # collector is off, so a reference cycle would keep it
+    ran = helpers(count)
+    monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
+    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
+    pts = np.random.default_rng(113).normal(size=(40, 3))
+    caller, raised = threading.get_ident(), []
+
+    def each(rows, blk):
+        time.sleep(1e-3)  # slow enough that every helper takes blocks
+        if raiser and not raised and (threading.get_ident() == caller) == (raiser == "caller"):
+            raised.append(rows)
+            raise ValueError("a block failed")
+
+    out = _workspace((40, 40))
+    ref = weakref.ref(out)
+    gc.disable()
+    try:
+        if raiser:
+            with pytest.raises(ValueError, match="a block failed"):
+                metricspace._distances(pts, pts, out, None, each)
+        else:
+            metricspace._distances(pts, pts, out, None, each)
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(ran) == count + 1 and bool(raised) == bool(raiser)
 
 
 def test_index_build_holds_one_n_by_n_array(monkeypatch):
