@@ -17,7 +17,6 @@ import numpy as np
 from .dataset import OUTLIER, int_vector
 from .expansion import UNCLUSTERED
 from .metricspace import NeighborhoodIndex, _fresh_nearest, cross_nearest
-from .scoring import ScoreTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,22 +52,22 @@ class TrainingSet:
         return int(self.indices.size)
 
 
-def select_reliable(assign: np.ndarray, scores: ScoreTable, k: int) -> TrainingSet:
-    """All clustered points of `assign` as reliable normals plus the k most
-    outlier-like unclustered points (highest t_score, ties to the smaller index)."""
-    if scores.t_score is None:
-        raise ValueError("score table must include t_score")
+def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
+                    k: int) -> TrainingSet:
+    """All clustered points of `assign` as reliable normals, weighted by
+    r_score, plus the k most outlier-like unclustered points, weighted by
+    the blend t (highest t, ties to the smaller index)."""
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
     if not 0 <= k <= unclustered.size:
         raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
-    t = scores.t_score[unclustered]
-    order = np.argsort(-t, kind="stable")  # unclustered ascends, so ties keep index order
+    # unclustered ascends, so ties keep index order
+    order = np.argsort(-t[unclustered], kind="stable")
     chosen = unclustered[order[:k]]
     return TrainingSet(
         indices=np.concatenate([clustered, chosen]),
         classes=np.concatenate([assign[clustered], np.full(k, OUTLIER, dtype=int)]),
-        weights=np.concatenate([scores.r_score[clustered], scores.t_score[chosen]]),
+        weights=np.concatenate([r_score[clustered], t[chosen]]),
     )
 
 
@@ -210,14 +209,13 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """End-to-end output: predictions plus the artifacts that produced them.
-    clusters, outliers and outlier_score follow `finish`'s rows (every point
-    by default); score_table, assignment and training cover every point."""
+    """What `finish` made: clusters, outliers and outlier_score follow its
+    rows (every point by default); training is the classifier's training set
+    and k_c its width. The assignment and score columns are the stage's
+    (pipeline.Prepared)."""
 
     clusters: np.ndarray
     outliers: np.ndarray
     outlier_score: np.ndarray
-    score_table: ScoreTable
-    assignment: np.ndarray
     training: TrainingSet
     k_c: int

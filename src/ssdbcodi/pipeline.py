@@ -60,9 +60,10 @@ class TuneReport:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
-    on (its points and min_pts), the assignment, the score table without
-    t_score, the k used when PipelineParams.k is None, and `finish`'s kNN
-    neighbours per (k_c, ordered training indices, rows)."""
+    on (its points and min_pts), the assignment, the three raw score columns
+    (t_score(scores, params) blends them), the k used when PipelineParams.k
+    is None, and `finish`'s kNN neighbours per (k_c, ordered training
+    indices, rows)."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
@@ -98,10 +99,10 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
         raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
     if rows is not None:
         rows = point_indices(rows, index.n, "rows")
-    table = replace(prepared.scores, t_score=t_score(prepared.scores, params.score))
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
-    ts = select_reliable(prepared.assignment, table, k)
+    ts = select_reliable(prepared.assignment, prepared.scores.r_score,
+                         t_score(prepared.scores, params.score), k)
     k_c = min(params.k_c, len(ts))
     # Equal keys mean equal inputs to `neighbours`, so cached neighbours keep every bit.
     key = (k_c, ts.indices.tobytes(), None if rows is None else rows.tobytes())
@@ -112,8 +113,6 @@ def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineRes
         clusters=classes,
         outliers=classes == OUTLIER,
         outlier_score=outlier_score,
-        score_table=table,
-        assignment=prepared.assignment,
         training=ts,
         k_c=k_c,
     )

@@ -42,12 +42,11 @@ class ScoreParams:
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Per-point score columns; t_score is None until a blend is applied."""
+    """The three raw per-point score columns; t_score blends them."""
 
     r_score: np.ndarray
     l_score: np.ndarray
     sim_score: np.ndarray
-    t_score: np.ndarray | None = None
 
 
 def r_score(emax) -> np.ndarray:

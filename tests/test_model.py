@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (OUTLIER, UNCLUSTERED, ScoreTable, TrainingSet, build_index, metricspace,
-                      model, select_reliable)
+from ssdbcodi import (OUTLIER, UNCLUSTERED, TrainingSet, build_index, metricspace, model,
+                      select_reliable)
 from ssdbcodi.model import neighbours
 from oracles import as_dataset, classify, cross_distances, knn_predict_by_loop
 
@@ -17,10 +17,7 @@ def make_assignment(assign):
 
 
 def make_scores(r, t):
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return ScoreTable(r_score=r, l_score=np.zeros_like(r),
-                      sim_score=np.zeros_like(r), t_score=t)
+    return np.asarray(r, dtype=float), np.asarray(t, dtype=float)
 
 
 def test_training_set_validation():
@@ -51,29 +48,25 @@ def test_training_set_validation():
 
 def test_select_reliable_worked_example():
     assignment = make_assignment([0, UNCLUSTERED, 1, UNCLUSTERED, UNCLUSTERED])
-    scores = make_scores(r=[0.9, 0.2, 0.8, 0.3, 0.4], t=[0.1, 0.7, 0.2, 0.7, 0.5])
-    ts = select_reliable(assignment, scores, k=2)
+    r, t = make_scores(r=[0.9, 0.2, 0.8, 0.3, 0.4], t=[0.1, 0.7, 0.2, 0.7, 0.5])
+    ts = select_reliable(assignment, r, t, k=2)
     assert ts.indices.tolist() == [0, 2, 1, 3]
     assert ts.classes.tolist() == [0, 1, OUTLIER, OUTLIER]
     assert ts.weights.tolist() == [0.9, 0.8, 0.7, 0.7]
     # tied t_score goes to the smaller index
-    one = select_reliable(assignment, scores, k=1)
+    one = select_reliable(assignment, r, t, k=1)
     assert one.indices.tolist() == [0, 2, 1]
-    none = select_reliable(assignment, scores, k=0)
+    none = select_reliable(assignment, r, t, k=0)
     assert none.indices.tolist() == [0, 2]
 
 
 def test_select_reliable_rejects_bad_k():
     assignment = make_assignment([0, UNCLUSTERED])
-    scores = make_scores(r=[1.0, 0.5], t=[0.0, 0.5])
+    r, t = make_scores(r=[1.0, 0.5], t=[0.0, 0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        select_reliable(assignment, scores, k=2)
+        select_reliable(assignment, r, t, k=2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        select_reliable(assignment, scores, k=-1)
-    missing = ScoreTable(r_score=np.ones(2), l_score=np.zeros(2),
-                         sim_score=np.zeros(2))
-    with pytest.raises(ValueError, match="t_score"):
-        select_reliable(assignment, missing, k=0)
+        select_reliable(assignment, r, t, k=-1)
 
 
 def test_select_reliable_matches_lexsort_order():
@@ -85,14 +78,14 @@ def test_select_reliable_matches_lexsort_order():
         assign = np.where(rng.random(n) < rng.random(), UNCLUSTERED,
                           rng.integers(0, 3, size=n))
         t = rng.choice([0.0, 0.25, 0.5, 1.0], size=n) if case % 2 else rng.random(n)
-        scores = make_scores(r=rng.random(n), t=t)
+        r = rng.random(n)
         unclustered = np.flatnonzero(assign == UNCLUSTERED)
         k = int(rng.integers(0, unclustered.size + 1))
         want = unclustered[np.lexsort((unclustered, -t[unclustered]))[:k]]
-        got = select_reliable(assign, scores, k)
+        got = select_reliable(assign, r, t, k)
         assert got.indices[got.indices.size - k:].tobytes() == want.tobytes(), case
         assert got.weights.tobytes() == np.concatenate(
-            [scores.r_score[assign != UNCLUSTERED], t[want]]).tobytes(), case
+            [r[assign != UNCLUSTERED], t[want]]).tobytes(), case
         ranked = np.sort(t[unclustered])[::-1]
         tied += bool(0 < k < ranked.size and ranked[k - 1] == ranked[k])  # a tie at the cut
     assert tied >= 100

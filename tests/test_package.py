@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import dataclasses
+
 import ssdbcodi
 
 
@@ -21,3 +23,15 @@ def test_the_public_surface_is_pinned():
         "sample_labels", "select_reliable", "sim_scores", "ssdbscan_with_fallback",
         "t_score", "tune",
     ])
+
+
+def test_the_pipeline_records_are_pinned():
+    # a result holds only what finish made and a score table only the raw
+    # columns; the assignment and the blend stay on the stage, so a field
+    # copied back onto either record fails here
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(ssdbcodi.PipelineResult) == ["clusters", "outliers", "outlier_score",
+                                              "training", "k_c"]
+    assert names(ssdbcodi.ScoreTable) == ["r_score", "l_score", "sim_score"]

@@ -9,7 +9,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, blend_grid, build_index, default_k, finish, metricspace,
-                      pipeline, prepare, run, sample_labels, tune)
+                      pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition, grid_size
 from oracles import fold_objective, moons_with_outliers, tune_by_cells
 
@@ -54,8 +54,9 @@ def test_pipeline_params_refuse_float_and_boolean_counts():
 
 
 def test_run_separates_blobs_and_flags_outliers():
+    prepared = prepare(build_index(BLOBS, PARAMS.score.min_pts), BLOB_LABELS)
     result = run(BLOBS, BLOB_LABELS, PARAMS)
-    assert result.assignment.tolist() == [0] * 8 + [1] * 8 + [UNCLUSTERED] * 2
+    assert prepared.assignment.tolist() == [0] * 8 + [1] * 8 + [UNCLUSTERED] * 2
     # default k = round(18 * 1/3) clamped to the 2 unclustered points
     assert result.training.indices.tolist() == list(range(16)) + [16, 17]
     assert result.training.classes.tolist() == [0] * 8 + [1] * 8 + [OUTLIER] * 2
@@ -66,9 +67,11 @@ def test_run_separates_blobs_and_flags_outliers():
     assert result.outlier_score[17] == 1.0
     assert np.all(result.outlier_score[:16] == 0.0)
     # labeled roots are reached for free
-    assert result.score_table.r_score[0] == 1.0
-    assert result.score_table.r_score[8] == 1.0
-    assert result.score_table.t_score is not None
+    assert prepared.scores.r_score[0] == 1.0
+    assert prepared.scores.r_score[8] == 1.0
+    # the reliable outliers are weighted by the stage's blend
+    blend = t_score(prepared.scores, PARAMS.score)
+    assert result.training.weights[16:].tobytes() == blend[[16, 17]].tobytes()
 
 
 def test_run_is_prepare_then_finish():
@@ -306,9 +309,10 @@ def test_prepared_stage_owns_points_and_auto_k():
             unclustered = int((prepared.assignment == UNCLUSTERED).sum())
             assert prepared.auto_k == min(default_k(ds.n, labels), unclustered)
             assert np.shares_memory(prepared.index.points, ds.points)
+            assert prepared.assignment.tobytes() == prepare(index, labels).assignment.tobytes()
             for p in params:
                 got, want = finish(prepared, p), run(ds, labels, p)
-                for attr in ("clusters", "outliers", "outlier_score", "assignment"):
+                for attr in ("clusters", "outliers", "outlier_score"):
                     assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
                 assert got.training.indices.tobytes() == want.training.indices.tobytes()
                 assert got.k_c == want.k_c
@@ -355,10 +359,14 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     cached = [finish(prepared, p) for p in params]
     assert len(calls) == 2
     for got, p in zip(cached, params):
-        want = finish(prepare(build_index(ds, 3), labels), p)
-        for attr in ("clusters", "outliers", "outlier_score", "assignment"):
+        fresh = prepare(build_index(ds, 3), labels)
+        want = finish(fresh, p)
+        for attr in ("clusters", "outliers", "outlier_score"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
-        assert got.score_table.t_score.tobytes() == want.score_table.t_score.tobytes()
+        assert got.training.weights.tobytes() == want.training.weights.tobytes()
+        assert prepared.assignment.tobytes() == fresh.assignment.tobytes()
+        assert (t_score(prepared.scores, p.score).tobytes()
+                == t_score(fresh.scores, p.score).tobytes())
         assert got.training.indices.tobytes() == want.training.indices.tobytes()
         assert got.k_c == want.k_c == p.k_c
 

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
-                      build_index, expand, l_score, r_score, run, sim_scores, t_score)
+from ssdbcodi import (OUTLIER, Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
+                      build_index, expand, l_score, prepare, r_score, run, sim_scores,
+                      t_score)
 from oracles import (as_dataset, local_density, random_labelset, random_points,
                      sim_score, sim_scores_by_broadcast)
 
@@ -200,13 +201,18 @@ def test_score_table_builder_is_complete():
     pts = random_points(rng, n=25, d=2)
     ds = Dataset(points=pts, truth=[0] * 25)
     labels = LabelSet(normal={0: 0, 12: 0}, outliers=frozenset([5]))
-    table = run(ds, labels, PipelineParams(ScoreParams(0.4, 0.3, min_pts=2))).score_table
+    params = PipelineParams(ScoreParams(0.4, 0.3, min_pts=2))
     idx = build_index(ds, 2)
+    table = prepare(idx, labels).scores
     assert np.array_equal(table.r_score, r_score(expand(idx, labels)[1]))
     assert np.array_equal(table.l_score, l_score(idx.density))
     assert np.array_equal(table.sim_score, sim_scores(ds.points, labels))
-    assert table.t_score is not None
-    assert np.all((table.t_score >= 0) & (table.t_score <= 1))
+    t = t_score(table, params.score)
+    assert np.all((t >= 0) & (t <= 1))
     expected = (0.4 * (1 - table.r_score) + 0.3 * (1 - table.l_score)
                 + 0.3 * table.sim_score)
-    assert np.allclose(table.t_score, expected, atol=1e-15)
+    assert np.allclose(t, expected, atol=1e-15)
+    # run weights its reliable outliers by this blend, bit for bit
+    ts = run(ds, labels, params).training
+    chosen = ts.indices[ts.classes == OUTLIER]
+    assert chosen.size and ts.weights[-chosen.size:].tobytes() == t[chosen].tobytes()
