@@ -177,15 +177,18 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     the predicted class per row (cluster id or OUTLIER) and OUTLIER's
     share of the summed weight.
 
-    The votes are one flat array of a cell per (row, class), indexed by a
-    k x n table of each rank's cells. Each class adds its weights one
-    neighbour rank at a time, so in neighbour order, and `seen` keeps
-    zero-weight votes as present; the total adds the class sums in
-    first-appearance order.
+    The votes are one flat array of a cell per (row, class among the
+    neighbours), indexed by a k x n table of each rank's cells. Each class
+    adds its weights one neighbour rank at a time, so in neighbour order,
+    and `seen` keeps zero-weight votes as present; the total adds the class
+    sums in first-appearance order.
     """
     n, k = nbrs.shape
-    ids, inv = np.unique(ts.classes, return_inverse=True)
-    cells = inv[nbrs.T] + np.arange(0, n * ids.size, ids.size)
+    if n == 0:  # no row, so no neighbour to take class ids from
+        return np.empty(0, dtype=int), np.zeros(0)
+    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
+    ids, inv = np.unique(ts.classes[nbrs.T].ravel(), return_inverse=True)
+    cells = inv.reshape(k, n) + np.arange(0, n * ids.size, ids.size)
     w = ts.weights[nbrs.T]
     votes = np.zeros(n * ids.size)
     seen = np.zeros(n * ids.size, dtype=bool)
@@ -209,10 +212,10 @@ def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """What `finish` made: clusters, outliers and outlier_score follow its
-    rows (every point by default); training is the classifier's training set
-    and k_c its width. The assignment and score columns are the stage's
-    (pipeline.Prepared)."""
+    """What `finish` made: clusters, outliers and outlier_score follow the
+    stage's rows (every point by default); training is the classifier's
+    training set and k_c its width. The assignment and score columns are
+    the stage's (pipeline.Prepared)."""
 
     clusters: np.ndarray
     outliers: np.ndarray

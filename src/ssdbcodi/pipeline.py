@@ -3,12 +3,12 @@
 The label-independent work (core distances, local densities, the
 reachability plot) lives on a NeighborhoodIndex, which owns the points
 and min_pts; build_index keeps one per dataset and min_pts, so `run` and
-`tune` on one dataset build it once. `prepare(index, labels)` stages one
-label draw on it; `finish` reads only that stage to apply one (alpha, beta)
-blend, select the reliable sets and classify every point or a given subset
-of rows, keeping the kNN neighbours per training set and rows on the stage.
-`run` composes the two; `tune` finishes every cell on one validation fold's
-stage, classifying only that fold's hidden rows, before preparing the next.
+`tune` on one dataset build it once. `prepare(index, labels, rows)` stages
+one label draw on it and the rows it classifies (every point by default);
+`finish` reads only that stage to apply one (alpha, beta) blend, select the
+reliable sets and classify those rows, keeping the kNN neighbours per
+training set on the stage. `run` composes the two; `tune` stages each
+validation fold on its hidden rows and finishes every cell before the next.
 
 Each fold's objective sets out its truth side once (the hidden outlier and
 normal rows, the hidden labels' codes and pair count, the ids a cell can
@@ -62,13 +62,14 @@ class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
     on (its points and min_pts), the assignment, the three raw score columns
     (t_score(scores, params) blends them), the k used when PipelineParams.k
-    is None, and `finish`'s kNN neighbours per (k_c, ordered training
-    indices, rows)."""
+    is None, the rows `finish` classifies (None: every point) and their kNN
+    neighbours per (k_c, ordered training indices)."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
     scores: ScoreTable
     auto_k: int
+    rows: np.ndarray | None
     neighbours: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -79,43 +80,39 @@ def default_k(n: int, labels: LabelSet) -> int:
     return round_half_up(0.05 * n)
 
 
-def prepare(index: NeighborhoodIndex, labels: LabelSet) -> Prepared:
+def prepare(index: NeighborhoodIndex, labels: LabelSet, rows=None) -> Prepared:
     """Back-traced expansion, the three raw score columns and the automatic
-    reliable-outlier count of one label draw on `index`."""
+    reliable-outlier count of one label draw on `index`, and the `rows` that
+    its finishes classify (every point when None)."""
+    rows = None if rows is None else point_indices(rows, index.n, "rows")
     assignment, emax = expand(index, labels)
     scores = ScoreTable(r_score=r_score(emax), l_score=l_score(index.density),
                         sim_score=sim_scores(index.points, labels))
     auto_k = min(default_k(index.n, labels), int((assignment == UNCLUSTERED).sum()))
-    return Prepared(index=index, assignment=assignment, scores=scores, auto_k=auto_k)
+    return Prepared(index=index, assignment=assignment, scores=scores, auto_k=auto_k,
+                    rows=rows)
 
 
-def finish(prepared: Prepared, params: PipelineParams, rows=None) -> PipelineResult:
-    """Blend scores, select reliable sets, and classify `rows` (every point
-    when None), each bit for bit as the all-points call would; the per-row
-    fields of the result follow `rows` (see PipelineResult). A stage whose
-    index has another min_pts than params.score is refused."""
+def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
+    """Blend scores, select reliable sets, and classify the stage's rows,
+    each bit for bit as an all-points stage would; the per-row fields of the
+    result follow those rows (see PipelineResult). A stage whose index has
+    another min_pts than params.score is refused."""
     index = prepared.index
     if index.min_pts != params.score.min_pts:
         raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
-    if rows is not None:
-        rows = point_indices(rows, index.n, "rows")
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
     ts = select_reliable(prepared.assignment, prepared.scores.r_score,
                          t_score(prepared.scores, params.score), k)
     k_c = min(params.k_c, len(ts))
     # Equal keys mean equal inputs to `neighbours`, so cached neighbours keep every bit.
-    key = (k_c, ts.indices.tobytes(), None if rows is None else rows.tobytes())
+    key = (k_c, ts.indices.tobytes())
     if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, index, k_c, rows)
+        prepared.neighbours[key] = neighbours(ts, index, k_c, prepared.rows)
     classes, outlier_score = vote(ts, prepared.neighbours[key])
-    return PipelineResult(
-        clusters=classes,
-        outliers=classes == OUTLIER,
-        outlier_score=outlier_score,
-        training=ts,
-        k_c=k_c,
-    )
+    return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
+                          outlier_score=outlier_score, training=ts, k_c=k_c)
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
@@ -151,9 +148,9 @@ def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
 
 def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
     """The fold objective of one stage: objective(result) is the mean of AUC
-    and Rand index on the sorted `hidden` labeled points, whose rows alone
-    `result` classified, each with the bits of metrics.auc and
-    metrics.rand_index.
+    and Rand index on the sorted `hidden` labeled points, the stage's rows and
+    so the only rows `result` classified, each with the bits of metrics.auc
+    and metrics.rand_index.
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
@@ -223,12 +220,11 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
 
     index = build_index(ds, base.score.min_pts)
     per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
-    for hidden in _fold_partition(labels, folds, seed):
-        prepared = prepare(index, _drop_labels(labels, hidden))
-        hidden = sorted(hidden)
+    for fold in _fold_partition(labels, folds, seed):
+        hidden = sorted(fold)
+        prepared = prepare(index, _drop_labels(labels, fold), hidden)
         objective = _fold_objective(prepared.assignment, hidden, labels)
-        rows = np.array(hidden, dtype=int)
-        per_fold.append([objective(finish(prepared, p, rows)) for p in blends])
+        per_fold.append([objective(finish(prepared, p)) for p in blends])
 
     grid = []
     for cell, objectives in zip(blends, zip(*per_fold)):

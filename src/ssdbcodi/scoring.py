@@ -34,7 +34,7 @@ class ScoreParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.alpha + self.beta > 1.0 + 1e-9:
+        if self.alpha + self.beta > 1.0:
             raise ValueError(f"alpha + beta must not exceed 1, got {self.alpha + self.beta}")
         if not (is_int(self.min_pts) and self.min_pts >= 1):
             raise ValueError(f"min_pts must be an integer >= 1, got {self.min_pts!r}")

@@ -384,6 +384,20 @@ def test_blend_lattices_finer_than_a_hundredth_are_refused(blobs_csv, capsys, mo
     assert calls == []
 
 
+def test_a_blend_summing_just_above_one_is_refused(tmp_path, capsys):
+    # r and l underflow to 0 at the far outliers, so this blend once gave
+    # them a weight above 1 and the run died with exit 1 on TrainingSet
+    blob = np.random.default_rng(0).normal(size=(80, 2))
+    rows = [(x, y, "a") for x, y in blob] + [(1000.0, 1000.0, "o"), (-900.0, 1200.0, "o")]
+    path = write_csv(tmp_path / "far.csv", rows)
+    argv = ["run", "--input", path, "--label-fraction", "0.3", "--seed", "1", "--alpha", "0.5"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--beta", "0.5000000001"])
+    assert excinfo.value.code == 2
+    assert "error: alpha + beta must not exceed 1, got 1.0000000001" in capsys.readouterr().err
+    assert run_cli(argv + ["--beta", "0.5"], capsys)[0] == 0
+
+
 def test_runtime_errors_exit_one(blobs_csv, tmp_path, capsys):
     code, _, err = run_cli(["run", "--input", str(tmp_path / "missing.csv")], capsys)
     assert code == 1

@@ -35,3 +35,6 @@ def test_the_pipeline_records_are_pinned():
     assert names(ssdbcodi.PipelineResult) == ["clusters", "outliers", "outlier_score",
                                               "training", "k_c"]
     assert names(ssdbcodi.ScoreTable) == ["r_score", "l_score", "sim_score"]
+    # a stage fixes the rows its finishes classify, so no cell passes them
+    assert names(ssdbcodi.Prepared) == ["index", "assignment", "scores", "auto_k", "rows",
+                                        "neighbours"]

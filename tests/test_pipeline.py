@@ -232,7 +232,8 @@ def test_tune_after_build_index_reuses_that_index(monkeypatch):
     staged, trees = [], []
     real_prepare, real_tree = pipeline.prepare, metricspace._spanning_tree
     monkeypatch.setattr(pipeline, "prepare",
-                        lambda idx, labels: staged.append(idx) or real_prepare(idx, labels))
+                        lambda idx, labels, rows=None:
+                        staged.append(idx) or real_prepare(idx, labels, rows))
     monkeypatch.setattr(metricspace, "_spanning_tree",
                         lambda *args: trees.append(args) or real_tree(*args))
     got = tune(ds, tune_labels(), grid_step=0.25, folds=2, seed=2, params=params)
@@ -319,22 +320,24 @@ def test_prepared_stage_owns_points_and_auto_k():
     assert with_outliers >= 2
 
 
-def test_finish_refuses_rows_outside_the_dataset():
-    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
+def test_prepare_refuses_rows_outside_the_dataset():
+    index = build_index(BLOBS, 3)
     for rows in ([0, -1], [3, BLOBS.n]):
         with pytest.raises(IndexError, match=r"rows must lie in \[0, 17\]"):
-            finish(prepared, PARAMS, rows)
-    assert finish(prepared, PARAMS, [17, 0]).clusters.shape == (2,)
+            prepare(index, BLOB_LABELS, rows)
+    assert finish(prepare(index, BLOB_LABELS, [17, 0]), PARAMS).clusters.shape == (2,)
 
 
-def test_finish_refuses_indices_it_would_cast():
+def test_prepare_refuses_indices_it_would_cast():
     # a float would truncate, a mask would become rows 1 and 0
-    prepared = prepare(build_index(BLOBS, 3), BLOB_LABELS)
+    index = build_index(BLOBS, 3)
     for bad in ([0.9, 1.5], [0.7], [True, False], [[0, 1], [2, 3]]):
         with pytest.raises(ValueError, match="rows must be a 1-D sequence of integers"):
-            finish(prepared, PARAMS, bad)
+            prepare(index, BLOB_LABELS, bad)
     rows = np.array([3, 0], dtype=np.int32)
-    assert finish(prepared, PARAMS, rows).clusters.shape == (2,)
+    assert finish(prepare(index, BLOB_LABELS, rows), PARAMS).clusters.shape == (2,)
+    empty = finish(prepare(index, BLOB_LABELS, []), PARAMS)
+    assert empty.clusters.shape == empty.outlier_score.shape == (0,)
 
 
 def counted_searches(monkeypatch) -> list:
@@ -378,9 +381,10 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     finished, voted = [], []
     real_finish, real_vote = pipeline.finish, pipeline.vote
 
-    def recording(prepared, params, rows=None):
-        result = real_finish(prepared, params, rows)
-        finished.append((prepared, result.k_c, result.training.indices.tobytes(), rows))
+    def recording(prepared, params):
+        result = real_finish(prepared, params)
+        finished.append((prepared, result.k_c, result.training.indices.tobytes(),
+                         prepared.rows))
         return result
 
     def counting_vote(ts, nbrs):
@@ -400,6 +404,22 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     assert [list(rows) for *_, rows in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
     assert voted == [len(rows) for *_, rows in finished]
+
+
+def test_tune_validates_rows_once_per_fold(monkeypatch):
+    ds = moons_with_outliers(n=200)
+    labels = sample_labels(ds, 0.1, seed=5)
+    checked = []
+    real = pipeline.point_indices
+
+    def counting(values, n, name):
+        checked.append(name)
+        return real(values, n, name)
+
+    monkeypatch.setattr(pipeline, "point_indices", counting)
+    tune(ds, labels, grid_step=0.2, folds=4, seed=5,
+         params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
+    assert checked == ["rows"] * 4
 
 
 def fuzz_tune_case(rng):
@@ -428,19 +448,21 @@ def test_finish_on_rows_matches_all_rows_indexed():
     for case in range(120):
         ds, labels, kwargs = fuzz_tune_case(rng)
         base = kwargs["params"]
-        prepared = prepare(build_index(ds, base.score.min_pts), labels)
+        index = build_index(ds, base.score.min_pts)
+        prepared = prepare(index, labels)
         chosen = rng.choice(ds.n, size=int(rng.integers(1, ds.n + 1)), replace=False)
         repeated = [int(rng.integers(ds.n))] * 2 + [int(chosen[0])]
         for rows in (np.sort(chosen), chosen, repeated):
+            staged = prepare(index, labels, rows)
             for alpha, beta in blend_grid(0.5):
                 p = replace(base, score=replace(base.score, alpha=alpha, beta=beta))
                 try:
                     want = finish(prepared, p)
                 except ValueError as exc:  # an explicit k above the unclustered count
                     with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                        finish(prepared, p, rows)
+                        finish(staged, p)
                     continue
-                got = finish(prepared, p, rows)
+                got = finish(staged, p)
                 for attr in ("clusters", "outliers", "outlier_score"):
                     assert (getattr(got, attr).tobytes()
                             == getattr(want, attr)[rows].tobytes()), (case, attr)

@@ -1,0 +1,30 @@
+"""README's Library examples run as written."""
+
+from pathlib import Path
+import re
+
+import numpy as np
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_examples_run(tmp_path, monkeypatch, capsys):
+    # the two blocks share one namespace: the second reads the first's ds,
+    # labels and best
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    rng = np.random.default_rng(3)
+    lines = ["x,y,label"]
+    for label, centre in (("a", (0.0, 0.0)), ("b", (6.0, 6.0))):
+        lines += [f"{x},{y},{label}" for x, y in rng.normal(centre, 0.5, size=(40, 2))]
+    lines += ["20.0,-20.0,o", "-15.0,25.0,o"]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["result"].clusters.shape == (82,)
+    assert (namespace["result"].clusters.tobytes()
+            == namespace["run"](namespace["ds"], namespace["labels"],
+                                namespace["params"]).clusters.tobytes())
+    assert capsys.readouterr().out.count("\n") >= 2

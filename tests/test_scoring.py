@@ -144,8 +144,29 @@ def test_score_params_validation():
         ScoreParams(alpha=0.0, beta=1.2)
     with pytest.raises(ValueError, match="exceed 1"):
         ScoreParams(alpha=0.7, beta=0.7)
+    # no slack: one let t_score pass 1 where r and l underflow to 0, and
+    # TrainingSet then refused the reliable outliers' weights
+    with pytest.raises(ValueError, match=r"alpha \+ beta must not exceed 1"):
+        ScoreParams(alpha=0.5, beta=0.5000000001)
+    assert ScoreParams(alpha=0.5, beta=0.5).beta == 0.5
     with pytest.raises(ValueError, match="min_pts"):
         ScoreParams(alpha=0.1, beta=0.1, min_pts=0)
+
+
+def test_t_score_stays_in_unit_interval_where_r_and_l_underflow():
+    rng = np.random.default_rng(17)
+    alpha = rng.uniform(size=20000)
+    # half the blends sit on the alpha + beta = 1 edge, where rounding could pass 1
+    beta = np.where(rng.random(alpha.size) < 0.5, 1.0 - alpha,
+                    rng.uniform(size=alpha.size) * (1.0 - alpha))
+    table = ScoreTable(r_score=np.zeros(1), l_score=np.zeros(1), sim_score=np.ones(1))
+    admitted = 0
+    for a, b in zip(alpha.tolist(), beta.tolist()):
+        if a + b <= 1.0:  # the blends ScoreParams admits
+            t = t_score(table, ScoreParams(a, b))
+            assert 0.0 <= t[0] <= 1.0, (a, b)
+            admitted += 1
+    assert admitted >= 15000, admitted
 
 
 def test_score_params_refuse_float_and_boolean_min_pts():
