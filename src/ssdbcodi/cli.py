@@ -67,13 +67,6 @@ def _render_csv(columns, rows, failed=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load_dataset(args):
     ds = load_csv(args.input, label_column=args.label_column,
                   outlier_sentinel=args.outlier_sentinel)
@@ -88,6 +81,19 @@ def _pipeline_params(args, alpha: float, beta: float) -> PipelineParams:
         k=args.k_reliable,
         k_c=args.knn_k,
     )
+
+
+def _head(command: str, ds, **first) -> dict:
+    """A JSON report's opening keys, with `first` between the command and the dataset."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, **first,
+            "dataset": ds.name, "n": ds.n, "d": ds.d}
+
+
+def _timed(report: dict, args, started: float) -> dict:
+    """`report` with the wall time since `started` added, unless --no-timing."""
+    if not args.no_timing:
+        report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
+    return report
 
 
 def _auc(ds, scores) -> float | None:
@@ -139,11 +145,7 @@ def cmd_run(args) -> str:
     index = build_index(ds, args.min_pts)
     (alpha, beta), result = next(_draw(ds, args, index, args.label_fraction, args.seed))
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run",
-        "dataset": ds.name,
-        "n": ds.n,
-        "d": ds.d,
+        **_head("run", ds),
         "label_fraction": args.label_fraction,
         "seed": args.seed,
         "params": {
@@ -157,8 +159,7 @@ def cmd_run(args) -> str:
     if args.tune:
         report["tuned"] = {"alpha": alpha, "beta": beta}
     report.update(_evaluate(ds, result))
-    if not args.no_timing:
-        report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
+    _timed(report, args, started)
     report["per_point"] = {
         "cluster": result.clusters,
         "outlier": result.outliers,
@@ -220,46 +221,30 @@ def cmd_sensitivity(args) -> str:
 def cmd_baseline(args) -> str:
     started = time.perf_counter()
     ds = _load_dataset(args)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "baseline",
-        "algo": args.algo,
-        "dataset": ds.name,
-        "n": ds.n,
-        "d": ds.d,
-    }
-
+    assign = scores = None
     if args.algo == "kmeans":
         assign = kmeans(ds, args.k, args.seed)
-        report["params"] = {"k": args.k, "seed": args.seed}
-        report["rand_index"] = rand_index(assign, ds.truth)
-        report["nmi"] = nmi(assign, ds.truth)
+        params = {"k": args.k, "seed": args.seed}
     elif args.algo == "dbscan":
         assign = dbscan(ds, args.epsilon, args.min_pts)
-        report["params"] = {"epsilon": args.epsilon, "min_pts": args.min_pts}
-        report["rand_index"] = rand_index(assign, ds.truth)
-        report["nmi"] = nmi(assign, ds.truth)
-        report["auc"] = _auc(ds, (assign == NOISE).astype(float))
+        scores = (assign == NOISE).astype(float)
+        params = {"epsilon": args.epsilon, "min_pts": args.min_pts}
     elif args.algo == "lof":
         scores = lof(ds, args.k)
-        report["params"] = {"k": args.k}
-        report["auc"] = _auc(ds, scores)
+        params = {"k": args.k}
     else:  # ssdbscan
         labels = sample_labels(ds, args.label_fraction, args.seed,
                                stratified=args.stratified_labels)
-        idx = build_index(ds, args.min_pts)
-        assign = ssdbscan_with_fallback(idx, labels)
-        report["params"] = {
-            "label_fraction": args.label_fraction,
-            "seed": args.seed,
-            "min_pts": args.min_pts,
-        }
+        assign = ssdbscan_with_fallback(build_index(ds, args.min_pts), labels)
+        params = {"label_fraction": args.label_fraction, "seed": args.seed,
+                  "min_pts": args.min_pts}
+    report = {**_head("baseline", ds, algo=args.algo), "params": params}
+    if assign is not None:
         report["rand_index"] = rand_index(assign, ds.truth)
         report["nmi"] = nmi(assign, ds.truth)
-
-    if not args.no_timing:
-        report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-    return _render_json(report)
+    if scores is not None:
+        report["auc"] = _auc(ds, scores)
+    return _render_json(_timed(report, args, started))
 
 
 def _bounded(kind, low, high=None):
@@ -347,11 +332,40 @@ def _add_sweep_flags(p):
                         "after another")
 
 
+def _add_grid_step(p):
+    p.add_argument("--grid-step", type=float, default=0.1, help="alpha/beta lattice step")
+
+
 def _add_tune_flags(p):
     p.add_argument("--tune", action="store_true",
                    help="cross-validate alpha/beta on the labeled set first")
-    p.add_argument("--grid-step", type=float, default=0.1, help="alpha/beta lattice step")
+    _add_grid_step(p)
     p.add_argument("--folds", type=_bounded(int, 2), default=5, help="cross-validation folds")
+
+
+def _add_label_fraction(p, text="share of points whose labels are revealed"):
+    p.add_argument("--label-fraction", type=_bounded(float, 0, 1), default=0.1, help=text)
+
+
+def _add_baseline_flags(p):
+    p.add_argument("--algo", required=True, choices=["dbscan", "kmeans", "lof", "ssdbscan"])
+    p.add_argument("--epsilon", type=_bounded(float, 0), default=None, help="DBSCAN radius")
+    p.add_argument("--k", type=_bounded(int, 1), default=None, help="k for k-means or LOF")
+    p.add_argument("--min-pts", type=_bounded(int, 1), default=3,
+                   help="neighbourhood size (dbscan, ssdbscan)")
+    _add_label_fraction(p, "label share for the ssdbscan baseline")
+
+
+# Each subcommand's help, handler and flag groups after the data and label flags.
+COMMANDS = {
+    "run": ("single pipeline run, JSON report", cmd_run,
+            (_add_blend_flags, _add_model_flags, _add_tune_flags, _add_label_fraction)),
+    "benchmark": ("seeded trials per label fraction, CSV report", cmd_benchmark,
+                  (_add_blend_flags, _add_model_flags, _add_tune_flags, _add_sweep_flags)),
+    "sensitivity": ("alpha/beta grid sweep, CSV report", cmd_sensitivity,
+                    (_add_model_flags, _add_grid_step, _add_sweep_flags)),
+    "baseline": ("reference algorithm run, JSON report", cmd_baseline, (_add_baseline_flags,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,47 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semi-supervised density clustering with integrated outlier detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single pipeline run, JSON report")
-    _add_data_flags(p_run)
-    _add_label_flags(p_run)
-    _add_blend_flags(p_run)
-    _add_model_flags(p_run)
-    _add_tune_flags(p_run)
-    p_run.add_argument("--label-fraction", type=_bounded(float, 0, 1), default=0.1,
-                       help="share of points whose labels are revealed")
-    p_run.set_defaults(handler=cmd_run)
-
-    p_bench = sub.add_parser("benchmark", help="seeded trials per label fraction, CSV report")
-    _add_data_flags(p_bench)
-    _add_label_flags(p_bench)
-    _add_blend_flags(p_bench)
-    _add_model_flags(p_bench)
-    _add_tune_flags(p_bench)
-    _add_sweep_flags(p_bench)
-    p_bench.set_defaults(handler=cmd_benchmark)
-
-    p_sens = sub.add_parser("sensitivity", help="alpha/beta grid sweep, CSV report")
-    _add_data_flags(p_sens)
-    _add_label_flags(p_sens)
-    _add_model_flags(p_sens)
-    p_sens.add_argument("--grid-step", type=float, default=0.1, help="alpha/beta lattice step")
-    _add_sweep_flags(p_sens)
-    p_sens.set_defaults(handler=cmd_sensitivity)
-
-    p_base = sub.add_parser("baseline", help="reference algorithm run, JSON report")
-    _add_data_flags(p_base)
-    _add_label_flags(p_base)
-    p_base.add_argument("--algo", required=True,
-                        choices=["dbscan", "kmeans", "lof", "ssdbscan"])
-    p_base.add_argument("--epsilon", type=_bounded(float, 0), default=None, help="DBSCAN radius")
-    p_base.add_argument("--k", type=_bounded(int, 1), default=None, help="k for k-means or LOF")
-    p_base.add_argument("--min-pts", type=_bounded(int, 1), default=3,
-                        help="neighbourhood size (dbscan, ssdbscan)")
-    p_base.add_argument("--label-fraction", type=_bounded(float, 0, 1), default=0.1,
-                        help="label share for the ssdbscan baseline")
-    p_base.set_defaults(handler=cmd_baseline)
-
+    for name, (text, handler, groups) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for add in (_add_data_flags, _add_label_flags, *groups):
+            add(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -425,7 +403,10 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         text = args.handler(args)
-        _write_output(text, args.output)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except Exception as exc:
         if args.debug:
             traceback.print_exc()

@@ -3,6 +3,7 @@
 import json
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import threading
@@ -312,6 +313,86 @@ def test_baseline_reports(blobs_csv, capsys):
     report = json.loads(out)
     assert report["params"]["label_fraction"] == 0.5
     assert 0.0 <= report["rand_index"] <= 1.0
+
+
+def test_reports_place_wall_time_after_their_metrics(blobs_csv, capsys):
+    head = ["schema_version", "command", "dataset", "n", "d"]
+    code, out, _ = run_cli(["run", "--input", blobs_csv, "--label-fraction", "0.5",
+                            "--seed", "1"], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == head + [
+        "label_fraction", "seed", "params", "auc", "rand_index", "nmi", "wall_time_ms",
+        "per_point"]
+
+    base = ["baseline", "--input", blobs_csv, "--algo"]
+    for argv, tail in [
+            (["kmeans", "--k", "2"], ["params", "rand_index", "nmi"]),
+            (["dbscan", "--epsilon", "1.5", "--min-pts", "2"],
+             ["params", "rand_index", "nmi", "auc"]),
+            (["lof", "--k", "3"], ["params", "auc"]),
+            (["ssdbscan", "--label-fraction", "0.5", "--seed", "4"],
+             ["params", "rand_index", "nmi"])]:
+        code, out, _ = run_cli(base + argv, capsys)
+        assert code == 0, argv
+        assert list(json.loads(out)) == head[:2] + ["algo"] + head[2:] + tail + [
+            "wall_time_ms"], argv
+
+
+def test_sweep_rows_follow_their_fraction_order(blobs_csv, capsys):
+    # benchmark keeps the order the fractions were given; sensitivity sorts them
+    def fractions(argv, column):
+        code, out, _ = run_cli(argv + ["--input", blobs_csv, "--fractions", "20,5",
+                                       "--trials", "1", "--no-timing"], capsys)
+        assert code == 0, argv
+        lines = out.strip().split("\n")
+        at = lines[1].split(",").index(column)
+        return [line.split(",")[at] for line in lines[2:]]
+
+    assert fractions(["benchmark"], "fraction") == ["20", "5"]
+    assert fractions(["sensitivity", "--grid-step", "0.5"], "fraction") == ["5"] * 6 + ["20"] * 6
+
+
+DATA_FLAGS = {"input": "d.csv", "label_column": "label", "outlier_sentinel": "o",
+              "scale": False, "output": None, "no_timing": False, "debug": False,
+              "seed": 0, "stratified_labels": False}
+MODEL_FLAGS = {"min_pts": 3, "k_reliable": None, "knn_k": 5}
+SWEEP_FLAGS = {"fractions": [5.0, 10.0, 15.0, 20.0, 25.0], "trials": 50, "workers": 1}
+TUNE_FLAGS = {"alpha": 0.4, "beta": 0.3, **MODEL_FLAGS, "tune": False, "grid_step": 0.1,
+              "folds": 5}
+HEAD_OPTIONS = ["-h, --help", "--input", "--label-column", "--outlier-sentinel", "--scale",
+                "--output", "--no-timing", "--debug", "--seed", "--stratified-labels"]
+TUNE_OPTIONS = ["--alpha", "--beta", "--min-pts", "--k-reliable", "--knn-k", "--tune",
+                "--grid-step", "--folds"]
+SWEEP_OPTIONS = ["--fractions", "--trials", "--workers"]
+LABEL_FRACTION_HELP = {"run": "share of points whose labels are revealed",
+                       "baseline": "label share for the ssdbscan baseline"}
+
+
+@pytest.mark.parametrize("argv, flags, handler, options", [
+    (["run"], {**TUNE_FLAGS, "label_fraction": 0.1}, "cmd_run",
+     TUNE_OPTIONS + ["--label-fraction"]),
+    (["benchmark"], {**TUNE_FLAGS, **SWEEP_FLAGS}, "cmd_benchmark",
+     TUNE_OPTIONS + SWEEP_OPTIONS),
+    (["sensitivity"], {**MODEL_FLAGS, "grid_step": 0.1, **SWEEP_FLAGS}, "cmd_sensitivity",
+     ["--min-pts", "--k-reliable", "--knn-k", "--grid-step"] + SWEEP_OPTIONS),
+    (["baseline", "--algo", "kmeans"],
+     {"algo": "kmeans", "epsilon": None, "k": None, "min_pts": 3, "label_fraction": 0.1},
+     "cmd_baseline", ["--algo", "--epsilon", "--k", "--min-pts", "--label-fraction"]),
+])
+def test_each_command_keeps_its_flags(argv, flags, handler, options, capsys):
+    args = vars(cli.build_parser().parse_args(argv + ["--input", "d.csv"]))
+    assert args == {"command": argv[0], **DATA_FLAGS, **flags,
+                    "handler": getattr(cli, handler)}
+
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: ssdbcodi {argv[0]} ")
+    assert re.findall(r"^  (-[\w-]+(?:, -[\w-]+)*)", out, re.M) == HEAD_OPTIONS + options
+    if argv[0] in LABEL_FRACTION_HELP:
+        assert (f"--label-fraction LABEL_FRACTION {LABEL_FRACTION_HELP[argv[0]]}"
+                in " ".join(out.split()))
 
 
 def test_usage_errors_exit_two(blobs_csv, tmp_path, capsys):
