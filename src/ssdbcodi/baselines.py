@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import Dataset, is_int
 from .expansion import UNCLUSTERED, expand
-from .metricspace import (NeighborhoodIndex, _distances, _nearest_block, _pairwise, _workspace,
+from .metricspace import (NeighborhoodIndex, _distances, _nearest_block, _workspace,
                           nearest_center, squared_norms)
 
 # Cluster id for points no cluster claimed.
@@ -39,8 +39,10 @@ def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
         raise ValueError(f"min_pts must be an integer >= 1, got {min_pts!r}")
     dist = _workspace((n, n), n * n)  # and the n x n neighbourhoods beside it
     within = np.empty((n, n), dtype=bool)
-    _pairwise(ds.points, dist, lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
+    _distances(ds.points, ds.points, dist, None,
+               lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
     del dist  # the graph steps read only the neighbourhoods
+    np.fill_diagonal(within, True)  # the pass's self-distances need not be 0
     core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
     assign = np.full(n, NOISE, dtype=int)
     cluster = 0
@@ -119,7 +121,7 @@ def lof(ds: Dataset, k: int) -> np.ndarray:
         np.fill_diagonal(blk[:, rows], np.inf)
         _nearest_block(blk, nbrs[rows], nd[rows])
 
-    _pairwise(ds.points, _workspace((n, n)), take_nearest)
+    _distances(ds.points, ds.points, _workspace((n, n)), None, take_nearest)
     reach = np.maximum(nd[:, -1][nbrs], nd)
     with np.errstate(divide="ignore", invalid="ignore"):
         lrd = k / reach.sum(axis=1)

@@ -23,7 +23,7 @@ from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import OUTLIER, load_csv, minmax_scale, sample_labels
 from .metricspace import build_index
 from .metrics import auc, nmi, rand_index
-from .pipeline import PipelineParams, blend_grid, finish, grid_size, prepare, tune
+from .pipeline import PipelineParams, blend_grid, finish, prepare, tune
 from .scoring import ScoreParams
 
 SCHEMA_VERSION = 1
@@ -388,7 +388,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if hasattr(args, "knn_k"):
             _pipeline_params(args, getattr(args, "alpha", 0.0), getattr(args, "beta", 0.0))
         if hasattr(args, "grid_step"):
-            grid_size(args.grid_step)
+            blend_grid(args.grid_step)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "baseline":

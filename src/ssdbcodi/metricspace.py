@@ -2,12 +2,12 @@
 densities, and the spanning tree's reachability plot.
 
 Every n x n or n x m distance array is a temporary: a BLAS product in a
-guarded `_workspace` (in build_index, in cross_nearest, which searches the
-classifier's rows that neither the index's neighbour list nor a product of
-those rows alone can rank, or in a baseline), turned into distances in place
-in row blocks, that ends with the pass that reads it. What a caller
-needs (nearest neighbours, core distances, neighbourhoods) is read off each
-block while it is still in cache; no distance array leaves this module.
+guarded `_workspace` (in build_index; in _fresh_nearest and cross_nearest,
+which rank the classifier's rows that the index's neighbour list cannot; or
+in a baseline), turned in place into distances (squared, in _fresh_nearest),
+that ends with the pass that reads it. What a caller needs (nearest
+neighbours, core distances, neighbourhoods) is read off each row block while
+it is still in cache; no distance array leaves this module.
 No pass rewrites the build's distances once made: Prim forms each
 reachability row it reads, and a density comes off the index's neighbour
 list, or else off a copy of its row made into reachabilities. The row passes
@@ -132,11 +132,21 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _distances(a, b, out, rows, each) -> None:
+def _distances(a, b, out, rows, each) -> np.ndarray:
     """Euclidean distances from the rows of a to the rows of b, made in place
-    in out, the product a @ b.T (BLAS's symmetric one when b is a), row block
-    by row block by _spread. Each block is passed to each(block_rows, block)
-    as soon as it holds distances, while it is still in cache.
+    in out, the product a @ b.T, row block by row block by _spread. Each
+    block is passed to each(block_rows, block) as soon as it holds
+    distances, while it is still in cache. Returns b's squared norms.
+
+    When b is a and a is an aligned, C- or F-contiguous float64 array, as
+    every Dataset's points are, the distances are exactly symmetric: numpy
+    computes P @ P.T on one such operand with BLAS's syrk and mirrors one
+    triangle onto the other, and the elementwise passes add the squared
+    norms in either order to the same sum, so entry (i, j) has the bits of
+    entry (j, i). numpy would copy strided or misaligned points into two
+    operands and run a general GEMM, whose mirrored entries may differ in
+    their last bits. The diagonal of such a product is left as the passes
+    make it, near but not always at zero.
 
     With `rows`, each block is a copy of those rows of the full product (in
     their order), seen only by `each`: a BLAS product of fewer rows need not
@@ -164,6 +174,7 @@ def _distances(a, b, out, rows, each) -> None:
         each(blk_rows, blk)
 
     _spread(out, len(sa), block)
+    return sb
 
 
 def cross_nearest(a, b, k: int, rows=None) -> np.ndarray:
@@ -180,22 +191,17 @@ def _fresh_nearest(points, rows, cols, sq_norms, k: int) -> tuple:
     """Positions in `cols` of the k points nearest each of the points' `rows`
     (in their order), ordered by (value, position), and their squared
     distances sq_norms[p] + sq_norms[q] - 2 p.q, from a product of those rows
-    alone, made one block of at most BLOCK_BYTES at a time in one buffer. A
-    product of fewer rows need not have the whole product's bits, so only a
-    ranking whose gaps exceed their rounding may be read off it. Beside the
-    buffer it holds points[cols], their norms and the two returned arrays."""
-    b = points[cols]
-    sq_b = sq_norms[cols]
+    alone in one workspace. A product of fewer rows need not have the whole
+    product's bits, so only a ranking whose gaps exceed their rounding may be
+    read off it. Beside the workspace it holds points[rows], points[cols]
+    and the two returned arrays."""
+    blk = _workspace((len(rows), len(cols)))
+    np.matmul(points[rows], points[cols].T, out=blk)
+    blk *= -2.0
+    blk += sq_norms[rows, None]
+    blk += sq_norms[cols]
     out, vals = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
-    step = max(1, BLOCK_BYTES // (8 * len(cols)))
-    buf = np.empty((min(step, len(rows)), len(cols)))
-    for a in range(0, len(rows), step):
-        r = rows[a:a + step]
-        blk = np.matmul(points[r], b.T, out=buf[:len(r)])
-        blk *= -2.0
-        blk += sq_norms[r, None]
-        blk += sq_b
-        _nearest_block(blk, out[a:a + step], vals[a:a + step])
+    _nearest_block(blk, out, vals)
     return out, vals
 
 
@@ -233,26 +239,6 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
         best[closer] = d2[closer]
         index[closer] = c
     return index, best
-
-
-def _pairwise(points: np.ndarray, out, each) -> None:
-    """Exactly symmetric Euclidean distances with a zero diagonal, made in out
-    by _distances, calling each(block_rows, block) once the block's diagonal
-    is zero. points must be an aligned, C- or F-contiguous float64 array, as
-    every Dataset's points are.
-
-    numpy computes P @ P.T on one such operand with BLAS's syrk and mirrors
-    one triangle onto the other, and the elementwise passes add the squared
-    norms in either order to the same sum, so entry (i, j) has the bits of
-    entry (j, i). numpy would copy strided or misaligned points into two
-    operands and run a general GEMM, whose mirrored entries may differ in
-    their last bits.
-    """
-    def zero_diagonal(rows, blk):
-        np.fill_diagonal(blk[:, rows], 0.0)
-        each(rows, blk)
-
-    _distances(points, points, out, None, zero_diagonal)
 
 
 def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:
@@ -300,8 +286,8 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     distance row made into reachabilities and partitioned by _spread.
 
     A MemoryError refuses, before anything is allocated, a workspace that
-    with the core distances, densities and list beside it needs more than
-    the physical memory.
+    with the core distances, densities, list and the list step's candidates
+    beside it needs more than the physical memory.
     """
     n = ds.n
     if n < 2:
@@ -315,7 +301,7 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
     def take_near(rows, blk):
         # -1 makes the row's own entry its unique minimum, so the k + 1
         # smallest hold it and sort it first; it is dropped, and the
-        # diagonal is zero again before the block is left
+        # diagonal is zero before the block is left
         np.fill_diagonal(blk[:, rows], -1.0)
         cols = np.sort(np.argpartition(blk, k, axis=1)[:, :k + 1], axis=1)
         vals = np.take_along_axis(blk, cols, axis=1)
@@ -336,14 +322,16 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         blk[np.arange(rows.size), rows] = np.inf
         density[rows] = _smallest_mean(blk, min_pts)
 
+    by_list = min_pts <= min(3, k)  # whether the list step runs
     # core, density and the list (int32 positions and float64 distances)
-    # are held beside the workspace
-    dist = _workspace((n, n), n * (16 + 12 * k))
+    # are held beside the workspace, and so is the list step's n x K
+    # candidate array when it runs
+    dist = _workspace((n, n), n * (16 + (20 if by_list else 12) * k))
     core, density = np.empty(n), np.empty(n)
     near, near_dist = np.empty((n, k), dtype=np.int32), np.empty((n, k))
-    _pairwise(ds.points, dist, take_near)
+    sq_norms = _distances(ds.points, ds.points, dist, None, take_near)
     todo = np.arange(n)  # every core is in now; the density steps read them all
-    if min_pts <= min(3, k):  # the rows whose list decides their density
+    if by_list:  # the rows whose list decides their density
         cand = core[near]
         np.maximum(cand, near_dist, out=cand)
         np.maximum(cand, core[:, None], out=cand)
@@ -353,7 +341,6 @@ def build_index(ds: Dataset, min_pts: int) -> NeighborhoodIndex:
         todo = np.flatnonzero(~listed)
     _spread(dist, todo.size, take_density)
     order, gap = _spanning_tree(dist, core)
-    sq_norms = squared_norms(ds.points)
     for arr in (core, density, order, gap, near, near_dist, sq_norms):
         arr.flags.writeable = False
     index = NeighborhoodIndex(points=ds.points, core=core, density=density, order=order,

@@ -87,9 +87,9 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
     of its list, wherever the window holds training rows only; the other
     rows read their whole list. Rows still undecided go to the second
     level (never at k_c > K): a product of just those rows against every
-    training row, |p|^2 + |q|^2 - 2 p.q from index.sq_norms, in row blocks
-    of at most BLOCK_BYTES, beside which it holds the training points, their
-    norms and two arrays of k_c + 1 per row. A row whose k_c + 1 smallest
+    training row, |p|^2 + |q|^2 - 2 p.q from index.sq_norms, in one guarded
+    workspace, beside which it holds those rows' and the training rows'
+    points and two arrays of k_c + 1 per row. A row whose k_c + 1 smallest
     values there are more than 4B apart takes the first k_c. Every other
     row goes, in one call, to cross_nearest.
 

@@ -177,9 +177,10 @@ def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
     return objective
 
 
-def grid_size(grid_step: float) -> int:
-    """Lattice size m = 1 / grid_step of a grid_step in [0.01, 1] dividing 1;
-    a finer step's lattice (over 5151 cells) could outgrow memory."""
+def blend_grid(grid_step: float) -> list:
+    """The admissible (alpha, beta) cells, alpha + beta <= 1 on a grid_step
+    lattice, in lexicographic order, for a grid_step in [0.01, 1] dividing
+    1; a finer step's lattice (over 5151 cells) could outgrow memory."""
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     if 1.0 / grid_step > 100.5:  # m > 100, tested before 1 / grid_step can overflow round
@@ -187,13 +188,6 @@ def grid_size(grid_step: float) -> int:
     m = round(1.0 / grid_step)
     if abs(m * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must divide 1 evenly, got {grid_step}")
-    return m
-
-
-def blend_grid(grid_step: float) -> list:
-    """The admissible (alpha, beta) cells, alpha + beta <= 1 on a grid_step
-    lattice, in lexicographic order."""
-    m = grid_size(grid_step)
     return [(ia / m, ib / m) for ia in range(m + 1) for ib in range(m + 1 - ia)]
 
 

@@ -27,9 +27,8 @@ numpy's parser.
 The exceptions call the library to give its bits: `classify`, its
 `neighbours` and `vote` in one call, which the classifier tests drive, and
 `pairwise_distances`, `cross_distances` and `nearest`, thin wrappers over
-metricspace's private block loop (`_pairwise`, `_distances`,
-`_nearest_block`) that hand back whole matrices, which the library itself
-never keeps.
+metricspace's private block loop (`_distances`, `_nearest_block`) that
+hand back whole matrices, which the library itself never keeps.
 """
 
 from collections import Counter
@@ -415,12 +414,14 @@ def index_by_serial_passes(points, min_pts: int) -> tuple:
 
 def pairwise_distances(points) -> np.ndarray:
     """Exactly symmetric Euclidean distance matrix with a zero diagonal: the
-    blocks of metricspace._pairwise, copied out of its workspace. The points
-    are copied to float64 first, as Dataset copies them."""
+    blocks of the self-product metricspace._distances(p, p, ...), copied out
+    of its workspace, with the diagonal then set to zero. The points are
+    copied to float64 first, as Dataset copies them."""
     points = np.array(points, dtype=float)
     n = points.shape[0]
     out = np.empty((n, n))
-    metricspace._pairwise(points, metricspace._workspace((n, n)), out.__setitem__)
+    metricspace._distances(points, points, metricspace._workspace((n, n)), None, out.__setitem__)
+    np.fill_diagonal(out, 0.0)
     return out
 
 

@@ -116,6 +116,22 @@ def test_dbscan_matches_union_find_oracle():
         assert got == dbscan_oracle(dist, epsilon, min_pts)
 
 
+def test_dbscan_at_zero_epsilon_on_duplicated_points_matches_oracle():
+    # at epsilon 0 only coincident points are neighbours; the pass leaves
+    # some self-distances (and some between duplicates) just above 0, yet
+    # each point counts itself within its radius, as the oracle's zero
+    # diagonal does
+    rng = np.random.default_rng(53)
+    for case in range(40):
+        n, dim = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        base = rng.normal(size=(int(rng.integers(1, n + 1)), dim)) * 3
+        pts = base[rng.integers(base.shape[0], size=n)]
+        dist = pairwise_distances(pts)
+        for min_pts in (1, 2, 3):
+            got = dbscan(as_dataset(pts), 0.0, min_pts).tolist()
+            assert got == dbscan_oracle(dist, 0.0, min_pts), (case, min_pts)
+
+
 def test_dbscan_refuses_its_workspace_and_neighbourhoods_before_allocating(monkeypatch):
     # beside its 8n^2-byte workspace dbscan holds an n x n bool array: a limit
     # of 9n^2 - 1 bytes refuses the call before either is allocated, and one

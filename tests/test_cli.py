@@ -206,14 +206,18 @@ def test_sweeps_build_one_index(blobs_csv, capsys, monkeypatch):
         assert len(trees) == 1 and len({id(ds) for ds, _ in calls}) == 1, argv[0]
 
 
-def test_untuned_commands_build_no_blend_lattice(blobs_csv, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step))
+def test_untuned_commands_build_the_blend_lattice_only_to_validate(blobs_csv, capsys,
+                                                                    monkeypatch):
+    # the lattice check lists the (at most 5151-cell) lattice once, before
+    # the CSV is read; an untuned command lists it nowhere else
+    calls, grid, load = [], cli.blend_grid, cli.load_csv
+    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step) or grid(step))
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: calls.append("csv") or load(*a, **k))
     for argv in (["run", "--label-fraction", "0.5"],
                  ["benchmark", "--fractions", "50", "--trials", "1"]):
+        calls.clear()
         code, _, _ = run_cli(argv + ["--input", blobs_csv, "--grid-step", "0.01"], capsys)
-        assert code == 0
-    assert calls == []
+        assert code == 0 and calls == [0.01, "csv"], argv
 
 
 def test_sweep_trials_run_in_order_on_the_calling_thread(blobs_csv, capsys, monkeypatch):
@@ -454,8 +458,8 @@ def test_usage_errors_exit_two(blobs_csv, tmp_path, capsys):
 
 def test_blend_lattices_finer_than_a_hundredth_are_refused(blobs_csv, capsys, monkeypatch):
     # refused before any lattice is listed or the CSV is read
-    calls = []
-    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(step))
+    calls, real = [], cli.blend_grid
+    monkeypatch.setattr(cli, "blend_grid", lambda step: calls.append(real(step)))
     monkeypatch.setattr(cli, "load_csv", lambda *a, **k: calls.append(a))
     for argv in (["sensitivity"], ["run", "--tune"], ["benchmark", "--tune"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -519,11 +523,11 @@ def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
 
 
 def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypatch, capsys):
-    # the build's 18 x 18 workspace, with the 18 x 17 neighbour list, cores
-    # and densities beside it, and lof's workspace are refused before
-    # anything is allocated
+    # the build's 18 x 18 workspace, with the 18 x 17 neighbour list, the
+    # list step's 18 x 17 candidates, cores and densities beside it, and
+    # lof's workspace are refused before anything is allocated
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", 8 * 18 * 18 - 1)
-    build = ("error: a 18 x 18 distance workspace needs 6552 bytes with the 3960 beside it, "
+    build = ("error: a 18 x 18 distance workspace needs 9000 bytes with the 6408 beside it, "
              "more than the 2591 bytes of physical memory\n")
     alone = ("error: a 18 x 18 distance workspace needs 2592 bytes, "
              "more than the 2591 bytes of physical memory\n")

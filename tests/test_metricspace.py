@@ -227,7 +227,7 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
     # in either order. Blocks under one row, of three rows and of 1 MiB; every
     # row pass spread, or none. Some sets reach 170+ points, where numpy 2's
     # GEMM on strided or misaligned operands, copied apart, mirrors unequal
-    # bits; those layouts reach _pairwise as Dataset copies them, whole.
+    # bits; those layouts reach _distances as Dataset copies them, whole.
     monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
     rng = np.random.default_rng(31)
     for case in range(45):
@@ -252,25 +252,28 @@ def test_gram_and_distances_equal_their_transposes(monkeypatch, rows_per_block, 
 
 @pytest.mark.parametrize("spread", [False, True])
 def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, spread):
-    # _pairwise takes its points as BLAS takes them whole, one aligned C- or
-    # F-contiguous float64 operand: Dataset's copy makes them so from any
-    # layout or a list, and each caller's matrix is then exactly symmetric.
-    # 200 points, past the 170 where a strided or misaligned operand's GEMM
-    # mirrors unequal bits on numpy 2
+    # each self-product _distances(p, p, ...) takes its points as BLAS takes
+    # them whole, one aligned C- or F-contiguous float64 operand: Dataset's
+    # copy makes them so from any layout or a list, and each caller's matrix
+    # is then exactly symmetric, with the oracle's bits once its diagonal is
+    # zero. 200 points, past the 170 where a strided or misaligned operand's
+    # GEMM mirrors unequal bits on numpy 2
     monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1 if spread else 1 << 62)
-    real, seen = metricspace._pairwise, []
+    real, seen = metricspace._distances, []
 
-    def whole(points, out, each):
+    def whole(a, b, out, rows, each):
+        assert a is b and rows is None
         d = np.full(out.shape, np.nan)
 
-        def keep(rows, blk):
-            d[rows] = blk
-            each(rows, blk)
-        real(points, out, keep)
-        seen.append((points, d))
+        def keep(block_rows, blk):
+            d[block_rows] = blk
+            each(block_rows, blk)
+        sq = real(a, b, out, rows, keep)
+        seen.append((a, d))
+        return sq
 
-    monkeypatch.setattr(metricspace, "_pairwise", whole)
-    monkeypatch.setattr(baselines, "_pairwise", whole)
+    monkeypatch.setattr(metricspace, "_distances", whole)
+    monkeypatch.setattr(baselines, "_distances", whole)
     rng = np.random.default_rng(113)
     grid = rng.integers(0, 3, size=(200, 3)).astype(float)
     for k, pts in enumerate([grid + rng.normal(size=3) * 100.0, rng.normal(size=(200, 3))]):
@@ -278,11 +281,14 @@ def test_datasets_hand_pairwise_whole_float64_points(monkeypatch, spread):
             ds = Dataset(points=view(pts), truth=np.zeros(200, dtype=int))
             seen.clear()
             build_index(ds, 4), dbscan(ds, 1.0, 4), lof(ds, 5)
-            assert len(seen) == 3, (k, layout)
-            for points, d in seen:
+            made = seen[:]  # the oracle's own self-products join seen below
+            assert len(made) == 3, (k, layout)
+            for points, d in made:
                 assert points.dtype == np.float64 and points.flags.aligned, (k, layout)
                 assert points.flags.c_contiguous or points.flags.f_contiguous, (k, layout)
-                assert d.tobytes() == d.T.tobytes() and not d.diagonal().any(), (k, layout)
+                assert d.tobytes() == d.T.tobytes(), (k, layout)
+                np.fill_diagonal(d, 0.0)
+                assert d.tobytes() == pairwise_distances(points).tobytes(), (k, layout)
 
 
 def opened_workspaces(monkeypatch) -> list:
@@ -322,28 +328,33 @@ def test_a_workspace_above_physical_memory_is_refused_before_allocating(monkeypa
 
 def test_build_index_refuses_its_workspace_and_list_before_allocating(monkeypatch):
     # beside its 8n^2-byte workspace the build holds core distances and
-    # densities (8n bytes each) and the n x K list (4-byte positions, 8-byte
-    # distances): a limit one byte below their sum refuses the build before
+    # densities (8n bytes each), the n x K list (4-byte positions, 8-byte
+    # distances) and, at min_pts <= 3, the list step's n x K candidate
+    # distances: a limit one byte below their sum refuses the build before
     # any of them is allocated, and one at their sum accepts it
     n, k = 200, metricspace.NEAR_K
     points = np.random.default_rng(43).normal(size=(n, 2))
-    limit = 8 * n * n + n * (16 + 12 * k)
-    want = build_index(as_dataset(points), 3)
-    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(MemoryError) as refused:
-            build_index(as_dataset(points), 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(refused.value) == ("a 200 x 200 distance workspace needs 400000 bytes with the "
-                                  "80000 beside it, more than the 399999 bytes of physical memory")
-    assert peak < n * n
-    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit)
-    got = build_index(as_dataset(points), 3)
-    for name in ("core", "density", "order", "gap", "near", "near_dist", "sq_norms"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for min_pts, held, message in (
+            (3, 20, "a 200 x 200 distance workspace needs 451200 bytes with the 131200 beside it, "
+                    "more than the 451199 bytes of physical memory"),
+            (4, 12, "a 200 x 200 distance workspace needs 400000 bytes with the 80000 beside it, "
+                    "more than the 399999 bytes of physical memory")):
+        limit = 8 * n * n + n * (16 + held * k)
+        want = build_index(as_dataset(points), min_pts)
+        monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as refused:
+                build_index(as_dataset(points), min_pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == message
+        assert peak < n * n
+        monkeypatch.setattr(metricspace, "_MEMORY_BYTES", limit)
+        got = build_index(as_dataset(points), min_pts)
+        for name in ("core", "density", "order", "gap", "near", "near_dist", "sq_norms"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (min_pts, name)
 
 
 def test_no_returned_array_shares_memory_with_a_workspace(monkeypatch):
@@ -625,20 +636,20 @@ def test_a_failing_block_reaches_the_caller_and_the_next_build_works(monkeypatch
     ran = helpers(3)
     monkeypatch.setattr(metricspace, "SPREAD_BYTES", 1)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
-    main, real, failing = threading.get_ident(), metricspace._pairwise, [True]
+    main, real, failing = threading.get_ident(), metricspace._distances, [True]
 
-    def slow_pairwise(points, out, each):
-        def each_or_fail(rows, blk):
+    def slow_distances(a, b, out, rows, each):
+        def each_or_fail(block_rows, blk):
             here = threading.get_ident()
             time.sleep(1e-3)  # so that every thread takes blocks
-            if failing[0] and {"any": rows.start == 57, "helper": here != main,
+            if failing[0] and {"any": block_rows.start == 57, "helper": here != main,
                                "caller": here == main}[where]:
-                raise RuntimeError(f"block {rows.start}")
-            each(rows, blk)
-        real(points, out, each_or_fail)
+                raise RuntimeError(f"block {block_rows.start}")
+            each(block_rows, blk)
+        return real(a, b, out, rows, each_or_fail)
 
     pts = np.random.default_rng(97).normal(size=(120, 3))
-    monkeypatch.setattr(metricspace, "_pairwise", slow_pairwise)
+    monkeypatch.setattr(metricspace, "_distances", slow_distances)
     with pytest.raises(RuntimeError, match="block"):
         build_index(as_dataset(pts), 4)
     failing[0] = False
@@ -706,16 +717,16 @@ def test_threads_building_distinct_datasets_at_once_get_serial_bytes(monkeypatch
     sets = [rng.integers(0, 5, size=(int(rng.integers(150, 300)), 2)).astype(float)
             for _ in range(4)]
     datasets = [as_dataset(pts) for pts in sets]
-    real, barrier, got = metricspace._pairwise, threading.Barrier(4, timeout=30), [None] * 4
+    real, barrier, got = metricspace._distances, threading.Barrier(4, timeout=30), [None] * 4
 
-    def failing_one(points, out, each):
-        def each_or_fail(rows, blk):
-            if points is datasets[2].points and rows.start <= 100 < rows.stop:
-                raise RuntimeError(f"block {rows.start}")
-            each(rows, blk)
-        real(points, out, each_or_fail)
+    def failing_one(a, b, out, rows, each):
+        def each_or_fail(block_rows, blk):
+            if a is datasets[2].points and block_rows.start <= 100 < block_rows.stop:
+                raise RuntimeError(f"block {block_rows.start}")
+            each(block_rows, blk)
+        return real(a, b, out, rows, each_or_fail)
 
-    monkeypatch.setattr(metricspace, "_pairwise", failing_one)
+    monkeypatch.setattr(metricspace, "_distances", failing_one)
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8 * 300 * 8)  # blocks of a few rows
 
     def build(i):
@@ -907,6 +918,15 @@ def test_index_arrays_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def test_build_index_computes_squared_norms_once(monkeypatch):
+    # the index keeps the norms its distance pass checked
+    calls, real = [], metricspace.squared_norms
+    monkeypatch.setattr(metricspace, "squared_norms", lambda p: calls.append(p) or real(p))
+    idx = build_index(as_dataset(np.random.default_rng(7).normal(size=(50, 3))), 3)
+    assert len(calls) == 1 and calls[0] is idx.points
+    assert idx.sq_norms.tobytes() == real(idx.points).tobytes()
 
 
 def test_pairwise_matrix_is_symmetric_with_zero_diagonal():

@@ -302,42 +302,43 @@ def test_predict_points_holds_one_distance_matrix(monkeypatch):
     assert 8 * 700 * 600 <= peaks[metricspace.NEAR_K + 1] < 1.25 * 8 * 700 * 600
 
 
-def test_second_level_holds_one_block(monkeypatch):
+def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
     # a training set without the third blob leaves its 300 rows no training
-    # row on their lists; the second level settles every one of them in row
-    # blocks, holding beside its inputs and outputs one block at a time
-    monkeypatch.setattr(metricspace, "BLOCK_BYTES", 1 << 17)
+    # row on their lists; the second level settles every one of them from
+    # one workspace of its rows by the training rows, and a workspace above
+    # the physical memory is refused before anything of it is allocated
     rng = np.random.default_rng(97)
     groups = np.repeat(np.arange(3), 300)
     idx = build_index(as_dataset(8.0 * rng.normal(size=(3, 3))[groups]
                                  + rng.normal(size=(900, 3))), 3)
     kept = np.flatnonzero(groups < 2)
     ts = TrainingSet(indices=kept, classes=groups[kept], weights=np.ones(kept.size))
-    traced, fresh, searched = [], model._fresh_nearest, []
-
-    def tracing(points, rows, cols, sq, k):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fresh(points, rows, cols, sq, k)
-        traced.append((len(rows), k, tracemalloc.get_traced_memory()[1] - before))
-        return out
-
-    monkeypatch.setattr(model, "_fresh_nearest", tracing)
+    want = metricspace.cross_nearest(idx.points, idx.points[ts.indices], 5)
+    opened, seconds, searched = [], [], []
+    workspace, fresh = metricspace._workspace, model._fresh_nearest
+    monkeypatch.setattr(metricspace, "_workspace",
+                        lambda shape, *beside: opened.append(shape) or workspace(shape, *beside))
+    monkeypatch.setattr(model, "_fresh_nearest",
+                        lambda p, rows, c, sq, k: seconds.append(len(rows)) or fresh(p, rows, c, sq, k))
     monkeypatch.setattr(model, "cross_nearest", lambda *args: searched.append(args))
+    got = neighbours(ts, idx, 5)
+    assert got.tobytes() == want.tobytes() and searched == []
+    [rows] = seconds
+    assert rows >= 300 and opened == [(rows, kept.size)]
+    nbytes = 8 * rows * kept.size
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", nbytes - 1)
     tracemalloc.start()
     try:
-        got = neighbours(ts, idx, 5)
+        with pytest.raises(MemoryError) as refused:
+            neighbours(ts, idx, 5)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    want = metricspace.cross_nearest(idx.points, idx.points[ts.indices], 5)
-    assert got.tobytes() == want.tobytes() and searched == []
-    [(rows, k, extra)] = traced
-    block = metricspace.BLOCK_BYTES // (8 * kept.size) * 8 * kept.size
-    beside = 8 * kept.size * (3 + 1) + 2 * 8 * rows * k  # points[cols], their norms, outputs
-    # numpy's buffer for a broadcast operand, and 16 KiB for BLAS's and the
-    # selection loop's temporaries, whatever the block
-    fixed = 8 * np.getbufsize() + (16 << 10)
-    assert rows >= 300 and block <= extra <= metricspace.BLOCK_BYTES + beside + fixed
+    assert str(refused.value) == (f"a {rows} x {kept.size} distance workspace needs {nbytes} "
+                                  f"bytes, more than the {nbytes - 1} bytes of physical memory")
+    assert peak < nbytes // 2
+    monkeypatch.setattr(metricspace, "_MEMORY_BYTES", nbytes)
+    assert neighbours(ts, idx, 5).tobytes() == want.tobytes() and searched == []
 
 
 def listed_case(rng, case):

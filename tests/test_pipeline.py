@@ -10,7 +10,7 @@ import pytest
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, blend_grid, build_index, default_k, finish, metricspace,
                       pipeline, prepare, run, sample_labels, t_score, tune)
-from ssdbcodi.pipeline import _drop_labels, _fold_partition, grid_size
+from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import fold_objective, moons_with_outliers, tune_by_cells
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -275,11 +275,11 @@ def test_tune_validation_errors():
         tune(BLOBS, tune_labels(), grid_step=0.0, folds=2)
     # a step finer than 0.01 is refused before its lattice is listed
     for step in (0.005, 1e-6, 5e-324):
-        for refuse in (grid_size, blend_grid,
+        for refuse in (blend_grid,
                        lambda s: tune(BLOBS, tune_labels(), grid_step=s, folds=2)):
             with pytest.raises(ValueError, match="grid_step must be at least 0.01"):
                 refuse(step)
-    assert grid_size(0.01) == 100 and len(blend_grid(0.01)) == 5151
+    assert len(blend_grid(0.01)) == 5151
     with pytest.raises(ValueError, match="folds"):
         tune(BLOBS, tune_labels(), grid_step=0.5, folds=1)
     with pytest.raises(ValueError, match="labeled normal"):
