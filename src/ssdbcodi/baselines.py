@@ -26,7 +26,8 @@ KMEANS_MAX_ITER = 100
 def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
     """Density clustering with the self-excluding core test.
 
-    A point is core when at least min_pts other points sit within epsilon.
+    A point is core when at least min_pts other points sit within epsilon,
+    where exactly equal points sit within any epsilon of each other.
     Clusters are the connected components of core points under the epsilon
     graph, numbered by ascending smallest member; a non-core point joins
     the cluster of its lowest-indexed core neighbour, if any, else NOISE.
@@ -42,7 +43,10 @@ def dbscan(ds: Dataset, epsilon: float, min_pts: int) -> np.ndarray:
     _distances(ds.points, ds.points, dist, None,
                lambda rows, blk: np.less_equal(blk, epsilon, out=within[rows]))
     del dist  # the graph steps read only the neighbourhoods
-    np.fill_diagonal(within, True)  # the pass's self-distances need not be 0
+    # the pass's distances between equal points, self included, need not be
+    # 0; raveled, as numpy 1.x and 2.x shape an axis=0 inverse differently
+    same = np.unique(ds.points, axis=0, return_inverse=True)[1].ravel()
+    within |= same[:, None] == same
     core = (within.sum(axis=1) - 1) >= min_pts  # the diagonal counts self
     assign = np.full(n, NOISE, dtype=int)
     cluster = 0

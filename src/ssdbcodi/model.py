@@ -71,10 +71,10 @@ def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
     )
 
 
-def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -> np.ndarray:
-    """Positions in ts of each row's k_c nearest training rows, trained on
-    index.points[ts.indices]: Euclidean, ties by training-row position. With
-    `rows`, only those rows of the points (in their order) are searched.
+def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> np.ndarray:
+    """Positions in ts of the k_c nearest training rows of each of `rows` (an
+    index array of the points, searched in its order), trained on
+    index.points[ts.indices]: Euclidean, ties by training-row position.
 
     The result is cross_nearest(points, points[ts.indices], k_c, rows)'s,
     bit for bit. A row's candidates are itself at distance 0, when it is a
@@ -118,39 +118,34 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
         raise ValueError("training set is empty")
     if not 1 <= k_c <= m:
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
-    searched = np.arange(index.n) if rows is None else np.asarray(rows)
-    nbrs = np.empty((searched.size, k_c), dtype=np.intp)
-    left = np.arange(searched.size)  # the rows still to search
+    nbrs = np.empty((rows.size, k_c), dtype=np.intp)
+    left = np.arange(rows.size)  # the rows still to search
     K = index.near.shape[1]
     if k_c <= K:
         at = np.full(index.n, -1, dtype=np.intp)
         at[ts.indices] = np.arange(m)
-        own = at[searched]
         # each row's window, candidates down the first axis: itself, then the
         # first k_c members of its list
-        near = index.near[:, :k_c] if rows is None else index.near[searched, :k_c]
-        near_dist = index.near_dist[:, :k_c] if rows is None else index.near_dist[searched, :k_c]
-        first = np.empty((k_c + 1, searched.size), dtype=np.intp)
-        vals = np.empty((k_c + 1, searched.size))
-        first[0], first[1:] = own, at[near.T]
-        vals[0], vals[1:] = 0.0, near_dist.T
+        first = np.empty((k_c + 1, rows.size), dtype=np.intp)
+        vals = np.empty((k_c + 1, rows.size))
+        first[0], first[1:] = at[rows], at[index.near[rows, :k_c].T]
+        vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
         # a row whose window holds a point outside the training set, itself
         # included, reads its first k_c + 1 candidates off its whole list
         rest = np.flatnonzero((first < 0).any(axis=0))
         if rest.size:
-            s = searched[rest]
+            s = rows[rest]
             cand = np.empty((rest.size, K + 1), dtype=np.intp)
             cand_vals = np.empty((rest.size, K + 1))
-            cand[:, 0], cand[:, 1:] = own[rest], at[index.near[s]]
+            cand[:, 0], cand[:, 1:] = first[0, rest], at[index.near[s]]
             cand_vals[:, 0], cand_vals[:, 1:] = 0.0, index.near_dist[s]
             by = np.argsort(cand < 0, axis=1, kind="stable")[:, :k_c + 1]
             at_rows = np.arange(rest.size)[:, None]
             cand, cand_vals = cand[at_rows, by], cand_vals[at_rows, by]
             np.copyto(cand_vals, index.near_dist[s, -1:], where=cand < 0)
             first[:, rest], vals[:, rest] = cand.T, cand_vals.T
-        sq = index.sq_norms
         four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
-                  * (sq[searched] + index.sq_max))
+                  * (index.sq_norms[rows] + index.sq_max))
         # padding comes last and at one value, so a row with fewer than k_c
         # candidates has a zero gap
         sq_vals = np.square(vals)
@@ -159,13 +154,13 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows=None) -
         left = np.flatnonzero(~ranked)
         if left.size:
             # the second level: a product of these rows alone
-            cols, vals = _fresh_nearest(index.points, searched[left], ts.indices, sq,
+            cols, vals = _fresh_nearest(index.points, rows[left], ts.indices, index.sq_norms,
                                         min(k_c + 1, m))
             settled = (np.diff(vals, axis=1) > four_b[left, None]).all(axis=1)
             nbrs[left[settled]] = cols[settled, :k_c]
             left = left[~settled]
     if left.size:
-        nbrs[left] = cross_nearest(index.points, index.points[ts.indices], k_c, searched[left])
+        nbrs[left] = cross_nearest(index.points, index.points[ts.indices], k_c, rows[left])
     return nbrs
 
 

@@ -4,7 +4,7 @@ The label-independent work (core distances, local densities, the
 reachability plot) lives on a NeighborhoodIndex, which owns the points
 and min_pts; build_index keeps one per dataset and min_pts, so `run` and
 `tune` on one dataset build it once. `prepare(index, labels, rows)` stages
-one label draw on it and the rows it classifies (every point by default);
+one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
 reliable sets and classify those rows, keeping the kNN neighbours per
 training set on the stage. `run` composes the two; `tune` stages each
@@ -62,14 +62,14 @@ class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
     on (its points and min_pts), the assignment, the three raw score columns
     (t_score(scores, params) blends them), the k used when PipelineParams.k
-    is None, the rows `finish` classifies (None: every point) and their kNN
-    neighbours per (k_c, ordered training indices)."""
+    is None, the rows `finish` classifies (a read-only index array the stage
+    owns) and their kNN neighbours per (k_c, ordered training indices)."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
     scores: ScoreTable
     auto_k: int
-    rows: np.ndarray | None
+    rows: np.ndarray
     neighbours: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -82,9 +82,10 @@ def default_k(n: int, labels: LabelSet) -> int:
 
 def prepare(index: NeighborhoodIndex, labels: LabelSet, rows=None) -> Prepared:
     """Back-traced expansion, the three raw score columns and the automatic
-    reliable-outlier count of one label draw on `index`, and the `rows` that
-    its finishes classify (every point when None)."""
-    rows = None if rows is None else point_indices(rows, index.n, "rows")
+    reliable-outlier count of one label draw on `index`, and a read-only copy
+    of the `rows` its finishes classify (np.arange(n) when None)."""
+    rows = point_indices(rows, index.n, "rows").copy() if rows is not None else np.arange(index.n)
+    rows.flags.writeable = False
     assignment, emax = expand(index, labels)
     scores = ScoreTable(r_score=r_score(emax), l_score=l_score(index.density),
                         sim_score=sim_scores(index.points, labels))
@@ -94,9 +95,9 @@ def prepare(index: NeighborhoodIndex, labels: LabelSet, rows=None) -> Prepared:
 
 
 def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
-    """Blend scores, select reliable sets, and classify the stage's rows,
-    each bit for bit as an all-points stage would; the per-row fields of the
-    result follow those rows (see PipelineResult). A stage whose index has
+    """Blend scores, select reliable sets, and classify the stage's rows
+    (prepared.rows), each bit for bit as an all-points stage would; the
+    per-row fields of the result follow those rows. A stage whose index has
     another min_pts than params.score is refused."""
     index = prepared.index
     if index.min_pts != params.score.min_pts:
@@ -146,16 +147,17 @@ def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
     )
 
 
-def _fold_objective(assignment: np.ndarray, hidden: list, labels: LabelSet):
+def _fold_objective(prepared: Prepared, labels: LabelSet):
     """The fold objective of one stage: objective(result) is the mean of AUC
-    and Rand index on the sorted `hidden` labeled points, the stage's rows and
-    so the only rows `result` classified, each with the bits of metrics.auc
-    and metrics.rand_index.
+    and Rand index on the stage's rows, the fold's sorted hidden labeled
+    points and so the only rows `result` classified, each with the bits of
+    metrics.auc and metrics.rand_index.
 
     AUC scores the hidden outlier indicator; it needs both an outlier and
     a normal among the hidden points, otherwise the Rand index stands
     alone. objective returns None when neither metric is computable.
     """
+    hidden, assignment = prepared.rows.tolist(), prepared.assignment
     is_outlier = np.array([i in labels.outliers for i in hidden], dtype=bool)
     outliers, normals = np.flatnonzero(is_outlier), np.flatnonzero(~is_outlier)
     # the ids a cell can predict: a training class is a clustered id or OUTLIER
@@ -215,9 +217,8 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     index = build_index(ds, base.score.min_pts)
     per_fold = []  # folds outer: one fold's stage and neighbour cache live at a time
     for fold in _fold_partition(labels, folds, seed):
-        hidden = sorted(fold)
-        prepared = prepare(index, _drop_labels(labels, fold), hidden)
-        objective = _fold_objective(prepared.assignment, hidden, labels)
+        prepared = prepare(index, _drop_labels(labels, fold), sorted(fold))
+        objective = _fold_objective(prepared, labels)
         per_fold.append([objective(finish(prepared, p)) for p in blends])
 
     grid = []

@@ -128,8 +128,8 @@ def nmi_by_counter(a, b) -> float:
     return 2.0 * info / (h_a + h_b)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # 1-based ranks with ties sharing their group's average rank
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks with ties sharing their group's average rank."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     high = np.cumsum(counts)
     return (high - (counts - 1) / 2.0)[inverse]
@@ -142,7 +142,7 @@ def auc_by_ranks(scores, labels) -> float:
     y = np.asarray(labels, dtype=bool)
     pos = int(y.sum())
     neg = int(y.size - pos)
-    u = _average_ranks(s)[y].sum() - pos * (pos + 1) / 2.0
+    u = average_ranks(s)[y].sum() - pos * (pos + 1) / 2.0
     return float(u / (pos * neg))
 
 
@@ -464,7 +464,7 @@ def classify(ts: TrainingSet, points, k_c: int) -> tuple:
     ds = as_dataset(points)
     if ds.n == 1:
         return vote(ts, metricspace.cross_nearest(ds.points, ds.points[ts.indices], k_c))
-    return vote(ts, neighbours(ts, build_index(ds, 1), k_c))
+    return vote(ts, neighbours(ts, build_index(ds, 1), k_c, np.arange(ds.n)))
 
 
 # --- full sort and per-row vote: the reference for `classify` ---

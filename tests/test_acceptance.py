@@ -20,26 +20,10 @@ from ssdbcodi import (Dataset, LabelSet, OUTLIER, PipelineParams, ScoreParams,
                       sample_labels, t_score, tune)
 from ssdbcodi.cli import main
 
-from oracles import (auc_by_threshold_sweep, is_density_reachable,
+from oracles import (auc_by_threshold_sweep, average_ranks, is_density_reachable,
                      minimax_closure, moons_with_outliers, nmi_by_counter,
                      random_labelset, random_points, rand_by_pair_enumeration,
                      rdist_matrix, reach_distance)
-
-
-def _average_ranks(values) -> np.ndarray:
-    """Rank vector with ties sharing their average position."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="mergesort")
-    sv = v[order]
-    ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
 
 
 def test_criterion_1_bottleneck_oracle():
@@ -128,7 +112,7 @@ def test_criterion_5_score_identities():
         blended = t_score(table, ScoreParams(alpha, beta))
         assert np.all(blended >= 0.0) and np.all(blended <= 1.0)
         pure_r = t_score(table, ScoreParams(1.0, 0.0))
-        assert np.array_equal(_average_ranks(pure_r), _average_ranks(-table.r_score))
+        assert np.array_equal(average_ranks(pure_r), average_ranks(-table.r_score))
     print("CRITERION 5 PASS: root scores exact, blends bounded, alpha=1 rank identity")
 
 

@@ -116,20 +116,32 @@ def test_dbscan_matches_union_find_oracle():
         assert got == dbscan_oracle(dist, epsilon, min_pts)
 
 
+def equal_points(pts) -> np.ndarray:
+    """0 between exactly equal points, self included, and 1 between others."""
+    pts = np.asarray(pts)
+    return (pts[:, None, :] != pts[None, :, :]).any(axis=2).astype(float)
+
+
 def test_dbscan_at_zero_epsilon_on_duplicated_points_matches_oracle():
-    # at epsilon 0 only coincident points are neighbours; the pass leaves
-    # some self-distances (and some between duplicates) just above 0, yet
-    # each point counts itself within its radius, as the oracle's zero
-    # diagonal does
+    # at epsilon 0 exactly the coincident points are neighbours; the pass
+    # leaves some self-distances and some between duplicates just above 0,
+    # yet each point is within the radius of itself and of its copies, as
+    # in the oracle's exact-equality matrix; the last 40 cases draw 40
+    # points from 12 rows at d = 3 and d = 8
     rng = np.random.default_rng(53)
-    for case in range(40):
+    cases = []
+    for _ in range(40):
         n, dim = int(rng.integers(2, 40)), int(rng.integers(1, 9))
         base = rng.normal(size=(int(rng.integers(1, n + 1)), dim)) * 3
-        pts = base[rng.integers(base.shape[0], size=n)]
-        dist = pairwise_distances(pts)
+        cases.append(base[rng.integers(base.shape[0], size=n)])
+    for seed in range(20):
+        for dim in (3, 8):
+            probe = np.random.default_rng(seed)
+            cases.append(3 * probe.normal(size=(12, dim))[probe.integers(12, size=40)])
+    for case, pts in enumerate(cases):
         for min_pts in (1, 2, 3):
             got = dbscan(as_dataset(pts), 0.0, min_pts).tolist()
-            assert got == dbscan_oracle(dist, 0.0, min_pts), (case, min_pts)
+            assert got == dbscan_oracle(equal_points(pts), 0.0, min_pts), (case, min_pts)
 
 
 def test_dbscan_refuses_its_workspace_and_neighbourhoods_before_allocating(monkeypatch):

@@ -294,7 +294,7 @@ def test_predict_points_holds_one_distance_matrix(monkeypatch):
     for k_c in (5, metricspace.NEAR_K + 1):
         tracemalloc.start()
         try:
-            neighbours(ts, idx, k_c)
+            neighbours(ts, idx, k_c, np.arange(idx.n))
             peaks[k_c] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,7 +321,8 @@ def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
     monkeypatch.setattr(model, "_fresh_nearest",
                         lambda p, rows, c, sq, k: seconds.append(len(rows)) or fresh(p, rows, c, sq, k))
     monkeypatch.setattr(model, "cross_nearest", lambda *args: searched.append(args))
-    got = neighbours(ts, idx, 5)
+    every = np.arange(idx.n)
+    got = neighbours(ts, idx, 5, every)
     assert got.tobytes() == want.tobytes() and searched == []
     [rows] = seconds
     assert rows >= 300 and opened == [(rows, kept.size)]
@@ -330,7 +331,7 @@ def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError) as refused:
-            neighbours(ts, idx, 5)
+            neighbours(ts, idx, 5, every)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,7 +339,7 @@ def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
                                   f"bytes, more than the {nbytes - 1} bytes of physical memory")
     assert peak < nbytes // 2
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", nbytes)
-    assert neighbours(ts, idx, 5).tobytes() == want.tobytes() and searched == []
+    assert neighbours(ts, idx, 5, every).tobytes() == want.tobytes() and searched == []
 
 
 def listed_case(rng, case):
@@ -401,6 +402,8 @@ def test_listed_neighbours_match_the_search_bytes(monkeypatch):
         want = real(idx.points, idx.points[ts.indices], k_c, rows)
         seconds.clear()
         searched.clear()
+        if rows is None:  # the search's all-rows mode against every row listed
+            rows = np.arange(idx.n)
         got = neighbours(ts, idx, k_c, rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
         listed[case % 4] += want.shape[0] - sum(searched)
@@ -410,7 +413,6 @@ def test_listed_neighbours_match_the_search_bytes(monkeypatch):
             assert seconds == [] and searched == [want.shape[0]], case
             continue
         # a row's route depends on its point alone, so repeated rows share it
-        rows = np.arange(idx.n) if rows is None else rows
         second = np.isin(rows, np.concatenate(seconds) if seconds else [])
         full = full_windows(idx, ts, k_c, rows)
         whole = sum(searched)
@@ -436,7 +438,7 @@ def test_listed_neighbours_read_the_index_squared_norms(monkeypatch):
     searched, search = [], model.cross_nearest
     monkeypatch.setattr(model, "cross_nearest",
                         lambda a, b, k, rows: searched.append(len(rows)) or search(a, b, k, rows))
-    got = neighbours(ts, idx, 3)
+    got = neighbours(ts, idx, 3, np.arange(idx.n))
     assert searched == [] and calls == []
-    wide = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3)
+    wide = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3, np.arange(idx.n))
     assert searched == [200] and wide.tobytes() == got.tobytes()

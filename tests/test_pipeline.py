@@ -213,7 +213,8 @@ def test_fold_objective_matches_the_public_metrics_bit_for_bit():
         everything = SimpleNamespace(clusters=clusters, outlier_score=scores)
         rows = SimpleNamespace(clusters=clusters[hidden], outlier_score=scores[hidden])
         want = fold_objective(everything, hidden, labels)
-        got = pipeline._fold_objective(assignment, hidden, labels)(rows)
+        stage = SimpleNamespace(rows=np.array(hidden), assignment=assignment)
+        got = pipeline._fold_objective(stage, labels)(rows)
         if want is None:
             assert got is None, case
             kinds["none"] += 1
@@ -340,12 +341,46 @@ def test_prepare_refuses_indices_it_would_cast():
     assert empty.clusters.shape == empty.outlier_score.shape == (0,)
 
 
+def test_prepare_owns_a_read_only_copy_of_its_rows():
+    # every point by default, else a copy of the caller's rows; either way
+    # an integer array that no one can write to
+    index = build_index(BLOBS, 3)
+    caller = np.array([5, 2, 5], dtype=np.int32)
+    for rows, want in ((None, np.arange(BLOBS.n)), (caller, caller), ([5, 2, 5], caller)):
+        staged = prepare(index, BLOB_LABELS, rows)
+        assert staged.rows.tolist() == want.tolist() and staged.rows.dtype.kind == "i"
+        assert not staged.rows.flags.writeable
+        assert not np.shares_memory(staged.rows, caller)
+        with pytest.raises(ValueError, match="read-only"):
+            staged.rows[0] = 1
+
+
+def test_editing_the_callers_rows_changes_no_later_finish():
+    # the stage keeps the rows it was prepared on, so a finish after the
+    # caller overwrites its array classifies the original rows, whether its
+    # neighbours are searched or read off the stage's memo (the second k_c=5)
+    ds = moons_with_outliers(n=300)
+    labels = sample_labels(ds, 0.1, seed=3)
+    index = build_index(ds, 3)
+    params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (5, 3, 5)]
+    rows = np.arange(200, 250)
+    want = [finish(prepare(index, labels, rows.copy()), p) for p in params]
+    staged = prepare(index, labels, rows)
+    rows[:] = np.arange(250, 300)
+    for p, w in zip(params, want):
+        got = finish(staged, p)
+        for attr in ("clusters", "outliers", "outlier_score"):
+            assert getattr(got, attr).tobytes() == getattr(w, attr).tobytes(), attr
+    moved = finish(prepare(index, labels, rows), params[0])
+    assert moved.outlier_score.tobytes() != want[0].outlier_score.tobytes()
+
+
 def counted_searches(monkeypatch) -> list:
     """Replace finish's neighbour search with one that records its calls."""
     calls = []
     real = pipeline.neighbours
 
-    def counting(ts, index, k_c, rows=None):
+    def counting(ts, index, k_c, rows):
         calls.append(len(ts))
         return real(ts, index, k_c, rows)
 

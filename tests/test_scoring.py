@@ -9,25 +9,10 @@ import pytest
 from ssdbcodi import (OUTLIER, Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
                       build_index, expand, l_score, prepare, r_score, run, sim_scores,
                       t_score)
-from oracles import (as_dataset, local_density, random_labelset, random_points,
+from oracles import (as_dataset, average_ranks, local_density, random_labelset, random_points,
                      sim_score, sim_scores_by_broadcast)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
-
-
-def average_ranks(values):
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def test_r_score_values():
