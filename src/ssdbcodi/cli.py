@@ -111,21 +111,16 @@ def _evaluate(ds, result) -> dict:
             "nmi": nmi(result.clusters, ds.truth)}
 
 
-def _blend(ds, labels, args, seed: int) -> tuple:
-    """The flag (alpha, beta), or the cross-validated best cell under --tune."""
-    if not args.tune:
-        return args.alpha, args.beta
-    return tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
-                params=_pipeline_params(args, args.alpha, args.beta)).best
-
-
 def _draw(ds, args, index, fraction: float, seed: int, cells=None):
-    """Sample one draw's labels and prepare once, then yield ((alpha, beta),
-    result) per cell in `cells`, or for the draw's own `_blend` when None."""
+    """Sample one draw's labels and prepare once, then yield ((alpha, beta), result)
+    per cell in `cells`: by default the flags' blend, or tune's best under --tune."""
     labels = sample_labels(ds, fraction, seed, stratified=args.stratified_labels)
-    blends = cells if cells is not None else [_blend(ds, labels, args, seed)]
+    if cells is None:
+        cells = [tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
+                      params=_pipeline_params(args, args.alpha, args.beta)).best
+                 if args.tune else (args.alpha, args.beta)]
     prepared = prepare(index, labels)
-    for alpha, beta in blends:
+    for alpha, beta in cells:
         yield (alpha, beta), finish(prepared, _pipeline_params(args, alpha, beta))
 
 
@@ -169,38 +164,37 @@ def cmd_run(args) -> str:
 
 
 def _run_trials(ds, args, cells=None) -> tuple:
-    """Metrics per blend for every (fraction_pct, trial) draw of a sweep that
-    completes, and the named error of every draw the pipeline refuses with a
-    ValueError (one with no labeled normal point, say).
+    """Each fraction's completed trials in trial order, as metrics per blend,
+    and the named error of every draw the pipeline refuses with a ValueError
+    (one with no labeled normal point, say).
 
     One index serves every trial, and each trial is one `_draw`, run in job
     order on the calling thread. Any other error ends the sweep, named after
     its draw, and so does the first refusal when no draw completes.
     """
     index = build_index(ds, args.min_pts)
-    done, failed = {}, []
+    done, failed = {f: [] for f in args.fractions}, []
     for fraction_pct in args.fractions:
         for trial in range(args.trials):
             seed = args.seed + trial
             name = f"fraction {fraction_pct:g} trial {trial} (seed {seed})"
             try:
-                done[(fraction_pct, trial)] = [
+                done[fraction_pct].append([
                     _evaluate(ds, result)
-                    for _, result in _draw(ds, args, index, fraction_pct / 100.0, seed, cells)]
+                    for _, result in _draw(ds, args, index, fraction_pct / 100.0, seed, cells)])
             except ValueError as exc:
                 failed.append(f"{name}: {exc}")
             except Exception as exc:
                 raise RuntimeError(f"{name}: {exc}") from exc
-    if not done:
+    if not any(done.values()):
         raise ValueError(failed[0])
     return done, failed
 
 
 def cmd_benchmark(args) -> str:
     ds = _load_dataset(args)
-    by_job, failed = _run_trials(ds, args)
-    rows = [{"fraction": f, **_summary([by_job[(f, t)][0] for t in range(args.trials)
-                                        if (f, t) in by_job])}
+    done, failed = _run_trials(ds, args)
+    rows = [{"fraction": f, **_summary([trial[0] for trial in done[f]])}
             for f in args.fractions]
     columns = ["fraction", "auc_mean", "auc_std", "rand_mean", "rand_std",
                "nmi_mean", "nmi_std"]
@@ -210,9 +204,9 @@ def cmd_benchmark(args) -> str:
 def cmd_sensitivity(args) -> str:
     ds = _load_dataset(args)
     cells = blend_grid(args.grid_step)
-    by_job, failed = _run_trials(ds, args, cells)
+    done, failed = _run_trials(ds, args, cells)
     rows = [{"alpha": alpha, "beta": beta, "fraction": f,
-             **_summary([by_job[(f, t)][i] for t in range(args.trials) if (f, t) in by_job])}
+             **_summary([trial[i] for trial in done[f]])}
             for f in sorted(args.fractions) for i, (alpha, beta) in enumerate(cells)]
     columns = ["alpha", "beta", "fraction", "auc_mean", "rand_mean", "nmi_mean"]
     return _render_csv(columns, rows, failed)

@@ -269,8 +269,13 @@ def _stratified_choice(ds: Dataset, count: int, rng) -> np.ndarray:
 
 
 def minmax_scale(ds: Dataset) -> Dataset:
-    """Rescale each feature column to [0, 1]; constant columns become 0."""
+    """Rescale each feature column to [0, 1]; constant columns become 0. A
+    column whose span overflows is scaled through halves of its values; every
+    other column is multiplied by 1.0, which keeps its bits."""
     lo = ds.points.min(axis=0)
     hi = ds.points.max(axis=0)
+    with np.errstate(over="ignore"):
+        half = np.where(np.isinf(hi - lo), 0.5, 1.0)
+    lo, hi = lo * half, hi * half
     span = np.where(hi > lo, hi - lo, 1.0)
-    return Dataset(points=(ds.points - lo) / span, truth=ds.truth, name=ds.name)
+    return Dataset(points=(ds.points * half - lo) / span, truth=ds.truth, name=ds.name)

@@ -42,7 +42,7 @@ class TrainingSet:
             raise ValueError("training indices must be unique")
         if np.any(classes < OUTLIER):
             raise ValueError("classes must be cluster ids or OUTLIER")
-        if np.any(weights < 0) or np.any(weights > 1):
+        if not np.all((weights >= 0) & (weights <= 1)):
             raise ValueError("weights must lie in [0, 1]")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "classes", classes)

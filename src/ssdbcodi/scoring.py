@@ -53,7 +53,7 @@ def r_score(emax) -> np.ndarray:
     """exp(-emax): 1 exactly at the labeled normal roots, decaying with
     the cost of the cheapest expansion path."""
     e = np.asarray(emax, dtype=float)
-    if np.any(e < 0):
+    if not np.all(e >= 0):
         raise ValueError("emax values must be non-negative")
     return np.exp(-e)
 
@@ -61,7 +61,7 @@ def r_score(emax) -> np.ndarray:
 def l_score(ld) -> np.ndarray:
     """exp(-local density): near 1 in tight neighbourhoods."""
     v = np.asarray(ld, dtype=float)
-    if np.any(v < 0):
+    if not np.all(v >= 0):
         raise ValueError("local densities must be non-negative")
     return np.exp(-v)
 

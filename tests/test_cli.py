@@ -522,6 +522,15 @@ def test_overflowing_points_are_refused(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+def test_scale_takes_a_finite_column_whose_span_overflows(tmp_path, capsys, recwarn):
+    rows = [((x - 6.0) / 6.0 * 1e308, y, lab) for x, y, lab in blob_rows()]
+    path = write_csv(tmp_path / "wide.csv", rows)
+    code, out, err = run_cli(["run", "--input", path, "--scale", "--no-timing"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == len(rows)
+    assert not recwarn.list
+
+
 def test_a_workspace_above_physical_memory_is_one_error_line(blobs_csv, monkeypatch, capsys):
     # the build's 18 x 18 workspace, with the 18 x 17 neighbour list, the
     # list step's 18 x 17 candidates, cores and densities beside it, and
@@ -618,7 +627,8 @@ def test_module_entry_point(blobs_csv):
 
 
 def test_package_entry_point():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the directory this process imported ssdbcodi from: ./src, or site-packages
+    src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ssdbcodi", "--help"],

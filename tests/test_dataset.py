@@ -216,6 +216,18 @@ def test_minmax_scale():
     assert scaled.truth.tolist() == ds.truth.tolist()
 
 
+def test_minmax_scale_of_a_span_beyond_the_largest_float():
+    # the first column's span, 2e308, overflows although every value is finite;
+    # the others keep the bits of (x - lo) / span, subnormals included
+    points = np.array([[-1e308, 0.0, 3.0], [0.0, 5e-324, 7.0], [1e308, 0.0, 4.0]])
+    scaled = minmax_scale(Dataset(points=points, truth=[0, 0, 0])).points
+    assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
+    rest = points[:, 1:]
+    lo, hi = rest.min(axis=0), rest.max(axis=0)
+    assert scaled[:, 1:].tobytes() == ((rest - lo) / (hi - lo)).tobytes()
+    assert scaled[:, 1].tolist() == [0.0, 1.0, 0.0]
+
+
 NUMBER_FORMATS = (repr, "{:e}".format, "{:.25g}".format, "{:.40g}".format, "{:.3f}".format,
                   lambda v: str(round(v)))
 # cells float() and numpy's parser might read differently: underscores and

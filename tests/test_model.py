@@ -29,8 +29,9 @@ def test_training_set_validation():
                         weights=[0.5] * len(indices))
     with pytest.raises(ValueError, match="cluster ids or OUTLIER"):
         TrainingSet(indices=[0], classes=[-2], weights=[0.5])
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        TrainingSet(indices=[0], classes=[0], weights=[1.5])
+    for weights in ([1.5, 0.5], [np.nan, 0.5]):  # NaN fails both range comparisons
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TrainingSet(indices=[0, 1], classes=[0, OUTLIER], weights=weights)
     # floats, booleans and 2-D input are refused, not cast
     for bad in ([0.9, 1.5], [True, False], [[0, 1]], np.array([0.0, 1.0])):
         with pytest.raises(ValueError, match="training indices must be a 1-D sequence"):

@@ -19,8 +19,9 @@ def test_r_score_values():
     out = r_score(np.array([0.0, math.log(2.0)]))
     assert out[0] == 1.0
     assert out[1] == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError, match="non-negative"):
-        r_score(np.array([-0.1]))
+    for bad in ([-0.1], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="non-negative"):
+            r_score(np.array(bad))
 
 
 def test_r_score_is_one_exactly_on_labeled_normals():
@@ -67,8 +68,9 @@ def test_l_score_values():
     out = l_score(np.array([0.0, math.log(10.0)]))
     assert out[0] == 1.0
     assert out[1] == pytest.approx(0.1, abs=1e-15)
-    with pytest.raises(ValueError, match="non-negative"):
-        l_score(np.array([-1e-9]))
+    for bad in ([-1e-9], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="non-negative"):
+            l_score(np.array(bad))
 
 
 def test_sim_score_values():
