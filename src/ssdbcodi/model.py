@@ -1,5 +1,6 @@
-"""Reliable-set selection and the instance-weighted kNN classifier, in two steps:
-`neighbours` (the distance search, reusable across blends) and `vote`.
+"""Reliable-set selection and the instance-weighted kNN classifier, in three
+steps: `neighbours` (the distance search), `_vote_layout` (each neighbour's
+place among its row's classes), both reusable across blends, and `vote`.
 
 `neighbours` reads each row's nearest training rows off the index's shared
 neighbour list wherever the gaps between them are wide enough that every
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import OUTLIER, int_vector
+from .dataset import OUTLIER, int_vector, is_int
 from .expansion import UNCLUSTERED
 from .metricspace import NeighborhoodIndex, _fresh_nearest, cross_nearest
 
@@ -40,13 +41,25 @@ class TrainingSet:
         ordered = np.sort(indices, axis=None)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("training indices must be unique")
-        if np.any(classes < OUTLIER):
-            raise ValueError("classes must be cluster ids or OUTLIER")
-        if not np.all((weights >= 0) & (weights <= 1)):
-            raise ValueError("weights must lie in [0, 1]")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "weights", weights)
+        self._check_classes_and_weights()
+
+    @classmethod
+    def _built(cls, indices: np.ndarray, classes: np.ndarray, weights: np.ndarray):
+        """A set of unique int indices and int classes by construction: only
+        its classes and weights are checked."""
+        ts = object.__new__(cls)
+        ts.__dict__.update(indices=indices, classes=classes, weights=weights)
+        ts._check_classes_and_weights()
+        return ts
+
+    def _check_classes_and_weights(self):
+        if np.any(self.classes < OUTLIER):
+            raise ValueError("classes must be cluster ids or OUTLIER")
+        if not np.all((self.weights >= 0) & (self.weights <= 1)):
+            raise ValueError("weights must lie in [0, 1]")
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -57,27 +70,34 @@ def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
     """All clustered points of `assign` as reliable normals, weighted by
     r_score, plus the k most outlier-like unclustered points, weighted by
     the blend t (highest t, ties to the smaller index)."""
+    if assign.ndim != 1 or assign.dtype.kind != "i":  # so the classes are signed ints
+        raise ValueError("assign must be a 1-D signed integer array")
     clustered = np.flatnonzero(assign != UNCLUSTERED)
     unclustered = np.flatnonzero(assign == UNCLUSTERED)
-    if not 0 <= k <= unclustered.size:
+    if not (is_int(k) and 0 <= k <= unclustered.size):
         raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
     # unclustered ascends, so ties keep index order
     order = np.argsort(-t[unclustered], kind="stable")
     chosen = unclustered[order[:k]]
-    return TrainingSet(
+    # clustered and unclustered are disjoint and chosen is part of a
+    # permutation of unclustered, so the indices are unique by construction
+    return TrainingSet._built(
         indices=np.concatenate([clustered, chosen]),
         classes=np.concatenate([assign[clustered], np.full(k, OUTLIER, dtype=int)]),
-        weights=np.concatenate([r_score[clustered], t[chosen]]),
+        weights=np.concatenate([r_score[clustered], t[chosen]], dtype=float),
     )
 
 
-def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> np.ndarray:
-    """Positions in ts of the k_c nearest training rows of each of `rows` (an
-    index array of the points, searched in its order), trained on
-    index.points[ts.indices]: Euclidean, ties by training-row position.
+def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tuple:
+    """(nbrs, searched): nbrs holds the positions in ts of the k_c nearest
+    training rows of each of `rows` (an index array of the points, searched in
+    its order), trained on index.points[ts.indices]: Euclidean, ties by
+    training-row position; searched holds the positions in `rows` of the rows
+    that went to cross_nearest, the only ones whose neighbour points may
+    depend on the order of ts.
 
-    The result is cross_nearest(points, points[ts.indices], k_c, rows)'s,
-    bit for bit. A row's candidates are itself at distance 0, when it is a
+    nbrs is cross_nearest(points, points[ts.indices], k_c, rows)'s, bit for
+    bit. A row's candidates are itself at distance 0, when it is a
     training row, then the training rows of its index.near list, in order.
     The row takes its first k_c candidates when every gap between adjacent
     values among its first k_c + 1 (the (k_c + 1)-th being the list's last
@@ -161,42 +181,53 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> np.
             left = left[~settled]
     if left.size:
         nbrs[left] = cross_nearest(index.points, index.points[ts.indices], k_c, rows[left])
-    return nbrs
+    return nbrs, left
 
 
-def vote(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
-    """Sum the weights of each row's neighbours `nbrs` (positions in ts) per class.
+def _vote_layout(classes: np.ndarray) -> tuple:
+    """(ids, cells, first, seen), the weight-free part of `vote` for a k x n
+    table of neighbour classes, a column per row. The votes are one flat
+    array of a cell per (row, class among the neighbours): ids are those
+    classes, ascending; cells each neighbour's cell; first whether it is its
+    class's first in its row; seen, n x ids, the cells any neighbour votes
+    in, so that zero-weight votes stay present."""
+    k, n = classes.shape
+    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
+    ids, inv = np.unique(classes.ravel(), return_inverse=True)
+    cells = inv.reshape(k, n) + ids.size * np.arange(n)  # no ids when n == 0
+    seen = np.zeros(n * ids.size, dtype=bool)
+    first = np.empty((k, n), dtype=bool)
+    for j in range(k):
+        first[j] = ~seen[cells[j]]
+        seen[cells[j]] = True
+    return ids, cells, first, seen.reshape(n, ids.size)
+
+
+def vote(layout: tuple, weights: np.ndarray) -> tuple:
+    """Sum each row's neighbour weights, a k x n table like the classes of
+    `_vote_layout`, per class over that layout.
 
     The heaviest class wins; on a tied vote a cluster beats OUTLIER and
     lower cluster ids beat higher ones. Returns (classes, outlier_score):
     the predicted class per row (cluster id or OUTLIER) and OUTLIER's
     share of the summed weight.
 
-    The votes are one flat array of a cell per (row, class among the
-    neighbours), indexed by a k x n table of each rank's cells. Each class
-    adds its weights one neighbour rank at a time, so in neighbour order,
-    and `seen` keeps zero-weight votes as present; the total adds the class
-    sums in first-appearance order.
+    Each class adds its weights one neighbour rank at a time, so in
+    neighbour order; the total adds the class sums in first-appearance
+    order.
     """
-    n, k = nbrs.shape
+    ids, cells, first, seen = layout
+    k, n = cells.shape
     if n == 0:  # no row, so no neighbour to take class ids from
         return np.empty(0, dtype=int), np.zeros(0)
-    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
-    ids, inv = np.unique(ts.classes[nbrs.T].ravel(), return_inverse=True)
-    cells = inv.reshape(k, n) + np.arange(0, n * ids.size, ids.size)
-    w = ts.weights[nbrs.T]
     votes = np.zeros(n * ids.size)
-    seen = np.zeros(n * ids.size, dtype=bool)
-    first = np.empty((k, n), dtype=bool)
     for j in range(k):
-        first[j] = ~seen[cells[j]]
-        seen[cells[j]] = True
-        votes[cells[j]] += w[j]
+        votes[cells[j]] += weights[j]
     total = np.zeros(n)
     for j in range(k):
         np.add(total, votes[cells[j]], out=total, where=first[j])
 
-    votes, seen = votes.reshape(n, ids.size), seen.reshape(n, ids.size)
+    votes = votes.reshape(n, ids.size)
     top = np.where(seen, votes, -np.inf).max(axis=1)
     winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
     out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)

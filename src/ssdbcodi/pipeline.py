@@ -6,8 +6,10 @@ and min_pts; build_index keeps one per dataset and min_pts, so `run` and
 `tune` on one dataset build it once. `prepare(index, labels, rows)` stages
 one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
-reliable sets and classify those rows, keeping the kNN neighbours per
-training set on the stage. `run` composes the two; `tune` stages each
+reliable sets and classify those rows. The stage caches, per k_c and
+training set in any order, its rows' neighbour points and their vote layout
+(see Prepared), so a cell that picks a set another cell picked only gathers
+its weights and votes. `run` composes the two; `tune` stages each
 validation fold on its hidden rows and finishes every cell before the next.
 
 Each fold's objective sets out its truth side once (the hidden outlier and
@@ -24,7 +26,7 @@ from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
-from .model import PipelineResult, neighbours, select_reliable, vote
+from .model import PipelineResult, _vote_layout, neighbours, select_reliable, vote
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
@@ -63,7 +65,14 @@ class Prepared:
     on (its points and min_pts), the assignment, the three raw score columns
     (t_score(scores, params) blends them), the k used when PipelineParams.k
     is None, the rows `finish` classifies (a read-only index array the stage
-    owns) and their kNN neighbours per (k_c, ordered training indices)."""
+    owns) and `neighbours`, the stage's cache of their kNN neighbours: per
+    (k_c, sorted bytes of the chosen outliers), as the normals are the
+    stage's clustered points in every set, the k_c x rows neighbour points,
+    whether each is a chosen outlier, and their `_vote_layout`. The rows that
+    `neighbours` ranks under its 4B rule have the same neighbour points in
+    every order of a set; a set whose first lookup sent a row to
+    cross_nearest, whose ties follow the order, maps to False, and each of
+    its orders has an entry under that key plus the ordered indices' bytes."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
@@ -104,16 +113,30 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
         raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
     # select_reliable rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
-    ts = select_reliable(prepared.assignment, prepared.scores.r_score,
-                         t_score(prepared.scores, params.score), k)
+    t, r = t_score(prepared.scores, params.score), prepared.scores.r_score
+    ts = select_reliable(prepared.assignment, r, t, k)
     k_c = min(params.k_c, len(ts))
-    # Equal keys mean equal inputs to `neighbours`, so cached neighbours keep every bit.
-    key = (k_c, ts.indices.tobytes())
-    if key not in prepared.neighbours:
-        prepared.neighbours[key] = neighbours(ts, index, k_c, prepared.rows)
-    classes, outlier_score = vote(ts, prepared.neighbours[key])
+    points, chosen, layout = _cached_neighbours(prepared, ts, k_c, k)
+    # a chosen outlier weighs its blend, a normal its r_score: ts.weights' bits
+    classes, outlier_score = vote(layout, np.where(chosen, t[points], r[points]))
     return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
                           outlier_score=outlier_score, training=ts, k_c=k_c)
+
+
+def _cached_neighbours(prepared: Prepared, ts, k_c: int, k: int) -> tuple:
+    """The stage's cache entry for ts, its last k rows the chosen outliers
+    (see Prepared), looked up on a miss."""
+    cache = prepared.neighbours
+    key = (k_c, np.sort(ts.indices[len(ts) - k:]).tobytes())
+    if cache.get(key) is False:
+        key += (ts.indices.tobytes(),)
+    if key not in cache:
+        nbrs, searched = neighbours(ts, prepared.index, k_c, prepared.rows)
+        if searched.size and len(key) == 2:
+            cache[key], key = False, key + (ts.indices.tobytes(),)
+        classes = ts.classes[nbrs.T]
+        cache[key] = (ts.indices[nbrs.T], classes == OUTLIER, _vote_layout(classes))
+    return cache[key]
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:

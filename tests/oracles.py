@@ -25,7 +25,10 @@ csv and float() loop over every cell (`load_csv_by_cells`) instead of
 numpy's parser.
 
 The exceptions call the library to give its bits: `classify`, its
-`neighbours` and `vote` in one call, which the classifier tests drive, and
+`neighbours`, vote layout and `vote` in one call, which the classifier tests
+drive (the vote it replaced, over a training set and its neighbour
+positions, stays as `vote_by_positions`, beside `finish_by_order`, the
+finish that looked neighbours up per order of every training set), and
 `pairwise_distances`, `cross_distances` and `nearest`, thin wrappers over
 metricspace's private block loop (`_distances`, `_nearest_block`) that
 hand back whole matrices, which the library itself never keeps.
@@ -44,7 +47,9 @@ from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, NOISE, OUTLIER, Pipe
                       blend_grid, build_index, expand, finish, prepare)
 from ssdbcodi.dataset import point_indices
 from ssdbcodi import metricspace
-from ssdbcodi.model import neighbours, vote
+from ssdbcodi import model
+from ssdbcodi.model import neighbours
+from ssdbcodi.scoring import t_score
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 
 
@@ -463,8 +468,61 @@ def classify(ts: TrainingSet, points, k_c: int) -> tuple:
     is its neighbour, as the search finds."""
     ds = as_dataset(points)
     if ds.n == 1:
-        return vote(ts, metricspace.cross_nearest(ds.points, ds.points[ts.indices], k_c))
-    return vote(ts, neighbours(ts, build_index(ds, 1), k_c, np.arange(ds.n)))
+        nbrs = metricspace.cross_nearest(ds.points, ds.points[ts.indices], k_c)
+    else:
+        nbrs, _ = neighbours(ts, build_index(ds, 1), k_c, np.arange(ds.n))
+    return model.vote(model._vote_layout(ts.classes[nbrs.T]), ts.weights[nbrs.T])
+
+
+# --- the vote and the finish the stage's neighbour cache replaced ---
+
+def vote_by_positions(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
+    """model.vote as one call over ts and each row's neighbour positions in
+    it, (classes, outlier_score): the votes are one flat array of a cell per
+    (row, class among the neighbours), indexed by a k x n table of each
+    rank's cells; each class adds its weights one neighbour rank at a time,
+    `seen` keeps zero-weight votes as present, and the total adds the class
+    sums in first-appearance order."""
+    n, k = nbrs.shape
+    if n == 0:  # no row, so no neighbour to take class ids from
+        return np.empty(0, dtype=int), np.zeros(0)
+    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
+    ids, inv = np.unique(ts.classes[nbrs.T].ravel(), return_inverse=True)
+    cells = inv.reshape(k, n) + np.arange(0, n * ids.size, ids.size)
+    w = ts.weights[nbrs.T]
+    votes = np.zeros(n * ids.size)
+    seen = np.zeros(n * ids.size, dtype=bool)
+    first = np.empty((k, n), dtype=bool)
+    for j in range(k):
+        first[j] = ~seen[cells[j]]
+        seen[cells[j]] = True
+        votes[cells[j]] += w[j]
+    total = np.zeros(n)
+    for j in range(k):
+        np.add(total, votes[cells[j]], out=total, where=first[j])
+
+    votes, seen = votes.reshape(n, ids.size), seen.reshape(n, ids.size)
+    top = np.where(seen, votes, -np.inf).max(axis=1)
+    winners = seen & (votes == top[:, None]) & (ids != OUTLIER)
+    out_class = np.where(winners.any(axis=1), ids[winners.argmax(axis=1)], OUTLIER)
+    out_score = np.zeros(n)
+    np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
+    return out_class, out_score
+
+
+def finish_by_order(prepared, params: PipelineParams) -> PipelineResult:
+    """pipeline.finish with no cache: the reliable set rebuilt through the
+    public TrainingSet constructor, its neighbours looked up in the order
+    select_reliable gives and voted by vote_by_positions."""
+    k = prepared.auto_k if params.k is None else params.k
+    picked = model.select_reliable(prepared.assignment, prepared.scores.r_score,
+                                   t_score(prepared.scores, params.score), k)
+    ts = TrainingSet(picked.indices, picked.classes, picked.weights)
+    k_c = min(params.k_c, len(ts))
+    nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
+    classes, outlier_score = vote_by_positions(ts, nbrs)
+    return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
+                          outlier_score=outlier_score, training=ts, k_c=k_c)
 
 
 # --- full sort and per-row vote: the reference for `classify` ---

@@ -1,6 +1,7 @@
 """Reliable-set selection and the weighted kNN classifier."""
 
 from dataclasses import replace
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,23 @@ def test_select_reliable_rejects_bad_k():
         select_reliable(assignment, r, t, k=2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         select_reliable(assignment, r, t, k=-1)
+
+
+def test_select_reliable_refuses_float_and_boolean_k():
+    # 0.5 and np.float64(1.0) failed as slice indices, True in np.full
+    assignment = make_assignment([0, UNCLUSTERED])
+    r, t = make_scores(r=[1.0, 0.5], t=[0.0, 0.5])
+    for bad in (0.5, 1.5, np.float64(1.0), 1.0, True, np.bool_(False)):
+        message = rf"^k must be in \[0, 1\], got {re.escape(str(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            select_reliable(assignment, r, t, k=bad)
+    for good in (1, np.int64(1), np.int32(0)):
+        assert len(select_reliable(assignment, r, t, k=good)) == 1 + good
+    # an assignment that is not a 1-D integer array would give non-integer classes
+    for bad in (assignment.astype(float), assignment != UNCLUSTERED, assignment[None, :],
+                assignment.astype(np.uint64)):
+        with pytest.raises(ValueError, match="assign must be a 1-D signed integer array"):
+            select_reliable(bad, r, t, k=0)
 
 
 def test_select_reliable_matches_lexsort_order():
@@ -323,8 +341,8 @@ def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
                         lambda p, rows, c, sq, k: seconds.append(len(rows)) or fresh(p, rows, c, sq, k))
     monkeypatch.setattr(model, "cross_nearest", lambda *args: searched.append(args))
     every = np.arange(idx.n)
-    got = neighbours(ts, idx, 5, every)
-    assert got.tobytes() == want.tobytes() and searched == []
+    got, left = neighbours(ts, idx, 5, every)
+    assert got.tobytes() == want.tobytes() and searched == [] and left.size == 0
     [rows] = seconds
     assert rows >= 300 and opened == [(rows, kept.size)]
     nbytes = 8 * rows * kept.size
@@ -340,7 +358,7 @@ def test_second_level_opens_one_workspace_of_its_rows(monkeypatch):
                                   f"bytes, more than the {nbytes - 1} bytes of physical memory")
     assert peak < nbytes // 2
     monkeypatch.setattr(metricspace, "_MEMORY_BYTES", nbytes)
-    assert neighbours(ts, idx, 5, every).tobytes() == want.tobytes() and searched == []
+    assert neighbours(ts, idx, 5, every)[0].tobytes() == want.tobytes() and searched == []
 
 
 def listed_case(rng, case):
@@ -405,8 +423,10 @@ def test_listed_neighbours_match_the_search_bytes(monkeypatch):
         searched.clear()
         if rows is None:  # the search's all-rows mode against every row listed
             rows = np.arange(idx.n)
-        got = neighbours(ts, idx, k_c, rows)
+        got, left = neighbours(ts, idx, k_c, rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+        # it reports the rows it sent to the whole product
+        assert left.size == sum(searched), case
         listed[case % 4] += want.shape[0] - sum(searched)
         fell_back[case % 4] += sum(searched)
         at_k += k_c >= metricspace.NEAR_K
@@ -439,7 +459,8 @@ def test_listed_neighbours_read_the_index_squared_norms(monkeypatch):
     searched, search = [], model.cross_nearest
     monkeypatch.setattr(model, "cross_nearest",
                         lambda a, b, k, rows: searched.append(len(rows)) or search(a, b, k, rows))
-    got = neighbours(ts, idx, 3, np.arange(idx.n))
-    assert searched == [] and calls == []
-    wide = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3, np.arange(idx.n))
+    got, left = neighbours(ts, idx, 3, np.arange(idx.n))
+    assert searched == [] and calls == [] and left.size == 0
+    wide, left = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3, np.arange(idx.n))
     assert searched == [200] and wide.tobytes() == got.tobytes()
+    assert left.tolist() == list(range(200))

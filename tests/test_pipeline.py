@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
-                      ScoreParams, blend_grid, build_index, default_k, finish, metricspace,
-                      pipeline, prepare, run, sample_labels, t_score, tune)
+                      ScoreParams, TrainingSet, blend_grid, build_index, default_k, finish,
+                      metricspace, pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
-from oracles import fold_objective, moons_with_outliers, tune_by_cells
+from oracles import finish_by_order, fold_objective, moons_with_outliers, tune_by_cells
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -381,8 +381,9 @@ def counted_searches(monkeypatch) -> list:
     real = pipeline.neighbours
 
     def counting(ts, index, k_c, rows):
-        calls.append(len(ts))
-        return real(ts, index, k_c, rows)
+        nbrs, searched = real(ts, index, k_c, rows)
+        calls.append((len(ts), searched.size))
+        return nbrs, searched
 
     monkeypatch.setattr(pipeline, "neighbours", counting)
     return calls
@@ -418,27 +419,57 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
 
     def recording(prepared, params):
         result = real_finish(prepared, params)
-        finished.append((prepared, result.k_c, result.training.indices.tobytes(),
+        indices = result.training.indices
+        finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
                          prepared.rows))
         return result
 
-    def counting_vote(ts, nbrs):
-        voted.append(nbrs.shape[0])
-        return real_vote(ts, nbrs)
+    def counting_vote(layout, weights):
+        voted.append(weights.shape[1])
+        return real_vote(layout, weights)
 
     monkeypatch.setattr(pipeline, "finish", recording)
     monkeypatch.setattr(pipeline, "vote", counting_vote)
     tune(ds, labels, grid_step=0.2, folds=5, seed=5,
          params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
-    # Holding every stage keeps their ids distinct.
-    distinct = {(id(prepared), k_c, key) for prepared, k_c, key, _ in finished}
+    # Holding every stage keeps their ids distinct. No lookup sends a row to
+    # cross_nearest here, so one lookup serves every order of a training set.
+    orders = {(id(prepared), k_c, key) for prepared, k_c, key, _, _ in finished}
+    sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, _ in finished}
     assert len(finished) == 5 * len(blend_grid(0.2))
-    assert len(calls) == len(distinct) < len(finished)
+    assert [searched for _, searched in calls] == [0] * len(calls)
+    assert len(calls) == len(sets) < len(orders) < len(finished)
     # Each fold's finishes classify exactly its hidden rows, sorted.
     hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
     assert [list(rows) for *_, rows in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
     assert voted == [len(rows) for *_, rows in finished]
+
+
+def test_every_tune_cell_training_set_passes_the_public_constructor(monkeypatch):
+    # select_reliable skips the checks its construction guarantees; the
+    # public constructor, with every check, accepts each set it built for a
+    # tune's cells and keeps its dtypes and bytes
+    built = []
+    real = pipeline.select_reliable
+    monkeypatch.setattr(pipeline, "select_reliable",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    ds = moons_with_outliers(n=200)
+    tune(ds, sample_labels(ds, 0.1, seed=5), grid_step=0.2, folds=5, seed=5,
+         params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
+    rng = np.random.default_rng(109)
+    for _ in range(40):  # tie-heavy grids, k of None, 0 or more, some k_c above m
+        ds, labels, kwargs = fuzz_tune_case(rng)
+        try:
+            tune(ds, labels, **kwargs)
+        except ValueError:  # too few normals, or an explicit k too large
+            pass
+    assert len(built) >= 2000
+    for ts in built:
+        public = TrainingSet(ts.indices, ts.classes, ts.weights)
+        for attr in ("indices", "classes", "weights"):
+            got, want = getattr(ts, attr), getattr(public, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
 
 
 def test_tune_validates_rows_once_per_fold(monkeypatch):
@@ -526,3 +557,85 @@ def test_tune_matches_cells_outer_oracle():
         compared += 1
         clamped += kwargs["params"].k_c > ds.n
     assert compared >= 200 and clamped >= 20
+
+
+def cache_fuzz_datasets() -> dict:
+    """The set-keyed cache fuzz's data: a 20 x 20 integer grid, the same grid
+    at a 0.1 step (ties exact in decimal but not in binary, so some rows
+    reach cross_nearest), moons and seeded blobs, each with a few scattered
+    outliers."""
+    rng = np.random.default_rng(103)
+    grid = np.array([(x, y) for x in range(20) for y in range(20)], dtype=float)
+    grid_truth = np.where(rng.random(400) < 0.05, OUTLIER, (grid[:, 0] >= 10).astype(int))
+    centres = rng.integers(3, size=300)
+    blobs = 5.0 * rng.normal(size=(3, 3))[centres] + rng.normal(size=(300, 3))
+    blobs_truth = np.where(rng.random(300) < 0.05, OUTLIER, centres)
+    blobs[blobs_truth == OUTLIER] = rng.uniform(-10, 10, size=((blobs_truth == OUTLIER).sum(), 3))
+    return {"grid": Dataset(points=grid, truth=grid_truth),
+            "tenths": Dataset(points=grid / 10, truth=grid_truth),
+            "moons": moons_with_outliers(n=300),
+            "blobs": Dataset(points=blobs, truth=blobs_truth)}
+
+
+def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
+    # every blend_grid(0.1) cell finished on one stage equals, byte for
+    # byte, finish on a fresh stage and the per-order oracle: on all points,
+    # on a few hidden rows, on no row, and on a stage with two clustered
+    # points, so that k_c can exceed its normals. A set whose first lookup
+    # sent a row to cross_nearest (every row at k_c = NEAR_K + 1) is looked up
+    # once per order, and some such sets come in several orders
+    rng = np.random.default_rng(107)
+    counts = dict.fromkeys(("cells", "refused", "orders", "lookups", "reordered",
+                            "over_normals", "no_rows", "zero_k"), 0)
+    for name, ds in cache_fuzz_datasets().items():
+        index = build_index(ds, 3)
+        for seed in range(2):
+            labels = sample_labels(ds, 0.1, seed=seed)
+            hidden = np.sort(rng.choice(ds.n, size=int(rng.integers(5, 40)), replace=False))
+            staged = [prepare(index, labels), prepare(index, labels, hidden),
+                      prepare(index, labels, [])]
+            few = staged[0].assignment.copy()
+            few[np.flatnonzero(few != UNCLUSTERED)[2:]] = UNCLUSTERED
+            staged.append(replace(staged[0], assignment=few))
+            for stage in staged:
+                normals = int((stage.assignment != UNCLUSTERED).sum())
+                k_c = int(rng.choice([1, 3, 5, metricspace.NEAR_K + 1]))
+                # the automatic k, none, every unclustered point (one set in
+                # many orders) or one too many
+                k = rng.choice([None, 0, stage.assignment.size - normals + int(rng.integers(2))])
+                orders = set()
+                for alpha, beta in blend_grid(0.1):
+                    p = PipelineParams(score=ScoreParams(alpha, beta, 3), k=k, k_c=k_c)
+                    try:
+                        want = finish_by_order(stage, p)
+                    except ValueError as exc:  # an explicit k above the unclustered count
+                        for target in (stage, replace(stage)):
+                            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                                finish(target, p)
+                        counts["refused"] += 1
+                        continue
+                    for got in (finish(stage, p), finish(replace(stage), p)):
+                        for attr in ("clusters", "outliers", "outlier_score"):
+                            assert (getattr(got, attr).tobytes()
+                                    == getattr(want, attr).tobytes()), (name, attr)
+                        for attr in ("indices", "classes", "weights"):
+                            assert (getattr(got.training, attr).tobytes()
+                                    == getattr(want.training, attr).tobytes()), (name, attr)
+                        assert got.k_c == want.k_c
+                    orders.add(want.training.indices.tobytes())
+                    counts["cells"] += 1
+                    counts["over_normals"] += want.k_c > normals
+                    counts["no_rows"] += stage.rows.size == 0
+                    counts["zero_k"] += p.k == 0
+                cache = stage.neighbours
+                counts["orders"] += len(orders)
+                counts["lookups"] += sum(entry is not False for entry in cache.values())
+                # a set marked False, at a k_c that the list can rank, in two
+                # or more orders
+                counts["reordered"] += sum(
+                    sum(key[:2] == other[:2] for other in cache) > 2
+                    for key, entry in cache.items()
+                    if entry is False and key[0] <= index.near.shape[1])
+    assert counts["cells"] >= 1500 and counts["refused"] > 0, counts
+    assert counts["lookups"] < counts["orders"] and counts["reordered"] > 0, counts
+    assert min(counts["over_normals"], counts["no_rows"], counts["zero_k"]) > 0, counts
