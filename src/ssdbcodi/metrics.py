@@ -8,7 +8,10 @@ counting 1/2) over positive x negative pairs, and the Rand index the count
 of point pairs on which both partitions agree over all pairs. Both counts
 are exact in float64 while they stay below 2^53, so each value is one
 rounding of an exact ratio. `tune`'s fold objective sets out the truth side
-once per fold and calls the same counts, `_u_share` and `_agreement`.
+once per fold and calls the same counts, `_u_share` and `_agreement`. The
+CLI's sweeps set out the full ground truth's side once per dataset (its
+outliers and normals, codes, id count and pair count) and hand each cell to
+those counts and to `_nmi`, the core that `nmi` calls on its codes.
 """
 
 import numpy as np
@@ -72,6 +75,11 @@ def nmi(predicted, truth) -> float:
     a, b, nb = _codes(predicted, truth)
     if a.size < 1:
         raise ValueError("nmi needs at least 1 point")
+    return _nmi(a, b, nb)
+
+
+def _nmi(a: np.ndarray, b: np.ndarray, nb: int) -> float:
+    """nmi of the codes `a` and `b`, at least one each, `b` in range(nb)."""
     p = np.bincount(a * nb + b, minlength=(a.max() + 1) * nb).reshape(-1, nb).astype(float)
     p /= p.sum()
     pa = p.sum(axis=1)

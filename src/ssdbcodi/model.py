@@ -44,21 +44,25 @@ class TrainingSet:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "weights", weights)
-        self._check_classes_and_weights()
+        self._check_classes_and_weights(classes, weights)
 
     @classmethod
     def _built(cls, indices: np.ndarray, classes: np.ndarray, weights: np.ndarray):
-        """A set of unique int indices and int classes by construction: only
-        its classes and weights are checked."""
+        """A set of unique int indices, int classes and float weights by
+        construction, whose classes and weights its caller has checked."""
         ts = object.__new__(cls)
         ts.__dict__.update(indices=indices, classes=classes, weights=weights)
-        ts._check_classes_and_weights()
         return ts
 
-    def _check_classes_and_weights(self):
-        if np.any(self.classes < OUTLIER):
+    @staticmethod
+    def _check_classes_and_weights(classes: np.ndarray, weights: np.ndarray):
+        if (classes < OUTLIER).any():
             raise ValueError("classes must be cluster ids or OUTLIER")
-        if not np.all((self.weights >= 0) & (self.weights <= 1)):
+        TrainingSet._check_weights(weights)
+
+    @staticmethod
+    def _check_weights(weights: np.ndarray):
+        if not ((weights >= 0) & (weights <= 1)).all():
             raise ValueError("weights must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -70,21 +74,41 @@ def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
     """All clustered points of `assign` as reliable normals, weighted by
     r_score, plus the k most outlier-like unclustered points, weighted by
     the blend t (highest t, ties to the smaller index)."""
+    normals, unclustered = _split(assign, r_score)
+    return _select(normals, unclustered, t[unclustered], k)
+
+
+def _split(assign: np.ndarray, r_score: np.ndarray) -> tuple:
+    """(normals, unclustered): every clustered point of `assign` as a
+    reliable normal, its cluster id its class and its r_score its weight,
+    checked; and the unclustered points, ascending."""
     if assign.ndim != 1 or assign.dtype.kind != "i":  # so the classes are signed ints
         raise ValueError("assign must be a 1-D signed integer array")
     clustered = np.flatnonzero(assign != UNCLUSTERED)
-    unclustered = np.flatnonzero(assign == UNCLUSTERED)
+    classes, weights = assign[clustered], np.asarray(r_score[clustered], dtype=float)
+    TrainingSet._check_classes_and_weights(classes, weights)
+    return TrainingSet._built(clustered, classes, weights), np.flatnonzero(assign == UNCLUSTERED)
+
+
+def _select(normals: TrainingSet, unclustered: np.ndarray, t: np.ndarray,
+            k: int) -> TrainingSet:
+    """`normals`, a checked set of the clustered points, plus the k most
+    outlier-like of the ascending `unclustered` points, weighted by their
+    blend t (t[i] belongs to unclustered[i]; highest t, ties to the smaller
+    index). Only the chosen outliers' weights are checked, as their class is
+    OUTLIER."""
     if not (is_int(k) and 0 <= k <= unclustered.size):
         raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
     # unclustered ascends, so ties keep index order
-    order = np.argsort(-t[unclustered], kind="stable")
-    chosen = unclustered[order[:k]]
-    # clustered and unclustered are disjoint and chosen is part of a
-    # permutation of unclustered, so the indices are unique by construction
+    picked = np.argsort(-t, kind="stable")[:k]
+    weights = np.asarray(t[picked], dtype=float)
+    TrainingSet._check_weights(weights)
+    # clustered and unclustered are disjoint and picked is part of a
+    # permutation, so the indices are unique by construction
     return TrainingSet._built(
-        indices=np.concatenate([clustered, chosen]),
-        classes=np.concatenate([assign[clustered], np.full(k, OUTLIER, dtype=int)]),
-        weights=np.concatenate([r_score[clustered], t[chosen]], dtype=float),
+        indices=np.concatenate([normals.indices, unclustered[picked]]),
+        classes=np.concatenate([normals.classes, np.full(k, OUTLIER, dtype=int)]),
+        weights=np.concatenate([normals.weights, weights]),
     )
 
 

@@ -6,11 +6,16 @@ and min_pts; build_index keeps one per dataset and min_pts, so `run` and
 `tune` on one dataset build it once. `prepare(index, labels, rows)` stages
 one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
-reliable sets and classify those rows. The stage caches, per k_c and
-training set in any order, its rows' neighbour points and their vote layout
-(see Prepared), so a cell that picks a set another cell picked only gathers
-its weights and votes. `run` composes the two; `tune` stages each
-validation fold on its hidden rows and finishes every cell before the next.
+reliable sets and classify those rows. The stage sets out the reliable
+normals, the unclustered points and their score columns, so a cell blends
+and ranks only the unclustered points. It caches, per k_c and training set
+in any order, its rows' neighbour points and their vote layout (see
+Prepared). A normal weighs its r_score in every cell, so only the rows with
+a chosen outlier among their neighbours (the live rows) can vote otherwise
+in another cell: from an entry's second use on, a cell copies the entry's
+vote of the other (fixed) rows and re-votes only its live rows, often none.
+`run` composes the two; `tune` stages each validation fold on its hidden
+rows and finishes every cell before the next.
 
 Each fold's objective sets out its truth side once (the hidden outlier and
 normal rows, the hidden labels' codes and pair count, the ids a cell can
@@ -26,7 +31,8 @@ from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
 from .metricspace import NeighborhoodIndex, build_index
-from .model import PipelineResult, _vote_layout, neighbours, select_reliable, vote
+from .model import (PipelineResult, TrainingSet, _select, _split, _vote_layout,
+                    neighbours, vote)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
@@ -64,22 +70,45 @@ class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
     on (its points and min_pts), the assignment, the three raw score columns
     (t_score(scores, params) blends them), the k used when PipelineParams.k
-    is None, the rows `finish` classifies (a read-only index array the stage
-    owns) and `neighbours`, the stage's cache of their kNN neighbours: per
-    (k_c, sorted bytes of the chosen outliers), as the normals are the
-    stage's clustered points in every set, the k_c x rows neighbour points,
-    whether each is a chosen outlier, and their `_vote_layout`. The rows that
-    `neighbours` ranks under its 4B rule have the same neighbour points in
-    every order of a set; a set whose first lookup sent a row to
-    cross_nearest, whose ties follow the order, maps to False, and each of
-    its orders has an entry under that key plus the ordered indices' bytes."""
+    is None and the rows `finish` classifies (a read-only index array the
+    stage owns).
+
+    From these the stage sets out what every cell shares: `normals`, the
+    reliable normals (every clustered point, ascending, its cluster id its
+    class and its r_score its weight, checked once), the `unclustered`
+    points, ascending, and `unclustered_scores`, the three columns at those
+    points, which a cell blends alone.
+
+    `neighbours` is the stage's cache of its rows' kNN neighbours, per
+    (k_c, sorted bytes of the chosen outliers), as the normals are the same
+    in every set. An entry first holds the k_c x rows neighbour points,
+    whether each is a chosen outlier, and their `_vote_layout`. On its
+    second use it becomes the vote of every row, whose fixed rows (no chosen
+    outlier among their neighbours) keep it in every cell, and the live
+    rows' positions, vote layout, weights and the chosen outliers'
+    positions among the unclustered points. The rows that `neighbours`
+    ranks under its 4B rule have the same neighbour points in every order of
+    a set; a set whose first lookup sent a row to cross_nearest, whose ties
+    follow the order, maps to False, and each of its orders has an entry
+    under that key plus the ordered indices' bytes."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
     scores: ScoreTable
     auto_k: int
     rows: np.ndarray
+    normals: TrainingSet = field(init=False, repr=False)
+    unclustered: np.ndarray = field(init=False, repr=False)
+    unclustered_scores: ScoreTable = field(init=False, repr=False)
     neighbours: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        normals, unclustered = _split(self.assignment, self.scores.r_score)
+        scores = ScoreTable(*(column[unclustered] for column in (
+            self.scores.r_score, self.scores.l_score, self.scores.sim_score)))
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "unclustered", unclustered)
+        object.__setattr__(self, "unclustered_scores", scores)
 
 
 def default_k(n: int, labels: LabelSet) -> int:
@@ -111,32 +140,59 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
     index = prepared.index
     if index.min_pts != params.score.min_pts:
         raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
-    # select_reliable rejects an explicit k above the unclustered count
+    # _select rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
-    t, r = t_score(prepared.scores, params.score), prepared.scores.r_score
-    ts = select_reliable(prepared.assignment, r, t, k)
+    # t_score is elementwise, so the blend of the unclustered points alone
+    # has the bits of theirs in the full blend
+    t = t_score(prepared.unclustered_scores, params.score)
+    ts = _select(prepared.normals, prepared.unclustered, t, k)
     k_c = min(params.k_c, len(ts))
-    points, chosen, layout = _cached_neighbours(prepared, ts, k_c, k)
-    # a chosen outlier weighs its blend, a normal its r_score: ts.weights' bits
-    classes, outlier_score = vote(layout, np.where(chosen, t[points], r[points]))
+    classes, outlier_score = _cached_vote(prepared, ts, t, k_c, k)
     return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
                           outlier_score=outlier_score, training=ts, k_c=k_c)
 
 
-def _cached_neighbours(prepared: Prepared, ts, k_c: int, k: int) -> tuple:
-    """The stage's cache entry for ts, its last k rows the chosen outliers
-    (see Prepared), looked up on a miss."""
+def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tuple:
+    """`vote` of the stage's rows for ts, its last k rows the chosen outliers
+    and t the blend at the unclustered points, through the stage's cache
+    entry (see Prepared): looked up and voted on a miss, voted again and
+    split into fixed and live rows on the second use, and then only the live
+    rows voted, onto copies of the fixed rows' vote."""
     cache = prepared.neighbours
     key = (k_c, np.sort(ts.indices[len(ts) - k:]).tobytes())
     if cache.get(key) is False:
         key += (ts.indices.tobytes(),)
-    if key not in cache:
+    entry = cache.get(key)
+    if entry is None:
         nbrs, searched = neighbours(ts, prepared.index, k_c, prepared.rows)
         if searched.size and len(key) == 2:
             cache[key], key = False, key + (ts.indices.tobytes(),)
         classes = ts.classes[nbrs.T]
-        cache[key] = (ts.indices[nbrs.T], classes == OUTLIER, _vote_layout(classes))
-    return cache[key]
+        layout = _vote_layout(classes)
+        cache[key] = (ts.indices[nbrs.T], classes == OUTLIER, layout)
+        return vote(layout, ts.weights[nbrs.T])
+    if len(entry) == 3:
+        points, chosen, layout = entry
+        # a normal weighs its r_score, a chosen outlier its blend: ts.weights' bits
+        weights = prepared.scores.r_score[points]
+        at = np.searchsorted(prepared.unclustered, points[chosen])
+        weights[chosen] = t[at]
+        classes, outlier_score = vote(layout, weights)
+        # only the chosen outliers' weights vary, and vote is row-independent;
+        # at follows chosen[:, live] too, as every chosen outlier is in a live row
+        live = np.flatnonzero(chosen.any(axis=0))
+        chosen = chosen[:, live]
+        live_classes = np.where(chosen, OUTLIER, prepared.assignment[points[:, live]])
+        cache[key] = (classes.copy(), outlier_score.copy(), live, _vote_layout(live_classes),
+                      weights[:, live], chosen, at)
+        return classes, outlier_score
+    fixed_classes, fixed_score, live, layout, weights, chosen, at = entry
+    classes, outlier_score = fixed_classes.copy(), fixed_score.copy()
+    if live.size:
+        weights = weights.copy()
+        weights[chosen] = t[at]
+        classes[live], outlier_score[live] = vote(layout, weights)
+    return classes, outlier_score
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:

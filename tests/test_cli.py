@@ -6,16 +6,18 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from ssdbcodi import (PipelineParams, ScoreParams, auc, build_index, finish, load_csv, nmi,
-                      prepare, rand_index, sample_labels)
+from ssdbcodi import (OUTLIER, Dataset, PipelineParams, ScoreParams, auc, blend_grid,
+                      build_index, finish, load_csv, nmi, prepare, rand_index, sample_labels)
 from ssdbcodi import baselines, cli, metricspace, pipeline
 from ssdbcodi.cli import main
+import corpus
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -635,3 +637,61 @@ def test_package_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ssdbcodi ")
+
+
+def public_metrics(truth, result) -> dict:
+    """The sweep's metrics of result through the public functions."""
+    is_outlier = truth == OUTLIER
+    both = is_outlier.any() and not is_outlier.all()
+    return {"auc": auc(result.outlier_score, is_outlier) if both else None,
+            "rand_index": rand_index(result.clusters, truth),
+            "nmi": nmi(result.clusters, truth)}
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if value is None:
+            assert got[key] is None, key
+        else:
+            assert type(got[key]) is float, key
+            assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key
+
+
+def test_sweep_metrics_match_the_public_metrics_bit_for_bit(tmp_path):
+    # a sweep sets out the ground truth's side once per dataset and hands
+    # each cell to the counts that auc, rand_index and nmi make: on the
+    # corpus CSVs' finishes, and on tie-heavy fuzz of mixed, one-class,
+    # all-outlier and outlier-free truths (the last two with no AUC)
+    for name, path in corpus.write_csvs(tmp_path).items():
+        ds = load_csv(path)
+        truth = cli._truth(ds)
+        prepared = prepare(build_index(ds, 3), sample_labels(ds, 0.1, seed=1))
+        for alpha, beta in blend_grid(0.25):
+            result = finish(prepared, PipelineParams(score=ScoreParams(alpha, beta, 3)))
+            assert_same_bits(cli._evaluate(truth, result), public_metrics(ds.truth, result))
+    rng = np.random.default_rng(131)
+    no_auc = 0
+    for case in range(400):
+        n = int(rng.integers(2, 40))
+        # clusters and outliers, one class, every point an outlier, or no outlier
+        outlier_rate = (0.3, 0.0, 1.0, 0.0)[case % 4]
+        clusters = rng.integers(0, 1 if case % 4 == 1 else 4, size=n)
+        truth = np.where(rng.random(n) < outlier_rate, OUTLIER, clusters)
+        clustered = truth != OUTLIER
+        truth[clustered] = np.unique(truth[clustered], return_inverse=True)[1]  # ids 0..K-1
+        ds = Dataset(points=np.zeros((n, 1)), truth=truth)
+        result = SimpleNamespace(
+            clusters=rng.integers(-1, int(rng.integers(1, 5)), size=n),
+            outlier_score=rng.choice([0.0, 0.25, 0.5, 1.0], size=n) if case % 2
+            else rng.random(n))
+        want = public_metrics(ds.truth, result)
+        assert_same_bits(cli._evaluate(cli._truth(ds), result), want)
+        no_auc += want["auc"] is None
+    assert no_auc >= 200
+    one = Dataset(points=np.zeros((1, 1)), truth=[0])
+    single = SimpleNamespace(clusters=np.zeros(1, dtype=int), outlier_score=np.zeros(1))
+    with pytest.raises(ValueError, match="^rand_index needs at least 2 points$"):
+        rand_index(single.clusters, one.truth)
+    with pytest.raises(ValueError, match="^rand_index needs at least 2 points$"):
+        cli._evaluate(cli._truth(one), single)

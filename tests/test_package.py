@@ -35,6 +35,11 @@ def test_the_pipeline_records_are_pinned():
     assert names(ssdbcodi.PipelineResult) == ["clusters", "outliers", "outlier_score",
                                               "training", "k_c"]
     assert names(ssdbcodi.ScoreTable) == ["r_score", "l_score", "sim_score"]
-    # a stage fixes the rows its finishes classify, so no cell passes them
+    # a stage fixes the rows its finishes classify, so no cell passes them,
+    # and sets out the normals and unclustered points that every cell shares
     assert names(ssdbcodi.Prepared) == ["index", "assignment", "scores", "auto_k", "rows",
+                                        "normals", "unclustered", "unclustered_scores",
                                         "neighbours"]
+    # those three follow the stage's other fields, so no caller passes them
+    assert [f.name for f in dataclasses.fields(ssdbcodi.Prepared) if f.init] == [
+        "index", "assignment", "scores", "auto_k", "rows"]

@@ -9,7 +9,7 @@ import pytest
 
 from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, TrainingSet, blend_grid, build_index, default_k, finish,
-                      metricspace, pipeline, prepare, run, sample_labels, t_score, tune)
+                      metricspace, model, pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import finish_by_order, fold_objective, moons_with_outliers, tune_by_cells
 
@@ -410,6 +410,14 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
         assert got.k_c == want.k_c == p.k_c
 
 
+def live_rows(prepared, result) -> int:
+    """How many of the stage's rows have a chosen outlier of result's
+    training set among their k_c neighbours, found by a fresh search."""
+    ts = result.training
+    nbrs, _ = model.neighbours(ts, prepared.index, result.k_c, prepared.rows)
+    return int((nbrs >= len(prepared.normals)).any(axis=1).sum())
+
+
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=5)
@@ -418,10 +426,11 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     real_finish, real_vote = pipeline.finish, pipeline.vote
 
     def recording(prepared, params):
+        start = len(voted)
         result = real_finish(prepared, params)
         indices = result.training.indices
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
-                         prepared.rows))
+                         prepared.rows, voted[start:], live_rows(prepared, result)))
         return result
 
     def counting_vote(layout, weights):
@@ -434,25 +443,35 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
          params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
     # Holding every stage keeps their ids distinct. No lookup sends a row to
     # cross_nearest here, so one lookup serves every order of a training set.
-    orders = {(id(prepared), k_c, key) for prepared, k_c, key, _, _ in finished}
-    sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, _ in finished}
+    orders = {(id(prepared), k_c, key) for prepared, k_c, key, *_ in finished}
+    sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, *_ in finished}
     assert len(finished) == 5 * len(blend_grid(0.2))
     assert [searched for _, searched in calls] == [0] * len(calls)
     assert len(calls) == len(sets) < len(orders) < len(finished)
     # Each fold's finishes classify exactly its hidden rows, sorted.
     hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
-    assert [list(rows) for *_, rows in finished] == [
+    assert [list(rows) for _, _, _, _, rows, _, _ in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
-    assert voted == [len(rows) for *_, rows in finished]
+    # An entry votes every row on its first two uses, then only the rows
+    # that a chosen outlier reaches, and not at all when there are none.
+    uses, want, later = {}, [], []
+    for prepared, k_c, _, key, rows, _, live in finished:
+        use = uses[id(prepared), k_c, key] = uses.get((id(prepared), k_c, key), 0) + 1
+        want.append([len(rows)] if use <= 2 else [live] if live else [])
+        later += [(live, len(rows))] if use > 2 else []
+    assert [got for *_, got, _ in finished] == want
+    # some later uses vote no row, and some fewer than all
+    assert any(live == 0 for live, _ in later), later
+    assert any(0 < live < n for live, n in later), later
 
 
 def test_every_tune_cell_training_set_passes_the_public_constructor(monkeypatch):
-    # select_reliable skips the checks its construction guarantees; the
-    # public constructor, with every check, accepts each set it built for a
-    # tune's cells and keeps its dtypes and bytes
+    # finish builds its sets from the stage's checked normals and checks
+    # only the chosen outliers; the public constructor, with every check,
+    # accepts each set a tune's cells trained on and keeps its dtypes and bytes
     built = []
-    real = pipeline.select_reliable
-    monkeypatch.setattr(pipeline, "select_reliable",
+    real = pipeline.finish
+    monkeypatch.setattr(pipeline, "finish",
                         lambda *args: built.append(real(*args)) or built[-1])
     ds = moons_with_outliers(n=200)
     tune(ds, sample_labels(ds, 0.1, seed=5), grid_step=0.2, folds=5, seed=5,
@@ -465,7 +484,7 @@ def test_every_tune_cell_training_set_passes_the_public_constructor(monkeypatch)
         except ValueError:  # too few normals, or an explicit k too large
             pass
     assert len(built) >= 2000
-    for ts in built:
+    for ts in (result.training for result in built):
         public = TrainingSet(ts.indices, ts.classes, ts.weights)
         for attr in ("indices", "classes", "weights"):
             got, want = getattr(ts, attr), getattr(public, attr)
@@ -578,15 +597,19 @@ def cache_fuzz_datasets() -> dict:
 
 
 def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
-    # every blend_grid(0.1) cell finished on one stage equals, byte for
-    # byte, finish on a fresh stage and the per-order oracle: on all points,
-    # on a few hidden rows, on no row, and on a stage with two clustered
-    # points, so that k_c can exceed its normals. A set whose first lookup
-    # sent a row to cross_nearest (every row at k_c = NEAR_K + 1) is looked up
-    # once per order, and some such sets come in several orders
+    # every blend_grid(0.1) cell, three times each in shuffled order, so that
+    # every cache entry is seen on its first, second and later uses, finished
+    # on one stage equals, byte for byte, finish on a fresh stage and the
+    # per-order oracle: on all points, on a few hidden rows, on no row, on a
+    # stage with two clustered points, so that k_c can exceed its normals,
+    # and on one with no unclustered point. A set whose first lookup sent a
+    # row to cross_nearest (every row at k_c = NEAR_K + 1) is looked up once
+    # per order, and some such sets come in several orders. Every result's
+    # arrays are overwritten once compared, which no later cell may see
     rng = np.random.default_rng(107)
     counts = dict.fromkeys(("cells", "refused", "orders", "lookups", "reordered",
-                            "over_normals", "no_rows", "zero_k"), 0)
+                            "over_normals", "no_rows", "zero_k", "all_k", "no_unclustered",
+                            "live", "fixed"), 0)
     for name, ds in cache_fuzz_datasets().items():
         index = build_index(ds, 3)
         for seed in range(2):
@@ -597,24 +620,34 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
             few = staged[0].assignment.copy()
             few[np.flatnonzero(few != UNCLUSTERED)[2:]] = UNCLUSTERED
             staged.append(replace(staged[0], assignment=few))
+            full = np.where(staged[0].assignment == UNCLUSTERED, 0, staged[0].assignment)
+            staged.append(replace(staged[0], assignment=full, auto_k=0))
             for stage in staged:
                 normals = int((stage.assignment != UNCLUSTERED).sum())
                 k_c = int(rng.choice([1, 3, 5, metricspace.NEAR_K + 1]))
                 # the automatic k, none, every unclustered point (one set in
                 # many orders) or one too many
                 k = rng.choice([None, 0, stage.assignment.size - normals + int(rng.integers(2))])
-                orders = set()
-                for alpha, beta in blend_grid(0.1):
+                cells = [cell for cell in blend_grid(0.1) for _ in range(3)]
+                rng.shuffle(cells)
+                orders, wanted = set(), {}
+                for alpha, beta in cells:
                     p = PipelineParams(score=ScoreParams(alpha, beta, 3), k=k, k_c=k_c)
-                    try:
-                        want = finish_by_order(stage, p)
-                    except ValueError as exc:  # an explicit k above the unclustered count
+                    first = (alpha, beta) not in wanted
+                    if first:
+                        try:
+                            wanted[alpha, beta] = finish_by_order(stage, p)
+                        except ValueError as exc:  # an explicit k above the unclustered count
+                            wanted[alpha, beta] = exc
+                    want = wanted[alpha, beta]
+                    if isinstance(want, ValueError):
                         for target in (stage, replace(stage)):
-                            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                            with pytest.raises(ValueError, match=f"^{re.escape(str(want))}$"):
                                 finish(target, p)
                         counts["refused"] += 1
                         continue
-                    for got in (finish(stage, p), finish(replace(stage), p)):
+                    fresh = [finish(replace(stage), p)] if first else []
+                    for got in [finish(stage, p)] + fresh:
                         for attr in ("clusters", "outliers", "outlier_score"):
                             assert (getattr(got, attr).tobytes()
                                     == getattr(want, attr).tobytes()), (name, attr)
@@ -622,20 +655,33 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
                             assert (getattr(got.training, attr).tobytes()
                                     == getattr(want.training, attr).tobytes()), (name, attr)
                         assert got.k_c == want.k_c
+                        for array in (got.clusters, got.outliers, got.outlier_score,
+                                      got.training.indices, got.training.classes,
+                                      got.training.weights):
+                            array[...] = 3
                     orders.add(want.training.indices.tobytes())
                     counts["cells"] += 1
                     counts["over_normals"] += want.k_c > normals
                     counts["no_rows"] += stage.rows.size == 0
                     counts["zero_k"] += p.k == 0
+                    counts["all_k"] += 0 < len(want.training) - normals == stage.unclustered.size
+                    counts["no_unclustered"] += stage.unclustered.size == 0
                 cache = stage.neighbours
                 counts["orders"] += len(orders)
                 counts["lookups"] += sum(entry is not False for entry in cache.values())
+                # every entry's cell came three times, so each one was split
+                # into its fixed rows' vote and its live rows
+                split = [entry for entry in cache.values() if entry is not False]
+                assert all(len(entry) == 7 for entry in split), name
+                counts["live"] += sum(entry[2].size > 0 for entry in split)
+                counts["fixed"] += sum(entry[2].size < stage.rows.size for entry in split)
                 # a set marked False, at a k_c that the list can rank, in two
                 # or more orders
                 counts["reordered"] += sum(
                     sum(key[:2] == other[:2] for other in cache) > 2
                     for key, entry in cache.items()
                     if entry is False and key[0] <= index.near.shape[1])
-    assert counts["cells"] >= 1500 and counts["refused"] > 0, counts
+    assert counts["cells"] >= 4500 and counts["refused"] > 0, counts
     assert counts["lookups"] < counts["orders"] and counts["reordered"] > 0, counts
-    assert min(counts["over_normals"], counts["no_rows"], counts["zero_k"]) > 0, counts
+    assert min(counts[key] for key in ("over_normals", "no_rows", "zero_k", "all_k",
+                                       "no_unclustered", "live", "fixed")) > 0, counts
