@@ -13,7 +13,7 @@ from .dataset import (Dataset, LabelSet, OUTLIER, load_csv, minmax_scale,
 from .expansion import UNCLUSTERED, expand
 from .metrics import auc, nmi, rand_index
 from .metricspace import NeighborhoodIndex, build_index
-from .model import PipelineResult, TrainingSet, select_reliable
+from .model import PipelineResult, TrainingSet
 from .pipeline import (PipelineParams, Prepared, TuneReport, blend_grid, default_k,
                        finish, prepare, run, tune)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
@@ -26,6 +26,6 @@ __all__ = [
     "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "dbscan",
     "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
     "minmax_scale", "nmi", "prepare", "r_score",
-    "rand_index", "round_half_up", "run", "sample_labels", "select_reliable",
+    "rand_index", "round_half_up", "run", "sample_labels",
     "sim_scores", "ssdbscan_with_fallback", "t_score", "tune",
 ]

@@ -69,15 +69,6 @@ class TrainingSet:
         return int(self.indices.size)
 
 
-def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
-                    k: int) -> TrainingSet:
-    """All clustered points of `assign` as reliable normals, weighted by
-    r_score, plus the k most outlier-like unclustered points, weighted by
-    the blend t (highest t, ties to the smaller index)."""
-    normals, unclustered = _split(assign, r_score)
-    return _select(normals, unclustered, t[unclustered], k)
-
-
 def _split(assign: np.ndarray, r_score: np.ndarray) -> tuple:
     """(normals, unclustered): every clustered point of `assign` as a
     reliable normal, its cluster id its class and its r_score its weight,

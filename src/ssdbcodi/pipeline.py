@@ -8,12 +8,14 @@ one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
 reliable sets and classify those rows. The stage sets out the reliable
 normals, the unclustered points and their score columns, so a cell blends
-and ranks only the unclustered points. It caches, per k_c and training set
-in any order, its rows' neighbour points and their vote layout (see
-Prepared). A normal weighs its r_score in every cell, so only the rows with
-a chosen outlier among their neighbours (the live rows) can vote otherwise
-in another cell: from an entry's second use on, a cell copies the entry's
-vote of the other (fixed) rows and re-votes only its live rows, often none.
+and ranks only the unclustered points. From its second finish at a k_c it
+ranks its rows' candidates once, in a candidate table, and it keeps an entry
+per k_c and training set in any order (see Prepared). A normal weighs its
+r_score in every cell, so only the rows with a chosen outlier among their
+neighbours (the live rows) can vote otherwise in another cell: an entry
+holds the vote of the other (fixed) rows, and a cell copies it and re-votes
+only the live rows, often none. A new set's entry reads the neighbours of
+the rows the table decides off the table and searches only the others.
 `run` composes the two; `tune` stages each validation fold on its hidden
 rows and finishes every cell before the next.
 
@@ -24,6 +26,7 @@ metrics.rand_index make (see the metrics module docstring).
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,16 +82,32 @@ class Prepared:
     points, ascending, and `unclustered_scores`, the three columns at those
     points, which a cell blends alone.
 
-    `neighbours` is the stage's cache of its rows' kNN neighbours, per
-    (k_c, sorted bytes of the chosen outliers), as the normals are the same
-    in every set. An entry first holds the k_c x rows neighbour points,
-    whether each is a chosen outlier, and their `_vote_layout`. On its
-    second use it becomes the vote of every row, whose fixed rows (no chosen
-    outlier among their neighbours) keep it in every cell, and the live
-    rows' positions, vote layout, weights and the chosen outliers'
-    positions among the unclustered points. The rows that `neighbours`
-    ranks under its 4B rule have the same neighbour points in every order of
-    a set; a set whose first lookup sent a row to cross_nearest, whose ties
+    `tables` holds the stage's candidate table per k_c. Every training set
+    of the stage is its normals plus some unclustered points, so a row's
+    candidates, itself at distance 0 and then its index.near list, each a
+    normal or an unclustered point, are the same in every cell. A row is
+    decided when they hold k_c + 1 normals and every adjacent gap of their
+    squared values up to the (k_c + 1)-th normal exceeds `neighbours`' 4B
+    bound: every set's first k_c + 1 candidates lie in that prefix and every
+    product ranks them alike, so the row's neighbours are its first k_c
+    candidates in the set. Its reach is its unclustered candidates before
+    its k_c-th normal; a set with no chosen outlier there gives it the
+    normals' vote. The stage's first finish at k_c looks every row up and
+    keeps only its vote and its chosen outliers; the second builds the table
+    from them: the undecided rows, the decided rows' normals-only vote, and
+    the candidates, up to the k_c-th normal, and reach of each decided row
+    that has a reach.
+
+    `neighbours` is the stage's cache of entries per (k_c, sorted bytes of
+    the chosen outliers), as the normals are the same in every set. An entry
+    is born split, from the table: the vote of every row, which its fixed
+    rows keep in every cell, and its live rows, with their vote layout,
+    weights and the chosen outliers' positions among the unclustered points
+    (None when no row is live). The live rows are the decided rows with a
+    chosen outlier in their reach, whose neighbours are the first k_c
+    members of the set among their candidates, and the undecided rows that
+    `neighbours`, called on the undecided rows alone, gives a chosen
+    outlier. A set whose lookup sent a row to cross_nearest, whose ties
     follow the order, maps to False, and each of its orders has an entry
     under that key plus the ordered indices' bytes."""
 
@@ -101,6 +120,7 @@ class Prepared:
     unclustered: np.ndarray = field(init=False, repr=False)
     unclustered_scores: ScoreTable = field(init=False, repr=False)
     neighbours: dict = field(default_factory=dict, init=False, repr=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         normals, unclustered = _split(self.assignment, self.scores.r_score)
@@ -155,37 +175,30 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
 def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tuple:
     """`vote` of the stage's rows for ts, its last k rows the chosen outliers
     and t the blend at the unclustered points, through the stage's cache
-    entry (see Prepared): looked up and voted on a miss, voted again and
-    split into fixed and live rows on the second use, and then only the live
-    rows voted, onto copies of the fixed rows' vote."""
+    (see Prepared): the stage's first finish at k_c looks every row up and
+    keeps only its vote; a later miss builds its entry from the candidate
+    table at k_c, made once, and a hit votes only the entry's live rows,
+    onto a copy of its fixed rows' vote."""
     cache = prepared.neighbours
-    key = (k_c, np.sort(ts.indices[len(ts) - k:]).tobytes())
+    picked = np.sort(ts.indices[len(ts) - k:])  # a copy: ts is the caller's
+    key = (k_c, picked.tobytes())
     if cache.get(key) is False:
         key += (ts.indices.tobytes(),)
     entry = cache.get(key)
     if entry is None:
-        nbrs, searched = neighbours(ts, prepared.index, k_c, prepared.rows)
+        table = prepared.tables.get(k_c)
+        if table is None:
+            nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
+            classes, outlier_score = vote(_vote_layout(ts.classes[nbrs.T]), ts.weights[nbrs.T])
+            prepared.tables[k_c] = (classes.copy(), outlier_score.copy(), picked)
+            return classes, outlier_score
+        if not isinstance(table, _Table):
+            table = prepared.tables[k_c] = _candidate_table(prepared, k_c, *table)
+        entry, searched = _entry(prepared, table, ts, t, k_c, picked)
         if searched.size and len(key) == 2:
             cache[key], key = False, key + (ts.indices.tobytes(),)
-        classes = ts.classes[nbrs.T]
-        layout = _vote_layout(classes)
-        cache[key] = (ts.indices[nbrs.T], classes == OUTLIER, layout)
-        return vote(layout, ts.weights[nbrs.T])
-    if len(entry) == 3:
-        points, chosen, layout = entry
-        # a normal weighs its r_score, a chosen outlier its blend: ts.weights' bits
-        weights = prepared.scores.r_score[points]
-        at = np.searchsorted(prepared.unclustered, points[chosen])
-        weights[chosen] = t[at]
-        classes, outlier_score = vote(layout, weights)
-        # only the chosen outliers' weights vary, and vote is row-independent;
-        # at follows chosen[:, live] too, as every chosen outlier is in a live row
-        live = np.flatnonzero(chosen.any(axis=0))
-        chosen = chosen[:, live]
-        live_classes = np.where(chosen, OUTLIER, prepared.assignment[points[:, live]])
-        cache[key] = (classes.copy(), outlier_score.copy(), live, _vote_layout(live_classes),
-                      weights[:, live], chosen, at)
-        return classes, outlier_score
+        cache[key] = entry
+        return entry[0].copy(), entry[1].copy()
     fixed_classes, fixed_score, live, layout, weights, chosen, at = entry
     classes, outlier_score = fixed_classes.copy(), fixed_score.copy()
     if live.size:
@@ -193,6 +206,139 @@ def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tup
         weights[chosen] = t[at]
         classes[live], outlier_score[live] = vote(layout, weights)
     return classes, outlier_score
+
+
+class _Table(NamedTuple):
+    """A stage's candidate table at one k_c (see Prepared). Positions are
+    in the stage's rows."""
+
+    undecided: np.ndarray      # positions of the rows a table cannot rank
+    classes: np.ndarray        # the normals-only vote at every decided row
+    outlier_score: np.ndarray
+    mixed: np.ndarray          # positions of the decided rows with a reach
+    cand: np.ndarray           # their candidates, up to their k_c-th normal
+    normal: np.ndarray         # whether each candidate is a normal
+    reach_row: np.ndarray      # each reach member's row in mixed
+    reach_point: np.ndarray    # and the point
+
+    def reached(self, chosen: np.ndarray, n: int) -> tuple:
+        """(hit, is_chosen): the positions in mixed of the rows whose reach
+        holds a point of `chosen`, ascending, and a mask of those points
+        among the stage's n."""
+        is_chosen = np.zeros(n, dtype=bool)
+        is_chosen[chosen] = True
+        hit = np.bincount(self.reach_row[is_chosen[self.reach_point]], minlength=self.mixed.size)
+        return np.flatnonzero(hit), is_chosen
+
+
+def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
+    """k_c x rows: each row's first k_c candidates (a row of cand) that are
+    members (True in member), in order."""
+    taken = member & (np.cumsum(member, axis=1) <= k_c)
+    return cand[taken].reshape(cand.shape[0], k_c).T
+
+
+def _candidate_table(prepared: Prepared, k_c: int, classes: np.ndarray,
+                     outlier_score: np.ndarray, chosen: np.ndarray) -> _Table:
+    """The stage's candidate table at k_c, from its first finish there: that
+    finish's vote (classes, outlier_score), whose chosen outliers were
+    `chosen`, is every decided row's normals-only vote but at the rows those
+    reached, which are voted again."""
+    index, rows = prepared.index, prepared.rows
+    is_normal = prepared.assignment != UNCLUSTERED
+    K = index.near.shape[1]
+    decided, mixed = np.zeros(rows.size, dtype=bool), np.empty(0, dtype=np.intp)
+    if k_c <= K:  # a list of K holds at most K + 1 candidates
+        four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
+                  * (index.sq_norms[rows] + index.sq_max))
+        # each row's window, itself then the first k_c members of its list,
+        # candidates down the first axis, as `neighbours` reads it; a row
+        # whose window is all normals and wide is decided, and has no reach
+        window = np.empty((k_c + 1, rows.size), dtype=np.intp)
+        vals = np.empty((k_c + 1, rows.size))
+        window[0], window[1:] = rows, index.near[rows, :k_c].T
+        vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
+        sq_vals = np.square(vals)
+        wide = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
+        plain = is_normal.take(window).all(axis=0)
+        decided = wide & plain
+        # a wide window that holds an unclustered point: the row is decided
+        # on its whole list, up to its (k_c + 1)-th normal
+        mixed = np.flatnonzero(wide & ~plain)
+    cand = np.empty((mixed.size, K + 1), dtype=np.intp)
+    cand[:, 0], cand[:, 1:] = rows[mixed], index.near[rows[mixed]]
+    normal = is_normal[cand]
+    count = np.cumsum(normal, axis=1)
+    if mixed.size:
+        vals = np.empty(cand.shape)
+        vals[:, 0], vals[:, 1:] = 0.0, index.near_dist[rows[mixed]]
+        sq_vals = np.square(vals)
+        gaps = np.logical_and.accumulate(sq_vals[:, 1:] - sq_vals[:, :-1] > four_b[mixed, None],
+                                         axis=1)
+        end = np.minimum((count <= k_c).sum(axis=1), K)  # the (k_c + 1)-th normal
+        ranked = (count[:, -1] > k_c) & gaps[np.arange(mixed.size), end - 1]
+        mixed, cand, normal, count = mixed[ranked], cand[ranked], normal[ranked], count[ranked]
+        decided[mixed] = True
+    # every training set's first k_c members of a mixed row lie up to its
+    # k_c-th normal
+    width = int((count < k_c).sum(axis=1).max(initial=0)) + 1
+    cand, normal, count = cand[:, :width], normal[:, :width], count[:, :width]
+    reach_row, reach_col = np.nonzero(~normal & (count < k_c))
+    table = _Table(np.flatnonzero(~decided), classes, outlier_score, mixed, cand, normal,
+                   reach_row, cand[reach_row, reach_col])
+    # the rows the first finish's chosen outliers reached take the normals' vote
+    hit, _ = table.reached(chosen, is_normal.size)
+    if hit.size:
+        nbrs = _first(cand[hit], normal[hit], k_c)
+        classes[mixed[hit]], outlier_score[mixed[hit]] = vote(
+            _vote_layout(prepared.assignment[nbrs]), prepared.scores.r_score[nbrs])
+    return table
+
+
+def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
+           picked: np.ndarray) -> tuple:
+    """(entry, searched): the cache entry at k_c of ts, whose chosen outliers
+    are `picked`, born split (see Prepared), its fixed and live rows voted
+    once for this cell; searched as `neighbours` returns it for the
+    undecided rows."""
+    undecided, assignment = table.undecided, prepared.assignment
+    points, cols, live = [], [], 0
+    if table.reach_row.size and picked.size:
+        hit, is_chosen = table.reached(picked, assignment.size)
+        if hit.size:
+            cand = table.cand[hit]
+            points.append(_first(cand, table.normal[hit] | is_chosen[cand], k_c))
+            cols.append(table.mixed[hit])
+            live = hit.size
+    searched = undecided[:0]
+    if undecided.size:
+        nbrs, searched = neighbours(ts, prepared.index, k_c, prepared.rows[undecided])
+        reached = (nbrs >= len(prepared.normals)).any(axis=1)
+        # the undecided rows a chosen outlier reaches join the live rows, first
+        by = np.argsort(~reached, kind="stable")
+        points.append(ts.indices[nbrs[by].T])
+        cols.append(undecided[by])
+        live += int(reached.sum())
+    classes, outlier_score = table.classes.copy(), table.outlier_score.copy()
+    if not cols:
+        return (classes, outlier_score, undecided[:0]) + (None,) * 4, searched
+    points, cols = np.concatenate(points, axis=1), np.concatenate(cols)
+    chosen = assignment[points] == UNCLUSTERED
+    # a normal weighs its r_score, a chosen outlier its blend: ts.weights' bits
+    weights = prepared.scores.r_score[points]
+    at = np.searchsorted(prepared.unclustered, points[chosen])
+    weights[chosen] = t[at]
+    layout = _vote_layout(np.where(chosen, OUTLIER, assignment[points]))
+    classes[cols], outlier_score[cols] = vote(layout, weights)
+    if not live:
+        return (classes, outlier_score, cols[:0]) + (None,) * 4, searched
+    # vote is row-independent, so the live rows, which come first, keep the
+    # layout's first columns; every chosen outlier is in a live row, so at
+    # follows chosen[:, :live] too
+    ids, cells, first, seen = layout
+    return (classes, outlier_score, cols[:live],
+            (ids, cells[:, :live], first[:, :live], seen[:live]),
+            weights[:, :live], chosen[:, :live], at), searched
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:

@@ -20,11 +20,15 @@ hidden ones, a fallback clusterer, DBSCAN and LOF handed a whole
 distance matrix (`ssdbscan_with_fallback_by_matrix`, `dbscan_by_matrix`,
 `lof_by_matrix`) instead of reading row blocks as they are made, the
 index build's former passes on one thread (`index_by_serial_passes`)
-instead of row blocks spread over the cores, and the CSV reader's former
+instead of row blocks spread over the cores, the CSV reader's former
 csv and float() loop over every cell (`load_csv_by_cells`) instead of
-numpy's parser.
+numpy's parser, the paper's pipeline from points to result with none of
+the library's fast paths (`run_by_paper`), and a loop over each row's
+list (`decided_by_loop`) instead of the stage's candidate table.
 
-The exceptions call the library to give its bits: `classify`, its
+The exceptions call the library to give its bits: `select_reliable`,
+the model's split of an assignment and its selection of the reliable
+outliers in one call, which the selection tests drive; `classify`, its
 `neighbours`, vote layout and `vote` in one call, which the classifier tests
 drive (the vote it replaced, over a training set and its neighbour
 positions, stays as `vote_by_positions`, beside `finish_by_order`, the
@@ -44,7 +48,7 @@ import numpy as np
 
 from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, NOISE, OUTLIER, PipelineParams,
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
-                      blend_grid, build_index, expand, finish, prepare)
+                      blend_grid, build_index, default_k, expand, finish, prepare)
 from ssdbcodi.dataset import point_indices
 from ssdbcodi import metricspace
 from ssdbcodi import model
@@ -510,13 +514,42 @@ def vote_by_positions(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     return out_class, out_score
 
 
+def decided_by_loop(prepared, k_c: int) -> np.ndarray:
+    """Whether the stage's candidate table ranks each of its rows at k_c,
+    one row at a time: the row's candidates, itself at distance 0 then its
+    index.near list, hold at least k_c + 1 normals (clustered points), and
+    every adjacent gap of their squared values up to the (k_c + 1)-th normal
+    exceeds model.neighbours' 4B bound."""
+    index = prepared.index
+    scale = 4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
+    decided = []
+    for p in prepared.rows.tolist():
+        cand = [p] + index.near[p].tolist()
+        sq = np.square([0.0] + index.near_dist[p].tolist())
+        normals = [j for j, q in enumerate(cand) if prepared.assignment[q] != UNCLUSTERED]
+        four_b = scale * (index.sq_norms[p] + index.sq_max)
+        decided.append(len(normals) > k_c
+                       and all(sq[j + 1] - sq[j] > four_b for j in range(normals[k_c])))
+    return np.array(decided, dtype=bool)
+
+
+def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
+                    k: int) -> TrainingSet:
+    """All clustered points of `assign` as reliable normals, weighted by
+    r_score, plus the k most outlier-like unclustered points, weighted by
+    the blend t (highest t, ties to the smaller index): model._split and
+    model._select, the two steps that Prepared and finish take apart."""
+    normals, unclustered = model._split(assign, r_score)
+    return model._select(normals, unclustered, t[unclustered], k)
+
+
 def finish_by_order(prepared, params: PipelineParams) -> PipelineResult:
     """pipeline.finish with no cache: the reliable set rebuilt through the
     public TrainingSet constructor, its neighbours looked up in the order
     select_reliable gives and voted by vote_by_positions."""
     k = prepared.auto_k if params.k is None else params.k
-    picked = model.select_reliable(prepared.assignment, prepared.scores.r_score,
-                                   t_score(prepared.scores, params.score), k)
+    picked = select_reliable(prepared.assignment, prepared.scores.r_score,
+                             t_score(prepared.scores, params.score), k)
     ts = TrainingSet(picked.indices, picked.classes, picked.weights)
     k_c = min(params.k_c, len(ts))
     nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
@@ -551,6 +584,40 @@ def knn_predict_by_loop(ts: TrainingSet, points: np.ndarray, k_c: int) -> tuple:
         out_class[row] = winners[0] if winners else OUTLIER
         out_score[row] = votes.get(OUTLIER, 0.0) / total if total > 0 else 0.0
     return out_class, out_score
+
+
+# --- the paper's pipeline end to end: the reference for pipeline.run ---
+
+def run_by_paper(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
+    """pipeline.run along the paper's steps with none of the library's fast
+    paths: one Prim expansion per labeled root, run to the end and
+    back-traced (`expand_all`, `combine_backtraces`, `emax_over_roots`),
+    densities off a whole reachability matrix, sim scores by one broadcast,
+    the three scores and their blend written out, the k reliable outliers by
+    a stable argsort of the blend over the unclustered points, the public
+    TrainingSet constructor and a full sort per row (`knn_predict_by_loop`).
+    Only the core distances come from the library's index."""
+    idx = build_index(ds, params.score.min_pts)
+    records = expand_all(idx, labels, terminate=False)
+    assign = combine_backtraces(records, labels, idx.n)
+    r = np.exp(-emax_over_roots(records))
+    l = np.exp(-local_densities_by_matrix(idx))
+    sim = sim_scores_by_broadcast(ds, labels)
+    alpha, beta = params.score.alpha, params.score.beta
+    t = alpha * (1.0 - r) + beta * (1.0 - l) + max(0.0, 1.0 - alpha - beta) * sim
+    clustered = np.flatnonzero(assign != UNCLUSTERED)
+    unclustered = np.flatnonzero(assign == UNCLUSTERED)
+    k = min(default_k(idx.n, labels), unclustered.size) if params.k is None else params.k
+    if k > unclustered.size:
+        raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
+    picked = unclustered[np.argsort(-t[unclustered], kind="stable")[:k]]
+    ts = TrainingSet(indices=np.concatenate([clustered, picked]),
+                     classes=np.concatenate([assign[clustered], np.full(k, OUTLIER)]),
+                     weights=np.concatenate([r[clustered], t[picked]]))
+    k_c = min(params.k_c, len(ts))
+    classes, outlier_score = knn_predict_by_loop(ts, ds.points, k_c)
+    return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
+                          outlier_score=outlier_score, training=ts, k_c=k_c)
 
 
 # --- DBSCAN and LOF on a whole distance matrix: their former routes ---

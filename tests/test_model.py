@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import (OUTLIER, UNCLUSTERED, TrainingSet, build_index, metricspace, model,
-                      select_reliable)
+from ssdbcodi import OUTLIER, UNCLUSTERED, TrainingSet, build_index, metricspace, model
 from ssdbcodi.model import neighbours
-from oracles import as_dataset, classify, cross_distances, knn_predict_by_loop
+from oracles import (as_dataset, classify, cross_distances, knn_predict_by_loop,
+                     select_reliable)
 
 
 def make_assignment(assign):

@@ -20,7 +20,7 @@ def test_the_public_surface_is_pinned():
         "TuneReport", "UNCLUSTERED", "auc", "blend_grid", "build_index", "dbscan",
         "default_k", "expand", "finish", "kmeans", "l_score", "load_csv", "lof",
         "minmax_scale", "nmi", "prepare", "r_score", "rand_index", "round_half_up", "run",
-        "sample_labels", "select_reliable", "sim_scores", "ssdbscan_with_fallback",
+        "sample_labels", "sim_scores", "ssdbscan_with_fallback",
         "t_score", "tune",
     ])
 
@@ -39,7 +39,8 @@ def test_the_pipeline_records_are_pinned():
     # and sets out the normals and unclustered points that every cell shares
     assert names(ssdbcodi.Prepared) == ["index", "assignment", "scores", "auto_k", "rows",
                                         "normals", "unclustered", "unclustered_scores",
-                                        "neighbours"]
-    # those three follow the stage's other fields, so no caller passes them
+                                        "neighbours", "tables"]
+    # the set-out fields and the two caches follow the stage's other fields,
+    # so no caller passes them
     assert [f.name for f in dataclasses.fields(ssdbcodi.Prepared) if f.init] == [
         "index", "assignment", "scores", "auto_k", "rows"]

@@ -11,7 +11,8 @@ from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       ScoreParams, TrainingSet, blend_grid, build_index, default_k, finish,
                       metricspace, model, pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
-from oracles import finish_by_order, fold_objective, moons_with_outliers, tune_by_cells
+from oracles import (decided_by_loop, finish_by_order, fold_objective, moons_with_outliers,
+                     run_by_paper, tune_by_cells)
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -376,13 +377,14 @@ def test_editing_the_callers_rows_changes_no_later_finish():
 
 
 def counted_searches(monkeypatch) -> list:
-    """Replace finish's neighbour search with one that records its calls."""
+    """Replace finish's neighbour search with one that records its calls:
+    (training rows, rows searched, rows sent to cross_nearest)."""
     calls = []
     real = pipeline.neighbours
 
     def counting(ts, index, k_c, rows):
         nbrs, searched = real(ts, index, k_c, rows)
-        calls.append((len(ts), searched.size))
+        calls.append((len(ts), len(rows), searched.size))
         return nbrs, searched
 
     monkeypatch.setattr(pipeline, "neighbours", counting)
@@ -396,7 +398,10 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     prepared = prepare(build_index(ds, 3), labels)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
     cached = [finish(prepared, p) for p in params]
-    assert len(calls) == 2
+    # each k_c's first finish searches every row; the second finish at k_c = 3
+    # reads the rows the table decides and searches only the others
+    undecided = int((~decided_by_loop(prepared, 3)).sum())
+    assert [rows for _, rows, _ in calls] == [ds.n, ds.n] + ([undecided] if undecided else [])
     for got, p in zip(cached, params):
         fresh = prepare(build_index(ds, 3), labels)
         want = finish(fresh, p)
@@ -410,12 +415,12 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
         assert got.k_c == want.k_c == p.k_c
 
 
-def live_rows(prepared, result) -> int:
-    """How many of the stage's rows have a chosen outlier of result's
-    training set among their k_c neighbours, found by a fresh search."""
+def live_rows(prepared, result) -> np.ndarray:
+    """Which of the stage's rows have a chosen outlier of result's training
+    set among their k_c neighbours, found by a fresh search."""
     ts = result.training
     nbrs, _ = model.neighbours(ts, prepared.index, result.k_c, prepared.rows)
-    return int((nbrs >= len(prepared.normals)).any(axis=1).sum())
+    return (nbrs >= len(prepared.normals)).any(axis=1)
 
 
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
@@ -430,7 +435,8 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         result = real_finish(prepared, params)
         indices = result.training.indices
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
-                         prepared.rows, voted[start:], live_rows(prepared, result)))
+                         prepared.rows, voted[start:], live_rows(prepared, result),
+                         decided_by_loop(prepared, result.k_c)))
         return result
 
     def counting_vote(layout, weights):
@@ -442,24 +448,42 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     tune(ds, labels, grid_step=0.2, folds=5, seed=5,
          params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
     # Holding every stage keeps their ids distinct. No lookup sends a row to
-    # cross_nearest here, so one lookup serves every order of a training set.
+    # cross_nearest here, so one entry serves every order of a training set.
     orders = {(id(prepared), k_c, key) for prepared, k_c, key, *_ in finished}
     sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, *_ in finished}
     assert len(finished) == 5 * len(blend_grid(0.2))
-    assert [searched for _, searched in calls] == [0] * len(calls)
-    assert len(calls) == len(sets) < len(orders) < len(finished)
+    assert [searched for *_, searched in calls] == [0] * len(calls)
+    assert len(sets) < len(orders) < len(finished)
     # Each fold's finishes classify exactly its hidden rows, sorted.
     hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
-    assert [list(rows) for _, _, _, _, rows, _, _ in finished] == [
+    assert [list(finish[4]) for finish in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
-    # An entry votes every row on its first two uses, then only the rows
-    # that a chosen outlier reaches, and not at all when there are none.
-    uses, want, later = {}, [], []
-    for prepared, k_c, _, key, rows, _, live in finished:
-        use = uses[id(prepared), k_c, key] = uses.get((id(prepared), k_c, key), 0) + 1
-        want.append([len(rows)] if use <= 2 else [live] if live else [])
-        later += [(live, len(rows))] if use > 2 else []
-    assert [got for *_, got, _ in finished] == want
+    # A stage's first finish at k_c searches and votes every row. Its second
+    # builds the table: the normals-only vote of the decided rows that the
+    # first finish's chosen outliers reached. A training set's first finish
+    # after that searches only the undecided rows and votes them with the
+    # decided rows a chosen outlier reaches; later ones vote the rows that a
+    # chosen outlier reaches, and none when there are none.
+    firsts, tables, entries, searches, want, later = {}, set(), set(), [], [], []
+    for prepared, k_c, _, key, rows, _, live, decided in finished:
+        stage = id(prepared), k_c
+        undecided = int((~decided).sum())
+        if stage not in firsts:
+            firsts[stage] = live
+            searches.append(len(rows))
+            want.append([len(rows)])
+        elif (stage, key) not in entries:
+            table = 0 if stage in tables else int((firsts[stage] & decided).sum())
+            tables.add(stage)
+            entries.add((stage, key))
+            searches += [undecided] if undecided else []
+            miss = int((live & decided).sum()) + undecided
+            want.append(([table] if table else []) + ([miss] if miss else []))
+        else:
+            want.append([int(live.sum())] if live.any() else [])
+            later.append((int(live.sum()), len(rows)))
+    assert [rows for _, rows, _ in calls] == searches
+    assert [finish[5] for finish in finished] == want
     # some later uses vote no row, and some fewer than all
     assert any(live == 0 for live, _ in later), later
     assert any(0 < live < n for live, n in later), later
@@ -578,6 +602,71 @@ def test_tune_matches_cells_outer_oracle():
     assert compared >= 200 and clamped >= 20
 
 
+def paper_case(rng, kind: str) -> tuple:
+    """A seeded case for the end-to-end reference: 20-119 points in 1-3
+    dimensions on an integer grid (exact ties), the same grid at a 0.1 step
+    (ties not exact in binary) or Gaussian; stratified labels, min_pts 2-4,
+    k_c 1-6 and a random blend."""
+    n, d = int(rng.integers(20, 120)), int(rng.integers(1, 4))
+    if kind == "gauss":
+        points = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+    else:
+        points = rng.integers(0, 6, size=(n, d)) / (10.0 if kind == "tenths" else 1.0)
+    ds = Dataset(points=points,
+                 truth=np.where(rng.random(n) < 0.1, OUTLIER, rng.integers(0, 3, size=n)))
+    labels = sample_labels(ds, max(float(rng.uniform(0.05, 0.2)), 4 / n),
+                           seed=int(rng.integers(1000)), stratified=True)
+    alpha = float(rng.uniform(0.0, 1.0))
+    score = ScoreParams(alpha, float(rng.uniform(0.0, 1.0 - alpha)), int(rng.integers(2, 5)))
+    return ds, labels, PipelineParams(score=score, k_c=int(rng.integers(1, 7)))
+
+
+def assert_same_result(got, want, case):
+    for attr in ("clusters", "outliers", "outlier_score"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (case, attr)
+    for attr in ("indices", "classes", "weights"):
+        assert (getattr(got.training, attr).tobytes()
+                == getattr(want.training, attr).tobytes()), (case, attr)
+    assert got.k_c == want.k_c, case
+
+
+def test_run_matches_the_papers_reference_bytes():
+    # run against run_by_paper, which takes none of the library's fast paths:
+    # the plot-read expansion, the list window, the second level or the
+    # stage cache
+    rng = np.random.default_rng(127)
+    for kind in ("grid", "tenths", "gauss"):
+        for case in range(100):
+            ds, labels, params = paper_case(rng, kind)
+            assert_same_result(run(ds, labels, params), run_by_paper(ds, labels, params),
+                               (kind, case))
+
+
+def test_every_cell_of_a_shuffled_stage_matches_the_papers_reference():
+    # every blend_grid(0.2) cell, twice each in shuffled order, finished on
+    # one stage, so that cells meet the stage's first finish, its candidate
+    # table, new entries and entries met again
+    rng = np.random.default_rng(131)
+    seen = set()
+    for kind in ("grid", "tenths", "gauss", "gauss"):
+        ds, labels, params = paper_case(rng, kind)
+        stage = prepare(build_index(ds, params.score.min_pts), labels)
+        cells = [cell for cell in blend_grid(0.2) for _ in range(2)]
+        wanted = {}
+        for i in rng.permutation(len(cells)):
+            p = replace(params, score=replace(params.score, alpha=cells[i][0],
+                                              beta=cells[i][1]))
+            if cells[i] not in wanted:
+                wanted[cells[i]] = run_by_paper(ds, labels, p)
+            assert_same_result(finish(stage, p), wanted[cells[i]], (kind, cells[i]))
+        table = stage.tables[min(params.k_c, len(wanted[cells[0]].training))]
+        seen.update({"undecided": table.undecided.size > 0, "reach": table.mixed.size > 0}
+                    .items())
+    # the integer and tenths grids' rows are all undecided, the Gaussian
+    # sets' mostly decided, some with a reach
+    assert seen >= {("undecided", True), ("reach", True)}, seen
+
+
 def cache_fuzz_datasets() -> dict:
     """The set-keyed cache fuzz's data: a 20 x 20 integer grid, the same grid
     at a 0.1 step (ties exact in decimal but not in binary, so some rows
@@ -596,9 +685,93 @@ def cache_fuzz_datasets() -> dict:
             "blobs": Dataset(points=blobs, truth=blobs_truth)}
 
 
+def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
+    # The oracle is a fresh model.neighbours call. In every blend_grid(0.2)
+    # cell of each stage (blend_grid(0.5) when k is 0 or every unclustered
+    # point, one set each), once the stage's table at k_c is built: it
+    # decides exactly the rows that decided_by_loop decides; each decided
+    # row's neighbour points are the table's (a row with no reach its first
+    # k_c candidates, a row with one its first k_c training members); the
+    # table's vote at each decided row is that of a fresh stage's finish with
+    # no chosen outlier, and the result at each decided row that no chosen
+    # outlier reaches is that vote. Stages on all points, a few hidden rows,
+    # no row and no unclustered point, at k_c of 1, 5 and NEAR_K + 1, on the
+    # cache fuzz data plus a copy of its blobs with 60 coincident points.
+    # Every result's training indices are overwritten once checked, which no
+    # later cell may see.
+    rng = np.random.default_rng(113)
+    datasets = cache_fuzz_datasets()
+    blobs = datasets["blobs"]
+    datasets["coincident"] = Dataset(points=np.vstack([blobs.points, blobs.points[:60]]),
+                                     truth=np.concatenate([blobs.truth, blobs.truth[:60]]))
+    counts = dict.fromkeys(("cells", "decided", "reach", "undecided", "short", "over_near",
+                            "zero_k", "all_k", "no_unclustered", "no_rows", "coincident",
+                            "cross"), 0)
+    for name, ds in datasets.items():
+        index = build_index(ds, 3)
+        labels = sample_labels(ds, 0.1, seed=1)
+        base = prepare(index, labels)
+        full = np.where(base.assignment == UNCLUSTERED, 0, base.assignment)
+        hidden = np.sort(rng.choice(ds.n, size=30, replace=False))
+        for stage in (base, prepare(index, labels, hidden), prepare(index, labels, []),
+                      replace(base, assignment=full, auto_k=0)):
+            rows = stage.rows
+            for k_c, k in ((k_c, k) for k_c in (1, 5, metricspace.NEAR_K + 1)
+                           for k in (None, 0, stage.unclustered.size)):
+                stage = replace(stage)  # fresh caches
+                decided = decided_by_loop(stage, k_c)
+                normals_only = finish(replace(stage), PipelineParams(
+                    score=ScoreParams(0.0, 0.0, 3), k=0, k_c=k_c))
+                normals = (stage.assignment[np.column_stack([rows, index.near[rows]])]
+                           != UNCLUSTERED).sum(axis=1)
+                cells = blend_grid(0.2 if k is None else 0.5)
+                for i in rng.permutation(len(cells)):
+                    p = PipelineParams(score=ScoreParams(*cells[i], 3), k=k, k_c=k_c)
+                    result = finish(stage, p)
+                    assert result.k_c == k_c
+                    table = stage.tables[k_c]
+                    if not isinstance(table, pipeline._Table):  # the stage's first finish
+                        result.training.indices[...] = 3
+                        continue
+                    ts = result.training
+                    nbrs, searched = model.neighbours(ts, index, k_c, rows)
+                    assert np.isin(np.arange(rows.size), table.undecided,
+                                   invert=True).tolist() == decided.tolist(), name
+                    is_chosen = np.isin(np.arange(ds.n), ts.indices[len(stage.normals):])
+                    got = np.column_stack([rows, index.near[rows, :k_c - 1]])
+                    got[table.mixed] = pipeline._first(table.cand,
+                                                       table.normal | is_chosen[table.cand],
+                                                       k_c).T
+                    want = ts.indices[nbrs]
+                    assert got[decided].tobytes() == want[decided].tobytes(), name
+                    for kept, fresh in ((table.classes, normals_only.clusters),
+                                        (table.outlier_score, normals_only.outlier_score)):
+                        assert kept[decided].tobytes() == fresh[decided].tobytes(), name
+                    fixed = decided & ~is_chosen[want].any(axis=1)
+                    assert result.clusters[fixed].tobytes() == table.classes[fixed].tobytes()
+                    assert (result.outlier_score[fixed].tobytes()
+                            == table.outlier_score[fixed].tobytes())
+                    ts.indices[...] = 3
+                    counts["cells"] += 1
+                    counts["decided"] += int(decided.sum())
+                    counts["reach"] += table.mixed.size
+                    counts["undecided"] += table.undecided.size
+                    counts["short"] += int((normals <= k_c).sum())
+                    counts["over_near"] += k_c > metricspace.NEAR_K
+                    counts["zero_k"] += k == 0
+                    counts["all_k"] += 0 < len(ts) - len(stage.normals) == stage.unclustered.size
+                    counts["no_unclustered"] += stage.unclustered.size == 0
+                    counts["no_rows"] += rows.size == 0
+                    counts["coincident"] += name == "coincident" and bool(
+                        (~decided & (index.near_dist[rows, 0] == 0)).any())
+                    counts["cross"] += searched.size > 0
+    assert counts["cells"] >= 1500 and min(counts.values()) > 0, counts
+
+
 def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
     # every blend_grid(0.1) cell, three times each in shuffled order, so that
-    # every cache entry is seen on its first, second and later uses, finished
+    # each stage finishes once before its table is built and every cache entry
+    # is seen when it is made and on later uses, finished
     # on one stage equals, byte for byte, finish on a fresh stage and the
     # per-order oracle: on all points, on a few hidden rows, on no row, on a
     # stage with two clustered points, so that k_c can exceed its normals,
@@ -607,7 +780,7 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
     # per order, and some such sets come in several orders. Every result's
     # arrays are overwritten once compared, which no later cell may see
     rng = np.random.default_rng(107)
-    counts = dict.fromkeys(("cells", "refused", "orders", "lookups", "reordered",
+    counts = dict.fromkeys(("cells", "refused", "orders", "entries", "reordered",
                             "over_normals", "no_rows", "zero_k", "all_k", "no_unclustered",
                             "live", "fixed"), 0)
     for name, ds in cache_fuzz_datasets().items():
@@ -667,14 +840,17 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
                     counts["all_k"] += 0 < len(want.training) - normals == stage.unclustered.size
                     counts["no_unclustered"] += stage.unclustered.size == 0
                 cache = stage.neighbours
+                entries = [entry for entry in cache.values() if entry is not False]
                 counts["orders"] += len(orders)
-                counts["lookups"] += sum(entry is not False for entry in cache.values())
-                # every entry's cell came three times, so each one was split
-                # into its fixed rows' vote and its live rows
-                split = [entry for entry in cache.values() if entry is not False]
-                assert all(len(entry) == 7 for entry in split), name
-                counts["live"] += sum(entry[2].size > 0 for entry in split)
-                counts["fixed"] += sum(entry[2].size < stage.rows.size for entry in split)
+                counts["entries"] += len(entries)
+                # every entry is born split into its fixed rows' vote and its
+                # live rows, with a layout, weights and chosen positions only
+                # when some row is live
+                assert all(len(entry) == 7 and (entry[3] is None) == (entry[2].size == 0)
+                           and (entry[4] is None) == (entry[2].size == 0)
+                           for entry in entries), name
+                counts["live"] += sum(entry[2].size > 0 for entry in entries)
+                counts["fixed"] += sum(entry[2].size < stage.rows.size for entry in entries)
                 # a set marked False, at a k_c that the list can rank, in two
                 # or more orders
                 counts["reordered"] += sum(
@@ -682,6 +858,6 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
                     for key, entry in cache.items()
                     if entry is False and key[0] <= index.near.shape[1])
     assert counts["cells"] >= 4500 and counts["refused"] > 0, counts
-    assert counts["lookups"] < counts["orders"] and counts["reordered"] > 0, counts
+    assert counts["entries"] < counts["orders"] and counts["reordered"] > 0, counts
     assert min(counts[key] for key in ("over_normals", "no_rows", "zero_k", "all_k",
                                        "no_unclustered", "live", "fixed")) > 0, counts
