@@ -86,6 +86,15 @@ class LabelSet:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "outliers", outliers)
 
+    @classmethod
+    def _built(cls, normal: dict, outliers: frozenset):
+        """A set whose normal indices and cluster ids are Python ints, the
+        ids >= 0, and whose outliers are a frozenset of Python ints apart
+        from them, by construction."""
+        labels = object.__new__(cls)
+        labels.__dict__.update(normal=normal, outliers=outliers)
+        return labels
+
     def __len__(self) -> int:
         return len(self.normal) + len(self.outliers)
 
@@ -245,14 +254,12 @@ def sample_labels(ds: Dataset, fraction: float, seed: int, stratified: bool = Fa
         chosen = _stratified_choice(ds, count, rng)
     else:
         chosen = rng.choice(ds.n, size=count, replace=False)
-    normal = {}
-    outliers = set()
-    for i in sorted(int(v) for v in chosen):
-        if ds.truth[i] == OUTLIER:
-            outliers.add(i)
-        else:
-            normal[i] = int(ds.truth[i])
-    return LabelSet(normal=normal, outliers=frozenset(outliers))
+    chosen = np.sort(chosen)
+    truth = ds.truth[chosen]
+    out = truth == OUTLIER
+    # the draw is distinct and a Dataset's cluster ids are >= 0
+    return LabelSet._built(normal=dict(zip(chosen[~out].tolist(), truth[~out].tolist())),
+                           outliers=frozenset(chosen[out].tolist()))
 
 
 def _stratified_choice(ds: Dataset, count: int, rng) -> np.ndarray:

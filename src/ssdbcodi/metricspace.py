@@ -5,7 +5,8 @@ Every n x n or n x m distance array is a temporary: a BLAS product in a
 guarded `_workspace` (in build_index; in _fresh_nearest and cross_nearest,
 which rank the classifier's rows that the index's neighbour list cannot; or
 in a baseline), turned in place into distances (squared, in _fresh_nearest),
-that ends with the pass that reads it. What a caller needs (nearest
+that ends with the pass that reads it; _nearest_sq_dist ranks centres in
+blocks of at most BLOCK_BYTES instead. What a caller needs (nearest
 neighbours, core distances, neighbourhoods) is read off each row block while
 it is still in cache; no distance array leaves this module.
 No pass rewrites the build's distances once made: Prim forms each
@@ -239,6 +240,56 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
         best[closer] = d2[closer]
         index[closer] = c
     return index, best
+
+
+def _nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """nearest_center's squared distances, bit for bit, with the centres
+    ranked by products. Each point's |p|^2 + |c|^2 - 2 p.c against the
+    centres, in blocks of centres of at most BLOCK_BYTES, gives its best and
+    second-best value. Where those lie more than `neighbours`' 4B apart, B
+    = (2d + 8) eps (|p|^2 + max|c|^2), every summation order ranks the best
+    centre first, so the loop's minimum is that centre's
+    ((p - c)**2).sum(), which is taken for it alone. Every other row, and
+    every row when a squared norm exceeds finfo.max / 4 (so a product might
+    overflow), runs nearest_center's loop."""
+    n, c = points.shape[0], centers.shape[0]
+    if c <= 1:
+        return nearest_center(points, centers)[1]
+    sq, sq_c = np.einsum("ij,ij->i", points, points), np.einsum("ij,ij->i", centers, centers)
+    if not max(sq.max(), sq_c.max()) <= np.finfo(float).max / 4:
+        return nearest_center(points, centers)[1]
+    step = max(1, BLOCK_BYTES // (8 * n))
+    best, second, win = _two_nearest(points, sq, centers[:step], sq_c[:step])
+    for a in range(step, c, step):
+        b_best, b_second, b_win = _two_nearest(points, sq, centers[a:a + step], sq_c[a:a + step])
+        # the two smallest of both pairs, each pair ascending
+        second = np.minimum(np.maximum(best, b_best), np.minimum(second, b_second))
+        closer = b_best < best
+        best[closer], win[closer] = b_best[closer], b_win[closer] + a
+    four_b = 4 * (2 * points.shape[1] + 8) * np.finfo(float).eps * (sq + sq_c.max())
+    ranked = second - best > four_b
+    if ranked.all():
+        return ((points - centers[win]) ** 2).sum(axis=1)
+    out = np.empty(n)
+    rows, left = np.flatnonzero(ranked), np.flatnonzero(~ranked)
+    out[rows] = ((points[rows] - centers[win[rows]]) ** 2).sum(axis=1)
+    out[left] = nearest_center(points[left], centers)[1]
+    return out
+
+
+def _two_nearest(points, sq, centers, sq_c) -> tuple:
+    """(best, second, win): each point's smallest and second-smallest value
+    of |p|^2 + |c|^2 - 2 p.c over `centers` (+inf for a second when there
+    is one centre) and the position of the first smallest, from a centres x
+    points block."""
+    blk = centers @ points.T
+    blk *= -2.0
+    blk += sq
+    blk += sq_c[:, None]
+    win, at = blk.argmin(axis=0), np.arange(blk.shape[1])
+    best = blk[win, at]
+    blk[win, at] = np.inf
+    return best, blk.min(axis=0), win
 
 
 def _spanning_tree(dist: np.ndarray, core: np.ndarray) -> tuple:

@@ -9,7 +9,10 @@ head of its list, or off the whole list where the window holds a point
 outside the training set. The rows the list cannot rank are ranked by a product of those
 rows alone under the same rule, and only the rows left after that are
 searched with the whole distance product, so each row's neighbours have the
-bits that product gives whichever way they were found."""
+bits that product gives whichever way they were found. `vote` is
+row-independent, so a caller may vote any subset of rows alone: a stage's
+first vote (pipeline._vote_mixed) sends it only the rows whose neighbours
+hold two classes or more."""
 
 from dataclasses import dataclass
 

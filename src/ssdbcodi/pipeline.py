@@ -8,7 +8,9 @@ one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
 reliable sets and classify those rows. The stage sets out the reliable
 normals, the unclustered points and their score columns, so a cell blends
-and ranks only the unclustered points. From its second finish at a k_c it
+and ranks only the unclustered points. Its first finish at a k_c votes
+only the rows whose neighbours hold two classes or more (_vote_mixed); a row
+of one class takes that class. From its second finish at a k_c it
 ranks its rows' candidates once, in a candidate table, and it keeps an entry
 per k_c and training set in any order (see Prepared). A normal weighs its
 r_score in every cell, so only the rows with a chosen outlier among their
@@ -189,7 +191,8 @@ def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tup
         table = prepared.tables.get(k_c)
         if table is None:
             nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
-            classes, outlier_score = vote(_vote_layout(ts.classes[nbrs.T]), ts.weights[nbrs.T])
+            nbrs = np.ascontiguousarray(nbrs.T)  # so that each rank's row is contiguous
+            classes, outlier_score = _vote_mixed(ts.classes[nbrs], ts.weights[nbrs])
             prepared.tables[k_c] = (classes.copy(), outlier_score.copy(), picked)
             return classes, outlier_score
         if not isinstance(table, _Table):
@@ -206,6 +209,22 @@ def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tup
         weights[chosen] = t[at]
         classes[live], outlier_score[live] = vote(layout, weights)
     return classes, outlier_score
+
+
+def _vote_mixed(classes: np.ndarray, weights: np.ndarray) -> tuple:
+    """vote(_vote_layout(classes), weights), bit for bit, voting only the
+    rows whose neighbours hold two classes or more. vote is row-independent,
+    and a row of one class c takes c, with OUTLIER's share x / x = 1.0 when c
+    is OUTLIER and some weight, so their sum x, is above 0, and 0.0
+    otherwise."""
+    head = classes[0]
+    out_class = head.copy()
+    out_score = ((head == OUTLIER) & (weights > 0).any(axis=0)).astype(float)
+    mixed = np.flatnonzero((classes[1:] != head).any(axis=0))
+    if mixed.size:
+        out_class[mixed], out_score[mixed] = vote(_vote_layout(classes[:, mixed]),
+                                                  weights[:, mixed])
+    return out_class, out_score
 
 
 class _Table(NamedTuple):
@@ -366,7 +385,8 @@ def _fold_partition(labels: LabelSet, folds: int, seed: int) -> list:
 
 
 def _drop_labels(labels: LabelSet, hidden: set) -> LabelSet:
-    return LabelSet(
+    # part of a checked set, so checked
+    return LabelSet._built(
         normal={i: c for i, c in labels.normal.items() if i not in hidden},
         outliers=frozenset(i for i in labels.outliers if i not in hidden),
     )
@@ -430,8 +450,8 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
     blends = [replace(base, score=replace(base.score, alpha=a, beta=b))
               for a, b in blend_grid(grid_step)]
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    if not (is_int(folds) and folds >= 2):
+        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
     if len(labels.normal) < folds:
         raise ValueError(
             f"need at least {folds} labeled normal points for {folds} folds, "

@@ -6,8 +6,10 @@ normal and values near 0 mean suspicious:
 * r_score: how cheaply a point is reached from the labeled normal roots,
 * l_score: how dense the point's own reachability neighbourhood is (the
   label-independent densities live on the NeighborhoodIndex),
-* sim_score: proximity to the nearest labeled outlier (metricspace's
-  nearest_center; 0 when there are none).
+* sim_score: proximity to the nearest labeled outlier (0 when there are
+  none). One product ranks the labeled outliers for every point, and a
+  point whose nearest one that product ranks clearly takes its distance to
+  that one alone; the others run nearest_center's loop over all of them.
 
 The blended t_score weights the complements of the first two against the
 third; higher t_score means more outlier-like.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabelSet, is_int
-from .metricspace import nearest_center
+from .metricspace import _nearest_sq_dist
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,13 @@ def l_score(ld) -> np.ndarray:
 
 def sim_scores(points: np.ndarray, labels: LabelSet) -> np.ndarray:
     """exp(-distance to the nearest labeled outlier) per row of points; 0
-    when none are labeled, as exp(-sqrt(inf))."""
-    d2 = nearest_center(points, points[sorted(labels.outliers)])[1]
+    when none are labeled, as exp(-sqrt(inf)). A labeled outlier outside
+    [0, n) is refused, naming it."""
+    outliers = sorted(labels.outliers)
+    bad = [i for i in outliers if not 0 <= i < points.shape[0]]
+    if bad:
+        raise ValueError(f"labeled outliers out of range for n={points.shape[0]}: {bad[:5]}")
+    d2 = _nearest_sq_dist(points, points[outliers])
     return np.exp(-np.sqrt(d2))
 
 

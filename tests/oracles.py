@@ -24,7 +24,11 @@ instead of row blocks spread over the cores, the CSV reader's former
 csv and float() loop over every cell (`load_csv_by_cells`) instead of
 numpy's parser, the paper's pipeline from points to result with none of
 the library's fast paths (`run_by_paper`), and a loop over each row's
-list (`decided_by_loop`) instead of the stage's candidate table.
+list (`decided_by_loop`) instead of the stage's candidate table, and
+the former paths that each shortcut of a label draw skips: a vote of every
+row (`vote_every_row`), the running minimum over every labeled outlier
+(`sq_dist_by_minimum`), and a sparse table per range-max query
+(`expand_by_two_tables`).
 
 The exceptions call the library to give its bits: `select_reliable`,
 the model's split of an assignment and its selection of the reliable
@@ -48,7 +52,9 @@ import numpy as np
 
 from ssdbcodi import (Dataset, LabelSet, NeighborhoodIndex, NOISE, OUTLIER, PipelineParams,
                       PipelineResult, ScoreParams, TrainingSet, TuneReport, UNCLUSTERED,
-                      blend_grid, build_index, default_k, expand, finish, prepare)
+                      blend_grid, build_index, default_k, expand, finish, prepare,
+                      round_half_up)
+from ssdbcodi import dataset
 from ssdbcodi.dataset import point_indices
 from ssdbcodi import metricspace
 from ssdbcodi import model
@@ -208,6 +214,25 @@ def as_dataset(points) -> Dataset:
     """Raw points as a Dataset of one cluster, for the calls that take one."""
     points = np.asarray(points, dtype=float)
     return Dataset(points=points, truth=np.zeros(points.shape[0], dtype=int))
+
+
+def sample_labels_by_loop(ds: Dataset, fraction: float, seed: int,
+                          stratified: bool = False) -> LabelSet:
+    """sample_labels as it built its labels: the library's seeded draw, read
+    one Python int at a time into the public LabelSet constructor."""
+    count = round_half_up(fraction * ds.n)
+    rng = np.random.default_rng(seed)
+    if stratified:
+        chosen = dataset._stratified_choice(ds, count, rng)
+    else:
+        chosen = rng.choice(ds.n, size=count, replace=False)
+    normal, outliers = {}, set()
+    for i in sorted(int(v) for v in chosen):
+        if ds.truth[i] == OUTLIER:
+            outliers.add(i)
+        else:
+            normal[i] = int(ds.truth[i])
+    return LabelSet(normal=normal, outliers=frozenset(outliers))
 
 
 def random_labelset(rng, n, n_clusters=3, outlier_rate=0.3) -> LabelSet:
@@ -512,6 +537,12 @@ def vote_by_positions(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     out_score = np.zeros(n)
     np.divide(votes[:, ids == OUTLIER].sum(axis=1), total, out=out_score, where=total > 0)
     return out_class, out_score
+
+
+def vote_every_row(classes: np.ndarray, weights: np.ndarray) -> tuple:
+    """A stage's first vote as it ran before single-class rows skipped it:
+    model.vote over the layout of every row of the k x n classes table."""
+    return model.vote(model._vote_layout(classes), weights)
 
 
 def decided_by_loop(prepared, k_c: int) -> np.ndarray:
@@ -959,6 +990,60 @@ def expand_by_rows(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
     assign = np.where(kept.any(axis=0), root_label[owner], UNCLUSTERED)
     assign.flags.writeable = False
     return assign, mm.min(axis=0)
+
+
+def _range_max_by_own_table(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo:hi]) for each pair of entries of lo <= hi, 0.0 where
+    lo == hi, from a sparse table built for this query alone: row k holds
+    the maxima of the windows of 2**k values, and two windows cover any
+    range."""
+    table = np.empty((values.size.bit_length(), values.size))
+    table[0] = values
+    for k in range(1, table.shape[0]):
+        half = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.maximum(table[k - 1, :-half], table[k - 1, half:], out=table[k, :-half])
+    level = np.maximum(np.frexp(hi - lo)[1] - 1, 0)
+    got = np.maximum(table[level, lo], table[level, hi - (1 << level)])
+    return np.where(hi > lo, got, 0.0)
+
+
+def expand_by_two_tables(idx: NeighborhoodIndex, labels: LabelSet) -> tuple:
+    """expand as it ran when each of its two range-max queries (the roots'
+    cuts, then each point's nearest roots) built its own sparse table of
+    the plot's keys."""
+    labels.validate_for(idx.n)
+    if not labels.normal:
+        raise ValueError("at least one labeled normal point is required")
+    n = idx.n
+    lab = np.full(n, _NO_LABEL, dtype=int)
+    lab[list(labels.normal)] = list(labels.normal.values())
+    lab[list(labels.outliers)] = OUTLIER
+    gap = np.concatenate([[np.inf], idx.gap, [np.inf]])
+    lab = np.concatenate([[_NO_LABEL], lab[idx.order], [_NO_LABEL]])
+    at = np.arange(n + 2)
+    labeled = np.flatnonzero(lab != _NO_LABEL)
+    k = np.arange(labeled.size)
+    change = np.r_[True, lab[labeled[1:]] != lab[labeled[:-1]], True]
+    first = np.maximum.accumulate(np.where(change[:-1], k, 0))
+    last = np.minimum.accumulate(np.where(change[1:], k, k[-1])[::-1])[::-1]
+    beyond = np.r_[0, labeled, n + 1]
+    cut = np.full(n + 2, np.inf)
+    cut[labeled] = _range_max_by_own_table(gap, np.stack([beyond[first], labeled]),
+                                           np.stack([labeled, beyond[last + 2]])).min(axis=0)
+    is_root = lab >= 0
+    left = np.maximum.accumulate(np.where(is_root, at, 0))[1:-1]
+    right = np.minimum.accumulate(np.where(is_root, at, n + 1)[::-1])[::-1][1:-1]
+    at = at[1:-1]
+    to_left, to_right = _range_max_by_own_table(gap, np.stack([left, at]),
+                                                np.stack([at, right]))
+    keep_left = (to_left < cut[left]) | (left == at)
+    assign, emax = np.empty(n, dtype=int), np.empty(n)
+    assign[idx.order] = np.where(keep_left, lab[left],
+                                 np.where(to_right < cut[right], lab[right], UNCLUSTERED))
+    emax[idx.order] = np.minimum(to_left, to_right)
+    assign.flags.writeable = False
+    return assign, emax
 
 
 def ssdbscan_with_fallback_by_matrix(dist: np.ndarray, idx: NeighborhoodIndex,

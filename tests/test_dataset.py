@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssdbcodi import Dataset, LabelSet, OUTLIER, dataset, load_csv, minmax_scale, sample_labels
-from oracles import load_csv_by_cells
+from oracles import load_csv_by_cells, sample_labels_by_loop
 
 
 def write_csv(path, text):
@@ -206,6 +206,28 @@ def test_sample_labels_stratified_covers_every_cluster():
         ls = sample_labels(ds, 0.1, seed=seed, stratified=True)
         assert set(ls.normal.values()) == {0, 1, 2}
         assert len(ls) == 5
+
+
+def test_sample_labels_match_the_loop_that_read_them_one_int_at_a_time():
+    # the public constructor's set, in its order and with Python int keys,
+    # ids and outliers, plain and stratified, with and without outliers drawn
+    rng = np.random.default_rng(4)
+    seen = {"outliers": 0, "none": 0, "stratified": 0}
+    for case in range(200):
+        n = int(rng.integers(8, 80))
+        truth = rng.integers(-1, 3, size=n)
+        truth[:3] = [0, 1, 2]  # contiguous ids, each present
+        ds = Dataset(points=rng.normal(size=(n, 2)), truth=truth)
+        fraction, stratified = float(rng.uniform(0.4, 1.0)), bool(case % 2)
+        got = sample_labels(ds, fraction, seed=case, stratified=stratified)
+        want = sample_labels_by_loop(ds, fraction, seed=case, stratified=stratified)
+        assert got == want, case
+        assert list(got.normal.items()) == list(want.normal.items())
+        assert type(got.outliers) is frozenset
+        assert all(type(v) is int for v in (*got.normal, *got.normal.values(), *got.outliers))
+        seen["outliers" if got.outliers else "none"] += 1
+        seen["stratified"] += stratified
+    assert min(seen.values()) >= 10, seen
 
 
 def test_minmax_scale():

@@ -15,7 +15,8 @@ import pytest
 from ssdbcodi import Dataset, LabelSet, UNCLUSTERED, build_index, expand
 from ssdbcodi.metricspace import _spanning_tree
 from oracles import (ExpansionRecord, as_dataset, back_trace, combine_backtraces,
-                     emax_over_roots, expand_all, expand_by_rows, minimax_closure,
+                     emax_over_roots, expand_all, expand_by_rows, expand_by_two_tables,
+                     minimax_closure,
                      minimax_rows, mst_weights_by_kruskal, pairwise_distances, prim_expand,
                      prim_tree_edges, random_labelset, random_points, rdist_matrix,
                      ssdbscan_by_expansion)
@@ -178,6 +179,25 @@ def test_expand_matches_expand_by_rows_bit_for_bit():
         seen["one_class"] += len(set(labels.normal.values())) == 1
         seen["unclustered"] += bool((assign == UNCLUSTERED).any())
     assert min(seen.values()) >= 40, seen
+
+
+def test_expand_answers_both_queries_off_one_table_with_the_bits_of_two():
+    rng = np.random.default_rng(44)
+    for case in range(300):
+        if case % 3 == 2:  # duplicated points: runs of zero keys
+            n = int(rng.integers(2, 40))
+            pts = np.repeat(rng.normal(size=(int(rng.integers(1, 4)), 2)), n, axis=0)[:n]
+            idx = build_index(as_dataset(pts), 1)
+            labels = random_labelset(rng, n, n_clusters=2)
+            if not labels.normal:
+                labels = LabelSet(normal={0: 0}, outliers=labels.outliers - {0})
+        else:
+            idx, labels = fuzz_instance(rng, grid=case % 3 == 0)
+            if not labels.normal:
+                continue
+        got, want = expand(idx, labels), expand_by_two_tables(idx, labels)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
 
 
 def test_expand_holds_no_roots_by_points_array():

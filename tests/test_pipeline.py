@@ -12,7 +12,7 @@ from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       metricspace, model, pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import (decided_by_loop, finish_by_order, fold_objective, moons_with_outliers,
-                     run_by_paper, tune_by_cells)
+                     run_by_paper, tune_by_cells, vote_every_row)
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -284,9 +284,24 @@ def test_tune_validation_errors():
     assert len(blend_grid(0.01)) == 5151
     with pytest.raises(ValueError, match="folds"):
         tune(BLOBS, tune_labels(), grid_step=0.5, folds=1)
+    # a float reached range() and a boolean passed as the number 1
+    for bad in (2.5, 3.0, np.float64(2.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(f"folds must be an integer >= 2, got {bad!r}")):
+            tune(BLOBS, tune_labels(), grid_step=0.5, folds=bad)
+    assert tune(BLOBS, tune_labels(), grid_step=0.5, folds=np.int64(2)).best
     with pytest.raises(ValueError, match="labeled normal"):
         tune(BLOBS, LabelSet(normal={0: 0}, outliers=frozenset()),
              grid_step=0.5, folds=2)
+
+
+def test_dropped_labels_are_the_public_constructors_set():
+    labels = tune_labels()
+    for fold in _fold_partition(labels, 3, 1):
+        got = _drop_labels(labels, fold)
+        want = LabelSet(normal={i: c for i, c in labels.normal.items() if i not in fold},
+                        outliers=frozenset(labels.outliers - fold))
+        assert got == want and list(got.normal.items()) == list(want.normal.items())
+        assert type(got.outliers) is frozenset
 
 
 def test_tune_reports_uncomputable_objective():
@@ -423,6 +438,50 @@ def live_rows(prepared, result) -> np.ndarray:
     return (nbrs >= len(prepared.normals)).any(axis=1)
 
 
+def test_first_vote_skips_single_class_rows_with_the_bits_of_every_row():
+    # tie-heavy tables: few classes per row, zero and tied weights, k_c = 1,
+    # one class, every neighbour OUTLIER, ids up to 2**62, and no row
+    rng = np.random.default_rng(110)
+    big = 2**62
+    seen = {"zero": 0, "k1": 0, "one_class": 0, "all_outlier": 0, "big": 0, "no_row": 0,
+            "skipped": 0, "voted": 0}
+    for case in range(1500):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(0, 40)) if case % 25 else 0
+        pool = [np.array([OUTLIER]), np.array([7]), np.array([OUTLIER, 0, 1]),
+                np.array([OUTLIER, 3, big]),
+                rng.integers(0, big, size=3)][case % 5]
+        classes = np.tile(rng.choice(pool, size=n), (k, 1))
+        flip = rng.random((k, n)) < rng.choice([0.0, 0.1, 0.5])
+        classes = np.where(flip, rng.choice(pool, size=(k, n)), classes)
+        weights = rng.choice([0.0, 0.25, 0.5, 1.0, 5e-324], size=(k, n))
+        if case % 3 == 0:
+            weights = np.zeros((k, n))
+        if case % 2:  # laid out as a gather through a transposed neighbour table
+            classes, weights = np.asfortranarray(classes), np.asfortranarray(weights)
+        got, want = pipeline._vote_mixed(classes, weights), vote_every_row(classes, weights)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+        mixed = (classes != classes[:1]).any(axis=0)
+        seen["zero"] += not weights.any()
+        seen["k1"] += k == 1
+        seen["one_class"] += pool.size == 1
+        seen["all_outlier"] += bool(n) and (classes == OUTLIER).all()
+        seen["big"] += bool((classes >= big).any())
+        seen["no_row"] += n == 0
+        seen["skipped"] += bool((~mixed).any())
+        seen["voted"] += bool(mixed.any())
+    assert min(seen.values()) >= 40, seen
+
+
+def mixed_rows(prepared, result) -> np.ndarray:
+    """Which of the stage's rows have k_c neighbours of two classes or more
+    in result's training set, found by a fresh search."""
+    ts = result.training
+    nbrs, _ = model.neighbours(ts, prepared.index, result.k_c, prepared.rows)
+    classes = ts.classes[nbrs]
+    return (classes != classes[:, :1]).any(axis=1)
+
+
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=5)
@@ -436,7 +495,7 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         indices = result.training.indices
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
                          prepared.rows, voted[start:], live_rows(prepared, result),
-                         decided_by_loop(prepared, result.k_c)))
+                         mixed_rows(prepared, result), decided_by_loop(prepared, result.k_c)))
         return result
 
     def counting_vote(layout, weights):
@@ -458,20 +517,22 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
     assert [list(finish[4]) for finish in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
-    # A stage's first finish at k_c searches and votes every row. Its second
+    # A stage's first finish at k_c searches every row and votes the rows
+    # whose neighbours hold two classes or more (none may). Its second
     # builds the table: the normals-only vote of the decided rows that the
     # first finish's chosen outliers reached. A training set's first finish
     # after that searches only the undecided rows and votes them with the
     # decided rows a chosen outlier reaches; later ones vote the rows that a
     # chosen outlier reaches, and none when there are none.
-    firsts, tables, entries, searches, want, later = {}, set(), set(), [], [], []
-    for prepared, k_c, _, key, rows, _, live, decided in finished:
+    firsts, tables, entries, searches, want, first, later = {}, set(), set(), [], [], [], []
+    for prepared, k_c, _, key, rows, _, live, mixed, decided in finished:
         stage = id(prepared), k_c
         undecided = int((~decided).sum())
         if stage not in firsts:
             firsts[stage] = live
             searches.append(len(rows))
-            want.append([len(rows)])
+            want.append([int(mixed.sum())] if mixed.any() else [])
+            first.append((int(mixed.sum()), len(rows)))
         elif (stage, key) not in entries:
             table = 0 if stage in tables else int((firsts[stage] & decided).sum())
             tables.add(stage)
@@ -484,7 +545,9 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
             later.append((int(live.sum()), len(rows)))
     assert [rows for _, rows, _ in calls] == searches
     assert [finish[5] for finish in finished] == want
-    # some later uses vote no row, and some fewer than all
+    # some first finishes vote fewer rows than they classify; some later
+    # uses vote no row, and some fewer than all
+    assert any(m < n for m, n in first), first
     assert any(live == 0 for live, _ in later), later
     assert any(0 < live < n for live, n in later), later
 

@@ -9,8 +9,9 @@ import pytest
 from ssdbcodi import (OUTLIER, Dataset, LabelSet, PipelineParams, ScoreParams, ScoreTable,
                       build_index, expand, l_score, prepare, r_score, run, sim_scores,
                       t_score)
+from ssdbcodi import metricspace
 from oracles import (as_dataset, average_ranks, local_density, random_labelset, random_points,
-                     sim_score, sim_scores_by_broadcast)
+                     sim_score, sim_scores_by_broadcast, sq_dist_by_minimum)
 
 LINE = Dataset(points=[[0.0], [1.0], [3.0], [7.0]], truth=[0, 0, 0, 0])
 
@@ -108,6 +109,55 @@ def test_sim_scores_match_broadcast_bytes():
         labels = LabelSet(normal={}, outliers=frozenset(outs.tolist()))
         want = sim_scores_by_broadcast(ds, labels)
         assert sim_scores(ds.points, labels).tobytes() == want.tobytes(), case
+
+
+def test_sim_scores_refuse_labeled_outliers_out_of_range():
+    # -1 once wrapped to the last point and 7 raised numpy's IndexError
+    pts = np.array([[0.0], [1.0], [5.0]])
+    for bad in (-1, 3, 7):
+        with pytest.raises(ValueError,
+                           match=rf"labeled outliers out of range for n=3: \[{bad}\]"):
+            sim_scores(pts, LabelSet(normal={0: 0}, outliers=frozenset([bad, 1])))
+
+
+def test_ranked_nearest_centres_match_the_running_minimum(monkeypatch):
+    # integer and tenths grids (near and exact ties), Gaussian points, some
+    # centres repeated, 0 to n centres, and blocks of a few centres; each
+    # row's distance has the bits of the loop's minimum, whichever route
+    # took it
+    real, looped = metricspace.nearest_center, []
+
+    def counting(points, centers):
+        looped.append((points.shape[0], centers.shape[0]))
+        return real(points, centers)
+
+    monkeypatch.setattr(metricspace, "nearest_center", counting)
+    rng = np.random.default_rng(18)
+    seen = {"ranked": 0, "mixed": 0, "repeated": 0, "chunked": 0}
+    for case in range(600):
+        n, d = int(rng.integers(1, 70)), int(rng.integers(1, 12))
+        kind = case % 3
+        if kind == 0:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        elif kind == 1:
+            pts = rng.integers(0, 30, size=(n, d)) / 10
+        else:
+            pts = rng.normal(size=(n, d))
+        at = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        if case % 4 == 0 and at.size:
+            at = np.concatenate([at, at[:2]])
+            seen["repeated"] += 1
+        block = int(rng.choice([8, 64, 1 << 20]))
+        monkeypatch.setattr(metricspace, "BLOCK_BYTES", block)
+        centres, looped[:] = pts[np.sort(at)], []
+        got = metricspace._nearest_sq_dist(pts, centres)
+        assert got.tobytes() == sq_dist_by_minimum(pts, centres).tobytes(), case
+        if centres.shape[0] >= 2:
+            rows = sum(r for r, _ in looped)
+            seen["ranked"] += rows == 0
+            seen["mixed"] += 0 < rows < n
+            seen["chunked"] += block // (8 * n) < centres.shape[0]
+    assert min(seen.values()) >= 20, seen
 
 
 def test_sim_scores_hold_one_point_matrix_at_a_time():
