@@ -8,16 +8,10 @@ one label draw on it and a copy of the rows it classifies (all by default);
 `finish` reads only that stage to apply one (alpha, beta) blend, select the
 reliable sets and classify those rows. The stage sets out the reliable
 normals, the unclustered points and their score columns, so a cell blends
-and ranks only the unclustered points. Its first finish at a k_c votes
-only the rows whose neighbours hold two classes or more (_vote_mixed); a row
-of one class takes that class. From its second finish at a k_c it
-ranks its rows' candidates once, in a candidate table, and it keeps an entry
-per k_c and training set in any order (see Prepared). A normal weighs its
-r_score in every cell, so only the rows with a chosen outlier among their
-neighbours (the live rows) can vote otherwise in another cell: an entry
-holds the vote of the other (fixed) rows, and a cell copies it and re-votes
-only the live rows, often none. A new set's entry reads the neighbours of
-the rows the table decides off the table and searches only the others.
+and ranks only the unclustered points. A normal weighs its r_score in every
+cell, so only the rows with a chosen outlier among their neighbours (the
+live rows) can vote otherwise in another cell; the stage's cell cache
+(_Cells) keeps the other rows' vote and re-votes only the live rows.
 `run` composes the two; `tune` stages each validation fold on its hidden
 rows and finishes every cell before the next.
 
@@ -70,6 +64,45 @@ class TuneReport:
     best: tuple
 
 
+class _Cells:
+    """A stage's cell cache. It holds nothing of the stage, so the stage is
+    freed with its last reference. The first finish at a k_c votes through
+    _vote_mixed and records only that it ran (`once`); the second builds the
+    candidate table at k_c (`tables`). `entries` maps (k_c, sorted bytes of
+    the chosen outliers) to an _Entry, as the normals are the same in every
+    set; a set whose lookup sent a row to cross_nearest, whose ties follow
+    the order, has that key in `ordered`, and an entry per order under the
+    key plus the ordered indices' bytes."""
+
+    def __init__(self):
+        self.once, self.tables, self.entries, self.ordered = set(), {}, {}, set()
+
+    def vote(self, prepared: "Prepared", ts, t: np.ndarray, k_c: int, k: int) -> tuple:
+        """`vote` of the stage's rows for ts, its last k rows the chosen
+        outliers and t the blend at the unclustered points."""
+        if k_c not in self.once:
+            self.once.add(k_c)
+            nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
+            nbrs = np.ascontiguousarray(nbrs.T)  # so that each rank's row is contiguous
+            return _vote_mixed(ts.classes[nbrs], ts.weights[nbrs])
+        picked = np.sort(ts.indices[len(ts) - k:])  # a copy: ts is the caller's
+        key = (k_c, picked.tobytes())
+        if key in self.ordered:
+            key += (ts.indices.tobytes(),)
+        entry = self.entries.get(key)
+        if entry is not None:
+            return entry.vote(t)
+        table = self.tables.get(k_c)
+        if table is None:
+            table = self.tables[k_c] = _candidate_table(prepared, k_c)
+        entry, searched = _entry(prepared, table, ts, t, k_c, picked)
+        if searched.size and len(key) == 2:
+            self.ordered.add(key)
+            key += (ts.indices.tobytes(),)
+        self.entries[key] = entry
+        return entry.classes.copy(), entry.outlier_score.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """Blend-independent stage of one label draw: the index it was prepared
@@ -82,36 +115,7 @@ class Prepared:
     reliable normals (every clustered point, ascending, its cluster id its
     class and its r_score its weight, checked once), the `unclustered`
     points, ascending, and `unclustered_scores`, the three columns at those
-    points, which a cell blends alone.
-
-    `tables` holds the stage's candidate table per k_c. Every training set
-    of the stage is its normals plus some unclustered points, so a row's
-    candidates, itself at distance 0 and then its index.near list, each a
-    normal or an unclustered point, are the same in every cell. A row is
-    decided when they hold k_c + 1 normals and every adjacent gap of their
-    squared values up to the (k_c + 1)-th normal exceeds `neighbours`' 4B
-    bound: every set's first k_c + 1 candidates lie in that prefix and every
-    product ranks them alike, so the row's neighbours are its first k_c
-    candidates in the set. Its reach is its unclustered candidates before
-    its k_c-th normal; a set with no chosen outlier there gives it the
-    normals' vote. The stage's first finish at k_c looks every row up and
-    keeps only its vote and its chosen outliers; the second builds the table
-    from them: the undecided rows, the decided rows' normals-only vote, and
-    the candidates, up to the k_c-th normal, and reach of each decided row
-    that has a reach.
-
-    `neighbours` is the stage's cache of entries per (k_c, sorted bytes of
-    the chosen outliers), as the normals are the same in every set. An entry
-    is born split, from the table: the vote of every row, which its fixed
-    rows keep in every cell, and its live rows, with their vote layout,
-    weights and the chosen outliers' positions among the unclustered points
-    (None when no row is live). The live rows are the decided rows with a
-    chosen outlier in their reach, whose neighbours are the first k_c
-    members of the set among their candidates, and the undecided rows that
-    `neighbours`, called on the undecided rows alone, gives a chosen
-    outlier. A set whose lookup sent a row to cross_nearest, whose ties
-    follow the order, maps to False, and each of its orders has an entry
-    under that key plus the ordered indices' bytes."""
+    points, which a cell blends alone. `_cells` is its cell cache (_Cells)."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
@@ -121,8 +125,7 @@ class Prepared:
     normals: TrainingSet = field(init=False, repr=False)
     unclustered: np.ndarray = field(init=False, repr=False)
     unclustered_scores: ScoreTable = field(init=False, repr=False)
-    neighbours: dict = field(default_factory=dict, init=False, repr=False)
-    tables: dict = field(default_factory=dict, init=False, repr=False)
+    _cells: _Cells = field(default_factory=_Cells, init=False, repr=False)
 
     def __post_init__(self):
         normals, unclustered = _split(self.assignment, self.scores.r_score)
@@ -169,46 +172,9 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
     t = t_score(prepared.unclustered_scores, params.score)
     ts = _select(prepared.normals, prepared.unclustered, t, k)
     k_c = min(params.k_c, len(ts))
-    classes, outlier_score = _cached_vote(prepared, ts, t, k_c, k)
+    classes, outlier_score = prepared._cells.vote(prepared, ts, t, k_c, k)
     return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
                           outlier_score=outlier_score, training=ts, k_c=k_c)
-
-
-def _cached_vote(prepared: Prepared, ts, t: np.ndarray, k_c: int, k: int) -> tuple:
-    """`vote` of the stage's rows for ts, its last k rows the chosen outliers
-    and t the blend at the unclustered points, through the stage's cache
-    (see Prepared): the stage's first finish at k_c looks every row up and
-    keeps only its vote; a later miss builds its entry from the candidate
-    table at k_c, made once, and a hit votes only the entry's live rows,
-    onto a copy of its fixed rows' vote."""
-    cache = prepared.neighbours
-    picked = np.sort(ts.indices[len(ts) - k:])  # a copy: ts is the caller's
-    key = (k_c, picked.tobytes())
-    if cache.get(key) is False:
-        key += (ts.indices.tobytes(),)
-    entry = cache.get(key)
-    if entry is None:
-        table = prepared.tables.get(k_c)
-        if table is None:
-            nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
-            nbrs = np.ascontiguousarray(nbrs.T)  # so that each rank's row is contiguous
-            classes, outlier_score = _vote_mixed(ts.classes[nbrs], ts.weights[nbrs])
-            prepared.tables[k_c] = (classes.copy(), outlier_score.copy(), picked)
-            return classes, outlier_score
-        if not isinstance(table, _Table):
-            table = prepared.tables[k_c] = _candidate_table(prepared, k_c, *table)
-        entry, searched = _entry(prepared, table, ts, t, k_c, picked)
-        if searched.size and len(key) == 2:
-            cache[key], key = False, key + (ts.indices.tobytes(),)
-        cache[key] = entry
-        return entry[0].copy(), entry[1].copy()
-    fixed_classes, fixed_score, live, layout, weights, chosen, at = entry
-    classes, outlier_score = fixed_classes.copy(), fixed_score.copy()
-    if live.size:
-        weights = weights.copy()
-        weights[chosen] = t[at]
-        classes[live], outlier_score[live] = vote(layout, weights)
-    return classes, outlier_score
 
 
 def _vote_mixed(classes: np.ndarray, weights: np.ndarray) -> tuple:
@@ -227,9 +193,38 @@ def _vote_mixed(classes: np.ndarray, weights: np.ndarray) -> tuple:
     return out_class, out_score
 
 
+class _Entry(NamedTuple):
+    """A training set's cache entry at one k_c, born split in the cell that
+    made it: the vote of every row, which its fixed rows keep in every cell,
+    and its live rows, with their vote layout, weights and the chosen
+    outliers' places among them and among the unclustered points (None when
+    no row is live). The live rows are the decided rows with a chosen outlier
+    in their reach, whose neighbours are the first k_c members of the set
+    among their candidates, and the undecided rows that `neighbours`, called
+    on the undecided rows alone, gives a chosen outlier."""
+
+    classes: np.ndarray
+    outlier_score: np.ndarray
+    live: np.ndarray           # positions of the live rows in the stage's rows
+    layout: tuple | None = None
+    weights: np.ndarray | None = None
+    chosen: np.ndarray | None = None  # whether each live neighbour is a chosen outlier
+    at: np.ndarray | None = None      # and, if so, its place among the unclustered points
+
+    def vote(self, t: np.ndarray) -> tuple:
+        """The vote for the cell whose blend at the unclustered points is t:
+        a copy of the fixed rows' vote with the live rows voted again."""
+        classes, outlier_score = self.classes.copy(), self.outlier_score.copy()
+        if self.live.size:
+            weights = self.weights.copy()
+            weights[self.chosen] = t[self.at]
+            classes[self.live], outlier_score[self.live] = vote(self.layout, weights)
+        return classes, outlier_score
+
+
 class _Table(NamedTuple):
-    """A stage's candidate table at one k_c (see Prepared). Positions are
-    in the stage's rows."""
+    """A stage's candidate table at one k_c (see _candidate_table). Positions
+    are in the stage's rows."""
 
     undecided: np.ndarray      # positions of the rows a table cannot rank
     classes: np.ndarray        # the normals-only vote at every decided row
@@ -240,15 +235,6 @@ class _Table(NamedTuple):
     reach_row: np.ndarray      # each reach member's row in mixed
     reach_point: np.ndarray    # and the point
 
-    def reached(self, chosen: np.ndarray, n: int) -> tuple:
-        """(hit, is_chosen): the positions in mixed of the rows whose reach
-        holds a point of `chosen`, ascending, and a mask of those points
-        among the stage's n."""
-        is_chosen = np.zeros(n, dtype=bool)
-        is_chosen[chosen] = True
-        hit = np.bincount(self.reach_row[is_chosen[self.reach_point]], minlength=self.mixed.size)
-        return np.flatnonzero(hit), is_chosen
-
 
 def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
     """k_c x rows: each row's first k_c candidates (a row of cand) that are
@@ -257,16 +243,27 @@ def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
     return cand[taken].reshape(cand.shape[0], k_c).T
 
 
-def _candidate_table(prepared: Prepared, k_c: int, classes: np.ndarray,
-                     outlier_score: np.ndarray, chosen: np.ndarray) -> _Table:
-    """The stage's candidate table at k_c, from its first finish there: that
-    finish's vote (classes, outlier_score), whose chosen outliers were
-    `chosen`, is every decided row's normals-only vote but at the rows those
-    reached, which are voted again."""
-    index, rows = prepared.index, prepared.rows
-    is_normal = prepared.assignment != UNCLUSTERED
+def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
+    """The stage's candidate table at k_c, which depends on the stage alone.
+
+    Every training set of the stage is its normals plus some unclustered
+    points, so a row's candidates, itself at distance 0 and then its
+    index.near list, each a normal or an unclustered point, are the same in
+    every cell. A row is decided when they hold k_c + 1 normals and every
+    adjacent gap of their squared values up to the (k_c + 1)-th normal
+    exceeds `neighbours`' 4B bound: every set's first k_c + 1 candidates lie
+    in that prefix and every product ranks them alike, so the row's
+    neighbours are its first k_c candidates in the set. Its reach is its
+    unclustered candidates before its k_c-th normal; a set with no chosen
+    outlier there gives it the normals' vote, which the table holds (its
+    first k_c normals voted through _vote_mixed; OUTLIER and 0.0 at the
+    undecided rows), with the candidates, up to the k_c-th normal, and reach
+    of each decided row that has a reach."""
+    index, rows, assignment = prepared.index, prepared.rows, prepared.assignment
+    is_normal = assignment != UNCLUSTERED
     K = index.near.shape[1]
-    decided, mixed = np.zeros(rows.size, dtype=bool), np.empty(0, dtype=np.intp)
+    plain = mixed = np.empty(0, dtype=np.intp)
+    first = np.empty((k_c, 0), dtype=np.intp)  # the plain rows' first k_c candidates
     if k_c <= K:  # a list of K holds at most K + 1 candidates
         four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
                   * (index.sq_norms[rows] + index.sq_max))
@@ -279,11 +276,12 @@ def _candidate_table(prepared: Prepared, k_c: int, classes: np.ndarray,
         vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
         sq_vals = np.square(vals)
         wide = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
-        plain = is_normal.take(window).all(axis=0)
-        decided = wide & plain
+        all_normal = is_normal.take(window).all(axis=0)
+        plain = np.flatnonzero(wide & all_normal)
+        first = window[:k_c, plain]
         # a wide window that holds an unclustered point: the row is decided
         # on its whole list, up to its (k_c + 1)-th normal
-        mixed = np.flatnonzero(wide & ~plain)
+        mixed = np.flatnonzero(wide & ~all_normal)
     cand = np.empty((mixed.size, K + 1), dtype=np.intp)
     cand[:, 0], cand[:, 1:] = rows[mixed], index.near[rows[mixed]]
     normal = is_normal[cand]
@@ -297,33 +295,35 @@ def _candidate_table(prepared: Prepared, k_c: int, classes: np.ndarray,
         end = np.minimum((count <= k_c).sum(axis=1), K)  # the (k_c + 1)-th normal
         ranked = (count[:, -1] > k_c) & gaps[np.arange(mixed.size), end - 1]
         mixed, cand, normal, count = mixed[ranked], cand[ranked], normal[ranked], count[ranked]
-        decided[mixed] = True
     # every training set's first k_c members of a mixed row lie up to its
     # k_c-th normal
     width = int((count < k_c).sum(axis=1).max(initial=0)) + 1
     cand, normal, count = cand[:, :width], normal[:, :width], count[:, :width]
     reach_row, reach_col = np.nonzero(~normal & (count < k_c))
-    table = _Table(np.flatnonzero(~decided), classes, outlier_score, mixed, cand, normal,
-                   reach_row, cand[reach_row, reach_col])
-    # the rows the first finish's chosen outliers reached take the normals' vote
-    hit, _ = table.reached(chosen, is_normal.size)
-    if hit.size:
-        nbrs = _first(cand[hit], normal[hit], k_c)
-        classes[mixed[hit]], outlier_score[mixed[hit]] = vote(
-            _vote_layout(prepared.assignment[nbrs]), prepared.scores.r_score[nbrs])
-    return table
+    # vote is row-independent, so the decided rows are voted in any order
+    decided = np.concatenate([plain, mixed])
+    nbrs = np.concatenate([first, _first(cand, normal, k_c)], axis=1)
+    classes, outlier_score = np.full(rows.size, OUTLIER, dtype=int), np.zeros(rows.size)
+    classes[decided], outlier_score[decided] = _vote_mixed(assignment[nbrs],
+                                                           prepared.scores.r_score[nbrs])
+    undecided = np.flatnonzero(np.bincount(decided, minlength=rows.size) == 0)
+    return _Table(undecided, classes, outlier_score, mixed, cand, normal,
+                  reach_row, cand[reach_row, reach_col])
 
 
 def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
            picked: np.ndarray) -> tuple:
-    """(entry, searched): the cache entry at k_c of ts, whose chosen outliers
-    are `picked`, born split (see Prepared), its fixed and live rows voted
-    once for this cell; searched as `neighbours` returns it for the
-    undecided rows."""
+    """(entry, searched): the _Entry at k_c of ts, whose chosen outliers are
+    `picked`, its fixed and live rows voted once for this cell; searched as
+    `neighbours` returns it for the undecided rows."""
     undecided, assignment = table.undecided, prepared.assignment
     points, cols, live = [], [], 0
     if table.reach_row.size and picked.size:
-        hit, is_chosen = table.reached(picked, assignment.size)
+        is_chosen = np.zeros(assignment.size, dtype=bool)
+        is_chosen[picked] = True
+        # the rows whose reach holds a chosen outlier, ascending
+        hit = np.flatnonzero(np.bincount(table.reach_row[is_chosen[table.reach_point]],
+                                         minlength=table.mixed.size))
         if hit.size:
             cand = table.cand[hit]
             points.append(_first(cand, table.normal[hit] | is_chosen[cand], k_c))
@@ -338,9 +338,9 @@ def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
         points.append(ts.indices[nbrs[by].T])
         cols.append(undecided[by])
         live += int(reached.sum())
-    classes, outlier_score = table.classes.copy(), table.outlier_score.copy()
+    entry = _Entry(table.classes.copy(), table.outlier_score.copy(), undecided[:0])
     if not cols:
-        return (classes, outlier_score, undecided[:0]) + (None,) * 4, searched
+        return entry, searched
     points, cols = np.concatenate(points, axis=1), np.concatenate(cols)
     chosen = assignment[points] == UNCLUSTERED
     # a normal weighs its r_score, a chosen outlier its blend: ts.weights' bits
@@ -348,16 +348,16 @@ def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
     at = np.searchsorted(prepared.unclustered, points[chosen])
     weights[chosen] = t[at]
     layout = _vote_layout(np.where(chosen, OUTLIER, assignment[points]))
-    classes[cols], outlier_score[cols] = vote(layout, weights)
+    entry.classes[cols], entry.outlier_score[cols] = vote(layout, weights)
     if not live:
-        return (classes, outlier_score, cols[:0]) + (None,) * 4, searched
+        return entry, searched
     # vote is row-independent, so the live rows, which come first, keep the
     # layout's first columns; every chosen outlier is in a live row, so at
     # follows chosen[:, :live] too
     ids, cells, first, seen = layout
-    return (classes, outlier_score, cols[:live],
-            (ids, cells[:, :live], first[:, :live], seen[:live]),
-            weights[:, :live], chosen[:, :live], at), searched
+    return entry._replace(live=cols[:live], layout=(ids, cells[:, :live], first[:, :live],
+                                                    seen[:live]),
+                          weights=weights[:, :live], chosen=chosen[:, :live], at=at), searched
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:

@@ -39,8 +39,8 @@ def test_the_pipeline_records_are_pinned():
     # and sets out the normals and unclustered points that every cell shares
     assert names(ssdbcodi.Prepared) == ["index", "assignment", "scores", "auto_k", "rows",
                                         "normals", "unclustered", "unclustered_scores",
-                                        "neighbours", "tables"]
-    # the set-out fields and the two caches follow the stage's other fields,
+                                        "_cells"]
+    # the set-out fields and the cell cache follow the stage's other fields,
     # so no caller passes them
     assert [f.name for f in dataclasses.fields(ssdbcodi.Prepared) if f.init] == [
         "index", "assignment", "scores", "auto_k", "rows"]

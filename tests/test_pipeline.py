@@ -1,8 +1,10 @@
 """End-to-end pipeline behaviour and blend-weight tuning."""
 
 from dataclasses import replace
+import gc
 import re
 from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
@@ -473,11 +475,10 @@ def test_first_vote_skips_single_class_rows_with_the_bits_of_every_row():
     assert min(seen.values()) >= 40, seen
 
 
-def mixed_rows(prepared, result) -> np.ndarray:
+def mixed_rows(prepared, ts, k_c: int) -> np.ndarray:
     """Which of the stage's rows have k_c neighbours of two classes or more
-    in result's training set, found by a fresh search."""
-    ts = result.training
-    nbrs, _ = model.neighbours(ts, prepared.index, result.k_c, prepared.rows)
+    in the training set ts, found by a fresh search."""
+    nbrs, _ = model.neighbours(ts, prepared.index, k_c, prepared.rows)
     classes = ts.classes[nbrs]
     return (classes != classes[:, :1]).any(axis=1)
 
@@ -495,7 +496,9 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         indices = result.training.indices
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
                          prepared.rows, voted[start:], live_rows(prepared, result),
-                         mixed_rows(prepared, result), decided_by_loop(prepared, result.k_c)))
+                         mixed_rows(prepared, result.training, result.k_c),
+                         mixed_rows(prepared, prepared.normals, result.k_c),
+                         decided_by_loop(prepared, result.k_c)))
         return result
 
     def counting_vote(layout, weights):
@@ -519,22 +522,22 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         h for h in hidden for _ in blend_grid(0.2)]
     # A stage's first finish at k_c searches every row and votes the rows
     # whose neighbours hold two classes or more (none may). Its second
-    # builds the table: the normals-only vote of the decided rows that the
-    # first finish's chosen outliers reached. A training set's first finish
-    # after that searches only the undecided rows and votes them with the
-    # decided rows a chosen outlier reaches; later ones vote the rows that a
-    # chosen outlier reaches, and none when there are none.
-    firsts, tables, entries, searches, want, first, later = {}, set(), set(), [], [], [], []
-    for prepared, k_c, _, key, rows, _, live, mixed, decided in finished:
+    # builds the table: the normals-only vote of the decided rows whose
+    # normals-only neighbours hold two classes or more. A training set's
+    # first finish after that searches only the undecided rows and votes
+    # them with the decided rows a chosen outlier reaches; later ones vote
+    # the rows that a chosen outlier reaches, and none when there are none.
+    firsts, tables, entries, searches, want, first, later = set(), set(), set(), [], [], [], []
+    for prepared, k_c, _, key, rows, _, live, mixed, normals_mixed, decided in finished:
         stage = id(prepared), k_c
         undecided = int((~decided).sum())
         if stage not in firsts:
-            firsts[stage] = live
+            firsts.add(stage)
             searches.append(len(rows))
             want.append([int(mixed.sum())] if mixed.any() else [])
             first.append((int(mixed.sum()), len(rows)))
         elif (stage, key) not in entries:
-            table = 0 if stage in tables else int((firsts[stage] & decided).sum())
+            table = 0 if stage in tables else int((normals_mixed & decided).sum())
             tables.add(stage)
             entries.add((stage, key))
             searches += [undecided] if undecided else []
@@ -722,7 +725,7 @@ def test_every_cell_of_a_shuffled_stage_matches_the_papers_reference():
             if cells[i] not in wanted:
                 wanted[cells[i]] = run_by_paper(ds, labels, p)
             assert_same_result(finish(stage, p), wanted[cells[i]], (kind, cells[i]))
-        table = stage.tables[min(params.k_c, len(wanted[cells[0]].training))]
+        table = stage._cells.tables[min(params.k_c, len(wanted[cells[0]].training))]
         seen.update({"undecided": table.undecided.size > 0, "reach": table.mixed.size > 0}
                     .items())
     # the integer and tenths grids' rows are all undecided, the Gaussian
@@ -756,7 +759,7 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
     # row's neighbour points are the table's (a row with no reach its first
     # k_c candidates, a row with one its first k_c training members); the
     # table's vote at each decided row is that of a fresh stage's finish with
-    # no chosen outlier, and the result at each decided row that no chosen
+    # no chosen outlier (some of whose neighbours hold two classes), and the result at each decided row that no chosen
     # outlier reaches is that vote. Stages on all points, a few hidden rows,
     # no row and no unclustered point, at k_c of 1, 5 and NEAR_K + 1, on the
     # cache fuzz data plus a copy of its blobs with 60 coincident points.
@@ -769,7 +772,7 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
                                      truth=np.concatenate([blobs.truth, blobs.truth[:60]]))
     counts = dict.fromkeys(("cells", "decided", "reach", "undecided", "short", "over_near",
                             "zero_k", "all_k", "no_unclustered", "no_rows", "coincident",
-                            "cross"), 0)
+                            "cross", "two_class"), 0)
     for name, ds in datasets.items():
         index = build_index(ds, 3)
         labels = sample_labels(ds, 0.1, seed=1)
@@ -787,13 +790,14 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
                     score=ScoreParams(0.0, 0.0, 3), k=0, k_c=k_c))
                 normals = (stage.assignment[np.column_stack([rows, index.near[rows]])]
                            != UNCLUSTERED).sum(axis=1)
+                two_class = mixed_rows(stage, stage.normals, k_c)
                 cells = blend_grid(0.2 if k is None else 0.5)
                 for i in rng.permutation(len(cells)):
                     p = PipelineParams(score=ScoreParams(*cells[i], 3), k=k, k_c=k_c)
                     result = finish(stage, p)
                     assert result.k_c == k_c
-                    table = stage.tables[k_c]
-                    if not isinstance(table, pipeline._Table):  # the stage's first finish
+                    table = stage._cells.tables.get(k_c)
+                    if table is None:  # the stage's first finish
                         result.training.indices[...] = 3
                         continue
                     ts = result.training
@@ -828,7 +832,71 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
                     counts["coincident"] += name == "coincident" and bool(
                         (~decided & (index.near_dist[rows, 0] == 0)).any())
                     counts["cross"] += searched.size > 0
+                    counts["two_class"] += int((decided & two_class).sum())
     assert counts["cells"] >= 1500 and min(counts.values()) > 0, counts
+
+
+def test_a_stages_candidate_table_depends_only_on_the_stage_and_k_c():
+    # Every array of the table, its undecided rows' vote included, has the
+    # same bytes and dtype whichever cell finished first at k_c: on two
+    # fresh copies of each stage, one whose first cell chose no outlier
+    # (k = 0) and one whose first cell took the automatic k, each then
+    # finishing the same second cell. Stages on all points, a few hidden
+    # rows, no row and no unclustered point, at k_c of 1, 5 and NEAR_K + 1,
+    # on the cache fuzz data; some first cells vote an undecided row
+    # otherwise than the other copy's.
+    rng = np.random.default_rng(137)
+    score = ScoreParams(0.4, 0.3, 3)
+    counts = dict.fromkeys(("tables", "decided", "undecided", "no_rows", "no_unclustered",
+                            "over_near", "first_differs"), 0)
+    for name, ds in cache_fuzz_datasets().items():
+        index = build_index(ds, 3)
+        labels = sample_labels(ds, 0.1, seed=2)
+        base = prepare(index, labels)
+        full = np.where(base.assignment == UNCLUSTERED, 0, base.assignment)
+        hidden = np.sort(rng.choice(ds.n, size=30, replace=False))
+        for stage in (base, prepare(index, labels, hidden), prepare(index, labels, []),
+                      replace(base, assignment=full, auto_k=0)):
+            for k_c in (1, 5, metricspace.NEAR_K + 1):
+                firsts, tables = [], []
+                for k in (0, None):
+                    copy = replace(stage)
+                    firsts.append(finish(copy, PipelineParams(score=score, k=k, k_c=k_c)))
+                    finish(copy, PipelineParams(score=score, k_c=k_c))
+                    tables.append(copy._cells.tables[k_c])
+                assert firsts[0].k_c == firsts[1].k_c == k_c
+                for a, b in zip(*tables):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, k_c)
+                undecided = tables[0].undecided
+                counts["tables"] += 1
+                counts["decided"] += stage.rows.size - undecided.size
+                counts["undecided"] += undecided.size
+                counts["no_rows"] += stage.rows.size == 0
+                counts["no_unclustered"] += stage.unclustered.size == 0
+                counts["over_near"] += k_c > metricspace.NEAR_K
+                counts["first_differs"] += any(
+                    getattr(firsts[0], attr)[undecided].tobytes()
+                    != getattr(firsts[1], attr)[undecided].tobytes()
+                    for attr in ("clusters", "outlier_score"))
+    assert min(counts.values()) > 0, counts
+
+
+def test_a_stage_and_its_cell_cache_are_freed_by_reference_counting():
+    # the cache holds nothing of its stage, so no reference cycle keeps a
+    # stage, such as each of tune's fold stages, alive until a collection
+    ds = moons_with_outliers(n=200)
+    stage = prepare(build_index(ds, 3), sample_labels(ds, 0.1, seed=3))
+    ref = weakref.ref(stage)
+    gc.disable()
+    try:
+        for k_c in (3, 5):
+            for alpha, beta in blend_grid(0.5):
+                finish(stage, PipelineParams(score=ScoreParams(alpha, beta, 3), k_c=k_c))
+        assert sorted(stage._cells.tables) == [3, 5] and len(stage._cells.entries) >= 2
+        del stage
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
@@ -902,24 +970,25 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
                     counts["zero_k"] += p.k == 0
                     counts["all_k"] += 0 < len(want.training) - normals == stage.unclustered.size
                     counts["no_unclustered"] += stage.unclustered.size == 0
-                cache = stage.neighbours
-                entries = [entry for entry in cache.values() if entry is not False]
+                cache = stage._cells
+                entries = list(cache.entries.values())
                 counts["orders"] += len(orders)
                 counts["entries"] += len(entries)
                 # every entry is born split into its fixed rows' vote and its
                 # live rows, with a layout, weights and chosen positions only
                 # when some row is live
-                assert all(len(entry) == 7 and (entry[3] is None) == (entry[2].size == 0)
-                           and (entry[4] is None) == (entry[2].size == 0)
-                           for entry in entries), name
-                counts["live"] += sum(entry[2].size > 0 for entry in entries)
-                counts["fixed"] += sum(entry[2].size < stage.rows.size for entry in entries)
-                # a set marked False, at a k_c that the list can rank, in two
-                # or more orders
+                assert all(isinstance(entry, pipeline._Entry) and all(
+                    (part is None) == (entry.live.size == 0)
+                    for part in (entry.layout, entry.weights, entry.chosen, entry.at))
+                    for entry in entries), name
+                counts["live"] += sum(entry.live.size > 0 for entry in entries)
+                counts["fixed"] += sum(entry.live.size < stage.rows.size for entry in entries)
+                # a set kept per order, at a k_c that the list can rank, in
+                # two or more orders; no entry sits under a per-order set's key
+                assert not cache.ordered & cache.entries.keys(), name
                 counts["reordered"] += sum(
-                    sum(key[:2] == other[:2] for other in cache) > 2
-                    for key, entry in cache.items()
-                    if entry is False and key[0] <= index.near.shape[1])
+                    sum(key == other[:2] for other in cache.entries) > 1
+                    for key in cache.ordered if key[0] <= index.near.shape[1])
     assert counts["cells"] >= 4500 and counts["refused"] > 0, counts
     assert counts["entries"] < counts["orders"] and counts["reordered"] > 0, counts
     assert min(counts[key] for key in ("over_normals", "no_rows", "zero_k", "all_k",
