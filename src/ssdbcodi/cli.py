@@ -23,7 +23,6 @@ from . import metrics
 from .baselines import NOISE, dbscan, kmeans, lof, ssdbscan_with_fallback
 from .dataset import OUTLIER, load_csv, minmax_scale, sample_labels
 from .metricspace import build_index
-from .metrics import auc, nmi, rand_index
 from .pipeline import PipelineParams, blend_grid, finish, prepare, tune
 from .scoring import ScoreParams
 
@@ -97,36 +96,19 @@ def _timed(report: dict, args, started: float) -> dict:
     return report
 
 
-def _auc(ds, scores) -> float | None:
-    """AUC of scores against the true outliers; None unless both classes occur."""
-    truth_outlier = ds.truth == OUTLIER
-    if truth_outlier.any() and not truth_outlier.all():
-        return auc(scores, truth_outlier)
-    return None
+def _truth(ds) -> metrics._Truth:
+    """The reports' truth side of ds, set out once per dataset: its truth
+    as a metrics._Truth whose positive rows are the true outliers."""
+    return metrics._Truth(ds.truth, ds.truth == OUTLIER)
 
 
-def _truth(ds) -> tuple:
-    """The sweep metrics' truth side of ds, set out once per dataset: its
-    true outliers and normals (None unless both occur, so no AUC), and its
-    truth's codes, id count and pair count."""
-    is_outlier = ds.truth == OUTLIER
-    both = is_outlier.any() and not is_outlier.all()
-    classes = (np.flatnonzero(is_outlier), np.flatnonzero(~is_outlier)) if both else None
-    ids, codes = np.unique(ds.truth, return_inverse=True)
-    return classes, codes, ids.size, metrics._pairs(np.bincount(codes))
-
-
-def _evaluate(truth: tuple, result) -> dict:
-    """Metrics against the full ground truth, its side set out by `_truth`,
-    with the bits of metrics.auc, rand_index and nmi."""
-    classes, codes, n_ids, pairs = truth
-    if codes.size < 2:
-        raise ValueError("rand_index needs at least 2 points")  # as rand_index refuses
-    clusters, score = np.unique(result.clusters, return_inverse=True)[1], result.outlier_score
-    return {"auc": None if classes is None
-            else metrics._u_share(np.sort(score[classes[1]]), score[classes[0]]),
-            "rand_index": metrics._agreement(clusters, codes, n_ids, pairs),
-            "nmi": metrics._nmi(clusters, codes, n_ids)}
+def _evaluate(truth: metrics._Truth, result) -> dict:
+    """Metrics of result against the full ground truth, its side set out by
+    `_truth`, with the bits of metrics.auc, rand_index and nmi."""
+    clusters = np.unique(result.clusters, return_inverse=True)[1]
+    return {"auc": truth.auc(result.outlier_score),
+            "rand_index": truth.rand_index(clusters),
+            "nmi": truth.nmi(clusters)}
 
 
 def _draw(ds, args, index, fraction: float, seed: int, cells=None):
@@ -253,11 +235,13 @@ def cmd_baseline(args) -> str:
         params = {"label_fraction": args.label_fraction, "seed": args.seed,
                   "min_pts": args.min_pts}
     report = {**_head("baseline", ds, algo=args.algo), "params": params}
+    truth = _truth(ds)
     if assign is not None:
-        report["rand_index"] = rand_index(assign, ds.truth)
-        report["nmi"] = nmi(assign, ds.truth)
+        codes = np.unique(assign, return_inverse=True)[1]
+        report["rand_index"] = truth.rand_index(codes)
+        report["nmi"] = truth.nmi(codes)
     if scores is not None:
-        report["auc"] = _auc(ds, scores)
+        report["auc"] = truth.auc(scores)
     return _render_json(_timed(report, args, started))
 
 

@@ -7,11 +7,11 @@ AUC is the Mann-Whitney U count (negatives below each positive, ties
 counting 1/2) over positive x negative pairs, and the Rand index the count
 of point pairs on which both partitions agree over all pairs. Both counts
 are exact in float64 while they stay below 2^53, so each value is one
-rounding of an exact ratio. `tune`'s fold objective sets out the truth side
-once per fold and calls the same counts, `_u_share` and `_agreement`. The
-CLI's sweeps set out the full ground truth's side once per dataset (its
-outliers and normals, codes, id count and pair count) and hand each cell to
-those counts and to `_nmi`, the core that `nmi` calls on its codes.
+rounding of an exact ratio. `_Truth` sets out a truth partition once (its
+codes, id count and pair count, and its positive and negative rows) and
+scores a prediction's codes against it. `rand_index` and `nmi` set one out
+per call, the CLI's reports one per dataset and `tune`'s fold objective one
+per fold, so a cell hands only its own side to the counts.
 """
 
 import numpy as np
@@ -41,54 +41,71 @@ def _pairs(counts: np.ndarray) -> float:
     return float((counts * (counts - 1)).sum() // 2)
 
 
-def _agreement(a: np.ndarray, b: np.ndarray, nb: int, b_pairs: float) -> float:
-    """Share of point pairs on which the codes `a` and `b` agree; `b` lies in
-    range(nb) and has `b_pairs` pairs within its groups."""
-    m = a.size
-    total = m * (m - 1) / 2.0
-    same = _pairs(np.bincount(a * nb + b))
-    diff = total - _pairs(np.bincount(a)) - b_pairs + same
-    return float((same + diff) / total)
+class _Truth:
+    """A truth partition set out once: the codes of its sorted distinct ids,
+    its id count and its pair count, and, given a boolean mask `positive`,
+    its positive and negative rows (`classes`, None unless both occur).
+    Each method scores a prediction's codes, non-negative ints, one per
+    truth row, with the bits of auc, rand_index and nmi."""
+
+    def __init__(self, truth, positive=None):
+        ids, self.codes = np.unique(truth, return_inverse=True)
+        self.n_ids, self.pairs = ids.size, _pairs(np.bincount(self.codes))
+        both = positive is not None and positive.any() and not positive.all()
+        self.classes = (np.flatnonzero(positive), np.flatnonzero(~positive)) if both else None
+
+    def auc(self, scores: np.ndarray) -> float | None:
+        """auc of `scores` against the positive rows; None without both classes."""
+        if self.classes is None:
+            return None
+        return _u_share(np.sort(scores[self.classes[1]]), scores[self.classes[0]])
+
+    def rand_index(self, a: np.ndarray) -> float:
+        """Share of point pairs on which the codes `a` and the truth agree."""
+        m = a.size
+        if m < 2:
+            raise ValueError("rand_index needs at least 2 points")
+        total = m * (m - 1) / 2.0
+        same = _pairs(np.bincount(a * self.n_ids + self.codes))
+        diff = total - _pairs(np.bincount(a)) - self.pairs + same
+        return float((same + diff) / total)
+
+    def nmi(self, a: np.ndarray) -> float:
+        """nmi of the codes `a` against the truth."""
+        if a.size < 1:
+            raise ValueError("nmi needs at least 1 point")
+        b, nb = self.codes, self.n_ids
+        p = np.bincount(a * nb + b, minlength=(a.max() + 1) * nb).reshape(-1, nb).astype(float)
+        p /= p.sum()
+        pa = p.sum(axis=1)
+        pb = p.sum(axis=0)
+        ha = float(-(pa[pa > 0] * np.log(pa[pa > 0])).sum())
+        hb = float(-(pb[pb > 0] * np.log(pb[pb > 0])).sum())
+        if ha + hb == 0.0:
+            return 1.0
+        outer = np.outer(pa, pb)
+        nz = p > 0
+        info = float((p[nz] * np.log(p[nz] / outer[nz])).sum())
+        return float(min(1.0, max(0.0, 2.0 * info / (ha + hb))))
 
 
 def _codes(predicted, truth) -> tuple:
-    """Both partitions as codes of their sorted distinct ids, and truth's id count."""
+    """`predicted` as codes of its sorted distinct ids, and `truth` as a _Truth."""
     a = np.asarray(predicted)
     b = np.asarray(truth)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("partitions must be equal-length vectors")
-    b_ids, bi = np.unique(b, return_inverse=True)
-    return np.unique(a, return_inverse=True)[1], bi, b_ids.size
+    return np.unique(a, return_inverse=True)[1], _Truth(b)
 
 
 def rand_index(predicted, truth) -> float:
     """Share of point pairs on which the two partitions agree."""
-    a, b, nb = _codes(predicted, truth)
-    if a.size < 2:
-        raise ValueError("rand_index needs at least 2 points")
-    return _agreement(a, b, nb, _pairs(np.bincount(b)))
+    a, t = _codes(predicted, truth)
+    return t.rand_index(a)
 
 
 def nmi(predicted, truth) -> float:
     """2 I(Y;C) / (H(Y) + H(C)) with natural logs; 1.0 when both partitions
     are constant (zero entropy on both sides)."""
-    a, b, nb = _codes(predicted, truth)
-    if a.size < 1:
-        raise ValueError("nmi needs at least 1 point")
-    return _nmi(a, b, nb)
-
-
-def _nmi(a: np.ndarray, b: np.ndarray, nb: int) -> float:
-    """nmi of the codes `a` and `b`, at least one each, `b` in range(nb)."""
-    p = np.bincount(a * nb + b, minlength=(a.max() + 1) * nb).reshape(-1, nb).astype(float)
-    p /= p.sum()
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    ha = float(-(pa[pa > 0] * np.log(pa[pa > 0])).sum())
-    hb = float(-(pb[pb > 0] * np.log(pb[pb > 0])).sum())
-    if ha + hb == 0.0:
-        return 1.0
-    outer = np.outer(pa, pb)
-    nz = p > 0
-    info = float((p[nz] * np.log(p[nz] / outer[nz])).sum())
-    return float(min(1.0, max(0.0, 2.0 * info / (ha + hb))))
+    a, t = _codes(predicted, truth)
+    return t.nmi(a)

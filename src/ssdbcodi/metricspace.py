@@ -242,6 +242,13 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple:
     return index, best
 
 
+def _four_b(d: int, sq, sq_max):
+    """4B for B = (2d + 8) eps (sq + sq_max), the gap between squared
+    distances above which every summation order ranks two candidates alike
+    (the proof is in model.neighbours' docstring); sq holds |p|^2 per row."""
+    return 4 * (2 * d + 8) * np.finfo(float).eps * (sq + sq_max)
+
+
 def _nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """nearest_center's squared distances, bit for bit, with the centres
     ranked by products. Each point's |p|^2 + |c|^2 - 2 p.c against the
@@ -266,7 +273,7 @@ def _nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         second = np.minimum(np.maximum(best, b_best), np.minimum(second, b_second))
         closer = b_best < best
         best[closer], win[closer] = b_best[closer], b_win[closer] + a
-    four_b = 4 * (2 * points.shape[1] + 8) * np.finfo(float).eps * (sq + sq_c.max())
+    four_b = _four_b(points.shape[1], sq, sq_c.max())
     ranked = second - best > four_b
     if ranked.all():
         return ((points - centers[win]) ** 2).sum(axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import OUTLIER, int_vector, is_int
 from .expansion import UNCLUSTERED
-from .metricspace import NeighborhoodIndex, _fresh_nearest, cross_nearest
+from .metricspace import NeighborhoodIndex, _four_b, _fresh_nearest, cross_nearest
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +182,7 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tup
             cand, cand_vals = cand[at_rows, by], cand_vals[at_rows, by]
             np.copyto(cand_vals, index.near_dist[s, -1:], where=cand < 0)
             first[:, rest], vals[:, rest] = cand.T, cand_vals.T
-        four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
-                  * (index.sq_norms[rows] + index.sq_max))
+        four_b = _four_b(index.points.shape[1], index.sq_norms[rows], index.sq_max)
         # padding comes last and at one value, so a row with fewer than k_c
         # candidates has a zero gap
         sq_vals = np.square(vals)

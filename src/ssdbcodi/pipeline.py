@@ -15,10 +15,9 @@ live rows) can vote otherwise in another cell; the stage's cell cache
 `run` composes the two; `tune` stages each validation fold on its hidden
 rows and finishes every cell before the next.
 
-Each fold's objective sets out its truth side once (the hidden outlier and
-normal rows, the hidden labels' codes and pair count, the ids a cell can
-predict), so a cell hands only its own side to the counts that metrics.auc and
-metrics.rand_index make (see the metrics module docstring).
+Each fold's objective sets out its hidden labels once, as a metrics._Truth,
+and the ids a cell can predict, so a cell hands the _Truth only its own
+scores and codes (see the metrics module docstring).
 """
 
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ import numpy as np
 from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
-from .metricspace import NeighborhoodIndex, build_index
+from .metricspace import NeighborhoodIndex, _four_b, build_index
 from .model import (PipelineResult, TrainingSet, _select, _split, _vote_layout,
                     neighbours, vote)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
@@ -265,8 +264,7 @@ def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
     plain = mixed = np.empty(0, dtype=np.intp)
     first = np.empty((k_c, 0), dtype=np.intp)  # the plain rows' first k_c candidates
     if k_c <= K:  # a list of K holds at most K + 1 candidates
-        four_b = (4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
-                  * (index.sq_norms[rows] + index.sq_max))
+        four_b = _four_b(index.points.shape[1], index.sq_norms[rows], index.sq_max)
         # each row's window, itself then the first k_c members of its list,
         # candidates down the first axis, as `neighbours` reads it; a row
         # whose window is all normals and wide is decided, and has no reach
@@ -404,21 +402,16 @@ def _fold_objective(prepared: Prepared, labels: LabelSet):
     """
     hidden, assignment = prepared.rows.tolist(), prepared.assignment
     is_outlier = np.array([i in labels.outliers for i in hidden], dtype=bool)
-    outliers, normals = np.flatnonzero(is_outlier), np.flatnonzero(~is_outlier)
+    truth = metrics._Truth([labels.normal.get(i, OUTLIER) for i in hidden], is_outlier)
     # the ids a cell can predict: a training class is a clustered id or OUTLIER
     ids = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
-    truth_ids, truth = np.unique([labels.normal.get(i, OUTLIER) for i in hidden],
-                                 return_inverse=True)
-    truth_pairs = metrics._pairs(np.bincount(truth))
 
     def objective(result: PipelineResult) -> float | None:
         parts = []
-        if outliers.size and normals.size:
-            parts.append(metrics._u_share(np.sort(result.outlier_score[normals]),
-                                          result.outlier_score[outliers]))
+        if truth.classes is not None:
+            parts.append(truth.auc(result.outlier_score))
         if len(hidden) >= 2:
-            parts.append(metrics._agreement(np.searchsorted(ids, result.clusters), truth,
-                                            truth_ids.size, truth_pairs))
+            parts.append(truth.rand_index(np.searchsorted(ids, result.clusters)))
         return sum(parts) / len(parts) if parts else None
 
     return objective

@@ -321,6 +321,15 @@ def test_baseline_reports(blobs_csv, capsys):
     assert 0.0 <= report["rand_index"] <= 1.0
 
 
+def test_baseline_refuses_a_one_row_partition(tmp_path, capsys):
+    # the Rand index of one point has no pair; the refusal comes from the
+    # metrics' truth side, as for rand_index and the sweeps
+    one_row = write_csv(tmp_path / "one.csv", [(0.0, 0.0, "a")])
+    for algo in (["--algo", "dbscan", "--epsilon", "1"], ["--algo", "kmeans", "--k", "1"]):
+        code, out, err = run_cli(["baseline", "--input", one_row, *algo], capsys)
+        assert (code, out, err) == (1, "", "error: rand_index needs at least 2 points\n"), algo
+
+
 def test_reports_place_wall_time_after_their_metrics(blobs_csv, capsys):
     head = ["schema_version", "command", "dataset", "n", "d"]
     code, out, _ = run_cli(["run", "--input", blobs_csv, "--label-fraction", "0.5",

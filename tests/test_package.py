@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import ssdbcodi
 
@@ -44,3 +46,12 @@ def test_the_pipeline_records_are_pinned():
     # so no caller passes them
     assert [f.name for f in dataclasses.fields(ssdbcodi.Prepared) if f.init] == [
         "index", "assignment", "scores", "auto_k", "rows"]
+
+
+def test_only_the_metrics_module_names_the_private_counts():
+    # every score against a truth goes through metrics._Truth, so a module
+    # that reaches past it into the counts fails here
+    counts = re.compile(r"\b(_u_share|_pairs|_nmi|_agreement)\b")
+    named = [path.name for path in sorted(Path(ssdbcodi.__file__).parent.glob("*.py"))
+             if path.name != "metrics.py" and counts.search(path.read_text(encoding="utf-8"))]
+    assert named == []
