@@ -117,6 +117,8 @@ def lof(ds: Dataset, k: int) -> np.ndarray:
     outlying.
     """
     n = ds.n
+    if n < 2:
+        raise ValueError("need at least 2 points for lof")
     if not (is_int(k) and 1 <= k <= n - 1):
         raise ValueError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     nbrs, nd = np.empty((n, k), dtype=np.intp), np.empty((n, k))

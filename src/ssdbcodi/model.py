@@ -4,12 +4,12 @@ place among its row's classes), both reusable across blends, and `vote`.
 
 `neighbours` reads each row's nearest training rows off the index's shared
 neighbour list wherever the gaps between them are wide enough that every
-summation order ranks them alike: off a window of the row itself and the
-head of its list, or off the whole list where the window holds a point
-outside the training set. The rows the list cannot rank are ranked by a product of those
-rows alone under the same rule, and only the rows left after that are
-searched with the whole distance product, so each row's neighbours have the
-bits that product gives whichever way they were found. `vote` is
+summation order ranks them alike, by `_ranked`, the rule the stage's
+candidate table (pipeline._candidate_table) shares. The rows the list
+cannot rank are ranked by a product of those rows alone under the same
+rule, and only the rows left after that are searched with the whole
+distance product, so each row's neighbours have the bits that product
+gives whichever way they were found. `vote` is
 row-independent, so a caller may vote any subset of rows alone: a stage's
 first vote (pipeline._vote_mixed) sends it only the rows whose neighbours
 hold two classes or more."""
@@ -106,6 +106,69 @@ def _select(normals: TrainingSet, unclustered: np.ndarray, t: np.ndarray,
     )
 
 
+def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
+    """k_c x rows: each row's first k_c candidates (a row of cand) that are
+    members (True in member), in order."""
+    taken = member & (np.cumsum(member, axis=1) <= k_c)
+    return cand[taken].reshape(cand.shape[0], k_c).T
+
+
+def _ranked(index: NeighborhoodIndex, rows: np.ndarray, k_c: int, count: np.ndarray) -> tuple:
+    """(ranked, first, four_b, whole, cand) for `rows` at k_c (at most the
+    list's K), counting the points marked in `count`, a mask over the
+    points: whether each row is ranked; each row's first k_c counted
+    candidates, k_c x rows, valid at the ranked rows; 4B per row; the
+    positions in `rows` of the ranked rows read off their whole list; and
+    those rows' candidates.
+
+    The rule, which `neighbours` and the stage's candidate table share: a
+    row's candidates are itself at distance 0, then its index.near list, in
+    order. It is ranked when every adjacent gap of their squared values,
+    counted or not, up to its (k_c + 1)-th counted candidate exceeds 4B, for
+    B = (2d + 8) eps (|p|^2 + max|q|^2) over every point q (the proof is in
+    `neighbours`). When the list holds exactly k_c counted candidates, the
+    k_c-th before the list's end, the list's last value stands for the
+    (k_c + 1)-th, as every point off the list is at least that far. Any set
+    of the counted points and some others then has the row's first k_c
+    members, and the gap after them, in that ranked prefix.
+
+    A row whose window, itself and the first k_c members of its list, is
+    wide and all counted is read off the window; a wide window with a point
+    that does not count, off the whole list."""
+    K = index.near.shape[1]
+    four_b = _four_b(index.points.shape[1], index.sq_norms[rows], index.sq_max)
+    # each row's window, candidates down the first axis
+    first = np.empty((k_c + 1, rows.size), dtype=np.intp)
+    vals = np.empty((k_c + 1, rows.size))
+    first[0], first[1:] = rows, index.near[rows, :k_c].T
+    vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
+    sq_vals = np.square(vals)
+    ranked = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
+    # a row's (k_c + 1)-th counted candidate lies at or past its window's
+    # end, so only a wide window can rank off the whole list
+    whole = np.flatnonzero(ranked & ~count[first].all(axis=0))
+    first = first[:k_c]
+    cand = np.empty((whole.size, K + 1), dtype=np.intp)
+    if whole.size:
+        s = rows[whole]
+        cand[:, 0], cand[:, 1:] = s, index.near[s]
+        vals = np.empty(cand.shape)
+        vals[:, 0], vals[:, 1:] = 0.0, index.near_dist[s]
+        sq_vals = np.square(vals)
+        counted = count[cand]
+        # the list's last candidate counts: when exactly k_c before it do, it
+        # stands for the (k_c + 1)-th, and otherwise it changes no outcome
+        counted[:, -1] = True
+        # only the candidates before the first gap of at most 4B count
+        counted[:, 1:] &= np.logical_and.accumulate(
+            sq_vals[:, 1:] - sq_vals[:, :-1] > four_b[whole, None], axis=1)
+        ok = counted.sum(axis=1) > k_c
+        ranked[whole] = ok
+        whole, cand = whole[ok], cand[ok]
+        first[:, whole] = _first(cand, counted[ok], k_c)
+    return ranked, first, four_b, whole, cand
+
+
 def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tuple:
     """(nbrs, searched): nbrs holds the positions in ts of the k_c nearest
     training rows of each of `rows` (an index array of the points, searched in
@@ -115,21 +178,14 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tup
     depend on the order of ts.
 
     nbrs is cross_nearest(points, points[ts.indices], k_c, rows)'s, bit for
-    bit. A row's candidates are itself at distance 0, when it is a
-    training row, then the training rows of its index.near list, in order.
-    The row takes its first k_c candidates when every gap between adjacent
-    values among its first k_c + 1 (the (k_c + 1)-th being the list's last
-    distance when the candidates run out) exceeds 4B on squared distances,
-    for B = (2d + 8) eps (|p|^2 + max|q|^2) over every point q. Those first
-    k_c + 1 are read off the row's window, itself and the first k_c members
-    of its list, wherever the window holds training rows only; the other
-    rows read their whole list. Rows still undecided go to the second
-    level (never at k_c > K): a product of just those rows against every
-    training row, |p|^2 + |q|^2 - 2 p.q from index.sq_norms, in one guarded
-    workspace, beside which it holds those rows' and the training rows'
-    points and two arrays of k_c + 1 per row. A row whose k_c + 1 smallest
-    values there are more than 4B apart takes the first k_c. Every other
-    row goes, in one call, to cross_nearest.
+    bit. A row that `_ranked`, counting the training rows, ranks takes its
+    first k_c training rows among its candidates. Rows still undecided go
+    to the second level (never at k_c > K): a product of just those rows
+    against every training row, |p|^2 + |q|^2 - 2 p.q from index.sq_norms,
+    in one guarded workspace, beside which it holds those rows' and the
+    training rows' points and two arrays of k_c + 1 per row. A row whose
+    k_c + 1 smallest values there are more than 4B apart takes the first
+    k_c. Every other row goes, in one call, to cross_nearest.
 
     Why 4B suffices. With u = eps / 2 the unit roundoff, a dot product over
     d terms in any order, fused or not, is off by at most gamma_d sum|p_i q_i|
@@ -158,36 +214,11 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tup
         raise ValueError(f"k_c must be in [1, {m}], got {k_c}")
     nbrs = np.empty((rows.size, k_c), dtype=np.intp)
     left = np.arange(rows.size)  # the rows still to search
-    K = index.near.shape[1]
-    if k_c <= K:
+    if k_c <= index.near.shape[1]:
         at = np.full(index.n, -1, dtype=np.intp)
         at[ts.indices] = np.arange(m)
-        # each row's window, candidates down the first axis: itself, then the
-        # first k_c members of its list
-        first = np.empty((k_c + 1, rows.size), dtype=np.intp)
-        vals = np.empty((k_c + 1, rows.size))
-        first[0], first[1:] = at[rows], at[index.near[rows, :k_c].T]
-        vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
-        # a row whose window holds a point outside the training set, itself
-        # included, reads its first k_c + 1 candidates off its whole list
-        rest = np.flatnonzero((first < 0).any(axis=0))
-        if rest.size:
-            s = rows[rest]
-            cand = np.empty((rest.size, K + 1), dtype=np.intp)
-            cand_vals = np.empty((rest.size, K + 1))
-            cand[:, 0], cand[:, 1:] = first[0, rest], at[index.near[s]]
-            cand_vals[:, 0], cand_vals[:, 1:] = 0.0, index.near_dist[s]
-            by = np.argsort(cand < 0, axis=1, kind="stable")[:, :k_c + 1]
-            at_rows = np.arange(rest.size)[:, None]
-            cand, cand_vals = cand[at_rows, by], cand_vals[at_rows, by]
-            np.copyto(cand_vals, index.near_dist[s, -1:], where=cand < 0)
-            first[:, rest], vals[:, rest] = cand.T, cand_vals.T
-        four_b = _four_b(index.points.shape[1], index.sq_norms[rows], index.sq_max)
-        # padding comes last and at one value, so a row with fewer than k_c
-        # candidates has a zero gap
-        sq_vals = np.square(vals)
-        ranked = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
-        nbrs[:] = first[:k_c].T
+        ranked, first, four_b, _, _ = _ranked(index, rows, k_c, at >= 0)
+        nbrs[:] = at[first.T]
         left = np.flatnonzero(~ranked)
         if left.size:
             # the second level: a product of these rows alone

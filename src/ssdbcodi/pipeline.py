@@ -28,9 +28,9 @@ import numpy as np
 from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
-from .metricspace import NeighborhoodIndex, _four_b, build_index
-from .model import (PipelineResult, TrainingSet, _select, _split, _vote_layout,
-                    neighbours, vote)
+from .metricspace import NeighborhoodIndex, build_index
+from .model import (PipelineResult, TrainingSet, _first, _ranked, _select, _split,
+                    _vote_layout, neighbours, vote)
 from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
 
 
@@ -235,77 +235,41 @@ class _Table(NamedTuple):
     reach_point: np.ndarray    # and the point
 
 
-def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
-    """k_c x rows: each row's first k_c candidates (a row of cand) that are
-    members (True in member), in order."""
-    taken = member & (np.cumsum(member, axis=1) <= k_c)
-    return cand[taken].reshape(cand.shape[0], k_c).T
-
-
 def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
     """The stage's candidate table at k_c, which depends on the stage alone.
 
     Every training set of the stage is its normals plus some unclustered
     points, so a row's candidates, itself at distance 0 and then its
     index.near list, each a normal or an unclustered point, are the same in
-    every cell. A row is decided when they hold k_c + 1 normals and every
-    adjacent gap of their squared values up to the (k_c + 1)-th normal
-    exceeds `neighbours`' 4B bound: every set's first k_c + 1 candidates lie
-    in that prefix and every product ranks them alike, so the row's
-    neighbours are its first k_c candidates in the set. Its reach is its
-    unclustered candidates before its k_c-th normal; a set with no chosen
-    outlier there gives it the normals' vote, which the table holds (its
-    first k_c normals voted through _vote_mixed; OUTLIER and 0.0 at the
-    undecided rows), with the candidates, up to the k_c-th normal, and reach
-    of each decided row that has a reach."""
+    every cell. A row is decided when model._ranked, counting the normals,
+    ranks it: every set's first k_c members, and the gap after them, lie in
+    the ranked prefix, so the row's neighbours are its first k_c candidates
+    in the set. Its reach is its unclustered candidates before its k_c-th
+    normal; a set with no chosen outlier there gives it the normals' vote,
+    which the table holds (its first k_c normals voted through _vote_mixed;
+    OUTLIER and 0.0 at the undecided rows), with the candidates, up to the
+    k_c-th normal, and reach of each decided row read off its whole list."""
     index, rows, assignment = prepared.index, prepared.rows, prepared.assignment
     is_normal = assignment != UNCLUSTERED
-    K = index.near.shape[1]
-    plain = mixed = np.empty(0, dtype=np.intp)
-    first = np.empty((k_c, 0), dtype=np.intp)  # the plain rows' first k_c candidates
-    if k_c <= K:  # a list of K holds at most K + 1 candidates
-        four_b = _four_b(index.points.shape[1], index.sq_norms[rows], index.sq_max)
-        # each row's window, itself then the first k_c members of its list,
-        # candidates down the first axis, as `neighbours` reads it; a row
-        # whose window is all normals and wide is decided, and has no reach
-        window = np.empty((k_c + 1, rows.size), dtype=np.intp)
-        vals = np.empty((k_c + 1, rows.size))
-        window[0], window[1:] = rows, index.near[rows, :k_c].T
-        vals[0], vals[1:] = 0.0, index.near_dist[rows, :k_c].T
-        sq_vals = np.square(vals)
-        wide = (sq_vals[1:] - sq_vals[:-1] > four_b).all(axis=0)
-        all_normal = is_normal.take(window).all(axis=0)
-        plain = np.flatnonzero(wide & all_normal)
-        first = window[:k_c, plain]
-        # a wide window that holds an unclustered point: the row is decided
-        # on its whole list, up to its (k_c + 1)-th normal
-        mixed = np.flatnonzero(wide & ~all_normal)
-    cand = np.empty((mixed.size, K + 1), dtype=np.intp)
-    cand[:, 0], cand[:, 1:] = rows[mixed], index.near[rows[mixed]]
+    ranked = np.zeros(rows.size, dtype=bool)
+    first = np.empty((k_c, rows.size), dtype=np.intp)
+    mixed, cand = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=np.intp)
+    if k_c <= index.near.shape[1]:  # a list of K holds at most K + 1 candidates
+        ranked, first, _, mixed, cand = _ranked(index, rows, k_c, is_normal)
     normal = is_normal[cand]
     count = np.cumsum(normal, axis=1)
-    if mixed.size:
-        vals = np.empty(cand.shape)
-        vals[:, 0], vals[:, 1:] = 0.0, index.near_dist[rows[mixed]]
-        sq_vals = np.square(vals)
-        gaps = np.logical_and.accumulate(sq_vals[:, 1:] - sq_vals[:, :-1] > four_b[mixed, None],
-                                         axis=1)
-        end = np.minimum((count <= k_c).sum(axis=1), K)  # the (k_c + 1)-th normal
-        ranked = (count[:, -1] > k_c) & gaps[np.arange(mixed.size), end - 1]
-        mixed, cand, normal, count = mixed[ranked], cand[ranked], normal[ranked], count[ranked]
     # every training set's first k_c members of a mixed row lie up to its
     # k_c-th normal
     width = int((count < k_c).sum(axis=1).max(initial=0)) + 1
     cand, normal, count = cand[:, :width], normal[:, :width], count[:, :width]
     reach_row, reach_col = np.nonzero(~normal & (count < k_c))
-    # vote is row-independent, so the decided rows are voted in any order
-    decided = np.concatenate([plain, mixed])
-    nbrs = np.concatenate([first, _first(cand, normal, k_c)], axis=1)
+    # vote is row-independent, so the decided rows are voted alone
+    decided = np.flatnonzero(ranked)
+    nbrs = first[:, decided]
     classes, outlier_score = np.full(rows.size, OUTLIER, dtype=int), np.zeros(rows.size)
     classes[decided], outlier_score[decided] = _vote_mixed(assignment[nbrs],
                                                            prepared.scores.r_score[nbrs])
-    undecided = np.flatnonzero(np.bincount(decided, minlength=rows.size) == 0)
-    return _Table(undecided, classes, outlier_score, mixed, cand, normal,
+    return _Table(np.flatnonzero(~ranked), classes, outlier_score, mixed, cand, normal,
                   reach_row, cand[reach_row, reach_col])
 
 

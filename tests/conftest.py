@@ -8,6 +8,18 @@ import pytest
 from ssdbcodi import metricspace
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "helpers: takes the helpers fixture, so its thread "
+                                       "counts depend on how the host schedules threads")
+
+
+def pytest_collection_modifyitems(items):
+    # `-m helpers` selects these tests, for a run on a loaded host
+    for item in items:
+        if "helpers" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.helpers)
+
+
 @pytest.fixture
 def helpers(monkeypatch):
     """force(count): spread the row passes over workspaces of SPREAD_BYTES

@@ -24,7 +24,8 @@ instead of row blocks spread over the cores, the CSV reader's former
 csv and float() loop over every cell (`load_csv_by_cells`) instead of
 numpy's parser, the paper's pipeline from points to result with none of
 the library's fast paths (`run_by_paper`), and a loop over each row's
-list (`decided_by_loop`) instead of the stage's candidate table, and
+list (`ranked_by_loop`, and `decided_by_loop` for a stage's normals)
+instead of model._ranked's window and whole-list passes, and
 the former paths that each shortcut of a label draw skips: a vote of every
 row (`vote_every_row`), the running minimum over every labeled outlier
 (`sq_dist_by_minimum`), and a sparse table per range-max query
@@ -545,23 +546,40 @@ def vote_every_row(classes: np.ndarray, weights: np.ndarray) -> tuple:
     return model.vote(model._vote_layout(classes), weights)
 
 
-def decided_by_loop(prepared, k_c: int) -> np.ndarray:
-    """Whether the stage's candidate table ranks each of its rows at k_c,
-    one row at a time: the row's candidates, itself at distance 0 then its
-    index.near list, hold at least k_c + 1 normals (clustered points), and
-    every adjacent gap of their squared values up to the (k_c + 1)-th normal
-    exceeds model.neighbours' 4B bound."""
-    index = prepared.index
+def ranked_by_loop(index, rows, k_c: int, count) -> tuple:
+    """(ranked, first): whether model._ranked ranks each of `rows` at k_c,
+    one row at a time, and each ranked row's first k_c counted candidates
+    (None at the others). The row's candidates are itself at distance 0,
+    then its index.near list; `count`, a mask over the points, marks those
+    that count. The row is ranked when every adjacent gap of their squared
+    values, counted or not, up to the (k_c + 1)-th counted candidate exceeds
+    model.neighbours' 4B bound. A list of exactly k_c counted candidates,
+    the k_c-th not its last, has its last value stand for the (k_c + 1)-th,
+    so every gap up to the list's end counts."""
     scale = 4 * (2 * index.points.shape[1] + 8) * np.finfo(float).eps
-    decided = []
-    for p in prepared.rows.tolist():
+    ranked, first = [], []
+    for p in np.asarray(rows).tolist():
         cand = [p] + index.near[p].tolist()
         sq = np.square([0.0] + index.near_dist[p].tolist())
-        normals = [j for j, q in enumerate(cand) if prepared.assignment[q] != UNCLUSTERED]
+        counted = [j for j, q in enumerate(cand) if count[q]]
         four_b = scale * (index.sq_norms[p] + index.sq_max)
-        decided.append(len(normals) > k_c
-                       and all(sq[j + 1] - sq[j] > four_b for j in range(normals[k_c])))
-    return np.array(decided, dtype=bool)
+        if len(counted) > k_c:
+            end = counted[k_c]
+        elif len(counted) == k_c and counted[-1] < len(cand) - 1:
+            end = len(cand) - 1
+        else:
+            end = None
+        ok = end is not None and all(sq[j + 1] - sq[j] > four_b for j in range(end))
+        ranked.append(ok)
+        first.append([cand[j] for j in counted[:k_c]] if ok else None)
+    return np.array(ranked, dtype=bool), first
+
+
+def decided_by_loop(prepared, k_c: int) -> np.ndarray:
+    """Whether the stage's candidate table ranks each of its rows at k_c:
+    ranked_by_loop counting the normals (clustered points)."""
+    return ranked_by_loop(prepared.index, prepared.rows, k_c,
+                          prepared.assignment != UNCLUSTERED)[0]
 
 
 def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,

@@ -330,6 +330,16 @@ def test_baseline_refuses_a_one_row_partition(tmp_path, capsys):
         assert (code, out, err) == (1, "", "error: rand_index needs at least 2 points\n"), algo
 
 
+def test_lof_and_run_refuse_one_row(tmp_path, capsys):
+    # one point has no neighbour to score against, nor a pair to build an
+    # index on: each says so before it reads k
+    one_row = write_csv(tmp_path / "one.csv", [(0.0, 0.0, "a")])
+    for argv, message in [(["baseline", "--algo", "lof", "--k", "1"], "for lof"),
+                          (["run"], "to build an index")]:
+        code, out, err = run_cli([*argv, "--input", one_row], capsys)
+        assert (code, out, err) == (1, "", f"error: need at least 2 points {message}\n"), argv
+
+
 def test_reports_place_wall_time_after_their_metrics(blobs_csv, capsys):
     head = ["schema_version", "command", "dataset", "n", "d"]
     code, out, _ = run_cli(["run", "--input", blobs_csv, "--label-fraction", "0.5",

@@ -454,8 +454,15 @@ def test_a_pass_keeps_no_reference_to_its_workspace(monkeypatch, helpers, count,
     monkeypatch.setattr(metricspace, "BLOCK_BYTES", 8)
     pts = np.random.default_rng(113).normal(size=(40, 3))
     caller, raised = threading.get_ident(), []
+    # every thread holds its first block before any thread ends one, so a
+    # pool thread whose block raises cannot take a second drain task before
+    # the last pool thread takes its first, however the host schedules them
+    first_block, waited = threading.Barrier(count + 1, timeout=60), set()
 
     def each(rows, blk):
+        if threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            first_block.wait()
         time.sleep(1e-3)  # slow enough that every helper takes blocks
         if raiser and not raised and (threading.get_ident() == caller) == (raiser == "caller"):
             raised.append(rows)

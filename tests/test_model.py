@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssdbcodi import OUTLIER, UNCLUSTERED, TrainingSet, build_index, metricspace, model
+from ssdbcodi import (OUTLIER, UNCLUSTERED, Dataset, TrainingSet, build_index, metricspace,
+                     model, prepare, sample_labels)
 from ssdbcodi.model import neighbours
 from oracles import (as_dataset, classify, cross_distances, knn_predict_by_loop,
-                     select_reliable)
+                     ranked_by_loop, select_reliable)
 
 
 def make_assignment(assign):
@@ -464,3 +465,56 @@ def test_listed_neighbours_read_the_index_squared_norms(monkeypatch):
     wide, left = neighbours(ts, replace(idx, sq_norms=np.full(idx.n, 1e300)), 3, np.arange(idx.n))
     assert searched == [200] and wide.tobytes() == got.tobytes()
     assert left.tolist() == list(range(200))
+
+
+def test_ranked_matches_the_rule_row_by_row():
+    # model._ranked against ranked_by_loop on integer and tenths grids,
+    # Gaussian blobs among scattered outliers and the same with coincident
+    # points, at k_c of 1, 5 and NEAR_K, counting a stage's normals and a
+    # training set's rows: the rows it ranks, their first k_c counted
+    # candidates, 4B per row, and the ranked rows it read off their whole
+    # list (those whose window holds a point that does not count), with
+    # those candidates. Lists with fewer than, exactly and more than k_c
+    # counted candidates all occur, and so do ranked rows with exactly k_c.
+    rng = np.random.default_rng(131)
+    seen = dict.fromkeys(("fewer", "exactly", "more", "exactly_ranked", "window", "whole",
+                          "unranked"), 0)
+    for case in range(24):
+        n, kind = 150, case % 4
+        groups = rng.integers(3, size=n)
+        if kind < 2:  # an integer grid, or the same at a 0.1 step
+            points = (rng.integers(0, 6, size=(n, 2)) + 8 * groups[:, None]).astype(float)
+            points /= 10.0 if kind else 1.0
+        else:  # blobs among 40% scattered outliers, some coincident
+            points = 5.0 * rng.normal(size=(3, 3))[groups] + rng.normal(size=(n, 3))
+            points[:60] = rng.uniform(-10, 10, size=(60, 3))
+            if kind == 3:
+                points[rng.integers(n, size=n // 4)] = points[rng.integers(n, size=n // 4)]
+        ds = Dataset(points=points, truth=np.where(np.arange(n) < 60, OUTLIER, groups))
+        index = build_index(ds, int(rng.integers(1, 5)))
+        normals = prepare(index, sample_labels(ds, 0.1, seed=case)).assignment != UNCLUSTERED
+        training = normals.copy()  # the normals and some unclustered points
+        training[rng.permutation(np.flatnonzero(~normals))[:int(rng.integers(0, 20))]] = True
+        rows = np.arange(n) if case % 3 else rng.integers(n, size=2 * n)
+        for count in (normals, training):
+            counted = count[np.column_stack([rows, index.near[rows]])].sum(axis=1)
+            for k_c in (1, 5, metricspace.NEAR_K):
+                ranked, first, four_b, whole, cand = model._ranked(index, rows, k_c, count)
+                want, want_first = ranked_by_loop(index, rows, k_c, count)
+                assert ranked.tolist() == want.tolist(), (case, k_c)
+                assert first.shape == (k_c, rows.size)
+                assert first.T[ranked].tolist() == [f for f in want_first if f is not None]
+                scale = 4 * (2 * points.shape[1] + 8) * np.finfo(float).eps
+                assert four_b.tobytes() == (scale * (index.sq_norms[rows] + index.sq_max)).tobytes()
+                in_window = count[np.column_stack([rows, index.near[rows, :k_c]])].all(axis=1)
+                assert whole.tolist() == np.flatnonzero(ranked & ~in_window).tolist()
+                assert cand.tolist() == np.column_stack([rows[whole],
+                                                         index.near[rows[whole]]]).tolist()
+                seen["fewer"] += int((counted < k_c).sum())
+                seen["exactly"] += int((counted == k_c).sum())
+                seen["more"] += int((counted > k_c).sum())
+                seen["exactly_ranked"] += int((ranked & (counted == k_c)).sum())
+                seen["window"] += int((ranked & in_window).sum())
+                seen["whole"] += whole.size
+                seen["unranked"] += int((~ranked).sum())
+    assert min(seen.values()) > 0, seen

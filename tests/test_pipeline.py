@@ -762,7 +762,9 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
     # no chosen outlier (some of whose neighbours hold two classes), and the result at each decided row that no chosen
     # outlier reaches is that vote. Stages on all points, a few hidden rows,
     # no row and no unclustered point, at k_c of 1, 5 and NEAR_K + 1, on the
-    # cache fuzz data plus a copy of its blobs with 60 coincident points.
+    # cache fuzz data plus a copy of its blobs with 60 coincident points and
+    # blobs among scattered outliers, where some decided rows' lists hold
+    # exactly k_c normals.
     # Every result's training indices are overwritten once checked, which no
     # later cell may see.
     rng = np.random.default_rng(113)
@@ -770,9 +772,16 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
     blobs = datasets["blobs"]
     datasets["coincident"] = Dataset(points=np.vstack([blobs.points, blobs.points[:60]]),
                                      truth=np.concatenate([blobs.truth, blobs.truth[:60]]))
-    counts = dict.fromkeys(("cells", "decided", "reach", "undecided", "short", "over_near",
-                            "zero_k", "all_k", "no_unclustered", "no_rows", "coincident",
-                            "cross", "two_class"), 0)
+    # blobs in a background of 40% scattered outliers
+    scattered = np.random.default_rng(114)
+    centres = scattered.integers(3, size=300)
+    points = 5.0 * scattered.normal(size=(3, 3))[centres] + scattered.normal(size=(300, 3))
+    points[:120] = scattered.uniform(-10, 10, size=(120, 3))
+    datasets["scattered"] = Dataset(points=points,
+                                    truth=np.where(np.arange(300) < 120, OUTLIER, centres))
+    counts = dict.fromkeys(("cells", "decided", "list_end", "reach", "undecided", "short",
+                            "over_near", "zero_k", "all_k", "no_unclustered", "no_rows",
+                            "coincident", "cross", "two_class"), 0)
     for name, ds in datasets.items():
         index = build_index(ds, 3)
         labels = sample_labels(ds, 0.1, seed=1)
@@ -806,9 +815,9 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
                                    invert=True).tolist() == decided.tolist(), name
                     is_chosen = np.isin(np.arange(ds.n), ts.indices[len(stage.normals):])
                     got = np.column_stack([rows, index.near[rows, :k_c - 1]])
-                    got[table.mixed] = pipeline._first(table.cand,
-                                                       table.normal | is_chosen[table.cand],
-                                                       k_c).T
+                    got[table.mixed] = model._first(table.cand,
+                                                    table.normal | is_chosen[table.cand],
+                                                    k_c).T
                     want = ts.indices[nbrs]
                     assert got[decided].tobytes() == want[decided].tobytes(), name
                     for kept, fresh in ((table.classes, normals_only.clusters),
@@ -821,6 +830,9 @@ def test_candidate_table_ranks_each_decided_row_as_neighbours_does():
                     ts.indices[...] = 3
                     counts["cells"] += 1
                     counts["decided"] += int(decided.sum())
+                    # decided with exactly k_c normals: the list's last value
+                    # stands for the (k_c + 1)-th
+                    counts["list_end"] += int((decided & (normals == k_c)).sum())
                     counts["reach"] += table.mixed.size
                     counts["undecided"] += table.undecided.size
                     counts["short"] += int((normals <= k_c).sum())
