@@ -113,15 +113,18 @@ def _evaluate(truth: metrics._Truth, result) -> dict:
 
 def _draw(ds, args, index, fraction: float, seed: int, cells=None):
     """Sample one draw's labels and prepare once, then yield ((alpha, beta), result)
-    per cell in `cells`: by default the flags' blend, or tune's best under --tune."""
+    per cell in `cells`: by default the flags' blend, or tune's best under --tune.
+    A stage with two cells or more answers them in chunks (see pipeline._Cells)."""
     labels = sample_labels(ds, fraction, seed, stratified=args.stratified_labels)
     if cells is None:
         cells = [tune(ds, labels, grid_step=args.grid_step, folds=args.folds, seed=seed,
                       params=_pipeline_params(args, args.alpha, args.beta)).best
                  if args.tune else (args.alpha, args.beta)]
     prepared = prepare(index, labels)
-    for alpha, beta in cells:
-        yield (alpha, beta), finish(prepared, _pipeline_params(args, alpha, beta))
+    blends = [_pipeline_params(args, alpha, beta) for alpha, beta in cells]
+    for chunk in prepared._cells.plan(prepared, blends) if len(blends) >= 2 else [blends]:
+        for params in chunk:
+            yield (params.score.alpha, params.score.beta), finish(prepared, params)
 
 
 def _summary(trials) -> dict:

@@ -84,26 +84,29 @@ def _split(assign: np.ndarray, r_score: np.ndarray) -> tuple:
     return TrainingSet._built(clustered, classes, weights), np.flatnonzero(assign == UNCLUSTERED)
 
 
-def _select(normals: TrainingSet, unclustered: np.ndarray, t: np.ndarray,
-            k: int) -> TrainingSet:
-    """`normals`, a checked set of the clustered points, plus the k most
-    outlier-like of the ascending `unclustered` points, weighted by their
-    blend t (t[i] belongs to unclustered[i]; highest t, ties to the smaller
-    index). Only the chosen outliers' weights are checked, as their class is
-    OUTLIER."""
+def _select(normals: TrainingSet, unclustered: np.ndarray, t: np.ndarray, k: int) -> tuple:
+    """(indices, classes, weights), cells x (normals + k) each: a training
+    set per row of t, a cells x unclustered blend, which is `normals`, a
+    checked set of the clustered points, plus the k most outlier-like of the
+    ascending `unclustered` points, weighted by their blend (t[c, i] belongs
+    to unclustered[i]; highest t, ties to the smaller index). Only the
+    chosen outliers' weights are checked, as their class is OUTLIER."""
     if not (is_int(k) and 0 <= k <= unclustered.size):
         raise ValueError(f"k must be in [0, {unclustered.size}], got {k}")
     # unclustered ascends, so ties keep index order
-    picked = np.argsort(-t, kind="stable")[:k]
-    weights = np.asarray(t[picked], dtype=float)
-    TrainingSet._check_weights(weights)
+    picked = np.argsort(-t, axis=1, kind="stable")[:, :k]
+    chosen = np.asarray(np.take_along_axis(t, picked, axis=1), dtype=float)
+    TrainingSet._check_weights(chosen)
     # clustered and unclustered are disjoint and picked is part of a
     # permutation, so the indices are unique by construction
-    return TrainingSet._built(
-        indices=np.concatenate([normals.indices, unclustered[picked]]),
-        classes=np.concatenate([normals.classes, np.full(k, OUTLIER, dtype=int)]),
-        weights=np.concatenate([normals.weights, weights]),
-    )
+    cells, n = len(t), len(normals)
+    indices = np.empty((cells, n + k), dtype=normals.indices.dtype)
+    indices[:, :n], indices[:, n:] = normals.indices, unclustered[picked]
+    classes = np.tile(np.concatenate([normals.classes, np.full(k, OUTLIER, dtype=int)]),
+                      (cells, 1))
+    weights = np.empty(indices.shape)
+    weights[:, :n], weights[:, n:] = normals.weights, chosen
+    return indices, classes, weights
 
 
 def _first(cand: np.ndarray, member: np.ndarray, k_c: int) -> np.ndarray:
@@ -232,17 +235,24 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tup
     return nbrs, left
 
 
-def _vote_layout(classes: np.ndarray) -> tuple:
+def _vote_layout(classes: np.ndarray, ids: np.ndarray | None = None) -> tuple:
     """(ids, cells, first, seen), the weight-free part of `vote` for a k x n
     table of neighbour classes, a column per row. The votes are one flat
-    array of a cell per (row, class among the neighbours): ids are those
-    classes, ascending; cells each neighbour's cell; first whether it is its
-    class's first in its row; seen, n x ids, the cells any neighbour votes
-    in, so that zero-weight votes stay present."""
+    array of a cell per (row, id): ids are the classes among the
+    neighbours, ascending, or the ascending `ids` given, which hold every
+    class of the table, so that tables laid out over the same ids can be
+    voted side by side (an id no neighbour of a row holds is not seen, and
+    changes no bit of its vote); cells each neighbour's cell; first whether
+    it is its class's first in its row; seen, n x ids, the cells any
+    neighbour votes in, so that zero-weight votes stay present."""
     k, n = classes.shape
-    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
-    ids, inv = np.unique(classes.ravel(), return_inverse=True)
-    cells = inv.reshape(k, n) + ids.size * np.arange(n)  # no ids when n == 0
+    if ids is None:
+        # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
+        ids, inv = np.unique(classes.ravel(), return_inverse=True)
+        inv = inv.reshape(k, n)
+    else:
+        inv = np.searchsorted(ids, classes)
+    cells = inv + ids.size * np.arange(n)  # no ids when n == 0
     seen = np.zeros(n * ids.size, dtype=bool)
     first = np.empty((k, n), dtype=bool)
     for j in range(k):

@@ -12,8 +12,11 @@ and ranks only the unclustered points. A normal weighs its r_score in every
 cell, so only the rows with a chosen outlier among their neighbours (the
 live rows) can vote otherwise in another cell; the stage's cell cache
 (_Cells) keeps the other rows' vote and re-votes only the live rows.
-`run` composes the two; `tune` stages each validation fold on its hidden
-rows and finishes every cell before the next.
+`run` composes the two. `tune` stages each validation fold on its hidden
+rows and hands the stage its whole grid (_Cells.plan), which the stage
+answers chunk by chunk: one blend matrix, one ranking per row of it, one
+entry per chosen set, and one vote of the live rows of every cell. finish, still called once per cell, then reads its cell's result.
+The CLI's sensitivity sweep plans each draw's grid the same way.
 
 Each fold's objective sets out its hidden labels once, as a metrics._Truth,
 and the ids a cell can predict, so a cell hands the _Truth only its own
@@ -28,10 +31,10 @@ import numpy as np
 from . import metrics
 from .dataset import Dataset, LabelSet, OUTLIER, is_int, point_indices, round_half_up
 from .expansion import UNCLUSTERED, expand
-from .metricspace import NeighborhoodIndex, build_index
+from .metricspace import BLOCK_BYTES, NeighborhoodIndex, _workspace, build_index
 from .model import (PipelineResult, TrainingSet, _first, _ranked, _select, _split,
                     _vote_layout, neighbours, vote)
-from .scoring import ScoreParams, ScoreTable, l_score, r_score, sim_scores, t_score
+from .scoring import ScoreParams, ScoreTable, _blend, l_score, r_score, sim_scores, t_score
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,20 @@ class TuneReport:
 
 class _Cells:
     """A stage's cell cache. It holds nothing of the stage, so the stage is
-    freed with its last reference. The first finish at a k_c votes through
-    _vote_mixed and records only that it ran (`once`); the second builds the
-    candidate table at k_c (`tables`). `entries` maps (k_c, sorted bytes of
-    the chosen outliers) to an _Entry, as the normals are the same in every
-    set; a set whose lookup sent a row to cross_nearest, whose ties follow
-    the order, has that key in `ordered`, and an entry per order under the
-    key plus the ordered indices' bytes."""
+    freed with its last reference. A stage answers a grid of cells at once
+    (`plan`): `planned` maps each cell's PipelineParams to the result made
+    for it, which finish pops. A finish that no plan answered votes through
+    _vote_mixed when the stage has not met its k_c, and records only that it
+    ran (`once`). A plan, or a later finish, builds the candidate table at
+    k_c (`tables`) and reads each training set's entry: `entries` maps (k_c,
+    sorted bytes of the chosen outliers) to an _Entry, as the normals are
+    the same in every set; a set whose lookup sent a row to cross_nearest,
+    whose ties follow the order, has that key in `ordered`, and an entry per
+    order under the key plus the ordered indices' bytes."""
 
     def __init__(self):
         self.once, self.tables, self.entries, self.ordered = set(), {}, {}, set()
+        self.planned = {}
 
     def vote(self, prepared: "Prepared", ts, t: np.ndarray, k_c: int, k: int) -> tuple:
         """`vote` of the stage's rows for ts, its last k rows the chosen
@@ -84,22 +91,90 @@ class _Cells:
             nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
             nbrs = np.ascontiguousarray(nbrs.T)  # so that each rank's row is contiguous
             return _vote_mixed(ts.classes[nbrs], ts.weights[nbrs])
-        picked = np.sort(ts.indices[len(ts) - k:])  # a copy: ts is the caller's
+        entry = self.entry(prepared, ts, k_c, np.sort(ts.indices[len(ts) - k:]))
+        (classes, outlier_score), = _vote_cells([(entry, t[None])])
+        return classes[0], outlier_score[0]
+
+    def entry(self, prepared: "Prepared", ts, k_c: int, picked: np.ndarray) -> "_Entry":
+        """The _Entry at k_c of ts, whose chosen outliers, its last rows, are
+        `picked`, ascending; made on a miss."""
         key = (k_c, picked.tobytes())
         if key in self.ordered:
             key += (ts.indices.tobytes(),)
         entry = self.entries.get(key)
-        if entry is not None:
-            return entry.vote(t)
+        if entry is None:
+            entry, searched = _entry(prepared, self.table(prepared, k_c), ts, k_c, picked)
+            if searched.size and len(key) == 2:
+                self.ordered.add(key)
+                key += (ts.indices.tobytes(),)
+            self.entries[key] = entry
+        return entry
+
+    def table(self, prepared: "Prepared", k_c: int) -> "_Table":
+        """The stage's candidate table at k_c, made on a miss."""
         table = self.tables.get(k_c)
         if table is None:
             table = self.tables[k_c] = _candidate_table(prepared, k_c)
-        entry, searched = _entry(prepared, table, ts, t, k_c, picked)
-        if searched.size and len(key) == 2:
-            self.ordered.add(key)
-            key += (ts.indices.tobytes(),)
-        self.entries[key] = entry
-        return entry.classes.copy(), entry.outlier_score.copy()
+        return table
+
+    def plan(self, prepared: "Prepared", blends: list):
+        """Yield `blends`, PipelineParams that differ only in their blend, in
+        chunks, and answer each chunk's cells before yielding it, so that
+        finish(prepared, p) for a cell p of the chunk pops p's result. A
+        chunk's blend matrix, results and vote hold about BLOCK_BYTES. Blends
+        with a k above the unclustered count, or an empty training set, are
+        yielded whole and unanswered, for finish to refuse or run as ever."""
+        k = prepared.auto_k if blends[0].k is None else blends[0].k
+        size = len(prepared.normals) + k
+        if size == 0 or k > prepared.unclustered.size:
+            yield blends
+            return
+        k_c = min(blends[0].k_c, size)
+        self.once.add(k_c)
+        # a cell's bytes beside its blend: the blend's negation and ranking,
+        # its results and training set, and its tile of _vote_cells' vote of
+        # the rows a chosen outlier may reach, the undecided rows and the
+        # decided rows with a reach: a layout and weight per neighbour, made
+        # and then joined to the other tiles, and about 20 bytes of votes and
+        # masks per row and class
+        table = self.table(prepared, k_c)
+        u, reach = prepared.unclustered.size, table.undecided.size + table.mixed.size
+        beside = (16 * u + 17 * prepared.rows.size + 24 * size
+                  + reach * (34 * k_c + 20 * table.ids.size))
+        step = max(1, BLOCK_BYTES // (8 * u + beside))
+        try:
+            for start in range(0, len(blends), step):
+                chunk = blends[start:start + step]
+                self.planned = self._answer(prepared, chunk, k, k_c, len(chunk) * beside)
+                yield chunk
+        finally:
+            self.planned = {}
+
+    def _answer(self, prepared: "Prepared", blends: list, k: int, k_c: int,
+                beside: int) -> dict:
+        """Each cell's PipelineResult, as finish would make it, keyed by its
+        params. The cells' blends are one guarded matrix, with `beside` bytes
+        next to it, whose rows _select ranks; the cells that choose one set
+        share its entry, and every cell's live rows are voted in one call."""
+        t = _workspace((len(blends), prepared.unclustered.size), beside)
+        _blend(prepared.unclustered_scores, np.array([[p.score.alpha] for p in blends]),
+               np.array([[p.score.beta] for p in blends]), out=t)
+        indices, classes, weights = _select(prepared.normals, prepared.unclustered, t, k)
+        training = [TrainingSet._built(*rows) for rows in zip(indices, classes, weights)]
+        groups = {}  # the cells of each entry, in the order the cells first meet it
+        chosen = np.sort(indices[:, len(prepared.normals):], axis=1)
+        for i, (ts, picked) in enumerate(zip(training, chosen)):
+            entry = self.entry(prepared, ts, k_c, picked)
+            groups.setdefault(id(entry), (entry, []))[1].append(i)
+        planned = {}
+        voted = _vote_cells([(entry, t[cells]) for entry, cells in groups.values()])
+        for (_, cells), (clusters, outlier_score) in zip(groups.values(), voted):
+            outliers = clusters == OUTLIER
+            for row, i in enumerate(cells):
+                planned[blends[i]] = PipelineResult(
+                    clusters=clusters[row], outliers=outliers[row],
+                    outlier_score=outlier_score[row], training=training[i], k_c=k_c)
+        return planned
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,16 +235,21 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
     """Blend scores, select reliable sets, and classify the stage's rows
     (prepared.rows), each bit for bit as an all-points stage would; the
     per-row fields of the result follow those rows. A stage whose index has
-    another min_pts than params.score is refused."""
+    another min_pts than params.score is refused. A cell that the stage's
+    plan (_Cells.plan) answered is read off it, once."""
     index = prepared.index
     if index.min_pts != params.score.min_pts:
         raise ValueError(f"stage min_pts={index.min_pts} != params min_pts={params.score.min_pts}")
+    planned = prepared._cells.planned.pop(params, None)
+    if planned is not None:
+        return planned
     # _select rejects an explicit k above the unclustered count
     k = prepared.auto_k if params.k is None else params.k
     # t_score is elementwise, so the blend of the unclustered points alone
     # has the bits of theirs in the full blend
     t = t_score(prepared.unclustered_scores, params.score)
-    ts = _select(prepared.normals, prepared.unclustered, t, k)
+    ts = TrainingSet._built(*(a[0] for a in _select(prepared.normals, prepared.unclustered,
+                                                   t[None], k)))
     k_c = min(params.k_c, len(ts))
     classes, outlier_score = prepared._cells.vote(prepared, ts, t, k_c, k)
     return PipelineResult(clusters=classes, outliers=classes == OUTLIER,
@@ -193,14 +273,14 @@ def _vote_mixed(classes: np.ndarray, weights: np.ndarray) -> tuple:
 
 
 class _Entry(NamedTuple):
-    """A training set's cache entry at one k_c, born split in the cell that
-    made it: the vote of every row, which its fixed rows keep in every cell,
-    and its live rows, with their vote layout, weights and the chosen
-    outliers' places among them and among the unclustered points (None when
-    no row is live). The live rows are the decided rows with a chosen outlier
-    in their reach, whose neighbours are the first k_c members of the set
-    among their candidates, and the undecided rows that `neighbours`, called
-    on the undecided rows alone, gives a chosen outlier."""
+    """A training set's cache entry at one k_c: the vote of every row, which
+    its fixed rows keep in every cell, and its live rows, with their vote
+    layout, weights and the chosen outliers' places among them and among the
+    unclustered points (None when no row is live). The live rows are the
+    decided rows with a chosen outlier in their reach, whose neighbours are
+    the first k_c members of the set among their candidates, and the
+    undecided rows that `neighbours`, called on the undecided rows alone,
+    gives a chosen outlier. Their vote is a cell's, which _vote_cells makes."""
 
     classes: np.ndarray
     outlier_score: np.ndarray
@@ -210,15 +290,43 @@ class _Entry(NamedTuple):
     chosen: np.ndarray | None = None  # whether each live neighbour is a chosen outlier
     at: np.ndarray | None = None      # and, if so, its place among the unclustered points
 
-    def vote(self, t: np.ndarray) -> tuple:
-        """The vote for the cell whose blend at the unclustered points is t:
-        a copy of the fixed rows' vote with the live rows voted again."""
-        classes, outlier_score = self.classes.copy(), self.outlier_score.copy()
-        if self.live.size:
-            weights = self.weights.copy()
-            weights[self.chosen] = t[self.at]
-            classes[self.live], outlier_score[self.live] = vote(self.layout, weights)
-        return classes, outlier_score
+
+def _vote_cells(groups: list) -> list:
+    """(classes, outlier_score), cells x rows each, for each (entry, t) of
+    `groups`, entries of one stage at one k_c and t the blends at the
+    unclustered points of their cells, a row per cell: each entry's fixed
+    rows' vote, with its live rows voted for each of its cells. vote is
+    row-independent and the entries share the stage's class ids, so every
+    cell's live rows are voted in one call, side by side, each entry's
+    layout tiled along the rows with its weights written afresh."""
+    out, tiles, start = [], [], 0
+    for entry, t in groups:
+        m = t.shape[0]
+        out.append((entry.classes[None].repeat(m, axis=0),
+                    entry.outlier_score[None].repeat(m, axis=0)))
+        if entry.live.size:
+            ids, cells, first, seen = entry.layout
+            k_c, live = cells.shape
+            # column start + c holds live row c % live of cell c // live
+            span = np.arange(m * live)
+            col = span % live
+            weights = entry.weights[:, col]
+            weights.reshape(k_c, m, live).transpose(1, 0, 2)[:, entry.chosen] = t[:, entry.at]
+            tiles.append((cells[:, col] + ids.size * (start + span - col), first[:, col],
+                          weights, seen[col]))
+            start += m * live
+    if tiles:
+        *parts, seen = zip(*tiles)
+        cells, first, weights = (np.concatenate(part, axis=1) for part in parts)
+        voted = vote((ids, cells, first, np.concatenate(seen)), weights)
+        start = 0
+        for (entry, t), (classes, outlier_score) in zip(groups, out):
+            shape = t.shape[0], entry.live.size
+            stop = start + shape[0] * shape[1]
+            classes[:, entry.live], outlier_score[:, entry.live] = (
+                v[start:stop].reshape(shape) for v in voted)
+            start = stop
+    return out
 
 
 class _Table(NamedTuple):
@@ -233,6 +341,7 @@ class _Table(NamedTuple):
     normal: np.ndarray         # whether each candidate is a normal
     reach_row: np.ndarray      # each reach member's row in mixed
     reach_point: np.ndarray    # and the point
+    ids: np.ndarray            # the stage's classes, ascending: its entries' layouts' ids
 
 
 def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
@@ -270,14 +379,14 @@ def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
     classes[decided], outlier_score[decided] = _vote_mixed(assignment[nbrs],
                                                            prepared.scores.r_score[nbrs])
     return _Table(np.flatnonzero(~ranked), classes, outlier_score, mixed, cand, normal,
-                  reach_row, cand[reach_row, reach_col])
+                  reach_row, cand[reach_row, reach_col],
+                  np.union1d(assignment[is_normal], [OUTLIER]))
 
 
-def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
-           picked: np.ndarray) -> tuple:
+def _entry(prepared: Prepared, table: _Table, ts, k_c: int, picked: np.ndarray) -> tuple:
     """(entry, searched): the _Entry at k_c of ts, whose chosen outliers are
-    `picked`, its fixed and live rows voted once for this cell; searched as
-    `neighbours` returns it for the undecided rows."""
+    `picked`, its fixed rows voted; searched as `neighbours` returns it for
+    the undecided rows."""
     undecided, assignment = table.undecided, prepared.assignment
     points, cols, live = [], [], 0
     if table.reach_row.size and picked.size:
@@ -305,21 +414,24 @@ def _entry(prepared: Prepared, table: _Table, ts, t: np.ndarray, k_c: int,
         return entry, searched
     points, cols = np.concatenate(points, axis=1), np.concatenate(cols)
     chosen = assignment[points] == UNCLUSTERED
-    # a normal weighs its r_score, a chosen outlier its blend: ts.weights' bits
+    # a normal weighs its r_score; a chosen outlier's slot, in a live row
+    # only, takes its cell's blend in _vote_cells
     weights = prepared.scores.r_score[points]
-    at = np.searchsorted(prepared.unclustered, points[chosen])
-    weights[chosen] = t[at]
-    layout = _vote_layout(np.where(chosen, OUTLIER, assignment[points]))
-    entry.classes[cols], entry.outlier_score[cols] = vote(layout, weights)
+    ids, cells, first, seen = _vote_layout(np.where(chosen, OUTLIER, assignment[points]),
+                                           table.ids)
+    if live < cols.size:
+        # vote is row-independent, so the fixed rows, which come last, are
+        # voted alone, their cells counted from their own first row
+        fixed = (ids, cells[:, live:] - live * ids.size, first[:, live:], seen[live:])
+        entry.classes[cols[live:]], entry.outlier_score[cols[live:]] = vote(fixed,
+                                                                            weights[:, live:])
     if not live:
         return entry, searched
-    # vote is row-independent, so the live rows, which come first, keep the
-    # layout's first columns; every chosen outlier is in a live row, so at
-    # follows chosen[:, :live] too
-    ids, cells, first, seen = layout
+    # every chosen outlier is in a live row, so at follows chosen[:, :live]
     return entry._replace(live=cols[:live], layout=(ids, cells[:, :live], first[:, :live],
                                                     seen[:live]),
-                          weights=weights[:, :live], chosen=chosen[:, :live], at=at), searched
+                          weights=weights[:, :live], chosen=chosen[:, :live],
+                          at=np.searchsorted(prepared.unclustered, points[chosen])), searched
 
 
 def run(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
@@ -369,14 +481,21 @@ def _fold_objective(prepared: Prepared, labels: LabelSet):
     truth = metrics._Truth([labels.normal.get(i, OUTLIER) for i in hidden], is_outlier)
     # the ids a cell can predict: a training class is a clustered id or OUTLIER
     ids = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
+    # neighbouring cells often classify the few hidden rows alike, so a
+    # result with the previous one's bytes takes its objective
+    last = value = None
 
     def objective(result: PipelineResult) -> float | None:
-        parts = []
-        if truth.classes is not None:
-            parts.append(truth.auc(result.outlier_score))
-        if len(hidden) >= 2:
-            parts.append(truth.rand_index(np.searchsorted(ids, result.clusters)))
-        return sum(parts) / len(parts) if parts else None
+        nonlocal last, value
+        key = result.clusters.tobytes() + result.outlier_score.tobytes()
+        if key != last:
+            parts = []
+            if truth.classes is not None:
+                parts.append(truth.auc(result.outlier_score))
+            if len(hidden) >= 2:
+                parts.append(truth.rand_index(np.searchsorted(ids, result.clusters)))
+            last, value = key, sum(parts) / len(parts) if parts else None
+        return value
 
     return objective
 
@@ -421,7 +540,8 @@ def tune(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
     for fold in _fold_partition(labels, folds, seed):
         prepared = prepare(index, _drop_labels(labels, fold), sorted(fold))
         objective = _fold_objective(prepared, labels)
-        per_fold.append([objective(finish(prepared, p)) for p in blends])
+        per_fold.append([objective(finish(prepared, p))
+                         for chunk in prepared._cells.plan(prepared, blends) for p in chunk])
 
     grid = []
     for cell, objectives in zip(blends, zip(*per_fold)):

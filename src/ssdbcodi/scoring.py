@@ -82,8 +82,15 @@ def sim_scores(points: np.ndarray, labels: LabelSet) -> np.ndarray:
 
 def t_score(table: ScoreTable, params: ScoreParams) -> np.ndarray:
     """alpha * (1 - r) + beta * (1 - l) + (1 - alpha - beta) * sim, in [0, 1]."""
-    w3 = max(0.0, 1.0 - params.alpha - params.beta)
-    return (params.alpha * (1.0 - table.r_score)
-            + params.beta * (1.0 - table.l_score)
-            + w3 * table.sim_score)
+    return _blend(table, params.alpha, params.beta)
+
+
+def _blend(table: ScoreTable, alpha, beta, out=None) -> np.ndarray:
+    """t_score's blend, in out when given. alpha and beta are floats, or
+    columns for a cells x points blend matrix, each row the bits of its
+    cell's t_score, as every step is elementwise."""
+    t = np.multiply(alpha, 1.0 - table.r_score, out=out)
+    t += beta * (1.0 - table.l_score)
+    t += np.maximum(0.0, 1.0 - alpha - beta) * table.sim_score
+    return t
 

@@ -589,7 +589,8 @@ def select_reliable(assign: np.ndarray, r_score: np.ndarray, t: np.ndarray,
     the blend t (highest t, ties to the smaller index): model._split and
     model._select, the two steps that Prepared and finish take apart."""
     normals, unclustered = model._split(assign, r_score)
-    return model._select(normals, unclustered, t[unclustered], k)
+    return TrainingSet._built(*(a[0] for a in model._select(normals, unclustered,
+                                                            t[unclustered][None], k)))
 
 
 def finish_by_order(prepared, params: PipelineParams) -> PipelineResult:
@@ -1139,6 +1140,32 @@ def tune_by_cells(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: 
         if best is None or mean_obj > best[2]:
             best = (alpha, beta, mean_obj)
     return TuneReport(grid=tuple(grid), best=(best[0], best[1]))
+
+
+def tune_by_paper(ds: Dataset, labels: LabelSet, grid_step: float = 0.1, folds: int = 5,
+                  seed: int = 0, params: PipelineParams | None = None) -> TuneReport:
+    """pipeline.tune along the paper's steps: for each fold and each
+    blend_grid cell, run_by_paper on the labels the fold leaves visible,
+    scored on the fold's hidden labeled points by fold_objective (the former
+    rank and contingency forms); then each cell's mean over the folds with an
+    objective, and the first of the tied maxima."""
+    base = params if params is not None else PipelineParams(score=ScoreParams(0.0, 0.0))
+    cells = blend_grid(grid_step)
+    per_fold = []
+    for hidden in _fold_partition(labels, folds, seed):
+        visible = _drop_labels(labels, hidden)
+        per_fold.append([
+            fold_objective(run_by_paper(ds, visible, replace(base, score=replace(
+                base.score, alpha=alpha, beta=beta))), sorted(hidden), labels)
+            for alpha, beta in cells])
+    grid = []
+    for (alpha, beta), objectives in zip(cells, zip(*per_fold)):
+        objectives = [obj for obj in objectives if obj is not None]
+        if not objectives:
+            raise ValueError("no validation fold produced a computable objective")
+        grid.append((alpha, beta, float(np.mean(objectives))))
+    best = max(grid, key=lambda cell: cell[2])
+    return TuneReport(grid=tuple(grid), best=best[:2])
 
 
 # --- load_csv's former reader: csv and float() on every cell ---

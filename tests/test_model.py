@@ -518,3 +518,49 @@ def test_ranked_matches_the_rule_row_by_row():
                 seen["whole"] += whole.size
                 seen["unranked"] += int((~ranked).sum())
     assert min(seen.values()) > 0, seen
+
+
+def test_a_vote_over_given_ids_matches_the_tables_own_ids():
+    # tie-heavy tables (few classes per row, zero and tied weights, k of 1,
+    # one class, every neighbour OUTLIER, ids up to 2**62, no row) voted over
+    # a layout whose given ids add classes no neighbour holds, OUTLIER among
+    # them or not, have the bits of their own layout's vote; and two tables
+    # laid out over the same ids and voted side by side, the second's cells
+    # counted on from the first's, have the bits of their separate votes
+    rng = np.random.default_rng(151)
+    big = 2**62
+    seen = dict.fromkeys(("extra_outlier", "no_outlier", "no_row", "k1", "zero"), 0)
+    for case in range(600):
+        pool = [np.array([OUTLIER]), np.array([7]), np.array([OUTLIER, 0, 1]),
+                np.array([3, big]), rng.integers(0, big, size=3)][case % 5]
+        tables = []
+        k = int(rng.integers(1, 6))
+        for _ in range(2):
+            n = int(rng.integers(0, 30)) if case % 20 else 0
+            classes = rng.choice(pool, size=(k, n))
+            weights = rng.choice([0.0, 0.25, 0.5, 1.0, 5e-324], size=(k, n))
+            tables.append((classes, weights * (case % 3 > 0)))
+        extra = rng.choice(np.array([OUTLIER, 5, 11, big - 1]), size=int(rng.integers(0, 3)))
+        ids = np.union1d(pool, extra)
+        voted = []
+        for classes, weights in tables:
+            want = model.vote(model._vote_layout(classes), weights)
+            got = model.vote(model._vote_layout(classes, ids), weights)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+            voted.append(want)
+        layouts = [model._vote_layout(classes, ids) for classes, _ in tables]
+        offset = ids.size * tables[0][0].shape[1]
+        side = (ids, np.concatenate([layouts[0][1], layouts[1][1] + offset], axis=1),
+                np.concatenate([layouts[0][2], layouts[1][2]], axis=1),
+                np.concatenate([layouts[0][3], layouts[1][3]]))
+        got = model.vote(side, np.concatenate([tables[0][1], tables[1][1]], axis=1))
+        for a, b in zip(got, (np.concatenate(parts) for parts in zip(*voted))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+        seen["extra_outlier"] += OUTLIER in ids and OUTLIER not in np.concatenate(
+            [classes.ravel() for classes, _ in tables])
+        seen["no_outlier"] += OUTLIER not in ids
+        seen["no_row"] += any(classes.shape[1] == 0 for classes, _ in tables)
+        seen["k1"] += k == 1
+        seen["zero"] += case % 3 == 0
+    assert min(seen.values()) >= 20, seen

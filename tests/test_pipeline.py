@@ -3,6 +3,7 @@
 from dataclasses import replace
 import gc
 import re
+import tracemalloc
 from types import SimpleNamespace
 import weakref
 
@@ -14,7 +15,7 @@ from ssdbcodi import (Dataset, LabelSet, OUTLIER, UNCLUSTERED, PipelineParams,
                       metricspace, model, pipeline, prepare, run, sample_labels, t_score, tune)
 from ssdbcodi.pipeline import _drop_labels, _fold_partition
 from oracles import (decided_by_loop, finish_by_order, fold_objective, moons_with_outliers,
-                     run_by_paper, tune_by_cells, vote_every_row)
+                     run_by_paper, tune_by_cells, tune_by_paper, vote_every_row)
 
 BLOB = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         (0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (0.5, 0.0)]
@@ -191,13 +192,17 @@ def test_fold_objective_matches_the_public_metrics_bit_for_bit():
     # scores from a pool of at most five values tie outliers with normals;
     # folds of every kind: all outliers (no metric for one row, else Rand
     # alone), no outlier (Rand alone, or None for one row) and mixed; the
-    # predicted and labeled ids need not be contiguous. The oracle scores by
-    # the former rank and contingency forms, which test_metrics holds the
-    # public metrics to bit for bit
+    # predicted and labeled ids need not be contiguous. Each fold scores 1-4
+    # cells in turn, each a new draw, the previous cell's result again, or
+    # that result with one hidden row's score or class redrawn, as the
+    # objective reuses the previous cell's value for a result of the same
+    # bytes. The oracle scores by the former rank and contingency forms,
+    # which test_metrics holds the public metrics to bit for bit
     rng = np.random.default_rng(67)
     score_pool = np.array([0.0, 0.25, 1 / 3, 0.5, 1.0])
     id_pools = [np.array([0, 1, 2]), np.array([3, 17]), np.array([5])]
     kinds = {"mixed": 0, "all outliers": 0, "no outlier": 0, "none": 0}
+    changes = [0] * 4
     ties = 0
     for case in range(1500):
         m = int(rng.integers(1, 41))
@@ -210,23 +215,36 @@ def test_fold_objective_matches_the_public_metrics_bit_for_bit():
         labels = LabelSet(normal={i: int(rng.choice(ids)) for i, o in zip(hidden, outlier) if not o},
                           outliers=frozenset(i for i, o in zip(hidden, outlier) if o))
         pool = rng.choice(score_pool, size=int(rng.integers(1, 6)), replace=False)
-        scores = rng.choice(pool, size=n)
-        clusters = rng.choice(np.append(np.unique(assignment[assignment != UNCLUSTERED]), OUTLIER),
-                              size=n)
-        everything = SimpleNamespace(clusters=clusters, outlier_score=scores)
-        rows = SimpleNamespace(clusters=clusters[hidden], outlier_score=scores[hidden])
-        want = fold_objective(everything, hidden, labels)
+        predicted = np.append(np.unique(assignment[assignment != UNCLUSTERED]), OUTLIER)
         stage = SimpleNamespace(rows=np.array(hidden), assignment=assignment)
-        got = pipeline._fold_objective(stage, labels)(rows)
-        if want is None:
-            assert got is None, case
-            kinds["none"] += 1
-            continue
-        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), case
-        kinds["mixed" if 0 < outlier.sum() < m else "all outliers" if outlier.all()
-              else "no outlier"] += 1
-        ties += int((scores[hidden][outlier][:, None] == scores[hidden][~outlier]).sum())
-    assert min(kinds.values()) >= 20 and ties >= 10000, (kinds, ties)
+        objective = pipeline._fold_objective(stage, labels)
+        for cell in range(int(rng.integers(1, 5))):
+            change = int(rng.integers(4)) if cell else 0
+            changes[change] += 1
+            if change == 0:  # a new draw
+                scores, clusters = rng.choice(pool, size=n), rng.choice(predicted, size=n)
+            else:  # the previous result again, or with one hidden row redrawn
+                scores, clusters = scores.copy(), clusters.copy()
+                row = hidden[int(rng.integers(m))]
+                if change == 2:
+                    scores[row] = rng.choice(score_pool)
+                if change == 3:
+                    clusters[row] = rng.choice(predicted)
+            everything = SimpleNamespace(clusters=clusters, outlier_score=scores)
+            rows = SimpleNamespace(clusters=clusters[hidden], outlier_score=scores[hidden])
+            want = fold_objective(everything, hidden, labels)
+            got = objective(rows)
+            if want is None:
+                assert got is None, case
+                kinds["none"] += 1
+                continue
+            assert (type(got) is float
+                    and np.float64(got).tobytes() == np.float64(want).tobytes()), case
+            kinds["mixed" if 0 < outlier.sum() < m else "all outliers" if outlier.all()
+                  else "no outlier"] += 1
+            ties += int((scores[hidden][outlier][:, None] == scores[hidden][~outlier]).sum())
+    assert min(kinds.values()) >= 20 and ties >= 10000 and min(changes) >= 300, (
+        kinds, ties, changes)
 
 
 def test_tune_after_build_index_reuses_that_index(monkeypatch):
@@ -412,13 +430,32 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=3)
     calls = counted_searches(monkeypatch)
+    voted, real_vote = [], pipeline.vote
+
+    def counting_vote(layout, weights):
+        voted.append(weights.shape[1])
+        return real_vote(layout, weights)
+
     prepared = prepare(build_index(ds, 3), labels)
     params = [PipelineParams(score=ScoreParams(0.4, 0.3, 3), k_c=k_c) for k_c in (3, 5, 3)]
-    cached = [finish(prepared, p) for p in params]
+    monkeypatch.setattr(pipeline, "vote", counting_vote)
+    cached, votes = [], []
+    for p in params:
+        start = len(voted)
+        cached.append(finish(prepared, p))
+        votes.append(voted[start:])
+    monkeypatch.setattr(pipeline, "vote", real_vote)
     # each k_c's first finish searches every row; the second finish at k_c = 3
     # reads the rows the table decides and searches only the others
     undecided = int((~decided_by_loop(prepared, 3)).sum())
     assert [rows for _, rows, _ in calls] == [ds.n, ds.n] + ([undecided] if undecided else [])
+    # each k_c's first finish, which no plan answered, votes only the rows
+    # whose neighbours hold two classes or more (none may), and some vote
+    # fewer rows than they classify
+    mixed = [int(mixed_rows(prepared, result.training, result.k_c).sum())
+             for result in cached[:2]]
+    assert votes[:2] == [[m] if m else [] for m in mixed]
+    assert any(m < ds.n for m in mixed), mixed
     for got, p in zip(cached, params):
         fresh = prepare(build_index(ds, 3), labels)
         want = finish(fresh, p)
@@ -496,7 +533,6 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         indices = result.training.indices
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
                          prepared.rows, voted[start:], live_rows(prepared, result),
-                         mixed_rows(prepared, result.training, result.k_c),
                          mixed_rows(prepared, prepared.normals, result.k_c),
                          decided_by_loop(prepared, result.k_c)))
         return result
@@ -520,39 +556,44 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
     hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
     assert [list(finish[4]) for finish in finished] == [
         h for h in hidden for _ in blend_grid(0.2)]
-    # A stage's first finish at k_c searches every row and votes the rows
-    # whose neighbours hold two classes or more (none may). Its second
-    # builds the table: the normals-only vote of the decided rows whose
-    # normals-only neighbours hold two classes or more. A training set's
-    # first finish after that searches only the undecided rows and votes
-    # them with the decided rows a chosen outlier reaches; later ones vote
-    # the rows that a chosen outlier reaches, and none when there are none.
-    firsts, tables, entries, searches, want, first, later = set(), set(), set(), [], [], [], []
-    for prepared, k_c, _, key, rows, _, live, mixed, normals_mixed, decided in finished:
-        stage = id(prepared), k_c
-        undecided = int((~decided).sum())
-        if stage not in firsts:
-            firsts.add(stage)
-            searches.append(len(rows))
-            want.append([int(mixed.sum())] if mixed.any() else [])
-            first.append((int(mixed.sum()), len(rows)))
-        elif (stage, key) not in entries:
-            table = 0 if stage in tables else int((normals_mixed & decided).sum())
-            tables.add(stage)
-            entries.add((stage, key))
+    # Each stage answers its grid when tune hands it over, so no finish
+    # votes. The stage builds its table: the normals-only vote of the
+    # decided rows whose normals-only neighbours hold two classes or more.
+    # Each training set's entry, in the order the grid first meets it, then
+    # searches only the undecided rows and votes those that no chosen outlier
+    # reaches. Then every cell of every set votes its set's live rows, the
+    # rows a chosen outlier reaches, side by side in one call, none when no
+    # set has one.
+    assert [finish[5] for finish in finished] == [[]] * len(finished)
+    stages = {}
+    for prepared, k_c, _, key, rows, _, live, normals_mixed, decided in finished:
+        stages.setdefault((id(prepared), k_c), {}).setdefault(key, []).append(
+            (rows, live, normals_mixed, decided))
+    searches, want, tables, lives = [], [], [], []
+    for stage in stages.values():
+        rows, _, normals_mixed, decided = next(iter(stage.values()))[0]
+        table = int((normals_mixed & decided).sum())
+        want += [table] if table else []
+        tables.append((table, len(rows)))
+        for cells in stage.values():
+            _, live, _, decided = cells[0]
+            undecided = int((~decided).sum())
             searches += [undecided] if undecided else []
-            miss = int((live & decided).sum()) + undecided
-            want.append(([table] if table else []) + ([miss] if miss else []))
-        else:
-            want.append([int(live.sum())] if live.any() else [])
-            later.append((int(live.sum()), len(rows)))
+            fixed = undecided - int((live & ~decided).sum())
+            want += [fixed] if fixed else []
+        tiled = 0
+        for cells in stage.values():
+            live = int(cells[0][1].sum())
+            tiled += len(cells) * live
+            lives.append((live, len(rows)))
+        want += [tiled] if tiled else []
     assert [rows for _, rows, _ in calls] == searches
-    assert [finish[5] for finish in finished] == want
-    # some first finishes vote fewer rows than they classify; some later
-    # uses vote no row, and some fewer than all
-    assert any(m < n for m, n in first), first
-    assert any(live == 0 for live, _ in later), later
-    assert any(0 < live < n for live, n in later), later
+    assert voted == want
+    # some tables vote fewer rows than they classify; some sets have no
+    # live row, and some fewer than all
+    assert any(m < n for m, n in tables), tables
+    assert any(live == 0 for live, _ in lives), lives
+    assert any(0 < live < n for live, n in lives), lives
 
 
 def test_every_tune_cell_training_set_passes_the_public_constructor(monkeypatch):
@@ -731,6 +772,32 @@ def test_every_cell_of_a_shuffled_stage_matches_the_papers_reference():
     # the integer and tenths grids' rows are all undecided, the Gaussian
     # sets' mostly decided, some with a reach
     assert seen >= {("undecided", True), ("reach", True)}, seen
+
+
+def test_tune_matches_the_papers_reference_bytes():
+    # tune against tune_by_paper, run_by_paper per fold and cell scored by the
+    # former rank and contingency forms, which takes none of the library's
+    # fast paths: the stage, its plan, its cache or the cell-axis objective.
+    # Integer grids, tenths grids and Gaussian sets, 2-3 folds, grid steps
+    # 0.5 and 0.25; a draw that one refuses the other refuses alike
+    rng = np.random.default_rng(149)
+    compared = 0
+    for kind in ("grid", "tenths", "gauss"):
+        for case in range(12):
+            ds, labels, params = paper_case(rng, kind)
+            kwargs = dict(grid_step=float(rng.choice([0.5, 0.25])),
+                          folds=int(rng.integers(2, 4)), seed=case, params=params)
+            try:
+                want = tune_by_paper(ds, labels, **kwargs)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    tune(ds, labels, **kwargs)
+                continue
+            got = tune(ds, labels, **kwargs)
+            assert np.array(got.grid).tobytes() == np.array(want.grid).tobytes(), (kind, case)
+            assert got.best == want.best, (kind, case)
+            compared += 1
+    assert compared >= 30, compared
 
 
 def cache_fuzz_datasets() -> dict:
@@ -1005,3 +1072,164 @@ def test_cached_neighbours_match_a_fresh_stage_and_the_per_order_finish():
     assert counts["entries"] < counts["orders"] and counts["reordered"] > 0, counts
     assert min(counts[key] for key in ("over_normals", "no_rows", "zero_k", "all_k",
                                        "no_unclustered", "live", "fixed")) > 0, counts
+
+
+def result_arrays(result) -> list:
+    return [result.clusters, result.outliers, result.outlier_score, result.training.indices,
+            result.training.classes, result.training.weights]
+
+
+def assert_same_bytes(got, want, case):
+    for a, b in zip(result_arrays(got), result_arrays(want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), case
+    assert got.k_c == want.k_c, case
+
+
+def test_a_planned_cell_matches_an_unplanned_fresh_stage(monkeypatch):
+    # Each stage plans blend_grid(0.2) in chunks of 1 to 21 cells (BLOCK_BYTES
+    # set small) and finishes every chunk's cells in shuffled order, with a
+    # cell not in the plan, and one cell twice, among them. Every result
+    # equals, in every field's bytes and dtype, finish on a fresh copy of the
+    # stage, whose first finish takes the unplanned path. The two results of
+    # one cell share no memory, and every result's arrays are overwritten once
+    # compared, which no later cell may see. Stages on all points, a few
+    # hidden rows, no row, two clustered points (k_c above the normals) and no
+    # unclustered point, on the cache fuzz data, whose `tenths` grid sends rows
+    # to cross_nearest and so keys some sets per order. An explicit k above the
+    # unclustered count is planned not at all and refused with today's
+    # message, and so is another min_pts.
+    rng = np.random.default_rng(139)
+    counts = dict.fromkeys(("cells", "chunked", "whole", "unplanned", "twice", "refused",
+                            "ordered", "two_sets", "two_live_sets", "no_rows",
+                            "no_unclustered", "over_normals", "live"), 0)
+    real_block = pipeline.BLOCK_BYTES
+    for name, ds in cache_fuzz_datasets().items():
+        index = build_index(ds, 3)
+        for seed in range(2):
+            labels = sample_labels(ds, 0.1, seed=seed)
+            hidden = np.sort(rng.choice(ds.n, size=int(rng.integers(5, 40)), replace=False))
+            staged = [prepare(index, labels), prepare(index, labels, hidden),
+                      prepare(index, labels, [])]
+            few = staged[0].assignment.copy()
+            few[np.flatnonzero(few != UNCLUSTERED)[2:]] = UNCLUSTERED
+            staged.append(replace(staged[0], assignment=few))
+            full = np.where(staged[0].assignment == UNCLUSTERED, 0, staged[0].assignment)
+            staged.append(replace(staged[0], assignment=full, auto_k=0))
+            for stage in staged:
+                k_c = int(rng.choice([1, 3, 5, metricspace.NEAR_K + 1]))
+                k = rng.choice([None, 0, stage.unclustered.size, stage.unclustered.size + 1])
+                base = PipelineParams(score=ScoreParams(0.0, 0.0, 3), k=k, k_c=k_c)
+                blends = [replace(base, score=ScoreParams(a, b, 3)) for a, b in blend_grid(0.2)]
+                block = int(rng.choice([1, 3000, 30000, real_block]))
+                monkeypatch.setattr(pipeline, "BLOCK_BYTES", block)
+                outside = replace(base, score=ScoreParams(0.25, 0.25, 3))
+                done = 0
+                for chunk in stage._cells.plan(stage, blends):
+                    cells = list(chunk)
+                    rng.shuffle(cells)
+                    cells.insert(int(rng.integers(len(cells) + 1)), outside)
+                    twice = cells[int(rng.integers(len(cells)))]
+                    cells.insert(int(rng.integers(len(cells) + 1)), twice)
+                    counts["chunked" if len(chunk) < len(blends) else "whole"] += 1
+                    live_sets = {np.sort(r.training.indices).tobytes()
+                                 for r in stage._cells.planned.values()
+                                 if live_rows(stage, r).any()}
+                    counts["two_sets"] += len({np.sort(r.training.indices).tobytes()
+                                               for r in stage._cells.planned.values()}) > 1
+                    counts["two_live_sets"] += len(live_sets) > 1
+                    seen = {}
+                    for p in cells:
+                        try:
+                            want = finish(replace(stage), p)
+                        except ValueError as exc:  # an explicit k above the unclustered count
+                            assert not stage._cells.planned
+                            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                                finish(stage, p)
+                            counts["refused"] += 1
+                            continue
+                        got = finish(stage, p)
+                        assert_same_bytes(got, want, (name, p))
+                        if p in seen:
+                            assert not any(np.shares_memory(a, b) for a in result_arrays(got)
+                                           for b in seen[p]), name
+                            counts["twice"] += 1
+                        seen[p] = result_arrays(got)
+                        counts["unplanned"] += p == outside
+                        counts["cells"] += 1
+                        counts["live"] += bool(live_rows(stage, got).any())
+                        for array in result_arrays(got):
+                            array[...] = 3
+                    done += len(chunk)
+                    counts["no_rows"] += stage.rows.size == 0
+                    counts["no_unclustered"] += stage.unclustered.size == 0
+                    counts["over_normals"] += k_c > len(stage.normals)
+                assert done == len(blends) and not stage._cells.planned
+                counts["ordered"] += len(stage._cells.ordered)
+    stage, p = prepare(index, labels), PipelineParams(score=ScoreParams(0.2, 0.2, 4))
+    for chunk in stage._cells.plan(stage, [p, p]):
+        with pytest.raises(ValueError, match=r"^stage min_pts=3 != params min_pts=4$"):
+            finish(stage, p)
+    assert counts["cells"] >= 1400 and min(counts.values()) > 0, counts
+
+
+def test_a_planned_stage_searches_each_training_set_once(monkeypatch):
+    # tune on a 30 x 30 integer grid, whose exact ties leave rows undecided
+    # and send them to cross_nearest: each fold stage calls neighbours at most
+    # once per k_c and chosen set, or per order for a set kept per order
+    grid = np.array([(x, y) for x in range(30) for y in range(30)], dtype=float)
+    truth = np.where(np.random.default_rng(5).random(900) < 0.05, OUTLIER,
+                     (grid[:, 0] >= 15).astype(int))
+    ds = Dataset(points=grid, truth=truth)
+    stages, searched = [], []
+    real_prepare, real_neighbours = pipeline.prepare, pipeline.neighbours
+
+    def staging(*args):
+        stages.append(real_prepare(*args))
+        return stages[-1]
+
+    def searching(ts, index, k_c, rows):
+        chosen = ts.indices[len(stages[-1].normals):]
+        searched.append((len(stages) - 1, k_c, np.sort(chosen).tobytes(), ts.indices.tobytes()))
+        return real_neighbours(ts, index, k_c, rows)
+
+    monkeypatch.setattr(pipeline, "prepare", staging)
+    monkeypatch.setattr(pipeline, "neighbours", searching)
+    tune(ds, sample_labels(ds, 0.1, seed=2), grid_step=0.1, folds=5, seed=2)
+    keys = [(stage, k_c, chosen) + ((order,) if (k_c, chosen) in stages[stage]._cells.ordered
+                                     else ())
+            for stage, k_c, chosen, order in searched]
+    assert len(stages) == 5 and len(keys) >= 40 and len(keys) == len(set(keys)), keys
+
+
+def test_planning_a_fine_grid_holds_about_one_chunk():
+    # a 0.01 grid's 5151 cells on a 3000-row stage: their results would need
+    # 5151 x (17 x 3000 + 24 x (normals + k)) bytes, about 670 MB, at once,
+    # but each chunk's blend matrix, results and vote hold about BLOCK_BYTES
+    # and are gone once finish has read them, at the default k_c and at the
+    # list's K, whose vote layouts are widest. Every cell chooses every
+    # unclustered point, so the cache holds one entry per k_c, made before
+    # memory is traced
+    rng = np.random.default_rng(15)
+    centres = rng.integers(3, size=3000)
+    points = 6.0 * rng.normal(size=(3, 2))[centres] + rng.normal(size=(3000, 2))
+    points[:300] = rng.uniform(-20, 20, size=(300, 2))
+    ds = Dataset(points=points, truth=np.where(np.arange(3000) < 300, OUTLIER, centres))
+    stage = prepare(build_index(ds, 3), sample_labels(ds, 0.05, seed=1))
+    for k_c in (5, metricspace.NEAR_K):
+        base = PipelineParams(score=ScoreParams(0.0, 0.0, 3), k=stage.unclustered.size, k_c=k_c)
+        blends = [replace(base, score=ScoreParams(a, b, 3)) for a, b in blend_grid(0.01)]
+        for chunk in stage._cells.plan(stage, blends[:2]):
+            [finish(stage, p) for p in chunk]
+        chunks = 0
+        tracemalloc.start()
+        try:
+            for chunk in stage._cells.plan(stage, blends):
+                chunks += 1
+                for p in chunk:
+                    assert len(finish(stage, p).training) == 3000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entry, = (e for key, e in stage._cells.entries.items() if key[0] == k_c)
+        assert stage.unclustered.size > 200 and entry.live.size > 200, entry.live.size
+        assert chunks > 500 and peak < 2 * pipeline.BLOCK_BYTES, (k_c, chunks, peak)
