@@ -1,6 +1,6 @@
 """Reliable-set selection and the instance-weighted kNN classifier, in three
 steps: `neighbours` (the distance search), `_vote_layout` (each neighbour's
-place among its row's classes), both reusable across blends, and `vote`.
+place among the stage's class ids), both reusable across blends, and `vote`.
 
 `neighbours` reads each row's nearest training rows off the index's shared
 neighbour list wherever the gaps between them are wide enough that every
@@ -235,24 +235,18 @@ def neighbours(ts: TrainingSet, index: NeighborhoodIndex, k_c: int, rows) -> tup
     return nbrs, left
 
 
-def _vote_layout(classes: np.ndarray, ids: np.ndarray | None = None) -> tuple:
+def _vote_layout(classes: np.ndarray, ids: np.ndarray) -> tuple:
     """(ids, cells, first, seen), the weight-free part of `vote` for a k x n
-    table of neighbour classes, a column per row. The votes are one flat
-    array of a cell per (row, id): ids are the classes among the
-    neighbours, ascending, or the ascending `ids` given, which hold every
-    class of the table, so that tables laid out over the same ids can be
-    voted side by side (an id no neighbour of a row holds is not seen, and
-    changes no bit of its vote); cells each neighbour's cell; first whether
-    it is its class's first in its row; seen, n x ids, the cells any
-    neighbour votes in, so that zero-weight votes stay present."""
+    table of neighbour classes, a column per row, over `ids`, ascending and
+    holding every class of the table (a stage's Prepared.class_ids). The
+    votes are one flat array of a cell per (row, id), so tables laid out
+    over the same ids can be voted side by side (an id no neighbour of a
+    row holds is not seen, and changes no bit of its vote); cells each
+    neighbour's cell; first whether it is its class's first in its row;
+    seen, n x ids, the cells any neighbour votes in, so that zero-weight
+    votes stay present."""
     k, n = classes.shape
-    if ids is None:
-        # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
-        ids, inv = np.unique(classes.ravel(), return_inverse=True)
-        inv = inv.reshape(k, n)
-    else:
-        inv = np.searchsorted(ids, classes)
-    cells = inv + ids.size * np.arange(n)  # no ids when n == 0
+    cells = np.searchsorted(ids, classes) + ids.size * np.arange(n)
     seen = np.zeros(n * ids.size, dtype=bool)
     first = np.empty((k, n), dtype=bool)
     for j in range(k):

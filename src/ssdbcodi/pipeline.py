@@ -15,12 +15,14 @@ live rows) can vote otherwise in another cell; the stage's cell cache
 `run` composes the two. `tune` stages each validation fold on its hidden
 rows and hands the stage its whole grid (_Cells.plan), which the stage
 answers chunk by chunk: one blend matrix, one ranking per row of it, one
-entry per chosen set, and one vote of the live rows of every cell. finish, still called once per cell, then reads its cell's result.
-The CLI's sensitivity sweep plans each draw's grid the same way.
+entry per chosen set, and one vote of the live rows of every cell. finish,
+still called once per cell, then reads its cell's result. The CLI's
+sensitivity sweep plans each draw's grid the same way.
 
 Each fold's objective sets out its hidden labels once, as a metrics._Truth,
-and the ids a cell can predict, so a cell hands the _Truth only its own
-scores and codes (see the metrics module docstring).
+and codes a cell's classes by the stage's (Prepared.class_ids, over which
+every vote is laid out), so a cell hands the _Truth only its own scores
+and codes (see the metrics module docstring).
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,7 +92,7 @@ class _Cells:
             self.once.add(k_c)
             nbrs, _ = neighbours(ts, prepared.index, k_c, prepared.rows)
             nbrs = np.ascontiguousarray(nbrs.T)  # so that each rank's row is contiguous
-            return _vote_mixed(ts.classes[nbrs], ts.weights[nbrs])
+            return _vote_mixed(ts.classes[nbrs], ts.weights[nbrs], prepared.class_ids)
         entry = self.entry(prepared, ts, k_c, np.sort(ts.indices[len(ts) - k:]))
         (classes, outlier_score), = _vote_cells([(entry, t[None])])
         return classes[0], outlier_score[0]
@@ -140,7 +142,7 @@ class _Cells:
         table = self.table(prepared, k_c)
         u, reach = prepared.unclustered.size, table.undecided.size + table.mixed.size
         beside = (16 * u + 17 * prepared.rows.size + 24 * size
-                  + reach * (34 * k_c + 20 * table.ids.size))
+                  + reach * (34 * k_c + 20 * prepared.class_ids.size))
         step = max(1, BLOCK_BYTES // (8 * u + beside))
         try:
             for start in range(0, len(blends), step):
@@ -189,7 +191,9 @@ class Prepared:
     reliable normals (every clustered point, ascending, its cluster id its
     class and its r_score its weight, checked once), the `unclustered`
     points, ascending, and `unclustered_scores`, the three columns at those
-    points, which a cell blends alone. `_cells` is its cell cache (_Cells)."""
+    points, which a cell blends alone, and `class_ids`, the classes a cell
+    can predict: the clustered ids and OUTLIER, ascending, over which every
+    vote of the stage is laid out. `_cells` is its cell cache (_Cells)."""
 
     index: NeighborhoodIndex
     assignment: np.ndarray
@@ -199,6 +203,7 @@ class Prepared:
     normals: TrainingSet = field(init=False, repr=False)
     unclustered: np.ndarray = field(init=False, repr=False)
     unclustered_scores: ScoreTable = field(init=False, repr=False)
+    class_ids: np.ndarray = field(init=False, repr=False)
     _cells: _Cells = field(default_factory=_Cells, init=False, repr=False)
 
     def __post_init__(self):
@@ -208,6 +213,7 @@ class Prepared:
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "unclustered", unclustered)
         object.__setattr__(self, "unclustered_scores", scores)
+        object.__setattr__(self, "class_ids", np.union1d(normals.classes, [OUTLIER]))
 
 
 def default_k(n: int, labels: LabelSet) -> int:
@@ -256,18 +262,20 @@ def finish(prepared: Prepared, params: PipelineParams) -> PipelineResult:
                           outlier_score=outlier_score, training=ts, k_c=k_c)
 
 
-def _vote_mixed(classes: np.ndarray, weights: np.ndarray) -> tuple:
-    """vote(_vote_layout(classes), weights), bit for bit, voting only the
-    rows whose neighbours hold two classes or more. vote is row-independent,
-    and a row of one class c takes c, with OUTLIER's share x / x = 1.0 when c
-    is OUTLIER and some weight, so their sum x, is above 0, and 0.0
-    otherwise."""
+def _vote_mixed(classes: np.ndarray, weights: np.ndarray, ids: np.ndarray) -> tuple:
+    """vote(_vote_layout(classes, ids), weights), for the stage's class ids,
+    bit for bit, voting only the rows whose neighbours hold two classes or
+    more. vote is row-independent, and a row of one class c takes c, with
+    OUTLIER's share x / x = 1.0 when c is OUTLIER and some weight, so their
+    sum x, is above 0, and 0.0 otherwise. Every vote of rows whose weights
+    are fixed goes through here: a stage's first, its candidate table's and
+    an entry's fixed rows'."""
     head = classes[0]
     out_class = head.copy()
     out_score = ((head == OUTLIER) & (weights > 0).any(axis=0)).astype(float)
     mixed = np.flatnonzero((classes[1:] != head).any(axis=0))
     if mixed.size:
-        out_class[mixed], out_score[mixed] = vote(_vote_layout(classes[:, mixed]),
+        out_class[mixed], out_score[mixed] = vote(_vote_layout(classes[:, mixed], ids),
                                                   weights[:, mixed])
     return out_class, out_score
 
@@ -341,7 +349,6 @@ class _Table(NamedTuple):
     normal: np.ndarray         # whether each candidate is a normal
     reach_row: np.ndarray      # each reach member's row in mixed
     reach_point: np.ndarray    # and the point
-    ids: np.ndarray            # the stage's classes, ascending: its entries' layouts' ids
 
 
 def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
@@ -376,11 +383,10 @@ def _candidate_table(prepared: Prepared, k_c: int) -> _Table:
     decided = np.flatnonzero(ranked)
     nbrs = first[:, decided]
     classes, outlier_score = np.full(rows.size, OUTLIER, dtype=int), np.zeros(rows.size)
-    classes[decided], outlier_score[decided] = _vote_mixed(assignment[nbrs],
-                                                           prepared.scores.r_score[nbrs])
+    classes[decided], outlier_score[decided] = _vote_mixed(
+        assignment[nbrs], prepared.scores.r_score[nbrs], prepared.class_ids)
     return _Table(np.flatnonzero(~ranked), classes, outlier_score, mixed, cand, normal,
-                  reach_row, cand[reach_row, reach_col],
-                  np.union1d(assignment[is_normal], [OUTLIER]))
+                  reach_row, cand[reach_row, reach_col])
 
 
 def _entry(prepared: Prepared, table: _Table, ts, k_c: int, picked: np.ndarray) -> tuple:
@@ -414,22 +420,18 @@ def _entry(prepared: Prepared, table: _Table, ts, k_c: int, picked: np.ndarray) 
         return entry, searched
     points, cols = np.concatenate(points, axis=1), np.concatenate(cols)
     chosen = assignment[points] == UNCLUSTERED
+    classes = np.where(chosen, OUTLIER, assignment[points])
     # a normal weighs its r_score; a chosen outlier's slot, in a live row
     # only, takes its cell's blend in _vote_cells
     weights = prepared.scores.r_score[points]
-    ids, cells, first, seen = _vote_layout(np.where(chosen, OUTLIER, assignment[points]),
-                                           table.ids)
-    if live < cols.size:
-        # vote is row-independent, so the fixed rows, which come last, are
-        # voted alone, their cells counted from their own first row
-        fixed = (ids, cells[:, live:] - live * ids.size, first[:, live:], seen[live:])
-        entry.classes[cols[live:]], entry.outlier_score[cols[live:]] = vote(fixed,
-                                                                            weights[:, live:])
+    # the fixed rows come last; vote is row-independent, so they vote alone
+    entry.classes[cols[live:]], entry.outlier_score[cols[live:]] = _vote_mixed(
+        classes[:, live:], weights[:, live:], prepared.class_ids)
     if not live:
         return entry, searched
     # every chosen outlier is in a live row, so at follows chosen[:, :live]
-    return entry._replace(live=cols[:live], layout=(ids, cells[:, :live], first[:, :live],
-                                                    seen[:live]),
+    return entry._replace(live=cols[:live],
+                          layout=_vote_layout(classes[:, :live], prepared.class_ids),
                           weights=weights[:, :live], chosen=chosen[:, :live],
                           at=np.searchsorted(prepared.unclustered, points[chosen])), searched
 
@@ -476,11 +478,9 @@ def _fold_objective(prepared: Prepared, labels: LabelSet):
     a normal among the hidden points, otherwise the Rand index stands
     alone. objective returns None when neither metric is computable.
     """
-    hidden, assignment = prepared.rows.tolist(), prepared.assignment
+    hidden, ids = prepared.rows.tolist(), prepared.class_ids
     is_outlier = np.array([i in labels.outliers for i in hidden], dtype=bool)
     truth = metrics._Truth([labels.normal.get(i, OUTLIER) for i in hidden], is_outlier)
-    # the ids a cell can predict: a training class is a clustered id or OUTLIER
-    ids = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
     # neighbouring cells often classify the few hidden rows alike, so a
     # result with the previous one's bytes takes its objective
     last = value = None

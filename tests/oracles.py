@@ -23,20 +23,21 @@ index build's former passes on one thread (`index_by_serial_passes`)
 instead of row blocks spread over the cores, the CSV reader's former
 csv and float() loop over every cell (`load_csv_by_cells`) instead of
 numpy's parser, the paper's pipeline from points to result with none of
-the library's fast paths (`run_by_paper`), and a loop over each row's
-list (`ranked_by_loop`, and `decided_by_loop` for a stage's normals)
-instead of model._ranked's window and whole-list passes, and
+the library's fast paths and no index (`run_by_paper`), and a loop over
+each row's list (`ranked_by_loop`, and `decided_by_loop` for a stage's
+normals) instead of model._ranked's window and whole-list passes, and
 the former paths that each shortcut of a label draw skips: a vote of every
-row (`vote_every_row`), the running minimum over every labeled outlier
-(`sq_dist_by_minimum`), and a sparse table per range-max query
-(`expand_by_two_tables`).
+row (`vote_every_row`), laid out over the classes among the neighbours
+rather than the stage's class ids (`vote_layout_by_unique`), the running
+minimum over every labeled outlier (`sq_dist_by_minimum`), and a sparse
+table per range-max query (`expand_by_two_tables`).
 
 The exceptions call the library to give its bits: `select_reliable`,
 the model's split of an assignment and its selection of the reliable
 outliers in one call, which the selection tests drive; `classify`, its
-`neighbours`, vote layout and `vote` in one call, which the classifier tests
-drive (the vote it replaced, over a training set and its neighbour
-positions, stays as `vote_by_positions`, beside `finish_by_order`, the
+`neighbours` and `vote`, over `vote_layout_by_unique`, in one call, which
+the classifier tests drive (the vote it replaced, over a training set and
+its neighbour positions, stays as `vote_by_positions`, beside `finish_by_order`, the
 finish that looked neighbours up per order of every training set), and
 `pairwise_distances`, `cross_distances` and `nearest`, thin wrappers over
 metricspace's private block loop (`_distances`, `_nearest_block`) that
@@ -48,6 +49,7 @@ import csv
 from dataclasses import dataclass, replace
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -501,7 +503,7 @@ def classify(ts: TrainingSet, points, k_c: int) -> tuple:
         nbrs = metricspace.cross_nearest(ds.points, ds.points[ts.indices], k_c)
     else:
         nbrs, _ = neighbours(ts, build_index(ds, 1), k_c, np.arange(ds.n))
-    return model.vote(model._vote_layout(ts.classes[nbrs.T]), ts.weights[nbrs.T])
+    return model.vote(vote_layout_by_unique(ts.classes[nbrs.T]), ts.weights[nbrs.T])
 
 
 # --- the vote and the finish the stage's neighbour cache replaced ---
@@ -540,10 +542,27 @@ def vote_by_positions(ts: TrainingSet, nbrs: np.ndarray) -> tuple:
     return out_class, out_score
 
 
+def vote_layout_by_unique(classes: np.ndarray) -> tuple:
+    """model._vote_layout as it laid a table out before a stage's class ids
+    were given: over the classes among the neighbours, by np.unique."""
+    k, n = classes.shape
+    # raveled, as numpy 1.x and 2.x shape a 2-D input's inverse differently
+    ids, inv = np.unique(classes.ravel(), return_inverse=True)
+    inv = inv.reshape(k, n)
+    cells = inv + ids.size * np.arange(n)  # no ids when n == 0
+    seen = np.zeros(n * ids.size, dtype=bool)
+    first = np.empty((k, n), dtype=bool)
+    for j in range(k):
+        first[j] = ~seen[cells[j]]
+        seen[cells[j]] = True
+    return ids, cells, first, seen.reshape(n, ids.size)
+
+
 def vote_every_row(classes: np.ndarray, weights: np.ndarray) -> tuple:
     """A stage's first vote as it ran before single-class rows skipped it:
-    model.vote over the layout of every row of the k x n classes table."""
-    return model.vote(model._vote_layout(classes), weights)
+    model.vote over the layout of every row of the k x n classes table, by
+    the classes among its neighbours."""
+    return model.vote(vote_layout_by_unique(classes), weights)
 
 
 def ranked_by_loop(index, rows, k_c: int, count) -> tuple:
@@ -640,18 +659,23 @@ def knn_predict_by_loop(ts: TrainingSet, points: np.ndarray, k_c: int) -> tuple:
 
 def run_by_paper(ds: Dataset, labels: LabelSet, params: PipelineParams) -> PipelineResult:
     """pipeline.run along the paper's steps with none of the library's fast
-    paths: one Prim expansion per labeled root, run to the end and
-    back-traced (`expand_all`, `combine_backtraces`, `emax_over_roots`),
-    densities off a whole reachability matrix, sim scores by one broadcast,
-    the three scores and their blend written out, the k reliable outliers by
-    a stable argsort of the blend over the unclustered points, the public
-    TrainingSet constructor and a full sort per row (`knn_predict_by_loop`).
-    Only the core distances come from the library's index."""
-    idx = build_index(ds, params.score.min_pts)
-    records = expand_all(idx, labels, terminate=False)
+    paths and no index: the core distances and densities of the index
+    build's serial passes (`index_by_serial_passes`), one Prim expansion per
+    labeled root over one whole-matrix expression of the distances
+    (`distances_by_expression`), run to the end and back-traced
+    (`expand_all`, `combine_backtraces`, `emax_over_roots`), sim scores by
+    one broadcast, the three scores and their blend written out, the k
+    reliable outliers by a stable argsort of the blend over the unclustered
+    points, the public TrainingSet constructor and a full sort per row
+    (`knn_predict_by_loop`)."""
+    core, density, _, _ = index_by_serial_passes(ds.points, params.score.min_pts)
+    # all that a Prim expansion reads of an index beside the distances
+    idx = SimpleNamespace(n=ds.n, core=core)
+    records = expand_all(idx, labels, terminate=False,
+                         dist=distances_by_expression(ds.points, ds.points))
     assign = combine_backtraces(records, labels, idx.n)
     r = np.exp(-emax_over_roots(records))
-    l = np.exp(-local_densities_by_matrix(idx))
+    l = np.exp(-density)
     sim = sim_scores_by_broadcast(ds, labels)
     alpha, beta = params.score.alpha, params.score.beta
     t = alpha * (1.0 - r) + beta * (1.0 - l) + max(0.0, 1.0 - alpha - beta) * sim
@@ -817,20 +841,22 @@ class ExpansionRecord:
 
 
 def prim_expand(idx: NeighborhoodIndex, root: int, labels: LabelSet,
-                terminate: bool) -> ExpansionRecord:
+                terminate: bool, dist=None) -> ExpansionRecord:
     """Expand from a labeled normal root in cheapest-attachment order.
 
     With terminate=True the expansion stops right after inserting the
     first differently-labeled point (original semantics); otherwise it
     runs until every point is inserted while still recording where that
-    boundary occurred.
+    boundary occurred. Only idx.n and idx.core are read when the points'
+    distances, `dist`, are given.
     """
     n = idx.n
     if root not in labels.normal:
         raise ValueError(f"expansion root {root} must be a labeled normal point")
     lab = _user_labels(labels, n)
     root_label = lab[root]
-    dist = pairwise_distances(idx.points)
+    if dist is None:
+        dist = pairwise_distances(idx.points)
 
     keys = np.full(n, np.inf)
     keys[root] = 0.0
@@ -874,13 +900,14 @@ def back_trace(rec: ExpansionRecord) -> set:
     return {rec.order[i][0] for i in range(cut)}
 
 
-def expand_all(idx: NeighborhoodIndex, labels: LabelSet, terminate: bool) -> list:
-    """One expansion per labeled normal root, in ascending root order."""
+def expand_all(idx: NeighborhoodIndex, labels: LabelSet, terminate: bool, dist=None) -> list:
+    """One expansion per labeled normal root, in ascending root order, over
+    the points' distances `dist` when given."""
     labels.validate_for(idx.n)
     roots = sorted(labels.normal)
     if not roots:
         raise ValueError("at least one labeled normal point is required")
-    return [prim_expand(idx, r, labels, terminate=terminate) for r in roots]
+    return [prim_expand(idx, r, labels, terminate=terminate, dist=dist) for r in roots]
 
 
 def combine_backtraces(records, labels: LabelSet, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from ssdbcodi import (OUTLIER, UNCLUSTERED, Dataset, TrainingSet, build_index, m
                      model, prepare, sample_labels)
 from ssdbcodi.model import neighbours
 from oracles import (as_dataset, classify, cross_distances, knn_predict_by_loop,
-                     ranked_by_loop, select_reliable)
+                     ranked_by_loop, select_reliable, vote_layout_by_unique)
 
 
 def make_assignment(assign):
@@ -524,7 +524,8 @@ def test_a_vote_over_given_ids_matches_the_tables_own_ids():
     # tie-heavy tables (few classes per row, zero and tied weights, k of 1,
     # one class, every neighbour OUTLIER, ids up to 2**62, no row) voted over
     # a layout whose given ids add classes no neighbour holds, OUTLIER among
-    # them or not, have the bits of their own layout's vote; and two tables
+    # them or not, have the bits of the vote over their own classes (the
+    # former layout, by np.unique, vote_layout_by_unique); and two tables
     # laid out over the same ids and voted side by side, the second's cells
     # counted on from the first's, have the bits of their separate votes
     rng = np.random.default_rng(151)
@@ -544,7 +545,7 @@ def test_a_vote_over_given_ids_matches_the_tables_own_ids():
         ids = np.union1d(pool, extra)
         voted = []
         for classes, weights in tables:
-            want = model.vote(model._vote_layout(classes), weights)
+            want = model.vote(vote_layout_by_unique(classes), weights)
             got = model.vote(model._vote_layout(classes, ids), weights)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case

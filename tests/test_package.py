@@ -38,10 +38,11 @@ def test_the_pipeline_records_are_pinned():
                                               "training", "k_c"]
     assert names(ssdbcodi.ScoreTable) == ["r_score", "l_score", "sim_score"]
     # a stage fixes the rows its finishes classify, so no cell passes them,
-    # and sets out the normals and unclustered points that every cell shares
+    # and sets out the normals, unclustered points and class ids that every
+    # cell shares
     assert names(ssdbcodi.Prepared) == ["index", "assignment", "scores", "auto_k", "rows",
                                         "normals", "unclustered", "unclustered_scores",
-                                        "_cells"]
+                                        "class_ids", "_cells"]
     # the set-out fields and the cell cache follow the stage's other fields,
     # so no caller passes them
     assert [f.name for f in dataclasses.fields(ssdbcodi.Prepared) if f.init] == [

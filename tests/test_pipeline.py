@@ -216,7 +216,8 @@ def test_fold_objective_matches_the_public_metrics_bit_for_bit():
                           outliers=frozenset(i for i, o in zip(hidden, outlier) if o))
         pool = rng.choice(score_pool, size=int(rng.integers(1, 6)), replace=False)
         predicted = np.append(np.unique(assignment[assignment != UNCLUSTERED]), OUTLIER)
-        stage = SimpleNamespace(rows=np.array(hidden), assignment=assignment)
+        stage = SimpleNamespace(rows=np.array(hidden), class_ids=np.union1d(
+            assignment[assignment != UNCLUSTERED], [OUTLIER]))
         objective = pipeline._fold_objective(stage, labels)
         for cell in range(int(rng.integers(1, 5))):
             change = int(rng.integers(4)) if cell else 0
@@ -357,6 +358,28 @@ def test_prepared_stage_owns_points_and_auto_k():
     assert with_outliers >= 2
 
 
+def test_a_stage_sets_out_its_class_ids_from_its_own_assignment():
+    # the classes a cell can predict, the clustered ids and OUTLIER,
+    # ascending, in the bytes and dtype of np.union1d: set out by prepare, and
+    # again by replace with another assignment, down to one that clusters no
+    # point (OUTLIER alone), ids up to 2**62 and an int32 assignment
+    ds = moons_with_outliers(n=200)
+    index = build_index(ds, 3)
+    rng = np.random.default_rng(157)
+    for seed in range(3):
+        stage = prepare(index, sample_labels(ds, 0.1, seed=seed))
+        drawn = rng.choice([UNCLUSTERED, 0, 5, 2**62], size=ds.n)
+        for assignment in (stage.assignment, np.full(ds.n, UNCLUSTERED), drawn,
+                           stage.assignment.astype(np.int32)):
+            staged = (stage if assignment is stage.assignment
+                      else replace(stage, assignment=assignment))
+            want = np.union1d(assignment[assignment != UNCLUSTERED], [OUTLIER])
+            got = staged.class_ids
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+        assert replace(stage, assignment=np.full(ds.n, UNCLUSTERED)).class_ids.tolist() == [
+            OUTLIER]
+
+
 def test_prepare_refuses_rows_outside_the_dataset():
     index = build_index(BLOBS, 3)
     for rows in ([0, -1], [3, BLOBS.n]):
@@ -430,10 +453,11 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     ds = moons_with_outliers(n=200)
     labels = sample_labels(ds, 0.1, seed=3)
     calls = counted_searches(monkeypatch)
-    voted, real_vote = [], pipeline.vote
+    voted, real_vote, ids = [], pipeline.vote, []
 
     def counting_vote(layout, weights):
         voted.append(weights.shape[1])
+        ids.append(layout[0].tobytes())
         return real_vote(layout, weights)
 
     prepared = prepare(build_index(ds, 3), labels)
@@ -451,11 +475,13 @@ def test_finish_reuses_neighbours_per_training_set(monkeypatch):
     assert [rows for _, rows, _ in calls] == [ds.n, ds.n] + ([undecided] if undecided else [])
     # each k_c's first finish, which no plan answered, votes only the rows
     # whose neighbours hold two classes or more (none may), and some vote
-    # fewer rows than they classify
+    # fewer rows than they classify; every vote is laid out over the stage's
+    # class ids
     mixed = [int(mixed_rows(prepared, result.training, result.k_c).sum())
              for result in cached[:2]]
     assert votes[:2] == [[m] if m else [] for m in mixed]
     assert any(m < ds.n for m in mixed), mixed
+    assert ids and set(ids) == {prepared.class_ids.tobytes()}, ids
     for got, p in zip(cached, params):
         fresh = prepare(build_index(ds, 3), labels)
         want = finish(fresh, p)
@@ -497,7 +523,9 @@ def test_first_vote_skips_single_class_rows_with_the_bits_of_every_row():
             weights = np.zeros((k, n))
         if case % 2:  # laid out as a gather through a transposed neighbour table
             classes, weights = np.asfortranarray(classes), np.asfortranarray(weights)
-        got, want = pipeline._vote_mixed(classes, weights), vote_every_row(classes, weights)
+        ids = np.union1d(pool, [OUTLIER])  # as a stage's class ids, OUTLIER among them
+        got = pipeline._vote_mixed(classes, weights, ids)
+        want = vote_every_row(classes, weights)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
         mixed = (classes != classes[:1]).any(axis=0)
@@ -521,8 +549,9 @@ def mixed_rows(prepared, ts, k_c: int) -> np.ndarray:
 
 
 def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
-    ds = moons_with_outliers(n=200)
-    labels = sample_labels(ds, 0.1, seed=5)
+    # 200 moons at label seed 5 give stages that decide every row; 300 at
+    # label seed 0 leave rows undecided, which their entries search and,
+    # where no chosen outlier reaches them, vote as fixed rows
     calls = counted_searches(monkeypatch)
     finished, voted = [], []
     real_finish, real_vote = pipeline.finish, pipeline.vote
@@ -534,66 +563,80 @@ def test_tune_searches_neighbours_once_per_fold_and_training_set(monkeypatch):
         finished.append((prepared, result.k_c, indices.tobytes(), np.sort(indices).tobytes(),
                          prepared.rows, voted[start:], live_rows(prepared, result),
                          mixed_rows(prepared, prepared.normals, result.k_c),
+                         mixed_rows(prepared, result.training, result.k_c),
                          decided_by_loop(prepared, result.k_c)))
         return result
 
     def counting_vote(layout, weights):
-        voted.append(weights.shape[1])
+        voted.append((weights.shape[1], layout[0].tobytes()))
         return real_vote(layout, weights)
 
     monkeypatch.setattr(pipeline, "finish", recording)
     monkeypatch.setattr(pipeline, "vote", counting_vote)
-    tune(ds, labels, grid_step=0.2, folds=5, seed=5,
-         params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
-    # Holding every stage keeps their ids distinct. No lookup sends a row to
-    # cross_nearest here, so one entry serves every order of a training set.
-    orders = {(id(prepared), k_c, key) for prepared, k_c, key, *_ in finished}
-    sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, *_ in finished}
-    assert len(finished) == 5 * len(blend_grid(0.2))
-    assert [searched for *_, searched in calls] == [0] * len(calls)
-    assert len(sets) < len(orders) < len(finished)
-    # Each fold's finishes classify exactly its hidden rows, sorted.
-    hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
-    assert [list(finish[4]) for finish in finished] == [
-        h for h in hidden for _ in blend_grid(0.2)]
-    # Each stage answers its grid when tune hands it over, so no finish
-    # votes. The stage builds its table: the normals-only vote of the
-    # decided rows whose normals-only neighbours hold two classes or more.
-    # Each training set's entry, in the order the grid first meets it, then
-    # searches only the undecided rows and votes those that no chosen outlier
-    # reaches. Then every cell of every set votes its set's live rows, the
-    # rows a chosen outlier reaches, side by side in one call, none when no
-    # set has one.
-    assert [finish[5] for finish in finished] == [[]] * len(finished)
-    stages = {}
-    for prepared, k_c, _, key, rows, _, live, normals_mixed, decided in finished:
-        stages.setdefault((id(prepared), k_c), {}).setdefault(key, []).append(
-            (rows, live, normals_mixed, decided))
-    searches, want, tables, lives = [], [], [], []
-    for stage in stages.values():
-        rows, _, normals_mixed, decided = next(iter(stage.values()))[0]
-        table = int((normals_mixed & decided).sum())
-        want += [table] if table else []
-        tables.append((table, len(rows)))
-        for cells in stage.values():
-            _, live, _, decided = cells[0]
-            undecided = int((~decided).sum())
-            searches += [undecided] if undecided else []
-            fixed = undecided - int((live & ~decided).sum())
-            want += [fixed] if fixed else []
-        tiled = 0
-        for cells in stage.values():
-            live = int(cells[0][1].sum())
-            tiled += len(cells) * live
-            lives.append((live, len(rows)))
-        want += [tiled] if tiled else []
-    assert [rows for _, rows, _ in calls] == searches
-    assert voted == want
+    tables, lives = [], []
+    counts = dict.fromkeys(("undecided", "fixed_voted", "fixed_skipped"), 0)
+    for n, label_seed in ((200, 5), (300, 0)):
+        ds = moons_with_outliers(n=n)
+        labels = sample_labels(ds, 0.1, seed=label_seed)
+        del calls[:], finished[:], voted[:]
+        tune(ds, labels, grid_step=0.2, folds=5, seed=5,
+             params=PipelineParams(score=ScoreParams(0.0, 0.0, 3)))
+        # Holding every stage keeps their ids distinct. No lookup sends a row
+        # to cross_nearest here, so one entry serves every order of a set.
+        orders = {(id(prepared), k_c, key) for prepared, k_c, key, *_ in finished}
+        sets = {(id(prepared), k_c, key) for prepared, k_c, _, key, *_ in finished}
+        assert len(finished) == 5 * len(blend_grid(0.2))
+        assert [searched for *_, searched in calls] == [0] * len(calls)
+        assert len(sets) < len(orders) < len(finished)
+        # Each fold's finishes classify exactly its hidden rows, sorted.
+        hidden = [sorted(h) for h in _fold_partition(labels, 5, 5)]
+        assert [list(finish[4]) for finish in finished] == [
+            h for h in hidden for _ in blend_grid(0.2)]
+        # Each stage answers its grid when tune hands it over, so no finish
+        # votes. The stage builds its table: the normals-only vote of the
+        # decided rows whose normals-only neighbours hold two classes or more.
+        # Each training set's entry, in the order the grid first meets it,
+        # then searches only the undecided rows and votes its fixed rows,
+        # those that no chosen outlier reaches, whose neighbours hold two
+        # classes or more. Then every cell of every set votes its set's live
+        # rows, the rows a chosen outlier reaches, side by side in one call,
+        # none when no set has one. Every vote is laid out over the stage's
+        # class ids.
+        assert [finish[5] for finish in finished] == [[]] * len(finished)
+        stages = {}
+        for prepared, k_c, _, key, rows, _, live, normals_mixed, mixed, decided in finished:
+            stages.setdefault((id(prepared), k_c), {}).setdefault(key, []).append(
+                (rows, live, normals_mixed, mixed, decided, prepared.class_ids.tobytes()))
+        searches, want = [], []
+        for stage in stages.values():
+            rows, _, normals_mixed, _, decided, ids = next(iter(stage.values()))[0]
+            table = int((normals_mixed & decided).sum())
+            want += [(table, ids)] if table else []
+            tables.append((table, len(rows)))
+            for cells in stage.values():
+                _, live, _, mixed, decided, _ = cells[0]
+                undecided = int((~decided).sum())
+                searches += [undecided] if undecided else []
+                fixed = ~decided & ~live
+                want += [(int((fixed & mixed).sum()), ids)] if (fixed & mixed).any() else []
+                counts["undecided"] += undecided > 0
+                counts["fixed_voted"] += bool((fixed & mixed).any())
+                counts["fixed_skipped"] += bool((fixed & ~mixed).any())
+            tiled = 0
+            for cells in stage.values():
+                live = int(cells[0][1].sum())
+                tiled += len(cells) * live
+                lives.append((live, len(rows)))
+            want += [(tiled, ids)] if tiled else []
+        assert [rows for _, rows, _ in calls] == searches
+        assert voted == want
     # some tables vote fewer rows than they classify; some sets have no
-    # live row, and some fewer than all
+    # live row, and some fewer than all; some entries search undecided rows,
+    # some vote fixed rows and some skip a fixed row of one class
     assert any(m < n for m, n in tables), tables
     assert any(live == 0 for live, _ in lives), lives
     assert any(0 < live < n for live, n in lives), lives
+    assert min(counts.values()) > 0, counts
 
 
 def test_every_tune_cell_training_set_passes_the_public_constructor(monkeypatch):
